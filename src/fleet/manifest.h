@@ -36,10 +36,9 @@ namespace fleet {
 inline constexpr uint32_t kManifestFormatVersion = 1;
 
 /// Purge records kept in the manifest (older ones age out). An instance
-/// that refreshes less often than the fleet produces purges can miss
-/// one; the staleness contract (DESIGN.md "Fleet tier") therefore pairs
-/// the bounded log with the same-base-data requirement spill files
-/// already carry.
+/// that falls further behind cannot tell which purges it missed, so it
+/// drops every entry admitted no later than the oldest record still
+/// kept (ColdTier::RefreshPeers; DESIGN.md "Fleet tier").
 inline constexpr size_t kManifestMaxPurges = 256;
 
 /// A writer instance and the wall-clock (unix ms) its liveness lease

@@ -41,6 +41,20 @@ std::vector<RGNode*> RecyclerCache::Entries() const {
   return out;
 }
 
+std::vector<RecyclerCache::Ranked> RecyclerCache::RankByBenefit(
+    const std::vector<Entry>& entries) const {
+  std::vector<Ranked> ranked;
+  ranked.reserve(entries.size());
+  for (const Entry& e : entries) ranked.push_back({benefit_fn_(e.node), e.node});
+  // Benefit alone decides the order (no tie-break), so equal benefits land
+  // where a sort over the live values would have put them.
+  std::sort(ranked.begin(), ranked.end(),
+            [](const Ranked& a, const Ranked& b) {
+              return a.benefit < b.benefit;
+            });
+  return ranked;
+}
+
 bool RecyclerCache::PlanEviction(double benefit, int64_t size_bytes,
                                  std::vector<RGNode*>* victims) const {
   int64_t free_bytes = unlimited()
@@ -49,39 +63,27 @@ bool RecyclerCache::PlanEviction(double benefit, int64_t size_bytes,
   if (free_bytes >= size_bytes) return true;  // fits without eviction
   if (!unlimited() && size_bytes > capacity_bytes_) return false;
 
-  if (policy_ == CachePolicy::kLru) {
-    // Ablation: evict globally in LRU order until the result fits.
+  if (policy_ != CachePolicy::kBenefit) {
+    // Ablations: evict globally, unconditionally, until the result fits —
+    // in LRU order, or smallest benefit first (admit-all).
     std::vector<Entry> all;
     for (const auto& [g, entries] : groups_) {
       all.insert(all.end(), entries.begin(), entries.end());
     }
-    std::sort(all.begin(), all.end(),
-              [](const Entry& a, const Entry& b) {
-                return a.lru_stamp < b.lru_stamp;
-              });
-    int64_t freed = 0;
-    for (const auto& e : all) {
-      if (free_bytes + freed >= size_bytes) break;
-      victims->push_back(e.node);
-      freed += e.node->cached_bytes.load();
+    std::vector<RGNode*> order;
+    if (policy_ == CachePolicy::kLru) {
+      std::sort(all.begin(), all.end(), [](const Entry& a, const Entry& b) {
+        return a.lru_stamp < b.lru_stamp;
+      });
+      for (const Entry& e : all) order.push_back(e.node);
+    } else {
+      for (const Ranked& r : RankByBenefit(all)) order.push_back(r.node);
     }
-    return free_bytes + freed >= size_bytes;
-  }
-
-  if (policy_ == CachePolicy::kAdmitAll) {
-    // Ablation: evict smallest-benefit entries globally, unconditionally.
-    std::vector<Entry> all;
-    for (const auto& [g, entries] : groups_) {
-      all.insert(all.end(), entries.begin(), entries.end());
-    }
-    std::sort(all.begin(), all.end(), [this](const Entry& a, const Entry& b) {
-      return benefit_fn_(a.node) < benefit_fn_(b.node);
-    });
     int64_t freed = 0;
-    for (const auto& e : all) {
+    for (RGNode* n : order) {
       if (free_bytes + freed >= size_bytes) break;
-      victims->push_back(e.node);
-      freed += e.node->cached_bytes.load();
+      victims->push_back(n);
+      freed += n->cached_bytes.load();
     }
     return free_bytes + freed >= size_bytes;
   }
@@ -91,24 +93,19 @@ bool RecyclerCache::PlanEviction(double benefit, int64_t size_bytes,
   // the victims' average benefit exceeds the candidate's.
   auto git = groups_.find(SizeGroup(size_bytes));
   if (git == groups_.end()) return false;
-  std::vector<Entry> sorted = git->second;
-  std::sort(sorted.begin(), sorted.end(),
-            [this](const Entry& a, const Entry& b) {
-              return benefit_fn_(a.node) < benefit_fn_(b.node);
-            });
   int64_t freed = 0;
   double benefit_sum = 0;
   int count = 0;
-  for (const auto& e : sorted) {
-    double b = benefit_fn_(e.node);
+  for (const Ranked& r : RankByBenefit(git->second)) {
+    const double b = r.benefit;
     // (a) average benefit of the victim set must stay below the
     // candidate's benefit.
     if (count > 0 && (benefit_sum + b) / (count + 1) >= benefit) break;
     if (count == 0 && b >= benefit) break;
-    victims->push_back(e.node);
+    victims->push_back(r.node);
     benefit_sum += b;
     ++count;
-    freed += e.node->cached_bytes.load();
+    freed += r.node->cached_bytes.load();
     // (b) victims together large enough.
     if (free_bytes + freed >= size_bytes) return true;
   }

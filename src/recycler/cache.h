@@ -69,7 +69,18 @@ class RecyclerCache {
     int64_t lru_stamp;
   };
 
+  /// An entry with the benefit it had when a policy evaluation began.
+  struct Ranked {
+    double benefit;
+    RGNode* node;
+  };
+
   static int SizeGroup(int64_t size_bytes);
+  /// Evaluates `benefit_fn_` once per entry and sorts ascending by that
+  /// snapshot. Other streams bump h while a sort runs; a comparator that
+  /// re-read live benefits could disagree with itself and send std::sort
+  /// past the end of its range.
+  std::vector<Ranked> RankByBenefit(const std::vector<Entry>& entries) const;
   /// Selects victims for a candidate of (benefit, size); returns true if
   /// admission is possible. Victims are appended to `victims`.
   bool PlanEviction(double benefit, int64_t size_bytes,
@@ -79,8 +90,9 @@ class RecyclerCache {
   int64_t capacity_bytes_;
   std::function<double(const RGNode*)> benefit_fn_;
   CachePolicy policy_;
-  /// log2-size group -> entries (unordered within; benefit is recomputed
-  /// on every policy evaluation, so no stored order can go stale).
+  /// log2-size group -> entries (unordered within; each policy evaluation
+  /// takes one benefit per entry and ranks on that snapshot, so no stored
+  /// order can go stale).
   std::map<int, std::vector<Entry>> groups_;
   int64_t used_bytes_ = 0;
   int64_t lru_counter_ = 0;

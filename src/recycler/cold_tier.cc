@@ -608,6 +608,40 @@ void ColdTier::ApplyPurgeLocked(const fleet::ManifestPurge& purge,
   }
 }
 
+void ColdTier::NotePurgesLocked(const std::vector<fleet::ManifestPurge>& log) {
+  // The log is append-ordered, so front() is the oldest retained record.
+  if (log.size() >= fleet::kManifestMaxPurges &&
+      log.front().seq > last_applied_purge_seq_) {
+    purge_gap_seq_ = std::max(purge_gap_seq_, log.front().seq);
+    purge_gap_drop_pending_ = true;
+  }
+  // One writer's batch shares a seq, so compare against the mark as it
+  // stood before this log.
+  const int64_t mark = last_applied_purge_seq_;
+  for (const fleet::ManifestPurge& p : log) {
+    if (p.seq <= mark) continue;
+    noted_purges_.push_back(p);
+    last_applied_purge_seq_ = std::max(last_applied_purge_seq_, p.seq);
+  }
+}
+
+void ColdTier::ApplyNotedPurgesLocked(
+    std::vector<const RGNode*>* dropped_nodes) {
+  if (purge_gap_drop_pending_) {
+    for (std::list<Rec>* list : {&clock_, &peers_}) {
+      for (auto it = list->begin(); it != list->end();) {
+        ClockIt cur = it++;
+        if (cur->admit_seq <= purge_gap_seq_) EvictRec(cur, dropped_nodes);
+      }
+    }
+    purge_gap_drop_pending_ = false;
+  }
+  for (const fleet::ManifestPurge& p : noted_purges_) {
+    ApplyPurgeLocked(p, dropped_nodes);
+  }
+  noted_purges_.clear();
+}
+
 void ColdTier::PurgeTable(const std::string& table,
                           std::vector<const RGNode*>* dropped_nodes) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -644,6 +678,9 @@ void ColdTier::SyncManifestLocked() {
   }
   fleet::Manifest m;
   fleet::ReadManifestFile(fleet::ManifestPath(dir_), &m).ok();
+  // Peers' purges in this read are queued for the next refresh: the
+  // write below moves the purge mark past them.
+  NotePurgesLocked(m.purges);
   m.seq = std::max(m.seq, last_seen_seq_) + 1;
   const int64_t now_ms = fleet::UnixMillisNow();
 
@@ -739,14 +776,12 @@ Status ColdTier::RefreshPeers(std::vector<const RGNode*>* dropped_nodes,
   }
   const int64_t now_ms = fleet::UnixMillisNow();
 
-  if (m.seq != last_seen_seq_) {
-    // (a) Purges published since the last refresh.
-    for (const fleet::ManifestPurge& p : m.purges) {
-      if (p.seq <= last_applied_purge_seq_) continue;
-      ApplyPurgeLocked(p, dropped_nodes);
-      last_applied_purge_seq_ = std::max(last_applied_purge_seq_, p.seq);
-    }
+  // (a) Purges published since the manifest was last read here, by this
+  // refresh or by a manifest sync in between.
+  NotePurgesLocked(m.purges);
+  ApplyNotedPurgesLocked(dropped_nodes);
 
+  if (m.seq != last_seen_seq_) {
     std::unordered_set<std::string> manifest_files;
     for (const fleet::ManifestEntry& e : m.entries) {
       manifest_files.insert(e.file);
@@ -757,6 +792,9 @@ Status ColdTier::RefreshPeers(std::vector<const RGNode*>* dropped_nodes,
     // takeover) unless we are read-only.
     for (const fleet::ManifestEntry& e : m.entries) {
       if (e.owner == instance_) continue;
+      // Admitted no later than a purge lost to a log gap: its freshness
+      // can never be proven here.
+      if (purge_gap_seq_ > 0 && e.admit_seq <= purge_gap_seq_) continue;
       auto known = by_key_.find(e.canon_key);
       if (known != by_key_.end()) {
         // Already tracked as a peer entry, but the owner's lease has

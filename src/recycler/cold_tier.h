@@ -254,7 +254,10 @@ class ColdTier {
                                std::vector<const RGNode*>* dropped_nodes);
 
   /// Fleet refresh: lock-free manifest read, then (a) applies purge
-  /// records published since the last refresh, (b) tracks new peer
+  /// records published since the manifest was last read here (by a
+  /// refresh or by a manifest sync) — or, when the bounded purge log
+  /// has aged out records never read here, first drops every entry one
+  /// of them could have matched, (b) tracks new peer
   /// entries as adoptable peer orphans, (c) drops peer entries their
   /// owner retired, (d) claims entries whose owner's lease expired
   /// (stale-lease takeover; skipped in read-only mode), and (e) renews
@@ -330,6 +333,20 @@ class ColdTier {
   void ApplyPurgeLocked(const fleet::ManifestPurge& purge,
                         std::vector<const RGNode*>* dropped_nodes);
 
+  /// Takes note of the purge log of a manifest just read: queues every
+  /// record newer than last_applied_purge_seq_ for ApplyNotedPurgesLocked
+  /// and advances the mark past them. A full log whose oldest record is
+  /// newer than the mark may have aged out purges never read here (a log
+  /// gap); that record's seq then becomes purge_gap_seq_. Caller holds
+  /// mu_.
+  void NotePurgesLocked(const std::vector<fleet::ManifestPurge>& log);
+
+  /// Applies what NotePurgesLocked queued. After a newly noted log gap it
+  /// first drops every tracked entry admitted at or before
+  /// purge_gap_seq_: by ApplyPurgeLocked's rule a lost purge could have
+  /// matched any of them. Caller holds mu_.
+  void ApplyNotedPurgesLocked(std::vector<const RGNode*>* dropped_nodes);
+
   void WorkerLoop();
 
   std::string FilePath(uint64_t name_hash);
@@ -354,9 +371,17 @@ class ColdTier {
   std::atomic<int64_t> num_orphans_{0};
 
   // --- fleet state (guarded by mu_) ------------------------------------
-  /// Manifest seq/purge high-water marks already applied locally.
+  /// Manifest seq/purge high-water marks already read locally.
   int64_t last_seen_seq_ = 0;
   int64_t last_applied_purge_seq_ = 0;
+  /// Purges read from the manifest but not applied yet: a manifest sync
+  /// reads peers' purges where no dropped-node list is at hand, so the
+  /// next refresh applies them.
+  std::vector<fleet::ManifestPurge> noted_purges_;
+  /// Highest seq a purge lost to a log gap could carry (0: none). Entries
+  /// admitted at or before it are dropped once and never tracked again.
+  int64_t purge_gap_seq_ = 0;
+  bool purge_gap_drop_pending_ = false;
   /// Our lease expiry as of the last manifest write (renew-ahead check).
   int64_t lease_expiry_ms_ = 0;
   /// Owned-entry set changed since the last manifest sync.

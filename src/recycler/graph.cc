@@ -46,6 +46,7 @@ RGNode* RecyclerGraph::AddNode(std::unique_ptr<RGNode> node,
   raw->leaf_key = leaf_key;
   raw->last_access_epoch = epoch_.load();
   nodes_.push_back(std::move(node));
+  num_nodes_.store(static_cast<int64_t>(nodes_.size()));
   if (raw->children.empty()) {
     leaf_index_.emplace(leaf_key, raw);
   } else {
@@ -101,6 +102,7 @@ int64_t RecyclerGraph::Truncate(int64_t idle_epochs) {
       ++removed_total;
     }
   }
+  num_nodes_.store(static_cast<int64_t>(nodes_.size()));
   return removed_total;
 }
 

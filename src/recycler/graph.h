@@ -106,6 +106,10 @@ struct RGNode {
   /// renamed to graph space. Keeps the parameters (predicates, group-by
   /// lists, aggregate items...) inspectable for subsumption and rewrites.
   PlanPtr param_node;
+  /// Select nodes only: the fingerprints of param_node's conjuncts, taken
+  /// once at insert so derived-reuse lookups can rule a candidate out
+  /// without rebuilding fingerprint strings (MaySubsume, subsumption.h).
+  std::set<std::string> conjunct_fps;
 
   /// Output column names in graph space, positionally matching the
   /// defining plan node's output schema.
@@ -255,6 +259,10 @@ class RecyclerGraph {
   /// nodes removed. Caller holds the exclusive lock.
   int64_t Truncate(int64_t idle_epochs);
 
+  /// Node count, O(1) and lock-free (Stats() walks every node under the
+  /// shared lock).
+  int64_t num_nodes() const { return num_nodes_.load(); }
+
   GraphStats Stats() const;
 
  private:
@@ -264,6 +272,8 @@ class RecyclerGraph {
   MatShard mat_shards_[kNumMatShards];
 
   std::vector<std::unique_ptr<RGNode>> nodes_;
+  /// nodes_.size(), kept in step under the exclusive lock.
+  std::atomic<int64_t> num_nodes_{0};
   /// Global leaf hash table (the paper's "global hash table for
   /// efficiently matching table scans"): leaf key -> nodes.
   std::unordered_multimap<std::string, RGNode*> leaf_index_;

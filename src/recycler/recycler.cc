@@ -658,6 +658,10 @@ RGNode* Recycler::InsertOne(const PlanNode& node,
   gnode->signature = MappedSignature(node, *mapping);
   gnode->param_fp = node.ParamFingerprint(mapping);
   gnode->param_node = node.CloneParamsRenamed(*mapping);
+  if (gnode->type == OpType::kSelect) {
+    gnode->conjunct_fps =
+        ConjunctFingerprints(gnode->param_node->predicate(), nullptr);
+  }
   gnode->children = child_g;
   gnode->base_tables = node.base_tables();
   gnode->inserted_by = query_id;
@@ -991,10 +995,19 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
     if ((config_.enable_subsumption || config_.enable_partial_reuse) &&
         m->children.size() == 1 && m->children[0]->gnode != nullptr) {
       RGNode* child_gnode = m->children[0]->gnode;
+      const NameMap& child_mapping = m->children[0]->mapping;
       // Restart orphans among this child's parents become directly
       // servable subsumption/stitch candidates (adoption by canonical
       // key), instead of waiting for an exact re-insertion.
       MaybeAdoptOrphanParents(child_gnode, prepared);
+
+      // A range selection's interval decomposition serves both paths:
+      // subsumption loads cold candidates through it, stitching keys the
+      // interval index on it.
+      std::vector<RangeSpec> specs;
+      if (plan->type() == OpType::kSelect) {
+        specs = ExtractRangeSpecs(plan->predicate(), &child_mapping);
+      }
 
       // Single-superset subsumption (§IV-A). Candidate parents are
       // collected under the shared lock; their snapshots are taken
@@ -1003,6 +1016,10 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
       // valid: truncation requires a quiescent point, and this query is
       // inside its Prepare window.
       if (config_.enable_subsumption) {
+        std::set<std::string> query_fps;
+        if (plan->type() == OpType::kSelect) {
+          query_fps = ConjunctFingerprints(plan->predicate(), &child_mapping);
+        }
         std::vector<RGNode*> hot_cands;
         std::vector<RGNode*> cold_cands;
         {
@@ -1011,7 +1028,14 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
           for (const auto& [hk, parent] : child_gnode->parents) {
             if (parent == g || !seen.insert(parent).second) continue;
             MatState ms = parent->mat_state.load();
-            if (ms == MatState::kCached) hot_cands.push_back(parent);
+            // A hot candidate that cannot derive is dropped before its
+            // freshness check and snapshot. Cold ones are all probed: the
+            // probe loads the entry, and that load (a promotion or a
+            // counted slice load) happens whether or not it derives.
+            if (ms == MatState::kCached &&
+                MaySubsume(*parent, plan->type(), query_fps)) {
+              hot_cands.push_back(parent);
+            }
             if (ms == MatState::kCold) cold_cands.push_back(parent);
           }
         }
@@ -1026,13 +1050,7 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
         // only in-range rows materialize. Sound because the subsumption
         // compensation either already implies the range (shared
         // conjunct) or re-applies it (residual).
-        std::vector<RangeSpec> sub_specs;
-        if (plan->type() == OpType::kSelect) {
-          sub_specs =
-              ExtractRangeSpecs(plan->predicate(), &m->children[0]->mapping);
-        }
-        const RangeSpec* sub_spec =
-            sub_specs.empty() ? nullptr : &sub_specs[0];
+        const RangeSpec* sub_spec = specs.empty() ? nullptr : &specs[0];
         SubsumptionPlan derived;
         RGNode* subsumer = nullptr;
         bool subsumer_from_cold = false;
@@ -1092,9 +1110,6 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
       // re-admit from disk and promotion acquires it. Pointers stay
       // valid for the Prepare window (truncation needs quiescence).
       if (config_.enable_partial_reuse && plan->type() == OpType::kSelect) {
-        const NameMap& mapping = m->children[0]->mapping;
-        std::vector<RangeSpec> specs =
-            ExtractRangeSpecs(plan->predicate(), &mapping);
         std::vector<std::vector<IntervalIndex::Entry>> entries_per_spec(
             specs.size());
         bool any_entries = false;
@@ -1129,6 +1144,14 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
             std::vector<IntervalCandidate> cands;
             for (IntervalIndex::Entry& e : entries_per_spec[si]) {
               if (e.node == g) continue;  // exact reuse handled above
+              // A hot slice with a remaining conjunct the query lacks is
+              // never eligible (TryPartialStitch's own rule), so it skips
+              // the freshness check and snapshot. Cold slices still load,
+              // for the same reason as cold subsumption candidates.
+              if (e.node->mat_state.load() == MatState::kCached &&
+                  !ConjunctsImplied(e.other_fps, specs[si].other_fps)) {
+                continue;
+              }
               // Stale slices never stitch (appended rows missing); cold
               // slices load filtered through the query's own interval
               // (rows outside it are clipped out by the stitch anyway).
@@ -1144,7 +1167,7 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
                                std::move(e.other_fps)});
             }
             if (cands.empty()) continue;
-            PartialPlan attempt = TryPartialStitch(*plan, mapping,
+            PartialPlan attempt = TryPartialStitch(*plan, child_mapping,
                                                    delta_child, specs[si],
                                                    cands);
             if (attempt.plan != nullptr &&
@@ -1673,7 +1696,7 @@ std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan) {
     }
   }
   prepared->trace_.match_ms = match_sw.ElapsedMs();
-  prepared->trace_.graph_nodes_at_match = graph_.Stats().num_nodes;
+  prepared->trace_.graph_nodes_at_match = graph_.num_nodes();
   prepared->matched_ = std::move(matched);
 
   // --- reuse rewriting (may stall on in-flight results) ----------------

@@ -9,15 +9,29 @@
 
 namespace recycledb {
 
-namespace {
-
-std::set<std::string> ConjunctFps(const ExprPtr& pred, const NameMap* mapping) {
+std::set<std::string> ConjunctFingerprints(const ExprPtr& pred,
+                                           const NameMap* mapping) {
   std::set<std::string> out;
   for (const auto& c : SplitConjuncts(pred)) {
     out.insert(c->Fingerprint(mapping));
   }
   return out;
 }
+
+bool ConjunctsImplied(const std::set<std::string>& cached_fps,
+                      const std::set<std::string>& query_fps) {
+  return std::includes(query_fps.begin(), query_fps.end(), cached_fps.begin(),
+                       cached_fps.end());
+}
+
+bool MaySubsume(const RGNode& cand, OpType query_type,
+                const std::set<std::string>& query_fps) {
+  if (cand.param_node == nullptr || cand.type != query_type) return false;
+  return query_type != OpType::kSelect ||
+         ConjunctsImplied(cand.conjunct_fps, query_fps);
+}
+
+namespace {
 
 bool SameSortKeys(const std::vector<SortKey>& query_keys,
                   const NameMap& mapping,
@@ -60,21 +74,21 @@ SubsumptionPlan MakeSyntheticScan(TablePtr cached) {
 SubsumptionPlan TrySelect(const PlanNode& query_node,
                           const NameMap& child_mapping, const RGNode& cand,
                           TablePtr cached) {
-  const PlanNode& cp = *cand.param_node;
-  std::set<std::string> cand_fps = ConjunctFps(cp.predicate(), nullptr);
+  // The candidate's conjuncts come from its parameters, not from the
+  // conjunct_fps copy MaySubsume reads: the prefilter may only skip work,
+  // so this check never depends on it.
+  const std::set<std::string> cand_fps =
+      ConjunctFingerprints(cand.param_node->predicate(), nullptr);
   std::vector<ExprPtr> residual;
-  std::set<std::string> covered;
+  std::set<std::string> query_fps;
   for (const auto& c : SplitConjuncts(query_node.predicate())) {
     std::string fp = c->Fingerprint(&child_mapping);
-    if (cand_fps.count(fp) > 0) {
-      covered.insert(fp);
-    } else {
-      residual.push_back(c);
-    }
+    if (cand_fps.count(fp) == 0) residual.push_back(c);
+    query_fps.insert(std::move(fp));
   }
   // Every cached conjunct must be implied by the query's (conjunct subset):
   // otherwise the cached result dropped rows the query needs.
-  if (covered.size() != cand_fps.size()) return {};
+  if (!ConjunctsImplied(cand_fps, query_fps)) return {};
 
   SubsumptionPlan out;
   // The select's output schema equals its child's; the cached columns are
@@ -300,10 +314,7 @@ PartialPlan TryPartialStitch(const PlanNode& query_node,
   std::vector<const IntervalCandidate*> eligible;
   for (const IntervalCandidate& c : candidates) {
     if (c.cached == nullptr) continue;
-    if (!std::includes(spec.other_fps.begin(), spec.other_fps.end(),
-                       c.other_fps.begin(), c.other_fps.end())) {
-      continue;
-    }
+    if (!ConjunctsImplied(c.other_fps, spec.other_fps)) continue;
     if (!Overlaps(c.range, q)) continue;
     eligible.push_back(&c);
   }
@@ -455,15 +466,10 @@ PartialPlan TryPartialStitch(const PlanNode& query_node,
 bool ParamsSubsume(const PlanNode& super, const PlanNode& sub) {
   if (super.type() != sub.type()) return false;
   switch (super.type()) {
-    case OpType::kSelect: {
+    case OpType::kSelect:
       // super's conjuncts must be a subset of sub's.
-      auto super_fps = ConjunctFps(super.predicate(), nullptr);
-      auto sub_fps = ConjunctFps(sub.predicate(), nullptr);
-      for (const auto& fp : super_fps) {
-        if (sub_fps.count(fp) == 0) return false;
-      }
-      return true;
-    }
+      return ConjunctsImplied(ConjunctFingerprints(super.predicate(), nullptr),
+                              ConjunctFingerprints(sub.predicate(), nullptr));
     case OpType::kTopN:
       return super.limit() >= sub.limit() &&
              SameSortKeys(sub.sort_keys(), {}, super.sort_keys());

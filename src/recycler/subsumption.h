@@ -23,6 +23,31 @@
 
 namespace recycledb {
 
+/// Fingerprints of `pred`'s conjuncts, column names translated through
+/// `mapping` (null: as written). A set, so neither the order nor the
+/// repetition of conjuncts matters.
+std::set<std::string> ConjunctFingerprints(const ExprPtr& pred,
+                                           const NameMap* mapping);
+
+/// The subset rule behind every derivation from a cached selection: the
+/// cached rows include every row the query needs iff each conjunct the
+/// cached result applied (`cached_fps`) is also one of the query's
+/// (`query_fps`). TrySelect, TryPartialStitch (on the non-range
+/// conjuncts), ParamsSubsume and MaySubsume all decide with it.
+bool ConjunctsImplied(const std::set<std::string>& cached_fps,
+                      const std::set<std::string>& query_fps);
+
+/// Prefilter for TrySubsumption, cheap enough to run on every hot
+/// candidate before its freshness check and snapshot: false when `cand`
+/// cannot derive a `query_type` node whatever its cached table holds —
+/// no parameters, another operator type, or (Select) a cached conjunct
+/// the query lacks. `query_fps` is ConjunctFingerprints of the query's
+/// predicate under the child mapping (read for Select only). For a Select
+/// it accepts exactly the candidates TrySubsumption derives from; other
+/// types pass on a type match.
+bool MaySubsume(const RGNode& cand, OpType query_type,
+                const std::set<std::string>& query_fps);
+
 /// Result of a successful subsumption derivation.
 struct SubsumptionPlan {
   /// Derived plan (query name space) whose output schema equals the query

@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "common/rng.h"
 #include "recycler/cache.h"
 
 namespace recycledb {
@@ -153,6 +154,51 @@ TEST_F(CacheTest, LruTouchProtectsEntry) {
   ASSERT_TRUE(cache.Admit(MakeNode(4000, 1.0), 1.0, &evicted));
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0], b);
+}
+
+TEST_F(CacheTest, EvictionPlanTakesOneBenefitPerEntry) {
+  // A full 200-entry size group. Ranking victims must evaluate each
+  // entry's benefit once, not twice per sort comparison.
+  constexpr int kEntries = 200;
+  int64_t calls = 0;
+  RecyclerCache cache(kEntries * 4096, [this, &calls](const RGNode* n) {
+    ++calls;
+    return benefits_.at(n);
+  });
+  std::vector<RGNode*> evicted;
+  for (int i = 0; i < kEntries; ++i) {
+    ASSERT_TRUE(cache.Admit(MakeNode(4096, 1.0 + i % 17), 1.0, &evicted));
+  }
+  ASSERT_EQ(cache.used_bytes(), cache.capacity_bytes());
+
+  calls = 0;
+  EXPECT_TRUE(cache.WouldAdmit(100.0, 4096));
+  EXPECT_EQ(calls, kEntries);
+
+  calls = 0;
+  EXPECT_TRUE(cache.Admit(MakeNode(4096, 100.0), 100.0, &evicted));
+  EXPECT_EQ(calls, kEntries);
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(benefits_.at(evicted[0]), 1.0);  // the lowest benefit goes
+}
+
+TEST_F(CacheTest, BenefitsChangingMidEvaluationStayInBounds) {
+  // Other streams bump h while an eviction plan is ranked. A benefit_fn
+  // that answers differently on every call is the worst case: a sort
+  // whose comparator re-read it could run past its range (caught by
+  // AddressSanitizer). Planning on a snapshot stays in bounds.
+  constexpr int kEntries = 200;
+  Rng rng(20240917);
+  RecyclerCache cache(kEntries * 4096, [&rng](const RGNode*) {
+    return static_cast<double>(rng.Uniform(0, 1000));
+  });
+  std::vector<RGNode*> evicted;
+  for (int i = 0; i < kEntries; ++i) {
+    ASSERT_TRUE(cache.Admit(MakeNode(4096, 0), 0, &evicted));
+  }
+  for (int i = 0; i < 1000; ++i) cache.WouldAdmit(500.0, 4096);
+  EXPECT_EQ(cache.num_entries(), kEntries);
+  EXPECT_EQ(cache.used_bytes(), cache.capacity_bytes());
 }
 
 TEST_F(CacheTest, AdmitAllPolicyEvictsAcrossGroups) {

@@ -24,30 +24,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using recycledb::testing::RowMultiset;
-
-/// mkdtemp wrapper honoring $TMPDIR (CI points it at the runner's
-/// scratch space); removed recursively on destruction.
-class TempSpillDir {
- public:
-  TempSpillDir() {
-    const char* base = std::getenv("TMPDIR");
-    std::string tmpl = std::string(base && *base ? base : "/tmp");
-    tmpl += "/rdb-cold-XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    const char* d = mkdtemp(buf.data());
-    RDB_CHECK(d != nullptr);
-    path_ = d;
-  }
-  ~TempSpillDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using recycledb::testing::TempSpillDir;
 
 /// Deterministic test table: `rows` rows of (a: 0..9, v: spread over
 /// [0, 10000)).

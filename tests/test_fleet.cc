@@ -5,8 +5,9 @@
 // version skew), two live instances over one directory (the second
 // serves exact / subsumption / stitch hits from the first's spills
 // without re-executing, and never steals ownership), stale-lease
-// takeover (expired owners are claimed, live ones are not), the
-// read-only adoption mode, the async spill queue's drain barrier, and a
+// takeover (expired owners are claimed, live ones are not), purges that
+// a member read only through a manifest sync or lost to the bounded
+// purge log, the read-only adoption mode, the async spill queue's drain barrier, and a
 // spill-vs-adopt race between two instances (run under TSan by the
 // `fleet` ctest label). Warm-standby failover rides the same harness:
 // a tailing standby serves the primary's results from statement one.
@@ -33,28 +34,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using recycledb::testing::RowMultiset;
-
-class TempSpillDir {
- public:
-  TempSpillDir() {
-    const char* base = std::getenv("TMPDIR");
-    std::string tmpl = std::string(base && *base ? base : "/tmp");
-    tmpl += "/rdb-fleet-XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    const char* d = mkdtemp(buf.data());
-    RDB_CHECK(d != nullptr);
-    path_ = d;
-  }
-  ~TempSpillDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using recycledb::testing::TempSpillDir;
 
 /// Deterministic base table shared by every instance in a test: the
 /// fleet contract is same base data, so each process builds the same
@@ -64,6 +44,18 @@ TablePtr MakeTestTable(int rows) {
   TablePtr t = MakeTable(s);
   for (int i = 0; i < rows; ++i) {
     t->AppendRow({static_cast<int32_t>(i % 10),
+                  static_cast<double>((i * 7919) % 10000)});
+  }
+  return t;
+}
+
+/// `f` after a ReplaceTable: MakeTestTable's rows with every `a` moved,
+/// so any range over `v` returns other rows than before.
+TablePtr MakeReplacedTable(int rows) {
+  Schema s({{"a", TypeId::kInt32}, {"v", TypeId::kDouble}});
+  TablePtr t = MakeTable(s);
+  for (int i = 0; i < rows; ++i) {
+    t->AppendRow({static_cast<int32_t>((i + 1) % 10),
                   static_cast<double>((i * 7919) % 10000)});
   }
   return t;
@@ -88,12 +80,14 @@ PlanPtr RefineQuery(double lo, int32_t a) {
                 Expr::Eq(Expr::Column("a"), Expr::Literal(a))));
 }
 
-/// One fleet member over `spill_dir` under the given instance id.
+/// One fleet member over `spill_dir` under the given instance id; `f`
+/// defaults to MakeTestTable(rows).
 std::unique_ptr<Database> OpenInstance(const std::string& spill_dir,
                                        const std::string& instance,
                                        int rows = 20000,
                                        bool read_only = false,
-                                       int64_t lease_ms = 30000) {
+                                       int64_t lease_ms = 30000,
+                                       TablePtr f = nullptr) {
   DatabaseOptions options;
   options.recycler.mode = RecyclerMode::kSpeculation;
   options.recycler.cache_bytes = 256ll << 20;
@@ -104,7 +98,8 @@ std::unique_ptr<Database> OpenInstance(const std::string& spill_dir,
   options.recycler.spill_read_only = read_only;
   options.recycler.fleet_lease_ms = lease_ms;
   std::unique_ptr<Database> db = Database::OpenOrDie(options);
-  RDB_CHECK(db->CreateTable("f", MakeTestTable(rows)).ok());
+  RDB_CHECK(
+      db->CreateTable("f", f != nullptr ? f : MakeTestTable(rows)).ok());
   return db;
 }
 
@@ -436,6 +431,78 @@ TEST(FleetLease, StaleLeaseTakeoverAtRefresh) {
   EXPECT_TRUE(fs::exists(fleet::ManifestPath(dir.path())));
   Result again = b->Execute(RangeQuery(3000, 6000));
   ASSERT_TRUE(again.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Purge log
+// ---------------------------------------------------------------------------
+
+TEST(FleetPurgeLog, PeerPastTheLogBoundDropsWhatALostPurgeCouldMatch) {
+  TempSpillDir dir;
+  auto a = OpenInstance(dir.path(), "alpha");
+  auto b = OpenInstance(dir.path(), "beta");
+  ASSERT_TRUE(a->CreateTable("g", MakeTestTable(10)).ok());
+
+  // Beta owns a spill over f, published in the manifest.
+  ASSERT_TRUE(b->Execute(RangeQuery(0, 3000)).ok());
+  b->FlushCache();
+  ASSERT_TRUE(b->RefreshFleet().ok());
+  ASSERT_EQ(b->recycler().cold_tier().Stats().entries, 1);
+
+  // 300 purges before beta refreshes again: alpha replaces f, then g
+  // often enough that f's purge record ages out of the bounded log.
+  ASSERT_TRUE(a->ReplaceTable("f", MakeReplacedTable(20000)).ok());
+  for (int i = 1; i < 300; ++i) {
+    ASSERT_TRUE(a->ReplaceTable("g", MakeTestTable(10)).ok());
+  }
+  fleet::Manifest m;
+  ASSERT_TRUE(
+      fleet::ReadManifestFile(fleet::ManifestPath(dir.path()), &m).ok());
+  ASSERT_EQ(m.purges.size(), fleet::kManifestMaxPurges);
+  for (const fleet::ManifestPurge& p : m.purges) ASSERT_EQ(p.table, "g");
+
+  // Beta cannot tell which purges it missed, so it drops everything one
+  // of them could have matched.
+  ASSERT_TRUE(b->RefreshFleet().ok());
+  EXPECT_EQ(b->recycler().cold_tier().Stats().entries, 0);
+
+  // A member over the new f is never served beta's stale spill.
+  auto c = OpenInstance(dir.path(), "gamma", 20000, false, 30000,
+                        MakeReplacedTable(20000));
+  auto expected = Expected(c.get(), RangeQuery(0, 3000));
+  Result r = c->Execute(RangeQuery(0, 3000));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.adoptions(), 0);
+  EXPECT_EQ(RowMultiset(*r.table()), expected);
+}
+
+TEST(FleetPurgeLog, PurgeReadByAManifestSyncIsAppliedAtTheNextRefresh) {
+  TempSpillDir dir;
+  auto a = OpenInstance(dir.path(), "alpha");
+  auto b = OpenInstance(dir.path(), "beta");
+  ASSERT_TRUE(b->CreateTable("g", MakeTestTable(100)).ok());
+  ASSERT_TRUE(b->Execute(RangeQuery(0, 3000)).ok());
+  b->FlushCache();
+
+  // Alpha replaces f. Beta's next manifest write (a spill over g) reads
+  // the purge before any refresh does.
+  ASSERT_TRUE(a->ReplaceTable("f", MakeReplacedTable(20000)).ok());
+  ASSERT_TRUE(b->Execute(PlanNode::Select(
+                             PlanNode::Scan("g", {"a", "v"}),
+                             Expr::Gt(Expr::Column("v"), Expr::Literal(0.0))))
+                  .ok());
+  b->FlushCache();
+  ASSERT_TRUE(b->RefreshFleet().ok());
+  EXPECT_EQ(b->recycler().cold_tier().Stats().entries, 1);  // g's only
+
+  // Had beta kept its spill over f listed, alpha's refresh would track it
+  // again and serve it over the new f.
+  ASSERT_TRUE(a->RefreshFleet().ok());
+  auto expected = Expected(a.get(), RangeQuery(0, 3000));
+  Result r = a->Execute(RangeQuery(0, 3000));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.adoptions(), 0);
+  EXPECT_EQ(RowMultiset(*r.table()), expected);
 }
 
 // ---------------------------------------------------------------------------

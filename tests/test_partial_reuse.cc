@@ -2,12 +2,15 @@
 // predicate decomposition, the interval index, stitched-plan correctness
 // against cold execution (bit-identical row multisets), boundary-equality
 // dedup, open-ended intervals, full cover via multiple slices, stitched
-// result admission/widening, invalidation, and concurrent stitching.
+// result admission/widening, invalidation, concurrent stitching, and the
+// derived-reuse prefilter (it agrees with TrySubsumption and the stitch
+// eligibility rule on random conjunct sets; cold candidates still load).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
+#include "common/rng.h"
 #include "plan/table_function.h"
 #include "recycler/interval_index.h"
 #include "recycler/recycler.h"
@@ -19,6 +22,7 @@ namespace recycledb {
 namespace {
 
 using recycledb::testing::RowMultiset;
+using recycledb::testing::TempSpillDir;
 
 RangeBound Lo(double v, bool inclusive) { return {false, Datum{v}, inclusive}; }
 RangeBound Hi(double v, bool inclusive) { return {false, Datum{v}, inclusive}; }
@@ -544,6 +548,202 @@ TEST_F(PartialReuseTest, ApiSurfacesPartialHitStats) {
   EXPECT_EQ(session->stats().partial_reuses, 1);
   TemplateStats ts = db->StatsForTemplate(stmt->template_hash());
   EXPECT_EQ(ts.partial_reuses, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Derived-reuse prefilter
+// ---------------------------------------------------------------------------
+
+/// Random Select predicates over the child Project(t: a AS x, g AS y,
+/// v AS w). Each carries a range on w plus conjuncts on x and y drawn
+/// from a small pool, listed in random order with some repeated.
+class SelectPredicateGenerator {
+ public:
+  explicit SelectPredicateGenerator(uint64_t seed) : rng_(seed) {}
+
+  static PlanPtr Child() {
+    return PlanNode::Project(PlanNode::Scan("t", {"a", "g", "v"}),
+                             {{Expr::Column("a"), "x"},
+                              {Expr::Column("g"), "y"},
+                              {Expr::Column("v"), "w"}});
+  }
+
+  /// Pool indices: each pool conjunct with probability 1/2, drawn from
+  /// `from` when given (a candidate built from a query's conjuncts).
+  std::vector<int> PickPool(const std::vector<int>* from) {
+    std::vector<int> all;
+    for (int i = 0; i < kPoolSize; ++i) all.push_back(i);
+    std::vector<int> picked;
+    for (int i : from != nullptr ? *from : all) {
+      if (rng_.Uniform(0, 1) == 0) picked.push_back(i);
+    }
+    return picked;
+  }
+
+  /// Range `range` on w (0: [20, 200), 1: (10, 100), 2: [150, 300], all
+  /// overlapping range 0) AND the pool conjuncts, shuffled, with up to two
+  /// repeated.
+  ExprPtr Predicate(int range, const std::vector<int>& pool) {
+    static const double kLo[] = {20, 10, 150};
+    static const double kHi[] = {200, 100, 300};
+    ExprPtr w = Expr::Column("w");
+    std::vector<ExprPtr> conj = {
+        range == 1 ? Expr::Gt(w, Expr::Literal(kLo[range]))
+                   : Expr::Ge(w, Expr::Literal(kLo[range])),
+        range == 2 ? Expr::Le(w, Expr::Literal(kHi[range]))
+                   : Expr::Lt(w, Expr::Literal(kHi[range]))};
+    for (int i : pool) conj.push_back(PoolConjunct(i));
+    const auto last = [&conj] { return static_cast<int64_t>(conj.size()) - 1; };
+    for (int64_t n = rng_.Uniform(0, 2); n > 0; --n) {
+      conj.push_back(conj[rng_.Uniform(0, last())]);
+    }
+    for (int64_t i = last(); i > 0; --i) {
+      std::swap(conj[i], conj[rng_.Uniform(0, i)]);
+    }
+    return AndAll(conj);
+  }
+
+  int64_t Uniform(int64_t lo, int64_t hi) { return rng_.Uniform(lo, hi); }
+
+ private:
+  static constexpr int kPoolSize = 8;
+
+  static ExprPtr PoolConjunct(int i) {
+    ExprPtr x = Expr::Column("x");
+    ExprPtr y = Expr::Column("y");
+    switch (i) {
+      case 0: return Expr::Gt(x, Expr::Literal(int64_t{10}));
+      case 1: return Expr::Lt(x, Expr::Literal(int64_t{80}));
+      case 2: return Expr::Eq(y, Expr::Literal(int64_t{3}));
+      case 3: return Expr::Ne(y, Expr::Literal(int64_t{5}));
+      case 4: return Expr::Ge(x, Expr::Literal(int64_t{20}));
+      case 5: return Expr::Lt(y, Expr::Literal(int64_t{6}));
+      case 6: return Expr::Ne(x, Expr::Literal(int64_t{42}));
+      default: return Expr::Gt(y, Expr::Literal(int64_t{1}));
+    }
+  }
+
+  Rng rng_;
+};
+
+const RangeSpec* SpecOn(const std::vector<RangeSpec>& specs,
+                        const std::string& mapped_column) {
+  for (const RangeSpec& s : specs) {
+    if (s.mapped_column == mapped_column) return &s;
+  }
+  return nullptr;
+}
+
+TEST_F(PartialReuseTest, PrefilterAcceptsExactlyTheDerivableCandidates) {
+  // The graph renamed the child's outputs; the query is in query space.
+  const NameMap mapping = {{"x", "x#9"}, {"y", "y#9"}, {"w", "w#9"}};
+  SelectPredicateGenerator gen(8675309);
+  int derivable = 0, stitchable = 0;
+  constexpr int kTrials = 400;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const std::vector<int> qpool = gen.PickPool(nullptr);
+    const std::vector<int> cpool =
+        gen.PickPool(gen.Uniform(0, 1) == 0 ? &qpool : nullptr);
+    const int crange = static_cast<int>(gen.Uniform(0, 2));
+    ExprPtr qpred = gen.Predicate(0, qpool);
+    ExprPtr cpred = gen.Predicate(crange, cpool);
+
+    PlanPtr query = PlanNode::Select(SelectPredicateGenerator::Child(), qpred);
+    query->Bind(catalog_);
+    // The candidate as the recycler inserts it: parameters in graph
+    // space, conjunct fingerprints taken from them once.
+    RGNode cand;
+    cand.id = 1;
+    cand.type = OpType::kSelect;
+    cand.param_node =
+        PlanNode::Select(SelectPredicateGenerator::Child(), cpred)
+            ->CloneParamsRenamed(mapping);
+    cand.conjunct_fps =
+        ConjunctFingerprints(cand.param_node->predicate(), nullptr);
+    TablePtr cached = MakeTable(query->output_schema());
+
+    // Subsumption: the prefilter sees the query's fingerprints computed
+    // once under the child mapping, as RewriteForReuse computes them.
+    const bool derives =
+        TrySubsumption(*query, mapping, cand, cached).plan != nullptr;
+    EXPECT_EQ(MaySubsume(cand, OpType::kSelect,
+                         ConjunctFingerprints(qpred, &mapping)),
+              derives)
+        << "trial " << trial;
+    derivable += derives;
+
+    // Stitching: the slice as the interval index registers it.
+    std::vector<RangeSpec> qspecs = ExtractRangeSpecs(qpred, &mapping);
+    std::vector<RangeSpec> cspecs =
+        ExtractRangeSpecs(cand.param_node->predicate(), nullptr);
+    const RangeSpec* qspec = SpecOn(qspecs, "w#9");
+    const RangeSpec* cspec = SpecOn(cspecs, "w#9");
+    ASSERT_NE(qspec, nullptr);
+    ASSERT_NE(cspec, nullptr);
+    const bool stitches =
+        TryPartialStitch(*query, mapping, query->children()[0], *qspec,
+                         {{&cand, cached, cspec->range, cspec->other_fps}})
+            .plan != nullptr;
+    EXPECT_EQ(ConjunctsImplied(cspec->other_fps, qspec->other_fps), stitches)
+        << "trial " << trial;
+    stitchable += stitches;
+
+    if (trial % 8 != 0) continue;
+    // End to end: with the candidate hot, the recycler reuses it exactly
+    // when it derives (stitching off, so no other path can serve).
+    RecyclerConfig cfg;
+    cfg.mode = RecyclerMode::kSpeculation;
+    cfg.enable_partial_reuse = false;
+    Recycler rec(&catalog_, cfg);
+    rec.Execute(PlanNode::Select(SelectPredicateGenerator::Child(), cpred));
+    ASSERT_EQ(rec.graph().Stats().num_cached, 1);
+    QueryTrace trace;
+    ExecResult r = rec.Execute(
+        PlanNode::Select(SelectPredicateGenerator::Child(), qpred), &trace);
+    EXPECT_EQ(trace.num_reuses > 0, derives) << "trial " << trial;
+    EXPECT_EQ(RowMultiset(*r.table),
+              RunOff(PlanNode::Select(SelectPredicateGenerator::Child(),
+                                      qpred)));
+  }
+  // Both outcomes occur often enough for the equivalences to mean
+  // something.
+  EXPECT_GT(derivable, kTrials / 10);
+  EXPECT_LT(derivable, kTrials * 9 / 10);
+  EXPECT_GT(stitchable, kTrials / 10);
+  EXPECT_LT(stitchable, kTrials * 9 / 10);
+
+  // Another operator type never passes, whatever its parameters.
+  RGNode project;
+  project.type = OpType::kProject;
+  project.param_node =
+      SelectPredicateGenerator::Child()->CloneParamsRenamed(mapping);
+  EXPECT_FALSE(MaySubsume(project, OpType::kSelect, {}));
+}
+
+TEST_F(PartialReuseTest, ColdCandidateThatCannotSubsumeIsStillPromoted) {
+  // The prefilter skips hot candidates only. A cold one must be loaded to
+  // be probed, and that load promotes it even when it cannot derive.
+  TempSpillDir dir;
+  RecyclerConfig cfg;
+  cfg.mode = RecyclerMode::kSpeculation;
+  cfg.spill_dir = dir.path();
+  Recycler rec(&catalog_, cfg);
+  auto g_equals = [](int64_t g) {
+    return PlanNode::Select(
+        PlanNode::Scan("t", {"a", "g", "v"}),
+        Expr::Eq(Expr::Column("g"), Expr::Literal(g)));
+  };
+  rec.Execute(g_equals(2));
+  rec.FlushCache();
+  ASSERT_EQ(rec.graph().Stats().num_cold, 1);
+  const int64_t readmissions = rec.counters().cold_readmissions.load();
+
+  QueryTrace trace;
+  ExecResult r = rec.Execute(g_equals(3), &trace);
+  EXPECT_EQ(trace.num_reuses, 0);
+  EXPECT_EQ(rec.counters().cold_readmissions.load(), readmissions + 1);
+  EXPECT_EQ(rec.graph().Stats().num_cold, 0);
+  EXPECT_EQ(RowMultiset(*r.table), RunOff(g_equals(3)));
 }
 
 TEST_F(PartialReuseTest, ConcurrentOverlappingRangesStayCorrect) {

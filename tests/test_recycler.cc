@@ -139,6 +139,7 @@ TEST_F(RecyclerTest, MatchCostRecordedAndSmall) {
   QueryTrace t;
   rec.Execute(AggPlan(10), &t);
   EXPECT_GT(t.graph_nodes_at_match, 0);
+  EXPECT_EQ(t.graph_nodes_at_match, rec.graph().Stats().num_nodes);
   EXPECT_GE(t.match_ms, 0.0);
   EXPECT_LT(t.match_ms, 100.0);  // sanity: matching ≪ execution
 }

@@ -45,6 +45,7 @@ TEST_F(TruncationTest, RemovesIdleSubtreesKeepsFresh) {
   // The stale select+agg chain goes; the shared scan stays (fresh parent).
   EXPECT_EQ(removed, 2);
   EXPECT_EQ(rec.graph().Stats().num_nodes, 3);
+  EXPECT_EQ(rec.graph().num_nodes(), 3);  // the O(1) count follows removals
 }
 
 TEST_F(TruncationTest, SharedPrefixSurvivesWhileAnyParentIsFresh) {

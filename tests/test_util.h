@@ -2,15 +2,44 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/macros.h"
 #include "storage/table.h"
 
 namespace recycledb {
 namespace testing {
+
+/// mkdtemp wrapper honoring $TMPDIR (CI points it at the runner's
+/// scratch space); removed recursively on destruction.
+class TempSpillDir {
+ public:
+  TempSpillDir() {
+    const char* base = std::getenv("TMPDIR");
+    std::string tmpl = std::string(base && *base ? base : "/tmp");
+    tmpl += "/rdb-XXXXXX";
+    std::vector<char> buf(tmpl.begin(), tmpl.end());
+    buf.push_back('\0');
+    const char* d = mkdtemp(buf.data());
+    RDB_CHECK(d != nullptr);
+    path_ = d;
+  }
+  ~TempSpillDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempSpillDir(const TempSpillDir&) = delete;
+  TempSpillDir& operator=(const TempSpillDir&) = delete;
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Renders a row as a canonical string (doubles at 6 significant digits so
 /// summation-order differences do not break equality).
