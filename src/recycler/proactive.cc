@@ -30,14 +30,14 @@ namespace {
 
 /// Finds distinct-count statistics for `column` in any base table under
 /// `tables` (our schemas use globally unique column names).
-const ColumnStats* FindColumnStats(const Catalog& catalog,
-                                   const std::set<std::string>& tables,
-                                   const std::string& column) {
+std::optional<ColumnStats> FindColumnStats(const Catalog& catalog,
+                                           const std::set<std::string>& tables,
+                                           const std::string& column) {
   for (const auto& t : tables) {
-    const ColumnStats* s = catalog.GetColumnStats(t, column);
-    if (s != nullptr) return s;
+    std::optional<ColumnStats> s = catalog.GetColumnStats(t, column);
+    if (s.has_value()) return s;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 struct DecomposedAggs {
@@ -189,8 +189,9 @@ std::optional<CubeRewrite> TrySelections(const PlanPtr& plan,
   // columns added to the GROUP BY must be small.
   int64_t combined = 1;
   for (const auto& c : pred_cols) {
-    const ColumnStats* s = FindColumnStats(catalog, x->base_tables(), c);
-    if (s == nullptr || s->distinct_count <= 0) return std::nullopt;
+    std::optional<ColumnStats> s =
+        FindColumnStats(catalog, x->base_tables(), c);
+    if (!s.has_value() || s->distinct_count <= 0) return std::nullopt;
     combined *= s->distinct_count;
     if (combined > distinct_threshold) return std::nullopt;
   }

@@ -4,15 +4,36 @@
 
 namespace recycledb {
 
+namespace {
+
+/// Statistics of column `c` of `table`: min/max from its zone-map blocks,
+/// distinct_count from one pass of row hashes (no boxing per row).
+ColumnStats ComputeColumnStats(const Table& table, int c) {
+  const ColumnVector& col = *table.column(c);
+  const ZoneMap& zone = table.zone_map(c);
+  RDB_CHECK(zone.rows_covered() == col.size());
+  ColumnStats stats;
+  for (int64_t b = 0; b < zone.num_blocks(); ++b) {
+    const ZoneEntry& e = zone.block(b);
+    // Same alternative on both sides, so variant `<` compares the values.
+    if (b == 0 || e.min < stats.min_value) stats.min_value = e.min;
+    if (b == 0 || stats.max_value < e.max) stats.max_value = e.max;
+  }
+  std::unordered_set<uint64_t> distinct;
+  const int64_t n = col.size();
+  for (int64_t r = 0; r < n; ++r) distinct.insert(col.HashRow(r, 0));
+  stats.distinct_count = static_cast<int64_t>(distinct.size());
+  return stats;
+}
+
+}  // namespace
+
 Status Catalog::RegisterTable(const std::string& name, TablePtr table) {
   std::lock_guard<std::mutex> lock(mu_);
   if (tables_.count(name) > 0) {
     return Status::AlreadyExists("table already registered: " + name);
   }
-  Entry entry;
-  entry.table = table;
-  ComputeStats(*table, &entry.column_stats);
-  tables_[name] = std::move(entry);
+  tables_[name].table = std::move(table);
   return Status::OK();
 }
 
@@ -22,16 +43,15 @@ Status Catalog::ReplaceTable(const std::string& name, TablePtr table) {
   if (it == tables_.end()) {
     return Status::NotFound("table not registered: " + name);
   }
-  it->second.table = table;
+  it->second.table = std::move(table);
   ++it->second.epoch;
   it->second.column_stats.clear();
-  ComputeStats(*table, &it->second.column_stats);
   return Status::OK();
 }
 
 Status Catalog::AppendRows(const std::string& name, const Table& delta) {
-  // Serialize appends; the O(n) copy and stats pass run outside mu_ so
-  // concurrent readers never stall behind an append.
+  // Serialize appends; the O(n) copy runs outside mu_ so concurrent
+  // readers never stall behind an append.
   std::lock_guard<std::mutex> append_lock(append_mu_);
   TablePtr base;
   {
@@ -45,25 +65,7 @@ Status Catalog::AppendRows(const std::string& name, const Table& delta) {
   if (!(delta.schema() == base->schema())) {
     return Status::InvalidArgument("append schema mismatch for table " + name);
   }
-  auto grown = MakeTable(base->schema());
-  if (base->num_rows() > 0) {
-    Batch old_rows;
-    old_rows.num_rows = base->num_rows();
-    for (int c = 0; c < base->num_columns(); ++c) {
-      old_rows.columns.push_back(base->column(c));
-    }
-    grown->AppendBatch(old_rows);
-  }
-  if (delta.num_rows() > 0) {
-    Batch delta_rows;
-    delta_rows.num_rows = delta.num_rows();
-    for (int c = 0; c < delta.num_columns(); ++c) {
-      delta_rows.columns.push_back(delta.column(c));
-    }
-    grown->AppendBatch(delta_rows);
-  }
-  std::map<std::string, ColumnStats> stats;
-  ComputeStats(*grown, &stats);
+  TablePtr grown = base->WithAppended(delta);
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = tables_.find(name);
@@ -73,7 +75,7 @@ Status Catalog::AppendRows(const std::string& name, const Table& delta) {
       return Status::Internal("table replaced during append: " + name);
     }
     it->second.table = std::move(grown);
-    it->second.column_stats = std::move(stats);
+    it->second.column_stats.clear();
   }
   return Status::OK();
 }
@@ -100,13 +102,30 @@ bool Catalog::HasTable(const std::string& name) const {
   return tables_.count(name) > 0;
 }
 
-const ColumnStats* Catalog::GetColumnStats(const std::string& table,
-                                           const std::string& column) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return nullptr;
-  auto cit = it->second.column_stats.find(column);
-  return cit == it->second.column_stats.end() ? nullptr : &cit->second;
+std::optional<ColumnStats> Catalog::GetColumnStats(
+    const std::string& table, const std::string& column) const {
+  TablePtr snap;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = tables_.find(table);
+    if (it == tables_.end()) return std::nullopt;
+    auto cit = it->second.column_stats.find(column);
+    if (cit != it->second.column_stats.end()) return cit->second;
+    snap = it->second.table;
+  }
+  const int c = snap->schema().IndexOf(column);
+  if (c < 0) return std::nullopt;
+  ColumnStats stats = ComputeColumnStats(*snap, c);
+  {
+    // Memoize only if no append or replace published a newer version
+    // while the pass ran (holding `snap` keeps its address from reuse).
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = tables_.find(table);
+    if (it != tables_.end() && it->second.table == snap) {
+      it->second.column_stats.emplace(column, stats);
+    }
+  }
+  return stats;
 }
 
 std::vector<std::string> Catalog::TableNames() const {
@@ -115,30 +134,6 @@ std::vector<std::string> Catalog::TableNames() const {
   names.reserve(tables_.size());
   for (const auto& [name, entry] : tables_) names.push_back(name);
   return names;
-}
-
-void Catalog::ComputeStats(const Table& table,
-                           std::map<std::string, ColumnStats>* out) {
-  for (int c = 0; c < table.num_columns(); ++c) {
-    const auto& field = table.schema().field(c);
-    ColumnStats stats;
-    std::unordered_set<uint64_t> distinct;
-    const ColumnVector& col = *table.column(c);
-    int64_t n = col.size();
-    for (int64_t r = 0; r < n; ++r) {
-      distinct.insert(col.HashRow(r, 0));
-      Datum d = col.GetDatum(r);
-      if (r == 0) {
-        stats.min_value = d;
-        stats.max_value = d;
-      } else {
-        if (DatumCompare(d, stats.min_value) < 0) stats.min_value = d;
-        if (DatumCompare(d, stats.max_value) > 0) stats.max_value = d;
-      }
-    }
-    stats.distinct_count = static_cast<int64_t>(distinct.size());
-    (*out)[field.name] = stats;
-  }
 }
 
 }  // namespace recycledb

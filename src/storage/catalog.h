@@ -1,9 +1,10 @@
-// Catalog: registry of base tables plus lightweight column statistics.
+// Catalog: registry of base tables plus on-demand column statistics.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,8 @@ namespace recycledb {
 /// Per-column statistics used by the proactive cube-caching heuristic
 /// ("apply the rule only if the number of distinct values of the column is
 /// smaller than a threshold") and by progress meters.
+/// `distinct_count` counts distinct ColumnVector::HashRow values; min and
+/// max are monostate for an empty column.
 struct ColumnStats {
   int64_t distinct_count = 0;
   Datum min_value;
@@ -45,7 +48,8 @@ class Catalog {
  public:
   Catalog() = default;
 
-  /// Registers `table` under `name`; computes column statistics eagerly.
+  /// Registers `table` under `name`. Computes no statistics: see
+  /// GetColumnStats.
   Status RegisterTable(const std::string& name, TablePtr table);
 
   /// Replaces a registered table (used by update/invalidation tests).
@@ -54,10 +58,12 @@ class Catalog {
   Status ReplaceTable(const std::string& name, TablePtr table);
 
   /// Appends `delta`'s rows to table `name` without invalidating readers:
-  /// builds a grown copy off-lock and swaps it in (the epoch is kept, the
-  /// high-water mark advances by delta.num_rows()). Concurrent appends to
-  /// the same catalog serialize; a ReplaceTable racing the copy aborts
-  /// the append. Schema of `delta` must match the registered table.
+  /// builds a grown copy off-lock (Table::WithAppended: one copy of the
+  /// base, only the delta folded into the zone maps) and swaps it in (the
+  /// epoch is kept, the high-water mark advances by delta.num_rows()).
+  /// Concurrent appends to the same catalog serialize; a ReplaceTable
+  /// racing the copy aborts the append. Schema of `delta` must match the
+  /// registered table.
   Status AppendRows(const std::string& name, const Table& delta);
 
   /// Looks up a table; nullptr if absent.
@@ -69,9 +75,15 @@ class Catalog {
 
   bool HasTable(const std::string& name) const;
 
-  /// Returns statistics for `table.column`; nullptr if unknown.
-  const ColumnStats* GetColumnStats(const std::string& table,
-                                    const std::string& column) const;
+  /// Returns statistics for `table.column` of the entry's current table
+  /// version; nullopt if either is unknown. Computed on first use, off
+  /// the lock: min/max fold the column's zone-map blocks and
+  /// distinct_count is one hash pass over the rows. The result is
+  /// memoized against the table it was computed from; RegisterTable,
+  /// ReplaceTable and AppendRows publish a new table and drop the memo.
+  /// Returned by value, so it stays valid across concurrent appends.
+  std::optional<ColumnStats> GetColumnStats(const std::string& table,
+                                            const std::string& column) const;
 
   std::vector<std::string> TableNames() const;
 
@@ -79,11 +91,9 @@ class Catalog {
   struct Entry {
     TablePtr table;
     uint64_t epoch = 1;
-    std::map<std::string, ColumnStats> column_stats;
+    /// GetColumnStats memo; describes `table` only (cleared on a swap).
+    mutable std::map<std::string, ColumnStats> column_stats;
   };
-
-  static void ComputeStats(const Table& table,
-                           std::map<std::string, ColumnStats>* out);
 
   mutable std::mutex mu_;
   /// Serializes AppendRows calls so two concurrent appends cannot both

@@ -63,6 +63,24 @@ void Table::AppendRow(const std::vector<Datum>& row) {
   ++num_rows_;
 }
 
+TablePtr Table::WithAppended(const Table& delta) const {
+  RDB_CHECK(delta.schema() == schema_);
+  auto out = std::make_shared<Table>(schema_);
+  out->num_rows_ = num_rows_ + delta.num_rows_;
+  for (int i = 0; i < num_columns(); ++i) {
+    ColumnVector& col = *out->columns_[i];
+    col.Reserve(out->num_rows_);
+    col.AppendAll(*columns_[i]);
+    col.AppendAll(*delta.columns_[i]);
+    // Copy the published map rather than share it: Update re-tightens the
+    // last partial block, which readers of this table may be using.
+    auto zone = std::make_shared<ZoneMap>(*zone_maps_[i]);
+    zone->Update(col);
+    out->zone_maps_[i] = std::move(zone);
+  }
+  return out;
+}
+
 int64_t Table::ByteSize() const {
   int64_t total = 0;
   for (const auto& c : columns_) total += c->ByteSize();

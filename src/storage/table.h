@@ -93,6 +93,13 @@ class Table {
   /// Appends one row of boxed values (slow path for tests/builders).
   void AppendRow(const std::vector<Datum>& row);
 
+  /// Returns a new table holding this table's rows followed by `delta`'s
+  /// (copy-on-append). Each column is copied once into storage reserved
+  /// for both parts; each zone map starts from a copy of this table's
+  /// blocks and folds only the delta rows. Neither input is mutated.
+  /// `delta`'s schema must equal this table's.
+  TablePtr WithAppended(const Table& delta) const;
+
   /// Boxed cell access (slow path).
   Datum Get(int64_t row, int col) const { return columns_[col]->GetDatum(row); }
 
