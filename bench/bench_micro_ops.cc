@@ -79,6 +79,63 @@ void BM_TopN100(benchmark::State& state) {
 }
 BENCHMARK(BM_TopN100)->Unit(benchmark::kMillisecond);
 
+// Hash join: 64k probe rows against a build side of range(0) rows whose
+// keys repeat range(1) times (1 = unique, 8 = 8-way duplicates), on int64
+// (range(2) = 0) or string (range(2) = 1) keys. Every probe key is drawn
+// from the build side's keys, so each probe row emits range(1) rows.
+TablePtr JoinInput(const std::string& prefix, int64_t rows, int64_t distinct,
+                   bool string_keys, bool random_keys, uint64_t seed) {
+  TablePtr t = MakeTable(
+      Schema({{prefix + "k", string_keys ? TypeId::kString : TypeId::kInt64},
+              {prefix + "v", TypeId::kInt64}}));
+  Rng rng(seed);
+  for (int64_t i = 0; i < rows; ++i) {
+    const int64_t v = random_keys ? rng.Uniform(0, distinct - 1) : i % distinct;
+    const Datum key = string_keys ? Datum("key-" + std::to_string(v * 7919))
+                                  : Datum(v * 7919);
+    t->AppendRow({key, i});
+  }
+  return t;
+}
+
+void BM_HashJoin(benchmark::State& state) {
+  const int64_t build_rows = state.range(0);
+  const int64_t distinct = build_rows / state.range(1);
+  const bool string_keys = state.range(2) == 1;
+  TablePtr build = JoinInput("b", build_rows, distinct, string_keys,
+                             /*random_keys=*/false, 11);
+  TablePtr probe = JoinInput("p", 1 << 16, distinct, string_keys,
+                             /*random_keys=*/true, 13);
+  std::vector<Field> fields = probe->schema().fields();
+  for (const Field& f : build->schema().fields()) fields.push_back(f);
+  const Schema out_schema(fields);
+  int64_t rows = 0;
+  for (auto _ : state) {
+    HashJoinOp join(out_schema,
+                    std::make_unique<ScanOp>(probe->schema(), probe,
+                                             std::vector<int>{0, 1}),
+                    std::make_unique<ScanOp>(build->schema(), build,
+                                             std::vector<int>{0, 1}),
+                    JoinKind::kInner, {"pk"}, {"bk"});
+    join.Open();
+    Batch b;
+    while (join.Next(&b)) rows += b.num_rows;
+    join.Close();
+  }
+  benchmark::DoNotOptimize(rows);
+  state.SetItemsProcessed(state.iterations() * (1 << 16));
+}
+BENCHMARK(BM_HashJoin)
+    ->Args({1 << 10, 1, 0})
+    ->Args({1 << 10, 8, 0})
+    ->Args({1 << 16, 1, 0})
+    ->Args({1 << 16, 8, 0})
+    ->Args({1 << 10, 1, 1})
+    ->Args({1 << 10, 8, 1})
+    ->Args({1 << 16, 1, 1})
+    ->Args({1 << 16, 8, 1})
+    ->Unit(benchmark::kMillisecond);
+
 // Matching + insertion cost as a function of recycler-graph size
 // (the Fig. 10 quantity, isolated).
 void BM_MatchAgainstGraph(benchmark::State& state) {

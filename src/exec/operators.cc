@@ -1,6 +1,7 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/hash.h"
 #include "common/macros.h"
@@ -25,6 +26,9 @@ Datum PadValue(TypeId type) {
 }
 
 namespace {
+
+// Seed of every row-key hash (hash join and hash aggregate alike).
+constexpr uint64_t kKeyHashSeed = 0x9e3779b97f4a7c15ULL;
 
 // Emits O(1) views of rows [pos, pos+count) of the indexed table columns;
 // the views keep the columns alive even if the table is dropped (or
@@ -521,7 +525,7 @@ void HashAggOp::Consume() {
     for (int64_t r = 0; r < batch.num_rows; ++r) {
       int64_t g = 0;
       if (!global) {
-        uint64_t h = 0x9e3779b97f4a7c15ULL;
+        uint64_t h = kKeyHashSeed;
         for (const auto& kc : key_cols) h = kc->HashRow(r, h);
         g = FindOrCreateGroup(batch, key_cols, r, h);
       }
@@ -644,12 +648,23 @@ void HashJoinOp::Build() {
   build_table_ = MakeTable(right_->output_schema());
   Batch in;
   while (right_->NextTimed(&in)) build_table_->AppendBatch(in);
-  for (int64_t r = 0; r < build_table_->num_rows(); ++r) {
-    uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (int ki : right_key_idx_) {
-      h = build_table_->column(ki)->HashRow(r, h);
-    }
-    build_map_.emplace(h, r);
+  const int64_t n = build_table_->num_rows();
+  RDB_CHECK_MSG(n <= INT32_MAX, "hash join build side exceeds 2^31 rows");
+  build_keys_.clear();
+  build_hashes_.assign(n, kKeyHashSeed);
+  for (int ki : right_key_idx_) {
+    build_keys_.push_back(build_table_->column(ki).get());
+    build_keys_.back()->HashRows(build_hashes_.data());
+  }
+  uint64_t buckets = 1;
+  while (buckets < static_cast<uint64_t>(n)) buckets <<= 1;
+  bucket_mask_ = buckets - 1;
+  first_.assign(buckets, -1);
+  next_.resize(n);
+  for (int32_t r = 0; r < n; ++r) {
+    int32_t& head = first_[BucketOf(build_hashes_[r])];
+    next_[r] = head;
+    head = r;
   }
   built_ = true;
 }
@@ -661,72 +676,83 @@ bool HashJoinOp::Next(Batch* out) {
   const bool emit_right = kind_ == JoinKind::kInner ||
                           kind_ == JoinKind::kLeftOuter ||
                           kind_ == JoinKind::kSingle;
+  std::vector<const ColumnVector*> probe_keys(left_key_idx_.size());
   while (left_->NextTimed(&in)) {
+    probe_hashes_.assign(in.num_rows, kKeyHashSeed);
+    for (size_t k = 0; k < left_key_idx_.size(); ++k) {
+      probe_keys[k] = in.columns[left_key_idx_[k]].get();
+      RDB_CHECK(probe_keys[k]->size() == in.num_rows);
+      probe_keys[k]->HashRows(probe_hashes_.data());
+    }
     // Gather (probe_row, build_row) pairs; build_row = -1 pads.
-    std::vector<int32_t> probe_sel;
-    std::vector<int64_t> build_sel;
+    probe_sel_.clear();
+    build_sel_.clear();
+    bool padded = false;
     for (int64_t r = 0; r < in.num_rows; ++r) {
-      uint64_t h = 0x9e3779b97f4a7c15ULL;
-      for (int ki : left_key_idx_) h = in.columns[ki]->HashRow(r, h);
+      const uint64_t h = probe_hashes_[r];
       int match_count = 0;
-      auto range = build_map_.equal_range(h);
-      for (auto it = range.first; it != range.second; ++it) {
-        int64_t br = it->second;
+      for (int32_t br = first_[BucketOf(h)]; br >= 0; br = next_[br]) {
+        if (build_hashes_[br] != h) continue;
         bool equal = true;
-        for (size_t k = 0; k < left_key_idx_.size(); ++k) {
-          if (!in.columns[left_key_idx_[k]]->RowEquals(
-                  r, *build_table_->column(right_key_idx_[k]), br)) {
+        for (size_t k = 0; k < probe_keys.size(); ++k) {
+          if (!probe_keys[k]->RowEquals(r, *build_keys_[k], br)) {
             equal = false;
             break;
           }
         }
         if (!equal) continue;
         ++match_count;
-        if (kind_ == JoinKind::kSemi) break;  // existence is enough
-        if (kind_ == JoinKind::kAnti) continue;
-        probe_sel.push_back(static_cast<int32_t>(r));
-        build_sel.push_back(br);
+        // Semi and anti joins only ask whether a match exists.
+        if (kind_ == JoinKind::kSemi || kind_ == JoinKind::kAnti) break;
+        probe_sel_.push_back(static_cast<int32_t>(r));
+        build_sel_.push_back(br);
         RDB_CHECK_MSG(kind_ != JoinKind::kSingle || match_count <= 1,
                       "kSingle join found multiple matches");
       }
       switch (kind_) {
         case JoinKind::kSemi:
-          if (match_count > 0) probe_sel.push_back(static_cast<int32_t>(r));
+          if (match_count > 0) probe_sel_.push_back(static_cast<int32_t>(r));
           break;
         case JoinKind::kAnti:
-          if (match_count == 0) probe_sel.push_back(static_cast<int32_t>(r));
+          if (match_count == 0) probe_sel_.push_back(static_cast<int32_t>(r));
           break;
         case JoinKind::kLeftOuter:
           if (match_count == 0) {
-            probe_sel.push_back(static_cast<int32_t>(r));
-            build_sel.push_back(-1);
+            probe_sel_.push_back(static_cast<int32_t>(r));
+            build_sel_.push_back(-1);
+            padded = true;
           }
           break;
         default:
           break;
       }
     }
-    if (probe_sel.empty()) continue;
+    if (probe_sel_.empty()) continue;
 
     InitBatch(output_schema_, out);
     for (int c = 0; c < ncols_left; ++c) {
-      out->columns[c]->AppendSelected(*in.columns[c], probe_sel);
+      out->columns[c]->AppendSelected(*in.columns[c], probe_sel_);
     }
     if (emit_right) {
       const Schema& rs = right_->output_schema();
       for (int c = 0; c < rs.num_fields(); ++c) {
         ColumnVector& dst = *out->columns[ncols_left + c];
         const ColumnVector& src = *build_table_->column(c);
-        for (int64_t br : build_sel) {
+        if (!padded) {
+          dst.AppendSelected(src, build_sel_);
+          continue;
+        }
+        const Datum pad = PadValue(rs.field(c).type);
+        for (int32_t br : build_sel_) {
           if (br < 0) {
-            dst.Append(PadValue(rs.field(c).type));
+            dst.Append(pad);
           } else {
             dst.AppendRange(src, br, 1);
           }
         }
       }
     }
-    out->num_rows = static_cast<int64_t>(probe_sel.size());
+    out->num_rows = static_cast<int64_t>(probe_sel_.size());
     return true;
   }
   return false;

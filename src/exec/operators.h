@@ -223,6 +223,12 @@ class HashAggOp : public Operator {
 };
 
 /// Hash equi-join; the right child is the build side.
+///
+/// The build side is one table plus a flat bucket-chained hash table over
+/// its rows (stored key hashes, first_[bucket], next_[row]). Output order
+/// is part of the contract: probe rows come out in input order, and the
+/// matches of one probe row in descending build-row order (see DESIGN.md,
+/// "Hash join").
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(Schema output_schema, OperatorPtr left, OperatorPtr right,
@@ -236,12 +242,24 @@ class HashJoinOp : public Operator {
 
  private:
   void Build();
+  size_t BucketOf(uint64_t hash) const {
+    return static_cast<size_t>((hash ^ (hash >> 32)) & bucket_mask_);
+  }
 
   OperatorPtr left_, right_;
   JoinKind kind_;
   std::vector<int> left_key_idx_, right_key_idx_;
   TablePtr build_table_;
-  std::unordered_multimap<uint64_t, int64_t> build_map_;
+  std::vector<const ColumnVector*> build_keys_;
+  // Chain of bucket b: first_[b], next_[first_[b]], ... until -1; rows
+  // enter at the head in ascending order, so chains run high to low.
+  std::vector<uint64_t> build_hashes_;  // key hash per build row
+  std::vector<int32_t> first_;          // per bucket (power-of-two count)
+  std::vector<int32_t> next_;           // per build row
+  uint64_t bucket_mask_ = 0;
+  // Per-batch probe buffers, reused across Next() calls.
+  std::vector<uint64_t> probe_hashes_;
+  std::vector<int32_t> probe_sel_, build_sel_;
   bool built_ = false;
 };
 

@@ -184,74 +184,85 @@ ExprPtr Expr::SubstituteParams(const ParamMap& params,
 
 std::string Expr::Fingerprint(const NameMap* mapping,
                               bool anonymize_columns) const {
+  std::string out;
+  AppendFingerprint(&out, mapping, anonymize_columns);
+  return out;
+}
+
+void Expr::AppendFingerprint(std::string* out, const NameMap* mapping,
+                             bool anonymize_columns) const {
+  // "(<op> <child> <child> ...)", single spaces between the parts.
+  auto op_and_children = [&](const char* op) {
+    *out += '(';
+    *out += op;
+    for (const auto& c : children_) {
+      *out += ' ';
+      c->AppendFingerprint(out, mapping, anonymize_columns);
+    }
+    *out += ')';
+  };
   switch (kind_) {
     case ExprKind::kColumnRef: {
-      if (anonymize_columns) return "c:?";
+      if (anonymize_columns) {
+        *out += "c:?";
+        return;
+      }
+      *out += "c:";
       if (mapping != nullptr) {
         auto it = mapping->find(name_);
-        if (it != mapping->end()) return "c:" + it->second;
+        if (it != mapping->end()) {
+          *out += it->second;
+          return;
+        }
       }
-      return "c:" + name_;
+      *out += name_;
+      return;
     }
     case ExprKind::kLiteral:
-      return "l:" + DatumToString(literal_);
+      *out += "l:";
+      *out += DatumToString(literal_);
+      return;
     case ExprKind::kParam:
-      return "$" + name_;
+      *out += '$';
+      *out += name_;
+      return;
     case ExprKind::kCompare: {
       static const char* names[] = {"=", "!=", "<", "<=", ">", ">="};
-      return StrFormat("(%s %s %s)",
-                       names[static_cast<int>(compare_op_)],
-                       children_[0]->Fingerprint(mapping, anonymize_columns).c_str(),
-                       children_[1]->Fingerprint(mapping, anonymize_columns).c_str());
+      return op_and_children(names[static_cast<int>(compare_op_)]);
     }
     case ExprKind::kLogical: {
       static const char* names[] = {"and", "or", "not"};
-      std::string out = "(";
-      out += names[static_cast<int>(logical_op_)];
-      for (const auto& c : children_) {
-        out += " ";
-        out += c->Fingerprint(mapping, anonymize_columns);
-      }
-      out += ")";
-      return out;
+      return op_and_children(names[static_cast<int>(logical_op_)]);
     }
     case ExprKind::kArith: {
       static const char* names[] = {"+", "-", "*", "/"};
-      return StrFormat("(%s %s %s)",
-                       names[static_cast<int>(arith_op_)],
-                       children_[0]->Fingerprint(mapping, anonymize_columns).c_str(),
-                       children_[1]->Fingerprint(mapping, anonymize_columns).c_str());
+      return op_and_children(names[static_cast<int>(arith_op_)]);
     }
-    case ExprKind::kFunc: {
-      std::string out = "(" + name_;
-      for (const auto& c : children_) {
-        out += " ";
-        out += c->Fingerprint(mapping, anonymize_columns);
-      }
-      out += ")";
-      return out;
-    }
+    case ExprKind::kFunc:
+      return op_and_children(name_.c_str());
     case ExprKind::kCase:
-      return StrFormat("(case %s %s %s)",
-                       children_[0]->Fingerprint(mapping, anonymize_columns).c_str(),
-                       children_[1]->Fingerprint(mapping, anonymize_columns).c_str(),
-                       children_[2]->Fingerprint(mapping, anonymize_columns).c_str());
+      return op_and_children("case");
     case ExprKind::kInList: {
-      std::string out = "(in " + children_[0]->Fingerprint(mapping, anonymize_columns);
+      *out += "(in ";
+      children_[0]->AppendFingerprint(out, mapping, anonymize_columns);
       for (const auto& v : in_values_) {
-        out += " ";
-        out += DatumToString(v);
+        *out += ' ';
+        *out += DatumToString(v);
       }
-      out += ")";
-      return out;
+      *out += ')';
+      return;
     }
     case ExprKind::kLike: {
       static const char* names[] = {"contains", "prefix", "suffix",
                                     "notcontains"};
-      return StrFormat("(%s %s '%s')",
-                       names[static_cast<int>(like_kind_)],
-                       children_[0]->Fingerprint(mapping, anonymize_columns).c_str(),
-                       name_.c_str());
+      *out += '(';
+      *out += names[static_cast<int>(like_kind_)];
+      *out += ' ';
+      children_[0]->AppendFingerprint(out, mapping, anonymize_columns);
+      *out += " '";
+      *out += name_;
+      *out += "')";
+      return;
     }
   }
   RDB_UNREACHABLE("bad expr kind");

@@ -120,6 +120,9 @@ class Expr : public std::enable_shared_from_this<Expr> {
   /// name-space-independent hash keys.
   std::string Fingerprint(const NameMap* mapping,
                           bool anonymize_columns = false) const;
+  /// Fingerprint() appended to `out`.
+  void AppendFingerprint(std::string* out, const NameMap* mapping,
+                         bool anonymize_columns = false) const;
 
   /// Returns a copy with column refs renamed through `mapping` (names
   /// missing from the mapping are kept).

@@ -316,7 +316,7 @@ std::string PlanNode::ParamFingerprint(const NameMap* mapping) const {
       if (!arg_exprs_.empty()) {
         for (size_t i = 0; i < arg_exprs_.size(); ++i) {
           if (i > 0) out += ",";
-          out += arg_exprs_[i]->Fingerprint(mapping);
+          arg_exprs_[i]->AppendFingerprint(&out, mapping);
         }
       } else {
         for (size_t i = 0; i < args_.size(); ++i) {
@@ -326,13 +326,16 @@ std::string PlanNode::ParamFingerprint(const NameMap* mapping) const {
       }
       return out + ")";
     }
-    case OpType::kSelect:
-      return "select:" + predicate_->Fingerprint(mapping);
+    case OpType::kSelect: {
+      std::string out = "select:";
+      predicate_->AppendFingerprint(&out, mapping);
+      return out;
+    }
     case OpType::kProject: {
       std::string out = "project:[";
       for (size_t i = 0; i < projections_.size(); ++i) {
         if (i > 0) out += ",";
-        out += projections_[i].expr->Fingerprint(mapping);
+        projections_[i].expr->AppendFingerprint(&out, mapping);
       }
       return out + "]";
     }
@@ -553,16 +556,21 @@ PlanPtr PlanNode::SubstituteParams(const ParamMap& params,
 }
 
 std::string PlanNode::TreeFingerprint() const {
-  std::string out = ParamFingerprint(nullptr);
-  if (!children_.empty()) {
-    out += "(";
-    for (size_t i = 0; i < children_.size(); ++i) {
-      if (i > 0) out += ";";
-      out += children_[i]->TreeFingerprint();
-    }
-    out += ")";
-  }
+  std::string out;
+  AppendTreeFingerprint(&out);
   return out;
+}
+
+void PlanNode::AppendTreeFingerprint(std::string* out) const {
+  *out += ParamFingerprint(nullptr);
+  if (!children_.empty()) {
+    *out += '(';
+    for (size_t i = 0; i < children_.size(); ++i) {
+      if (i > 0) *out += ';';
+      children_[i]->AppendTreeFingerprint(out);
+    }
+    *out += ')';
+  }
 }
 
 PlanPtr PlanNode::CloneShallow() const {

@@ -210,6 +210,8 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
   /// Full-subtree structural fingerprint (no name mapping); used by tests
   /// and by the keep-all baseline's direct result matching.
   std::string TreeFingerprint() const;
+  /// TreeFingerprint() appended to `out`.
+  void AppendTreeFingerprint(std::string* out) const;
 
   /// Shallow copy (children shared). Clears binding on the copy.
   PlanPtr CloneShallow() const;

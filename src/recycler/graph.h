@@ -148,6 +148,11 @@ struct RGNode {
   /// Leaf-index key (empty for non-leaves); needed to unregister on
   /// truncation.
   std::string leaf_key;
+  /// Memo of Recycler::CanonicalSubtreeKey, filled on first use. The key
+  /// reads only ids, types, param_fp and children, which never change
+  /// after insertion.
+  std::once_flag canonical_key_once;
+  std::string canonical_key;
 
   // --- materialization state ------------------------------------------
   /// kNone->kInFlight is claimed by bare CAS (losers skip their store);

@@ -76,26 +76,6 @@ ReuseMode ReuseModeFromCounters(const QueryTrace& trace) {
   return ReuseMode::kNone;
 }
 
-/// Matched-tree node: pairs each query plan node with its recycler-graph
-/// node and the accumulated query->graph name mapping.
-struct PreparedQuery::MNode {
-  const PlanNode* plan = nullptr;
-  PlanPtr plan_ref;
-  RGNode* gnode = nullptr;
-  bool inserted = false;   // inserted into the graph by this invocation
-  bool replaced = false;   // subtree replaced by a cached result
-  /// Subtree replaced by a stitched partial-reuse plan: the node's result
-  /// is still produced in full (union of cached slices + delta scans), so
-  /// unlike `replaced` it remains a store candidate — but its children
-  /// are not walked for stores (delta branches may share plan nodes).
-  bool stitched = false;
-  NameMap mapping;         // query -> graph names, valid at this output
-  /// Plan node actually present in the executed (rewritten) plan; null for
-  /// nodes inside replaced subtrees.
-  const PlanNode* exec_plan = nullptr;
-  std::vector<std::unique_ptr<MNode>> children;
-};
-
 PreparedQuery::PreparedQuery() = default;
 PreparedQuery::~PreparedQuery() = default;
 
@@ -247,9 +227,17 @@ std::string CanonicalizeIdSuffixes(
   return out;
 }
 
-}  // namespace
+/// Appends the names `node` and its subtree introduce (Project and
+/// Aggregate outputs, FunctionScan columns), pre-order.
+void AppendNewNames(const PlanNode& node, std::string* out) {
+  for (const std::string& name : node.NewNames()) {
+    *out += '|';
+    *out += name;
+  }
+  for (const auto& c : node.children()) AppendNewNames(*c, out);
+}
 
-std::string Recycler::CanonicalSubtreeKey(const RGNode* node) const {
+std::string ComputeCanonicalSubtreeKey(const RGNode* node) {
   // Pre-order id numbering makes the rewritten suffixes independent of
   // graph insertion order (and therefore stable across restarts).
   std::map<int64_t, int> canon_ids;
@@ -281,6 +269,21 @@ std::string Recycler::CanonicalSubtreeKey(const RGNode* node) const {
   };
   return Printer{&canon_ids}.Walk(node);
 }
+
+}  // namespace
+
+std::string Recycler::ExactHitKey(const PlanNode& plan, std::string tree_fp) {
+  AppendNewNames(plan, &tree_fp);
+  return tree_fp;
+}
+
+const std::string& Recycler::CanonicalSubtreeKey(RGNode* node) const {
+  std::call_once(node->canonical_key_once, [node] {
+    node->canonical_key = ComputeCanonicalSubtreeKey(node);
+  });
+  return node->canonical_key;
+}
+
 
 bool Recycler::MaybeSpill(RGNode* node) {
   if (!cold_tier_.enabled()) return false;
@@ -811,6 +814,91 @@ void Recycler::UpdateHrOnEvict(RGNode* node) {
 }
 
 // ---------------------------------------------------------------------------
+// Exact-hit index
+// ---------------------------------------------------------------------------
+
+PlanPtr Recycler::TryIndexedExactHit(const std::string& key,
+                                     const PlanPtr& plan,
+                                     PreparedQuery* prepared) {
+  std::shared_lock<std::shared_mutex> glock(graph_.mutex());
+  std::shared_ptr<const ExactHit> hit;
+  {
+    std::lock_guard<std::mutex> lock(exact_mu_);
+    auto it = exact_hits_.find(key);
+    if (it == exact_hits_.end()) return nullptr;
+    hit = it->second;
+  }
+  RGNode* g = hit->root;
+  TablePtr snapshot;
+  {
+    RecyclerGraph::MatShard& shard = graph_.mat_shard(g);
+    std::lock_guard<std::mutex> slock(shard.mu);
+    if (g->mat_state.load() != MatState::kCached) return nullptr;
+    snapshot = g->cached;
+  }
+  if (NodeFreshness(g, prepared, nullptr) != Freshness::kFresh) {
+    return nullptr;
+  }
+  // BumpImportance on a fully matched plan with a cached root: every
+  // node is accessed, only the root gains a reference.
+  const int64_t epoch = graph_.epoch();
+  for (RGNode* n : hit->nodes) n->last_access_epoch.store(epoch);
+  graph_.FoldAging(g);
+  AtomicAddClamped(g->h, 1.0, 0.0);
+  g->match_count.fetch_add(1);
+
+  auto m = std::make_unique<MNode>();
+  m->plan = plan.get();
+  m->plan_ref = plan;
+  m->gnode = g;
+  PlanPtr cs = ServeExact(m.get(), plan, std::move(snapshot),
+                          /*from_cold=*/false, prepared);
+  prepared->matched_ = std::move(m);
+  return cs;
+}
+
+void Recycler::RememberExactHit(const std::string& key, const MNode& root) {
+  auto hit = std::make_shared<ExactHit>();
+  hit->root = root.gnode;
+  std::vector<const MNode*> stack{&root};
+  while (!stack.empty()) {
+    const MNode* m = stack.back();
+    stack.pop_back();
+    hit->nodes.push_back(m->gnode);
+    for (auto it = m->children.rbegin(); it != m->children.rend(); ++it) {
+      stack.push_back(it->get());
+    }
+  }
+  std::lock_guard<std::mutex> lock(exact_mu_);
+  // Checked under exact_mu_: a root that leaves kCached after this check
+  // is forgotten by SetMatState, which takes exact_mu_ after its store.
+  if (hit->root->mat_state.load() != MatState::kCached) return;
+  auto old = exact_hits_.find(key);
+  if (old != exact_hits_.end() && old->second->root != hit->root) {
+    exact_hit_keys_.erase(old->second->root);
+  }
+  auto [rk, fresh_root] = exact_hit_keys_.try_emplace(hit->root, key);
+  if (!fresh_root && rk->second != key) {
+    exact_hits_.erase(rk->second);
+    rk->second = key;
+  }
+  exact_hits_[key] = std::move(hit);
+}
+
+void Recycler::ForgetExactHit(const RGNode* root) {
+  std::lock_guard<std::mutex> lock(exact_mu_);
+  auto it = exact_hit_keys_.find(root);
+  if (it == exact_hit_keys_.end()) return;
+  exact_hits_.erase(it->second);
+  exact_hit_keys_.erase(it);
+}
+
+int64_t Recycler::exact_hit_entries() const {
+  std::lock_guard<std::mutex> lock(exact_mu_);
+  return static_cast<int64_t>(exact_hits_.size());
+}
+
+// ---------------------------------------------------------------------------
 // Reuse rewriting (+ stalls and subsumption)
 // ---------------------------------------------------------------------------
 
@@ -885,6 +973,28 @@ PlanPtr Recycler::TryDeltaRewrite(MNode* m, const PlanPtr& plan, RGNode* g,
     counters_.cold_hits.fetch_add(1);
   }
   return delta_plan;
+}
+
+PlanPtr Recycler::ServeExact(MNode* m, const PlanPtr& plan,
+                             TablePtr snapshot, bool from_cold,
+                             PreparedQuery* prepared) {
+  RGNode* g = m->gnode;
+  PlanPtr cs =
+      PlanNode::CachedScan(std::move(snapshot), plan->output_schema().Names());
+  cs->set_cache_key(CanonicalSubtreeKey(g));
+  prepared->replaced_cost_[cs.get()] = g->bcost_ms.load();
+  m->replaced = true;
+  ++prepared->trace_.num_reuses;
+  counters_.reuses.fetch_add(1);
+  if (from_cold) {
+    ++prepared->trace_.num_cold_hits;
+    counters_.cold_hits.fetch_add(1);
+  }
+  if (config_.cache_policy == CachePolicy::kLru) {
+    std::lock_guard<std::mutex> clock(cache_mu_);
+    cache_.TouchForLru(g);
+  }
+  return cs;
 }
 
 void Recycler::MaybeAdoptOrphanParents(RGNode* child_gnode,
@@ -967,26 +1077,10 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
       }
     }
     if (snapshot != nullptr) {
-      PlanPtr cs =
-          PlanNode::CachedScan(snapshot, plan->output_schema().Names());
-      {
-        // The canonical subtree key walks graph structure (children).
-        std::shared_lock<std::shared_mutex> glock(graph_.mutex());
-        cs->set_cache_key(CanonicalSubtreeKey(g));
-      }
-      prepared->replaced_cost_[cs.get()] = g->bcost_ms.load();
-      m->replaced = true;
-      ++prepared->trace_.num_reuses;
-      counters_.reuses.fetch_add(1);
-      if (exact_from_cold) {
-        ++prepared->trace_.num_cold_hits;
-        counters_.cold_hits.fetch_add(1);
-      }
-      if (config_.cache_policy == CachePolicy::kLru) {
-        std::lock_guard<std::mutex> clock(cache_mu_);
-        cache_.TouchForLru(g);
-      }
-      return cs;
+      // The canonical subtree key walks graph structure (children).
+      std::shared_lock<std::shared_mutex> glock(graph_.mutex());
+      return ServeExact(m, plan, std::move(snapshot), exact_from_cold,
+                        prepared);
     }
 
     // Derived reuse: only consulted when exact matching failed to
@@ -1364,8 +1458,10 @@ void Recycler::InjectStores(MNode* m, PreparedQuery* prepared,
 
 void Recycler::SetMatState(RGNode* node, MatState state, bool clear_cached) {
   RecyclerGraph::MatShard& shard = graph_.mat_shard(node);
+  MatState prev = MatState::kNone;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
+    prev = node->mat_state.load();
     if (clear_cached) {
       node->cached = nullptr;
       // The stamps describe the materialized result, which outlives the
@@ -1376,6 +1472,9 @@ void Recycler::SetMatState(RGNode* node, MatState state, bool clear_cached) {
     node->mat_state.store(state);
   }
   shard.cv.notify_all();
+  if (prev == MatState::kCached && state != MatState::kCached) {
+    ForgetExactHit(node);
+  }
 }
 
 bool Recycler::TryClaimInFlight(RGNode* node) {
@@ -1456,6 +1555,9 @@ void Recycler::OfferResult(RGNode* node, TablePtr result, double subtree_ms,
     }
   }
   if (admitted) {
+    // Every exact hit on this entry carries its cache key; computing the
+    // memo now puts that cost on the miss that produced the result.
+    CanonicalSubtreeKey(node);
     UpdateHrOnMaterialize(node);
     counters_.materializations.fetch_add(1);
     ++prepared->trace_.num_materialized;
@@ -1569,6 +1671,12 @@ void Recycler::OnTableAppended(const std::string& table) {
 
 int64_t Recycler::TruncateGraph(int64_t idle_epochs) {
   std::unique_lock<std::shared_mutex> lock(graph_.mutex());
+  {
+    // Entries hold raw node pointers; truncation may free any of them.
+    std::lock_guard<std::mutex> elock(exact_mu_);
+    exact_hits_.clear();
+    exact_hit_keys_.clear();
+  }
   return graph_.Truncate(idle_epochs);
 }
 
@@ -1606,7 +1714,8 @@ std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan) {
   plan->Bind(*catalog_);
   // Identity of the statement as submitted (post-canonicalization,
   // pre-rewrite): trace/golden tooling keys replay diffs on this.
-  prepared->trace_.plan_fingerprint = HashString(plan->TreeFingerprint());
+  std::string tree_fp = plan->TreeFingerprint();
+  prepared->trace_.plan_fingerprint = HashString(tree_fp);
 
   // Pin one consistent as-of snapshot of every base table for this
   // query (pinned in every mode: scans must not see rows appended
@@ -1628,6 +1737,23 @@ std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan) {
 
   Stopwatch match_sw;
   graph_.AdvanceEpoch();
+
+  // --- repeated exact hit (exact-hit index) ----------------------------
+  // Proactive mode may swap the plan before matching, so it never uses
+  // the index.
+  std::string hit_key;
+  if (config_.mode != RecyclerMode::kProactive) {
+    hit_key = ExactHitKey(*plan, std::move(tree_fp));
+    PlanPtr cs = TryIndexedExactHit(hit_key, plan, prepared.get());
+    if (cs != nullptr) {
+      prepared->trace_.match_ms = match_sw.ElapsedMs();
+      prepared->trace_.graph_nodes_at_match = graph_.num_nodes();
+      cs->Bind(*catalog_);
+      prepared->plan_ = std::move(cs);
+      FinalizeTrace(prepared.get());
+      return prepared;
+    }
+  }
 
   // --- proactive rewriting (PA mode, §IV-B) ---------------------------
   std::unique_ptr<MNode> matched;
@@ -1708,6 +1834,12 @@ std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan) {
   {
     std::shared_lock<std::shared_mutex> lock(graph_.mutex());
     InjectStores(prepared->matched_.get(), prepared.get(), false);
+    // An exact hit at the root: the next run of this statement can skip
+    // MatchTree while the root stays hot.
+    if (!hit_key.empty() && prepared->matched_->replaced &&
+        prepared->trace_.num_subsumption_reuses == 0) {
+      RememberExactHit(hit_key, *prepared->matched_);
+    }
   }
 
   prepared->plan_ = std::move(rewritten);

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -273,7 +274,7 @@ class Recycler;
 class PreparedQuery {
  public:
   PreparedQuery();
-  ~PreparedQuery();  // out-of-line: MNode is defined in recycler.cc
+  ~PreparedQuery();
 
   const PlanPtr& plan() const { return plan_; }
   const std::map<const PlanNode*, StoreRequest>& stores() const {
@@ -283,6 +284,7 @@ class PreparedQuery {
 
  private:
   friend class Recycler;
+  friend struct RecyclerPeer;  // white-box access for tests
   struct MNode;  // matched-tree node (internal)
 
   PlanPtr plan_;
@@ -306,6 +308,26 @@ class PreparedQuery {
   std::map<std::string, TableSnapshot> snapshots_;
   Executor::TablePins pins_;
   int64_t query_id_ = 0;
+};
+
+/// Matched-tree node: pairs each query plan node with its recycler-graph
+/// node and the accumulated query->graph name mapping.
+struct PreparedQuery::MNode {
+  const PlanNode* plan = nullptr;
+  PlanPtr plan_ref;
+  RGNode* gnode = nullptr;
+  bool inserted = false;   // inserted into the graph by this invocation
+  bool replaced = false;   // subtree replaced by a cached result
+  /// Subtree replaced by a stitched partial-reuse plan: the node's result
+  /// is still produced in full (union of cached slices + delta scans), so
+  /// unlike `replaced` it remains a store candidate — but its children
+  /// are not walked for stores (delta branches may share plan nodes).
+  bool stitched = false;
+  NameMap mapping;         // query -> graph names, valid at this output
+  /// Plan node actually present in the executed (rewritten) plan; null for
+  /// nodes inside replaced subtrees.
+  const PlanNode* exec_plan = nullptr;
+  std::vector<std::unique_ptr<MNode>> children;
 };
 
 /// The recycler facade.
@@ -397,11 +419,16 @@ class Recycler {
   /// at `node`: node-id suffixes inside parameter fingerprints are
   /// rewritten to subtree-relative positions, so the same logical
   /// subtree produces the same key in every process. Cold-tier identity.
-  /// Caller holds at least the shared lock on graph().mutex().
-  std::string CanonicalSubtreeKey(const RGNode* node) const;
+  /// Computed once per node. Caller holds at least the shared lock on
+  /// graph().mutex(), which keeps the returned reference valid.
+  const std::string& CanonicalSubtreeKey(RGNode* node) const;
 
   /// Snapshot of all template-level stats (hash -> aggregate).
   std::map<uint64_t, TemplateStats> TemplateStatsSnapshot() const;
+
+  /// Entries in the exact-hit index (diagnostics / tests). Never more
+  /// than the hot cache's entry count: one entry per hot root at most.
+  int64_t exact_hit_entries() const;
 
   RecyclerGraph& graph() { return graph_; }
   RecyclerCache& cache() { return cache_; }
@@ -412,7 +439,15 @@ class Recycler {
   const Catalog* catalog() const { return catalog_; }
 
  private:
+  friend struct RecyclerPeer;  // white-box access for tests
   using MNode = PreparedQuery::MNode;
+
+  /// One exact-hit index entry: what MatchTree returned for a statement
+  /// whose root was served as an exact hit.
+  struct ExactHit {
+    RGNode* root = nullptr;
+    std::vector<RGNode*> nodes;  // every matched node, pre-order (root first)
+  };
 
   // --- matching & insertion (§III-A/B) --------------------------------
   std::unique_ptr<MNode> MatchTree(const PlanPtr& plan);
@@ -429,9 +464,35 @@ class Recycler {
   void UpdateHrOnEvict(RGNode* node);                // Eq. 4
   void UpdateHrChildren(RGNode* node, double delta); // shared walker
 
+  // --- exact-hit index ---------------------------------------------------
+  /// Index key of a bound plan: its TreeFingerprint (`tree_fp`) plus every
+  /// name the plan introduces. MatchTree reads nothing else from the
+  /// plan, but the fingerprint leaves introduced names out, and they
+  /// steer the query->graph name mapping: `a AS x, b AS y` and `a AS y,
+  /// b AS x` fingerprint alike under the same parent predicate on `x`.
+  static std::string ExactHitKey(const PlanNode& plan, std::string tree_fp);
+  /// Serves a repeated exact hit without MatchTree: when `key` has an
+  /// entry whose root is kCached and fresh for `prepared`'s snapshots,
+  /// applies BumpImportance's effect on a cached root, sets
+  /// prepared->matched_ to the replaced root and returns the CachedScan.
+  /// Otherwise changes nothing and returns null (caller takes the full
+  /// path). Takes the shared graph lock.
+  PlanPtr TryIndexedExactHit(const std::string& key, const PlanPtr& plan,
+                             PreparedQuery* prepared);
+  /// Records `root`'s matched tree under `key` if the root is still hot;
+  /// a root keeps at most one key. Caller holds the shared graph lock.
+  void RememberExactHit(const std::string& key, const MNode& root);
+  /// Drops the entry rooted at `root` (its result left the hot cache).
+  void ForgetExactHit(const RGNode* root);
+
   // --- rewriting --------------------------------------------------------
   PlanPtr RewriteForReuse(MNode* m, const PlanPtr& plan,
                           PreparedQuery* prepared);
+  /// Replaces `m`'s subtree by a CachedScan over `snapshot`, `m->gnode`'s
+  /// hot or cold-loaded result: cache key, Eq. 2 credit, reuse counters
+  /// and the LRU touch. Caller holds the shared graph lock.
+  PlanPtr ServeExact(MNode* m, const PlanPtr& plan, TablePtr snapshot,
+                     bool from_cold, PreparedQuery* prepared);
   /// Append-stale exact match: builds the delta rewrite (stitch or
   /// aggregate merge) over `snapshot`, drops the superseded cache entry,
   /// and marks `m` stitched so InjectStores re-admits the refreshed
@@ -569,6 +630,16 @@ class Recycler {
   /// last and never while holding them longer than the map update).
   mutable std::mutex template_mu_;
   std::map<uint64_t, TemplateStats> template_stats_;
+  /// Exact-hit index: statement key (ExactHitKey) -> matched tree, and
+  /// root -> its one key. Guarded by exact_mu_, a leaf taken after the
+  /// graph lock and cache_mu_, never with another lock acquired inside.
+  /// Entries point into the graph: TruncateGraph clears the index under
+  /// the exclusive lock, and every root is hot (SetMatState forgets a
+  /// root that leaves kCached).
+  mutable std::mutex exact_mu_;
+  std::unordered_map<std::string, std::shared_ptr<const ExactHit>>
+      exact_hits_;
+  std::unordered_map<const RGNode*, std::string> exact_hit_keys_;
   Executor executor_;
   RecyclerCounters counters_;
   std::atomic<int64_t> next_query_id_{1};

@@ -192,31 +192,68 @@ int64_t ColumnVector::ByteSize() const {
   return capacity * width;
 }
 
+namespace {
+
+// Per-value hashes shared by HashRow and HashRows, so the row path and the
+// batch kernel agree bit for bit.
+inline uint64_t ValueHash(uint8_t v) { return HashMix(uint64_t{v} + 1); }
+inline uint64_t ValueHash(int32_t v) {
+  return HashMix(static_cast<uint64_t>(static_cast<int64_t>(v)));
+}
+inline uint64_t ValueHash(int64_t v) {
+  return HashMix(static_cast<uint64_t>(v));
+}
+inline uint64_t ValueHash(double d) {
+  // RowEquals compares doubles with ==, under which -0.0 equals +0.0, so
+  // both must hash alike.
+  if (d == 0.0) d = 0.0;
+  uint64_t v;
+  static_assert(sizeof(v) == sizeof(d));
+  __builtin_memcpy(&v, &d, sizeof(v));
+  return HashMix(v);
+}
+inline uint64_t ValueHash(const std::string& s) { return HashString(s); }
+
+template <typename T>
+void CombineHashes(const T* data, int64_t n, uint64_t* hashes) {
+  for (int64_t i = 0; i < n; ++i) {
+    hashes[i] = HashCombine(hashes[i], ValueHash(data[i]));
+  }
+}
+
+}  // namespace
+
 uint64_t ColumnVector::HashRow(int64_t row, uint64_t seed) const {
   switch (type_) {
-    case TypeId::kBool: {
-      uint64_t v = Raw<uint8_t>()[row];
-      return HashCombine(seed, HashMix(v + 1));
-    }
+    case TypeId::kBool:
+      return HashCombine(seed, ValueHash(Raw<uint8_t>()[row]));
     case TypeId::kInt32:
-    case TypeId::kDate: {
-      uint64_t v = static_cast<uint64_t>(
-          static_cast<int64_t>(Raw<int32_t>()[row]));
-      return HashCombine(seed, HashMix(v));
-    }
-    case TypeId::kInt64: {
-      uint64_t v = static_cast<uint64_t>(Raw<int64_t>()[row]);
-      return HashCombine(seed, HashMix(v));
-    }
-    case TypeId::kDouble: {
-      double d = Raw<double>()[row];
-      uint64_t v;
-      static_assert(sizeof(v) == sizeof(d));
-      __builtin_memcpy(&v, &d, sizeof(v));
-      return HashCombine(seed, HashMix(v));
-    }
+    case TypeId::kDate:
+      return HashCombine(seed, ValueHash(Raw<int32_t>()[row]));
+    case TypeId::kInt64:
+      return HashCombine(seed, ValueHash(Raw<int64_t>()[row]));
+    case TypeId::kDouble:
+      return HashCombine(seed, ValueHash(Raw<double>()[row]));
     case TypeId::kString:
-      return HashCombine(seed, HashString(Raw<std::string>()[row]));
+      return HashCombine(seed, ValueHash(Raw<std::string>()[row]));
+  }
+  RDB_UNREACHABLE("bad type");
+}
+
+void ColumnVector::HashRows(uint64_t* hashes) const {
+  const int64_t n = size();
+  switch (type_) {
+    case TypeId::kBool:
+      return CombineHashes(Raw<uint8_t>(), n, hashes);
+    case TypeId::kInt32:
+    case TypeId::kDate:
+      return CombineHashes(Raw<int32_t>(), n, hashes);
+    case TypeId::kInt64:
+      return CombineHashes(Raw<int64_t>(), n, hashes);
+    case TypeId::kDouble:
+      return CombineHashes(Raw<double>(), n, hashes);
+    case TypeId::kString:
+      return CombineHashes(Raw<std::string>(), n, hashes);
   }
   RDB_UNREACHABLE("bad type");
 }

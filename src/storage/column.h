@@ -112,8 +112,13 @@ class ColumnVector {
   /// nothing, but downstream materialization of it would cost this much).
   int64_t ByteSize() const;
 
-  /// Hashes row `row` into `seed` (used by hash join/aggregate).
+  /// Hashes row `row` into `seed` (used by hash join/aggregate). Values
+  /// that RowEquals calls equal hash alike (-0.0 hashes as +0.0).
   uint64_t HashRow(int64_t row, uint64_t seed) const;
+
+  /// Batch form of HashRow: hashes[r] = HashRow(r, hashes[r]) for every
+  /// row r < size(), in one typed loop.
+  void HashRows(uint64_t* hashes) const;
 
   /// True if rows a (in this) and b (in other) hold equal values.
   bool RowEquals(int64_t a, const ColumnVector& other, int64_t b) const;

@@ -1,7 +1,14 @@
 // Unit tests for src/exec operators: scan, filter, project, limit, union,
-// sort, top-N, hash aggregate, hash join (all kinds), progress meters.
+// sort, top-N, hash aggregate, hash join (all kinds, plus a property test
+// against a nested-loop reference), progress meters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "exec/executor.h"
 #include "exec/operators.h"
 #include "test_util.h"
@@ -241,6 +248,304 @@ TEST_F(OperatorTest, OperatorStatsCollected) {
   EXPECT_EQ(r.blocks_pruned, 4);
   // Inclusive timing: the parent's time includes the child's.
   EXPECT_GE(sel_rt.inclusive_ms, 0.0);
+}
+
+TEST_F(OperatorTest, HashJoinMatchesNegativeZeroWithPositiveZero) {
+  // RowEquals compares doubles with ==, so -0.0 joins +0.0; the two must
+  // therefore hash alike.
+  Schema s({{"x", TypeId::kDouble}});
+  TablePtr pos = MakeTable(s);
+  pos->AppendRow({0.0});
+  TablePtr neg = MakeTable(Schema({{"y", TypeId::kDouble}}));
+  neg->AppendRow({-0.0});
+  ASSERT_TRUE(catalog_.RegisterTable("pos", pos).ok());
+  ASSERT_TRUE(catalog_.RegisterTable("neg", neg).ok());
+  TablePtr r = Run(PlanNode::HashJoin(PlanNode::Scan("pos", {"x"}),
+                                      PlanNode::Scan("neg", {"y"}),
+                                      JoinKind::kInner, {"x"}, {"y"}));
+  EXPECT_EQ(r->num_rows(), 1);
+}
+
+TEST_F(OperatorTest, HashAggGroupsNegativeZeroWithPositiveZero) {
+  Schema s({{"x", TypeId::kDouble}});
+  TablePtr t = MakeTable(s);
+  t->AppendRow({0.0});
+  t->AppendRow({-0.0});
+  ASSERT_TRUE(catalog_.RegisterTable("zeros", t).ok());
+  TablePtr r = Run(PlanNode::Aggregate(
+      PlanNode::Scan("zeros", {"x"}), {"x"},
+      {{AggFunc::kCount, Expr::Literal(int64_t{1}), "c"}}));
+  ASSERT_EQ(r->num_rows(), 1);
+  EXPECT_EQ(std::get<int64_t>(r->Get(0, 1)), 2);
+}
+
+// --- Hash join against a nested-loop reference ------------------------------
+
+/// Emits a table as zero-copy views, in batches whose lengths cycle
+/// through `batch_rows` (so key columns arrive as slices at odd offsets).
+class SlicedSourceOp : public Operator {
+ public:
+  SlicedSourceOp(TablePtr table, std::vector<int64_t> batch_rows)
+      : Operator(table->schema()),
+        table_(std::move(table)),
+        batch_rows_(std::move(batch_rows)) {}
+
+  void Open() override {
+    pos_ = 0;
+    step_ = 0;
+  }
+  bool Next(Batch* out) override {
+    out->Clear();
+    if (pos_ >= table_->num_rows()) return false;
+    const int64_t len =
+        std::min(batch_rows_[step_++ % batch_rows_.size()],
+                 table_->num_rows() - pos_);
+    for (int c = 0; c < table_->num_columns(); ++c) {
+      out->columns.push_back(ColumnVector::Slice(table_->column(c), pos_, len));
+    }
+    out->num_rows = len;
+    pos_ += len;
+    return true;
+  }
+  void Close() override {}
+  double Progress() const override { return 0.0; }
+
+ private:
+  TablePtr table_;
+  std::vector<int64_t> batch_rows_;
+  int64_t pos_ = 0;
+  size_t step_ = 0;
+};
+
+/// Bit-exact rendering (DatumToString rounds doubles to 6 digits).
+std::string Render(const Datum& d) {
+  if (std::holds_alternative<double>(d)) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%a", std::get<double>(d));
+    return buf;
+  }
+  return DatumToString(d);
+}
+
+std::string RenderKey(const Table& t, const std::vector<int>& keys,
+                      int64_t row) {
+  std::string out;
+  for (int k : keys) out += Render(t.Get(row, k)) + "|";
+  return out;
+}
+
+std::string RenderRow(const Table& t, int64_t row) {
+  std::string out;
+  for (int c = 0; c < t.num_columns(); ++c) out += Render(t.Get(row, c)) + "|";
+  return out;
+}
+
+/// The join contract spelled out as a nested loop: probe rows in input
+/// order; per probe row, its matches in descending build-row order.
+std::vector<std::string> NestedLoopJoin(const Table& probe, const Table& build,
+                                        JoinKind kind,
+                                        const std::vector<int>& probe_keys,
+                                        const std::vector<int>& build_keys) {
+  std::vector<std::string> build_key(build.num_rows());
+  for (int64_t b = 0; b < build.num_rows(); ++b) {
+    build_key[b] = RenderKey(build, build_keys, b);
+  }
+  std::string pad;
+  for (int c = 0; c < build.num_columns(); ++c) {
+    pad += Render(PadValue(build.schema().field(c).type)) + "|";
+  }
+  std::vector<std::string> out;
+  for (int64_t p = 0; p < probe.num_rows(); ++p) {
+    const std::string key = RenderKey(probe, probe_keys, p);
+    const std::string left = RenderRow(probe, p);
+    std::vector<int64_t> matches;
+    for (int64_t b = build.num_rows() - 1; b >= 0; --b) {
+      if (build_key[b] == key) matches.push_back(b);
+    }
+    switch (kind) {
+      case JoinKind::kSemi:
+        if (!matches.empty()) out.push_back(left);
+        break;
+      case JoinKind::kAnti:
+        if (matches.empty()) out.push_back(left);
+        break;
+      case JoinKind::kLeftOuter:
+        if (matches.empty()) out.push_back(left + pad);
+        [[fallthrough]];
+      case JoinKind::kInner:
+      case JoinKind::kSingle:
+        for (int64_t b : matches) out.push_back(left + RenderRow(build, b));
+        break;
+    }
+  }
+  return out;
+}
+
+/// Runs HashJoinOp over sliced sources and renders its output in order.
+std::vector<std::string> RunHashJoin(const TablePtr& probe,
+                                     const TablePtr& build, JoinKind kind,
+                                     const std::vector<std::string>& lkeys,
+                                     const std::vector<std::string>& rkeys) {
+  std::vector<Field> fields = probe->schema().fields();
+  if (kind == JoinKind::kInner || kind == JoinKind::kLeftOuter ||
+      kind == JoinKind::kSingle) {
+    for (const Field& f : build->schema().fields()) fields.push_back(f);
+  }
+  HashJoinOp join(Schema(fields),
+                  std::make_unique<SlicedSourceOp>(
+                      probe, std::vector<int64_t>{700, 1, 1024, 333}),
+                  std::make_unique<SlicedSourceOp>(
+                      build, std::vector<int64_t>{1024, 5, 999}),
+                  kind, lkeys, rkeys);
+  TablePtr result = MakeTable(Schema(fields));
+  join.Open();
+  Batch b;
+  while (join.Next(&b)) result->AppendBatch(b);
+  join.Close();
+  std::vector<std::string> rows;
+  for (int64_t r = 0; r < result->num_rows(); ++r) {
+    rows.push_back(RenderRow(*result, r));
+  }
+  return rows;
+}
+
+/// A key column's value for draw `v` in [0, domain).
+Datum KeyValue(TypeId type, uint64_t v) {
+  switch (type) {
+    case TypeId::kBool:
+      return v % 2 == 1;
+    case TypeId::kInt32:
+    case TypeId::kDate:
+      return static_cast<int32_t>(v) - 500;
+    case TypeId::kInt64:
+      return static_cast<int64_t>(v) * 1000003 - (int64_t{1} << 40);
+    case TypeId::kDouble:
+      return static_cast<double>(v) * 0.5 - 100.0;  // never -0.0
+    case TypeId::kString:
+      // Some keys outgrow the short-string buffer.
+      return (v % 3 == 0 ? std::string("a-long-string-key-") : std::string("s")) +
+             std::to_string(v);
+  }
+  return Datum{};
+}
+
+/// Table of `rows` rows: the key columns, drawn from [0, domain) (or a
+/// permutation of [0, rows) when `unique`), then a row-id payload.
+TablePtr KeyTable(const std::string& prefix, const std::vector<TypeId>& types,
+                  int64_t rows, uint64_t domain, bool unique, Rng* rng) {
+  std::vector<Field> fields;
+  for (size_t k = 0; k < types.size(); ++k) {
+    fields.push_back({prefix + "k" + std::to_string(k), types[k]});
+  }
+  fields.push_back({prefix + "id", TypeId::kInt64});
+  TablePtr t = MakeTable(Schema(fields));
+  std::vector<uint64_t> draws(rows);
+  for (int64_t r = 0; r < rows; ++r) {
+    draws[r] = unique ? static_cast<uint64_t>(r) : rng->Next() % domain;
+  }
+  if (unique) {
+    for (int64_t r = rows - 1; r > 0; --r) {
+      std::swap(draws[r], draws[rng->Next() % static_cast<uint64_t>(r + 1)]);
+    }
+  }
+  for (int64_t r = 0; r < rows; ++r) {
+    std::vector<Datum> row;
+    // Multi-column keys: every column derives from the one draw, and the
+    // first column alone is ambiguous (it sees half the draw).
+    for (size_t k = 0; k < types.size(); ++k) {
+      const bool halved = k == 0 && types.size() > 1;
+      row.push_back(KeyValue(types[k], halved ? draws[r] / 2 : draws[r]));
+    }
+    row.push_back(int64_t{r});
+    t->AppendRow(row);
+  }
+  return t;
+}
+
+void ExpectJoinMatchesReference(const std::vector<TypeId>& types,
+                                int64_t build_rows, int64_t probe_rows,
+                                JoinKind kind, uint64_t seed) {
+  Rng rng(seed);
+  const bool unique = kind == JoinKind::kSingle;
+  // Duplicates: about three build rows per key (bool keys: all of them).
+  const uint64_t domain =
+      std::max<uint64_t>(1, static_cast<uint64_t>(build_rows) / 3);
+  TablePtr build = KeyTable("b", types, build_rows, domain, unique, &rng);
+  // Probe keys overshoot the build domain, so some rows miss.
+  const uint64_t probe_domain =
+      unique ? static_cast<uint64_t>(build_rows) + 8 : domain + domain / 4 + 2;
+  TablePtr probe = KeyTable("p", types, probe_rows, probe_domain, false, &rng);
+  std::vector<std::string> lkeys, rkeys;
+  std::vector<int> key_idx;
+  for (size_t k = 0; k < types.size(); ++k) {
+    lkeys.push_back("pk" + std::to_string(k));
+    rkeys.push_back("bk" + std::to_string(k));
+    key_idx.push_back(static_cast<int>(k));
+  }
+  std::vector<std::string> expected =
+      NestedLoopJoin(*probe, *build, kind, key_idx, key_idx);
+  std::vector<std::string> got = RunHashJoin(probe, build, kind, lkeys, rkeys);
+  ASSERT_EQ(got.size(), expected.size())
+      << JoinKindName(kind) << " build=" << build_rows;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], expected[i])
+        << JoinKindName(kind) << " build=" << build_rows << " row " << i;
+  }
+}
+
+const JoinKind kAllJoinKinds[] = {JoinKind::kInner, JoinKind::kLeftOuter,
+                                  JoinKind::kSemi, JoinKind::kAnti,
+                                  JoinKind::kSingle};
+
+TEST(HashJoinReferenceTest, EveryKindAndKeyTypeAroundBatchBoundaries) {
+  const std::vector<std::vector<TypeId>> key_sets = {
+      {TypeId::kInt32},  {TypeId::kInt64},
+      {TypeId::kDouble}, {TypeId::kDate},
+      {TypeId::kString}, {TypeId::kInt32, TypeId::kString},
+      {TypeId::kBool, TypeId::kInt64}};
+  uint64_t seed = 1;
+  for (const auto& types : key_sets) {
+    for (JoinKind kind : kAllJoinKinds) {
+      for (int64_t build_rows : {0, 1, 1023, 1024, 1025}) {
+        ExpectJoinMatchesReference(types, build_rows, 1500, kind, ++seed);
+      }
+      ExpectJoinMatchesReference(types, 1025, 0, kind, ++seed);
+    }
+  }
+}
+
+TEST(HashJoinReferenceTest, BoolKeysWithSmallBuildSides) {
+  // Two key values only, so every probe row matches half the build side.
+  uint64_t seed = 100;
+  for (JoinKind kind : {JoinKind::kInner, JoinKind::kLeftOuter,
+                        JoinKind::kSemi, JoinKind::kAnti}) {
+    for (int64_t build_rows : {0, 1, 2, 64}) {
+      ExpectJoinMatchesReference({TypeId::kBool}, build_rows, 1100, kind,
+                                 ++seed);
+    }
+  }
+  // kSingle needs unique build keys: at most one row per value.
+  ExpectJoinMatchesReference({TypeId::kBool}, 2, 1100, JoinKind::kSingle, 200);
+}
+
+TEST(HashJoinReferenceTest, LargeBuildSides) {
+  uint64_t seed = 300;
+  for (const std::vector<TypeId>& types :
+       {std::vector<TypeId>{TypeId::kInt64},
+        std::vector<TypeId>{TypeId::kString}}) {
+    for (JoinKind kind : kAllJoinKinds) {
+      ExpectJoinMatchesReference(types, 70001, 200, kind, ++seed);
+    }
+  }
+}
+
+TEST(HashJoinReferenceDeathTest, SingleJoinAbortsOnDuplicateMatch) {
+  Rng rng(7);
+  TablePtr build = KeyTable("b", {TypeId::kInt64}, 2, 1, false, &rng);
+  TablePtr probe = KeyTable("p", {TypeId::kInt64}, 1, 1, false, &rng);
+  EXPECT_DEATH(
+      RunHashJoin(probe, build, JoinKind::kSingle, {"pk0"}, {"bk0"}),
+      "kSingle join found multiple matches");
 }
 
 TEST_F(OperatorTest, ScanProgressAdvances) {

@@ -1,13 +1,17 @@
 // Tests for the Recycler facade: mode semantics, reuse transparency,
-// invalidation, speculation decisions, and stall coordination.
+// invalidation, speculation decisions, stall coordination, and the
+// exact-hit index (repeated exact hits served without MatchTree).
 #include <gtest/gtest.h>
 
+#include <shared_mutex>
 #include <thread>
 
 #include "common/stopwatch.h"
 
 #include "recycler/recycler.h"
 #include "test_util.h"
+#include "tpch/dbgen.h"
+#include "tpch/qgen.h"
 
 namespace recycledb {
 namespace {
@@ -242,6 +246,383 @@ TEST_F(RecyclerTest, ConcurrentDistinctQueriesKeepGraphConsistent) {
   }
   // 4 selects + 4 aggs + 1 scan.
   EXPECT_EQ(rec.graph().Stats().num_nodes, 9);
+}
+
+}  // namespace
+
+/// White-box access to the exact-hit index and the matcher.
+struct RecyclerPeer {
+  /// MatchTree's graph nodes for `plan`, pre-order (null for unmatched).
+  static std::vector<RGNode*> MatchedNodes(Recycler& rec, const PlanPtr& plan) {
+    plan->Bind(*rec.catalog());
+    std::unique_ptr<Recycler::MNode> root = rec.MatchTree(plan);
+    std::vector<RGNode*> out;
+    std::vector<const Recycler::MNode*> stack{root.get()};
+    while (!stack.empty()) {
+      const Recycler::MNode* m = stack.back();
+      stack.pop_back();
+      out.push_back(m->gnode);
+      for (auto it = m->children.rbegin(); it != m->children.rend(); ++it) {
+        stack.push_back(it->get());
+      }
+    }
+    return out;
+  }
+
+  /// The index entry `plan` would be looked up under (empty: none).
+  static std::vector<RGNode*> IndexedNodes(Recycler& rec, const PlanPtr& plan) {
+    plan->Bind(*rec.catalog());
+    const std::string key =
+        Recycler::ExactHitKey(*plan, plan->TreeFingerprint());
+    std::lock_guard<std::mutex> lock(rec.exact_mu_);
+    auto it = rec.exact_hits_.find(key);
+    if (it == rec.exact_hits_.end()) return {};
+    EXPECT_EQ(it->second->root, it->second->nodes.front());
+    return it->second->nodes;
+  }
+
+  static void ClearIndex(Recycler& rec) {
+    std::lock_guard<std::mutex> lock(rec.exact_mu_);
+    rec.exact_hits_.clear();
+    rec.exact_hit_keys_.clear();
+  }
+
+  /// Recycler::Execute, also reporting whether Prepare served the
+  /// statement from the index (its matched tree is the root alone).
+  static ExecResult Execute(Recycler& rec, const PlanPtr& plan,
+                            QueryTrace* trace, bool* from_index) {
+    std::unique_ptr<PreparedQuery> q = rec.Prepare(plan);
+    *from_index = q->matched_ != nullptr && q->matched_->children.empty() &&
+                  !plan->children().empty();
+    ExecResult r = rec.executor_.Run(q->plan(), &q->stores(), &q->pins_);
+    rec.OnComplete(q.get(), r);
+    *trace = q->trace();
+    return r;
+  }
+
+  static void SetMatState(Recycler& rec, RGNode* node, MatState state) {
+    rec.SetMatState(node, state);
+  }
+};
+
+namespace {
+
+/// Trace fields other than timings.
+std::string TraceSansTimings(const QueryTrace& t) {
+  std::string out;
+  for (int64_t v :
+       {t.query_id, static_cast<int64_t>(t.template_hash),
+        t.template_prior_runs, int64_t{t.num_reuses},
+        int64_t{t.num_subsumption_reuses}, int64_t{t.num_partial_reuses},
+        int64_t{t.num_delta_reuses}, int64_t{t.num_agg_merges},
+        int64_t{t.num_cold_hits}, int64_t{t.num_adoptions},
+        int64_t{t.num_materialized}, int64_t{t.num_spec_aborted},
+        int64_t{t.num_stalls}, int64_t{t.used_proactive},
+        t.graph_nodes_at_match, t.blocks_scanned, t.blocks_pruned,
+        static_cast<int64_t>(t.reuse_mode),
+        static_cast<int64_t>(t.plan_fingerprint)}) {
+    out += std::to_string(v) + ",";
+  }
+  return out + t.plan_explain;
+}
+
+/// Every node's importance bookkeeping, in insertion order.
+std::string GraphStats(Recycler& rec) {
+  std::shared_lock<std::shared_mutex> lock(rec.graph().mutex());
+  std::string out;
+  for (const auto& n : rec.graph().nodes()) {
+    out += std::to_string(n->id) + ":" + std::to_string(n->h.load()) + "/" +
+           std::to_string(n->match_count.load()) + "/" +
+           std::to_string(n->last_access_epoch.load()) + "/" +
+           std::to_string(static_cast<int>(n->mat_state.load())) + " ";
+  }
+  return out;
+}
+
+class ExactHitIndexTest : public RecyclerTest {
+ protected:
+  static std::vector<PlanPtr> TpchPlans(uint64_t seed) {
+    std::vector<PlanPtr> plans;
+    for (auto& stream : tpch::MakeStreams(3, kSf, seed)) {
+      for (auto& p : stream.plans) plans.push_back(p);
+    }
+    return plans;
+  }
+
+  static constexpr double kSf = 0.002;
+};
+
+TEST_F(ExactHitIndexTest, EntriesEqualMatchTreeOnTpchStreams) {
+  Catalog catalog;
+  tpch::Generate(kSf, &catalog);
+  int64_t checked = 0;
+  for (uint64_t seed : {1, 424242}) {
+    RecyclerConfig cfg;
+    cfg.cache_bytes = -1;
+    Recycler rec(&catalog, cfg);
+    std::vector<PlanPtr> plans = TpchPlans(seed);
+    for (int round = 0; round < 2; ++round) {
+      for (const PlanPtr& plan : plans) {
+        rec.Execute(plan);
+        std::vector<RGNode*> indexed = RecyclerPeer::IndexedNodes(rec, plan);
+        if (indexed.empty()) continue;
+        EXPECT_EQ(indexed, RecyclerPeer::MatchedNodes(rec, plan));
+        ++checked;
+      }
+    }
+  }
+  // Every second-round statement whose root was cached is indexed.
+  EXPECT_GT(checked, 50);
+}
+
+TEST_F(ExactHitIndexTest, FastPathMatchesSlowPathTraceAndImportance) {
+  // Two recyclers run the same statements; the second forgets its index
+  // before every statement, so it always takes the full path.
+  Catalog catalog;
+  tpch::Generate(kSf, &catalog);
+  RecyclerConfig cfg;
+  cfg.cache_bytes = -1;
+  cfg.capture_plan_explain = true;
+  Recycler fast(&catalog, cfg);
+  Recycler slow(&catalog, cfg);
+  std::vector<PlanPtr> plans = TpchPlans(7);
+  int64_t served = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (const PlanPtr& plan : plans) {
+      QueryTrace tf, ts;
+      bool from_index = false, slow_from_index = false;
+      ExecResult rf = RecyclerPeer::Execute(fast, plan, &tf, &from_index);
+      RecyclerPeer::ClearIndex(slow);
+      ExecResult rs = RecyclerPeer::Execute(slow, plan, &ts, &slow_from_index);
+      EXPECT_FALSE(slow_from_index);
+      served += from_index ? 1 : 0;
+      if (from_index) {
+        EXPECT_EQ(tf.reuse_mode, ReuseMode::kExact);
+      }
+      EXPECT_EQ(TraceSansTimings(tf), TraceSansTimings(ts));
+      EXPECT_EQ(GraphStats(fast), GraphStats(slow));
+      EXPECT_EQ(recycledb::testing::RowMultiset(*rf.table),
+                recycledb::testing::RowMultiset(*rs.table));
+    }
+  }
+  EXPECT_GT(served, 0);
+}
+
+TEST_F(ExactHitIndexTest, SecondRunIsServedFromTheIndex) {
+  Recycler rec(&catalog_, RecyclerConfig{});
+  QueryTrace t;
+  bool from_index = false;
+  RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
+  EXPECT_FALSE(from_index);  // miss: speculative store
+  RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
+  EXPECT_FALSE(from_index);  // exact hit through MatchTree: indexed
+  EXPECT_EQ(rec.exact_hit_entries(), 1);
+  RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
+  EXPECT_TRUE(from_index);
+  EXPECT_EQ(t.reuse_mode, ReuseMode::kExact);
+}
+
+TEST_F(ExactHitIndexTest, IntroducedNamesArePartOfTheKey) {
+  // Both plans fingerprint as select:(x>50)(project:[k,v](scan)), but the
+  // first filters k and the second v.
+  auto plan = [](const std::string& k_name, const std::string& v_name) {
+    return PlanNode::Aggregate(
+        PlanNode::Select(
+            PlanNode::Project(PlanNode::Scan("t", {"k", "v"}),
+                              {{Expr::Column("k"), k_name},
+                               {Expr::Column("v"), v_name}}),
+            Expr::Gt(Expr::Column("x"), Expr::Literal(int64_t{50}))),
+        {}, {{AggFunc::kCount, Expr::Literal(int64_t{1}), "c"}});
+  };
+  PlanPtr on_k = plan("x", "y");
+  PlanPtr on_v = plan("y", "x");
+  on_k->Bind(catalog_);
+  on_v->Bind(catalog_);
+  ASSERT_EQ(on_k->TreeFingerprint(), on_v->TreeFingerprint());
+  Recycler rec(&catalog_, RecyclerConfig{});
+  Recycler off(&catalog_, [] {
+    RecyclerConfig c;
+    c.mode = RecyclerMode::kOff;
+    return c;
+  }());
+  for (int i = 0; i < 3; ++i) rec.Execute(on_k);
+  ASSERT_EQ(rec.exact_hit_entries(), 1);
+  EXPECT_EQ(recycledb::testing::RowMultiset(*rec.Execute(on_v).table),
+            recycledb::testing::RowMultiset(*off.Execute(on_v).table));
+}
+
+TEST_F(ExactHitIndexTest, StaleRootFallsBackToDeltaRewrite) {
+  Recycler rec(&catalog_, RecyclerConfig{});
+  for (int i = 0; i < 2; ++i) rec.Execute(AggPlan(10));
+  ASSERT_EQ(rec.exact_hit_entries(), 1);
+  TablePtr delta = MakeTable(catalog_.GetTable("t")->schema());
+  delta->AppendRow({int32_t{42}, 1.5});
+  ASSERT_TRUE(catalog_.AppendRows("t", *delta).ok());
+  rec.OnTableAppended("t");
+  QueryTrace t;
+  bool from_index = true;
+  ExecResult r = RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
+  EXPECT_FALSE(from_index);
+  EXPECT_EQ(t.reuse_mode, ReuseMode::kAggMerge);
+  Recycler off(&catalog_, [] {
+    RecyclerConfig c;
+    c.mode = RecyclerMode::kOff;
+    return c;
+  }());
+  EXPECT_EQ(recycledb::testing::RowMultiset(*r.table),
+            recycledb::testing::RowMultiset(*off.Execute(AggPlan(10)).table));
+}
+
+TEST_F(ExactHitIndexTest, InFlightRootFallsBackAndStalls) {
+  Recycler rec(&catalog_, RecyclerConfig{});
+  for (int i = 0; i < 2; ++i) rec.Execute(AggPlan(10));
+  std::vector<RGNode*> nodes = RecyclerPeer::IndexedNodes(rec, AggPlan(10));
+  ASSERT_FALSE(nodes.empty());
+  RGNode* root = nodes.front();
+  // An entry whose root went in flight (bypassing SetMatState, which
+  // would forget it): the lookup must fall through to the stall.
+  root->mat_state.store(MatState::kInFlight);
+  std::thread publisher([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    RecyclerPeer::SetMatState(rec, root, MatState::kCached);
+  });
+  QueryTrace t;
+  bool from_index = true;
+  RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
+  publisher.join();
+  EXPECT_FALSE(from_index);
+  EXPECT_EQ(t.num_stalls, 1);
+  EXPECT_EQ(t.reuse_mode, ReuseMode::kExact);
+}
+
+TEST_F(ExactHitIndexTest, ColdRootFallsBackToReadmission) {
+  recycledb::testing::TempSpillDir dir;
+  RecyclerConfig cfg;
+  cfg.spill_dir = dir.path();
+  Recycler rec(&catalog_, cfg);
+  for (int i = 0; i < 2; ++i) rec.Execute(AggPlan(10));
+  ASSERT_EQ(rec.exact_hit_entries(), 1);
+  rec.FlushCache();  // demotes every hot result to the cold tier
+  EXPECT_EQ(rec.exact_hit_entries(), 0);
+  QueryTrace t;
+  bool from_index = true;
+  RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
+  EXPECT_FALSE(from_index);
+  EXPECT_EQ(t.reuse_mode, ReuseMode::kColdReadmit);
+  // Re-admitted hot, so the next run is indexed again.
+  RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
+  EXPECT_TRUE(from_index);
+}
+
+TEST_F(ExactHitIndexTest, OffAndProactiveModesNeverIndex) {
+  for (RecyclerMode mode : {RecyclerMode::kOff, RecyclerMode::kProactive}) {
+    RecyclerConfig cfg;
+    cfg.mode = mode;
+    Recycler rec(&catalog_, cfg);
+    for (int i = 0; i < 4; ++i) {
+      QueryTrace t;
+      bool from_index = true;
+      RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
+      EXPECT_FALSE(from_index) << RecyclerModeName(mode);
+      if (mode == RecyclerMode::kProactive && i > 0) {
+        EXPECT_EQ(t.reuse_mode, ReuseMode::kExact);
+      }
+    }
+    EXPECT_EQ(rec.exact_hit_entries(), 0) << RecyclerModeName(mode);
+  }
+}
+
+TEST_F(ExactHitIndexTest, TruncateGraphEmptiesTheIndex) {
+  Recycler rec(&catalog_, RecyclerConfig{});
+  for (int t = 0; t < 4; ++t) {
+    for (int i = 0; i < 2; ++i) rec.Execute(AggPlan(t));
+  }
+  ASSERT_EQ(rec.exact_hit_entries(), 4);
+  rec.TruncateGraph(/*idle_epochs=*/0);
+  EXPECT_EQ(rec.exact_hit_entries(), 0);
+  // Served again after truncation: re-matched, re-indexed, same answer.
+  Recycler off(&catalog_, [] {
+    RecyclerConfig c;
+    c.mode = RecyclerMode::kOff;
+    return c;
+  }());
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(recycledb::testing::RowMultiset(*rec.Execute(AggPlan(2)).table),
+              recycledb::testing::RowMultiset(*off.Execute(AggPlan(2)).table));
+  }
+  EXPECT_EQ(rec.exact_hit_entries(), 1);
+}
+
+TEST_F(ExactHitIndexTest, NeverMoreEntriesThanTheHotCache) {
+  Catalog catalog;
+  tpch::Generate(kSf, &catalog);
+  RecyclerConfig cfg;
+  cfg.cache_bytes = 64 << 10;  // evicts
+  Recycler rec(&catalog, cfg);
+  std::vector<PlanPtr> plans = TpchPlans(3);
+  int64_t max_entries = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (const PlanPtr& plan : plans) {
+      rec.Execute(plan);
+      EXPECT_LE(rec.exact_hit_entries(), rec.cache().num_entries());
+      max_entries = std::max(max_entries, rec.exact_hit_entries());
+    }
+  }
+  EXPECT_GT(rec.counters().evictions.load(), 0);
+  EXPECT_GT(max_entries, 0);
+}
+
+TEST_F(ExactHitIndexTest, ConcurrentHitsMissesAndTruncation) {
+  // Three streams repeat a few statements (hits) among fresh ones
+  // (misses) while a fourth truncates the graph and flushes the cache.
+  // Truncation needs a quiescent point, so queries hold `quiesce` shared.
+  RecyclerConfig cfg;
+  cfg.cache_bytes = 256 << 10;
+  Recycler rec(&catalog_, cfg);
+  Recycler off(&catalog_, [] {
+    RecyclerConfig c;
+    c.mode = RecyclerMode::kOff;
+    return c;
+  }());
+  std::vector<std::multiset<std::string>> expected;
+  for (int p = 0; p < 40; ++p) {
+    expected.push_back(
+        recycledb::testing::RowMultiset(*off.Execute(AggPlan(p)).table));
+  }
+  std::shared_mutex quiesce;
+  std::atomic<bool> done{false};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> streams;
+  for (int s = 0; s < 3; ++s) {
+    streams.emplace_back([&, s] {
+      for (int i = 0; i < 60; ++i) {
+        const int p = i % 3 == 0 ? (s * 13 + i) % 40 : i % 4;
+        std::shared_lock<std::shared_mutex> lock(quiesce);
+        ExecResult r = rec.Execute(AggPlan(p));
+        if (recycledb::testing::RowMultiset(*r.table) != expected[p]) ++wrong;
+      }
+    });
+  }
+  std::thread truncator([&] {
+    int n = 0;
+    while (!done.load()) {
+      {
+        std::unique_lock<std::shared_mutex> lock(quiesce);
+        if (n++ % 2 == 0) {
+          rec.TruncateGraph(/*idle_epochs=*/2);
+        } else {
+          rec.FlushCache();
+        }
+        EXPECT_LE(rec.exact_hit_entries(), rec.cache().num_entries());
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+  for (auto& th : streams) th.join();
+  done = true;
+  truncator.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_LE(rec.exact_hit_entries(), rec.cache().num_entries());
 }
 
 }  // namespace

@@ -61,6 +61,34 @@ TEST(ColumnTest, HashRowEqualValuesEqualHash) {
   EXPECT_TRUE(a.RowEquals(0, b, 0));
 }
 
+TEST(ColumnTest, HashRowsMatchesHashRowOnEveryTypeAndView) {
+  const std::vector<std::pair<TypeId, std::vector<Datum>>> columns = {
+      {TypeId::kBool, {true, false, true}},
+      {TypeId::kInt32, {int32_t{-7}, int32_t{0}, int32_t{1 << 30}}},
+      {TypeId::kDate, {int32_t{9000}, int32_t{-1}, int32_t{0}}},
+      {TypeId::kInt64, {int64_t{-1}, int64_t{1} << 40, int64_t{3}}},
+      {TypeId::kDouble, {-0.0, 0.0, 2.5}},
+      {TypeId::kString, {std::string(""), std::string("a-longer-string-key"),
+                         std::string("b")}}};
+  for (const auto& [type, values] : columns) {
+    auto col = std::make_shared<ColumnVector>(type);
+    for (const Datum& v : values) col->Append(v);
+    for (ColumnPtr c : {ColumnPtr(col), ColumnVector::Slice(col, 1, 2)}) {
+      std::vector<uint64_t> hashes(c->size(), 17);
+      c->HashRows(hashes.data());
+      for (int64_t r = 0; r < c->size(); ++r) {
+        EXPECT_EQ(hashes[r], c->HashRow(r, 17)) << TypeName(type) << " row " << r;
+      }
+    }
+  }
+  // RowEquals calls -0.0 and +0.0 equal, so they hash alike.
+  auto zeros = std::make_shared<ColumnVector>(TypeId::kDouble);
+  zeros->Append(-0.0);
+  zeros->Append(0.0);
+  EXPECT_TRUE(zeros->RowEquals(0, *zeros, 1));
+  EXPECT_EQ(zeros->HashRow(0, 17), zeros->HashRow(1, 17));
+}
+
 TEST(ColumnTest, ByteSizeGrowsWithData) {
   ColumnVector col(TypeId::kInt64);
   int64_t empty = col.ByteSize();
