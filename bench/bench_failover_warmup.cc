@@ -51,7 +51,6 @@ std::unique_ptr<Database> OpenInstance(const trace::Trace& t,
   DatabaseOptions options;
   options.recycler.mode = RecyclerMode::kSpeculation;
   options.recycler.cache_bytes = -1;
-  options.recycler.use_cost_model = true;
   options.recycler.spill_dir = spill_dir;
   options.recycler.cold_tier_capacity_bytes = 1ll << 30;
   options.recycler.shared_spill_dir = true;

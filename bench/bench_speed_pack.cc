@@ -8,7 +8,7 @@
 //
 // Section B (compressed cold tier): two engines with identical,
 // deliberately small cold-tier byte caps absorb the same stream of
-// distinct compressible results and are then flushed to disk. Format v2
+// distinct compressible results and are then flushed to disk. The spill
 // column codecs shrink each spill file, so the compressing tier must
 // retain at least 1.5x as many cold entries under the same cap.
 //
@@ -263,7 +263,7 @@ int main() {
 
   std::printf(
       "\nExpected: zone maps skip every block outside each query window "
-      "(>= 2x sweep speedup), and v2 column codecs let the same cold-tier "
+      "(>= 2x sweep speedup), and spill column codecs let the same cold-tier "
       "byte cap retain >= 1.5x as many spilled results.\n");
 
   // Gate 1: pruning makes the sweep at least 2x faster, and the pruned

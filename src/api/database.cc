@@ -35,30 +35,12 @@ Status ValidateRecyclerConfig(const RecyclerConfig& config) {
         StrFormat("speculation_buffer_cap must be positive (got %lld)",
                   (long long)config.speculation_buffer_cap));
   }
-  if (config.partial_min_cover < 0.0 || config.partial_min_cover > 1.0) {
-    return Status::InvalidArgument(
-        StrFormat("partial_min_cover must be in [0, 1] (got %g)",
-                  config.partial_min_cover));
-  }
   if (config.proactive_topn_limit <= 0) {
     return Status::InvalidArgument(
         StrFormat("proactive_topn_limit must be positive (got %lld)",
                   (long long)config.proactive_topn_limit));
   }
-  if (config.cube_distinct_threshold < 0) {
-    return Status::InvalidArgument(
-        StrFormat("cube_distinct_threshold must be >= 0 (got %lld)",
-                  (long long)config.cube_distinct_threshold));
-  }
-  // Cold-tier options. The threshold is checked unconditionally (a
-  // negative benefit is impossible, so a negative threshold is always a
-  // mistake); the capacity only matters once a spill_dir enables the
-  // tier.
-  if (!(config.spill_min_benefit >= 0.0)) {
-    return Status::InvalidArgument(
-        StrFormat("spill_min_benefit must be >= 0 (got %g)",
-                  config.spill_min_benefit));
-  }
+  // The capacity only matters once a spill_dir enables the cold tier.
   if (!config.spill_dir.empty() && config.cold_tier_capacity_bytes <= 0) {
     return Status::InvalidArgument(
         StrFormat("cold_tier_capacity_bytes must be positive when "

@@ -47,11 +47,11 @@ struct DatabaseOptions {
 
 /// Validates recycler tunables, returning InvalidArgument for nonsense
 /// (negative speculation_h, non-positive stall timeout, sub-4KB positive
-/// cache budgets, aging alpha outside (0, 1], negative spill_min_benefit,
-/// non-positive cold_tier_capacity_bytes with a spill_dir set, ...).
-/// cache_bytes == 0 (cache disabled) and cache_bytes < 0 (unlimited) are
-/// both valid. Whether spill_dir itself is usable is an I/O question and
-/// is probed by Database::Open, not here.
+/// cache budgets, aging alpha outside (0, 1], non-positive
+/// cold_tier_capacity_bytes with a spill_dir set, ...). cache_bytes == 0
+/// (cache disabled) and cache_bytes < 0 (unlimited) are both valid. Whether
+/// spill_dir itself is usable is an I/O question and is probed by
+/// Database::Open, not here.
 Status ValidateRecyclerConfig(const RecyclerConfig& config);
 
 /// The embeddable engine facade: owns the catalog, the recycler, the

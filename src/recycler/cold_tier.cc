@@ -95,13 +95,6 @@ ColdTier::~ColdTier() {
   }
 }
 
-Status ColdTier::Open(const std::string& dir, int64_t capacity_bytes) {
-  ColdTierOptions options;
-  options.dir = dir;
-  options.capacity_bytes = capacity_bytes;
-  return Open(options);
-}
-
 Status ColdTier::Open(const ColdTierOptions& options) {
   if (options.dir.empty()) return Status::OK();
   if (options.read_only) {
@@ -116,7 +109,6 @@ Status ColdTier::Open(const ColdTierOptions& options) {
   read_only_ = options.read_only;
   instance_ = options.instance_id;
   lease_ms_ = options.lease_ms;
-  async_ = options.async_spill && !options.read_only;
   if (shared_ && !read_only_ && instance_.empty()) {
     return Status::InvalidArgument(
         "shared cold tier requires a non-empty instance id");
@@ -206,26 +198,24 @@ Status ColdTier::Open(const ColdTierOptions& options) {
   }
 
   // Purge records published before this open retire files whose owner
-  // crashed between invalidating and deleting them.
+  // crashed between invalidating and deleting them. They take the
+  // refresh path, so a full log whose oldest record this fresh instance
+  // never saw is a gap: every entry admitted before it is dropped.
+  std::vector<const RGNode*> dropped;
   if (have_manifest) {
-    std::vector<const RGNode*> dropped;
-    for (const fleet::ManifestPurge& p : manifest.purges) {
-      ApplyPurgeLocked(p, &dropped);
-      last_applied_purge_seq_ = std::max(last_applied_purge_seq_, p.seq);
-    }
-    RDB_CHECK(dropped.empty());  // nothing is live yet
+    NotePurgesLocked(manifest.purges);
+    ApplyNotedPurgesLocked(&dropped);
     last_seen_seq_ = manifest.seq;
   }
 
   // An over-cap directory (cap lowered across restarts) is trimmed
   // immediately, oldest-scanned first.
-  std::vector<const RGNode*> dropped;
   SweepToFit(0, &dropped);
   RDB_CHECK(dropped.empty());  // nothing is live yet
 
   enabled_ = true;
-  if (shared_ && !read_only_) SyncManifestLocked();
-  if (async_) {
+  if (!read_only_) {
+    if (shared_) SyncManifestLocked();
     worker_ = std::thread([this] { WorkerLoop(); });
   }
   return Status::OK();
@@ -276,9 +266,7 @@ bool ColdTier::EntrySizes(const RGNode* node, int64_t* stored_bytes,
   auto it = live_.find(node);
   if (it == live_.end()) return false;
   *stored_bytes = it->second->bytes;
-  // v1 files predate the raw_bytes header field; stored == raw there.
-  *raw_bytes = it->second->meta.raw_bytes > 0 ? it->second->meta.raw_bytes
-                                              : it->second->bytes;
+  *raw_bytes = it->second->raw_bytes();
   return true;
 }
 
@@ -355,50 +343,10 @@ bool ColdTier::CommitSpillLocked(const RGNode* node,
   return true;
 }
 
-bool ColdTier::Spill(const RGNode* node, const std::string& canon_key,
-                     const Table& table, const SpillFileMeta& meta,
-                     std::vector<const RGNode*>* dropped_nodes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_ || read_only_) return false;
-  if (live_.count(node) > 0) return true;  // image already on disk
-
-  // Write the fresh image BEFORE superseding any leftover entry under
-  // the same key (an unadopted orphan from a prior incarnation of this
-  // result): a failed write — disk full is the likely case — must not
-  // destroy a still-valid image.
-  const std::string path = FilePath(HashString(canon_key));
-  SpillWriteOptions wopts;
-  wopts.compress = compress_;
-  SpillFileMeta stored = meta;
-  if (!WriteSpillFile(path, table, stored, wopts).ok()) return false;
-  // Re-read the stamped header so the in-memory copy carries the
-  // writer-computed raw_bytes (compression-ratio accounting).
-  if (!ReadSpillMeta(path, &stored).ok()) stored = meta;
-  std::error_code ec;
-  int64_t bytes = static_cast<int64_t>(fs::file_size(path, ec));
-  if (ec) bytes = table.ByteSize();
-  if (!CommitSpillLocked(node, canon_key, path, bytes, std::move(stored),
-                         dropped_nodes)) {
-    return false;
-  }
-  if (manifest_dirty_) SyncManifestLocked();
-  if (spilled_cb_) {
-    int64_t raw = 0, stored_bytes = 0;
-    auto it = live_.find(node);
-    if (it != live_.end()) {
-      stored_bytes = it->second->bytes;
-      raw = it->second->meta.raw_bytes > 0 ? it->second->meta.raw_bytes
-                                           : it->second->bytes;
-    }
-    spilled_cb_(node, stored_bytes, raw);
-  }
-  return true;
-}
-
 bool ColdTier::SpillAsync(const RGNode* node, const std::string& canon_key,
                           TablePtr snapshot, const SpillFileMeta& meta) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_ || read_only_ || !async_) return false;
+  if (!enabled_ || read_only_) return false;
   if (live_.count(node) > 0 || pending_by_node_.count(node) > 0) return true;
   if (snapshot == nullptr) return false;
   if (snapshot->ByteSize() > capacity_bytes_) return false;  // can never fit
@@ -462,7 +410,7 @@ void ColdTier::WorkerLoop() {
           CommitSpillLocked(node, ps.canon_key, path, bytes, stored, &dropped);
       if (committed) {
         cb_stored = bytes;
-        cb_raw = stored.raw_bytes > 0 ? stored.raw_bytes : bytes;
+        cb_raw = live_.at(node)->raw_bytes();
       } else {
         dropped.push_back(node);
       }
@@ -483,7 +431,6 @@ void ColdTier::WorkerLoop() {
 
 void ColdTier::Drain() {
   std::unique_lock<std::mutex> lock(mu_);
-  if (!async_) return;
   drain_cv_.wait(lock, [this] { return pending_.empty() && !worker_busy_; });
 }
 
@@ -512,7 +459,7 @@ Status ColdTier::LoadSlice(const RGNode* node, int filter_column,
   auto it = live_.find(node);
   if (it == live_.end()) {
     if (pending_by_node_.count(node) > 0) {
-      // Pending async spill: no encoded image to filter yet; the caller
+      // Pending spill: no encoded image to filter yet; the caller
       // falls back to the full in-memory snapshot.
       return Status::InvalidArgument("spill pending, no encoded image");
     }
@@ -580,7 +527,7 @@ void ColdTier::ApplyPurgeLocked(const fleet::ManifestPurge& purge,
       if (matches(*cur)) EvictRec(cur, dropped_nodes);
     }
   }
-  // Pending async spills over the table are stale the same way; cancel
+  // Pending spills over the table are stale the same way; cancel
   // them so they never commit (full purges only: pending spills belong
   // to live nodes, which the unversioned-only variant spares).
   if (!purge.unversioned_only) {
@@ -872,10 +819,7 @@ ColdTierStats ColdTier::Stats() const {
   s.peer_entries = static_cast<int64_t>(peers_.size());
   s.pending_spills = static_cast<int64_t>(pending_.size());
   for (const std::list<Rec>* list : {&clock_, &peers_}) {
-    for (const Rec& r : *list) {
-      // v1 files predate the raw_bytes header field; stored == raw there.
-      s.raw_bytes += r.meta.raw_bytes > 0 ? r.meta.raw_bytes : r.bytes;
-    }
+    for (const Rec& r : *list) s.raw_bytes += r.raw_bytes();
   }
   return s;
 }

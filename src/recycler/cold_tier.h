@@ -1,16 +1,15 @@
 // The cold tier: a size-bounded on-disk spill directory below the
 // in-memory benefit cache.
 //
-// When the hot cache evicts a result whose benefit still exceeds the
-// configured spill threshold, the recycler serializes it into a spill
-// file (storage/spill_file.h) and flips the node to MatState::kCold; the
-// node stays registered in the graph and the interval index, so exact,
-// subsumption and partial-stitch lookups keep finding it and lazily
-// re-admit it (load from disk -> promote to hot -> serve) instead of
-// re-executing the subtree. On process start the tier scans its
-// directory and keeps every readable entry as an *orphan* keyed by the
-// canonical subtree key; newly inserted graph nodes probe that map and
-// adopt matching orphans, which is how a restart warms up from disk.
+// When the hot cache evicts a result, the recycler serializes it into a spill
+// file (storage/spill_file.h) and flips the node to MatState::kCold; the node
+// stays registered in the graph and the interval index, so exact, subsumption
+// and partial-stitch lookups keep finding it and lazily re-admit it (load
+// from disk -> promote to hot -> serve) instead of re-executing the subtree.
+// On process start the tier scans its directory and keeps every readable
+// entry as an *orphan* keyed by the canonical subtree key; newly inserted
+// graph nodes probe that map and adopt matching orphans, which is how a
+// restart warms up from disk.
 //
 // Replacement is second-chance at a byte cap: entries sit on a clock
 // list, loads set their reference bit, and an over-cap spill sweeps the
@@ -34,10 +33,10 @@
 // mount) opens adopt-only: every file is a peer orphan and nothing is
 // ever written.
 //
-// Spill I/O runs on a background worker when async mode is on
-// (ColdTierOptions::async_spill): SpillAsync enqueues the pinned result
-// snapshot and returns immediately, Load serves still-pending entries
-// straight from that snapshot (no miss window), and Drain() is the
+// Spill I/O runs on a background worker in every writable tier:
+// SpillAsync enqueues the pinned result snapshot and returns
+// immediately, Load serves still-pending entries straight from that
+// snapshot (no miss window), and Drain() is the
 // barrier checkpoints and shutdown use. A failed or swept-while-pending
 // spill reports the node through the drop callback, which runs with no
 // cold-tier lock held so the recycler can take its graph/cache locks to
@@ -47,9 +46,10 @@
 // after the recycler's graph/cache locks and never held across calls
 // back into them (lock order: graph mutex -> cache mutex -> cold-tier
 // mutex, with the mat shard mutex independent below the cache mutex;
-// see DESIGN.md "Cold tier"). Synchronous spill and load perform file
-// I/O under the mutex: both are slow paths by definition (an eviction
-// or a miss that would otherwise re-execute a subtree).
+// see DESIGN.md "Cold tier"). Loads perform file I/O under the mutex:
+// they are a slow path by definition (a miss that would otherwise
+// re-execute a subtree). Spill writes run on the worker with the mutex
+// released.
 #pragma once
 
 #include <atomic>
@@ -80,7 +80,7 @@ struct ColdTierStats {
                               // owner's budget)
   int64_t capacity_bytes = 0;
   /// Uncompressed size of the stored entries (what used_bytes would be
-  /// without column compression; equals used_bytes for v1 files).
+  /// without column compression).
   int64_t raw_bytes = 0;
   /// Fleet mode: entries owned by other instances (tracked, adoptable,
   /// never swept locally).
@@ -106,8 +106,6 @@ struct ColdTierOptions {
   /// Liveness lease duration; an instance whose lease expires forfeits
   /// its entries to stale-lease takeover.
   int64_t lease_ms = 30000;
-  /// Run spill file writes on a background worker (SpillAsync).
-  bool async_spill = false;
 };
 
 class ColdTier {
@@ -134,25 +132,24 @@ class ColdTier {
   /// orphan map (unreadable or duplicate-key files are deleted, newest
   /// key wins). In shared mode the manifest decides which scanned files
   /// are claimable (unlisted, unowned, ours, or a dead owner's) versus
-  /// peer-owned; claims and this instance's lease are written back. An
-  /// empty dir leaves the tier disabled and returns OK.
+  /// peer-owned; claims and this instance's lease are written back, and
+  /// the manifest's purge log is applied like a refresh would (a full log
+  /// counts as a gap). A writable tier starts its spill worker. An empty
+  /// dir leaves the tier disabled and returns OK.
   Status Open(const ColdTierOptions& options);
-
-  /// Back-compat convenience: private single-process tier.
-  Status Open(const std::string& dir, int64_t capacity_bytes);
 
   bool enabled() const { return enabled_; }
   bool read_only() const { return read_only_; }
   const std::string& instance_id() const { return instance_; }
 
-  /// Whether Spill compresses columns (format v2 codec selection). Set
-  /// once at engine construction, before any Spill call.
+  /// Whether spills compress columns (per-column codec selection). Set
+  /// once at engine construction, before any spill.
   void set_compress(bool v) { compress_ = v; }
   bool compress() const { return compress_; }
 
-  /// Callback for entries dropped off the recycler's sync paths (async
-  /// spill failures and async-commit sweeps): invoked with NO cold-tier
-  /// lock held, so it may take the graph/cache locks to demote the
+  /// Callback for entries dropped off the recycler's sync paths (spill
+  /// failures and commit-time sweeps): invoked with NO cold-tier lock
+  /// held, so it may take the graph/cache locks to demote the
   /// nodes. Set once at engine construction.
   void set_drop_callback(
       std::function<void(const std::vector<const RGNode*>&)> cb) {
@@ -160,8 +157,8 @@ class ColdTier {
   }
 
   /// Callback invoked once per committed spill file with its on-disk
-  /// and uncompressed sizes (counter accounting; must only touch
-  /// atomics — it can run under the tier mutex on the sync path).
+  /// and uncompressed sizes (counter accounting). Runs on the worker
+  /// with no cold-tier lock held.
   void set_spilled_callback(
       std::function<void(const RGNode*, int64_t, int64_t)> cb) {
     spilled_cb_ = std::move(cb);
@@ -172,41 +169,34 @@ class ColdTier {
     return num_orphans_.load(std::memory_order_relaxed) > 0;
   }
 
-  /// True when `node` has a live spill file or a pending async spill.
+  /// True when `node` has a live spill file or a pending spill.
   bool Has(const RGNode* node) const;
 
   /// On-disk and uncompressed sizes of `node`'s committed entry; false
   /// when it has none (spill-byte accounting in the recycler's
-  /// counters). Pending async spills report false.
+  /// counters). Pending spills report false.
   bool EntrySizes(const RGNode* node, int64_t* stored_bytes,
                   int64_t* raw_bytes) const;
 
-  /// Writes `table` as `node`'s spill file (no-op true if one is already
-  /// live). Runs the second-chance sweep to fit the byte cap first;
-  /// evicted entries that belong to live nodes are appended to
-  /// `dropped_nodes` so the caller can demote their graph state. Returns
-  /// false when the result cannot fit (larger than the cap, or the sweep
-  /// could not free enough) or the write fails — the caller degrades to
-  /// memory-only behavior.
-  bool Spill(const RGNode* node, const std::string& canon_key,
-             const Table& table, const SpillFileMeta& meta,
-             std::vector<const RGNode*>* dropped_nodes);
-
-  /// Async variant: enqueues the pinned `snapshot` for the background
-  /// worker and returns immediately (true = accepted; the entry serves
-  /// loads from the snapshot until the file commits). Failures and
-  /// commit-time sweep victims are reported through the drop callback.
+  /// Enqueues the pinned `snapshot` as `node`'s spill file for the
+  /// background worker and returns immediately (true = accepted, or a
+  /// file or pending spill already exists; the entry serves loads from
+  /// the snapshot until the file commits). False when the tier is
+  /// disabled or read-only, or the result is larger than the cap. At
+  /// commit the worker runs the second-chance sweep to fit the cap; a
+  /// failed write, a result the sweep could not fit, and the sweep's
+  /// victims are reported through the drop callback.
   bool SpillAsync(const RGNode* node, const std::string& canon_key,
                   TablePtr snapshot, const SpillFileMeta& meta);
 
-  /// Blocks until the async spill queue is empty and the worker idle
+  /// Blocks until the spill queue is empty and the worker idle
   /// (checkpoint/shutdown barrier; also used by deterministic tests).
   /// Callers must NOT hold the recycler's cache mutex: the worker's
-  /// drop callback acquires it. No-op when async mode is off.
+  /// drop callback acquires it.
   void Drain();
 
   /// Loads `node`'s spilled result and sets its second-chance bit; a
-  /// pending async spill is served directly from its in-memory
+  /// pending spill is served directly from its in-memory
   /// snapshot. NotFound when the node has no live entry (e.g. it was
   /// swept between the state check and the load); other errors mean a
   /// corrupt file — the caller should Remove(node) and treat it as a
@@ -218,9 +208,8 @@ class ColdTier {
   /// selection runs on the encoded image before any decode). Sets the
   /// second-chance bit on success. The slice is a partial result and
   /// must never be promoted to the hot tier or re-spilled by the caller.
-  /// Fails recoverably for v1 files (no encoded image to filter) and
-  /// for pending async spills (the caller falls back to the full
-  /// in-memory snapshot).
+  /// Fails recoverably for pending spills (the caller falls back to the
+  /// full in-memory snapshot).
   Status LoadSlice(const RGNode* node, int filter_column,
                    const ColumnInterval& range, TablePtr* out);
 
@@ -232,7 +221,7 @@ class ColdTier {
                    SpillFileMeta* meta, int64_t* bytes);
 
   /// Deletes `node`'s entry and file (invalidation, corrupt file); a
-  /// pending async spill is canceled. Peer entries are only forgotten
+  /// pending spill is canceled. Peer entries are only forgotten
   /// locally — the owner keeps the file.
   void Remove(const RGNode* node);
 
@@ -246,10 +235,11 @@ class ColdTier {
                   std::vector<const RGNode*>* dropped_nodes);
 
   /// Append-time variant of PurgeTable: deletes only entries over
-  /// `table` WITHOUT row stamps (v1/v2 images — indistinguishable from
-  /// stale under appends). Stamped (v3) entries survive: orphans
-  /// re-anchor their marks on adoption, and live entries are judged by
-  /// the recycler against their in-memory stamps.
+  /// `table` WITHOUT row stamps (results whose producing node had no
+  /// pinned snapshot — indistinguishable from stale under appends).
+  /// Stamped entries survive: orphans re-anchor their marks on adoption,
+  /// and live entries are judged by the recycler against their in-memory
+  /// stamps.
   void PurgeUnversionedOrphans(const std::string& table,
                                std::vector<const RGNode*>* dropped_nodes);
 
@@ -286,6 +276,12 @@ class ColdTier {
     /// Owning graph node; nullptr for orphans awaiting adoption.
     const RGNode* node = nullptr;
     SpillFileMeta meta;  // header copy (adoption re-seeds node stats)
+
+    /// Uncompressed size for accounting. An empty result's raw image is
+    /// 0 bytes, so it counts at its on-disk size instead.
+    int64_t raw_bytes() const {
+      return meta.raw_bytes > 0 ? meta.raw_bytes : bytes;
+    }
   };
   using ClockIt = std::list<Rec>::iterator;
 
@@ -312,7 +308,7 @@ class ColdTier {
                   std::vector<const RGNode*>* dropped_nodes);
 
   /// Commits one written spill file into the maps (dedupe, sweep, link).
-  /// Shared tail of Spill and the async worker. Caller holds mu_.
+  /// Called by the worker. Caller holds mu_.
   bool CommitSpillLocked(const RGNode* node, const std::string& canon_key,
                          const std::string& path, int64_t bytes,
                          SpillFileMeta stored,
@@ -389,8 +385,7 @@ class ColdTier {
   /// Purges issued locally, to publish at the next manifest sync.
   std::vector<fleet::ManifestPurge> pending_purges_;
 
-  // --- async spill queue (guarded by mu_) ------------------------------
-  bool async_ = false;
+  // --- spill queue (guarded by mu_) ------------------------------------
   bool stop_worker_ = false;
   bool worker_busy_ = false;
   std::list<PendingSpill> pending_;

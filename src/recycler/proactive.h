@@ -28,6 +28,9 @@ struct CubeRewrite {
 /// Returns the rewritten plan, or `plan` itself when nothing applied.
 PlanPtr RewriteTopNProactive(const PlanPtr& plan, int64_t proactive_limit);
 
+/// The recycler's cube caching threshold (§IV-B result-size heuristic).
+inline constexpr int64_t kCubeDistinctThreshold = 64;
+
 /// Cube caching with selections: rewrites
 ///     Aggregate(γ, α, Select(p(c), X))
 /// into
@@ -43,6 +46,10 @@ PlanPtr RewriteTopNProactive(const PlanPtr& plan, int64_t proactive_limit);
 /// Tries binning first (range predicates), then plain selections. Applies
 /// at the topmost matching Aggregate-over-Select. Returns nullopt when no
 /// pattern applies.
+///
+/// `distinct_threshold` caps the number of distinct values the pulled-up
+/// selection columns add to the GROUP BY; the recycler passes
+/// kCubeDistinctThreshold.
 std::optional<CubeRewrite> TryCubeRewrite(const PlanPtr& plan,
                                           const Catalog& catalog,
                                           int64_t distinct_threshold);

@@ -133,10 +133,17 @@ void RawEncode(const std::string* data, int64_t n, std::string* out) {
   for (int64_t i = 0; i < n; ++i) PutString(out, data[i]);
 }
 
+// Every decoder bounds the row count `n` by what the payload can hold
+// BEFORE any reserve/resize, by division so nothing overflows: a header
+// with an inflated row count must fail recoverably, not abort in the
+// allocator.
+
 template <typename T>
 Status RawDecode(Cursor* c, int64_t n, std::vector<T>* out) {
+  if (static_cast<uint64_t>(n) > c->remaining() / sizeof(T)) {
+    return Status::Internal("raw payload too short for its row count");
+  }
   const size_t need = static_cast<size_t>(n) * sizeof(T);
-  if (c->remaining() < need) return Status::Internal("raw payload truncated");
   out->resize(static_cast<size_t>(n));
   // An empty vector's data() may be null; memcpy requires non-null even
   // for a zero-byte copy.
@@ -145,6 +152,10 @@ Status RawDecode(Cursor* c, int64_t n, std::vector<T>* out) {
   return Status::OK();
 }
 Status RawDecode(Cursor* c, int64_t n, std::vector<std::string>* out) {
+  // Each value carries at least its 4-byte length prefix.
+  if (static_cast<uint64_t>(n) > c->remaining() / 4) {
+    return Status::Internal("raw payload too short for its row count");
+  }
   out->reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     std::string s;
@@ -178,21 +189,34 @@ void RleEncode(const T* data, int64_t n, std::string* out) {
 
 template <typename T>
 Status RleDecode(Cursor* c, int64_t n, std::vector<T>* out) {
-  uint32_t num_runs = 0;
-  if (!c->GetU32(&num_runs)) return Status::Internal("rle payload truncated");
-  out->reserve(static_cast<size_t>(n));
-  int64_t total = 0;
-  for (uint32_t r = 0; r < num_runs; ++r) {
-    uint32_t run = 0;
-    T v{};
-    if (!c->GetU32(&run) || !GetValue(c, &v)) {
+  // Runs can legitimately encode far more rows than payload bytes, so no
+  // payload bound exists: cap n as SelectRangeEncoded does, and reserve
+  // only after a first pass has checked that the runs present add up to
+  // n (growing the vector run by run instead slows every cold load).
+  if (n > std::numeric_limits<int32_t>::max()) {
+    return Status::Internal("rle row count out of range");
+  }
+  for (const bool fill : {false, true}) {
+    Cursor runs = *c;
+    uint32_t num_runs = 0;
+    if (!runs.GetU32(&num_runs)) {
       return Status::Internal("rle payload truncated");
     }
-    total += run;
-    if (run == 0 || total > n) return Status::Internal("rle run overflow");
-    out->insert(out->end(), static_cast<size_t>(run), v);
+    int64_t total = 0;
+    for (uint32_t r = 0; r < num_runs; ++r) {
+      uint32_t run = 0;
+      T v{};
+      if (!runs.GetU32(&run) || !GetValue(&runs, &v)) {
+        return Status::Internal("rle payload truncated");
+      }
+      total += run;
+      if (run == 0 || total > n) return Status::Internal("rle run overflow");
+      if (fill) out->insert(out->end(), static_cast<size_t>(run), v);
+    }
+    if (total != n) return Status::Internal("rle row count mismatch");
+    if (fill) *c = runs;
+    else out->reserve(static_cast<size_t>(n));
   }
-  if (total != n) return Status::Internal("rle row count mismatch");
   return Status::OK();
 }
 
@@ -270,9 +294,10 @@ template <typename T>
 Status DictReadHeader(Cursor* c, int64_t n, std::vector<T>* dict, int* width) {
   uint32_t dict_size = 0;
   if (!c->GetU32(&dict_size)) return Status::Internal("dict payload truncated");
-  // A dictionary never has more entries than rows.
-  if (dict_size > static_cast<uint64_t>(n)) {
-    return Status::Internal("dict size exceeds row count");
+  // A dictionary never has more entries than rows, and every entry
+  // takes at least 4 bytes (dictionaries hold int32/int64/string values).
+  if (dict_size > static_cast<uint64_t>(n) || dict_size > c->remaining() / 4) {
+    return Status::Internal("dict size exceeds row count or payload");
   }
   dict->reserve(dict_size);
   for (uint32_t i = 0; i < dict_size; ++i) {
@@ -293,6 +318,9 @@ Status DictDecode(Cursor* c, int64_t n, std::vector<T>* out) {
   std::vector<T> dict;
   int width = 0;
   RDB_RETURN_NOT_OK(DictReadHeader(c, n, &dict, &width));
+  if (static_cast<uint64_t>(n) > c->remaining() / width) {
+    return Status::Internal("dict payload too short for its row count");
+  }
   out->reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     uint32_t code = 0;
@@ -380,6 +408,9 @@ Status ForDecode(Cursor* c, int64_t n, std::vector<T>* out) {
   int64_t base = 0;
   int width = 0;
   RDB_RETURN_NOT_OK(ForReadHeader(c, &base, &width));
+  if (static_cast<uint64_t>(n) > c->remaining() / width) {
+    return Status::Internal("for payload too short for its row count");
+  }
   out->reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     uint64_t d = 0;
@@ -658,8 +689,6 @@ Status DecodeColumn(const EncodedColumn& enc, ColumnPtr* out) {
   if (enc.num_rows < 0) {
     return Status::Internal("encoded column has negative row count");
   }
-  // Plausibility bound before any allocation: every row costs at least
-  // one payload byte under every non-RLE encoding; RLE charges per run.
   ColumnPtr col = MakeColumn(enc.type);
   Status st;
   switch (enc.type) {

@@ -13,7 +13,7 @@
 //
 // EncodeColumn picks the smallest encoding (falling back to kRaw when
 // nothing beats the raw image), so a spill payload is never larger than
-// the uncompressed format v1 column. Decoding is bit-exact: doubles are
+// the uncompressed column. Decoding is bit-exact: doubles are
 // compared/stored by bit pattern, never by value arithmetic.
 //
 // SelectRangeEncoded evaluates a range predicate directly on the encoded
@@ -62,8 +62,9 @@ Status EncodeColumnAs(const ColumnVector& col, ColumnEncoding encoding,
                       EncodedColumn* out);
 
 /// Rebuilds an owning column, bit-identical to the encoder's input.
-/// Corrupt payloads yield a recoverable error Status (bounds-checked
-/// before every allocation), never an abort.
+/// Corrupt payloads, including a row count the payload cannot hold, yield
+/// a recoverable error Status (bounds-checked before every allocation),
+/// never an abort.
 Status DecodeColumn(const EncodedColumn& enc, ColumnPtr* out);
 
 /// Evaluates `range` directly on the encoded image and appends the

@@ -22,7 +22,7 @@ constexpr char kMagic[4] = {'R', 'D', 'B', 'S'};
 
 // --- header (de)serialization into a flat byte buffer ---------------------
 
-std::string SerializeHeader(const SpillFileMeta& meta, uint32_t version) {
+std::string SerializeHeader(const SpillFileMeta& meta) {
   std::string h;
   PutString(&h, meta.canon_key);
   PutU32(&h, static_cast<uint32_t>(meta.column_names.size()));
@@ -36,28 +36,20 @@ std::string SerializeHeader(const SpillFileMeta& meta, uint32_t version) {
   PutDouble(&h, meta.benefit);
   PutU32(&h, static_cast<uint32_t>(meta.base_tables.size()));
   for (const std::string& t : meta.base_tables) PutString(&h, t);
-  // v2 appends the uncompressed payload size; v1 headers end here (and a
-  // v1 reader never sees the field, so the prefix stays byte-compatible).
-  if (version >= 2) PutU64(&h, static_cast<uint64_t>(meta.raw_bytes));
-  // v3 appends the base-table row high-water marks (delta maintenance).
-  if (version >= 3) {
-    PutU32(&h, static_cast<uint32_t>(meta.table_versions.size()));
-    for (const auto& [table, rows] : meta.table_versions) {
-      PutString(&h, table);
-      PutU64(&h, static_cast<uint64_t>(rows));
-    }
+  PutU64(&h, static_cast<uint64_t>(meta.raw_bytes));
+  PutU32(&h, static_cast<uint32_t>(meta.table_versions.size()));
+  for (const auto& [table, rows] : meta.table_versions) {
+    PutString(&h, table);
+    PutU64(&h, static_cast<uint64_t>(rows));
   }
   return h;
 }
 
-Status ParseHeader(const std::string& buf, uint32_t version,
-                   SpillFileMeta* meta) {
+Status ParseHeader(const std::string& buf, SpillFileMeta* meta) {
   Cursor c{reinterpret_cast<const unsigned char*>(buf.data()), buf.size()};
-  uint32_t ncols = 0, ntables = 0;
-  uint64_t rows = 0;
+  uint32_t ncols = 0, ntables = 0, nversions = 0;
+  uint64_t rows = 0, raw = 0;
   *meta = SpillFileMeta{};
-  meta->format_version = version;
-  meta->raw_bytes = 0;
   if (!c.GetString(&meta->canon_key) || !c.GetU32(&ncols)) {
     return Status::Internal("spill header truncated");
   }
@@ -87,32 +79,23 @@ Status ParseHeader(const std::string& buf, uint32_t version,
     }
     meta->base_tables.push_back(std::move(t));
   }
-  if (version >= 2) {
-    uint64_t raw = 0;
-    if (!c.GetU64(&raw)) {
-      return Status::Internal("spill header truncated (raw size)");
-    }
-    meta->raw_bytes = static_cast<int64_t>(raw);
+  if (!c.GetU64(&raw) || !c.GetU32(&nversions)) {
+    return Status::Internal("spill header truncated");
   }
-  if (version >= 3) {
-    uint32_t nversions = 0;
-    if (!c.GetU32(&nversions)) {
-      return Status::Internal("spill header truncated (table versions)");
+  meta->raw_bytes = static_cast<int64_t>(raw);
+  for (uint32_t i = 0; i < nversions; ++i) {
+    std::string t;
+    uint64_t mark = 0;
+    if (!c.GetString(&t) || !c.GetU64(&mark)) {
+      return Status::Internal("spill header truncated in version list");
     }
-    for (uint32_t i = 0; i < nversions; ++i) {
-      std::string t;
-      uint64_t rows = 0;
-      if (!c.GetString(&t) || !c.GetU64(&rows)) {
-        return Status::Internal("spill header truncated in version list");
-      }
-      meta->table_versions.emplace_back(std::move(t),
-                                        static_cast<int64_t>(rows));
-    }
+    meta->table_versions.emplace_back(std::move(t),
+                                      static_cast<int64_t>(mark));
   }
   return Status::OK();
 }
 
-/// Size of the v1 raw column image for `table` (also the meaning of
+/// Size of the raw column image for `table` (the meaning of
 /// SpillFileMeta::raw_bytes).
 int64_t RawPayloadBytes(const Table& table) {
   const int64_t rows = table.num_rows();
@@ -167,149 +150,9 @@ bool ReadChecked(std::FILE* f, void* data, size_t len, uint64_t* sum) {
   return true;
 }
 
-// --- v1 payload (raw column images) ---------------------------------------
+// --- payload (encoded column blocks) --------------------------------------
 
-Status WriteColumnsV1(ChecksummedWriter* w, const Table& table) {
-  const int64_t rows = table.num_rows();
-  for (int ci = 0; ci < table.num_columns(); ++ci) {
-    const ColumnVector& col = *table.column(ci);
-    switch (col.type()) {
-      case TypeId::kBool:
-        if (!w->Write(col.Raw<uint8_t>(), static_cast<size_t>(rows)))
-          return Status::Internal("spill write failed");
-        break;
-      case TypeId::kInt32:
-      case TypeId::kDate:
-        if (!w->Write(col.Raw<int32_t>(), static_cast<size_t>(rows) * 4))
-          return Status::Internal("spill write failed");
-        break;
-      case TypeId::kInt64:
-        if (!w->Write(col.Raw<int64_t>(), static_cast<size_t>(rows) * 8))
-          return Status::Internal("spill write failed");
-        break;
-      case TypeId::kDouble:
-        if (!w->Write(col.Raw<double>(), static_cast<size_t>(rows) * 8))
-          return Status::Internal("spill write failed");
-        break;
-      case TypeId::kString: {
-        const std::string* data = col.Raw<std::string>();
-        for (int64_t r = 0; r < rows; ++r) {
-          std::string lenbuf;
-          PutU32(&lenbuf, static_cast<uint32_t>(data[r].size()));
-          if (!w->Write(lenbuf.data(), lenbuf.size()) ||
-              !w->Write(data[r].data(), data[r].size())) {
-            return Status::Internal("spill write failed");
-          }
-        }
-        break;
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status ReadColumnsV1(std::FILE* f, const SpillFileMeta& meta,
-                     int64_t payload_bytes, uint64_t* sum, TablePtr* out) {
-  std::vector<Field> fields;
-  for (size_t i = 0; i < meta.column_names.size(); ++i) {
-    fields.push_back({meta.column_names[i], meta.column_types[i]});
-  }
-  TablePtr table = MakeTable(Schema(std::move(fields)));
-  const int64_t rows = meta.num_rows;
-  if (rows < 0) return Status::Internal("spill header has negative row count");
-  // Plausibility bound BEFORE any allocation: a corrupt row count must
-  // yield a recoverable Status, not a std::length_error abort. Each row
-  // costs at least its columns' fixed widths (a string costs its 4-byte
-  // length prefix), so rows is bounded by the payload size.
-  int64_t min_row_bytes = 0;
-  for (TypeId type : meta.column_types) {
-    switch (type) {
-      case TypeId::kBool:
-        min_row_bytes += 1;
-        break;
-      case TypeId::kInt32:
-      case TypeId::kDate:
-      case TypeId::kString:
-        min_row_bytes += 4;
-        break;
-      case TypeId::kInt64:
-      case TypeId::kDouble:
-        min_row_bytes += 8;
-        break;
-    }
-  }
-  if (rows > 0 && (min_row_bytes == 0 || payload_bytes < 0 ||
-                   rows > payload_bytes / min_row_bytes)) {
-    return Status::Internal("spill header row count exceeds file size");
-  }
-
-  Batch batch;
-  batch.num_rows = rows;
-  for (TypeId type : meta.column_types) {
-    ColumnPtr col = MakeColumn(type);
-    switch (type) {
-      case TypeId::kBool: {
-        auto& v = col->Data<uint8_t>();
-        v.resize(static_cast<size_t>(rows));
-        if (rows > 0 && !ReadChecked(f, v.data(), v.size(), sum))
-          return Status::Internal("spill payload truncated");
-        break;
-      }
-      case TypeId::kInt32:
-      case TypeId::kDate: {
-        auto& v = col->Data<int32_t>();
-        v.resize(static_cast<size_t>(rows));
-        if (rows > 0 && !ReadChecked(f, v.data(), v.size() * 4, sum))
-          return Status::Internal("spill payload truncated");
-        break;
-      }
-      case TypeId::kInt64: {
-        auto& v = col->Data<int64_t>();
-        v.resize(static_cast<size_t>(rows));
-        if (rows > 0 && !ReadChecked(f, v.data(), v.size() * 8, sum))
-          return Status::Internal("spill payload truncated");
-        break;
-      }
-      case TypeId::kDouble: {
-        auto& v = col->Data<double>();
-        v.resize(static_cast<size_t>(rows));
-        if (rows > 0 && !ReadChecked(f, v.data(), v.size() * 8, sum))
-          return Status::Internal("spill payload truncated");
-        break;
-      }
-      case TypeId::kString: {
-        auto& v = col->Data<std::string>();
-        v.reserve(static_cast<size_t>(rows));
-        for (int64_t r = 0; r < rows; ++r) {
-          unsigned char lenbuf[4];
-          if (!ReadChecked(f, lenbuf, 4, sum))
-            return Status::Internal("spill payload truncated");
-          uint32_t n = 0;
-          for (int i = 0; i < 4; ++i) n |= static_cast<uint32_t>(lenbuf[i]) << (8 * i);
-          // Cap per-value size so a corrupt length cannot OOM the reader
-          // before the checksum check would have caught it.
-          if (n > (64u << 20)) {
-            return Status::Internal("spill payload has implausible string length");
-          }
-          std::string s(n, '\0');
-          if (n > 0 && !ReadChecked(f, s.data(), n, sum))
-            return Status::Internal("spill payload truncated");
-          v.push_back(std::move(s));
-        }
-        break;
-      }
-    }
-    batch.columns.push_back(std::move(col));
-  }
-  table->AppendBatch(batch);
-  *out = std::move(table);
-  return Status::OK();
-}
-
-// --- v2 payload (encoded column blocks) -----------------------------------
-
-Status WriteColumnsV2(ChecksummedWriter* w, const Table& table,
-                      bool compress) {
+Status WriteColumns(ChecksummedWriter* w, const Table& table, bool compress) {
   for (int ci = 0; ci < table.num_columns(); ++ci) {
     const ColumnVector& col = *table.column(ci);
     EncodedColumn enc;
@@ -326,53 +169,6 @@ Status WriteColumnsV2(ChecksummedWriter* w, const Table& table,
       return Status::Internal("spill write failed");
     }
   }
-  return Status::OK();
-}
-
-/// Decodes the v2 payload out of an in-memory buffer. The caller has
-/// already verified the checksum over these bytes, so every decode
-/// failure here means a crafted file, not bit rot; all of them are still
-/// recoverable Statuses (the codecs bounds-check before allocating).
-Status ReadColumnsV2(const std::string& payload, const SpillFileMeta& meta,
-                     TablePtr* out) {
-  if (meta.num_rows < 0) {
-    return Status::Internal("spill header has negative row count");
-  }
-  std::vector<Field> fields;
-  for (size_t i = 0; i < meta.column_names.size(); ++i) {
-    fields.push_back({meta.column_names[i], meta.column_types[i]});
-  }
-  TablePtr table = MakeTable(Schema(std::move(fields)));
-  Cursor c{reinterpret_cast<const unsigned char*>(payload.data()),
-           payload.size()};
-  Batch batch;
-  batch.num_rows = meta.num_rows;
-  for (TypeId type : meta.column_types) {
-    uint8_t encoding = 0;
-    uint64_t len = 0;
-    if (!c.GetU8(&encoding) || !c.GetU64(&len) || len > c.remaining()) {
-      return Status::Internal("spill column block truncated");
-    }
-    if (encoding > static_cast<uint8_t>(ColumnEncoding::kFor)) {
-      return Status::Internal(
-          StrFormat("spill column has unknown encoding %d", (int)encoding));
-    }
-    EncodedColumn enc;
-    enc.encoding = static_cast<ColumnEncoding>(encoding);
-    enc.type = type;
-    enc.num_rows = meta.num_rows;
-    enc.payload.assign(reinterpret_cast<const char*>(c.p + c.pos),
-                       static_cast<size_t>(len));
-    c.pos += static_cast<size_t>(len);
-    ColumnPtr col;
-    RDB_RETURN_NOT_OK(DecodeColumn(enc, &col));
-    batch.columns.push_back(std::move(col));
-  }
-  if (c.remaining() != 0) {
-    return Status::Internal("spill payload has trailing bytes");
-  }
-  table->AppendBatch(batch);
-  *out = std::move(table);
   return Status::OK();
 }
 
@@ -402,8 +198,7 @@ Status OpenAndReadHeader(const std::string& path, std::FILE** f_out,
   for (int i = 0; i < 4; ++i) version |= static_cast<uint32_t>(fixed[i]) << (8 * i);
   for (int i = 0; i < 8; ++i)
     header_len |= static_cast<uint64_t>(fixed[4 + i]) << (8 * i);
-  if (version != kSpillFormatVersionV1 && version != kSpillFormatVersionV2 &&
-      version != kSpillFormatVersion) {
+  if (version != kSpillFormatVersion) {
     std::fclose(f);
     return Status::Internal(StrFormat("%s: unsupported spill version %u",
                                       path.c_str(), version));
@@ -419,7 +214,7 @@ Status OpenAndReadHeader(const std::string& path, std::FILE** f_out,
     std::fclose(f);
     return Status::Internal(StrFormat("%s: spill header truncated", path.c_str()));
   }
-  Status st = ParseHeader(header, version, meta);
+  Status st = ParseHeader(header, meta);
   if (!st.ok()) {
     std::fclose(f);
     return Status::Internal(StrFormat("%s: %s", path.c_str(),
@@ -428,6 +223,92 @@ Status OpenAndReadHeader(const std::string& path, std::FILE** f_out,
   *sum = Fnv1a(header.data(), header.size());
   *f_out = f;
   return Status::OK();
+}
+
+/// Reads `path`, verifies its checksum, and splits the payload into one
+/// encoded block per column of `*meta`. The checksum is verified BEFORE
+/// any decoding: the encoded payload is at most the file size (unlike
+/// its decoded form), so it is safe to buffer whole, and the codecs then
+/// never see bit rot. A decode failure after this point means a crafted
+/// file; the codecs still bound-check before allocating.
+Status ReadColumnBlocks(const std::string& path, SpillFileMeta* meta,
+                        std::vector<EncodedColumn>* encs) {
+  auto corrupt = [&path](const std::string& what) {
+    return Status::Internal(StrFormat("%s: %s", path.c_str(), what.c_str()));
+  };
+  std::FILE* f = nullptr;
+  uint64_t sum = 0;
+  RDB_RETURN_NOT_OK(OpenAndReadHeader(path, &f, meta, &sum));
+  // Payload size = bytes between the header and the 8-byte checksum.
+  const long payload_start = std::ftell(f);
+  if (payload_start < 0 || std::fseek(f, 0, SEEK_END) != 0) {
+    std::fclose(f);
+    return corrupt("cannot size spill file");
+  }
+  const int64_t payload_bytes = std::ftell(f) - payload_start - 8;
+  std::fseek(f, payload_start, SEEK_SET);
+  std::string payload;
+  const char* error = nullptr;
+  unsigned char sumbuf[8] = {};
+  if (payload_bytes < 0) {
+    error = "spill file truncated";
+  } else {
+    payload.resize(static_cast<size_t>(payload_bytes));
+    if (payload_bytes > 0 &&
+        !ReadChecked(f, payload.data(), payload.size(), &sum)) {
+      error = "spill payload truncated";
+    } else if (std::fread(sumbuf, 1, 8, f) != 8) {
+      error = "spill checksum missing";
+    }
+  }
+  std::fclose(f);
+  if (error != nullptr) return corrupt(error);
+  uint64_t stored = 0;
+  for (int i = 0; i < 8; ++i)
+    stored |= static_cast<uint64_t>(sumbuf[i]) << (8 * i);
+  if (stored != sum) return corrupt("spill checksum mismatch");
+
+  if (meta->num_rows < 0) return corrupt("spill header has negative row count");
+  Cursor c{reinterpret_cast<const unsigned char*>(payload.data()),
+           payload.size()};
+  for (TypeId type : meta->column_types) {
+    uint8_t encoding = 0;
+    uint64_t len = 0;
+    if (!c.GetU8(&encoding) || !c.GetU64(&len) || len > c.remaining()) {
+      return corrupt("spill column block truncated");
+    }
+    if (encoding > static_cast<uint8_t>(ColumnEncoding::kFor)) {
+      return corrupt(
+          StrFormat("spill column has unknown encoding %d", (int)encoding));
+    }
+    EncodedColumn enc;
+    enc.encoding = static_cast<ColumnEncoding>(encoding);
+    enc.type = type;
+    enc.num_rows = meta->num_rows;
+    enc.payload.assign(reinterpret_cast<const char*>(c.p + c.pos),
+                       static_cast<size_t>(len));
+    c.pos += static_cast<size_t>(len);
+    encs->push_back(std::move(enc));
+  }
+  if (c.remaining() != 0) return corrupt("spill payload has trailing bytes");
+  return Status::OK();
+}
+
+/// Decodes one verified column block; errors name the file.
+Status DecodeBlock(const std::string& path, const EncodedColumn& enc,
+                   ColumnPtr* out) {
+  Status st = DecodeColumn(enc, out);
+  if (st.ok()) return st;
+  return Status::Internal(StrFormat("%s: %s", path.c_str(),
+                                    st.message().c_str()));
+}
+
+TablePtr MakeResultTable(const SpillFileMeta& meta) {
+  std::vector<Field> fields;
+  for (size_t i = 0; i < meta.column_names.size(); ++i) {
+    fields.push_back({meta.column_names[i], meta.column_types[i]});
+  }
+  return MakeTable(Schema(std::move(fields)));
 }
 
 /// Owning copy of the rows in `sel` (ascending, in-bounds — produced by
@@ -480,12 +361,6 @@ ColumnPtr GatherRows(const ColumnVector& col, const std::vector<int32_t>& sel) {
 Status WriteSpillFile(const std::string& path, const Table& table,
                       const SpillFileMeta& meta,
                       const SpillWriteOptions& options) {
-  if (options.version != kSpillFormatVersionV1 &&
-      options.version != kSpillFormatVersionV2 &&
-      options.version != kSpillFormatVersion) {
-    return Status::InvalidArgument(
-        StrFormat("unsupported spill write version %u", options.version));
-  }
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
@@ -493,12 +368,11 @@ Status WriteSpillFile(const std::string& path, const Table& table,
                                       tmp.c_str()));
   }
   SpillFileMeta stamped = meta;
-  stamped.format_version = options.version;
   stamped.raw_bytes = RawPayloadBytes(table);
-  std::string header = SerializeHeader(stamped, options.version);
+  std::string header = SerializeHeader(stamped);
   std::string prefix;
   prefix.append(kMagic, 4);
-  PutU32(&prefix, options.version);
+  PutU32(&prefix, kSpillFormatVersion);
   PutU64(&prefix, static_cast<uint64_t>(header.size()));
 
   // The prefix (magic/version/length) is outside the checksum; the
@@ -511,10 +385,7 @@ Status WriteSpillFile(const std::string& path, const Table& table,
   if (st.ok() && !w.Write(header.data(), header.size())) {
     st = Status::Internal("spill write failed");
   }
-  if (st.ok()) {
-    st = options.version >= 2 ? WriteColumnsV2(&w, table, options.compress)
-                              : WriteColumnsV1(&w, table);
-  }
+  if (st.ok()) st = WriteColumns(&w, table, options.compress);
   if (st.ok()) {
     std::string sumbuf;
     PutU64(&sumbuf, w.sum());
@@ -542,174 +413,30 @@ Status ReadSpillMeta(const std::string& path, SpillFileMeta* meta) {
 
 Status ReadSpillTable(const std::string& path, SpillFileMeta* meta,
                       TablePtr* out) {
-  std::FILE* f = nullptr;
-  uint64_t sum = 0;
-  RDB_RETURN_NOT_OK(OpenAndReadHeader(path, &f, meta, &sum));
-  // Payload capacity = bytes between the header and the 8-byte checksum.
-  const long payload_start = std::ftell(f);
-  int64_t payload_bytes = 0;
-  if (payload_start < 0 || std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return Status::Internal(StrFormat("%s: cannot size spill file",
-                                      path.c_str()));
+  std::vector<EncodedColumn> encs;
+  RDB_RETURN_NOT_OK(ReadColumnBlocks(path, meta, &encs));
+  Batch batch;
+  batch.num_rows = meta->num_rows;
+  for (const EncodedColumn& enc : encs) {
+    ColumnPtr col;
+    RDB_RETURN_NOT_OK(DecodeBlock(path, enc, &col));
+    batch.columns.push_back(std::move(col));
   }
-  payload_bytes = std::ftell(f) - payload_start - 8;
-  std::fseek(f, payload_start, SEEK_SET);
-  TablePtr table;
-  Status st = Status::OK();
-  if (meta->format_version >= 2) {
-    // v2 verifies the checksum BEFORE decoding: the encoded payload is at
-    // most the file size (unlike its decoded form), so it is safe to buffer
-    // whole, and the decoders then never see bit rot.
-    if (payload_bytes < 0) {
-      st = Status::Internal(StrFormat("%s: spill file truncated", path.c_str()));
-    }
-    std::string payload;
-    if (st.ok()) {
-      payload.resize(static_cast<size_t>(payload_bytes));
-      if (payload_bytes > 0 &&
-          !ReadChecked(f, payload.data(), payload.size(), &sum)) {
-        st = Status::Internal(StrFormat("%s: spill payload truncated",
-                                        path.c_str()));
-      }
-    }
-    if (st.ok()) {
-      unsigned char sumbuf[8];
-      if (std::fread(sumbuf, 1, 8, f) != 8) {
-        st = Status::Internal(StrFormat("%s: spill checksum missing",
-                                        path.c_str()));
-      } else {
-        uint64_t stored = 0;
-        for (int i = 0; i < 8; ++i)
-          stored |= static_cast<uint64_t>(sumbuf[i]) << (8 * i);
-        if (stored != sum) {
-          st = Status::Internal(StrFormat("%s: spill checksum mismatch",
-                                          path.c_str()));
-        }
-      }
-    }
-    if (st.ok()) {
-      st = ReadColumnsV2(payload, *meta, &table);
-      if (!st.ok()) {
-        st = Status::Internal(StrFormat("%s: %s", path.c_str(),
-                                        st.message().c_str()));
-      }
-    }
-  } else {
-    st = ReadColumnsV1(f, *meta, payload_bytes, &sum, &table);
-    if (st.ok()) {
-      unsigned char sumbuf[8];
-      if (std::fread(sumbuf, 1, 8, f) != 8) {
-        st = Status::Internal(StrFormat("%s: spill checksum missing", path.c_str()));
-      } else {
-        uint64_t stored = 0;
-        for (int i = 0; i < 8; ++i)
-          stored |= static_cast<uint64_t>(sumbuf[i]) << (8 * i);
-        if (stored != sum) {
-          st = Status::Internal(StrFormat("%s: spill checksum mismatch",
-                                          path.c_str()));
-        }
-      }
-    }
-  }
-  std::fclose(f);
-  if (st.ok()) *out = std::move(table);
-  return st;
+  TablePtr table = MakeResultTable(*meta);
+  table->AppendBatch(batch);
+  *out = std::move(table);
+  return Status::OK();
 }
 
 Status ReadSpillTableFiltered(const std::string& path, SpillFileMeta* meta,
                               int filter_column, const ColumnInterval& range,
                               TablePtr* out) {
-  std::FILE* f = nullptr;
-  uint64_t sum = 0;
-  RDB_RETURN_NOT_OK(OpenAndReadHeader(path, &f, meta, &sum));
-  if (meta->format_version < 2) {
-    // v1 stores raw images only; there is no encoded form to filter on.
-    // Recoverable: the caller falls back to ReadSpillTable.
-    std::fclose(f);
-    return Status::Internal(
-        StrFormat("%s: v1 spill file has no encoded image", path.c_str()));
-  }
-  if (filter_column < 0 ||
-      filter_column >= static_cast<int>(meta->column_types.size())) {
-    std::fclose(f);
+  std::vector<EncodedColumn> encs;
+  RDB_RETURN_NOT_OK(ReadColumnBlocks(path, meta, &encs));
+  if (filter_column < 0 || filter_column >= static_cast<int>(encs.size())) {
     return Status::InvalidArgument(
         StrFormat("%s: filter column %d out of range", path.c_str(),
                   filter_column));
-  }
-
-  // Buffer the payload and verify the checksum before touching any codec
-  // (same discipline as ReadSpillTable's v2 branch).
-  const long payload_start = std::ftell(f);
-  Status st = Status::OK();
-  if (payload_start < 0 || std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return Status::Internal(
-        StrFormat("%s: cannot size spill file", path.c_str()));
-  }
-  const int64_t payload_bytes = std::ftell(f) - payload_start - 8;
-  std::fseek(f, payload_start, SEEK_SET);
-  if (payload_bytes < 0) {
-    st = Status::Internal(StrFormat("%s: spill file truncated", path.c_str()));
-  }
-  std::string payload;
-  if (st.ok()) {
-    payload.resize(static_cast<size_t>(payload_bytes));
-    if (payload_bytes > 0 &&
-        !ReadChecked(f, payload.data(), payload.size(), &sum)) {
-      st = Status::Internal(
-          StrFormat("%s: spill payload truncated", path.c_str()));
-    }
-  }
-  if (st.ok()) {
-    unsigned char sumbuf[8];
-    if (std::fread(sumbuf, 1, 8, f) != 8) {
-      st = Status::Internal(
-          StrFormat("%s: spill checksum missing", path.c_str()));
-    } else {
-      uint64_t stored = 0;
-      for (int i = 0; i < 8; ++i)
-        stored |= static_cast<uint64_t>(sumbuf[i]) << (8 * i);
-      if (stored != sum) {
-        st = Status::Internal(
-            StrFormat("%s: spill checksum mismatch", path.c_str()));
-      }
-    }
-  }
-  std::fclose(f);
-  RDB_RETURN_NOT_OK(st);
-
-  // Parse the per-column frames without decoding anything yet.
-  if (meta->num_rows < 0) {
-    return Status::Internal("spill header has negative row count");
-  }
-  std::vector<EncodedColumn> encs;
-  Cursor c{reinterpret_cast<const unsigned char*>(payload.data()),
-           payload.size()};
-  for (TypeId type : meta->column_types) {
-    uint8_t encoding = 0;
-    uint64_t len = 0;
-    if (!c.GetU8(&encoding) || !c.GetU64(&len) || len > c.remaining()) {
-      return Status::Internal(
-          StrFormat("%s: spill column block truncated", path.c_str()));
-    }
-    if (encoding > static_cast<uint8_t>(ColumnEncoding::kFor)) {
-      return Status::Internal(
-          StrFormat("%s: spill column has unknown encoding %d", path.c_str(),
-                    (int)encoding));
-    }
-    EncodedColumn enc;
-    enc.encoding = static_cast<ColumnEncoding>(encoding);
-    enc.type = type;
-    enc.num_rows = meta->num_rows;
-    enc.payload.assign(reinterpret_cast<const char*>(c.p + c.pos),
-                       static_cast<size_t>(len));
-    c.pos += static_cast<size_t>(len);
-    encs.push_back(std::move(enc));
-  }
-  if (c.remaining() != 0) {
-    return Status::Internal(
-        StrFormat("%s: spill payload has trailing bytes", path.c_str()));
   }
 
   // Selection on the encoded filter column, then decode + gather the
@@ -717,18 +444,14 @@ Status ReadSpillTableFiltered(const std::string& path, SpillFileMeta* meta,
   // bit-identical to a full load followed by the same range filter.
   std::vector<int32_t> sel;
   RDB_RETURN_NOT_OK(SelectRangeEncoded(encs[filter_column], range, &sel));
-  std::vector<Field> fields;
-  for (size_t i = 0; i < meta->column_names.size(); ++i) {
-    fields.push_back({meta->column_names[i], meta->column_types[i]});
-  }
-  TablePtr table = MakeTable(Schema(std::move(fields)));
   Batch batch;
   batch.num_rows = static_cast<int64_t>(sel.size());
   for (const EncodedColumn& enc : encs) {
     ColumnPtr full;
-    RDB_RETURN_NOT_OK(DecodeColumn(enc, &full));
+    RDB_RETURN_NOT_OK(DecodeBlock(path, enc, &full));
     batch.columns.push_back(GatherRows(*full, sel));
   }
+  TablePtr table = MakeResultTable(*meta);
   table->AppendBatch(batch);
   *out = std::move(table);
   return Status::OK();

@@ -12,16 +12,20 @@
 //
 //   "RDBS" magic | u32 version | u64 header_len | header | payload | u64 fnv
 //
-// Format v1 stores each column as its raw in-memory image. Format v2
-// stores each column as a self-describing encoded block
+// Each column is a self-describing encoded block
 //
 //   u8 encoding | u64 payload_len | payload
 //
 // using the codecs in storage/compression.h (raw / RLE / dictionary /
-// frame-of-reference, chosen per column by size), and appends the
-// uncompressed payload size to the header so the cold tier can report
-// compression ratios. Readers accept both versions; writers emit v2
-// unless asked otherwise.
+// frame-of-reference, chosen per column by size). The header also
+// carries the uncompressed payload size, so the cold tier can report
+// compression ratios, and the base-table row high-water marks the
+// result was computed at (delta maintenance; see recycler/delta.h).
+//
+// Only the current version is readable. Spills are cache content that
+// can always be recomputed from base data, so a file of any other
+// version fails ReadSpillMeta; the cold tier deletes it at open and the
+// result becomes a miss.
 //
 // The checksum is FNV-1a over header + payload. Writers stream to
 // "<path>.tmp" and rename into place, so a final-named file is always
@@ -41,14 +45,8 @@
 
 namespace recycledb {
 
-/// Current spill format version; bump on any layout change. Readers
-/// accept kSpillFormatVersionV1 (pre-compression) and V2 (no base-table
-/// version stamps) files too, so older cold tiers survive an upgrade in
-/// place; anything else is rejected with a recoverable Status. v3
-/// appends the per-base-table row high-water marks the result was
-/// computed at (delta maintenance; see recycler/delta.h).
-inline constexpr uint32_t kSpillFormatVersionV1 = 1;
-inline constexpr uint32_t kSpillFormatVersionV2 = 2;
+/// The spill format version; bump on any layout change. Files of any
+/// other version are rejected with a recoverable Status.
 inline constexpr uint32_t kSpillFormatVersion = 3;
 
 /// Everything the cold tier must know about a spilled result without
@@ -72,30 +70,25 @@ struct SpillFileMeta {
   /// Base tables under the producing subtree (update invalidation must
   /// purge spilled entries too).
   std::vector<std::string> base_tables;
-  /// Format version the file was read with / will be written as (readers
-  /// overwrite this with the on-disk value).
-  uint32_t format_version = kSpillFormatVersion;
-  /// Uncompressed payload size in bytes (the v1 column image this file
-  /// would occupy without compression). Written by WriteSpillFile for
-  /// v2+ files; 0 when reading a v1 file.
+  /// Uncompressed payload size in bytes (the raw column image this file
+  /// would occupy without compression). Computed by WriteSpillFile; 0
+  /// for an empty result.
   int64_t raw_bytes = 0;
-  /// Per-base-table row high-water marks at computation time (v3+): the
-  /// result was computed from rows [0, rows) of each named table.
+  /// Per-base-table row high-water marks at computation time: the result
+  /// was computed from rows [0, rows) of each named table.
   /// Replace-epochs are process-local and deliberately NOT persisted;
   /// adoption re-anchors the stamps against the live catalog and drops
   /// images whose marks exceed the current table (shrunk/replaced base).
-  /// Empty when reading a v1/v2 file (such entries stay unstamped and
-  /// appends hard-invalidate them).
+  /// Empty when the producing node had no pinned snapshot of a base
+  /// table (such entries stay unstamped and appends hard-invalidate
+  /// them).
   std::vector<std::pair<std::string, int64_t>> table_versions;
 };
 
-/// Writer knobs; defaults produce a compressed v2 file.
+/// Writer knobs; defaults produce a compressed file.
 struct SpillWriteOptions {
-  /// kSpillFormatVersion or kSpillFormatVersionV1 (the latter kept for
-  /// compatibility tests and downgrade escapes).
-  uint32_t version = kSpillFormatVersion;
-  /// v2 only: pick the smallest codec per column. When false every
-  /// column is stored kRaw (still framed as v2 blocks).
+  /// Pick the smallest codec per column. When false every column is
+  /// stored kRaw (still framed as encoded blocks).
   bool compress = true;
 };
 
@@ -125,8 +118,7 @@ Status ReadSpillTable(const std::string& path, SpillFileMeta* meta,
 /// consumed by a subsumption/stitch rewrite never materializes rows the
 /// rewrite would filter out anyway. Row order is preserved, so the
 /// result is bit-identical to a full load followed by the same range
-/// filter. v1 files (no encoded image) and out-of-range column indexes
-/// return a recoverable error; the caller falls back to ReadSpillTable.
+/// filter. An out-of-range column index returns a recoverable error.
 Status ReadSpillTableFiltered(const std::string& path, SpillFileMeta* meta,
                               int filter_column, const ColumnInterval& range,
                               TablePtr* out);

@@ -90,15 +90,9 @@ TEST(ConfigValidation, RejectsBadAgingAlphaAndLimits) {
 
 TEST(ConfigValidation, RejectsBadColdTierOptions) {
   RecyclerConfig cfg;
-  cfg.spill_min_benefit = -0.1;  // benefits are never negative
-  Status st = ValidateRecyclerConfig(cfg);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("spill_min_benefit"), std::string::npos);
-
-  cfg = RecyclerConfig();
   cfg.spill_dir = "/tmp/rdb-spill-validate";
   cfg.cold_tier_capacity_bytes = 0;
-  st = ValidateRecyclerConfig(cfg);
+  Status st = ValidateRecyclerConfig(cfg);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("cold_tier_capacity_bytes"), std::string::npos);
   cfg.cold_tier_capacity_bytes = -4096;

@@ -9,10 +9,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <shared_mutex>
 #include <thread>
 
+#include "common/hash.h"
 #include "recycledb/recycledb.h"
 #include "recycler/cold_tier.h"
 #include "recycler/recycler.h"
@@ -211,31 +213,44 @@ TEST(SpillFile, ImplausibleRowCountRejectedBeforeAllocation) {
   meta.column_types = {TypeId::kInt32, TypeId::kDouble};
   meta.num_rows = t->num_rows();
   const std::string path = dir.path() + "/rows.spill";
-  // v1 on purpose: the row-count plausibility bound is the v1 reader's
-  // only pre-allocation defense. The v2 reader verifies the checksum
-  // before decoding anything, so a patched header fails there instead
-  // (covered in test_speed_pack.cc).
-  SpillWriteOptions v1;
-  v1.version = kSpillFormatVersionV1;
-  ASSERT_TRUE(WriteSpillFile(path, *t, meta, v1).ok());
+  ASSERT_TRUE(WriteSpillFile(path, *t, meta).ok());
 
   // Patch the header's num_rows (offset: 16-byte prefix + "k" string
   // (5) + ncols (4) + two "a"/"v" column records (6 each)) to a value
-  // that would allocate petabytes if trusted. The reader must fail with
-  // a recoverable Status before any allocation — the checksum pass
-  // would be too late.
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 16 + 5 + 4 + 6 + 6, SEEK_SET);
-  const uint64_t huge = 1ull << 60;
-  std::fwrite(&huge, sizeof(huge), 1, f);
-  std::fclose(f);
+  // that would allocate terabytes if trusted, and recompute the FNV
+  // checksum over header + payload so the file stays checksum-valid.
+  // The codecs must fail with a recoverable Status before allocating.
+  std::string bytes;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    bytes.resize(fs::file_size(path));
+    ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
+  const uint64_t huge = 1ull << 40;
+  std::memcpy(&bytes[16 + 5 + 4 + 6 + 6], &huge, sizeof(huge));
+  const uint64_t sum = Fnv1a(bytes.data() + 16, bytes.size() - 16 - 8);
+  std::memcpy(&bytes[bytes.size() - 8], &sum, sizeof(sum));
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
 
   SpillFileMeta m2;
+  ASSERT_TRUE(ReadSpillMeta(path, &m2).ok());
+  ASSERT_EQ(m2.num_rows, static_cast<int64_t>(huge));
   TablePtr back;
   Status st = ReadSpillTable(path, &m2, &back);
   EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("row count"), std::string::npos);
+  EXPECT_NE(st.message().find("row count"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(back, nullptr);
+  st = ReadSpillTableFiltered(path, &m2, 1, ColumnInterval{}, &back);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(back, nullptr);
 }
 
 TEST(SpillFile, GarbageFileRejected) {

@@ -2,15 +2,15 @@
 // cold-tier directory through the ownership manifest.
 //
 // Covered here: manifest round trips and fail-soft parsing (corruption,
-// version skew), two live instances over one directory (the second
-// serves exact / subsumption / stitch hits from the first's spills
-// without re-executing, and never steals ownership), stale-lease
-// takeover (expired owners are claimed, live ones are not), purges that
-// a member read only through a manifest sync or lost to the bounded
-// purge log, the read-only adoption mode, the async spill queue's drain barrier, and a
-// spill-vs-adopt race between two instances (run under TSan by the
-// `fleet` ctest label). Warm-standby failover rides the same harness:
-// a tailing standby serves the primary's results from statement one.
+// version skew), two live instances over one directory (the second serves
+// exact / subsumption / stitch hits from the first's spills without
+// re-executing, and never steals ownership), stale-lease takeover (expired
+// owners are claimed, live ones are not), purges that a member read only
+// through a manifest sync or lost to the bounded purge log (at a refresh or
+// at open), the read-only adoption mode, the async spill queue's drain
+// barrier, and a spill-vs-adopt race between two instances (run under TSan by
+// the `fleet` ctest label). Warm-standby failover rides the same harness: a
+// tailing standby serves the primary's results from statement one.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -471,6 +471,42 @@ TEST(FleetPurgeLog, PeerPastTheLogBoundDropsWhatALostPurgeCouldMatch) {
                         MakeReplacedTable(20000));
   auto expected = Expected(c.get(), RangeQuery(0, 3000));
   Result r = c->Execute(RangeQuery(0, 3000));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.adoptions(), 0);
+  EXPECT_EQ(RowMultiset(*r.table()), expected);
+}
+
+TEST(FleetPurgeLog, OpenPastTheLogBoundNeverAdoptsWhatALostPurgeCouldMatch) {
+  TempSpillDir dir;
+  auto a = OpenInstance(dir.path(), "alpha");
+  auto b = OpenInstance(dir.path(), "beta");
+  ASSERT_TRUE(b->CreateTable("g", MakeTestTable(10)).ok());
+
+  // Alpha spills over f, then stays idle: it never refreshes, so its
+  // manifest entry outlives the purge that made it stale.
+  ASSERT_TRUE(a->Execute(RangeQuery(0, 3000)).ok());
+  a->FlushCache();
+  ASSERT_EQ(a->recycler().cold_tier().Stats().entries, 1);
+
+  // Beta replaces f, then g often enough that f's purge record ages out
+  // of the bounded log.
+  ASSERT_TRUE(b->ReplaceTable("f", MakeReplacedTable(20000)).ok());
+  for (size_t i = 0; i < fleet::kManifestMaxPurges; ++i) {
+    ASSERT_TRUE(b->ReplaceTable("g", MakeTestTable(10)).ok());
+  }
+  fleet::Manifest m;
+  ASSERT_TRUE(
+      fleet::ReadManifestFile(fleet::ManifestPath(dir.path()), &m).ok());
+  ASSERT_EQ(m.purges.size(), fleet::kManifestMaxPurges);
+  for (const fleet::ManifestPurge& p : m.purges) ASSERT_EQ(p.table, "g");
+
+  // A fresh member over the new f reads a full log at open: a gap, so it
+  // never tracks alpha's entry, let alone serves its stale rows.
+  auto d = OpenInstance(dir.path(), "delta", 20000, false, 30000,
+                        MakeReplacedTable(20000));
+  EXPECT_EQ(d->recycler().cold_tier().Stats().entries, 0);
+  auto expected = Expected(d.get(), RangeQuery(0, 3000));
+  Result r = d->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.adoptions(), 0);
   EXPECT_EQ(RowMultiset(*r.table()), expected);

@@ -57,7 +57,6 @@ DatabaseOptions GoldenOptions() {
   DatabaseOptions options;
   options.recycler.mode = RecyclerMode::kSpeculation;
   options.recycler.cache_bytes = -1;
-  options.recycler.use_cost_model = true;
   options.recycler.capture_plan_explain = true;
   return options;
 }

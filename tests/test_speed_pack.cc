@@ -1,8 +1,9 @@
 // Tests for the single-core speed pack: incremental zone-map
 // maintenance, pruned-vs-unpruned bit-equality across all column types,
 // the column codecs (round trips, encoded-range selection, corruption
-// handling), the v2 compressed spill format (and v1 compatibility), the
-// calibrated cost model's determinism, and a concurrent pruned-query
+// handling, row counts the payload cannot hold), the compressed spill
+// format (files of any other version are misses), the calibrated cost
+// model's determinism, and a concurrent pruned-query
 // stress against a compressing cold tier.
 #include <gtest/gtest.h>
 
@@ -535,8 +536,47 @@ TEST(Compression, CorruptPayloadsAreRecoverableErrors) {
   EXPECT_FALSE(DecodeColumn(enc, &out).ok());
 }
 
+TEST(Compression, InflatedRowCountFailsBeforeAllocation) {
+  std::vector<int64_t> longs;
+  std::vector<std::string> strings;
+  for (int i = 0; i < 256; ++i) {
+    longs.push_back(i / 8);
+    strings.push_back("s" + std::to_string(i % 5));
+  }
+  const std::vector<ColumnPtr> cols = {
+      TypedColumn<int64_t>(TypeId::kInt64, longs),
+      TypedColumn<std::string>(TypeId::kString, strings)};
+  for (const ColumnPtr& col : cols) {
+    for (ColumnEncoding e :
+         {ColumnEncoding::kRaw, ColumnEncoding::kRle, ColumnEncoding::kDict,
+          ColumnEncoding::kFor}) {
+      EncodedColumn enc;
+      if (!EncodeColumnAs(*col, e, &enc).ok()) continue;  // kFor on strings
+      for (int shift : {40, 60, 62}) {
+        SCOPED_TRACE(StrFormat("%s as %s, 2^%d rows", TypeName(col->type()),
+                               EncodingName(e), shift));
+        // A checksum-valid file can still claim any row count; the codec
+        // must reject it before reserving or resizing anything.
+        enc.num_rows = int64_t{1} << shift;
+        ColumnPtr out;
+        Status st = DecodeColumn(enc, &out);
+        EXPECT_FALSE(st.ok());
+        EXPECT_NE(st.message().find("row count"), std::string::npos)
+            << st.ToString();
+      }
+      if (e == ColumnEncoding::kDict) {
+        // An inflated row count also admits an inflated dictionary size
+        // (the u32 that opens the payload); it too must fail first.
+        std::memset(&enc.payload[0], 0xff, 4);
+        ColumnPtr out;
+        EXPECT_FALSE(DecodeColumn(enc, &out).ok());
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Spill format v2 and v1 compatibility
+// Spill format
 // ---------------------------------------------------------------------------
 
 TablePtr MakeCompressibleTable(int rows) {
@@ -573,47 +613,94 @@ bool TablesBitEqual(const Table& a, const Table& b) {
   return true;
 }
 
-TEST(SpillV2, V1FilesRemainReadable) {
-  TempSpillDir dir;
-  TablePtr t = MakeCompressibleTable(3000);
-  const std::string path = dir.path() + "/v1.spill";
-  SpillWriteOptions v1;
-  v1.version = kSpillFormatVersionV1;
-  ASSERT_TRUE(WriteSpillFile(path, *t, MakeMeta(*t), v1).ok());
+/// Overwrites the version word of the spill file at `path` (bytes 4..7,
+/// after the magic). The prefix is outside the checksum.
+void PatchSpillVersion(const std::string& path, uint32_t version) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, 4, SEEK_SET);
+  for (int i = 0; i < 4; ++i) std::fputc((version >> (8 * i)) & 0xff, f);
+  std::fclose(f);
+}
 
-  SpillFileMeta meta;
-  TablePtr back;
-  ASSERT_TRUE(ReadSpillTable(path, &meta, &back).ok());
-  EXPECT_EQ(meta.format_version, kSpillFormatVersionV1);
-  EXPECT_EQ(meta.raw_bytes, 0);  // v1 headers carry no raw size
-  EXPECT_EQ(back->num_rows(), t->num_rows());
-  EXPECT_TRUE(TablesBitEqual(*t, *back));
+std::vector<std::string> SpillFiles(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".spill") out.push_back(entry.path());
+  }
+  return out;
+}
+
+TEST(SpillV2, OtherVersionsAreDeletedAtOpenAndMiss) {
+  auto window = [] {
+    return PlanNode::Select(
+        WideScan(), Expr::And(Expr::Ge(Expr::Column("i"), Expr::Literal(100)),
+                              Expr::Lt(Expr::Column("i"), Expr::Literal(900))));
+  };
+  for (uint32_t version : {1u, 2u, kSpillFormatVersion + 1}) {
+    SCOPED_TRACE(StrFormat("version %u", version));
+    TempSpillDir dir;
+    DatabaseOptions options;
+    options.recycler.spill_dir = dir.path();
+    {
+      auto db = Database::OpenOrDie(options);
+      ASSERT_TRUE(db->CreateTable("w", MakeWideTable()).ok());
+      ASSERT_TRUE(db->Execute(window()).ok());
+      // Destruction checkpoints the hot cache into the spill directory.
+    }
+    const std::vector<std::string> files = SpillFiles(dir.path());
+    ASSERT_FALSE(files.empty());
+    for (const std::string& path : files) {
+      PatchSpillVersion(path, version);
+      SpillFileMeta meta;
+      Status st = ReadSpillMeta(path, &meta);
+      EXPECT_FALSE(st.ok());
+      EXPECT_NE(st.message().find(StrFormat("version %u", version)),
+                std::string::npos)
+          << st.ToString();
+    }
+
+    auto db = Database::OpenOrDie(options);
+    EXPECT_TRUE(SpillFiles(dir.path()).empty());
+    EXPECT_EQ(db->recycler().cold_tier().Stats().entries, 0);
+    ASSERT_TRUE(db->CreateTable("w", MakeWideTable()).ok());
+    Result r = db->Execute(window());
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.reuses(), 0);
+    EXPECT_EQ(r.adoptions(), 0);
+    SessionOptions so;
+    so.bypass_recycler = true;
+    Result bypass = db->Connect(so)->Execute(window());
+    ASSERT_TRUE(bypass.ok());
+    EXPECT_EQ(r.num_rows(), bypass.num_rows());
+    EXPECT_EQ(trace::ResultDigest(*r.table()),
+              trace::ResultDigest(*bypass.table()));
+  }
 }
 
 TEST(SpillV2, CompressedFilesAreSmallerAndBitEqual) {
   TempSpillDir dir;
   TablePtr t = MakeCompressibleTable(20000);
-  const std::string v1_path = dir.path() + "/a.v1.spill";
-  const std::string v2_path = dir.path() + "/a.v2.spill";
-  SpillWriteOptions v1;
-  v1.version = kSpillFormatVersionV1;
-  ASSERT_TRUE(WriteSpillFile(v1_path, *t, MakeMeta(*t), v1).ok());
-  ASSERT_TRUE(WriteSpillFile(v2_path, *t, MakeMeta(*t)).ok());
+  const std::string raw_path = dir.path() + "/a.raw.spill";
+  const std::string packed_path = dir.path() + "/a.packed.spill";
+  SpillWriteOptions raw;
+  raw.compress = false;
+  ASSERT_TRUE(WriteSpillFile(raw_path, *t, MakeMeta(*t), raw).ok());
+  ASSERT_TRUE(WriteSpillFile(packed_path, *t, MakeMeta(*t)).ok());
 
-  const auto v1_size = fs::file_size(v1_path);
-  const auto v2_size = fs::file_size(v2_path);
-  EXPECT_LT(v2_size, v1_size);
+  const auto raw_size = fs::file_size(raw_path);
+  const auto packed_size = fs::file_size(packed_path);
+  EXPECT_LT(packed_size, raw_size);
 
   SpillFileMeta meta;
   TablePtr back;
-  ASSERT_TRUE(ReadSpillTable(v2_path, &meta, &back).ok());
-  EXPECT_EQ(meta.format_version, kSpillFormatVersion);
-  EXPECT_GT(meta.raw_bytes, static_cast<int64_t>(v2_size));
+  ASSERT_TRUE(ReadSpillTable(packed_path, &meta, &back).ok());
+  EXPECT_GT(meta.raw_bytes, static_cast<int64_t>(packed_size));
   EXPECT_TRUE(TablesBitEqual(*t, *back));
 
   // The header fast path reports the same raw size without a full read.
   SpillFileMeta header;
-  ASSERT_TRUE(ReadSpillMeta(v2_path, &header).ok());
+  ASSERT_TRUE(ReadSpillMeta(packed_path, &header).ok());
   EXPECT_EQ(header.raw_bytes, meta.raw_bytes);
 }
 
@@ -627,7 +714,6 @@ TEST(SpillV2, UncompressedV2OptionRoundTrips) {
   SpillFileMeta meta;
   TablePtr back;
   ASSERT_TRUE(ReadSpillTable(path, &meta, &back).ok());
-  EXPECT_EQ(meta.format_version, kSpillFormatVersion);
   EXPECT_GT(meta.raw_bytes, 0);
   EXPECT_TRUE(TablesBitEqual(*t, *back));
 }
