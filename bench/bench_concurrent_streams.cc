@@ -60,6 +60,7 @@ int main() {
           workload == "sky" ? skyserver::MakeStreams(streams, sky_queries)
                             : tpch::MakeStreams(streams, sf));
 
+      const QueryCounts totals = report.Totals();
       double qps = report.QueriesPerSec();
       double avg_ms =
           report.TotalQueries() == 0
@@ -70,9 +71,9 @@ int main() {
           "%5s %8d %9.1f %9.2f %9.2f %9.2f %7.1f%% %7lld %7lld %7lld\n",
           RecyclerModeName(mode), streams, report.wall_ms, qps, avg_ms,
           report.LatencyPercentileMs(95), 100.0 * report.ReuseRate(),
-          static_cast<long long>(report.TotalReuses()),
-          static_cast<long long>(report.TotalMaterializations()),
-          static_cast<long long>(report.TotalStalls()));
+          static_cast<long long>(totals.num_reuses),
+          static_cast<long long>(totals.num_materialized),
+          static_cast<long long>(totals.num_stalls));
       std::fflush(stdout);
 
       json.Add(JsonObject()
@@ -88,12 +89,12 @@ int main() {
                    .Set("p95_ms", report.LatencyPercentileMs(95))
                    .Set("p99_ms", report.LatencyPercentileMs(99))
                    .Set("reuse_rate", report.ReuseRate())
-                   .Set("reuses", report.TotalReuses())
+                   .Set("reuses", totals.num_reuses)
                    .Set("subsumption_reuses",
                         static_cast<int64_t>(
                             db->counters().subsumption_reuses.load()))
-                   .Set("materializations", report.TotalMaterializations())
-                   .Set("stalls", report.TotalStalls()));
+                   .Set("materializations", totals.num_materialized)
+                   .Set("stalls", totals.num_stalls));
 
       if (mode == RecyclerMode::kSpeculation) {
         if (streams == 1) spec_qps_1 = qps;

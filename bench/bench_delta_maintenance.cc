@@ -129,10 +129,10 @@ int main() {
           ++arms[arm].hits;
           ++hits[qi];
         }
-        arms[arm].delta_hits += r.delta_reuses();
-        arms[arm].agg_merges += r.agg_merges();
-        delta_served[qi] += r.delta_reuses();
-        merges[qi] += r.agg_merges();
+        arms[arm].delta_hits += r.trace().num_delta_reuses;
+        arms[arm].agg_merges += r.trace().num_agg_merges;
+        delta_served[qi] += r.trace().num_delta_reuses;
+        merges[qi] += r.trace().num_agg_merges;
       }
     }
     double arm_ms = sw.ElapsedMs();

@@ -28,7 +28,7 @@ Query SalesCube(Database& db, std::vector<std::string> dims, ExprPtr filter) {
 void Show(const char* what, const Result& r) {
   std::printf("%-46s %8.2f ms  rows=%-5lld %s%s%s\n", what, r.total_ms(),
               (long long)r.num_rows(), r.recycled() ? "[reused] " : "",
-              r.subsumption_reuses() > 0 ? "[subsumption] " : "",
+              r.trace().num_subsumption_reuses > 0 ? "[subsumption] " : "",
               r.trace().used_proactive ? "[proactive]" : "");
 }
 
@@ -98,11 +98,11 @@ int main() {
   SessionStats stats = session->stats();
   std::printf("\nsession totals: %lld queries, reuses=%lld (via "
               "subsumption=%lld), materializations=%lld\n",
-              (long long)stats.queries, (long long)stats.reuses,
-              (long long)stats.subsumption_reuses,
-              (long long)stats.materializations);
+              (long long)stats.queries, (long long)stats.num_reuses,
+              (long long)stats.num_subsumption_reuses,
+              (long long)stats.num_materialized);
   std::printf("region template: %lld executions, %lld reuses\n",
               (long long)by_region->stats().executions,
-              (long long)by_region->stats().reuses);
+              (long long)by_region->stats().num_reuses);
   return 0;
 }

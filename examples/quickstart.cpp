@@ -89,10 +89,10 @@ int main() {
   TemplateStats ts = stmt->stats();
   GraphStats gs = db->graph_stats();
   std::printf("template: %lld executions, %lld reuses, %lld materialized\n",
-              (long long)ts.executions, (long long)ts.reuses,
-              (long long)ts.materializations);
+              (long long)ts.executions, (long long)ts.num_reuses,
+              (long long)ts.num_materialized);
   std::printf("recycler graph: %lld nodes, %lld cached results (%.1f KB)\n",
               (long long)gs.num_nodes, (long long)gs.num_cached,
               gs.cached_bytes / 1024.0);
-  return ts.reuses > 0 ? 0 : 2;  // smoke-test gate: rebinding must reuse
+  return ts.num_reuses > 0 ? 0 : 2;  // smoke-test gate: rebinding must reuse
 }

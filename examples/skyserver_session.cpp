@@ -67,7 +67,7 @@ int main() {
   TemplateStats ts = cone->stats();
   std::printf("cone template: %lld executions, %lld reuses; cache "
               "footprint %.1f KB for %lld results\n",
-              (long long)ts.executions, (long long)ts.reuses,
+              (long long)ts.executions, (long long)ts.num_reuses,
               db->graph_stats().cached_bytes / 1024.0,
               (long long)db->graph_stats().num_cached);
 

@@ -1,34 +1,38 @@
 #!/usr/bin/env python3
-"""Fails when a RecyclerConfig field is a knob that nothing sets.
+"""Fails when a configuration field is a knob that nothing sets.
 
 Usage: check_config_fields.py [REPO_ROOT]
 
-Parses the field declarations of `struct RecyclerConfig` in
-src/recycler/recycler.h and looks for an assignment `.field =` to each
-one in the C++ sources under tests/ and bench/. A field that no test or
-bench ever assigns has only ever run at its default, so its other
-settings are untested code: delete the field, or add the test or bench
-that compares its settings. Exits 1 and lists the unset fields when
-there are any. CI runs this next to check_markdown_links.py.
+Parses the field declarations of the option structs in CONFIG_STRUCTS
+(`RecyclerConfig`, `DatabaseOptions`, `SessionOptions`) and looks for an
+assignment `.field =` to each one in the C++ sources under tests/ and
+bench/. A field that no test or bench ever assigns has only ever run at
+its default, so its other settings are untested code: delete the field,
+or add the test or bench that compares its settings. Exits 1 and lists
+the unset fields when there are any. CI runs this next to
+check_markdown_links.py.
 """
 import os
 import re
 import sys
 
-HEADER = os.path.join("src", "recycler", "recycler.h")
+CONFIG_STRUCTS = (
+    (os.path.join("src", "recycler", "recycler.h"), "RecyclerConfig"),
+    (os.path.join("src", "api", "database.h"), "DatabaseOptions"),
+    (os.path.join("src", "api", "session.h"), "SessionOptions"),
+)
 SEARCH_DIRS = ("tests", "bench")
 SOURCE_EXTS = (".cc", ".cpp", ".h")
 
-STRUCT_RE = re.compile(r"struct RecyclerConfig \{(.*?)\n\};", re.S)
 # One declaration per line: `Type name;` or `Type name = default;`.
 FIELD_RE = re.compile(r"^\s*[\w:<>, ]+?\s+(\w+)\s*(?:=[^;]*)?;\s*$")
 
 
-def config_fields(root: str) -> list:
-    text = open(os.path.join(root, HEADER), encoding="utf-8").read()
-    match = STRUCT_RE.search(text)
+def config_fields(root: str, header: str, struct: str) -> list:
+    text = open(os.path.join(root, header), encoding="utf-8").read()
+    match = re.search(r"struct " + struct + r" \{(.*?)\n\};", text, re.S)
     if match is None:
-        sys.exit(f"{HEADER}: struct RecyclerConfig not found")
+        sys.exit(f"{header}: struct {struct} not found")
     fields = []
     for line in match.group(1).splitlines():
         if line.strip().startswith("//"):
@@ -37,7 +41,7 @@ def config_fields(root: str) -> list:
         if decl:
             fields.append(decl.group(1))
     if not fields:
-        sys.exit(f"{HEADER}: no RecyclerConfig fields parsed")
+        sys.exit(f"{header}: no {struct} fields parsed")
     return fields
 
 
@@ -52,17 +56,20 @@ def sources(root: str):
 
 def main() -> int:
     root = sys.argv[1] if len(sys.argv) > 1 else "."
-    fields = config_fields(root)
     text = "\n".join(sources(root))
-    unset = [f for f in fields
-             if not re.search(r"\." + f + r"\s*=(?!=)", text)]
+    unset = []
+    counts = []
+    for header, struct in CONFIG_STRUCTS:
+        fields = config_fields(root, header, struct)
+        counts.append(f"{len(fields)} {struct}")
+        unset += [f"{struct}::{f}" for f in fields
+                  if not re.search(r"\." + f + r"\s*=(?!=)", text)]
     for f in unset:
-        print(f"RecyclerConfig::{f} is assigned nowhere under "
+        print(f"{f} is assigned nowhere under "
               f"{' or '.join(d + '/' for d in SEARCH_DIRS)}")
     if unset:
         return 1
-    print(f"ok: all {len(fields)} RecyclerConfig fields are set by a test "
-          "or bench")
+    print(f"ok: all {', '.join(counts)} fields are set by a test or bench")
     return 0
 
 

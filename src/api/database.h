@@ -150,13 +150,15 @@ class Database {
   // ---- observability ---------------------------------------------------
   /// Snapshot of recycler-graph size and cache footprint.
   GraphStats graph_stats() { return recycler_.graph().Stats(); }
-  /// Global recycler counters (atomic; read at any time).
+  /// Global recycler counters (atomic; read at any time). The twin of
+  /// each per-query counter (recycler/counters.h) moves with the traces.
   const RecyclerCounters& counters() const { return recycler_.counters(); }
   /// The validated recycler configuration in effect.
   const RecyclerConfig& config() const { return recycler_.config(); }
   /// The options this Database was opened with.
   const DatabaseOptions& options() const { return options_; }
-  /// Per-template reuse aggregate for `template_hash` (zeroes if unseen).
+  /// Per-template reuse aggregate for `template_hash`: executions, time
+  /// and the sum of every per-query count (zeroes if unseen).
   TemplateStats StatsForTemplate(uint64_t template_hash) const {
     return recycler_.TemplateStatsFor(template_hash);
   }

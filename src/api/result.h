@@ -56,35 +56,12 @@ class Result {
   /// End-to-end execution time in milliseconds.
   double total_ms() const { return total_ms_; }
 
-  // --- reuse accounting (drives the acceptance check: rebinding a
-  // --- prepared statement shows cache reuse in its Result stats) --------
-  /// The full per-query recycler trace record.
+  // --- reuse accounting ------------------------------------------------
+  /// The full per-query recycler trace record; its counts (num_reuses,
+  /// num_cold_hits, ...) are listed in recycler/counters.h.
   const QueryTrace& trace() const { return trace_; }
   /// True if at least one cached result was consumed.
   bool recycled() const { return trace_.num_reuses > 0; }
-  /// Number of cached results consumed (exact + subsumed + stitched).
-  int reuses() const { return trace_.num_reuses; }
-  /// Reuses derived via single-superset subsumption.
-  int subsumption_reuses() const { return trace_.num_subsumption_reuses; }
-  /// Reuses answered by stitching overlapping cached range slices
-  /// (partial-match subsumption); counted inside reuses() as well.
-  int partial_reuses() const { return trace_.num_partial_reuses; }
-  /// Reuses served by lazily re-admitting a spilled result from the
-  /// on-disk cold tier; counted inside reuses() as well.
-  int cold_hits() const { return trace_.num_cold_hits; }
-  /// Cold-tier orphans adopted while preparing this query (restart
-  /// images or fleet peers' spills discovered by canonical key). An
-  /// adoption is not itself a reuse; it makes one servable.
-  int adoptions() const { return trace_.num_adoptions; }
-  /// Reuses served by delta maintenance: an append-stale cached result
-  /// stitched with a bounded scan of the appended row window; counted
-  /// inside reuses() as well.
-  int delta_reuses() const { return trace_.num_delta_reuses; }
-  /// Delta reuses that merged cached aggregate state with a delta-window
-  /// aggregate (no base-row rescan); counted inside delta_reuses().
-  int agg_merges() const { return trace_.num_agg_merges; }
-  /// Results this query added to the recycler cache.
-  int materialized() const { return trace_.num_materialized; }
   /// Executions of this query's template before this one (0 for ad-hoc).
   int64_t template_prior_runs() const { return trace_.template_prior_runs; }
 

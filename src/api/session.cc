@@ -275,17 +275,7 @@ void Session::Record(const Result& result) {
     ++stats_.errors;
     return;
   }
-  stats_.reuses += result.reuses();
-  stats_.subsumption_reuses += result.subsumption_reuses();
-  stats_.partial_reuses += result.partial_reuses();
-  stats_.cold_hits += result.cold_hits();
-  stats_.adoptions += result.adoptions();
-  stats_.delta_reuses += result.delta_reuses();
-  stats_.agg_merges += result.agg_merges();
-  stats_.materializations += result.materialized();
-  stats_.stalls += result.trace().num_stalls;
-  stats_.blocks_scanned += result.trace().blocks_scanned;
-  stats_.blocks_pruned += result.trace().blocks_pruned;
+  stats_ += result.trace();
   stats_.total_ms += result.total_ms();
   if (options_.collect_traces && options_.max_traces > 0) {
     if (traces_.size() < options_.max_traces) {

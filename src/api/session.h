@@ -44,39 +44,14 @@ struct SessionOptions {
   bool bypass_recycler = false;
 };
 
-/// Session-local aggregate statistics.
-struct SessionStats {
+/// Session-local aggregate statistics: the sum of the per-query counts
+/// (QueryCounts, one field per counter in recycler/counters.h) over this
+/// session's successful queries, plus the session's own tallies.
+struct SessionStats : QueryCounts {
   /// Queries executed through this session (including failures).
   int64_t queries = 0;
   /// Queries rejected by validation or failed in execution.
   int64_t errors = 0;
-  /// Cached results consumed (exact + subsumed + stitched).
-  int64_t reuses = 0;
-  /// Reuses derived via single-superset subsumption.
-  int64_t subsumption_reuses = 0;
-  /// Reuses answered by partial-range stitching.
-  int64_t partial_reuses = 0;
-  /// Reuses served by loading a spilled result from the cold tier
-  /// (counted inside reuses as well).
-  int64_t cold_hits = 0;
-  /// Cold-tier orphans adopted during this session's query preparation
-  /// (restart images or fleet peers' spills; not themselves reuses).
-  int64_t adoptions = 0;
-  /// Reuses served by delta maintenance over append-stale entries
-  /// (counted inside reuses as well).
-  int64_t delta_reuses = 0;
-  /// Delta reuses merging cached aggregate state with the delta window
-  /// (counted inside delta_reuses as well).
-  int64_t agg_merges = 0;
-  /// Results this session's queries added to the cache.
-  int64_t materializations = 0;
-  /// Waits on another stream's in-flight materialization.
-  int64_t stalls = 0;
-  /// Scan blocks read vs. skipped by zone-map pruning across this
-  /// session's queries (pruned + scanned = blocks touched without
-  /// pruning).
-  int64_t blocks_scanned = 0;
-  int64_t blocks_pruned = 0;
   /// Total execution time across this session's queries.
   double total_ms = 0;
 };

@@ -39,8 +39,20 @@ using Datum = std::variant<std::monostate, bool, int32_t, int64_t, double,
 /// monostate maps to kInt64 (callers must not rely on null typing).
 TypeId DatumType(const Datum& d);
 
-/// Renders a datum for fingerprints and debugging (stable across runs).
+/// Renders a datum for display: Explain, error messages, ToString.
+/// Doubles print with %.6g, so two distinct doubles may print alike;
+/// never build a key, hash or equality check on this text.
 std::string DatumToString(const Datum& d);
+
+/// Renders a datum bit-exactly for keys, fingerprints and digests:
+/// doubles as hex floats (-0.0 as +0.0, which compares equal to it),
+/// every other alternative as DatumToString does.
+std::string DatumToKeyString(const Datum& d);
+
+/// Display form of text built with DatumToKeyString: every hex float
+/// token (outside quoted strings) re-rendered as DatumToString renders
+/// that double.
+std::string KeyToDisplayString(const std::string& key);
 
 /// Numeric coercion helpers; RDB_CHECK-fail on non-numeric alternatives.
 double DatumAsDouble(const Datum& d);

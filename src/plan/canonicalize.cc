@@ -322,7 +322,8 @@ ExprPtr CanonicalizeExprImpl(const ExprPtr& e) {
       bool same = c == e->children()[0] && values.size() == e->in_values().size();
       for (size_t i = 0; same && i < values.size(); ++i) {
         same = values[i].index() == e->in_values()[i].index() &&
-               DatumToString(values[i]) == DatumToString(e->in_values()[i]);
+               DatumToKeyString(values[i]) ==
+                   DatumToKeyString(e->in_values()[i]);
       }
       if (same) return e;
       return Expr::In(std::move(c), std::move(values));

@@ -321,7 +321,7 @@ std::string PlanNode::ParamFingerprint(const NameMap* mapping) const {
       } else {
         for (size_t i = 0; i < args_.size(); ++i) {
           if (i > 0) out += ",";
-          out += DatumToString(args_[i]);
+          out += DatumToKeyString(args_[i]);
         }
       }
       return out + ")";
@@ -402,7 +402,7 @@ uint64_t PlanNode::HashKey() const {
     case OpType::kFunctionScan: {
       h = HashCombine(h, HashString(table_));
       for (const auto& a : args_) {
-        h = HashCombine(h, HashString(DatumToString(a)));
+        h = HashCombine(h, HashString(DatumToKeyString(a)));
       }
       break;
     }
@@ -633,7 +633,7 @@ PlanPtr PlanNode::CloneParamsRenamed(const NameMap& mapping) const {
 std::string PlanNode::ToString(int indent) const {
   std::ostringstream os;
   os << std::string(indent * 2, ' ') << OpTypeName(type_) << " "
-     << ParamFingerprint(nullptr);
+     << KeyToDisplayString(ParamFingerprint(nullptr));
   if (bound_) os << " => " << output_schema_.ToString();
   os << "\n";
   for (const auto& c : children_) os << c->ToString(indent + 1);
@@ -742,7 +742,9 @@ std::string PlanNode::Explain(int indent) const {
       if (as_of_rows_ >= 0) {
         line += StrFormat(" as-of=%lld", (long long)as_of_rows_);
       }
-      if (!cache_key_.empty()) line += StrFormat(" key=%s", cache_key_.c_str());
+      if (!cache_key_.empty()) {
+        line += " key=" + KeyToDisplayString(cache_key_);
+      }
       break;
   }
   std::string out = std::string(indent * 2, ' ') + line + "\n";

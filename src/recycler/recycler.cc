@@ -187,6 +187,13 @@ Recycler::~Recycler() {
   CheckpointColdTier();  // drains the spill queue before returning
 }
 
+void Recycler::Count(PreparedQuery* prepared, QueryCounter counter,
+                     int64_t n) {
+  const CounterInfo& info = kQueryCounters[static_cast<int>(counter)];
+  prepared->trace_.*info.field += n;
+  (counters_.*info.twin).fetch_add(n);
+}
+
 // ---------------------------------------------------------------------------
 // Cold tier (the persistent second-tier result cache)
 // ---------------------------------------------------------------------------
@@ -507,7 +514,6 @@ bool Recycler::TryAdoptOrphan(RGNode* node) {
     std::lock_guard<std::mutex> clock(cache_mu_);
     RegisterIntervals(node);
   }
-  counters_.cold_adoptions.fetch_add(1);
   return true;
 }
 
@@ -752,7 +758,7 @@ void Recycler::InsertMissing(MNode* m, PreparedQuery* prepared) {
   // a spilled image from a previous one — or from a fleet peer — so
   // adopt it and the reuse rewriter below serves this very query from
   // disk.
-  if (TryAdoptOrphan(m->gnode)) ++prepared->trace_.num_adoptions;
+  if (TryAdoptOrphan(m->gnode)) Count(prepared, QueryCounter::kAdoptions);
 }
 
 // ---------------------------------------------------------------------------
@@ -948,17 +954,11 @@ PlanPtr Recycler::TryDeltaRewrite(MNode* m, const PlanPtr& plan, RGNode* g,
   m->stitched = true;
   m->exec_plan = delta_plan.get();
   prepared->exec_to_gnode_[delta_plan.get()] = g;
-  ++prepared->trace_.num_reuses;
-  ++prepared->trace_.num_delta_reuses;
-  counters_.reuses.fetch_add(1);
-  counters_.delta_hits.fetch_add(1);
-  if (agg_merge) {
-    ++prepared->trace_.num_agg_merges;
-    counters_.agg_merges.fetch_add(1);
-  }
+  Count(prepared, QueryCounter::kReuses);
+  Count(prepared, QueryCounter::kDeltaReuses);
+  if (agg_merge) Count(prepared, QueryCounter::kAggMerges);
   if (prepared->cold_loaded_.count(g) > 0) {
-    ++prepared->trace_.num_cold_hits;
-    counters_.cold_hits.fetch_add(1);
+    Count(prepared, QueryCounter::kColdHits);
   }
   return delta_plan;
 }
@@ -972,12 +972,8 @@ PlanPtr Recycler::ServeExact(MNode* m, const PlanPtr& plan,
   cs->set_cache_key(CanonicalSubtreeKey(g));
   prepared->replaced_cost_[cs.get()] = g->bcost_ms.load();
   m->replaced = true;
-  ++prepared->trace_.num_reuses;
-  counters_.reuses.fetch_add(1);
-  if (from_cold) {
-    ++prepared->trace_.num_cold_hits;
-    counters_.cold_hits.fetch_add(1);
-  }
+  Count(prepared, QueryCounter::kReuses);
+  if (from_cold) Count(prepared, QueryCounter::kColdHits);
   if (config_.cache_policy == CachePolicy::kLru) {
     std::lock_guard<std::mutex> clock(cache_mu_);
     cache_.TouchForLru(g);
@@ -996,7 +992,7 @@ void Recycler::MaybeAdoptOrphanParents(RGNode* child_gnode,
   std::unordered_set<RGNode*> seen;
   for (const auto& [hk, parent] : child_gnode->parents) {
     if (seen.insert(parent).second && TryAdoptOrphan(parent)) {
-      ++prepared->trace_.num_adoptions;
+      Count(prepared, QueryCounter::kAdoptions);
     }
   }
 }
@@ -1021,8 +1017,7 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
       RecyclerGraph::MatShard& shard = graph_.mat_shard(g);
       std::unique_lock<std::mutex> lock(shard.mu);
       if (g->mat_state.load() == MatState::kInFlight) {
-        ++prepared->trace_.num_stalls;
-        counters_.stalls.fetch_add(1);
+        Count(prepared, QueryCounter::kStalls);
         Stopwatch sw;
         shard.cv.wait_for(
             lock, std::chrono::milliseconds(config_.stall_timeout_ms),
@@ -1168,14 +1163,9 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
                 subsumer->bcost_ms.load();
           }
           m->replaced = true;
-          ++prepared->trace_.num_reuses;
-          ++prepared->trace_.num_subsumption_reuses;
-          counters_.reuses.fetch_add(1);
-          counters_.subsumption_reuses.fetch_add(1);
-          if (subsumer_from_cold) {
-            ++prepared->trace_.num_cold_hits;
-            counters_.cold_hits.fetch_add(1);
-          }
+          Count(prepared, QueryCounter::kReuses);
+          Count(prepared, QueryCounter::kSubsumptionReuses);
+          if (subsumer_from_cold) Count(prepared, QueryCounter::kColdHits);
           return derived.plan;
         }
       }
@@ -1290,17 +1280,14 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
             m->stitched = true;
             m->exec_plan = stitched.plan.get();
             prepared->exec_to_gnode_[stitched.plan.get()] = g;
-            ++prepared->trace_.num_reuses;
-            ++prepared->trace_.num_partial_reuses;
-            counters_.reuses.fetch_add(1);
-            counters_.partial_reuses.fetch_add(1);
+            Count(prepared, QueryCounter::kReuses);
+            Count(prepared, QueryCounter::kPartialReuses);
             if (delta_child_cached && stitched.num_delta_pieces > 0) {
-              ++prepared->trace_.num_reuses;  // the child reuse in the deltas
-              counters_.reuses.fetch_add(1);
+              // The child reuse in the delta pieces.
+              Count(prepared, QueryCounter::kReuses);
             }
             if (stitch_cold_hits > 0) {
-              prepared->trace_.num_cold_hits += stitch_cold_hits;
-              counters_.cold_hits.fetch_add(stitch_cold_hits);
+              Count(prepared, QueryCounter::kColdHits, stitch_cold_hits);
             }
             return stitched.plan;
           }
@@ -1343,8 +1330,7 @@ StoreRequest Recycler::MakeStoreRequest(RGNode* gnode, StoreMode mode,
     if (result != nullptr) {
       OfferResult(node, std::move(result), subtree_ms, prepared);
     } else {
-      ++prepared->trace_.num_spec_aborted;
-      counters_.spec_aborts.fetch_add(1);
+      Count(prepared, QueryCounter::kSpecAborted);
       SetMatState(node, MatState::kNone);
     }
   };
@@ -1546,8 +1532,7 @@ void Recycler::OfferResult(RGNode* node, TablePtr result, double subtree_ms,
     // memo now puts that cost on the miss that produced the result.
     CanonicalSubtreeKey(node);
     UpdateHrOnMaterialize(node);
-    counters_.materializations.fetch_add(1);
-    ++prepared->trace_.num_materialized;
+    Count(prepared, QueryCounter::kMaterialized);
   }
 }
 
@@ -1846,18 +1831,13 @@ void Recycler::OnComplete(PreparedQuery* prepared, const ExecResult& result) {
   counters_.queries.fetch_add(1);
   // Zone-map accounting applies in every mode (pruning also serves the
   // kOff baseline), so it lands before the early return below.
-  prepared->trace_.blocks_scanned = result.blocks_scanned;
-  prepared->trace_.blocks_pruned = result.blocks_pruned;
-  counters_.blocks_scanned.fetch_add(result.blocks_scanned);
-  counters_.blocks_pruned.fetch_add(result.blocks_pruned);
+  Count(prepared, QueryCounter::kBlocksScanned, result.blocks_scanned);
+  Count(prepared, QueryCounter::kBlocksPruned, result.blocks_pruned);
   if (prepared->trace_.template_hash != 0) {
     std::lock_guard<std::mutex> lock(template_mu_);
     TemplateStats& ts = template_stats_[prepared->trace_.template_hash];
     ++ts.executions;
-    ts.reuses += prepared->trace_.num_reuses;
-    ts.subsumption_reuses += prepared->trace_.num_subsumption_reuses;
-    ts.partial_reuses += prepared->trace_.num_partial_reuses;
-    ts.materializations += prepared->trace_.num_materialized;
+    ts += prepared->trace_;
     ts.total_ms += result.total_ms;
   }
   if (config_.mode == RecyclerMode::kOff) return;
@@ -1906,11 +1886,6 @@ TemplateStats Recycler::TemplateStatsFor(uint64_t template_hash) const {
   std::lock_guard<std::mutex> lock(template_mu_);
   auto it = template_stats_.find(template_hash);
   return it == template_stats_.end() ? TemplateStats{} : it->second;
-}
-
-std::map<uint64_t, TemplateStats> Recycler::TemplateStatsSnapshot() const {
-  std::lock_guard<std::mutex> lock(template_mu_);
-  return template_stats_;
 }
 
 ExecResult Recycler::Execute(const PlanPtr& query_plan, QueryTrace* trace_out) {

@@ -14,6 +14,7 @@
 #include "exec/executor.h"
 #include "recycler/cache.h"
 #include "recycler/cold_tier.h"
+#include "recycler/counters.h"
 #include "recycler/delta.h"
 #include "recycler/graph.h"
 #include "recycler/interval_index.h"
@@ -137,35 +138,20 @@ bool ParseReuseMode(const std::string& name, ReuseMode* mode);
 ReuseMode ReuseModeFromCounters(const struct QueryTrace& trace);
 
 /// Per-query observability record (drives Fig. 9 traces and Fig. 10).
-struct QueryTrace {
+/// The reuse counters come from QueryCounts (recycler/counters.h).
+struct QueryTrace : QueryCounts {
   int64_t query_id = 0;
   /// Identity of the prepared-statement template this query was bound
   /// from (0 = ad-hoc query). Copied from PlanNode::template_hash.
   uint64_t template_hash = 0;
   /// Prior executions of the same template (before this query).
   int64_t template_prior_runs = 0;
-  int num_reuses = 0;              // cached results consumed
-  int num_subsumption_reuses = 0;  // of which via subsumption
-  int num_partial_reuses = 0;      // of which via partial-range stitching
-  int num_delta_reuses = 0;        // of which via delta maintenance
-  int num_agg_merges = 0;          // of which aggregate merges (no rescan)
-  int num_cold_hits = 0;           // of which loaded from the cold tier
-  int num_adoptions = 0;           // cold orphans adopted during Prepare
-                                   // (restart images or fleet peers)
-  int num_materialized = 0;        // results added to the cache
-  int num_spec_aborted = 0;        // speculative stores that backed off
-  int num_stalls = 0;              // waits on concurrent materializations
   bool used_proactive = false;     // a proactive rewrite was executed
   double match_ms = 0;             // matching + insertion cost (Fig. 10)
   double stall_ms = 0;
   int64_t graph_nodes_at_match = 0;
-  /// Zone-map accounting for this query's scans: 1024-row blocks read
-  /// vs. skipped (pruned + scanned = blocks the scans would touch
-  /// without zone maps).
-  int64_t blocks_scanned = 0;
-  int64_t blocks_pruned = 0;
   /// The chosen reuse mode, set uniformly by Recycler::Execute from the
-  /// counters above (bypass-recycler traces stay kNone).
+  /// counters (bypass-recycler traces stay kNone).
   ReuseMode reuse_mode = ReuseMode::kNone;
   /// Fingerprint of the plan as executed (post-canonicalization,
   /// PRE-rewrite): restart-stable identity of "the same statement".
@@ -179,65 +165,9 @@ struct QueryTrace {
 /// Reuse accounting aggregated per prepared-statement template: the unit
 /// the paper's workloads share at (§V — queries differing only in
 /// constants). Keyed by PlanNode::template_hash.
-struct TemplateStats {
+struct TemplateStats : QueryCounts {
   int64_t executions = 0;
-  int64_t reuses = 0;
-  int64_t subsumption_reuses = 0;
-  int64_t partial_reuses = 0;
-  int64_t materializations = 0;
   double total_ms = 0;
-};
-
-/// Aggregate counters across all queries (reported by benches).
-struct RecyclerCounters {
-  std::atomic<int64_t> queries{0};
-  std::atomic<int64_t> reuses{0};
-  std::atomic<int64_t> subsumption_reuses{0};
-  std::atomic<int64_t> partial_reuses{0};
-  std::atomic<int64_t> materializations{0};
-  std::atomic<int64_t> spec_aborts{0};
-  std::atomic<int64_t> stalls{0};
-  std::atomic<int64_t> evictions{0};
-  std::atomic<int64_t> invalidations{0};
-  std::atomic<int64_t> proactive_rewrites{0};
-  // --- delta maintenance ----------------------------------------------
-  /// Append-stale entries served by a delta rewrite instead of eviction.
-  std::atomic<int64_t> delta_hits{0};
-  /// Of which aggregate merges (cached aggregate state + delta-window
-  /// aggregation; zero base rows before the mark rescanned).
-  std::atomic<int64_t> agg_merges{0};
-  // --- cold tier -------------------------------------------------------
-  /// Reuses served by loading a result from the cold tier.
-  std::atomic<int64_t> cold_hits{0};
-  /// Spill files written (evictions + shutdown checkpoint).
-  std::atomic<int64_t> cold_spills{0};
-  /// Cold entries promoted back into the hot cache.
-  std::atomic<int64_t> cold_readmissions{0};
-  /// Cold entries dropped by the tier's second-chance sweep.
-  std::atomic<int64_t> cold_evictions{0};
-  /// Corrupt/unreadable spill files dropped on access.
-  std::atomic<int64_t> cold_load_errors{0};
-  /// Restart orphans adopted by newly inserted graph nodes.
-  std::atomic<int64_t> cold_adoptions{0};
-  /// Cold entries consumed as a filtered slice (the selection ran on the
-  /// encoded image; only in-range rows were materialized).
-  std::atomic<int64_t> cold_slice_loads{0};
-  /// Uncompressed vs. on-disk bytes of spill files written (ratio =
-  /// column-compression win; raw == stored when compress_spill is off).
-  std::atomic<int64_t> cold_spill_raw_bytes{0};
-  std::atomic<int64_t> cold_spill_stored_bytes{0};
-  // --- fleet tier ------------------------------------------------------
-  /// RefreshFleet rounds completed.
-  std::atomic<int64_t> fleet_refreshes{0};
-  /// Peer spill files discovered and tracked as adoptable orphans.
-  std::atomic<int64_t> fleet_peer_entries{0};
-  /// Dead-owner entries claimed via stale-lease takeover.
-  std::atomic<int64_t> fleet_lease_takeovers{0};
-  // --- zone maps -------------------------------------------------------
-  /// Scan blocks read vs. skipped via zone-map pruning, across all
-  /// queries (base-table and cached-result scans alike).
-  std::atomic<int64_t> blocks_scanned{0};
-  std::atomic<int64_t> blocks_pruned{0};
 };
 
 class Recycler;
@@ -396,9 +326,6 @@ class Recycler {
   /// graph().mutex(), which keeps the returned reference valid.
   const std::string& CanonicalSubtreeKey(RGNode* node) const;
 
-  /// Snapshot of all template-level stats (hash -> aggregate).
-  std::map<uint64_t, TemplateStats> TemplateStatsSnapshot() const;
-
   /// Entries in the exact-hit index (diagnostics / tests). Never more
   /// than the hot cache's entry count: one entry per hot root at most.
   int64_t exact_hit_entries() const;
@@ -421,6 +348,10 @@ class Recycler {
     RGNode* root = nullptr;
     std::vector<RGNode*> nodes;  // every matched node, pre-order (root first)
   };
+
+  /// Adds `n` to `prepared`'s trace field for `counter` and to its
+  /// RecyclerCounters twin.
+  void Count(PreparedQuery* prepared, QueryCounter counter, int64_t n = 1);
 
   // --- matching & insertion (§III-A/B) --------------------------------
   std::unique_ptr<MNode> MatchTree(const PlanPtr& plan);

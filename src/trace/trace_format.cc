@@ -41,18 +41,8 @@ double Trace::HitRate() const {
 
 uint64_t RowDigest(const Table& t, int64_t row) {
   uint64_t h = 0xcbf29ce484222325ULL;
-  char buf[40];
   for (int c = 0; c < t.num_columns(); ++c) {
-    const Datum& d = t.Get(row, c);
-    std::string v;
-    if (d.index() == 4) {
-      // Hex floats digest doubles bit-exactly; DatumToString's rounded
-      // %.6g would let real divergence hash equal.
-      std::snprintf(buf, sizeof(buf), "%a", std::get<double>(d));
-      v = buf;
-    } else {
-      v = DatumToString(d);
-    }
+    const std::string v = DatumToKeyString(t.Get(row, c));
     h = Fnv1a(v.data(), v.size(), h);
     h = Fnv1a("|", 1, h);
   }

@@ -48,58 +48,10 @@ double RunReport::LatencyPercentileMs(double p) const {
   return lat[rank - 1];
 }
 
-int64_t RunReport::TotalReuses() const {
-  int64_t n = 0;
-  for (const auto& r : records) n += r.trace.num_reuses;
-  return n;
-}
-
-int64_t RunReport::TotalStalls() const {
-  int64_t n = 0;
-  for (const auto& r : records) n += r.trace.num_stalls;
-  return n;
-}
-
-int64_t RunReport::TotalMaterializations() const {
-  int64_t n = 0;
-  for (const auto& r : records) n += r.trace.num_materialized;
-  return n;
-}
-
-int64_t RunReport::TotalColdHits() const {
-  int64_t n = 0;
-  for (const auto& r : records) n += r.trace.num_cold_hits;
-  return n;
-}
-
-int64_t RunReport::TotalAdoptions() const {
-  int64_t n = 0;
-  for (const auto& r : records) n += r.trace.num_adoptions;
-  return n;
-}
-
-int64_t RunReport::TotalDeltaReuses() const {
-  int64_t n = 0;
-  for (const auto& r : records) n += r.trace.num_delta_reuses;
-  return n;
-}
-
-int64_t RunReport::TotalAggMerges() const {
-  int64_t n = 0;
-  for (const auto& r : records) n += r.trace.num_agg_merges;
-  return n;
-}
-
-int64_t RunReport::TotalBlocksScanned() const {
-  int64_t n = 0;
-  for (const auto& r : records) n += r.trace.blocks_scanned;
-  return n;
-}
-
-int64_t RunReport::TotalBlocksPruned() const {
-  int64_t n = 0;
-  for (const auto& r : records) n += r.trace.blocks_pruned;
-  return n;
+QueryCounts RunReport::Totals() const {
+  QueryCounts totals;
+  for (const auto& r : records) totals += r.trace;
+  return totals;
 }
 
 double RunReport::ReuseRate() const {
@@ -167,17 +119,7 @@ RunReport WorkloadDriver::Run(std::vector<StreamSpec> streams) {
     StreamStats& ss = report.stream_stats[r.stream];
     ++ss.queries;
     ss.total_ms += r.end_ms - r.start_ms;
-    ss.reuses += r.trace.num_reuses;
-    ss.subsumption_reuses += r.trace.num_subsumption_reuses;
-    ss.partial_reuses += r.trace.num_partial_reuses;
-    ss.cold_hits += r.trace.num_cold_hits;
-    ss.adoptions += r.trace.num_adoptions;
-    ss.delta_reuses += r.trace.num_delta_reuses;
-    ss.agg_merges += r.trace.num_agg_merges;
-    ss.materializations += r.trace.num_materialized;
-    ss.stalls += r.trace.num_stalls;
-    ss.blocks_scanned += r.trace.blocks_scanned;
-    ss.blocks_pruned += r.trace.blocks_pruned;
+    ss += r.trace;
   }
   for (size_t s = 0; s < streams.size(); ++s) {
     report.stream_stats[s].span_ms = report.stream_ms[s];
@@ -241,42 +183,18 @@ std::string FormatTrace(const RunReport& report) {
   out += "time(ms)  stream  query        dur(ms)  events\n";
   for (const auto& r : report.records) {
     std::string events;
-    if (r.trace.num_reuses > 0) {
-      events += StrFormat("reused:%d ", r.trace.num_reuses);
-    }
-    if (r.trace.num_subsumption_reuses > 0) {
-      events += StrFormat("(subsumed:%d) ", r.trace.num_subsumption_reuses);
-    }
-    if (r.trace.num_partial_reuses > 0) {
-      events += StrFormat("(stitched:%d) ", r.trace.num_partial_reuses);
-    }
-    if (r.trace.num_cold_hits > 0) {
-      events += StrFormat("(cold:%d) ", r.trace.num_cold_hits);
-    }
-    if (r.trace.num_adoptions > 0) {
-      events += StrFormat("(adopt:%d) ", r.trace.num_adoptions);
-    }
-    if (r.trace.num_delta_reuses > 0) {
-      events += StrFormat("(delta:%d) ", r.trace.num_delta_reuses);
-    }
-    if (r.trace.num_agg_merges > 0) {
-      events += StrFormat("(agg-merge:%d) ", r.trace.num_agg_merges);
-    }
-    if (r.trace.num_materialized > 0) {
-      events += StrFormat("materialized:%d ", r.trace.num_materialized);
-    }
-    if (r.trace.num_spec_aborted > 0) {
-      events += StrFormat("spec-aborted:%d ", r.trace.num_spec_aborted);
-    }
-    if (r.trace.num_stalls > 0) {
-      events += StrFormat("stalled:%d(%.1fms) ", r.trace.num_stalls,
-                          r.trace.stall_ms);
-    }
-    if (r.trace.blocks_pruned > 0) {
-      events += StrFormat("pruned:%lld/%lld ",
-                          static_cast<long long>(r.trace.blocks_pruned),
-                          static_cast<long long>(r.trace.blocks_pruned +
-                                                 r.trace.blocks_scanned));
+    for (const CounterInfo& c : kQueryCounters) {
+      const int64_t n = r.trace.*c.field;
+      if (n <= 0 || c.tag[0] == '\0') continue;
+      std::string value = std::to_string(n);
+      if (c.field == &QueryCounts::num_stalls) {
+        value += StrFormat("(%.1fms)", r.trace.stall_ms);
+      } else if (c.field == &QueryCounts::blocks_pruned) {
+        value += "/" + std::to_string(n + r.trace.blocks_scanned);
+      }
+      std::string event = c.tag;
+      event.replace(event.find('#'), 1, value);
+      events += event + " ";
     }
     if (r.trace.used_proactive) events += "proactive ";
     if (events.empty()) events = "-";
@@ -284,40 +202,6 @@ std::string FormatTrace(const RunReport& report) {
                      r.stream + 1, r.label.c_str(), r.end_ms - r.start_ms,
                      events.c_str());
   }
-  return out;
-}
-
-std::string FormatSummary(const RunReport& report) {
-  std::string out;
-  out += StrFormat(
-      "queries=%lld wall=%.1fms qps=%.2f avg=%.2fms p50=%.2fms p95=%.2fms "
-      "p99=%.2fms\n",
-      static_cast<long long>(report.TotalQueries()), report.wall_ms,
-      report.QueriesPerSec(),
-      report.TotalQueries() == 0
-          ? 0.0
-          : report.TotalQueryMs() / static_cast<double>(report.TotalQueries()),
-      report.LatencyPercentileMs(50), report.LatencyPercentileMs(95),
-      report.LatencyPercentileMs(99));
-  out += StrFormat(
-      "reuse_rate=%.1f%% reuses=%lld cold_hits=%lld adoptions=%lld "
-      "delta_reuses=%lld agg_merges=%lld materializations=%lld stalls=%lld\n",
-      100.0 * report.ReuseRate(), static_cast<long long>(report.TotalReuses()),
-      static_cast<long long>(report.TotalColdHits()),
-      static_cast<long long>(report.TotalAdoptions()),
-      static_cast<long long>(report.TotalDeltaReuses()),
-      static_cast<long long>(report.TotalAggMerges()),
-      static_cast<long long>(report.TotalMaterializations()),
-      static_cast<long long>(report.TotalStalls()));
-  const int64_t scanned = report.TotalBlocksScanned();
-  const int64_t pruned = report.TotalBlocksPruned();
-  out += StrFormat(
-      "blocks_scanned=%lld blocks_pruned=%lld prune_rate=%.1f%%\n",
-      static_cast<long long>(scanned), static_cast<long long>(pruned),
-      scanned + pruned == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(pruned) /
-                static_cast<double>(scanned + pruned));
   return out;
 }
 

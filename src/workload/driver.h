@@ -49,30 +49,12 @@ struct LabelStats {
   double AvgMs() const { return count == 0 ? 0 : total_ms / count; }
 };
 
-/// Per-stream aggregate (derived from the records).
-struct StreamStats {
+/// Per-stream aggregate (derived from the records): the stream's own
+/// tallies plus the sum of its queries' per-query counts.
+struct StreamStats : QueryCounts {
   int64_t queries = 0;
   double total_ms = 0;  // sum of query durations
   double span_ms = 0;   // first query issued -> last result
-  int64_t reuses = 0;
-  int64_t subsumption_reuses = 0;
-  int64_t partial_reuses = 0;
-  /// Reuses served from the on-disk cold tier (subset of reuses).
-  int64_t cold_hits = 0;
-  /// Cold orphans adopted during preparation (restart images or fleet
-  /// peers' spills; enablers of reuse, not reuses themselves).
-  int64_t adoptions = 0;
-  /// Reuses served by delta maintenance over append-stale entries
-  /// (subset of reuses).
-  int64_t delta_reuses = 0;
-  /// Delta reuses merging cached aggregate state with the delta window
-  /// (subset of delta_reuses).
-  int64_t agg_merges = 0;
-  int64_t materializations = 0;
-  int64_t stalls = 0;
-  /// Scan blocks read vs. skipped by zone-map pruning.
-  int64_t blocks_scanned = 0;
-  int64_t blocks_pruned = 0;
 };
 
 /// Result of a throughput run.
@@ -95,20 +77,8 @@ struct RunReport {
   /// (0, 100].
   double LatencyPercentileMs(double p) const;
   int64_t TotalQueries() const { return static_cast<int64_t>(records.size()); }
-  int64_t TotalReuses() const;
-  int64_t TotalStalls() const;
-  int64_t TotalMaterializations() const;
-  /// Reuses served by cold-tier re-admission across all streams.
-  int64_t TotalColdHits() const;
-  /// Cold orphans adopted during preparation across all streams.
-  int64_t TotalAdoptions() const;
-  /// Reuses served by delta maintenance across all streams.
-  int64_t TotalDeltaReuses() const;
-  /// Delta reuses served by aggregate-state merges across all streams.
-  int64_t TotalAggMerges() const;
-  /// Scan blocks read / skipped by zone-map pruning across all streams.
-  int64_t TotalBlocksScanned() const;
-  int64_t TotalBlocksPruned() const;
+  /// Every per-query count summed over all records.
+  QueryCounts Totals() const;
   /// Fraction of queries that consumed at least one cached result.
   double ReuseRate() const;
 };
@@ -190,10 +160,6 @@ StreamSpec MakeSqlStream(Database* db, const std::vector<std::string>& sql,
 /// Formats a Fig. 9-style trace of `report` (who materialized / reused /
 /// stalled, per stream and query).
 std::string FormatTrace(const RunReport& report);
-
-/// Formats the aggregate section (throughput, latency percentiles, reuse
-/// rates) as a human-readable summary block.
-std::string FormatSummary(const RunReport& report);
 
 }  // namespace workload
 }  // namespace recycledb

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "recycledb/recycledb.h"
+#include "test_util.h"
 
 namespace recycledb {
 namespace {
@@ -200,7 +201,7 @@ TEST(Facade, RepeatedQueryIsRecycledWithResultStats) {
   Result second = db->Execute(SalesSince(*db, Expr::Literal(int64_t{2008})));
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second.recycled());
-  EXPECT_GT(second.reuses(), 0);
+  EXPECT_GT(second.trace().num_reuses, 0);
 }
 
 TEST(Facade, ReplaceTableInvalidatesCachedResults) {
@@ -247,8 +248,8 @@ TEST(PreparedStatements, RebindingSameConstantsHitsTheCache) {
 
   TemplateStats ts = stmt->stats();
   EXPECT_EQ(ts.executions, 4);
-  EXPECT_GE(ts.reuses, 2);
-  EXPECT_GE(ts.materializations, 1);
+  EXPECT_GE(ts.num_reuses, 2);
+  EXPECT_GE(ts.num_materialized, 1);
   EXPECT_EQ(db->StatsForTemplate(stmt->template_hash()).executions, 4);
 
   // Results agree with an ad-hoc run of the same constants.
@@ -282,10 +283,10 @@ TEST(PreparedStatements, RebindingGetsSubsumptionHits) {
   for (int64_t y : {2006, 2008, 2010}) {
     Result r = stmt->Execute({{"y", y}});
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    subsumed += r.subsumption_reuses() > 0 ? 1 : 0;
+    subsumed += r.trace().num_subsumption_reuses > 0 ? 1 : 0;
   }
   EXPECT_GT(subsumed, 0);
-  EXPECT_GT(stmt->stats().subsumption_reuses, 0);
+  EXPECT_GT(stmt->stats().num_subsumption_reuses, 0);
 }
 
 TEST(PreparedStatements, FunctionScanTemplateRebinds) {
@@ -331,7 +332,7 @@ TEST(PreparedStatements, StatementStreamsThroughTheDriver) {
   streams.push_back(workload::MakeStatementStream(stmt.get(), bindings, "S"));
   workload::RunReport report = workload::RunStreams(db.get(), streams, 4);
   EXPECT_EQ(report.TotalQueries(), 20);
-  EXPECT_GT(report.TotalReuses(), 0);
+  EXPECT_GT(report.Totals().num_reuses, 0);
   // Every driver execution carries the template identity.
   EXPECT_EQ(db->StatsForTemplate(stmt->template_hash()).executions, 20);
 }
@@ -364,9 +365,9 @@ TEST(Sessions, TracesAndStatsAreIsolatedPerSession) {
   EXPECT_EQ(bob->traces().size(), 1u);
   // Bob's single run reused what Alice materialized (shared engine),
   // and his session saw the reuse while Alice's stats are untouched.
-  EXPECT_GT(bob->stats().reuses, 0);
-  EXPECT_EQ(bob->stats().materializations, 0);
-  EXPECT_GT(alice->stats().materializations, 0);
+  EXPECT_GT(bob->stats().num_reuses, 0);
+  EXPECT_EQ(bob->stats().num_materialized, 0);
+  EXPECT_GT(alice->stats().num_materialized, 0);
   // The engine-wide counters aggregate across sessions.
   EXPECT_EQ(db->counters().queries.load(), 3);
 }
@@ -553,6 +554,33 @@ TEST(Errors, ErrorResultAccessorsAreSafe) {
   EXPECT_EQ(r.ToString(), r.status().ToString());
 }
 
+TEST(AsyncSubmit, WorkerCountDoesNotChangeResults) {
+  // One batch submitted through one async worker and through four: the
+  // results must agree whichever worker ran which statement.
+  auto run = [](int threads) {
+    DatabaseOptions options;
+    options.async_threads = threads;
+    auto db = Database::OpenOrDie(options);
+    EXPECT_TRUE(db->CreateTable("sales", MakeSalesTable()).ok());
+    auto session = db->Connect({});
+    std::vector<std::future<Result>> futures;
+    for (int64_t since = 2005; since <= 2012; ++since) {
+      for (int rep = 0; rep < 2; ++rep) {
+        futures.push_back(
+            session->Submit(SalesSince(*db, Expr::Literal(since))));
+      }
+    }
+    std::vector<uint64_t> digests;
+    for (auto& f : futures) {
+      Result r = f.get();
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      digests.push_back(r.ok() ? trace::ResultDigest(*r.table()) : 0);
+    }
+    return digests;
+  };
+  EXPECT_EQ(run(1), run(4));
+}
+
 TEST(AsyncSubmit, SameQuerySubmittedConcurrentlyIsSafe) {
   auto db = OpenSalesDb();
   auto session = db->Connect({});
@@ -640,6 +668,196 @@ TEST(Sessions, ConcurrentPrepareOfOneSharedQueryIsSafe) {
   std::thread t2(worker, int64_t{2010});
   t1.join();
   t2.join();
+}
+
+// ---------------------------------------------------------------------------
+// Counter agreement: every per-query counter in recycler/counters.h adds
+// up to the same total in the traces, the session, the template, the
+// run report and the engine-wide twin.
+// ---------------------------------------------------------------------------
+
+/// Rows [start, start + rows) of (a: 0..9, v: spread over [0, 10000)).
+TablePtr MakeCountersTable(int64_t start, int64_t rows) {
+  TablePtr t =
+      MakeTable(Schema({{"a", TypeId::kInt32}, {"v", TypeId::kDouble}}));
+  for (int64_t i = start; i < start + rows; ++i) {
+    t->AppendRow({static_cast<int32_t>(i % 10),
+                  static_cast<double>((i * 7919) % 10000)});
+  }
+  return t;
+}
+
+std::unique_ptr<Database> OpenCountersDb(const std::string& spill_dir) {
+  DatabaseOptions options;
+  options.recycler.mode = RecyclerMode::kSpeculation;
+  options.recycler.spill_dir = spill_dir;
+  // Range slices (~72 KB) store speculatively; the whole table does not.
+  options.recycler.speculation_buffer_cap = 128 << 10;
+  auto db = Database::OpenOrDie(options);
+  EXPECT_TRUE(db->CreateTable("f", MakeCountersTable(0, 20000)).ok());
+  return db;
+}
+
+Query RangeTemplate(Database& db) {
+  return db.Scan("f", {"a", "v"})
+      .Filter(Expr::And(Expr::Ge(Expr::Column("v"), Expr::Param("lo")),
+                        Expr::Lt(Expr::Column("v"), Expr::Param("hi"))));
+}
+
+QueryCounts SumOverList(const std::vector<QueryTrace>& traces) {
+  QueryCounts sum;
+  for (const QueryTrace& t : traces) {
+    for (const CounterInfo& c : kQueryCounters) sum.*c.field += t.*c.field;
+  }
+  return sum;
+}
+
+std::vector<int64_t> Twins(const RecyclerCounters& counters) {
+  std::vector<int64_t> out;
+  for (const CounterInfo& c : kQueryCounters) {
+    out.push_back((counters.*c.twin).load());
+  }
+  return out;
+}
+
+void ExpectSameCounts(const char* level, const QueryCounts& expected,
+                      const QueryCounts& actual) {
+  for (const CounterInfo& c : kQueryCounters) {
+    EXPECT_EQ(actual.*c.field, expected.*c.field)
+        << level << " disagrees on " << c.field_name;
+  }
+}
+
+/// Checks every level against the sum over `traces` (all executions)
+/// and `templated` (the template's executions, a subset).
+void ExpectCountersAgree(Database& db, const PreparedStatement& stmt,
+                         const std::vector<SessionStats>& sessions,
+                         const std::vector<int64_t>& twins_before,
+                         const std::vector<QueryTrace>& traces,
+                         const std::vector<QueryTrace>& templated) {
+  const QueryCounts total = SumOverList(traces);
+  QueryCounts session_total;
+  for (const SessionStats& s : sessions) session_total += s;
+  ExpectSameCounts("SessionStats", total, session_total);
+
+  workload::RunReport report;
+  for (const QueryTrace& t : traces) {
+    report.records.emplace_back();
+    report.records.back().trace = t;
+  }
+  ExpectSameCounts("RunReport::Totals", total, report.Totals());
+
+  const TemplateStats ts = db.StatsForTemplate(stmt.template_hash());
+  EXPECT_EQ(ts.executions, static_cast<int64_t>(templated.size()));
+  ExpectSameCounts("TemplateStats", SumOverList(templated), ts);
+
+  const std::vector<int64_t> twins_after = Twins(db.counters());
+  size_t i = 0;
+  for (const CounterInfo& c : kQueryCounters) {
+    EXPECT_EQ(twins_after[i] - twins_before[i], total.*c.field)
+        << "RecyclerCounters twin disagrees on " << c.field_name;
+    ++i;
+  }
+}
+
+TEST(CounterAgreement, EveryCounterAddsUpAtEveryLevel) {
+  recycledb::testing::TempSpillDir dir;
+  {
+    // A previous process leaves the [0, 3000) slice in the spill dir.
+    auto db = OpenCountersDb(dir.path());
+    auto session = db->Connect({});
+    auto stmt = session->Prepare(RangeTemplate(*db));
+    ASSERT_NE(stmt, nullptr);
+    ASSERT_TRUE(stmt->Execute({{"lo", 0.0}, {"hi", 3000.0}}).ok());
+  }
+  auto db = OpenCountersDb(dir.path());
+  const std::vector<int64_t> twins_before = Twins(db->counters());
+  auto session = db->Connect({});
+  Status st;
+  auto stmt = session->Prepare(RangeTemplate(*db), &st);
+  ASSERT_NE(stmt, nullptr) << st.ToString();
+
+  std::vector<QueryTrace> traces, templated;
+  auto range = [&](double lo, double hi) {
+    Result r = stmt->Execute({{"lo", lo}, {"hi", hi}});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    traces.push_back(r.trace());
+    templated.push_back(r.trace());
+  };
+  const std::string rollup = "SELECT a, SUM(v) AS s FROM f GROUP BY a";
+  auto sql = [&](const std::string& text) {
+    Result r = session->Sql(text);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    traces.push_back(r.trace());
+  };
+  range(0, 3000);     // adopts the restart image: a cold hit
+  range(0, 3000);     // exact hit
+  range(3000, 6000);  // miss, stored
+  range(1000, 5000);  // stitched from both slices, stored
+  range(0, 10001);    // stitched, but storing the whole table backs off
+  sql("SELECT a, v FROM f WHERE v > 5000");            // stitched, stored
+  sql("SELECT a, v FROM f WHERE v > 5000 AND a = 3");  // subsumption
+  sql(rollup);        // miss, stored
+  ASSERT_TRUE(db->AppendTable("f", *MakeCountersTable(20000, 500)).ok());
+  range(0, 3000);     // append-stale slice: delta reuse
+  sql(rollup);        // append-stale aggregate: aggregate merge
+
+  // The workload reaches every mechanism the counters describe (stalls
+  // need concurrent streams and pruning needs clustered data).
+  const QueryCounts total = SumOverList(traces);
+  EXPECT_GT(total.num_reuses, 0);
+  EXPECT_GT(total.num_subsumption_reuses, 0);
+  EXPECT_GT(total.num_partial_reuses, 0);
+  EXPECT_GT(total.num_cold_hits, 0);
+  EXPECT_GT(total.num_adoptions, 0);
+  EXPECT_GT(total.num_delta_reuses, 0);
+  EXPECT_GT(total.num_agg_merges, 0);
+  EXPECT_GT(total.num_materialized, 0);
+  EXPECT_GT(total.num_spec_aborted, 0);
+  EXPECT_GT(total.blocks_scanned, 0);
+  ExpectCountersAgree(*db, *stmt, {session->stats()}, twins_before, traces,
+                      templated);
+}
+
+TEST(CounterAgreement, TwoConcurrentSessionsAddUp) {
+  recycledb::testing::TempSpillDir dir;
+  auto db = OpenCountersDb(dir.path());
+  const std::vector<int64_t> twins_before = Twins(db->counters());
+  struct Client {
+    std::unique_ptr<Session> session;
+    std::unique_ptr<PreparedStatement> stmt;
+    std::vector<QueryTrace> traces;
+  };
+  Client clients[2];
+  for (Client& c : clients) {
+    c.session = db->Connect({});
+    c.stmt = c.session->Prepare(RangeTemplate(*db));
+    ASSERT_NE(c.stmt, nullptr);
+  }
+  auto work = [](Client* c, double shift) {
+    for (int round = 0; round < 3; ++round) {
+      for (double lo : {0.0, 3000.0, 1000.0, 500.0}) {
+        Result r = c->stmt->Execute({{"lo", lo + shift}, {"hi", lo + 3000}});
+        if (r.ok()) c->traces.push_back(r.trace());
+      }
+    }
+  };
+  std::thread t0(work, &clients[0], 0.0);
+  std::thread t1(work, &clients[1], 250.0);
+  t0.join();
+  t1.join();
+
+  std::vector<QueryTrace> traces;
+  for (const Client& c : clients) {
+    EXPECT_EQ(c.traces.size(), 12u);
+    traces.insert(traces.end(), c.traces.begin(), c.traces.end());
+  }
+  EXPECT_GT(SumOverList(traces).num_reuses, 0);
+  // Both statements bind one template, so TemplateStats sees them all.
+  ExpectCountersAgree(
+      *db, *clients[0].stmt,
+      {clients[0].session->stats(), clients[1].session->stats()},
+      twins_before, traces, traces);
 }
 
 }  // namespace

@@ -282,8 +282,8 @@ TEST(ColdTier, EvictionSpillsAndExactMatchReadmits) {
 
   Result again = db->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(again.ok());
-  EXPECT_GE(again.reuses(), 1);
-  EXPECT_GE(again.cold_hits(), 1);
+  EXPECT_GE(again.trace().num_reuses, 1);
+  EXPECT_GE(again.trace().num_cold_hits, 1);
   EXPECT_EQ(RowMultiset(*again.table()), expected_a);
   // The cold hit promoted the entry back into the hot tier.
   EXPECT_GE(db->counters().cold_readmissions.load(), 1);
@@ -300,8 +300,8 @@ TEST(ColdTier, SubsumptionReadmitsFromCold) {
 
   Result r = db->Execute(RefineQuery(5000, 3));
   ASSERT_TRUE(r.ok());
-  EXPECT_GE(r.subsumption_reuses(), 1);
-  EXPECT_GE(r.cold_hits(), 1);
+  EXPECT_GE(r.trace().num_subsumption_reuses, 1);
+  EXPECT_GE(r.trace().num_cold_hits, 1);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
 }
 
@@ -319,8 +319,8 @@ TEST(ColdTier, PartialStitchReadmitsFromCold) {
 
   Result r = db->Execute(RangeQuery(1000, 5000));
   ASSERT_TRUE(r.ok());
-  EXPECT_GE(r.partial_reuses(), 1);
-  EXPECT_GE(r.cold_hits(), 2);  // both slices loaded from disk
+  EXPECT_GE(r.trace().num_partial_reuses, 1);
+  EXPECT_GE(r.trace().num_cold_hits, 2);  // both slices loaded from disk
   EXPECT_EQ(RowMultiset(*r.table()), expected);
 }
 
@@ -335,7 +335,7 @@ TEST(ColdTier, RejectedPromotionStillServesSnapshot) {
   db->FlushCache();
   Result again = db->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(again.ok());
-  EXPECT_GE(again.cold_hits(), 1);
+  EXPECT_GE(again.trace().num_cold_hits, 1);
   EXPECT_EQ(RowMultiset(*again.table()), expected);
 }
 
@@ -375,7 +375,7 @@ TEST(ColdTier, TinyQuotaDegradesToMemoryOnly) {
   EXPECT_EQ(db->recycler().cold_tier().Stats().entries, 0);
   Result r = db->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.cold_hits(), 0);
+  EXPECT_EQ(r.trace().num_cold_hits, 0);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
   EXPECT_EQ(db->counters().cold_spills.load(), 0);
 }
@@ -406,7 +406,7 @@ TEST(ColdTier, CorruptSpillFileIsRecoverable) {
   // error is counted.
   Result r = db->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.cold_hits(), 0);
+  EXPECT_EQ(r.trace().num_cold_hits, 0);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
   EXPECT_GE(db->counters().cold_load_errors.load(), 1);
 }
@@ -426,7 +426,7 @@ TEST(ColdTier, InvalidateTablePurgesSpilledEntries) {
   EXPECT_EQ(db->recycler().cold_tier().Stats().entries, 0);
   Result r = db->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.cold_hits(), 0);
+  EXPECT_EQ(r.trace().num_cold_hits, 0);
 }
 
 TEST(ColdTier, ReplaceTableNeverServesStaleColdResults) {
@@ -446,7 +446,7 @@ TEST(ColdTier, ReplaceTableNeverServesStaleColdResults) {
 
   Result r = db->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.cold_hits(), 0);
+  EXPECT_EQ(r.trace().num_cold_hits, 0);
   EXPECT_EQ(r.num_rows(), 0);
 }
 
@@ -473,8 +473,8 @@ TEST(ColdTier, RestartWarmsUpFromSpillDir) {
   Result rb = db->Execute(RangeQuery(4000, 7000));
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
-  EXPECT_GE(ra.cold_hits(), 1);
-  EXPECT_GE(rb.cold_hits(), 1);
+  EXPECT_GE(ra.trace().num_cold_hits, 1);
+  EXPECT_GE(rb.trace().num_cold_hits, 1);
   EXPECT_EQ(RowMultiset(*ra.table()), expected_a);
   EXPECT_EQ(RowMultiset(*rb.table()), expected_b);
   EXPECT_GE(db->counters().cold_adoptions.load(), 2);
@@ -494,11 +494,11 @@ TEST(ColdTier, RestartAdoptedSlicesServeStitching) {
   // in the interval index (each served from disk), then stitch.
   Result s1 = db->Execute(RangeQuery(0, 3000));
   Result s2 = db->Execute(RangeQuery(3000, 6000));
-  EXPECT_GE(s1.cold_hits(), 1);
-  EXPECT_GE(s2.cold_hits(), 1);
+  EXPECT_GE(s1.trace().num_cold_hits, 1);
+  EXPECT_GE(s2.trace().num_cold_hits, 1);
   Result r = db->Execute(RangeQuery(1000, 5000));
   ASSERT_TRUE(r.ok());
-  EXPECT_GE(r.reuses(), 1);
+  EXPECT_GE(r.trace().num_reuses, 1);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
 }
 
@@ -521,7 +521,7 @@ TEST(ColdTier, RestartReplaceTablePurgesOrphans) {
 
   Result r = db->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.cold_hits(), 0);
+  EXPECT_EQ(r.trace().num_cold_hits, 0);
   EXPECT_EQ(r.num_rows(), 0);  // stale rows would be nonzero
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <set>
 
 #include "common/hash.h"
@@ -41,6 +42,31 @@ TEST(DatumTest, ToStringStable) {
   EXPECT_EQ(DatumToString(Datum(std::string("abc"))), "'abc'");
   EXPECT_EQ(DatumToString(Datum(true)), "true");
   EXPECT_EQ(DatumToString(Datum()), "NULL");
+}
+
+TEST(DatumTest, KeyStringIsBitExact) {
+  // %.6g renders these alike; keys must not.
+  EXPECT_EQ(DatumToString(Datum(228.241040)), DatumToString(Datum(228.2412)));
+  EXPECT_NE(DatumToKeyString(Datum(228.241040)),
+            DatumToKeyString(Datum(228.2412)));
+  EXPECT_NE(DatumToKeyString(Datum(1.0)),
+            DatumToKeyString(Datum(std::nextafter(1.0, 2.0))));
+  // -0.0 == +0.0, so they share one key.
+  EXPECT_EQ(DatumToKeyString(Datum(-0.0)), DatumToKeyString(Datum(0.0)));
+  // Every other alternative renders as for display.
+  EXPECT_EQ(DatumToKeyString(Datum(int64_t{42})), "42");
+  EXPECT_EQ(DatumToKeyString(Datum(std::string("abc"))), "'abc'");
+}
+
+TEST(DatumTest, KeyToDisplayStringRestoresTheDisplayForm) {
+  const std::string key = "(and (>= c:x l:" +
+                          DatumToKeyString(Datum(228.241040)) +
+                          ") (in c:y " + DatumToKeyString(Datum(-2.5)) +
+                          " " + DatumToKeyString(Datum(1.5)) +
+                          ") (= c:s l:'0x1p+0') (= c:n l:10))";
+  EXPECT_EQ(KeyToDisplayString(key),
+            "(and (>= c:x l:228.241) (in c:y -2.5 1.5) (= c:s l:'0x1p+0') "
+            "(= c:n l:10))");
 }
 
 TEST(DatumTest, CompareNumericCrossType) {

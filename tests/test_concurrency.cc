@@ -274,7 +274,7 @@ TEST_F(ConcurrencyTest, WorkloadDriverBoundsConcurrentExecution) {
     EXPECT_GT(ss.span_ms, 0.0);
   }
   EXPECT_GT(report.QueriesPerSec(), 0.0);
-  EXPECT_GT(report.TotalReuses(), 0);
+  EXPECT_GT(report.Totals().num_reuses, 0);
   EXPECT_GE(report.LatencyPercentileMs(99),
             report.LatencyPercentileMs(50));
   ExpectQuiescentConsistency(rec);

@@ -81,8 +81,8 @@ TEST(DeltaTest, AggMergeSumCountAvgBitIdenticalZeroRescan) {
     rows += 512;
     Result merged = db->Sql(q);
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    EXPECT_EQ(merged.delta_reuses(), 1) << "round " << round;
-    EXPECT_EQ(merged.agg_merges(), 1) << "round " << round;
+    EXPECT_EQ(merged.trace().num_delta_reuses, 1) << "round " << round;
+    EXPECT_EQ(merged.trace().num_agg_merges, 1) << "round " << round;
     // Zero base rescans: one block for the cached aggregate-state view
     // (CachedScan runs on the ScanOp machinery) plus the sub-block delta
     // window — never the 8+ base blocks below the cached mark.
@@ -116,8 +116,8 @@ TEST(DeltaTest, GroupedMinMaxDuplicateExtremes) {
 
   Result merged = db->Sql(q);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_EQ(merged.delta_reuses(), 1);
-  EXPECT_EQ(merged.agg_merges(), 1);
+  EXPECT_EQ(merged.trace().num_delta_reuses, 1);
+  EXPECT_EQ(merged.trace().num_agg_merges, 1);
   EXPECT_EQ(BitRows(*merged.table(), false), Truth(db.get(), q, false));
 }
 
@@ -141,7 +141,7 @@ TEST(DeltaTest, GroupedAggDeltaMissingGroups) {
 
   Result merged = db->Sql(q);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_EQ(merged.delta_reuses(), 1);
+  EXPECT_EQ(merged.trace().num_delta_reuses, 1);
   EXPECT_EQ(BitRows(*merged.table(), false), Truth(db.get(), q, false));
 }
 
@@ -161,8 +161,8 @@ TEST(DeltaTest, EmptyDeltaStaysExactHit) {
 
   Result again = db->Sql(q);
   ASSERT_TRUE(again.ok());
-  EXPECT_GE(again.reuses(), 1);
-  EXPECT_EQ(again.delta_reuses(), 0);
+  EXPECT_GE(again.trace().num_reuses, 1);
+  EXPECT_EQ(again.trace().num_delta_reuses, 0);
   EXPECT_EQ(BitRows(*again.table(), false), Truth(db.get(), q, false));
 }
 
@@ -186,7 +186,7 @@ TEST(DeltaTest, GlobalMinMaxNotMergedButCorrect) {
 
   Result r = db->Sql(q);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.delta_reuses(), 0);
+  EXPECT_EQ(r.trace().num_delta_reuses, 0);
   EXPECT_EQ(BitRows(*r.table(), false), Truth(db.get(), q, false));
 }
 
@@ -206,8 +206,8 @@ TEST(DeltaTest, SelectChainStitchPreservesRowOrder) {
     rows += 700;
     Result stitched = db->Sql(q);
     ASSERT_TRUE(stitched.ok()) << stitched.status().ToString();
-    EXPECT_EQ(stitched.delta_reuses(), 1) << "round " << round;
-    EXPECT_EQ(stitched.agg_merges(), 0) << "round " << round;
+    EXPECT_EQ(stitched.trace().num_delta_reuses, 1) << "round " << round;
+    EXPECT_EQ(stitched.trace().num_agg_merges, 0) << "round " << round;
     // Ordered comparison: cached prefix then delta window IS scan order.
     EXPECT_EQ(BitRows(*stitched.table(), true), Truth(db.get(), q, true));
   }
@@ -257,7 +257,7 @@ TEST(DeltaTest, ReplaceTableStillHardInvalidates) {
 
   Result r = db->Sql(q);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.reuses(), 0);
+  EXPECT_EQ(r.trace().num_reuses, 0);
   EXPECT_EQ(BitRows(*r.table(), false), Truth(db.get(), q, false));
 }
 

@@ -225,10 +225,10 @@ TEST(FleetSharing, SecondInstanceServesPeerSpillsWithoutReexecuting) {
   // Exact: B adopts A's slice by canonical key and serves it from disk.
   Result exact = b->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(exact.ok());
-  EXPECT_GE(exact.adoptions(), 1);
-  EXPECT_GE(exact.reuses(), 1);
-  EXPECT_GE(exact.cold_hits(), 1);
-  EXPECT_EQ(exact.materialized(), 0);  // served, not re-executed
+  EXPECT_GE(exact.trace().num_adoptions, 1);
+  EXPECT_GE(exact.trace().num_reuses, 1);
+  EXPECT_GE(exact.trace().num_cold_hits, 1);
+  EXPECT_EQ(exact.trace().num_materialized, 0);  // served, not re-executed
   EXPECT_EQ(RowMultiset(*exact.table()), expected_exact);
 
   // Subsumption: prime the broad shape (adopting A's spill for it, again
@@ -236,18 +236,18 @@ TEST(FleetSharing, SecondInstanceServesPeerSpillsWithoutReexecuting) {
   // from the adopted superset and filters.
   Result broad = b->Execute(BroadQuery(5000));
   ASSERT_TRUE(broad.ok());
-  EXPECT_GE(broad.adoptions(), 1);
-  EXPECT_GE(broad.cold_hits(), 1);
-  EXPECT_EQ(broad.materialized(), 0);
+  EXPECT_GE(broad.trace().num_adoptions, 1);
+  EXPECT_GE(broad.trace().num_cold_hits, 1);
+  EXPECT_EQ(broad.trace().num_materialized, 0);
   Result refine = b->Execute(RefineQuery(5000, 3));
   ASSERT_TRUE(refine.ok());
-  EXPECT_GE(refine.subsumption_reuses(), 1);
+  EXPECT_GE(refine.trace().num_subsumption_reuses, 1);
   EXPECT_EQ(RowMultiset(*refine.table()), expected_refine);
 
   // Stitch: both of A's disjoint slices cover the probe window.
   Result stitch = b->Execute(RangeQuery(1000, 5000));
   ASSERT_TRUE(stitch.ok());
-  EXPECT_GE(stitch.partial_reuses(), 1);
+  EXPECT_GE(stitch.trace().num_partial_reuses, 1);
   EXPECT_EQ(RowMultiset(*stitch.table()), expected_stitch);
 
   EXPECT_GE(b->counters().cold_adoptions.load(), 2);
@@ -281,8 +281,8 @@ TEST(FleetSharing, CorruptManifestFallsBackToDirectoryRescan) {
   auto expected = Expected(b.get(), RangeQuery(0, 3000));
   Result r = b->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(r.ok());
-  EXPECT_GE(r.adoptions(), 1);
-  EXPECT_GE(r.cold_hits(), 1);
+  EXPECT_GE(r.trace().num_adoptions, 1);
+  EXPECT_GE(r.trace().num_cold_hits, 1);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
 
   // B's first sync rebuilt a valid manifest.
@@ -318,7 +318,7 @@ TEST(FleetSharing, VersionSkewedManifestFallsBackToRescan) {
   EXPECT_GT(b->recycler().cold_tier().Stats().entries, 0);
   Result r = b->Execute(RangeQuery(3000, 6000));
   ASSERT_TRUE(r.ok());
-  EXPECT_GE(r.cold_hits(), 1);
+  EXPECT_GE(r.trace().num_cold_hits, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -422,7 +422,7 @@ TEST(FleetLease, StaleLeaseTakeoverAtRefresh) {
   auto expected = Expected(b.get(), RangeQuery(0, 3000));
   Result r = b->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(r.ok());
-  EXPECT_GE(r.cold_hits(), 1);
+  EXPECT_GE(r.trace().num_cold_hits, 1);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
 
   // Keep alpha alive to the end: its dtor must tolerate having been
@@ -472,7 +472,7 @@ TEST(FleetPurgeLog, PeerPastTheLogBoundDropsWhatALostPurgeCouldMatch) {
   auto expected = Expected(c.get(), RangeQuery(0, 3000));
   Result r = c->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.adoptions(), 0);
+  EXPECT_EQ(r.trace().num_adoptions, 0);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
 }
 
@@ -508,7 +508,7 @@ TEST(FleetPurgeLog, OpenPastTheLogBoundNeverAdoptsWhatALostPurgeCouldMatch) {
   auto expected = Expected(d.get(), RangeQuery(0, 3000));
   Result r = d->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.adoptions(), 0);
+  EXPECT_EQ(r.trace().num_adoptions, 0);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
 }
 
@@ -537,7 +537,7 @@ TEST(FleetPurgeLog, PurgeReadByAManifestSyncIsAppliedAtTheNextRefresh) {
   auto expected = Expected(a.get(), RangeQuery(0, 3000));
   Result r = a->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.adoptions(), 0);
+  EXPECT_EQ(r.trace().num_adoptions, 0);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
 }
 
@@ -567,8 +567,8 @@ TEST(FleetReadOnly, AdoptsAndServesWithoutWriting) {
   auto expected = Expected(b.get(), RangeQuery(0, 3000));
   Result r = b->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(r.ok());
-  EXPECT_GE(r.adoptions(), 1);
-  EXPECT_GE(r.cold_hits(), 1);
+  EXPECT_GE(r.trace().num_adoptions, 1);
+  EXPECT_GE(r.trace().num_cold_hits, 1);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
 
   // Evictions in read-only mode never touch the shared directory.
@@ -710,16 +710,16 @@ TEST(FleetStandby, TailingStandbyServesWarmAfterPromote) {
   auto expected = Expected(standby.get(), RangeQuery(0, 3000));
   Result r = standby->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(r.ok());
-  EXPECT_GE(r.adoptions() + static_cast<int>(
+  EXPECT_GE(r.trace().num_adoptions + static_cast<int>(
                                 standby->counters().cold_adoptions.load()),
             1);
-  EXPECT_GE(r.cold_hits(), 1);
-  EXPECT_EQ(r.materialized(), 0);
+  EXPECT_GE(r.trace().num_cold_hits, 1);
+  EXPECT_EQ(r.trace().num_materialized, 0);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
 
   Result later = standby->Execute(RangeQuery(6000, 9000));
   ASSERT_TRUE(later.ok());
-  EXPECT_GE(later.cold_hits(), 1);
+  EXPECT_GE(later.trace().num_cold_hits, 1);
 }
 
 }  // namespace

@@ -542,12 +542,12 @@ TEST_F(PartialReuseTest, ApiSurfacesPartialHitStats) {
   ASSERT_TRUE(seed.ok());
   Result hit = stmt->Execute({{"lo", 30.0}, {"hi", 80.0}});
   ASSERT_TRUE(hit.ok());
-  EXPECT_EQ(hit.partial_reuses(), 1);
+  EXPECT_EQ(hit.trace().num_partial_reuses, 1);
   EXPECT_TRUE(hit.recycled());
 
-  EXPECT_EQ(session->stats().partial_reuses, 1);
+  EXPECT_EQ(session->stats().num_partial_reuses, 1);
   TemplateStats ts = db->StatsForTemplate(stmt->template_hash());
-  EXPECT_EQ(ts.partial_reuses, 1);
+  EXPECT_EQ(ts.num_partial_reuses, 1);
 }
 
 // ---------------------------------------------------------------------------

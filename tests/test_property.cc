@@ -14,6 +14,7 @@
 //      modes and digests.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -212,16 +213,31 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PropertyTest,
 /// Deterministic per-row content for the fuzz table: the row at global
 /// index `i` is the same whether it landed in the initial load or in a
 /// later append batch, so replay can regenerate any recorded batch.
+std::vector<Datum> FuzzRow(int64_t i) {
+  Rng rng(0x5fbu ^ static_cast<uint64_t>(i) * 0x9e3779b97f4a7c15ull);
+  // v is a multiple of 1/8: sums stay exactly representable, so
+  // aggregate results are order-independent and the bit-identity
+  // check compares content, not summation order (delta merges and
+  // subsumption legitimately re-associate floating-point sums).
+  return {static_cast<int32_t>(rng.Uniform(0, 60)),
+          static_cast<int32_t>(rng.Uniform(0, 500)),
+          static_cast<double>(rng.Uniform(0, 100000)) / 8.0};
+}
+
 void AppendFuzzRows(Table* t, int64_t start_row, int64_t rows) {
   for (int64_t i = start_row; i < start_row + rows; ++i) {
-    Rng rng(0x5fbu ^ static_cast<uint64_t>(i) * 0x9e3779b97f4a7c15ull);
-    // v is a multiple of 1/8: sums stay exactly representable, so
-    // aggregate results are order-independent and the bit-identity
-    // check compares content, not summation order (delta merges and
-    // subsumption legitimately re-associate floating-point sums).
-    t->AppendRow({static_cast<int32_t>(rng.Uniform(0, 60)),
-                  static_cast<int32_t>(rng.Uniform(0, 500)),
-                  static_cast<double>(rng.Uniform(0, 100000)) / 8.0});
+    t->AppendRow(FuzzRow(i));
+  }
+}
+
+/// The `n`-th value g of column v among the first fuzz rows such that
+/// g + 1e-4 and g - 1e-4 print alike at six significant digits: g >=
+/// 10000 leaves one decimal, and g must not end in .25 or .75, where
+/// that decimal rounds apart. The row holding g lies between the two.
+double FuzzCollisionValue(int n) {
+  for (int64_t i = 0;; ++i) {
+    const double v = std::get<double>(FuzzRow(i)[2]);
+    if (v >= 10000 && std::fmod(v * 4, 2) != 1 && n-- == 0) return v;
   }
 }
 
@@ -236,10 +252,12 @@ TablePtr MakeFuzzBatch(int64_t rows, int64_t start_row) {
 /// Random SQL over fuzz(a, b, v) with small constant domains, so the
 /// workload repeats spellings (exact), refines them (subsumption),
 /// slides ranges (stitch) and re-aggregates across appends (delta /
-/// agg-merge). No ORDER BY: rows compare as multisets.
+/// agg-merge). Some range bounds sit 1e-4 either side of a stored value
+/// (the two bounds differ only past six significant digits). No ORDER
+/// BY: rows compare as multisets.
 std::string RandomFuzzSql(Rng* rng) {
   char buf[160];
-  switch (rng->Uniform(0, 3)) {
+  switch (rng->Uniform(0, 4)) {
     case 0: {
       int lo = static_cast<int>(rng->Uniform(0, 4)) * 10;
       std::snprintf(buf, sizeof(buf),
@@ -261,6 +279,13 @@ std::string RandomFuzzSql(Rng* rng) {
                     "SELECT b, MIN(v) AS lo, MAX(v) AS hi FROM fuzz"
                     " WHERE a >= %d GROUP BY b",
                     lo);
+      break;
+    }
+    case 3: {
+      const double g = FuzzCollisionValue(static_cast<int>(rng->Uniform(0, 1)));
+      const double bound = rng->Uniform(0, 1) == 0 ? g - 1e-4 : g + 1e-4;
+      std::snprintf(buf, sizeof(buf), "SELECT * FROM fuzz WHERE v >= %.4f",
+                    bound);
       break;
     }
     default: {
@@ -296,6 +321,15 @@ std::multiset<std::string> BitRowMultiset(const Table& t) {
 }
 
 class SqlFuzzTest : public ::testing::TestWithParam<int> {};
+
+TEST(SqlFuzzConstants, CollisionBoundsPrintAlikeButKeyApart) {
+  for (int n = 0; n < 2; ++n) {
+    const double g = FuzzCollisionValue(n);
+    const Datum below(g - 1e-4), above(g + 1e-4);
+    EXPECT_EQ(DatumToString(below), DatumToString(above)) << g;
+    EXPECT_NE(DatumToKeyString(below), DatumToKeyString(above)) << g;
+  }
+}
 
 TEST_P(SqlFuzzTest, DifferentialAgainstBypassAndReplay) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());

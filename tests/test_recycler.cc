@@ -310,16 +310,13 @@ namespace {
 /// Trace fields other than timings.
 std::string TraceSansTimings(const QueryTrace& t) {
   std::string out;
+  for (const CounterInfo& c : kQueryCounters) {
+    out += std::string(c.field_name) + "=" + std::to_string(t.*c.field) + ",";
+  }
   for (int64_t v :
        {t.query_id, static_cast<int64_t>(t.template_hash),
-        t.template_prior_runs, int64_t{t.num_reuses},
-        int64_t{t.num_subsumption_reuses}, int64_t{t.num_partial_reuses},
-        int64_t{t.num_delta_reuses}, int64_t{t.num_agg_merges},
-        int64_t{t.num_cold_hits}, int64_t{t.num_adoptions},
-        int64_t{t.num_materialized}, int64_t{t.num_spec_aborted},
-        int64_t{t.num_stalls}, int64_t{t.used_proactive},
-        t.graph_nodes_at_match, t.blocks_scanned, t.blocks_pruned,
-        static_cast<int64_t>(t.reuse_mode),
+        t.template_prior_runs, int64_t{t.used_proactive},
+        t.graph_nodes_at_match, static_cast<int64_t>(t.reuse_mode),
         static_cast<int64_t>(t.plan_fingerprint)}) {
     out += std::to_string(v) + ",";
   }

@@ -666,8 +666,8 @@ TEST(SpillV2, OtherVersionsAreDeletedAtOpenAndMiss) {
     ASSERT_TRUE(db->CreateTable("w", MakeWideTable()).ok());
     Result r = db->Execute(window());
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.reuses(), 0);
-    EXPECT_EQ(r.adoptions(), 0);
+    EXPECT_EQ(r.trace().num_reuses, 0);
+    EXPECT_EQ(r.trace().num_adoptions, 0);
     SessionOptions so;
     so.bypass_recycler = true;
     Result bypass = db->Connect(so)->Execute(window());

@@ -202,6 +202,40 @@ TEST(SqlExecution, SessionStatsCountSqlQueries) {
   EXPECT_EQ(stats.errors, 1);
 }
 
+TEST(SqlExecution, NearEqualDoubleConstantsNeverShareACacheEntry) {
+  // All four bounds print as 228.241 at six significant digits. Cache
+  // keys must tell the constants apart, or the second statement is
+  // served the first one's cached rows (69,400 of them).
+  TablePtr t = MakeTable(Schema({{"x", TypeId::kDouble}}));
+  for (int64_t i = 0; i < 200000; ++i) {
+    t->AppendRow({228.24 + static_cast<double>(i) * 1e-8});
+  }
+  DatabaseOptions options;
+  options.recycler.mode = RecyclerMode::kSpeculation;
+  auto db = Database::OpenOrDie(options);
+  ASSERT_TRUE(db->CreateTable("t", t).ok());
+  SessionOptions bypass_opts;
+  bypass_opts.bypass_recycler = true;
+  auto bypass = db->Connect(bypass_opts);
+
+  const std::string first =
+      "SELECT * FROM t WHERE x >= 228.240506 AND x < 228.2412";
+  ASSERT_TRUE(db->Sql(first).ok());
+  Result repeat = db->Sql(first);
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_TRUE(repeat.recycled());
+  const std::string second =
+      "SELECT * FROM t WHERE x >= 228.241040 AND x < 228.24115";
+  Result served = db->Sql(second);
+  Result expected = bypass->Sql(second);
+  ASSERT_TRUE(served.ok());
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(expected.num_rows(), 11000);
+  EXPECT_EQ(served.num_rows(), expected.num_rows());
+  EXPECT_EQ(trace::ResultDigest(*served.table()),
+            trace::ResultDigest(*expected.table()));
+}
+
 // ---------------------------------------------------------------------------
 // Recoverable errors with line/column caret snippets
 // ---------------------------------------------------------------------------
