@@ -35,7 +35,9 @@ struct DatabaseOptions {
   /// Bound on simultaneously executing queries admitted through async
   /// Submit() calls (the paper's execution bound).
   int max_concurrent = 12;
-  /// Worker threads serving async submissions.
+  /// Worker threads serving async submissions: how many Submit()ed
+  /// statements run at once (and at most max_concurrent of them). A
+  /// deployment setting, sized to the host's cores.
   int async_threads = 2;
   /// Run every session-executed plan (and every prepared-statement
   /// template) through the canonicalizing rewrite pass, so syntactically

@@ -10,8 +10,8 @@ namespace recycledb {
 namespace {
 
 Status ExprError(const Expr& expr, const std::string& what) {
-  return Status::InvalidArgument(
-      what + " in expression " + KeyToDisplayString(expr.Fingerprint(nullptr)));
+  return Status::InvalidArgument(what + " in expression " +
+                                 expr.DisplayString());
 }
 
 }  // namespace

@@ -78,12 +78,22 @@ std::string DatumToString(const Datum& d) {
 }
 
 std::string DatumToKeyString(const Datum& d) {
-  if (d.index() != 4) return DatumToString(d);
-  double v = std::get<double>(d);
-  if (v == 0.0) v = 0.0;  // -0.0 == +0.0: one key for both
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
+  if (d.index() == 4) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%a", std::get<double>(d));
+    return buf;
+  }
+  if (d.index() == 5) {
+    // Quotes inside the string are doubled, as in SQL, so the closing
+    // quote is unambiguous: 'a'' ''b' is one value, 'a' 'b' two.
+    std::string out = "'";
+    for (char c : std::get<std::string>(d)) {
+      out += c;
+      if (c == '\'') out += c;
+    }
+    return out + "'";
+  }
+  return DatumToString(d);
 }
 
 std::string KeyToDisplayString(const std::string& key) {

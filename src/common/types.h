@@ -44,14 +44,14 @@ TypeId DatumType(const Datum& d);
 /// never build a key, hash or equality check on this text.
 std::string DatumToString(const Datum& d);
 
-/// Renders a datum bit-exactly for keys, fingerprints and digests:
-/// doubles as hex floats (-0.0 as +0.0, which compares equal to it),
-/// every other alternative as DatumToString does.
+/// Renders a datum exactly for keys, fingerprints and digests: doubles
+/// as hex floats (so -0.0 and +0.0 differ), strings quoted with every
+/// inner quote doubled, every other alternative as DatumToString does.
 std::string DatumToKeyString(const Datum& d);
 
 /// Display form of text built with DatumToKeyString: every hex float
 /// token (outside quoted strings) re-rendered as DatumToString renders
-/// that double.
+/// that double. Strings keep their doubled inner quotes.
 std::string KeyToDisplayString(const std::string& key);
 
 /// Numeric coercion helpers; RDB_CHECK-fail on non-numeric alternatives.

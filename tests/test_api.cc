@@ -3,10 +3,15 @@
 // template stats, session isolation) and recoverable validation errors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "plan/table_function.h"
 #include "recycledb/recycledb.h"
 #include "test_util.h"
 
@@ -554,31 +559,68 @@ TEST(Errors, ErrorResultAccessorsAreSafe) {
   EXPECT_EQ(r.ToString(), r.status().ToString());
 }
 
-TEST(AsyncSubmit, WorkerCountDoesNotChangeResults) {
-  // One batch submitted through one async worker and through four: the
-  // results must agree whichever worker ran which statement.
-  auto run = [](int threads) {
+TEST(AsyncSubmit, WorkerCountSetsHowManyStatementsRunAtOnce) {
+  // Each call of the table function below waits (up to 10 s) until as
+  // many calls run as there are workers, then holds briefly, so four
+  // submissions overlap exactly as far as the worker count lets them.
+  // The results must not depend on which worker ran which statement.
+  static std::mutex mu;
+  static std::condition_variable cv;
+  static int running = 0;
+  static int peak = 0;
+  static int workers = 0;
+  static const Schema kSchema({{"x", TypeId::kInt64}});
+  TableFunction fn;
+  fn.name = "async_rendezvous";
+  fn.schema_fn = [](const std::vector<Datum>&) { return kSchema; };
+  fn.eval_fn = [](const Catalog&, const std::vector<Datum>& args) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      peak = std::max(peak, ++running);
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(10),
+                  [] { return running >= workers; });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      --running;
+    }
+    const int64_t n = std::get<int64_t>(args[0]);
+    TablePtr out = MakeTable(kSchema);
+    for (int64_t i = 0; i < n; ++i) out->AppendRow({i * n});
+    return out;
+  };
+  TableFunctionRegistry::Global().Register(fn);
+
+  auto run = [](int threads, std::vector<uint64_t>* digests) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      running = 0;
+      peak = 0;
+      workers = threads;
+    }
     DatabaseOptions options;
     options.async_threads = threads;
     auto db = Database::OpenOrDie(options);
-    EXPECT_TRUE(db->CreateTable("sales", MakeSalesTable()).ok());
     auto session = db->Connect({});
     std::vector<std::future<Result>> futures;
-    for (int64_t since = 2005; since <= 2012; ++since) {
-      for (int rep = 0; rep < 2; ++rep) {
-        futures.push_back(
-            session->Submit(SalesSince(*db, Expr::Literal(since))));
-      }
+    for (int64_t n = 1; n <= 4; ++n) {
+      futures.push_back(session->Submit(
+          db->FunctionScan("async_rendezvous", {Expr::Literal(n)})));
     }
-    std::vector<uint64_t> digests;
     for (auto& f : futures) {
       Result r = f.get();
       EXPECT_TRUE(r.ok()) << r.status().ToString();
-      digests.push_back(r.ok() ? trace::ResultDigest(*r.table()) : 0);
+      digests->push_back(r.ok() ? trace::ResultDigest(*r.table()) : 0);
     }
-    return digests;
+    std::lock_guard<std::mutex> lock(mu);
+    return peak;
   };
-  EXPECT_EQ(run(1), run(4));
+  std::vector<uint64_t> one, four;
+  EXPECT_EQ(run(1, &one), 1);
+  EXPECT_EQ(run(4, &four), 4);
+  EXPECT_EQ(one, four);
 }
 
 TEST(AsyncSubmit, SameQuerySubmittedConcurrentlyIsSafe) {

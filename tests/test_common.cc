@@ -51,11 +51,13 @@ TEST(DatumTest, KeyStringIsBitExact) {
             DatumToKeyString(Datum(228.2412)));
   EXPECT_NE(DatumToKeyString(Datum(1.0)),
             DatumToKeyString(Datum(std::nextafter(1.0, 2.0))));
-  // -0.0 == +0.0, so they share one key.
-  EXPECT_EQ(DatumToKeyString(Datum(-0.0)), DatumToKeyString(Datum(0.0)));
+  // -0.0 == +0.0, but v * -0.0 and v * 0.0 differ in sign.
+  EXPECT_NE(DatumToKeyString(Datum(-0.0)), DatumToKeyString(Datum(0.0)));
+  // Inner quotes are doubled, so the closing quote is unambiguous.
+  EXPECT_EQ(DatumToKeyString(Datum(std::string("abc"))), "'abc'");
+  EXPECT_EQ(DatumToKeyString(Datum(std::string("a' 'b"))), "'a'' ''b'");
   // Every other alternative renders as for display.
   EXPECT_EQ(DatumToKeyString(Datum(int64_t{42})), "42");
-  EXPECT_EQ(DatumToKeyString(Datum(std::string("abc"))), "'abc'");
 }
 
 TEST(DatumTest, KeyToDisplayStringRestoresTheDisplayForm) {
@@ -63,10 +65,11 @@ TEST(DatumTest, KeyToDisplayStringRestoresTheDisplayForm) {
                           DatumToKeyString(Datum(228.241040)) +
                           ") (in c:y " + DatumToKeyString(Datum(-2.5)) +
                           " " + DatumToKeyString(Datum(1.5)) +
-                          ") (= c:s l:'0x1p+0') (= c:n l:10))";
+                          ") (= c:s l:'0x1p+0') (= c:t l:'it''s 0x1p+0')"
+                          " (= c:n l:10))";
   EXPECT_EQ(KeyToDisplayString(key),
             "(and (>= c:x l:228.241) (in c:y -2.5 1.5) (= c:s l:'0x1p+0') "
-            "(= c:n l:10))");
+            "(= c:t l:'it''s 0x1p+0') (= c:n l:10))");
 }
 
 TEST(DatumTest, CompareNumericCrossType) {

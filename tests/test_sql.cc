@@ -6,6 +6,7 @@
 // a concurrent multi-session SQL stress for the TSan sweep.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -231,6 +232,71 @@ TEST(SqlExecution, NearEqualDoubleConstantsNeverShareACacheEntry) {
   ASSERT_TRUE(served.ok());
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(expected.num_rows(), 11000);
+  EXPECT_EQ(served.num_rows(), expected.num_rows());
+  EXPECT_EQ(trace::ResultDigest(*served.table()),
+            trace::ResultDigest(*expected.table()));
+}
+
+TEST(SqlExecution, SignedZeroConstantsNeverShareACacheEntry) {
+  // -0.0 == +0.0, but v * -0.0 is -0.0 where v * 0.0 is +0.0: the two
+  // constants need two cache keys, and the result digest must see the
+  // sign.
+  TablePtr t = MakeTable(Schema({{"v", TypeId::kDouble}}));
+  for (int64_t i = 1; i <= 1000; ++i) t->AppendRow({static_cast<double>(i)});
+  DatabaseOptions options;
+  options.recycler.mode = RecyclerMode::kSpeculation;
+  auto db = Database::OpenOrDie(options);
+  ASSERT_TRUE(db->CreateTable("t", t).ok());
+  SessionOptions bypass_opts;
+  bypass_opts.bypass_recycler = true;
+  auto bypass = db->Connect(bypass_opts);
+
+  const std::string positive = "SELECT v * 0.0 AS z FROM t";
+  ASSERT_TRUE(db->Sql(positive).ok());
+  Result repeat = db->Sql(positive);
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_TRUE(repeat.recycled());
+  const std::string negative = "SELECT v * -0.0 AS z FROM t";
+  Result served = db->Sql(negative);
+  Result expected = bypass->Sql(negative);
+  ASSERT_TRUE(served.ok());
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(served.num_rows(), 1000);
+  EXPECT_TRUE(std::signbit(std::get<double>(expected.table()->Get(0, 0))));
+  EXPECT_TRUE(std::signbit(std::get<double>(served.table()->Get(0, 0))));
+  EXPECT_EQ(trace::ResultDigest(*served.table()),
+            trace::ResultDigest(*expected.table()));
+  EXPECT_NE(trace::ResultDigest(*served.table()),
+            trace::ResultDigest(*repeat.table()));
+}
+
+TEST(SqlExecution, QuotesInsideStringConstantsKeepKeysApart) {
+  // IN ('a'' ''b') holds the one value a' 'b; IN ('a','b') holds two.
+  // Their keys must differ, or one is served the other's rows.
+  TablePtr t = MakeTable(Schema({{"s", TypeId::kString}}));
+  for (const char* v : {"a", "a", "a", "b", "b", "a' 'b"}) {
+    t->AppendRow({std::string(v)});
+  }
+  DatabaseOptions options;
+  options.recycler.mode = RecyclerMode::kSpeculation;
+  auto db = Database::OpenOrDie(options);
+  ASSERT_TRUE(db->CreateTable("t", t).ok());
+  SessionOptions bypass_opts;
+  bypass_opts.bypass_recycler = true;
+  auto bypass = db->Connect(bypass_opts);
+
+  const std::string one = "SELECT * FROM t WHERE s IN ('a'' ''b')";
+  ASSERT_TRUE(db->Sql(one).ok());
+  Result repeat = db->Sql(one);
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_TRUE(repeat.recycled());
+  EXPECT_EQ(repeat.num_rows(), 1);
+  const std::string two = "SELECT * FROM t WHERE s IN ('a','b')";
+  Result served = db->Sql(two);
+  Result expected = bypass->Sql(two);
+  ASSERT_TRUE(served.ok());
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(expected.num_rows(), 5);
   EXPECT_EQ(served.num_rows(), expected.num_rows());
   EXPECT_EQ(trace::ResultDigest(*served.table()),
             trace::ResultDigest(*expected.table()));
