@@ -163,6 +163,46 @@ void BM_MatchAgainstGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_MatchAgainstGraph)->Arg(10)->Arg(100)->Arg(1000);
 
+// A miss against a growing graph: `range(0)` never-materialized sibling
+// range selections and 100 cached ones over one scan, then a range
+// selection that no cached slice subsumes or overlaps. Its Prepare runs
+// both derived-reuse lookups and should cost what can match (the 100
+// cached siblings), not what the graph holds.
+void BM_PrepareMissWithSiblings(benchmark::State& state) {
+  DatabaseOptions options;
+  options.recycler.mode = RecyclerMode::kHistory;
+  auto db = Database::OpenOrDie(options);
+  TablePtr table = MakeTable(Schema({{"k", TypeId::kInt32},
+                                     {"v", TypeId::kDouble}}));
+  for (int i = 0; i < 4096; ++i) {
+    table->AppendRow({int32_t{i % 64}, static_cast<double>(i)});
+  }
+  (void)db->CreateTable("small", table);
+  auto slice = [](double lo) {
+    return PlanNode::Select(
+        PlanNode::Scan("small", {"k", "v"}),
+        Expr::And(Expr::Ge(Expr::Column("v"), Expr::Literal(lo)),
+                  Expr::Lt(Expr::Column("v"), Expr::Literal(lo + 1))));
+  };
+  Recycler& rec = db->recycler();  // Prepare-only: white-box by design
+  // History mode materializes a result on its second run and never one
+  // that only went through Prepare.
+  for (int i = 0; i < 100; ++i) {
+    for (int run = 0; run < 2; ++run) rec.Execute(slice(i * 10.0));
+  }
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    rec.Prepare(slice(2000.0 + static_cast<double>(i) * 0.5));
+  }
+  PlanPtr probe = slice(1500.0);
+  for (auto _ : state) {
+    auto prepared = rec.Prepare(probe->CloneShallow());
+    benchmark::DoNotOptimize(prepared);
+  }
+  state.counters["cached"] =
+      static_cast<double>(rec.graph().Stats().num_cached);
+}
+BENCHMARK(BM_PrepareMissWithSiblings)->Arg(1000)->Arg(10000);
+
 // ---------------------------------------------------------------------------
 // Zero-copy reuse path: scanning a cached 1M-row result (int64 + string
 // columns), copy-per-batch (the seed behaviour) vs. view-per-batch (what

@@ -2,12 +2,8 @@
 
 namespace recycledb {
 
-ThreadPool::ThreadPool(int num_threads) {
+ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads) {
   RDB_CHECK(num_threads > 0);
-  threads_.reserve(num_threads);
-  for (int i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
 }
 
 ThreadPool::~ThreadPool() { Shutdown(); }
@@ -17,6 +13,12 @@ bool ThreadPool::Submit(std::function<void()> task) {
     std::unique_lock<std::mutex> lock(mu_);
     if (stop_) return false;
     queue_.push_back(std::move(task));
+    if (threads_.empty()) {
+      threads_.reserve(num_threads_);
+      for (int i = 0; i < num_threads_; ++i) {
+        threads_.emplace_back([this] { WorkerLoop(); });
+      }
+    }
   }
   work_cv_.notify_one();
   return true;

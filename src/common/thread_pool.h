@@ -18,6 +18,9 @@ namespace recycledb {
 /// number of concurrently *executing* queries separately (the paper's
 /// "Vectorwise was set up to execute 12 queries in parallel").
 ///
+/// The workers start on the first Submit, so a pool that never receives
+/// work runs no thread.
+///
 /// Shutdown contract: `Shutdown()` (also run by the destructor) stops
 /// accepting new work, lets the workers DRAIN every task already queued,
 /// then joins them — queued work is never silently dropped. `Submit`
@@ -42,15 +45,19 @@ class ThreadPool {
   /// Drains all queued tasks, then joins the workers. Idempotent.
   void Shutdown();
 
-  int num_threads() const { return static_cast<int>(threads_.size()); }
+  /// The configured worker count, whether or not the workers started yet.
+  int num_threads() const { return num_threads_; }
 
  private:
   void WorkerLoop();
 
+  const int num_threads_;
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;
+  /// Empty until the first Submit, which starts all num_threads_ under
+  /// mu_.
   std::vector<std::thread> threads_;
   int active_ = 0;
   bool stop_ = false;

@@ -214,10 +214,7 @@ Status ColdTier::Open(const ColdTierOptions& options) {
   RDB_CHECK(dropped.empty());  // nothing is live yet
 
   enabled_ = true;
-  if (!read_only_) {
-    if (shared_) SyncManifestLocked();
-    worker_ = std::thread([this] { WorkerLoop(); });
-  }
+  if (!read_only_ && shared_) SyncManifestLocked();
   return Status::OK();
 }
 
@@ -238,6 +235,7 @@ ColdTier::ClockIt ColdTier::AddOrphanLocked(const std::string& path,
   by_key_[it->canon_key] = it;
   if (owned) used_bytes_ += bytes;
   num_orphans_.fetch_add(1, std::memory_order_relaxed);
+  orphan_gen_.fetch_add(1);
   return it;
 }
 
@@ -357,6 +355,7 @@ bool ColdTier::SpillAsync(const RGNode* node, const std::string& canon_key,
   ps.meta = meta;
   pending_.push_back(std::move(ps));
   pending_by_node_[node] = std::prev(pending_.end());
+  if (!worker_.joinable()) worker_ = std::thread([this] { WorkerLoop(); });
   work_cv_.notify_one();
   return true;
 }

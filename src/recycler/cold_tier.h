@@ -33,7 +33,8 @@
 // mount) opens adopt-only: every file is a peer orphan and nothing is
 // ever written.
 //
-// Spill I/O runs on a background worker in every writable tier:
+// Spill I/O runs on a background worker in every writable tier, started
+// by the first spill (a tier that never spills runs no thread):
 // SpillAsync enqueues the pinned result snapshot and returns
 // immediately, Load serves still-pending entries straight from that
 // snapshot (no miss window), and Drain() is the
@@ -134,8 +135,9 @@ class ColdTier {
   /// are claimable (unlisted, unowned, ours, or a dead owner's) versus
   /// peer-owned; claims and this instance's lease are written back, and
   /// the manifest's purge log is applied like a refresh would (a full log
-  /// counts as a gap). A writable tier starts its spill worker. An empty
-  /// dir leaves the tier disabled and returns OK.
+  /// counts as a gap). A writable tier starts its spill worker on the
+  /// first SpillAsync. An empty dir leaves the tier disabled and returns
+  /// OK.
   Status Open(const ColdTierOptions& options);
 
   bool enabled() const { return enabled_; }
@@ -168,6 +170,12 @@ class ColdTier {
   bool has_orphans() const {
     return num_orphans_.load(std::memory_order_relaxed) > 0;
   }
+
+  /// Grows by one whenever an orphan joins the map (Open's scan, or a
+  /// RefreshPeers that discovers peer entries); adoptions and purges only
+  /// shrink the map and leave it alone. A node probed for adoption at
+  /// generation G needs no new probe while the generation is still G.
+  int64_t orphan_generation() const { return orphan_gen_.load(); }
 
   /// True when `node` has a live spill file or a pending spill.
   bool Has(const RGNode* node) const;
@@ -365,6 +373,7 @@ class ColdTier {
   std::unordered_map<const RGNode*, ClockIt> live_;
   std::unordered_map<std::string, ClockIt> by_key_;
   std::atomic<int64_t> num_orphans_{0};
+  std::atomic<int64_t> orphan_gen_{0};
 
   // --- fleet state (guarded by mu_) ------------------------------------
   /// Manifest seq/purge high-water marks already read locally.
@@ -392,6 +401,7 @@ class ColdTier {
   std::unordered_map<const RGNode*, PendingIt> pending_by_node_;
   std::condition_variable work_cv_;
   std::condition_variable drain_cv_;
+  /// Started by the first SpillAsync, under mu_.
   std::thread worker_;
 
   std::function<void(const std::vector<const RGNode*>&)> drop_cb_;

@@ -15,6 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "expr/range.h"
 #include "plan/plan.h"
 #include "storage/table.h"
 
@@ -110,6 +111,11 @@ struct RGNode {
   /// once at insert so derived-reuse lookups can rule a candidate out
   /// without rebuilding fingerprint strings (MaySubsume, subsumption.h).
   std::set<std::string> conjunct_fps;
+  /// Single-child Select nodes only: the range decomposition of
+  /// param_node's predicate (ExtractRangeSpecs, graph space), taken once at
+  /// insert. The interval index points at these specs while the node is
+  /// materialized instead of copying them.
+  std::vector<RangeSpec> range_specs;
 
   /// Output column names in graph space, positionally matching the
   /// defining plan node's output schema.
@@ -153,6 +159,10 @@ struct RGNode {
   /// after insertion.
   std::once_flag canonical_key_once;
   std::string canonical_key;
+  /// Cold-tier orphan generation at which this node's parents were last
+  /// probed for adoption (Recycler::MaybeAdoptOrphanParents); parents
+  /// inserted later were probed at their own insert.
+  std::atomic<int64_t> orphan_walk_gen{-1};
 
   // --- materialization state ------------------------------------------
   /// kNone->kInFlight is claimed by bare CAS (losers skip their store);

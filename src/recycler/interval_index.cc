@@ -3,29 +3,50 @@
 #include <algorithm>
 
 #include "common/macros.h"
+#include "recycler/graph.h"
+#include "recycler/subsumption.h"
 
 namespace recycledb {
 
-void IntervalIndex::Insert(int64_t child_id, const std::string& column,
-                           Entry entry) {
-  Key key{child_id, column};
-  std::vector<Entry>& bucket = buckets_[key];
-  for (const Entry& e : bucket) {
-    if (e.node == entry.node) return;  // already registered under this key
+namespace {
+
+bool ById(const RGNode* a, const RGNode* b) { return a->id < b->id; }
+
+}  // namespace
+
+void IntervalIndex::Insert(RGNode* node) {
+  auto [reg, fresh] = registered_.try_emplace(node);
+  if (!fresh) return;  // already registered
+  for (const RGNode* child : node->children) {
+    std::vector<RGNode*>& parents = parents_[child->id];
+    auto pos = std::lower_bound(parents.begin(), parents.end(), node, ById);
+    if (pos == parents.end() || *pos != node) parents.insert(pos, node);
   }
-  auto pos = std::upper_bound(
-      bucket.begin(), bucket.end(), entry,
-      [](const Entry& a, const Entry& b) {
-        return LoTighter(b.range.lo, a.range.lo);  // ascending by lo
-      });
-  registered_[entry.node].push_back(key);
-  bucket.insert(pos, std::move(entry));
-  ++num_entries_;
+  for (const RangeSpec& spec : node->range_specs) {
+    Key key{node->children[0]->id, spec.mapped_column};
+    std::vector<Entry>& bucket = buckets_[key];
+    auto pos = std::upper_bound(
+        bucket.begin(), bucket.end(), spec.range.lo,
+        [](const RangeBound& lo, const Entry& e) {
+          return LoTighter(e.spec->range.lo, lo);  // ascending by lo
+        });
+    bucket.insert(pos, Entry{node, &spec});
+    reg->second.push_back(std::move(key));
+    ++num_entries_;
+  }
 }
 
 void IntervalIndex::Remove(const RGNode* node) {
   auto it = registered_.find(node);
   if (it == registered_.end()) return;
+  for (const RGNode* child : node->children) {
+    auto pit = parents_.find(child->id);
+    if (pit == parents_.end()) continue;  // a repeated child, already done
+    std::vector<RGNode*>& parents = pit->second;
+    auto pos = std::lower_bound(parents.begin(), parents.end(), node, ById);
+    if (pos != parents.end() && *pos == node) parents.erase(pos);
+    if (parents.empty()) parents_.erase(pit);
+  }
   for (const Key& key : it->second) {
     auto bit = buckets_.find(key);
     if (bit == buckets_.end()) continue;
@@ -42,22 +63,28 @@ void IntervalIndex::Remove(const RGNode* node) {
   registered_.erase(it);
 }
 
-std::vector<IntervalIndex::Entry> IntervalIndex::Overlapping(
-    int64_t child_id, const std::string& column,
-    const ColumnInterval& query) const {
-  std::vector<Entry> out;
-  auto it = buckets_.find(Key{child_id, column});
-  if (it == buckets_.end()) return out;
+const std::vector<RGNode*>& IntervalIndex::Parents(int64_t child_id) const {
+  static const std::vector<RGNode*> kNone;
+  auto it = parents_.find(child_id);
+  return it == parents_.end() ? kNone : it->second;
+}
+
+void IntervalIndex::Overlapping(int64_t child_id, const RangeSpec& query,
+                                std::vector<Entry>* out) const {
+  auto it = buckets_.find(Key{child_id, query.mapped_column});
+  if (it == buckets_.end()) return;
+  const ColumnInterval& q = query.range;
   for (const Entry& e : it->second) {
     // Bucket is sorted ascending by lo: once an entry starts past the
     // query's upper end, every later entry does too.
-    if (!query.hi.unbounded &&
-        IntervalEmpty({e.range.lo, query.hi})) {
-      break;
+    if (!q.hi.unbounded && IntervalEmpty({e.spec->range.lo, q.hi})) break;
+    if (!Overlaps(e.spec->range, q)) continue;
+    if (e.node->mat_state.load() == MatState::kCached &&
+        !ConjunctsImplied(e.spec->other_fps, query.other_fps)) {
+      continue;
     }
-    if (Overlaps(e.range, query)) out.push_back(e);
+    out->push_back(e);
   }
-  return out;
 }
 
 }  // namespace recycledb

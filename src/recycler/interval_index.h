@@ -1,13 +1,16 @@
-// Interval index for partial-reuse subsumption (range stitching).
+// Derived-reuse index: what a miss can be derived from, without walking
+// every node the recycler graph has ever seen.
 //
-// Cached selection slices whose predicates carry a single-column range
-// (e.g. `10 < x AND x < 50` plus arbitrary non-range conjuncts) are
-// indexed per (child graph-node, column). An incoming range selection
-// over the same child then finds every overlapping cached slice with an
-// interval query instead of a linear scan over the child's parents, and
-// the stitching rewriter (TryPartialStitch, subsumption.h) answers the
-// query from the union of the overlapping slices plus compensated delta
-// scans over the uncovered remainder.
+// Two views over the materialized (hot or cold) nodes, both keyed by the
+// child graph node a derived-reuse lookup starts from:
+//  - per child: every materialized parent, the subsumption candidates
+//    (§IV-A);
+//  - per (child, column): the range slices of materialized selections
+//    (e.g. `10 < x AND x < 50` plus arbitrary non-range conjuncts), which
+//    an incoming range selection over the same child finds by overlap.
+//    The stitching rewriter (TryPartialStitch, subsumption.h) answers the
+//    query from the union of the overlapping slices plus compensated
+//    delta scans over the uncovered remainder.
 //
 // The interval arithmetic lives in common/interval.h and the predicate
 // decomposition in expr/range.h (both included here for their historical
@@ -16,7 +19,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -29,9 +31,8 @@ namespace recycledb {
 
 struct RGNode;
 
-/// The interval index: cached range-selection slices keyed by
-/// (child graph-node id, graph-space column name), each bucket sorted by
-/// lower bound so overlap lookups stop early.
+/// The derived-reuse index. A node is registered while it is materialized
+/// (kCached or kCold) and unregistered when it drops back to kNone.
 ///
 /// NOT thread-safe by itself: the owning Recycler guards it with its
 /// cache mutex (the index tracks cache residency, so it changes exactly
@@ -39,35 +40,45 @@ struct RGNode;
 /// cache mutex -> mat shard mutex is unchanged).
 class IntervalIndex {
  public:
-  /// One indexed slice: the cached node, its interval on the bucket's
-  /// column, and the fingerprints of its remaining conjuncts.
+  /// One indexed slice: the materialized node and the range spec of its
+  /// own predicate (RGNode::range_specs) on the bucket's column.
   struct Entry {
     RGNode* node = nullptr;
-    ColumnInterval range;
-    std::set<std::string> other_fps;
+    const RangeSpec* spec = nullptr;
   };
 
-  /// Registers `entry` under (child_id, column). Inserting the same node
-  /// twice for one key is a no-op.
-  void Insert(int64_t child_id, const std::string& column, Entry entry);
+  /// Registers `node` as a materialized parent of each of its children
+  /// and each of its range_specs under (children[0]->id, mapped_column).
+  /// Inserting a registered node again is a no-op.
+  void Insert(RGNode* node);
 
-  /// Unregisters every entry of `node` (all keys). No-op when absent.
+  /// Unregisters `node` everywhere. No-op when absent.
   void Remove(const RGNode* node);
 
-  /// Every entry under (child_id, column) whose interval overlaps
-  /// `query`, in ascending lower-bound order.
-  std::vector<Entry> Overlapping(int64_t child_id, const std::string& column,
-                                 const ColumnInterval& query) const;
+  /// Materialized parents of the child node `child_id`, ascending by id.
+  const std::vector<RGNode*>& Parents(int64_t child_id) const;
 
-  /// Total registered (node, key) pairs.
+  /// Appends to `out`, in ascending lower-bound order, every entry under
+  /// (child_id, query.mapped_column) whose interval overlaps query.range
+  /// and that can stitch for `query`: a hot (kCached) slice needs every
+  /// one of its other conjuncts among the query's (ConjunctsImplied).
+  /// Cold slices are kept regardless: probing one loads it, and that load
+  /// happens whether or not it stitches.
+  void Overlapping(int64_t child_id, const RangeSpec& query,
+                   std::vector<Entry>* out) const;
+
+  /// Total registered (slice, column) pairs.
   int64_t num_entries() const { return num_entries_; }
 
  private:
   using Key = std::pair<int64_t, std::string>;
 
+  /// child id -> materialized parents, ascending by id.
+  std::unordered_map<int64_t, std::vector<RGNode*>> parents_;
   /// Buckets sorted ascending by entry lower bound.
   std::map<Key, std::vector<Entry>> buckets_;
-  /// node -> keys it is registered under (for Remove).
+  /// node -> bucket keys it is registered under (for Remove); every
+  /// registered node has an entry, possibly with no keys.
   std::unordered_map<const RGNode*, std::vector<Key>> registered_;
   int64_t num_entries_ = 0;
 };

@@ -132,6 +132,33 @@ bool SpeculationTargetType(OpType type) {
          type == OpType::kOrderBy || type == OpType::kFunctionScan;
 }
 
+/// Depth-first walk below `node` down to (and including) the first kCached
+/// node on each path, calling `visit(n, cached)` once per distinct node.
+/// The benefit metric runs this for every entry of a size group on every
+/// admission test, so it allocates nothing once warm: the stack and the
+/// visited list are thread-local buffers, which is also why `visit` must
+/// not start another walk. Subtrees are plan-sized, so a linear visited
+/// check is enough.
+template <typename Node, typename Visit>
+void WalkToMaterialized(Node* node, Visit&& visit) {
+  thread_local std::vector<Node*> stack;
+  thread_local std::vector<Node*> visited;
+  stack.assign(node->children.begin(), node->children.end());
+  visited.clear();
+  while (!stack.empty()) {
+    Node* n = stack.back();
+    stack.pop_back();
+    if (std::find(visited.begin(), visited.end(), n) != visited.end()) {
+      continue;
+    }
+    visited.push_back(n);
+    const bool cached = n->mat_state.load() == MatState::kCached;
+    visit(n, cached);
+    if (cached) continue;
+    stack.insert(stack.end(), n->children.begin(), n->children.end());
+  }
+}
+
 }  // namespace
 
 Recycler::Recycler(const Catalog* catalog, RecyclerConfig config)
@@ -420,7 +447,7 @@ TablePtr Recycler::ReadmitCold(RGNode* node) {
         node->mat_state.store(MatState::kCached);
       }
       shard.cv.notify_all();
-      RegisterIntervals(node);  // idempotent for retained registrations
+      interval_index_.Insert(node);  // no-op: kept while cold
     }
   }
   if (admitted) {
@@ -512,7 +539,7 @@ bool Recycler::TryAdoptOrphan(RGNode* node) {
   SetMatState(node, MatState::kCold);
   {
     std::lock_guard<std::mutex> clock(cache_mu_);
-    RegisterIntervals(node);
+    interval_index_.Insert(node);
   }
   return true;
 }
@@ -561,22 +588,12 @@ Status Recycler::RefreshFleet(int64_t* new_peer_entries) {
 // ---------------------------------------------------------------------------
 
 double Recycler::TrueCost(const RGNode* node) const {
-  // DFS to the direct materialized descendants; their base cost is
-  // subtracted because the recycler would reuse them (Eq. 2).
+  // The direct materialized descendants' base cost is subtracted because
+  // the recycler would reuse them (Eq. 2).
   double dmd_cost = 0;
-  std::unordered_set<const RGNode*> visited;
-  std::vector<const RGNode*> stack(node->children.begin(),
-                                   node->children.end());
-  while (!stack.empty()) {
-    const RGNode* n = stack.back();
-    stack.pop_back();
-    if (!visited.insert(n).second) continue;
-    if (n->mat_state.load() == MatState::kCached) {
-      dmd_cost += n->bcost_ms.load();
-      continue;  // stop at the first materialized node on each path
-    }
-    for (const RGNode* c : n->children) stack.push_back(c);
-  }
+  WalkToMaterialized(node, [&dmd_cost](const RGNode* n, bool cached) {
+    if (cached) dmd_cost += n->bcost_ms.load();
+  });
   return std::max(0.0, node->bcost_ms.load() - dmd_cost);
 }
 
@@ -658,6 +675,11 @@ RGNode* Recycler::InsertOne(const PlanNode& node,
   if (gnode->type == OpType::kSelect) {
     gnode->conjunct_fps =
         ConjunctFingerprints(gnode->param_node->predicate(), nullptr);
+    // param_node lives in graph name space, so the specs index directly.
+    if (child_g.size() == 1) {
+      gnode->range_specs =
+          ExtractRangeSpecs(gnode->param_node->predicate(), nullptr);
+    }
   }
   gnode->children = child_g;
   gnode->base_tables = node.base_tables();
@@ -784,17 +806,10 @@ void Recycler::BumpImportance(MNode* m, bool has_materialized_ancestor) {
 void Recycler::UpdateHrChildren(RGNode* node, double delta) {
   // Algorithm 2: adjust h of all descendants down to (and including) the
   // first materialized node on each path.
-  std::unordered_set<RGNode*> visited;
-  std::vector<RGNode*> stack(node->children.begin(), node->children.end());
-  while (!stack.empty()) {
-    RGNode* n = stack.back();
-    stack.pop_back();
-    if (!visited.insert(n).second) continue;
+  WalkToMaterialized(node, [this, delta](RGNode* n, bool) {
     graph_.FoldAging(n);
     AtomicAddClamped(n->h, delta, 0.0);
-    if (n->mat_state.load() == MatState::kCached) continue;
-    for (RGNode* c : n->children) stack.push_back(c);
-  }
+  });
 }
 
 void Recycler::UpdateHrOnMaterialize(RGNode* node) {
@@ -987,7 +1002,12 @@ void Recycler::MaybeAdoptOrphanParents(RGNode* child_gnode,
   // Derived reuse probes this child's parents for cached results; restart
   // and fleet-peer orphans among them are invisible until some query
   // re-inserts the exact node. Adopt them here by canonical key so a
-  // subsumption/stitch lookup can serve them directly.
+  // subsumption/stitch lookup can serve them directly. Only the orphan
+  // set's growth can make a walk adopt anything: a parent inserted since
+  // the last walk was probed at its own insert (InsertMissing), so the
+  // walk repeats only when the generation moved.
+  const int64_t gen = cold_tier_.orphan_generation();
+  if (child_gnode->orphan_walk_gen.load() == gen) return;
   std::unique_lock<std::shared_mutex> glock(graph_.mutex());
   std::unordered_set<RGNode*> seen;
   for (const auto& [hk, parent] : child_gnode->parents) {
@@ -995,6 +1015,7 @@ void Recycler::MaybeAdoptOrphanParents(RGNode* child_gnode,
       Count(prepared, QueryCounter::kAdoptions);
     }
   }
+  child_gnode->orphan_walk_gen.store(gen);
 }
 
 PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
@@ -1085,43 +1106,61 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
       if (plan->type() == OpType::kSelect) {
         specs = ExtractRangeSpecs(plan->predicate(), &child_mapping);
       }
+      const bool stitch =
+          config_.enable_partial_reuse && plan->type() == OpType::kSelect;
+      std::set<std::string> query_fps;
+      if (config_.enable_subsumption && plan->type() == OpType::kSelect) {
+        query_fps = ConjunctFingerprints(plan->predicate(), &child_mapping);
+      }
 
-      // Single-superset subsumption (§IV-A). Candidate parents are
-      // collected under the shared lock; their snapshots are taken
-      // outside it because a kCold candidate re-admits from disk, and
-      // promotion itself acquires the graph lock. The raw pointers stay
-      // valid: truncation requires a quiescent point, and this query is
-      // inside its Prepare window.
-      if (config_.enable_subsumption) {
-        std::set<std::string> query_fps;
-        if (plan->type() == OpType::kSelect) {
-          query_fps = ConjunctFingerprints(plan->predicate(), &child_mapping);
-        }
-        std::vector<RGNode*> hot_cands;
-        std::vector<RGNode*> cold_cands;
-        {
-          std::shared_lock<std::shared_mutex> glock(graph_.mutex());
-          std::unordered_set<RGNode*> seen;
-          for (const auto& [hk, parent] : child_gnode->parents) {
-            if (parent == g || !seen.insert(parent).second) continue;
-            MatState ms = parent->mat_state.load();
-            // A hot candidate that cannot derive is dropped before its
-            // freshness check and snapshot. Cold ones are all probed: the
-            // probe loads the entry, and that load (a promotion or a
-            // counted slice load) happens whether or not it derives.
-            if (ms == MatState::kCached &&
+      // Both paths take their candidates from the derived-reuse index in
+      // one cache_mu_ section, which covers only what is materialized
+      // under this child. Snapshots are taken outside it because a kCold
+      // candidate re-admits from disk, and promotion itself acquires the
+      // graph lock and cache_mu_. The raw pointers stay valid: truncation
+      // requires a quiescent point, and this query is inside its Prepare
+      // window.
+      //
+      // Subsumption candidates: hot ones first, then cold ones, each in
+      // ascending node id. Cold ones cost a disk load just to probe
+      // (TrySubsumption needs the table), so they are only consulted when
+      // no in-memory candidate derives; a failed cold probe still leaves
+      // the loaded result promoted for future queries. A hot candidate
+      // that cannot derive is dropped before its freshness check and
+      // snapshot; cold ones are all probed, because that load (a
+      // promotion or a counted slice load) happens whether or not it
+      // derives.
+      std::vector<RGNode*> sub_cands;
+      std::vector<std::vector<IntervalIndex::Entry>> entries_per_spec(
+          stitch ? specs.size() : 0);
+      bool any_entries = false;
+      {
+        std::lock_guard<std::mutex> clock(cache_mu_);
+        if (config_.enable_subsumption) {
+          const std::vector<RGNode*>& parents =
+              interval_index_.Parents(child_gnode->id);
+          for (RGNode* parent : parents) {
+            if (parent != g &&
+                parent->mat_state.load() == MatState::kCached &&
                 MaySubsume(*parent, plan->type(), query_fps)) {
-              hot_cands.push_back(parent);
+              sub_cands.push_back(parent);
             }
-            if (ms == MatState::kCold) cold_cands.push_back(parent);
+          }
+          for (RGNode* parent : parents) {
+            if (parent != g && parent->mat_state.load() == MatState::kCold) {
+              sub_cands.push_back(parent);
+            }
           }
         }
-        // Hot candidates first: cold ones cost a disk load just to probe
-        // (TrySubsumption needs the table), so they are only consulted
-        // when no in-memory candidate derives. A failed cold probe still
-        // leaves the loaded result promoted for future queries.
-        hot_cands.insert(hot_cands.end(), cold_cands.begin(),
-                         cold_cands.end());
+        for (size_t si = 0; si < entries_per_spec.size(); ++si) {
+          interval_index_.Overlapping(child_gnode->id, specs[si],
+                                      &entries_per_spec[si]);
+          any_entries = any_entries || !entries_per_spec[si].empty();
+        }
+      }
+
+      // Single-superset subsumption (§IV-A).
+      if (config_.enable_subsumption) {
         // When the query is a range selection, a cold candidate loads as
         // a filtered slice: the selection runs on the encoded image and
         // only in-range rows materialize. Sound because the subsumption
@@ -1131,7 +1170,7 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
         SubsumptionPlan derived;
         RGNode* subsumer = nullptr;
         bool subsumer_from_cold = false;
-        for (RGNode* parent : hot_cands) {
+        for (RGNode* parent : sub_cands) {
           // A stale candidate never derives: its result may lack
           // appended rows the query's pinned snapshot contains.
           if (NodeFreshness(parent, prepared, nullptr) != Freshness::kFresh) {
@@ -1177,120 +1216,95 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
       // proportionally to the share of the interval they serve.
       //
       // Candidate slices come from the interval index (which retains
-      // cold entries: a spilled slice still stitches); their snapshots
-      // are taken without the graph lock because kCold candidates
-      // re-admit from disk and promotion acquires it. Pointers stay
-      // valid for the Prepare window (truncation needs quiescence).
-      if (config_.enable_partial_reuse && plan->type() == OpType::kSelect) {
-        std::vector<std::vector<IntervalIndex::Entry>> entries_per_spec(
-            specs.size());
-        bool any_entries = false;
-        if (!specs.empty()) {
-          std::lock_guard<std::mutex> clock(cache_mu_);
-          for (size_t si = 0; si < specs.size(); ++si) {
-            entries_per_spec[si] = interval_index_.Overlapping(
-                child_gnode->id, specs[si].mapped_column, specs[si].range);
-            any_entries = any_entries || !entries_per_spec[si].empty();
+      // cold entries: a spilled slice still stitches), collected above.
+      if (any_entries) {
+        // Delta scans prefer the child's own result — from either
+        // tier — over re-executing the child subtree (stitching must
+        // not preempt a reuse the plain miss path would have gotten).
+        PlanPtr delta_child = plan->children()[0];
+        bool delta_child_cached = false;
+        bool delta_child_from_cold = false;
+        if (NodeFreshness(child_gnode, prepared, nullptr) ==
+            Freshness::kFresh) {
+          TablePtr child_snap =
+              SnapshotOrReadmit(child_gnode, prepared, &delta_child_from_cold);
+          if (child_snap != nullptr) {
+            delta_child = PlanNode::CachedScan(
+                std::move(child_snap),
+                plan->children()[0]->output_schema().Names());
+            delta_child_cached = true;
           }
         }
-        if (any_entries) {
-          // Delta scans prefer the child's own result — from either
-          // tier — over re-executing the child subtree (stitching must
-          // not preempt a reuse the plain miss path would have gotten).
-          PlanPtr delta_child = plan->children()[0];
-          bool delta_child_cached = false;
-          bool delta_child_from_cold = false;
-          if (NodeFreshness(child_gnode, prepared, nullptr) ==
-              Freshness::kFresh) {
-            TablePtr child_snap =
-                SnapshotOrReadmit(child_gnode, prepared, &delta_child_from_cold);
-            if (child_snap != nullptr) {
-              delta_child = PlanNode::CachedScan(
-                  std::move(child_snap),
-                  plan->children()[0]->output_schema().Names());
-              delta_child_cached = true;
+        PartialPlan stitched;
+        for (size_t si = 0; si < specs.size(); ++si) {
+          std::vector<IntervalCandidate> cands;
+          for (const IntervalIndex::Entry& e : entries_per_spec[si]) {
+            if (e.node == g) continue;  // exact reuse handled above
+            // Stale slices never stitch (appended rows missing); cold
+            // slices load filtered through the query's own interval
+            // (rows outside it are clipped out by the stitch anyway).
+            if (NodeFreshness(e.node, prepared, nullptr) !=
+                Freshness::kFresh) {
+              continue;
+            }
+            bool from_cold = false;
+            TablePtr cached =
+                SnapshotOrLoadSlice(e.node, &specs[si], prepared, &from_cold);
+            if (cached == nullptr) continue;
+            cands.push_back({e.node, std::move(cached), e.spec});
+          }
+          if (cands.empty()) continue;
+          PartialPlan attempt = TryPartialStitch(*plan, child_mapping,
+                                                 delta_child, specs[si],
+                                                 cands);
+          if (attempt.plan != nullptr &&
+              attempt.covered_fraction > stitched.covered_fraction) {
+            stitched = std::move(attempt);
+          }
+        }
+        int stitch_cold_hits = 0;
+        if (stitched.plan != nullptr) {
+          std::shared_lock<std::shared_mutex> glock(graph_.mutex());
+          for (const PartialPiece& piece : stitched.reuse_pieces) {
+            RGNode* src = const_cast<RGNode*>(piece.source);
+            graph_.FoldAging(src);
+            AtomicAddClamped(src->h, piece.fraction, 0.0);
+            piece.cached_scan->set_cache_key(CanonicalSubtreeKey(src));
+            // Eq. 2 bookkeeping: the slice replaced `fraction` of the
+            // contributor's from-base-tables work.
+            prepared->replaced_cost_[piece.cached_scan.get()] =
+                src->bcost_ms.load() * piece.fraction;
+            if (prepared->cold_loaded_.count(piece.source) > 0) {
+              ++stitch_cold_hits;
             }
           }
-          PartialPlan stitched;
-          for (size_t si = 0; si < specs.size(); ++si) {
-            std::vector<IntervalCandidate> cands;
-            for (IntervalIndex::Entry& e : entries_per_spec[si]) {
-              if (e.node == g) continue;  // exact reuse handled above
-              // A hot slice with a remaining conjunct the query lacks is
-              // never eligible (TryPartialStitch's own rule), so it skips
-              // the freshness check and snapshot. Cold slices still load,
-              // for the same reason as cold subsumption candidates.
-              if (e.node->mat_state.load() == MatState::kCached &&
-                  !ConjunctsImplied(e.other_fps, specs[si].other_fps)) {
-                continue;
-              }
-              // Stale slices never stitch (appended rows missing); cold
-              // slices load filtered through the query's own interval
-              // (rows outside it are clipped out by the stitch anyway).
-              if (NodeFreshness(e.node, prepared, nullptr) !=
-                  Freshness::kFresh) {
-                continue;
-              }
-              bool from_cold = false;
-              TablePtr cached =
-                  SnapshotOrLoadSlice(e.node, &specs[si], prepared, &from_cold);
-              if (cached == nullptr) continue;
-              cands.push_back({e.node, std::move(cached), e.range,
-                               std::move(e.other_fps)});
-            }
-            if (cands.empty()) continue;
-            PartialPlan attempt = TryPartialStitch(*plan, child_mapping,
-                                                   delta_child, specs[si],
-                                                   cands);
-            if (attempt.plan != nullptr &&
-                attempt.covered_fraction > stitched.covered_fraction) {
-              stitched = std::move(attempt);
-            }
+          if (delta_child_cached && stitched.num_delta_pieces > 0) {
+            // The single delta branch replaced the child's base cost
+            // exactly once (Eq. 2).
+            graph_.FoldAging(child_gnode);
+            AtomicAddClamped(child_gnode->h, 1.0, 0.0);
+            delta_child->set_cache_key(CanonicalSubtreeKey(child_gnode));
+            prepared->replaced_cost_[delta_child.get()] =
+                child_gnode->bcost_ms.load();
+            if (delta_child_from_cold) ++stitch_cold_hits;
           }
-          int stitch_cold_hits = 0;
-          if (stitched.plan != nullptr) {
-            std::shared_lock<std::shared_mutex> glock(graph_.mutex());
-            for (const PartialPiece& piece : stitched.reuse_pieces) {
-              RGNode* src = const_cast<RGNode*>(piece.source);
-              graph_.FoldAging(src);
-              AtomicAddClamped(src->h, piece.fraction, 0.0);
-              piece.cached_scan->set_cache_key(CanonicalSubtreeKey(src));
-              // Eq. 2 bookkeeping: the slice replaced `fraction` of the
-              // contributor's from-base-tables work.
-              prepared->replaced_cost_[piece.cached_scan.get()] =
-                  src->bcost_ms.load() * piece.fraction;
-              if (prepared->cold_loaded_.count(piece.source) > 0) {
-                ++stitch_cold_hits;
-              }
-            }
-            if (delta_child_cached && stitched.num_delta_pieces > 0) {
-              // The single delta branch replaced the child's base cost
-              // exactly once (Eq. 2).
-              graph_.FoldAging(child_gnode);
-              AtomicAddClamped(child_gnode->h, 1.0, 0.0);
-              delta_child->set_cache_key(CanonicalSubtreeKey(child_gnode));
-              prepared->replaced_cost_[delta_child.get()] =
-                  child_gnode->bcost_ms.load();
-              if (delta_child_from_cold) ++stitch_cold_hits;
-            }
-          } else {
-            stitched = PartialPlan{};
-          }
-          if (stitched.plan != nullptr) {
-            m->stitched = true;
-            m->exec_plan = stitched.plan.get();
-            prepared->exec_to_gnode_[stitched.plan.get()] = g;
+        } else {
+          stitched = PartialPlan{};
+        }
+        if (stitched.plan != nullptr) {
+          m->stitched = true;
+          m->exec_plan = stitched.plan.get();
+          prepared->exec_to_gnode_[stitched.plan.get()] = g;
+          Count(prepared, QueryCounter::kReuses);
+          Count(prepared, QueryCounter::kPartialReuses);
+          if (delta_child_cached && stitched.num_delta_pieces > 0) {
+            // The child reuse in the delta pieces.
             Count(prepared, QueryCounter::kReuses);
-            Count(prepared, QueryCounter::kPartialReuses);
-            if (delta_child_cached && stitched.num_delta_pieces > 0) {
-              // The child reuse in the delta pieces.
-              Count(prepared, QueryCounter::kReuses);
-            }
-            if (stitch_cold_hits > 0) {
-              Count(prepared, QueryCounter::kColdHits, stitch_cold_hits);
-            }
-            return stitched.plan;
           }
+          if (stitch_cold_hits > 0) {
+            Count(prepared, QueryCounter::kColdHits, stitch_cold_hits);
+          }
+          return stitched.plan;
         }
       }
     }
@@ -1522,7 +1536,7 @@ void Recycler::OfferResult(RGNode* node, TablePtr result, double subtree_ms,
     for (RGNode* v : evicted) HandleHotEviction(v);
     if (admitted) {
       SetMatState(node, MatState::kCached);
-      RegisterIntervals(node);
+      interval_index_.Insert(node);
     } else {
       SetMatState(node, MatState::kNone, /*clear_cached=*/true);
     }
@@ -1554,19 +1568,6 @@ void Recycler::EvictNode(RGNode* node, bool update_h) {
   if (update_h) UpdateHrOnEvict(node);
   SetMatState(node, MatState::kNone, /*clear_cached=*/true);
   counters_.evictions.fetch_add(1);
-}
-
-void Recycler::RegisterIntervals(RGNode* node) {
-  if (node->type != OpType::kSelect || node->children.size() != 1 ||
-      node->param_node == nullptr) {
-    return;
-  }
-  // param_node lives in graph name space, so the specs index directly.
-  for (RangeSpec& spec :
-       ExtractRangeSpecs(node->param_node->predicate(), nullptr)) {
-    interval_index_.Insert(node->children[0]->id, spec.mapped_column,
-                           {node, spec.range, std::move(spec.other_fps)});
-  }
 }
 
 int64_t Recycler::interval_index_entries() const {

@@ -296,7 +296,7 @@ class Recycler {
   /// Per-template reuse stats for `template_hash` (zeroes if unseen).
   TemplateStats TemplateStatsFor(uint64_t template_hash) const;
 
-  /// Number of (cached slice, column) registrations in the partial-reuse
+  /// Number of (materialized slice, column) registrations in the
   /// interval index (diagnostics / tests).
   int64_t interval_index_entries() const;
 
@@ -419,7 +419,8 @@ class Recycler {
   /// (subsumption/stitch) candidate scan over `child_gnode`'s parents,
   /// adopt any restart orphans those parents still have on disk so they
   /// are servable without an exact re-insertion. Caller must not hold
-  /// the graph lock; takes it exclusive briefly when orphans exist.
+  /// the graph lock; takes it exclusive briefly when the orphan set grew
+  /// since `child_gnode`'s last walk (ColdTier::orphan_generation).
   /// Adoptions are counted into `prepared`'s trace.
   void MaybeAdoptOrphanParents(RGNode* child_gnode, PreparedQuery* prepared);
   void InjectStores(MNode* m, PreparedQuery* prepared, bool in_store_chain);
@@ -507,11 +508,6 @@ class Recycler {
   /// holds the exclusive graph lock.
   bool TryAdoptOrphan(RGNode* node);
 
-  /// Registers `node`'s range slices in the interval index right after
-  /// cache admission. Caller holds at least the shared graph lock AND
-  /// cache_mu_ (the index tracks cache residency).
-  void RegisterIntervals(RGNode* node);
-
   const Catalog* catalog_;
   RecyclerConfig config_;
   RecyclerGraph graph_;
@@ -522,9 +518,11 @@ class Recycler {
   /// Lock order: graph mutex -> cache_mu_ -> mat shard mutex.
   mutable std::mutex cache_mu_;
   RecyclerCache cache_;
-  /// Partial-reuse interval index over cached range-selection slices.
-  /// Guarded by cache_mu_: it changes exactly when cache residency does
-  /// (cold entries count as resident: their slices still stitch).
+  /// Derived-reuse index: each child's materialized parents and the
+  /// range slices of materialized selections. Guarded by cache_mu_: a
+  /// node is inserted where it enters kCached/kCold and removed where it
+  /// drops to kNone, so it changes exactly when cache residency does
+  /// (cold entries count as resident: they still subsume and stitch).
   IntervalIndex interval_index_;
   /// On-disk cold tier below the hot cache. Internally synchronized
   /// (leaf mutex); ordered after graph/cache, see DESIGN.md "Cold tier".

@@ -314,8 +314,8 @@ PartialPlan TryPartialStitch(const PlanNode& query_node,
   std::vector<const IntervalCandidate*> eligible;
   for (const IntervalCandidate& c : candidates) {
     if (c.cached == nullptr) continue;
-    if (!ConjunctsImplied(c.other_fps, spec.other_fps)) continue;
-    if (!Overlaps(c.range, q)) continue;
+    if (!ConjunctsImplied(c.spec->other_fps, spec.other_fps)) continue;
+    if (!Overlaps(c.spec->range, q)) continue;
     eligible.push_back(&c);
   }
   if (eligible.empty()) return out;
@@ -328,10 +328,12 @@ PartialPlan TryPartialStitch(const PlanNode& query_node,
   // executed the same workload.
   std::sort(eligible.begin(), eligible.end(),
             [](const IntervalCandidate* a, const IntervalCandidate* b) {
-              if (LoTighter(b->range.lo, a->range.lo)) return true;
-              if (LoTighter(a->range.lo, b->range.lo)) return false;
-              if (HiTighter(b->range.hi, a->range.hi)) return true;
-              if (HiTighter(a->range.hi, b->range.hi)) return false;
+              const ColumnInterval& ra = a->spec->range;
+              const ColumnInterval& rb = b->spec->range;
+              if (LoTighter(rb.lo, ra.lo)) return true;
+              if (LoTighter(ra.lo, rb.lo)) return false;
+              if (HiTighter(rb.hi, ra.hi)) return true;
+              if (HiTighter(ra.hi, rb.hi)) return false;
               return a->node->id < b->node->id;
             });
 
@@ -385,7 +387,7 @@ PartialPlan TryPartialStitch(const PlanNode& query_node,
       exhausted = true;
       break;
     }
-    ColumnInterval clip = Intersect(c->range, rem);
+    ColumnInterval clip = Intersect(c->spec->range, rem);
     if (IntervalEmpty(clip)) continue;  // already covered by earlier slices
     if (LoTighter(clip.lo, cursor)) {
       ColumnInterval gap{cursor, ComplementHi(clip.lo)};
@@ -396,14 +398,14 @@ PartialPlan TryPartialStitch(const PlanNode& query_node,
     // equal to the slice bound is already enforced by the cached data).
     std::vector<ExprPtr> comp;
     for (const ExprPtr& o : spec.others) {
-      if (c->other_fps.count(o->Fingerprint(&child_mapping)) == 0) {
+      if (c->spec->other_fps.count(o->Fingerprint(&child_mapping)) == 0) {
         comp.push_back(o);
       }
     }
-    if (LoTighter(clip.lo, c->range.lo)) {
+    if (LoTighter(clip.lo, c->spec->range.lo)) {
       comp.push_back(BoundExpr(spec.column, clip.lo, /*is_lower=*/true));
     }
-    if (HiTighter(clip.hi, c->range.hi)) {
+    if (HiTighter(clip.hi, c->spec->range.hi)) {
       comp.push_back(BoundExpr(spec.column, clip.hi, /*is_lower=*/false));
     }
     PlanPtr scan = PlanNode::CachedScan(c->cached, child_names);

@@ -79,14 +79,14 @@ bool ParamsSubsume(const PlanNode& super, const PlanNode& sub);
 // ---------------------------------------------------------------------------
 
 /// One cached slice the stitcher may draw from: the cached node, a
-/// pinned snapshot of its result, its interval on the stitch column, and
-/// the fingerprints of its remaining conjuncts (all graph space). The
-/// caller (Recycler) collects these from the interval index under lock.
+/// pinned snapshot of its result, and the node's range spec on the
+/// stitch column (its interval and the fingerprints of its remaining
+/// conjuncts, graph space; RGNode::range_specs). The caller (Recycler)
+/// collects these from the interval index under lock.
 struct IntervalCandidate {
   const RGNode* node = nullptr;
   TablePtr cached;
-  ColumnInterval range;
-  std::set<std::string> other_fps;
+  const RangeSpec* spec = nullptr;
 };
 
 /// One branch of a stitched plan that reads a cached slice.

@@ -623,6 +623,22 @@ TEST(AsyncSubmit, WorkerCountSetsHowManyStatementsRunAtOnce) {
   EXPECT_EQ(one, four);
 }
 
+TEST(AsyncSubmit, OpenAndCloseWithoutSubmitStartNoThread) {
+  // Neither the submission workers nor the cold tier's spill worker start
+  // before they have work.
+  recycledb::testing::TempSpillDir dir;
+  const int before = recycledb::testing::CountProcessThreads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task to count threads";
+  {
+    DatabaseOptions options;
+    options.async_threads = 4;
+    options.recycler.spill_dir = dir.path();
+    auto db = Database::OpenOrDie(options);
+    EXPECT_EQ(recycledb::testing::CountProcessThreads(), before);
+  }
+  EXPECT_EQ(recycledb::testing::CountProcessThreads(), before);
+}
+
 TEST(AsyncSubmit, SameQuerySubmittedConcurrentlyIsSafe) {
   auto db = OpenSalesDb();
   auto session = db->Connect({});

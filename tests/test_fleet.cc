@@ -261,6 +261,38 @@ TEST(FleetSharing, SecondInstanceServesPeerSpillsWithoutReexecuting) {
   EXPECT_NE(m.FindOwner("alpha"), nullptr);
 }
 
+TEST(FleetSharing, PeerEntryRefreshedAfterInsertIsAdoptedAtTheNextLookup) {
+  // B inserts the broad node (below a speculated aggregate root, so the
+  // selection itself is never materialized) and walks the scan's parents
+  // for orphans. Only afterwards does A publish the broad result, which B
+  // learns through RefreshFleet: the refresh must make B's next derived
+  // lookup over the scan walk again and adopt it.
+  TempSpillDir dir;
+  auto a = OpenInstance(dir.path(), "alpha");
+  ASSERT_TRUE(a->Execute(RangeQuery(0, 3000)).ok());
+  a->FlushCache();
+  auto b = OpenInstance(dir.path(), "beta");
+  ASSERT_TRUE(b->recycler().cold_tier().has_orphans());
+  Result agg = b->Execute(PlanNode::Aggregate(
+      BroadQuery(5000), {"a"}, {{AggFunc::kSum, Expr::Column("v"), "sv"}}));
+  ASSERT_TRUE(agg.ok());
+  EXPECT_EQ(agg.trace().num_adoptions, 0);
+
+  ASSERT_TRUE(a->Execute(BroadQuery(5000)).ok());
+  a->FlushCache();
+  int64_t peers = 0;
+  ASSERT_TRUE(b->RefreshFleet(&peers).ok());
+  ASSERT_GE(peers, 1);
+
+  auto expected = Expected(b.get(), RefineQuery(5000, 3));
+  Result refine = b->Execute(RefineQuery(5000, 3));
+  ASSERT_TRUE(refine.ok());
+  EXPECT_EQ(refine.trace().num_adoptions, 1);
+  EXPECT_EQ(refine.trace().num_subsumption_reuses, 1);
+  EXPECT_EQ(refine.trace().num_cold_hits, 1);
+  EXPECT_EQ(RowMultiset(*refine.table()), expected);
+}
+
 TEST(FleetSharing, CorruptManifestFallsBackToDirectoryRescan) {
   TempSpillDir dir;
   {

@@ -120,30 +120,68 @@ TEST(ExtractRangeSpecs, MirroredLiteralAndContradiction) {
 // ---------------------------------------------------------------------------
 
 TEST(IntervalIndexTest, OverlapLookupAndRemove) {
-  // Standalone index with dummy nodes: only identity is used.
-  RGNode n1, n2, n3;
+  // Standalone index over dummy nodes: only ids, children, range specs and
+  // mat_state are read. n1..n3 slice child 7's `v`, n4 is a parent of 7
+  // without slices, n5 slices child 8.
+  RGNode c7, c8, n1, n2, n3, n4, n5;
+  c7.id = 7;
+  c8.id = 8;
+  auto slice = [](RGNode* n, int64_t id, RGNode* child,
+                  ColumnInterval range) {
+    n->id = id;
+    n->children = {child};
+    RangeSpec spec;
+    spec.column = spec.mapped_column = "v";
+    spec.range = range;
+    n->range_specs.push_back(spec);
+  };
+  slice(&n1, 11, &c7, {Lo(10, false), Hi(50, false)});
+  slice(&n2, 12, &c7, {Lo(40, false), Hi(90, false)});
+  slice(&n3, 13, &c7, {Lo(95, false), Hi(99, false)});
+  n4.id = 14;
+  n4.children = {&c7};
+  slice(&n5, 15, &c8, {Lo(0, false), Hi(1, false)});
   IntervalIndex index;
-  index.Insert(7, "v", {&n1, {Lo(10, false), Hi(50, false)}, {}});
-  index.Insert(7, "v", {&n2, {Lo(40, false), Hi(90, false)}, {}});
-  index.Insert(7, "v", {&n3, {Lo(95, false), Hi(99, false)}, {}});
-  index.Insert(8, "v", {&n1, {Lo(0, false), Hi(1, false)}, {}});
+  for (RGNode* n : {&n4, &n3, &n1, &n5, &n2, &n1}) index.Insert(n);
   EXPECT_EQ(index.num_entries(), 4);
+  EXPECT_EQ(index.Parents(7), (std::vector<RGNode*>{&n1, &n2, &n3, &n4}));
+  EXPECT_EQ(index.Parents(8), (std::vector<RGNode*>{&n5}));
+  EXPECT_TRUE(index.Parents(9).empty());
 
-  auto hits = index.Overlapping(7, "v", {Lo(30, false), Hi(80, false)});
-  ASSERT_EQ(hits.size(), 2u);
-  EXPECT_EQ(hits[0].node, &n1);  // ascending by lower bound
-  EXPECT_EQ(hits[1].node, &n2);
+  RangeSpec query;
+  query.column = query.mapped_column = "v";
+  query.range = {Lo(30, false), Hi(80, false)};
+  auto overlapping = [&](int64_t child_id, const RangeSpec& q) {
+    std::vector<RGNode*> nodes;
+    std::vector<IntervalIndex::Entry> hits;
+    index.Overlapping(child_id, q, &hits);
+    for (const IntervalIndex::Entry& e : hits) nodes.push_back(e.node);
+    return nodes;
+  };
+  // Ascending by lower bound.
+  EXPECT_EQ(overlapping(7, query), (std::vector<RGNode*>{&n1, &n2}));
+  RangeSpec other_column = query;
+  other_column.mapped_column = "w";
+  EXPECT_TRUE(overlapping(7, other_column).empty());
+  EXPECT_TRUE(overlapping(9, query).empty());
 
-  EXPECT_TRUE(index.Overlapping(7, "w", {Lo(30, false), Hi(80, false)})
-                  .empty());
-  EXPECT_TRUE(index.Overlapping(9, "v", {Lo(30, false), Hi(80, false)})
-                  .empty());
+  // A hot slice with a conjunct the query lacks can never stitch, so the
+  // lookup leaves it out; a cold one stays (probing it loads it anyway).
+  n2.range_specs[0].other_fps = {"g = 1"};
+  n2.mat_state.store(MatState::kCached);
+  EXPECT_EQ(overlapping(7, query), (std::vector<RGNode*>{&n1}));
+  query.other_fps = {"g = 1"};
+  EXPECT_EQ(overlapping(7, query), (std::vector<RGNode*>{&n1, &n2}));
+  query.other_fps.clear();
+  n2.mat_state.store(MatState::kCold);
+  EXPECT_EQ(overlapping(7, query), (std::vector<RGNode*>{&n1, &n2}));
 
-  index.Remove(&n1);  // removes both registrations
-  EXPECT_EQ(index.num_entries(), 2);
-  hits = index.Overlapping(7, "v", {Lo(30, false), Hi(80, false)});
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].node, &n2);
+  index.Remove(&n1);
+  index.Remove(&n4);
+  index.Remove(&n4);  // no-op
+  EXPECT_EQ(index.num_entries(), 3);
+  EXPECT_EQ(index.Parents(7), (std::vector<RGNode*>{&n2, &n3}));
+  EXPECT_EQ(overlapping(7, query), (std::vector<RGNode*>{&n2}));
 }
 
 // ---------------------------------------------------------------------------
@@ -682,7 +720,7 @@ TEST_F(PartialReuseTest, PrefilterAcceptsExactlyTheDerivableCandidates) {
     ASSERT_NE(cspec, nullptr);
     const bool stitches =
         TryPartialStitch(*query, mapping, query->children()[0], *qspec,
-                         {{&cand, cached, cspec->range, cspec->other_fps}})
+                         {{&cand, cached, cspec}})
             .plan != nullptr;
     EXPECT_EQ(ConjunctsImplied(cspec->other_fps, qspec->other_fps), stitches)
         << "trial " << trial;

@@ -1,11 +1,16 @@
 // Tests for the Recycler facade: mode semantics, reuse transparency,
-// invalidation, speculation decisions, stall coordination, and the
-// exact-hit index (repeated exact hits served without MatchTree).
+// invalidation, speculation decisions, stall coordination, the
+// exact-hit index (repeated exact hits served without MatchTree), and the
+// derived-reuse index (materialized parents and interval slices).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <filesystem>
 #include <shared_mutex>
 #include <thread>
 
+#include "common/rng.h"
 #include "common/stopwatch.h"
 
 #include "recycler/recycler.h"
@@ -302,6 +307,43 @@ struct RecyclerPeer {
 
   static void SetMatState(Recycler& rec, RGNode* node, MatState state) {
     rec.SetMatState(node, state);
+  }
+
+  /// Checks the derived-reuse index against a brute-force scan of the
+  /// graph: every child's registered parents are exactly its distinct
+  /// kCached/kCold parents in ascending id, and the interval entries are
+  /// exactly the range specs of the materialized nodes. Returns the first
+  /// violation, empty when there is none.
+  static std::string DerivedIndexViolation(Recycler& rec) {
+    std::shared_lock<std::shared_mutex> glock(rec.graph_.mutex());
+    std::lock_guard<std::mutex> clock(rec.cache_mu_);
+    auto materialized = [](const RGNode* n) {
+      const MatState ms = n->mat_state.load();
+      return ms == MatState::kCached || ms == MatState::kCold;
+    };
+    int64_t slices = 0;
+    for (const auto& child : rec.graph_.nodes()) {
+      std::vector<RGNode*> expected;
+      for (const auto& [hk, parent] : child->parents) {
+        if (materialized(parent)) expected.push_back(parent);
+      }
+      std::sort(expected.begin(), expected.end(),
+                [](const RGNode* a, const RGNode* b) { return a->id < b->id; });
+      expected.erase(std::unique(expected.begin(), expected.end()),
+                     expected.end());
+      if (rec.interval_index_.Parents(child->id) != expected) {
+        return "materialized parents of node " + std::to_string(child->id);
+      }
+      if (materialized(child.get())) {
+        slices += static_cast<int64_t>(child->range_specs.size());
+      }
+    }
+    if (rec.interval_index_.num_entries() != slices) {
+      return "interval entries: " +
+             std::to_string(rec.interval_index_.num_entries()) + " vs " +
+             std::to_string(slices);
+    }
+    return "";
   }
 };
 
@@ -620,6 +662,178 @@ TEST_F(ExactHitIndexTest, ConcurrentHitsMissesAndTruncation) {
   truncator.join();
   EXPECT_EQ(wrong.load(), 0);
   EXPECT_LE(rec.exact_hit_entries(), rec.cache().num_entries());
+}
+
+// ---------------------------------------------------------------------------
+// Derived-reuse index
+// ---------------------------------------------------------------------------
+
+/// Statement `i` of the index mix: range selections on `k` (some with a
+/// conjunct on `v`), an aggregate over one, and selections on `v`, so
+/// repeats hit and neighbours subsume or stitch.
+PlanPtr MixStatement(int i) {
+  auto scan = [] { return PlanNode::Scan("t", {"k", "v"}); };
+  const int64_t lo = (i * 7) % 90;
+  ExprPtr k_range =
+      Expr::And(Expr::Ge(Expr::Column("k"), Expr::Literal(lo)),
+                Expr::Lt(Expr::Column("k"), Expr::Literal(lo + 3 + i % 9)));
+  switch (i % 4) {
+    case 0:
+      return PlanNode::Select(scan(), k_range);
+    case 1:
+      return PlanNode::Select(
+          scan(), Expr::And(k_range, Expr::Gt(Expr::Column("v"),
+                                              Expr::Literal(i * 13.0))));
+    case 2:
+      return PlanNode::Aggregate(PlanNode::Select(scan(), k_range), {"k"},
+                                 {{AggFunc::kSum, Expr::Column("v"), "sv"}});
+    default:
+      return PlanNode::Select(
+          scan(), Expr::Lt(Expr::Column("v"), Expr::Literal(50.0 + i * 20)));
+  }
+}
+
+/// One step of a seeded random mix over every path that moves a node
+/// into or out of materialization: statements (admission, eviction,
+/// spill, promotion, subsumption, stitching), FlushCache, a corrupted
+/// spill file (cold load errors), appends, InvalidateTable and
+/// TruncateGraph. Truncation holds `quiesce` exclusively, since it needs
+/// a point where no statement is between Prepare and OnComplete.
+void IndexMixStep(Recycler& rec, Catalog& catalog, const std::string& dir,
+                  Rng& rng, std::shared_mutex& quiesce) {
+  const int64_t op = rng.Uniform(0, 99);
+  if (op >= 90) {
+    std::unique_lock<std::shared_mutex> lock(quiesce);
+    rec.TruncateGraph(/*idle_epochs=*/rng.Uniform(0, 20));
+    return;
+  }
+  std::shared_lock<std::shared_mutex> lock(quiesce);
+  if (op < 70) {
+    rec.Execute(MixStatement(static_cast<int>(rng.Uniform(0, 39))));
+  } else if (op < 75) {
+    rec.FlushCache();
+  } else if (op < 80) {
+    std::vector<std::filesystem::path> files;
+    std::error_code ec;
+    for (const auto& e : std::filesystem::directory_iterator(dir, ec)) {
+      if (e.path().extension() == ".spill") files.push_back(e.path());
+    }
+    if (files.empty()) return;
+    const auto& victim = files[rng.Uniform(0, files.size() - 1)];
+    std::filesystem::resize_file(victim, 64, ec);  // truncated: unreadable
+  } else if (op < 86) {
+    TablePtr delta = MakeTable(catalog.GetTable("t")->schema());
+    for (int r = 0; r < 50; ++r) {
+      delta->AppendRow({static_cast<int32_t>(rng.Uniform(0, 99)),
+                        static_cast<double>(rng.Uniform(0, 976))});
+    }
+    ASSERT_TRUE(catalog.AppendRows("t", *delta).ok());
+    rec.OnTableAppended("t");
+  } else {
+    rec.InvalidateTable("t");
+  }
+}
+
+/// A hot cache that evicts, over a cold tier that sweeps when `dir` is
+/// set. Without one, an eviction drops the result to kNone.
+RecyclerConfig IndexMixConfig(const std::string& dir) {
+  RecyclerConfig cfg;
+  cfg.cache_bytes = 64 << 10;
+  cfg.spill_dir = dir;
+  cfg.cold_tier_capacity_bytes = 32 << 10;
+  return cfg;
+}
+
+TEST_F(RecyclerTest, DerivedIndexMatchesParentScanUnderRandomMix) {
+  for (bool cold : {false, true}) {
+    SCOPED_TRACE(cold ? "cold tier" : "hot cache only");
+    recycledb::testing::TempSpillDir dir;
+    Recycler rec(&catalog_, IndexMixConfig(cold ? dir.path() : ""));
+    std::shared_mutex quiesce;
+    Rng rng(2024);
+    for (int step = 0; step < 400; ++step) {
+      IndexMixStep(rec, catalog_, dir.path(), rng, quiesce);
+      ASSERT_EQ(RecyclerPeer::DerivedIndexViolation(rec), "")
+          << "step " << step;
+    }
+    // The mix reached every path it is meant to cover.
+    const RecyclerCounters& c = rec.counters();
+    EXPECT_GT(c.evictions.load(), 0);
+    EXPECT_GT(c.invalidations.load(), 0);
+    EXPECT_GT(c.subsumption_reuses.load() + c.partial_reuses.load(), 0);
+    if (cold) {
+      EXPECT_GT(c.cold_spills.load(), 0);
+      EXPECT_GT(c.cold_readmissions.load(), 0);
+      EXPECT_GT(c.cold_load_errors.load(), 0);
+    }
+  }
+}
+
+TEST_F(RecyclerTest, DerivedIndexMatchesParentScanUnderConcurrentMix) {
+  for (bool cold : {false, true}) {
+    SCOPED_TRACE(cold ? "cold tier" : "hot cache only");
+    recycledb::testing::TempSpillDir dir;
+    Recycler rec(&catalog_, IndexMixConfig(cold ? dir.path() : ""));
+    std::shared_mutex quiesce;
+    std::atomic<bool> done{false};
+    std::vector<std::thread> streams;
+    for (int s = 0; s < 4; ++s) {
+      streams.emplace_back([&, s] {
+        Rng rng(77 + s);
+        for (int step = 0; step < 80; ++step) {
+          IndexMixStep(rec, catalog_, dir.path(), rng, quiesce);
+        }
+      });
+    }
+    int checks = 0;
+    std::thread checker([&] {
+      while (!done.load()) {
+        EXPECT_EQ(RecyclerPeer::DerivedIndexViolation(rec), "");
+        ++checks;
+        std::this_thread::yield();
+      }
+    });
+    for (auto& th : streams) th.join();
+    done = true;
+    checker.join();
+    EXPECT_GT(checks, 0);
+    EXPECT_EQ(RecyclerPeer::DerivedIndexViolation(rec), "");
+  }
+}
+
+TEST_F(RecyclerTest, SubsumptionTriesTheLowerNodeIdFirst) {
+  // Two cached supersets both derive the query. Hot candidates are tried
+  // in ascending node id, so the one inserted first serves it, and a
+  // fresh engine that runs the same statements picks the same one.
+  auto scan = [] { return PlanNode::Scan("t", {"k", "v"}); };
+  auto by_k = [] {
+    return Expr::Gt(Expr::Column("k"), Expr::Literal(int64_t{10}));
+  };
+  auto by_v = [] { return Expr::Lt(Expr::Column("v"), Expr::Literal(500.0)); };
+  auto subsumer = [&](ExprPtr first, ExprPtr second) {
+    Recycler rec(&catalog_, RecyclerConfig{});
+    rec.Execute(PlanNode::Select(scan(), std::move(first)));
+    rec.Execute(PlanNode::Select(scan(), std::move(second)));
+    QueryTrace trace;
+    rec.Execute(PlanNode::Select(scan(), Expr::And(by_k(), by_v())), &trace);
+    EXPECT_EQ(trace.num_subsumption_reuses, 1);
+    std::shared_lock<std::shared_mutex> lock(rec.graph().mutex());
+    int64_t first_cached = -1;
+    const RGNode* winner = nullptr;
+    for (const auto& n : rec.graph().nodes()) {
+      if (first_cached < 0 && n->mat_state.load() == MatState::kCached) {
+        first_cached = n->id;
+      }
+      if (!n->subsumes.empty()) winner = n.get();
+    }
+    EXPECT_NE(winner, nullptr);
+    if (winner == nullptr) return std::string();
+    EXPECT_EQ(winner->id, first_cached);
+    return winner->param_fp;
+  };
+  const std::string k_first = subsumer(by_k(), by_v());
+  EXPECT_NE(subsumer(by_v(), by_k()), k_first);
+  EXPECT_EQ(subsumer(by_k(), by_v()), k_first);
 }
 
 }  // namespace

@@ -9,9 +9,12 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "test_util.h"
 
 namespace recycledb {
 namespace {
+
+using recycledb::testing::CountProcessThreads;
 
 void SleepMs(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
@@ -31,6 +34,32 @@ TEST(ThreadPoolTest, WaitIdleOnFreshPoolReturnsImmediately) {
   ThreadPool pool(2);
   pool.WaitIdle();  // must not hang
   EXPECT_EQ(pool.num_threads(), 2);
+}
+
+TEST(ThreadPoolTest, ConcurrentFirstSubmitsStartExactlyTheConfiguredWorkers) {
+  const int before = CountProcessThreads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task to count threads";
+  ThreadPool pool(3);
+  EXPECT_EQ(CountProcessThreads(), before);  // nothing started yet
+  EXPECT_EQ(pool.num_threads(), 3);
+  // Eight threads race to be the first submitter.
+  std::atomic<bool> go{false};
+  std::atomic<int> done{0};
+  std::vector<std::thread> submitters;
+  for (int i = 0; i < 8; ++i) {
+    submitters.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      EXPECT_TRUE(pool.Submit([&done] { done.fetch_add(1); }));
+    });
+  }
+  go = true;
+  for (auto& t : submitters) t.join();
+  pool.WaitIdle();
+  EXPECT_EQ(done.load(), 8);
+  EXPECT_EQ(CountProcessThreads(), before + 3);
+  EXPECT_EQ(pool.num_threads(), 3);
+  pool.Shutdown();
+  EXPECT_EQ(CountProcessThreads(), before);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueuedWork) {

@@ -77,5 +77,17 @@ inline std::multiset<std::string> ColumnMultiset(
   return rows;
 }
 
+/// Threads this process runs now (the entries of /proc/self/task), or -1
+/// where that directory is unavailable.
+inline int CountProcessThreads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  int n = 0;
+  for (; !ec && it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    ++n;
+  }
+  return ec ? -1 : n;
+}
+
 }  // namespace testing
 }  // namespace recycledb
