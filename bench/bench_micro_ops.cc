@@ -203,6 +203,43 @@ void BM_PrepareMissWithSiblings(benchmark::State& state) {
 }
 BENCHMARK(BM_PrepareMissWithSiblings)->Arg(1000)->Arg(10000);
 
+// A statement's first repeat: Prepare, run and OnComplete of the second
+// execution of TPC-H Q3, whose first execution cached its root. Each
+// iteration starts over with a fresh recycler and that first execution,
+// outside the timer; the fixed iteration count keeps that untimed work
+// to a few seconds.
+void BM_ExactHitFirstRepeat(benchmark::State& state) {
+  constexpr double kSf = 0.002;
+  static Catalog* catalog = [] {
+    auto* c = new Catalog();
+    tpch::Generate(kSf, c);
+    return c;
+  }();
+  Rng rng(3);
+  const tpch::QueryParams params = tpch::GenerateParams(3, &rng, kSf);
+  int64_t hits = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto rec = std::make_unique<Recycler>(catalog, RecyclerConfig{});
+    rec->Execute(tpch::BuildQuery(3, params, kSf));
+    PlanPtr repeat = tpch::BuildQuery(3, params, kSf);
+    state.ResumeTiming();
+    QueryTrace trace;
+    ExecResult result = rec->Execute(repeat, &trace);
+    benchmark::DoNotOptimize(result);
+    hits += trace.reuse_mode == ReuseMode::kExact ? 1 : 0;
+    state.PauseTiming();
+    rec.reset();
+    state.ResumeTiming();
+  }
+  // 1.0 when every timed run was a root exact hit.
+  state.counters["exact"] = benchmark::Counter(
+      static_cast<double>(hits), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ExactHitFirstRepeat)
+    ->Iterations(2000)
+    ->Unit(benchmark::kMicrosecond);
+
 // ---------------------------------------------------------------------------
 // Zero-copy reuse path: scanning a cached 1M-row result (int64 + string
 // columns), copy-per-batch (the seed behaviour) vs. view-per-batch (what

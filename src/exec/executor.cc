@@ -166,6 +166,11 @@ ExecResult Executor::Run(
     const PlanPtr& plan,
     const std::map<const PlanNode*, StoreRequest>* store_requests,
     const TablePins* pins) {
+  if (plan->type() == OpType::kCachedScan &&
+      (store_requests == nullptr ||
+       store_requests->find(plan.get()) == store_requests->end())) {
+    return RunCachedRoot(plan);
+  }
   std::map<const PlanNode*, Operator*> node_ops;
   OperatorPtr root = BuildOperator(plan, store_requests, &node_ops, pins);
 
@@ -189,6 +194,31 @@ ExecResult Executor::Run(
     result.blocks_pruned += op->stats().blocks_pruned;
     result.node_runtime[node] = rt;
   }
+  return result;
+}
+
+ExecResult Executor::RunCachedRoot(const PlanPtr& plan) {
+  RDB_CHECK_MSG(plan->bound(), "plan must be bound before execution");
+  ExecResult result;
+  Stopwatch sw;
+  const TablePtr& cached = plan->cached_result();
+  // The result shares the entry's columns: freeze them, so appending to
+  // the result aborts as it does on any table a scan has sliced.
+  for (int i = 0; i < cached->num_columns(); ++i) cached->column(i)->Freeze();
+  result.table = cached->RenameColumns(plan->output_schema().Names());
+  result.total_ms = sw.ElapsedMs();
+  // What ScanOp would report for the same table: one batch per 1024-row
+  // block, no pruning (a root scan has no parent filter to hint it).
+  const int64_t rows = result.table->num_rows();
+  NodeRuntime rt;
+  rt.rows_out = rows;
+  rt.inclusive_ms = result.total_ms;
+  rt.stats.rows_out = rows;
+  rt.stats.batches_out = (rows + kZoneMapBlockRows - 1) / kZoneMapBlockRows;
+  rt.stats.blocks_scanned = rt.stats.batches_out;
+  rt.stats.inclusive_ms = result.total_ms;
+  result.blocks_scanned = rt.stats.blocks_scanned;
+  result.node_runtime[plan.get()] = rt;
   return result;
 }
 

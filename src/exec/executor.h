@@ -55,7 +55,11 @@ class Executor {
   /// against even while concurrent appends swap grown tables in.
   using TablePins = std::map<std::string, TablePtr>;
 
-  /// Builds the operator tree for `plan` (bound) and drains it.
+  /// Builds the operator tree for `plan` (bound) and drains it. A plan
+  /// that is a bare CachedScan without a store request builds no tree:
+  /// its result is the cached table itself under the plan's column names
+  /// (zero copy; the columns are frozen), with the node runtime a scan of
+  /// it would report.
   ExecResult Run(const PlanPtr& plan,
                  const std::map<const PlanNode*, StoreRequest>*
                      store_requests = nullptr,
@@ -69,6 +73,9 @@ class Executor {
       const TablePins* pins = nullptr);
 
  private:
+  /// Run's zero-copy path for a bare CachedScan root.
+  ExecResult RunCachedRoot(const PlanPtr& plan);
+
   const Catalog* catalog_;
   bool zone_map_pruning_ = true;
 };

@@ -112,9 +112,12 @@ struct RGNode {
   /// without rebuilding fingerprint strings (MaySubsume, subsumption.h).
   std::set<std::string> conjunct_fps;
   /// Single-child Select nodes only: the range decomposition of
-  /// param_node's predicate (ExtractRangeSpecs, graph space), taken once at
-  /// insert. The interval index points at these specs while the node is
-  /// materialized instead of copying them.
+  /// param_node's predicate (ExtractRangeSpecs, graph space), filled once
+  /// under range_specs_once when the node is first materialized
+  /// (IntervalIndex::Insert), so a Select that never is keeps none. The
+  /// interval index points at these specs while the node is materialized
+  /// instead of copying them.
+  std::once_flag range_specs_once;
   std::vector<RangeSpec> range_specs;
 
   /// Output column names in graph space, positionally matching the

@@ -1,6 +1,7 @@
 #include "recycler/interval_index.h"
 
 #include <algorithm>
+#include <mutex>
 
 #include "common/macros.h"
 #include "recycler/graph.h"
@@ -17,6 +18,13 @@ bool ById(const RGNode* a, const RGNode* b) { return a->id < b->id; }
 void IntervalIndex::Insert(RGNode* node) {
   auto [reg, fresh] = registered_.try_emplace(node);
   if (!fresh) return;  // already registered
+  // param_node lives in graph name space, so the specs index directly.
+  std::call_once(node->range_specs_once, [node] {
+    if (node->type == OpType::kSelect && node->children.size() == 1) {
+      node->range_specs =
+          ExtractRangeSpecs(node->param_node->predicate(), nullptr);
+    }
+  });
   for (const RGNode* child : node->children) {
     std::vector<RGNode*>& parents = parents_[child->id];
     auto pos = std::lower_bound(parents.begin(), parents.end(), node, ById);

@@ -49,6 +49,7 @@ class IntervalIndex {
 
   /// Registers `node` as a materialized parent of each of its children
   /// and each of its range_specs under (children[0]->id, mapped_column).
+  /// A single-child Select's range_specs are computed on its first insert.
   /// Inserting a registered node again is a no-op.
   void Insert(RGNode* node);
 

@@ -675,11 +675,6 @@ RGNode* Recycler::InsertOne(const PlanNode& node,
   if (gnode->type == OpType::kSelect) {
     gnode->conjunct_fps =
         ConjunctFingerprints(gnode->param_node->predicate(), nullptr);
-    // param_node lives in graph name space, so the specs index directly.
-    if (child_g.size() == 1) {
-      gnode->range_specs =
-          ExtractRangeSpecs(gnode->param_node->predicate(), nullptr);
-    }
   }
   gnode->children = child_g;
   gnode->base_tables = node.base_tables();
@@ -866,7 +861,7 @@ PlanPtr Recycler::TryIndexedExactHit(const std::string& key,
   return cs;
 }
 
-void Recycler::RememberExactHit(const std::string& key, const MNode& root) {
+void Recycler::RememberExactHit(std::string key, const MNode& root) {
   auto hit = std::make_shared<ExactHit>();
   hit->root = root.gnode;
   std::vector<const MNode*> stack{&root};
@@ -882,23 +877,26 @@ void Recycler::RememberExactHit(const std::string& key, const MNode& root) {
   // Checked under exact_mu_: a root that leaves kCached after this check
   // is forgotten by SetMatState, which takes exact_mu_ after its store.
   if (hit->root->mat_state.load() != MatState::kCached) return;
-  auto old = exact_hits_.find(key);
-  if (old != exact_hits_.end() && old->second->root != hit->root) {
-    exact_hit_keys_.erase(old->second->root);
+  // A root keeps one key and a key one root: drop the root's other key,
+  // and the key's other root.
+  auto rk = exact_hit_keys_.find(hit->root);
+  if (rk != exact_hit_keys_.end() && *rk->second != key) {
+    exact_hits_.erase(exact_hits_.find(*rk->second));
+    exact_hit_keys_.erase(rk);
   }
-  auto [rk, fresh_root] = exact_hit_keys_.try_emplace(hit->root, key);
-  if (!fresh_root && rk->second != key) {
-    exact_hits_.erase(rk->second);
-    rk->second = key;
+  auto [it, fresh_key] = exact_hits_.try_emplace(std::move(key));
+  if (!fresh_key && it->second->root != hit->root) {
+    exact_hit_keys_.erase(it->second->root);
   }
-  exact_hits_[key] = std::move(hit);
+  exact_hit_keys_[hit->root] = &it->first;
+  it->second = std::move(hit);
 }
 
 void Recycler::ForgetExactHit(const RGNode* root) {
   std::lock_guard<std::mutex> lock(exact_mu_);
   auto it = exact_hit_keys_.find(root);
   if (it == exact_hit_keys_.end()) return;
-  exact_hits_.erase(it->second);
+  exact_hits_.erase(exact_hits_.find(*it->second));
   exact_hit_keys_.erase(it);
 }
 
@@ -1629,6 +1627,10 @@ void Recycler::OnTableAppended(const std::string& table) {
     if (!keep) {
       EvictNode(n.get(), /*update_h=*/ms == MatState::kCached);
       counters_.invalidations.fetch_add(1);
+    } else if (ms == MatState::kCached) {
+      // Kept for a delta rewrite, but stale for every later snapshot: an
+      // index entry on it could only fail its freshness check.
+      ForgetExactHit(n.get());
     }
   }
   // Orphan images from a previous process carry row marks and re-anchor
@@ -1715,9 +1717,8 @@ std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan) {
   // --- repeated exact hit (exact-hit index) ----------------------------
   // Proactive mode may swap the plan before matching, so it never uses
   // the index.
-  std::string hit_key;
   if (config_.mode != RecyclerMode::kProactive) {
-    hit_key = ExactHitKey(*plan, std::move(tree_fp));
+    std::string hit_key = ExactHitKey(*plan, std::move(tree_fp));
     PlanPtr cs = TryIndexedExactHit(hit_key, plan, prepared.get());
     if (cs != nullptr) {
       prepared->trace_.match_ms = match_sw.ElapsedMs();
@@ -1727,6 +1728,7 @@ std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan) {
       FinalizeTrace(prepared.get());
       return prepared;
     }
+    prepared->exact_hit_key_ = std::move(hit_key);
   }
 
   // --- proactive rewriting (PA mode, §IV-B) ---------------------------
@@ -1808,12 +1810,6 @@ std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan) {
   {
     std::shared_lock<std::shared_mutex> lock(graph_.mutex());
     InjectStores(prepared->matched_.get(), prepared.get(), false);
-    // An exact hit at the root: the next run of this statement can skip
-    // MatchTree while the root stays hot.
-    if (!hit_key.empty() && prepared->matched_->replaced &&
-        prepared->trace_.num_subsumption_reuses == 0) {
-      RememberExactHit(hit_key, *prepared->matched_);
-    }
   }
 
   prepared->plan_ = std::move(rewritten);
@@ -1846,6 +1842,17 @@ void Recycler::OnComplete(PreparedQuery* prepared, const ExecResult& result) {
   // Annotation writes are atomic per-field; the shared lock only pins the
   // nodes so completion never serializes behind other streams' matching.
   std::shared_lock<std::shared_mutex> lock(graph_.mutex());
+
+  // A root that is hot now (this run admitted it, or served it as an
+  // exact hit) lets the statement's next run skip MatchTree. A root
+  // served by subsumption is left out; a replaced root is the plan's only
+  // reuse, so the subsumption counter tells.
+  const MNode* root = prepared->matched_.get();
+  if (!prepared->exact_hit_key_.empty() &&
+      root->gnode->mat_state.load() == MatState::kCached &&
+      !(root->replaced && prepared->trace_.num_subsumption_reuses > 0)) {
+    RememberExactHit(std::move(prepared->exact_hit_key_), *root);
+  }
 
   // bcost must always reflect cost-from-base-tables (Eq. 2): add back the
   // base cost of every subtree a CachedScan replaced.

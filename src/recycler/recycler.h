@@ -211,6 +211,11 @@ class PreparedQuery {
   /// one consistent version of each table even while appends land.
   std::map<std::string, TableSnapshot> snapshots_;
   Executor::TablePins pins_;
+  /// The statement's exact-hit index key (Recycler::ExactHitKey) when it
+  /// took the full matching path; OnComplete moves it into the index if
+  /// the root is hot by then. Empty when the statement was served from
+  /// the index, and in off and proactive modes.
+  std::string exact_hit_key_;
   int64_t query_id_ = 0;
 };
 
@@ -343,7 +348,7 @@ class Recycler {
   using MNode = PreparedQuery::MNode;
 
   /// One exact-hit index entry: what MatchTree returned for a statement
-  /// whose root was served as an exact hit.
+  /// whose root was hot when the statement completed.
   struct ExactHit {
     RGNode* root = nullptr;
     std::vector<RGNode*> nodes;  // every matched node, pre-order (root first)
@@ -385,7 +390,7 @@ class Recycler {
                              PreparedQuery* prepared);
   /// Records `root`'s matched tree under `key` if the root is still hot;
   /// a root keeps at most one key. Caller holds the shared graph lock.
-  void RememberExactHit(const std::string& key, const MNode& root);
+  void RememberExactHit(std::string key, const MNode& root);
   /// Drops the entry rooted at `root` (its result left the hot cache).
   void ForgetExactHit(const RGNode* root);
 
@@ -532,15 +537,16 @@ class Recycler {
   mutable std::mutex template_mu_;
   std::map<uint64_t, TemplateStats> template_stats_;
   /// Exact-hit index: statement key (ExactHitKey) -> matched tree, and
-  /// root -> its one key. Guarded by exact_mu_, a leaf taken after the
-  /// graph lock and cache_mu_, never with another lock acquired inside.
-  /// Entries point into the graph: TruncateGraph clears the index under
-  /// the exclusive lock, and every root is hot (SetMatState forgets a
-  /// root that leaves kCached).
+  /// root -> its one key (a pointer to the key exact_hits_ holds; map
+  /// keys never move). Guarded by exact_mu_, a leaf taken after the graph
+  /// lock and cache_mu_, never with another lock acquired inside. Entries
+  /// point into the graph: TruncateGraph clears the index under the
+  /// exclusive lock. Every root is hot: SetMatState forgets a root that
+  /// leaves kCached, and OnTableAppended one that an append made stale.
   mutable std::mutex exact_mu_;
   std::unordered_map<std::string, std::shared_ptr<const ExactHit>>
       exact_hits_;
-  std::unordered_map<const RGNode*, std::string> exact_hit_keys_;
+  std::unordered_map<const RGNode*, const std::string*> exact_hit_keys_;
   Executor executor_;
   RecyclerCounters counters_;
   std::atomic<int64_t> next_query_id_{1};

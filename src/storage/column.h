@@ -37,11 +37,12 @@ using ColumnPtr = std::shared_ptr<ColumnVector>;
 /// copies; all read paths (Raw, GetDatum, HashRow, RowEquals, Append*
 /// sources) resolve views transparently.
 ///
-/// Aliasing rule: slicing a column marks the source as shared, and shared
-/// or view columns reject every mutation with RDB_CHECK (see DESIGN.md,
-/// "Zero-copy views and result lifetime"). Clear() is the one exception on
-/// views: it detaches the view and leaves an empty owning column, so batch
-/// columns can be recycled across Next() calls.
+/// Aliasing rule: slicing a column marks the source as shared (so does
+/// Freeze()), and shared or view columns reject every mutation with
+/// RDB_CHECK (see DESIGN.md, "Zero-copy views and result lifetime").
+/// Clear() is the one exception on views: it detaches the view and leaves
+/// an empty owning column, so batch columns can be recycled across Next()
+/// calls.
 class ColumnVector {
  public:
   explicit ColumnVector(TypeId type);
@@ -60,9 +61,13 @@ class ColumnVector {
   }
 
   bool is_view() const { return view_src_ != nullptr; }
-  /// True once the column has been used as a Slice() source; shared
-  /// columns are immutable for the rest of their life.
+  /// True once the column has been used as a Slice() source or frozen;
+  /// shared columns are immutable for the rest of their life.
   bool shared() const { return shared_.load(std::memory_order_relaxed); }
+  /// Marks the column shared without slicing it: for a column handed out
+  /// whole (a cached result returned as a query result), so that mutating
+  /// it aborts as it does on a column a scan has sliced.
+  void Freeze() const { shared_.store(true, std::memory_order_relaxed); }
 
   /// Span-style read access: pointer to this column's first row. T must
   /// match the storage type for type(); checked. Valid for size() rows.
@@ -147,8 +152,8 @@ class ColumnVector {
   std::shared_ptr<const ColumnVector> view_src_;
   int64_t view_offset_ = 0;
   int64_t view_length_ = 0;
-  /// Sticky: set the first time this column is sliced (atomic because
-  /// concurrent query streams slice the same cached result).
+  /// Sticky: set the first time this column is sliced or frozen (atomic
+  /// because concurrent query streams slice the same cached result).
   mutable std::atomic<bool> shared_{false};
 };
 

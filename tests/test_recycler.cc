@@ -286,6 +286,16 @@ struct RecyclerPeer {
     return it->second->nodes;
   }
 
+  /// Indexes `plan`'s matched tree as OnComplete would, bypassing its
+  /// checks other than RememberExactHit's own (the root must be hot).
+  static void Remember(Recycler& rec, const PlanPtr& plan) {
+    plan->Bind(*rec.catalog());
+    std::string key = Recycler::ExactHitKey(*plan, plan->TreeFingerprint());
+    std::unique_ptr<Recycler::MNode> root = rec.MatchTree(plan);
+    std::shared_lock<std::shared_mutex> lock(rec.graph_.mutex());
+    rec.RememberExactHit(std::move(key), *root);
+  }
+
   static void ClearIndex(Recycler& rec) {
     std::lock_guard<std::mutex> lock(rec.exact_mu_);
     rec.exact_hits_.clear();
@@ -303,6 +313,12 @@ struct RecyclerPeer {
     rec.OnComplete(q.get(), r);
     *trace = q->trace();
     return r;
+  }
+
+  /// `node`'s hot result (null when it has none).
+  static TablePtr Cached(Recycler& rec, RGNode* node) {
+    std::lock_guard<std::mutex> lock(rec.graph_.mat_shard(node).mu);
+    return node->cached;
   }
 
   static void SetMatState(Recycler& rec, RGNode* node, MatState state) {
@@ -452,13 +468,29 @@ TEST_F(ExactHitIndexTest, SecondRunIsServedFromTheIndex) {
   QueryTrace t;
   bool from_index = false;
   RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
-  EXPECT_FALSE(from_index);  // miss: speculative store
-  RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
-  EXPECT_FALSE(from_index);  // exact hit through MatchTree: indexed
+  EXPECT_FALSE(from_index);  // miss: speculative store admits the root
+  EXPECT_EQ(t.num_materialized, 1);
+  EXPECT_EQ(rec.exact_hit_entries(), 1);  // indexed at completion
+  for (int run = 0; run < 2; ++run) {
+    RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
+    EXPECT_TRUE(from_index);
+    EXPECT_EQ(t.reuse_mode, ReuseMode::kExact);
+  }
   EXPECT_EQ(rec.exact_hit_entries(), 1);
-  RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
-  EXPECT_TRUE(from_index);
-  EXPECT_EQ(t.reuse_mode, ReuseMode::kExact);
+}
+
+TEST_F(ExactHitIndexTest, MissWithARefusedRootRegistersNothing) {
+  RecyclerConfig cfg;
+  cfg.cache_bytes = 0;  // every admission is refused
+  Recycler rec(&catalog_, cfg);
+  for (int run = 0; run < 2; ++run) {
+    QueryTrace t;
+    bool from_index = true;
+    RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
+    EXPECT_FALSE(from_index);
+    EXPECT_EQ(t.num_materialized, 0);
+    EXPECT_EQ(rec.exact_hit_entries(), 0);
+  }
 }
 
 TEST_F(ExactHitIndexTest, IntroducedNamesArePartOfTheKey) {
@@ -490,26 +522,59 @@ TEST_F(ExactHitIndexTest, IntroducedNamesArePartOfTheKey) {
             recycledb::testing::RowMultiset(*off.Execute(on_v).table));
 }
 
+/// `plan`'s rows from a recycler that is off.
+std::multiset<std::string> BypassRows(Catalog& catalog, const PlanPtr& plan) {
+  RecyclerConfig cfg;
+  cfg.mode = RecyclerMode::kOff;
+  return recycledb::testing::RowMultiset(
+      *Recycler(&catalog, cfg).Execute(plan).table);
+}
+
+/// Appends one row to the fixture's table `t` and tells `rec`.
+void AppendOneRow(Catalog& catalog, Recycler& rec) {
+  TablePtr delta = MakeTable(catalog.GetTable("t")->schema());
+  delta->AppendRow({int32_t{42}, 1.5});
+  ASSERT_TRUE(catalog.AppendRows("t", *delta).ok());
+  rec.OnTableAppended("t");
+}
+
 TEST_F(ExactHitIndexTest, StaleRootFallsBackToDeltaRewrite) {
   Recycler rec(&catalog_, RecyclerConfig{});
   for (int i = 0; i < 2; ++i) rec.Execute(AggPlan(10));
   ASSERT_EQ(rec.exact_hit_entries(), 1);
-  TablePtr delta = MakeTable(catalog_.GetTable("t")->schema());
-  delta->AppendRow({int32_t{42}, 1.5});
-  ASSERT_TRUE(catalog_.AppendRows("t", *delta).ok());
-  rec.OnTableAppended("t");
+  AppendOneRow(catalog_, rec);
+  // The root is kept for a delta rewrite, but leaves the index.
+  EXPECT_EQ(rec.exact_hit_entries(), 0);
   QueryTrace t;
   bool from_index = true;
   ExecResult r = RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
   EXPECT_FALSE(from_index);
   EXPECT_EQ(t.reuse_mode, ReuseMode::kAggMerge);
-  Recycler off(&catalog_, [] {
-    RecyclerConfig c;
-    c.mode = RecyclerMode::kOff;
-    return c;
-  }());
   EXPECT_EQ(recycledb::testing::RowMultiset(*r.table),
-            recycledb::testing::RowMultiset(*off.Execute(AggPlan(10)).table));
+            BypassRows(catalog_, AggPlan(10)));
+  // The refreshed root is re-admitted and indexed at completion.
+  EXPECT_EQ(rec.exact_hit_entries(), 1);
+  RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
+  EXPECT_TRUE(from_index);
+  EXPECT_EQ(t.reuse_mode, ReuseMode::kExact);
+}
+
+TEST_F(ExactHitIndexTest, StaleEntryStillFallsBack) {
+  // A statement that completes after an append may index a root the
+  // append made stale; the lookup's freshness check turns it away.
+  Recycler rec(&catalog_, RecyclerConfig{});
+  rec.Execute(AggPlan(10));
+  AppendOneRow(catalog_, rec);
+  ASSERT_EQ(rec.exact_hit_entries(), 0);
+  RecyclerPeer::Remember(rec, AggPlan(10));
+  ASSERT_EQ(rec.exact_hit_entries(), 1);
+  QueryTrace t;
+  bool from_index = true;
+  ExecResult r = RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
+  EXPECT_FALSE(from_index);
+  EXPECT_EQ(t.reuse_mode, ReuseMode::kAggMerge);
+  EXPECT_EQ(recycledb::testing::RowMultiset(*r.table),
+            BypassRows(catalog_, AggPlan(10)));
 }
 
 TEST_F(ExactHitIndexTest, InFlightRootFallsBackAndStalls) {
@@ -599,16 +664,18 @@ TEST_F(ExactHitIndexTest, NeverMoreEntriesThanTheHotCache) {
   cfg.cache_bytes = 64 << 10;  // evicts
   Recycler rec(&catalog, cfg);
   std::vector<PlanPtr> plans = TpchPlans(3);
-  int64_t max_entries = 0;
+  // Entries appear from round 0 on, where most statements are misses that
+  // admitted their root.
+  std::vector<int64_t> max_entries(3, 0);
   for (int round = 0; round < 3; ++round) {
     for (const PlanPtr& plan : plans) {
       rec.Execute(plan);
       EXPECT_LE(rec.exact_hit_entries(), rec.cache().num_entries());
-      max_entries = std::max(max_entries, rec.exact_hit_entries());
+      max_entries[round] = std::max(max_entries[round], rec.exact_hit_entries());
     }
   }
   EXPECT_GT(rec.counters().evictions.load(), 0);
-  EXPECT_GT(max_entries, 0);
+  for (int64_t m : max_entries) EXPECT_GT(m, 0);
 }
 
 TEST_F(ExactHitIndexTest, ConcurrentHitsMissesAndTruncation) {
@@ -662,6 +729,85 @@ TEST_F(ExactHitIndexTest, ConcurrentHitsMissesAndTruncation) {
   truncator.join();
   EXPECT_EQ(wrong.load(), 0);
   EXPECT_LE(rec.exact_hit_entries(), rec.cache().num_entries());
+}
+
+// ---------------------------------------------------------------------------
+// Zero-copy root hits
+// ---------------------------------------------------------------------------
+
+TEST_F(ExactHitIndexTest, RootHitSharesTheCachedColumns) {
+  Recycler rec(&catalog_, RecyclerConfig{});
+  rec.Execute(AggPlan(10));
+  QueryTrace t;
+  bool from_index = false;
+  ExecResult r = RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
+  ASSERT_TRUE(from_index);
+  std::vector<RGNode*> nodes = RecyclerPeer::IndexedNodes(rec, AggPlan(10));
+  ASSERT_FALSE(nodes.empty());
+  TablePtr cached = RecyclerPeer::Cached(rec, nodes.front());
+  ASSERT_NE(cached, nullptr);
+  // The same columns, under the plan's names rather than the graph's.
+  EXPECT_EQ(r.table->schema().Names(), (std::vector<std::string>{"k", "sv"}));
+  EXPECT_NE(cached->schema().field(1).name, "sv");
+  ASSERT_EQ(r.table->num_columns(), cached->num_columns());
+  for (int i = 0; i < cached->num_columns(); ++i) {
+    EXPECT_EQ(r.table->column(i), cached->column(i));
+    EXPECT_TRUE(r.table->column(i)->shared());
+  }
+  // The result holds the columns: dropping the entry leaves it intact.
+  const std::multiset<std::string> digest =
+      recycledb::testing::RowMultiset(*r.table);
+  cached.reset();
+  rec.FlushCache();
+  EXPECT_EQ(rec.cache().num_entries(), 0);
+  EXPECT_EQ(recycledb::testing::RowMultiset(*r.table), digest);
+  EXPECT_EQ(BypassRows(catalog_, AggPlan(10)), digest);
+}
+
+TEST(CachedRootTest, RuntimeMatchesTheOperatorPath) {
+  Catalog catalog;
+  Executor exec(&catalog);
+  for (int64_t rows : {0, 1, 1024, 2500}) {
+    SCOPED_TRACE(rows);
+    TablePtr cached = MakeTable(Schema({{"a#3", TypeId::kInt64}}));
+    for (int64_t i = 0; i < rows; ++i) cached->AppendRow({i});
+    PlanPtr scan = PlanNode::CachedScan(cached, {"a"});
+    scan->Bind(catalog);
+    ExecResult served = exec.Run(scan);
+    EXPECT_EQ(served.table->column(0), cached->column(0));
+    EXPECT_EQ(served.table->schema().field(0).name, "a");
+
+    std::map<const PlanNode*, Operator*> ops;
+    OperatorPtr op = exec.BuildOperator(scan, nullptr, &ops);
+    op->Open();
+    Batch batch;
+    while (op->NextTimed(&batch)) {
+    }
+    op->Close();
+    const OpStats& want = op->stats();
+    ASSERT_EQ(served.node_runtime.count(scan.get()), 1u);
+    const NodeRuntime& got = served.node_runtime.at(scan.get());
+    EXPECT_EQ(got.rows_out, want.rows_out);
+    EXPECT_EQ(got.stats.rows_out, want.rows_out);
+    EXPECT_EQ(got.stats.batches_out, want.batches_out);
+    EXPECT_EQ(got.stats.blocks_scanned, want.blocks_scanned);
+    EXPECT_EQ(got.stats.blocks_pruned, want.blocks_pruned);
+    EXPECT_EQ(served.blocks_scanned, want.blocks_scanned);
+    EXPECT_EQ(served.blocks_pruned, 0);
+  }
+}
+
+using ExactHitIndexDeathTest = ExactHitIndexTest;
+
+TEST_F(ExactHitIndexDeathTest, AppendingToARootHitDies) {
+  Recycler rec(&catalog_, RecyclerConfig{});
+  rec.Execute(AggPlan(10));
+  QueryTrace t;
+  bool from_index = false;
+  ExecResult r = RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
+  ASSERT_TRUE(from_index);
+  EXPECT_DEATH(r.table->AppendRow({int32_t{1}, 2.0}),
+               "mutating a shared column");
 }
 
 // ---------------------------------------------------------------------------
