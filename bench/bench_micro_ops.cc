@@ -203,26 +203,32 @@ void BM_PrepareMissWithSiblings(benchmark::State& state) {
 }
 BENCHMARK(BM_PrepareMissWithSiblings)->Arg(1000)->Arg(10000);
 
+/// The TPC-H catalog the exact-hit benches share (SF 0.002).
+constexpr double kHitSf = 0.002;
+Catalog* HitCatalog() {
+  static Catalog* catalog = [] {
+    auto* c = new Catalog();
+    tpch::Generate(kHitSf, c);
+    return c;
+  }();
+  return catalog;
+}
+
 // A statement's first repeat: Prepare, run and OnComplete of the second
 // execution of TPC-H Q3, whose first execution cached its root. Each
 // iteration starts over with a fresh recycler and that first execution,
 // outside the timer; the fixed iteration count keeps that untimed work
 // to a few seconds.
 void BM_ExactHitFirstRepeat(benchmark::State& state) {
-  constexpr double kSf = 0.002;
-  static Catalog* catalog = [] {
-    auto* c = new Catalog();
-    tpch::Generate(kSf, c);
-    return c;
-  }();
+  Catalog* catalog = HitCatalog();
   Rng rng(3);
-  const tpch::QueryParams params = tpch::GenerateParams(3, &rng, kSf);
+  const tpch::QueryParams params = tpch::GenerateParams(3, &rng, kHitSf);
   int64_t hits = 0;
   for (auto _ : state) {
     state.PauseTiming();
     auto rec = std::make_unique<Recycler>(catalog, RecyclerConfig{});
-    rec->Execute(tpch::BuildQuery(3, params, kSf));
-    PlanPtr repeat = tpch::BuildQuery(3, params, kSf);
+    rec->Execute(tpch::BuildQuery(3, params, kHitSf));
+    PlanPtr repeat = tpch::BuildQuery(3, params, kHitSf);
     state.ResumeTiming();
     QueryTrace trace;
     ExecResult result = rec->Execute(repeat, &trace);
@@ -239,6 +245,58 @@ void BM_ExactHitFirstRepeat(benchmark::State& state) {
 BENCHMARK(BM_ExactHitFirstRepeat)
     ->Iterations(2000)
     ->Unit(benchmark::kMicrosecond);
+
+// The exact-hit index key of a TPC-H plan (Arg = query number): one walk
+// appending every node's parameter fingerprint and introduced names.
+// Every statement pays it once before the probe; a miss pays it on top
+// of the full path.
+void BM_ExactHitKey(benchmark::State& state) {
+  Rng rng(3);
+  const int q = static_cast<int>(state.range(0));
+  const tpch::QueryParams params = tpch::GenerateParams(q, &rng, kHitSf);
+  PlanPtr plan = tpch::BuildQuery(q, params, kHitSf);
+  plan->Bind(*HitCatalog());
+  size_t bytes = 0;
+  for (auto _ : state) {
+    StatementKey key = Recycler::ExactHitKey(*plan);
+    bytes = key.text.size();
+    benchmark::DoNotOptimize(key);
+  }
+  state.counters["key_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_ExactHitKey)->Arg(3)->Arg(9)->Unit(benchmark::kMicrosecond);
+
+// A repeated statement through the public API: Session::Execute of a
+// fresh, unbound copy of TPC-H Q3 whose root an earlier run cached. The
+// timed call includes everything a client pays, validation and
+// canonicalization too when the statement is not served before them.
+void BM_SessionRepeatHit(benchmark::State& state) {
+  auto db = Database::OpenOrDie(DatabaseOptions{});
+  for (const std::string& name : HitCatalog()->TableNames()) {
+    (void)db->CreateTable(name, HitCatalog()->GetTable(name));
+  }
+  auto session = db->Connect({});
+  Rng rng(3);
+  const tpch::QueryParams params = tpch::GenerateParams(3, &rng, kHitSf);
+  (void)session->Execute(tpch::BuildQuery(3, params, kHitSf));
+  int64_t hits = 0;
+  PlanPtr repeat;
+  Result result;
+  for (auto _ : state) {
+    // The previous plan and result are freed outside the timer.
+    state.PauseTiming();
+    result = Result();
+    repeat = tpch::BuildQuery(3, params, kHitSf);
+    state.ResumeTiming();
+    result = session->Execute(repeat);
+    hits += result.trace().reuse_mode == ReuseMode::kExact ? 1 : 0;
+    benchmark::DoNotOptimize(result);
+  }
+  // 1.0 when every timed run was a root exact hit.
+  state.counters["exact"] = benchmark::Counter(
+      static_cast<double>(hits), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SessionRepeatHit)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Zero-copy reuse path: scanning a cached 1M-row result (int64 + string

@@ -7,6 +7,7 @@
 #include "common/hash.h"
 #include "common/string_util.h"
 #include "plan/canonicalize.h"
+#include "recycler/recycler.h"
 #include "sql/lower.h"
 #include "trace/recorder.h"
 
@@ -38,8 +39,8 @@ Result Session::Sql(std::string_view sql) {
     Record(r);
     return r;
   }
-  NoteStatementOrigin(std::string(sql), ParamMap{});
-  return RunPlan(plan);
+  const StatementOrigin origin{std::string(sql), ParamMap{}};
+  return RunStatement(plan, &origin);
 }
 
 Result Session::Execute(const Query& query) {
@@ -55,10 +56,10 @@ Result Session::Execute(const Query& query) {
     Record(r);
     return r;
   }
-  return RunPlan(query.plan());
+  return RunStatement(query.plan());
 }
 
-Result Session::Execute(PlanPtr plan) { return RunPlan(plan); }
+Result Session::Execute(PlanPtr plan) { return RunStatement(plan); }
 
 std::future<Result> Session::Submit(const Query& query) {
   if (query.plan() == nullptr || query.HasParams()) {
@@ -70,13 +71,13 @@ std::future<Result> Session::Submit(const Query& query) {
   // Bind's schema writes in the shared plan nodes.
   PlanPtr plan = query.plan()->CloneDeep();
   return SubmitInternal([this, plan = std::move(plan)] {
-    return RunPlan(plan);
+    return RunStatement(plan);
   });
 }
 
 std::future<Result> Session::Submit(PlanPtr plan) {
   return SubmitInternal(
-      [this, plan = std::move(plan)] { return RunPlan(plan); });
+      [this, plan = std::move(plan)] { return RunStatement(plan); });
 }
 
 std::future<Result> Session::SubmitInternal(std::function<Result()> fn) {
@@ -185,74 +186,67 @@ std::string Session::Explain(const Query& query) const {
   return out;
 }
 
-Result Session::RunPlan(const PlanPtr& plan) {
-  Status st = ValidatePlan(plan, db_->catalog(), nullptr);
-  if (!st.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      origin_pending_ = false;
-    }
-    Result r = Result::Error(std::move(st));
-    Record(r);
-    return r;
-  }
-  return RunValidatedPlan(plan);
+Result Session::RunStatement(const PlanPtr& plan,
+                             const StatementOrigin* origin) {
+  Result result = RunPipeline(plan);
+  Record(result, origin);
+  return result;
 }
 
-Result Session::RunValidatedPlan(const PlanPtr& plan) {
-  // Canonicalize on every execution path (recycler and bypass alike):
-  // syntactic variants of one query must hash to the same fingerprints
-  // before the recycler graph sees them. Unchanged subtrees are shared,
-  // so this costs a spine rebuild at most.
-  PlanPtr exec_plan = plan;
-  if (db_->options().canonicalize_plans) {
-    exec_plan = CanonicalizePlan(plan);
-    if (exec_plan != plan &&
-        exec_plan->template_hash() != plan->template_hash()) {
-      // A dropped root (identity Project, TRUE Select) surfaces a shared
-      // child as the new root; re-tag a private copy so the template
-      // attribution survives without mutating the shared node.
-      exec_plan = exec_plan->WithChildren(
-          std::vector<PlanPtr>(exec_plan->children()));
-      exec_plan->set_template_hash(plan->template_hash());
+Result Session::RunPipeline(PlanPtr plan) {
+  if (plan == nullptr) {
+    return Result::Error(Status::InvalidArgument("plan is null"));
+  }
+  // A repeated statement is served from the exact-hit index as
+  // submitted. Equal keys mean equal plan structure, and a schema change
+  // evicts every root over the table, so a hit validated against the
+  // current schemas when it first ran.
+  Recycler& recycler = db_->recycler();
+  StatementKey key;
+  std::unique_ptr<PreparedQuery> prepared;
+  if (!options_.bypass_recycler) prepared = recycler.ProbeExactHit(plan, &key);
+  if (prepared == nullptr) {
+    // Nodes bound before a ReplaceTable may be shared with statements on
+    // other threads (a prepared template's parameter-free subtrees), and
+    // a bound node is never bound again: check and bind an unbound copy.
+    if (plan->HasStaleBinding(db_->catalog())) plan = plan->CloneDeep();
+    Status st = ValidatePlan(plan, db_->catalog(), nullptr);
+    if (!st.ok()) return Result::Error(std::move(st));
+    // Canonicalize on every execution path (recycler and bypass alike):
+    // syntactic variants of one query must hash to the same fingerprints
+    // before the recycler graph sees them. Unchanged subtrees are shared,
+    // so this costs a spine rebuild at most.
+    PlanPtr canonical = db_->options().canonicalize_plans
+                            ? CanonicalizeKeepingTemplate(plan)
+                            : plan;
+    if (options_.bypass_recycler) {
+      canonical->Bind(db_->catalog());
+      QueryTrace trace;
+      trace.template_hash = canonical->template_hash();
+      trace.plan_fingerprint = HashString(canonical->TreeFingerprint());
+      ExecResult exec = db_->raw_executor().Run(canonical);
+      trace.blocks_scanned = exec.blocks_scanned;
+      trace.blocks_pruned = exec.blocks_pruned;
+      return Result::Of(std::move(exec), std::move(trace));
+    }
+    // A non-canonical spelling probes again under its canonical key,
+    // which every spelling of the statement registers, and registers its
+    // own key beside it on a miss.
+    std::string alias;
+    if (canonical != plan) {
+      StatementKey canonical_key;
+      prepared = recycler.ProbeExactHit(canonical, &canonical_key);
+      alias = std::move(key.text);
+      key = std::move(canonical_key);
+    }
+    if (prepared == nullptr) {
+      prepared = recycler.Prepare(std::move(canonical), std::move(key),
+                                  std::move(alias));
     }
   }
-  // Consume the staged SQL origin (if any) before executing: whatever
-  // happens below, the origin belongs to this statement only.
-  trace::TraceRecorder* recorder = nullptr;
-  bool has_origin = false;
-  std::string origin_sql;
-  ParamMap origin_params;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    recorder = recorder_;
-    has_origin = origin_pending_;
-    origin_pending_ = false;
-    if (has_origin) {
-      origin_sql = std::move(origin_sql_);
-      origin_params = std::move(origin_params_);
-    }
-  }
-  Result result;
-  if (options_.bypass_recycler) {
-    exec_plan->Bind(db_->catalog());
-    QueryTrace trace;
-    trace.template_hash = exec_plan->template_hash();
-    trace.plan_fingerprint = HashString(exec_plan->TreeFingerprint());
-    ExecResult exec = db_->raw_executor().Run(exec_plan);
-    trace.blocks_scanned = exec.blocks_scanned;
-    trace.blocks_pruned = exec.blocks_pruned;
-    result = Result::Of(std::move(exec), std::move(trace));
-  } else {
-    QueryTrace trace;
-    ExecResult exec = db_->recycler().Execute(exec_plan, &trace);
-    result = Result::Of(std::move(exec), std::move(trace));
-  }
-  Record(result);
-  if (recorder != nullptr && has_origin) {
-    recorder->OnStatement(origin_sql, origin_params, result);
-  }
-  return result;
+  QueryTrace trace;
+  ExecResult exec = recycler.Execute(prepared.get(), &trace);
+  return Result::Of(std::move(exec), std::move(trace));
 }
 
 void Session::set_recorder(trace::TraceRecorder* recorder) {
@@ -260,30 +254,29 @@ void Session::set_recorder(trace::TraceRecorder* recorder) {
   recorder_ = recorder;
 }
 
-void Session::NoteStatementOrigin(std::string sql, const ParamMap& params) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (recorder_ == nullptr) return;
-  origin_pending_ = true;
-  origin_sql_ = std::move(sql);
-  origin_params_ = params;
-}
-
-void Session::Record(const Result& result) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.queries;
-  if (!result.ok()) {
-    ++stats_.errors;
-    return;
-  }
-  stats_ += result.trace();
-  stats_.total_ms += result.total_ms();
-  if (options_.collect_traces && options_.max_traces > 0) {
-    if (traces_.size() < options_.max_traces) {
-      traces_.push_back(result.trace());
-    } else {
-      traces_[trace_head_] = result.trace();
-      trace_head_ = (trace_head_ + 1) % options_.max_traces;
+void Session::Record(const Result& result, const StatementOrigin* origin) {
+  trace::TraceRecorder* recorder = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.queries;
+    if (!result.ok()) {
+      ++stats_.errors;
+      return;  // the recorder keeps successful statements only
     }
+    stats_ += result.trace();
+    stats_.total_ms += result.total_ms();
+    if (options_.collect_traces && options_.max_traces > 0) {
+      if (traces_.size() < options_.max_traces) {
+        traces_.push_back(result.trace());
+      } else {
+        traces_[trace_head_] = result.trace();
+        trace_head_ = (trace_head_ + 1) % options_.max_traces;
+      }
+    }
+    recorder = recorder_;
+  }
+  if (recorder != nullptr && origin != nullptr) {
+    recorder->OnStatement(origin->sql, origin->params, result);
   }
 }
 

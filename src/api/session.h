@@ -75,17 +75,30 @@ class Session {
   }
 
   // ---- execution -------------------------------------------------------
-  /// One-call SQL text execution: lexes, parses, lowers onto the plan IR,
-  /// canonicalizes (per DatabaseOptions::canonicalize_plans) and executes.
+  // Every execution below runs one statement pipeline. With the recycler
+  // on, the statement is first probed, exactly as submitted, against the
+  // recycler's exact-hit index; a hit is served from the cached root and
+  // skips validation, canonicalization and binding (so a hit leaves an
+  // unbound plan unbound). On a miss the plan is validated, canonicalized
+  // (per DatabaseOptions::canonicalize_plans), probed again under its
+  // canonical key when the canonical form differs, and prepared; when it
+  // completes with a hot root, the canonical key and the submitted one
+  // are registered. A plan bound before a ReplaceTable runs as an
+  // unbound copy. Bypass sessions and recyclers in off or proactive mode
+  // never probe.
+
+  /// One-call SQL text execution: lexes, parses and lowers onto the plan
+  /// IR, then runs the statement pipeline.
   /// Every failure — syntax, unknown name, type error — comes back as a
   /// Result carrying a Status with line/column and a caret snippet; the
   /// engine never aborts on bad SQL. Statements with `:name` placeholders
   /// are rejected here: compile those with Prepare(sql).
   Result Sql(std::string_view sql);
 
-  /// Validates and executes a parameter-free query.
+  /// Runs a parameter-free query through the statement pipeline.
   Result Execute(const Query& query);
-  /// Executes a raw plan (workload generators).
+  /// Runs a raw plan through the statement pipeline (workload
+  /// generators).
   Result Execute(PlanPtr plan);
   /// Async execution routed through the database admission gate. Deep-
   /// clones the plan so the same Query object can be submitted
@@ -141,28 +154,39 @@ class Session {
 
   Session(Database* db, SessionOptions options);
 
+  /// The SQL origin of a statement (text + bindings), for the attached
+  /// recorder.
+  struct StatementOrigin {
+    std::string sql;
+    ParamMap params;
+  };
+
   /// Shared Prepare tail: canonicalize + prebind an owned template.
   /// `source_sql` is the template's SQL text (empty for builder
   /// templates), kept so recorded executions are replayable.
   std::unique_ptr<PreparedStatement> PrepareTemplate(
       PlanPtr tmpl, Status* status, std::string source_sql = std::string());
-  /// Validates, binds and runs a plan, recording session stats/traces.
-  Result RunPlan(const PlanPtr& plan);
-  /// Same, for plans a PreparedStatement already validated.
-  Result RunValidatedPlan(const PlanPtr& plan);
+  /// The statement pipeline (see "execution" above) plus Record: every
+  /// execution entry point ends here. `origin` is the statement's SQL
+  /// origin, null for builder plans and async submissions.
+  Result RunStatement(const PlanPtr& plan,
+                      const StatementOrigin* origin = nullptr);
+  /// The statement pipeline itself: probe, then on a miss validate,
+  /// canonicalize, probe again under the canonical key (a non-canonical
+  /// spelling only), Prepare and run.
+  Result RunPipeline(PlanPtr plan);
   /// Wraps `fn` with in-flight accounting and hands it to the database
   /// pool (used by Submit and PreparedStatement::Submit).
   std::future<Result> SubmitInternal(std::function<Result()> fn);
-  void Record(const Result& result);
-  /// Stages the SQL origin (statement text + bindings) of the execution
-  /// about to run, for the attached recorder. Consumed (and cleared) by
-  /// the next RunValidatedPlan; cleared by RunPlan on validation failure.
-  void NoteStatementOrigin(std::string sql, const ParamMap& params);
+  /// Adds `result` to the session stats and trace ring, and hands a
+  /// successful statement with an `origin` to the attached recorder.
+  void Record(const Result& result, const StatementOrigin* origin = nullptr);
 
   Database* db_;
   SessionOptions options_;
-  /// Guards stats_/traces_/inflight_: Submit() fulfills results on
-  /// database worker threads while the client thread reads stats.
+  /// Guards stats_/traces_/inflight_/recorder_: Submit() fulfills
+  /// results on database worker threads while the client thread reads
+  /// stats.
   mutable std::mutex mu_;
   std::condition_variable inflight_cv_;
   int inflight_ = 0;
@@ -171,12 +195,8 @@ class Session {
   /// once the ring has wrapped.
   std::vector<QueryTrace> traces_;
   size_t trace_head_ = 0;
-  /// Attached workload recorder (nullptr = off) and the staged SQL
-  /// origin of the execution in flight; all guarded by mu_.
+  /// Attached workload recorder (nullptr = off); guarded by mu_.
   trace::TraceRecorder* recorder_ = nullptr;
-  bool origin_pending_ = false;
-  std::string origin_sql_;
-  ParamMap origin_params_;
 };
 
 }  // namespace recycledb

@@ -69,6 +69,15 @@ void PreparedStatement::ClearBindings() {
 }
 
 Status PreparedStatement::ToPlan(PlanPtr* out) {
+  PlanPtr plan;
+  RDB_RETURN_NOT_OK(Substitute(&plan));
+  RDB_RETURN_NOT_OK(
+      ValidatePlan(plan, session_->database()->catalog(), nullptr));
+  *out = std::move(plan);
+  return Status::OK();
+}
+
+Status PreparedStatement::Substitute(PlanPtr* out) {
   if (!pending_error_.ok()) return pending_error_;
   std::vector<std::string> missing;
   PlanPtr plan = template_->SubstituteParams(bound_, &missing);
@@ -82,23 +91,20 @@ Status PreparedStatement::ToPlan(PlanPtr* out) {
     return Status::InvalidArgument("unbound parameters: " + names + "\n" +
                                    Explain());
   }
-  RDB_RETURN_NOT_OK(
-      ValidatePlan(plan, session_->database()->catalog(), nullptr));
   *out = std::move(plan);
   return Status::OK();
 }
 
 Result PreparedStatement::Execute() {
   PlanPtr plan;
-  Status st = ToPlan(&plan);
+  Status st = Substitute(&plan);
   if (!st.ok()) {
     Result r = Result::Error(std::move(st));
     session_->Record(r);
     return r;
   }
-  // ToPlan already validated; skip the second tree walk.
-  session_->NoteStatementOrigin(source_sql_, bound_);
-  return session_->RunValidatedPlan(plan);
+  const Session::StatementOrigin origin{source_sql_, bound_};
+  return session_->RunStatement(plan, &origin);
 }
 
 Result PreparedStatement::Execute(const ParamMap& params) {
@@ -108,7 +114,7 @@ Result PreparedStatement::Execute(const ParamMap& params) {
 
 std::future<Result> PreparedStatement::Submit() {
   PlanPtr plan;
-  Status st = ToPlan(&plan);
+  Status st = Substitute(&plan);
   if (!st.ok()) {
     Result error = Result::Error(std::move(st));
     session_->Record(error);  // async failures count in session stats too
@@ -118,7 +124,7 @@ std::future<Result> PreparedStatement::Submit() {
   }
   return session_->SubmitInternal(
       [session = session_, plan = std::move(plan)] {
-        return session->RunValidatedPlan(plan);
+        return session->RunStatement(plan);
       });
 }
 

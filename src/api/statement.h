@@ -79,6 +79,10 @@ class PreparedStatement {
                     PlanPtr pre_canonical = nullptr,
                     std::string source_sql = std::string());
 
+  /// ToPlan without the validation: Execute and Submit hand the plan to
+  /// the session's statement pipeline, which validates only on a miss.
+  Status Substitute(PlanPtr* out);
+
   Session* session_;
   PlanPtr template_;
   /// The SQL text this statement was prepared from (empty for builder

@@ -160,11 +160,12 @@ Status NodeError(const PlanNode& node, const Status& cause) {
 
 Status ValidateNode(const PlanNode& node, const Catalog& catalog,
                     Schema* out) {
-  // A bound subtree already passed these checks (the facade validates
-  // before binding; internal generators construct valid plans). This is
-  // what makes re-executing a prepared statement cheap: only the freshly
-  // substituted parameterized spine is walked.
-  if (node.bound()) {
+  // A subtree bound under the catalog's current schema generation already
+  // passed these checks (the facade validates before binding; internal
+  // generators construct valid plans). This is what makes re-executing a
+  // prepared statement cheap: only the freshly substituted parameterized
+  // spine is walked. A binding from before a ReplaceTable is rechecked.
+  if (node.bound_under(catalog)) {
     *out = node.output_schema();
     return Status::OK();
   }

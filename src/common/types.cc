@@ -1,5 +1,6 @@
 #include "common/types.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -78,22 +79,38 @@ std::string DatumToString(const Datum& d) {
 }
 
 std::string DatumToKeyString(const Datum& d) {
-  if (d.index() == 4) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%a", std::get<double>(d));
-    return buf;
-  }
-  if (d.index() == 5) {
-    // Quotes inside the string are doubled, as in SQL, so the closing
-    // quote is unambiguous: 'a'' ''b' is one value, 'a' 'b' two.
-    std::string out = "'";
-    for (char c : std::get<std::string>(d)) {
-      out += c;
-      if (c == '\'') out += c;
+  std::string out;
+  AppendDatumKey(d, &out);
+  return out;
+}
+
+void AppendDatumKey(const Datum& d, std::string* out) {
+  char buf[32];
+  switch (d.index()) {
+    case 2:
+    case 3: {
+      const int64_t v = d.index() == 2 ? std::get<int32_t>(d)
+                                       : std::get<int64_t>(d);
+      out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+      return;
     }
-    return out + "'";
+    case 4:
+      out->append(buf, std::snprintf(buf, sizeof(buf), "%a",
+                                     std::get<double>(d)));
+      return;
+    case 5:
+      // Quotes inside the string are doubled, as in SQL, so the closing
+      // quote is unambiguous: 'a'' ''b' is one value, 'a' 'b' two.
+      *out += '\'';
+      for (char c : std::get<std::string>(d)) {
+        *out += c;
+        if (c == '\'') *out += c;
+      }
+      *out += '\'';
+      return;
+    default:
+      *out += DatumToString(d);
   }
-  return DatumToString(d);
 }
 
 std::string KeyToDisplayString(const std::string& key) {

@@ -48,6 +48,8 @@ std::string DatumToString(const Datum& d);
 /// as hex floats (so -0.0 and +0.0 differ), strings quoted with every
 /// inner quote doubled, every other alternative as DatumToString does.
 std::string DatumToKeyString(const Datum& d);
+/// DatumToKeyString(d) appended to `out`, without a temporary string.
+void AppendDatumKey(const Datum& d, std::string* out);
 
 /// Display form of text built with DatumToKeyString: every hex float
 /// token (outside quoted strings) re-rendered as DatumToString renders

@@ -20,10 +20,14 @@ const char* AggFuncName(AggFunc fn) {
   return "?";
 }
 
-std::string AggItem::Fingerprint(const NameMap* mapping) const {
+void AggItem::AppendFingerprint(std::string* out,
+                                const NameMap* mapping) const {
   // out_name is a *new* name assigned by the node; it is not part of the
   // parameter fingerprint (the graph canonicalizes assigned names).
-  return std::string(AggFuncName(fn)) + "(" + arg->Fingerprint(mapping) + ")";
+  *out += AggFuncName(fn);
+  *out += '(';
+  arg->AppendFingerprint(out, mapping);
+  *out += ')';
 }
 
 TypeId AggResultType(AggFunc fn, TypeId input) {

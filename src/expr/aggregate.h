@@ -25,8 +25,9 @@ struct AggItem {
   ExprPtr arg;          // input expression (never null; use Literal(1) for *)
   std::string out_name;
 
-  /// Canonical rendering under a name mapping (for plan fingerprints).
-  std::string Fingerprint(const NameMap* mapping) const;
+  /// Appends the canonical rendering under a name mapping to `out` (for
+  /// plan fingerprints).
+  void AppendFingerprint(std::string* out, const NameMap* mapping) const;
 };
 
 /// Result value type of an aggregate over an input of type `input`.

@@ -220,7 +220,7 @@ void Expr::AppendFingerprint(std::string* out, const NameMap* mapping,
     }
     case ExprKind::kLiteral:
       *out += "l:";
-      *out += DatumToKeyString(literal_);
+      AppendDatumKey(literal_, out);
       return;
     case ExprKind::kParam:
       *out += '$';
@@ -247,7 +247,7 @@ void Expr::AppendFingerprint(std::string* out, const NameMap* mapping,
       children_[0]->AppendFingerprint(out, mapping, anonymize_columns);
       for (const auto& v : in_values_) {
         *out += ' ';
-        *out += DatumToKeyString(v);
+        AppendDatumKey(v, out);
       }
       *out += ')';
       return;

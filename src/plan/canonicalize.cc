@@ -629,4 +629,13 @@ PlanPtr CanonicalizePlan(const PlanPtr& plan) {
   return CanonicalizeNode(std::move(node));
 }
 
+PlanPtr CanonicalizeKeepingTemplate(const PlanPtr& plan) {
+  PlanPtr canon = CanonicalizePlan(plan);
+  if (canon != plan && canon->template_hash() != plan->template_hash()) {
+    canon = canon->WithChildren(std::vector<PlanPtr>(canon->children()));
+    canon->set_template_hash(plan->template_hash());
+  }
+  return canon;
+}
+
 }  // namespace recycledb

@@ -39,4 +39,10 @@ ExprPtr CanonicalizeExpr(const ExprPtr& expr);
 /// pointer when nothing changed.
 PlanPtr CanonicalizePlan(const PlanPtr& plan);
 
+/// CanonicalizePlan for execution: the result keeps `plan`'s template
+/// hash. A dropped root (identity Project, TRUE Select) surfaces a shared
+/// child as the new root; a private copy of it is re-tagged, so the
+/// template attribution survives without mutating the shared node.
+PlanPtr CanonicalizeKeepingTemplate(const PlanPtr& plan);
+
 }  // namespace recycledb

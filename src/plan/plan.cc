@@ -1,5 +1,6 @@
 #include "plan/plan.h"
 
+#include <charconv>
 #include <sstream>
 
 #include "common/hash.h"
@@ -171,8 +172,21 @@ const Schema& PlanNode::output_schema() const {
   return output_schema_;
 }
 
+bool PlanNode::HasStaleBinding(const Catalog& catalog) const {
+  const uint64_t generation = catalog.schema_generation();
+  if (generation == 0) return false;  // no ReplaceTable yet
+  if (bound_ && bound_generation_ != generation) return true;
+  for (const auto& c : children_) {
+    if (c->HasStaleBinding(catalog)) return true;
+  }
+  return false;
+}
+
 void PlanNode::Bind(const Catalog& catalog) {
   if (bound_) return;
+  // Read before the children bind, so a parent never records a newer
+  // generation than a child it was bound under.
+  const uint64_t generation = catalog.schema_generation();
   for (auto& c : children_) c->Bind(catalog);
   base_tables_.clear();
   for (const auto& c : children_) {
@@ -289,102 +303,139 @@ void PlanNode::Bind(const Catalog& catalog) {
     }
   }
   bound_ = true;
+  bound_generation_ = generation;
 }
 
 namespace {
-std::string MapName(const std::string& name, const NameMap* mapping) {
+
+void AppendName(const std::string& name, const NameMap* mapping,
+                std::string* out) {
   if (mapping != nullptr) {
     auto it = mapping->find(name);
-    if (it != mapping->end()) return it->second;
+    if (it != mapping->end()) {
+      *out += it->second;
+      return;
+    }
   }
-  return name;
+  *out += name;
 }
+
+void AppendInt(int64_t v, std::string* out) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
 }  // namespace
 
 std::string PlanNode::ParamFingerprint(const NameMap* mapping) const {
+  std::string out;
+  AppendParamFingerprint(&out, mapping);
+  return out;
+}
+
+void PlanNode::AppendParamFingerprint(std::string* out,
+                                      const NameMap* mapping) const {
   switch (type_) {
-    case OpType::kScan: {
-      std::string out = "scan:" + table_ + ":[" + Join(columns_, ",") + "]";
-      if (has_scan_range()) {
-        out += StrFormat(":rows[%lld,%lld)", (long long)scan_begin_,
-                         (long long)scan_end_);
+    case OpType::kScan:
+      *out += "scan:";
+      *out += table_;
+      *out += ":[";
+      for (size_t i = 0; i < columns_.size(); ++i) {
+        if (i > 0) *out += ',';
+        *out += columns_[i];
       }
-      return out;
-    }
-    case OpType::kFunctionScan: {
-      std::string out = "fscan:" + table_ + "(";
+      *out += ']';
+      if (has_scan_range()) {
+        *out += ":rows[";
+        AppendInt(scan_begin_, out);
+        *out += ',';
+        AppendInt(scan_end_, out);
+        *out += ')';
+      }
+      return;
+    case OpType::kFunctionScan:
+      *out += "fscan:";
+      *out += table_;
+      *out += '(';
       if (!arg_exprs_.empty()) {
         for (size_t i = 0; i < arg_exprs_.size(); ++i) {
-          if (i > 0) out += ",";
-          arg_exprs_[i]->AppendFingerprint(&out, mapping);
+          if (i > 0) *out += ',';
+          arg_exprs_[i]->AppendFingerprint(out, mapping);
         }
       } else {
         for (size_t i = 0; i < args_.size(); ++i) {
-          if (i > 0) out += ",";
-          out += DatumToKeyString(args_[i]);
+          if (i > 0) *out += ',';
+          AppendDatumKey(args_[i], out);
         }
       }
-      return out + ")";
-    }
-    case OpType::kSelect: {
-      std::string out = "select:";
-      predicate_->AppendFingerprint(&out, mapping);
-      return out;
-    }
-    case OpType::kProject: {
-      std::string out = "project:[";
+      *out += ')';
+      return;
+    case OpType::kSelect:
+      *out += "select:";
+      predicate_->AppendFingerprint(out, mapping);
+      return;
+    case OpType::kProject:
+      *out += "project:[";
       for (size_t i = 0; i < projections_.size(); ++i) {
-        if (i > 0) out += ",";
-        projections_[i].expr->AppendFingerprint(&out, mapping);
+        if (i > 0) *out += ',';
+        projections_[i].expr->AppendFingerprint(out, mapping);
       }
-      return out + "]";
-    }
-    case OpType::kAggregate: {
-      std::string out = "agg:[";
+      *out += ']';
+      return;
+    case OpType::kAggregate:
+      *out += "agg:[";
       for (size_t i = 0; i < group_by_.size(); ++i) {
-        if (i > 0) out += ",";
-        out += MapName(group_by_[i], mapping);
+        if (i > 0) *out += ',';
+        AppendName(group_by_[i], mapping, out);
       }
-      out += "]:[";
+      *out += "]:[";
       for (size_t i = 0; i < aggregates_.size(); ++i) {
-        if (i > 0) out += ",";
-        out += aggregates_[i].Fingerprint(mapping);
+        if (i > 0) *out += ',';
+        aggregates_[i].AppendFingerprint(out, mapping);
       }
-      return out + "]";
-    }
-    case OpType::kHashJoin: {
-      std::string out = "join:";
-      out += JoinKindName(join_kind_);
-      out += ":[";
+      *out += ']';
+      return;
+    case OpType::kHashJoin:
+      *out += "join:";
+      *out += JoinKindName(join_kind_);
+      *out += ":[";
       for (size_t i = 0; i < left_keys_.size(); ++i) {
-        if (i > 0) out += ",";
-        out += MapName(left_keys_[i], mapping);
+        if (i > 0) *out += ',';
+        AppendName(left_keys_[i], mapping, out);
       }
-      out += "]=[";
+      *out += "]=[";
       for (size_t i = 0; i < right_keys_.size(); ++i) {
-        if (i > 0) out += ",";
-        out += MapName(right_keys_[i], mapping);
+        if (i > 0) *out += ',';
+        AppendName(right_keys_[i], mapping, out);
       }
-      return out + "]";
-    }
+      *out += ']';
+      return;
     case OpType::kOrderBy:
-    case OpType::kTopN: {
-      std::string out = type_ == OpType::kTopN
-                            ? StrFormat("topn:%lld:[", (long long)limit_)
-                            : "sort:[";
-      for (size_t i = 0; i < sort_keys_.size(); ++i) {
-        if (i > 0) out += ",";
-        out += MapName(sort_keys_[i].column, mapping);
-        out += sort_keys_[i].ascending ? "+" : "-";
+    case OpType::kTopN:
+      if (type_ == OpType::kTopN) {
+        *out += "topn:";
+        AppendInt(limit_, out);
+        *out += ":[";
+      } else {
+        *out += "sort:[";
       }
-      return out + "]";
-    }
+      for (size_t i = 0; i < sort_keys_.size(); ++i) {
+        if (i > 0) *out += ',';
+        AppendName(sort_keys_[i].column, mapping, out);
+        *out += sort_keys_[i].ascending ? '+' : '-';
+      }
+      *out += ']';
+      return;
     case OpType::kLimit:
-      return StrFormat("limit:%lld", (long long)limit_);
+      *out += "limit:";
+      AppendInt(limit_, out);
+      return;
     case OpType::kUnionAll:
-      return "union";
+      *out += "union";
+      return;
     case OpType::kCachedScan:
-      return "cachedscan";
+      *out += "cachedscan";
+      return;
   }
   RDB_UNREACHABLE("bad op type");
 }
@@ -562,7 +613,7 @@ std::string PlanNode::TreeFingerprint() const {
 }
 
 void PlanNode::AppendTreeFingerprint(std::string* out) const {
-  *out += ParamFingerprint(nullptr);
+  AppendParamFingerprint(out, nullptr);
   if (!children_.empty()) {
     *out += '(';
     for (size_t i = 0; i < children_.size(); ++i) {

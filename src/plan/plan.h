@@ -142,6 +142,16 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
   void set_as_of_rows(int64_t rows) { as_of_rows_ = rows; }
 
   bool bound() const { return bound_; }
+  /// True when bound under `catalog`'s current schema generation: a node
+  /// bound before a ReplaceTable counts as unbound.
+  bool bound_under(const Catalog& catalog) const {
+    return bound_ && bound_generation_ == catalog.schema_generation();
+  }
+  /// True when some node of this tree was bound before a ReplaceTable on
+  /// `catalog`. Such a tree must not run, and is never bound again in
+  /// place (bound nodes may be shared by plans on other threads): run an
+  /// unbound CloneDeep() instead.
+  bool HasStaleBinding(const Catalog& catalog) const;
   const Schema& output_schema() const;
 
   /// Base tables this subtree reads (set at Bind; used for invalidation).
@@ -149,10 +159,11 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
 
   // ---- binding ----------------------------------------------------------
   /// Resolves output schemas bottom-up and validates column references.
-  /// Idempotent. RDB_CHECK-fails on invalid plans (programmer error: plans
-  /// are produced by our own generators). Embedders building plans through
-  /// the public API get recoverable Status errors from ValidatePlan
-  /// (api/validate.h) before this runs.
+  /// Idempotent: a bound node is never written again, so bound subtrees
+  /// can be shared across threads. RDB_CHECK-fails on invalid plans
+  /// (programmer error: plans are produced by our own generators).
+  /// Embedders building plans through the public API get recoverable
+  /// Status errors from ValidatePlan (api/validate.h) before this runs.
   void Bind(const Catalog& catalog);
 
   // ---- parameterized templates ------------------------------------------
@@ -189,6 +200,8 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
   /// Two nodes with equal op type, equal parameter fingerprints and
   /// exactly-matching children are bisimilar (the paper's exact match).
   std::string ParamFingerprint(const NameMap* mapping) const;
+  /// ParamFingerprint() appended to `out`, without a string per node.
+  void AppendParamFingerprint(std::string* out, const NameMap* mapping) const;
 
   /// Hash key for candidate lookup: cheap characteristics that must match
   /// exactly (op type + shallow parameters). Collisions are resolved by
@@ -274,6 +287,7 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
   std::string cache_key_;  // kCachedScan provenance (display-only)
 
   bool bound_ = false;
+  uint64_t bound_generation_ = 0;  // Catalog::schema_generation at Bind
   Schema output_schema_;
   std::set<std::string> base_tables_;
 };

@@ -259,14 +259,29 @@ std::string CanonicalizeIdSuffixes(
   return out;
 }
 
-/// Appends the names `node` and its subtree introduce (Project and
-/// Aggregate outputs, FunctionScan columns), pre-order.
-void AppendNewNames(const PlanNode& node, std::string* out) {
-  for (const std::string& name : node.NewNames()) {
-    *out += '|';
-    *out += name;
+/// Appends `node`'s TreeFingerprint to `fp` and the names its subtree
+/// introduces (Project and Aggregate outputs) to `names`, pre-order.
+void AppendExactHitKey(const PlanNode& node, std::string* fp,
+                       std::string* names) {
+  node.AppendParamFingerprint(fp, nullptr);
+  if (node.type() == OpType::kProject) {
+    for (const ProjItem& p : node.projections()) {
+      *names += '|';
+      *names += p.out_name;
+    }
+  } else if (node.type() == OpType::kAggregate) {
+    for (const AggItem& a : node.aggregates()) {
+      *names += '|';
+      *names += a.out_name;
+    }
   }
-  for (const auto& c : node.children()) AppendNewNames(*c, out);
+  if (node.children().empty()) return;
+  *fp += '(';
+  for (size_t i = 0; i < node.children().size(); ++i) {
+    if (i > 0) *fp += ';';
+    AppendExactHitKey(*node.children()[i], fp, names);
+  }
+  *fp += ')';
 }
 
 std::string ComputeCanonicalSubtreeKey(const RGNode* node) {
@@ -304,9 +319,13 @@ std::string ComputeCanonicalSubtreeKey(const RGNode* node) {
 
 }  // namespace
 
-std::string Recycler::ExactHitKey(const PlanNode& plan, std::string tree_fp) {
-  AppendNewNames(plan, &tree_fp);
-  return tree_fp;
+StatementKey Recycler::ExactHitKey(const PlanNode& plan) {
+  StatementKey key;
+  std::string names;
+  AppendExactHitKey(plan, &key.text, &names);
+  key.fingerprint_size = key.text.size();
+  key.text += names;
+  return key;
 }
 
 const std::string& Recycler::CanonicalSubtreeKey(RGNode* node) const {
@@ -821,49 +840,76 @@ void Recycler::UpdateHrOnEvict(RGNode* node) {
 // Exact-hit index
 // ---------------------------------------------------------------------------
 
-PlanPtr Recycler::TryIndexedExactHit(const std::string& key,
-                                     const PlanPtr& plan,
-                                     PreparedQuery* prepared) {
-  std::shared_lock<std::shared_mutex> glock(graph_.mutex());
-  std::shared_ptr<const ExactHit> hit;
-  {
-    std::lock_guard<std::mutex> lock(exact_mu_);
-    auto it = exact_hits_.find(key);
-    if (it == exact_hits_.end()) return nullptr;
-    hit = it->second;
-  }
-  RGNode* g = hit->root;
-  TablePtr snapshot;
-  {
-    RecyclerGraph::MatShard& shard = graph_.mat_shard(g);
-    std::lock_guard<std::mutex> slock(shard.mu);
-    if (g->mat_state.load() != MatState::kCached) return nullptr;
-    snapshot = g->cached;
-  }
-  if (NodeFreshness(g, prepared, nullptr) != Freshness::kFresh) {
+std::unique_ptr<PreparedQuery> Recycler::ProbeExactHit(
+    const PlanPtr& plan, StatementKey* key) {
+  *key = StatementKey{};
+  // Proactive mode may swap the plan before matching, so it never uses
+  // the index.
+  if (config_.mode == RecyclerMode::kOff ||
+      config_.mode == RecyclerMode::kProactive) {
     return nullptr;
   }
-  // BumpImportance on a fully matched plan with a cached root: every
-  // node is accessed, only the root gains a reference.
-  const int64_t epoch = graph_.epoch();
-  for (RGNode* n : hit->nodes) n->last_access_epoch.store(epoch);
-  graph_.FoldAging(g);
-  AtomicAddClamped(g->h, 1.0, 0.0);
-  g->match_count.fetch_add(1);
+  Stopwatch match_sw;
+  *key = ExactHitKey(*plan);
+  std::unique_ptr<PreparedQuery> prepared;
+  PlanPtr cs;
+  {
+    std::shared_lock<std::shared_mutex> glock(graph_.mutex());
+    std::shared_ptr<const ExactHit> hit;
+    {
+      std::lock_guard<std::mutex> lock(exact_mu_);
+      auto it = exact_hits_.find(key->text);
+      if (it == exact_hits_.end()) return nullptr;
+      hit = it->second;
+    }
+    RGNode* g = hit->root;
+    prepared = std::make_unique<PreparedQuery>();
+    PinTables(g->base_tables, prepared.get());
+    TablePtr snapshot;
+    {
+      RecyclerGraph::MatShard& shard = graph_.mat_shard(g);
+      std::lock_guard<std::mutex> slock(shard.mu);
+      if (g->mat_state.load() != MatState::kCached ||
+          CheckFreshness(g->stamps, g->base_tables, prepared->snapshots_,
+                         nullptr) != Freshness::kFresh) {
+        return nullptr;
+      }
+      snapshot = g->cached;
+    }
+    StartTrace(prepared.get(), plan->template_hash());
+    prepared->trace_.plan_fingerprint = hit->plan_fingerprint;
+    // BumpImportance on a fully matched plan with a cached root: every
+    // node is accessed, only the root gains a reference.
+    graph_.AdvanceEpoch();
+    const int64_t epoch = graph_.epoch();
+    for (RGNode* n : hit->nodes) n->last_access_epoch.store(epoch);
+    graph_.FoldAging(g);
+    AtomicAddClamped(g->h, 1.0, 0.0);
+    g->match_count.fetch_add(1);
 
-  auto m = std::make_unique<MNode>();
-  m->plan = plan.get();
-  m->plan_ref = plan;
-  m->gnode = g;
-  PlanPtr cs = ServeExact(m.get(), plan, std::move(snapshot),
-                          /*from_cold=*/false, prepared);
-  prepared->matched_ = std::move(m);
-  return cs;
+    auto m = std::make_unique<MNode>();
+    m->plan = plan.get();
+    m->plan_ref = plan;
+    m->gnode = g;
+    cs = ServeExact(m.get(), hit->output_names, std::move(snapshot),
+                    /*from_cold=*/false, prepared.get());
+    prepared->matched_ = std::move(m);
+  }
+  prepared->trace_.match_ms = match_sw.ElapsedMs();
+  prepared->trace_.graph_nodes_at_match = graph_.num_nodes();
+  cs->Bind(*catalog_);
+  prepared->plan_ = std::move(cs);
+  FinalizeTrace(prepared.get());
+  return prepared;
 }
 
-void Recycler::RememberExactHit(std::string key, const MNode& root) {
+void Recycler::RememberExactHit(std::string key, std::string alias,
+                                const MNode& root,
+                                uint64_t plan_fingerprint) {
   auto hit = std::make_shared<ExactHit>();
   hit->root = root.gnode;
+  hit->output_names = root.plan->output_schema().Names();
+  hit->plan_fingerprint = plan_fingerprint;
   std::vector<const MNode*> stack{&root};
   while (!stack.empty()) {
     const MNode* m = stack.back();
@@ -877,32 +923,42 @@ void Recycler::RememberExactHit(std::string key, const MNode& root) {
   // Checked under exact_mu_: a root that leaves kCached after this check
   // is forgotten by SetMatState, which takes exact_mu_ after its store.
   if (hit->root->mat_state.load() != MatState::kCached) return;
-  // A root keeps one key and a key one root: drop the root's other key,
-  // and the key's other root.
-  auto rk = exact_hit_keys_.find(hit->root);
-  if (rk != exact_hit_keys_.end() && *rk->second != key) {
-    exact_hits_.erase(exact_hits_.find(*rk->second));
-    exact_hit_keys_.erase(rk);
+  // A root keeps the keys of its latest registration, and a key one
+  // root: drop the root's older keys, and each key's other root.
+  ForgetExactHitLocked(hit->root);
+  std::vector<const std::string*>& root_keys = exact_hit_keys_[hit->root];
+  for (std::string* k : {&key, &alias}) {
+    if (k->empty()) continue;
+    auto [it, fresh_key] = exact_hits_.try_emplace(std::move(*k));
+    if (!fresh_key) {
+      if (it->second->root == hit->root) continue;  // alias == key
+      std::vector<const std::string*>& other =
+          exact_hit_keys_[it->second->root];
+      other.erase(std::find(other.begin(), other.end(), &it->first));
+      if (other.empty()) exact_hit_keys_.erase(it->second->root);
+    }
+    it->second = hit;
+    root_keys.push_back(&it->first);
   }
-  auto [it, fresh_key] = exact_hits_.try_emplace(std::move(key));
-  if (!fresh_key && it->second->root != hit->root) {
-    exact_hit_keys_.erase(it->second->root);
-  }
-  exact_hit_keys_[hit->root] = &it->first;
-  it->second = std::move(hit);
 }
 
 void Recycler::ForgetExactHit(const RGNode* root) {
   std::lock_guard<std::mutex> lock(exact_mu_);
+  ForgetExactHitLocked(root);
+}
+
+void Recycler::ForgetExactHitLocked(const RGNode* root) {
   auto it = exact_hit_keys_.find(root);
   if (it == exact_hit_keys_.end()) return;
-  exact_hits_.erase(exact_hits_.find(*it->second));
+  for (const std::string* key : it->second) {
+    exact_hits_.erase(exact_hits_.find(*key));
+  }
   exact_hit_keys_.erase(it);
 }
 
 int64_t Recycler::exact_hit_entries() const {
   std::lock_guard<std::mutex> lock(exact_mu_);
-  return static_cast<int64_t>(exact_hits_.size());
+  return static_cast<int64_t>(exact_hit_keys_.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -911,13 +967,9 @@ int64_t Recycler::exact_hit_entries() const {
 
 Freshness Recycler::NodeFreshness(RGNode* node, const PreparedQuery* prepared,
                                   StaleWindow* window) {
-  std::map<std::string, TableStamp> stamps;
-  {
-    RecyclerGraph::MatShard& shard = graph_.mat_shard(node);
-    std::lock_guard<std::mutex> slock(shard.mu);
-    stamps = node->stamps;
-  }
-  return CheckFreshness(stamps, node->base_tables, prepared->snapshots_,
+  RecyclerGraph::MatShard& shard = graph_.mat_shard(node);
+  std::lock_guard<std::mutex> slock(shard.mu);
+  return CheckFreshness(node->stamps, node->base_tables, prepared->snapshots_,
                         window);
 }
 
@@ -976,12 +1028,12 @@ PlanPtr Recycler::TryDeltaRewrite(MNode* m, const PlanPtr& plan, RGNode* g,
   return delta_plan;
 }
 
-PlanPtr Recycler::ServeExact(MNode* m, const PlanPtr& plan,
+PlanPtr Recycler::ServeExact(MNode* m, std::vector<std::string> column_names,
                              TablePtr snapshot, bool from_cold,
                              PreparedQuery* prepared) {
   RGNode* g = m->gnode;
-  PlanPtr cs =
-      PlanNode::CachedScan(std::move(snapshot), plan->output_schema().Names());
+  PlanPtr cs = PlanNode::CachedScan(std::move(snapshot),
+                                    std::move(column_names));
   cs->set_cache_key(CanonicalSubtreeKey(g));
   prepared->replaced_cost_[cs.get()] = g->bcost_ms.load();
   m->replaced = true;
@@ -1081,8 +1133,8 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
     if (snapshot != nullptr) {
       // The canonical subtree key walks graph structure (children).
       std::shared_lock<std::shared_mutex> glock(graph_.mutex());
-      return ServeExact(m, plan, std::move(snapshot), exact_from_cold,
-                        prepared);
+      return ServeExact(m, plan->output_schema().Names(), std::move(snapshot),
+                        exact_from_cold, prepared);
     }
 
     // Derived reuse: only consulted when exact matching failed to
@@ -1677,33 +1729,54 @@ void Recycler::FlushCache() {
 // Prepare / OnComplete / Execute
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan) {
-  auto prepared = std::make_unique<PreparedQuery>();
+void Recycler::StartTrace(PreparedQuery* prepared, uint64_t template_hash) {
   prepared->query_id_ = next_query_id_.fetch_add(1);
   prepared->trace_.query_id = prepared->query_id_;
-  prepared->trace_.template_hash = plan->template_hash();
-  if (prepared->trace_.template_hash != 0) {
+  prepared->trace_.template_hash = template_hash;
+  if (template_hash != 0) {
     std::lock_guard<std::mutex> lock(template_mu_);
     prepared->trace_.template_prior_runs =
-        template_stats_[prepared->trace_.template_hash].executions;
+        template_stats_[template_hash].executions;
   }
-  plan->Bind(*catalog_);
-  // Identity of the statement as submitted (post-canonicalization,
-  // pre-rewrite): trace/golden tooling keys replay diffs on this.
-  std::string tree_fp = plan->TreeFingerprint();
-  prepared->trace_.plan_fingerprint = HashString(tree_fp);
+}
 
-  // Pin one consistent as-of snapshot of every base table for this
-  // query (pinned in every mode: scans must not see rows appended
-  // mid-query even with the recycler off). Freshness checks compare
-  // cached-entry stamps against these, and Execute scans through pins_.
-  for (const std::string& t : plan->base_tables()) {
+void Recycler::PinTables(const std::set<std::string>& tables,
+                         PreparedQuery* prepared) const {
+  for (const std::string& t : tables) {
     TableSnapshot snap = catalog_->Snapshot(t);
     if (snap.table != nullptr) {
       prepared->pins_[t] = snap.table;
       prepared->snapshots_[t] = std::move(snap);
     }
   }
+}
+
+std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan) {
+  StatementKey key;
+  std::unique_ptr<PreparedQuery> hit = ProbeExactHit(plan, &key);
+  if (hit != nullptr) return hit;
+  return Prepare(std::move(plan), std::move(key));
+}
+
+std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan,
+                                                 StatementKey key,
+                                                 std::string alias) {
+  auto prepared = std::make_unique<PreparedQuery>();
+  StartTrace(prepared.get(), plan->template_hash());
+  plan->Bind(*catalog_);
+  // Identity of the statement as submitted (post-canonicalization,
+  // pre-rewrite): trace/golden tooling keys replay diffs on this. The
+  // plan's key already holds its fingerprint.
+  prepared->trace_.plan_fingerprint =
+      key.text.empty() ? HashString(plan->TreeFingerprint())
+                       : HashString(std::string_view(key.text).substr(
+                             0, key.fingerprint_size));
+
+  // Pin one consistent as-of snapshot of every base table for this
+  // query (pinned in every mode: scans must not see rows appended
+  // mid-query even with the recycler off). Freshness checks compare
+  // cached-entry stamps against these, and Execute scans through pins_.
+  PinTables(plan->base_tables(), prepared.get());
 
   if (config_.mode == RecyclerMode::kOff) {
     prepared->plan_ = std::move(plan);
@@ -1714,21 +1787,9 @@ std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan) {
   Stopwatch match_sw;
   graph_.AdvanceEpoch();
 
-  // --- repeated exact hit (exact-hit index) ----------------------------
-  // Proactive mode may swap the plan before matching, so it never uses
-  // the index.
   if (config_.mode != RecyclerMode::kProactive) {
-    std::string hit_key = ExactHitKey(*plan, std::move(tree_fp));
-    PlanPtr cs = TryIndexedExactHit(hit_key, plan, prepared.get());
-    if (cs != nullptr) {
-      prepared->trace_.match_ms = match_sw.ElapsedMs();
-      prepared->trace_.graph_nodes_at_match = graph_.num_nodes();
-      cs->Bind(*catalog_);
-      prepared->plan_ = std::move(cs);
-      FinalizeTrace(prepared.get());
-      return prepared;
-    }
-    prepared->exact_hit_key_ = std::move(hit_key);
+    prepared->exact_hit_key_ = std::move(key.text);
+    prepared->exact_hit_alias_ = std::move(alias);
   }
 
   // --- proactive rewriting (PA mode, §IV-B) ---------------------------
@@ -1851,7 +1912,9 @@ void Recycler::OnComplete(PreparedQuery* prepared, const ExecResult& result) {
   if (!prepared->exact_hit_key_.empty() &&
       root->gnode->mat_state.load() == MatState::kCached &&
       !(root->replaced && prepared->trace_.num_subsumption_reuses > 0)) {
-    RememberExactHit(std::move(prepared->exact_hit_key_), *root);
+    RememberExactHit(std::move(prepared->exact_hit_key_),
+                     std::move(prepared->exact_hit_alias_), *root,
+                     prepared->trace_.plan_fingerprint);
   }
 
   // bcost must always reflect cost-from-base-tables (Eq. 2): add back the
@@ -1897,10 +1960,13 @@ TemplateStats Recycler::TemplateStatsFor(uint64_t template_hash) const {
 }
 
 ExecResult Recycler::Execute(const PlanPtr& query_plan, QueryTrace* trace_out) {
-  std::unique_ptr<PreparedQuery> prepared = Prepare(query_plan);
+  return Execute(Prepare(query_plan).get(), trace_out);
+}
+
+ExecResult Recycler::Execute(PreparedQuery* prepared, QueryTrace* trace_out) {
   ExecResult result =
       executor_.Run(prepared->plan(), &prepared->stores(), &prepared->pins_);
-  OnComplete(prepared.get(), result);
+  OnComplete(prepared, result);
   if (trace_out != nullptr) *trace_out = prepared->trace();
   return result;
 }

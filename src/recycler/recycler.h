@@ -6,6 +6,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -172,6 +173,15 @@ struct TemplateStats : QueryCounts {
 
 class Recycler;
 
+/// A statement's exact-hit index key (see Recycler::ProbeExactHit): its
+/// TreeFingerprint followed by every name the plan introduces, computed
+/// from the plan as submitted — unbound and unvalidated is fine.
+struct StatementKey {
+  std::string text;
+  /// Length of the TreeFingerprint prefix of `text`.
+  size_t fingerprint_size = 0;
+};
+
 /// A query prepared for execution: the (possibly rewritten) plan plus the
 /// store-operator configuration, and the bookkeeping needed to annotate
 /// the recycler graph after execution.
@@ -211,11 +221,14 @@ class PreparedQuery {
   /// one consistent version of each table even while appends land.
   std::map<std::string, TableSnapshot> snapshots_;
   Executor::TablePins pins_;
-  /// The statement's exact-hit index key (Recycler::ExactHitKey) when it
-  /// took the full matching path; OnComplete moves it into the index if
-  /// the root is hot by then. Empty when the statement was served from
-  /// the index, and in off and proactive modes.
+  /// The statement's exact-hit index keys (StatementKey::text) when it
+  /// took the full matching path: the prepared plan's key, and the key
+  /// of the spelling it was submitted in when that differs (else empty).
+  /// OnComplete moves both into the index if the root is hot by then.
+  /// Empty when the statement was served from the index, and in off and
+  /// proactive modes.
   std::string exact_hit_key_;
+  std::string exact_hit_alias_;
   int64_t query_id_ = 0;
 };
 
@@ -258,11 +271,44 @@ class Recycler {
   /// Full pipeline for one query: Prepare -> Execute -> OnComplete.
   /// `trace_out` (optional) receives the query's trace record.
   ExecResult Execute(const PlanPtr& query_plan, QueryTrace* trace_out = nullptr);
+  /// Runs an already prepared query, then OnComplete.
+  ExecResult Execute(PreparedQuery* prepared, QueryTrace* trace_out = nullptr);
 
-  /// Matches `query_plan` against the recycler graph, inserts unseen
-  /// nodes, rewrites for reuse, and injects store operators.
-  /// The input plan is not modified. Binds both input and output plans.
+  /// The exact-hit index probe: serves a repeated statement keyed on
+  /// `query_plan` exactly as handed in, bound or not. Reads nothing of the
+  /// plan but its key and template hash, and neither binds nor validates
+  /// it. On a hit — an entry whose root is hot and fresh against the
+  /// current snapshots of its base tables — returns the prepared root
+  /// CachedScan. On a miss returns null with the key in `*key`, for
+  /// Prepare(plan, key) to register at completion. Off and proactive
+  /// modes never probe: null, with `*key` empty.
+  std::unique_ptr<PreparedQuery> ProbeExactHit(const PlanPtr& query_plan,
+                                               StatementKey* key);
+
+  /// Exact-hit index key of a plan, bound or not, built in one walk: its
+  /// TreeFingerprint plus every name its Projects and Aggregates
+  /// introduce. The fingerprint leaves introduced names out, and they
+  /// steer the query->graph name mapping: `a AS x, b AS y` and `a AS y,
+  /// b AS x` fingerprint alike under the same parent predicate on `x`.
+  /// A FunctionScan's output names follow from its function and
+  /// arguments, which the fingerprint holds.
+  static StatementKey ExactHitKey(const PlanNode& plan);
+
+  /// ProbeExactHit keyed on `query_plan`, then on a miss the full path.
   std::unique_ptr<PreparedQuery> Prepare(PlanPtr query_plan);
+
+  /// The full path: matches `query_plan` against the recycler graph,
+  /// inserts unseen nodes, rewrites for reuse, and injects store
+  /// operators. The input plan is not modified. Binds both input and
+  /// output plans. Does not probe the exact-hit index. `key` must be
+  /// ExactHitKey(*query_plan) (ProbeExactHit's on this plan), or empty:
+  /// its fingerprint prefix is hashed for the trace, and it is registered
+  /// at completion when the root is hot. `alias`, when not empty, is the
+  /// key of the spelling the statement was submitted in, where that
+  /// differs from `query_plan` (a non-canonical spelling); it is
+  /// registered beside `key`.
+  std::unique_ptr<PreparedQuery> Prepare(PlanPtr query_plan, StatementKey key,
+                                         std::string alias = std::string());
 
   /// Post-execution hook: annotates graph nodes with measured statistics.
   void OnComplete(PreparedQuery* prepared, const ExecResult& result);
@@ -331,8 +377,8 @@ class Recycler {
   /// graph().mutex(), which keeps the returned reference valid.
   const std::string& CanonicalSubtreeKey(RGNode* node) const;
 
-  /// Entries in the exact-hit index (diagnostics / tests). Never more
-  /// than the hot cache's entry count: one entry per hot root at most.
+  /// Roots in the exact-hit index (diagnostics / tests). Never more than
+  /// the hot cache's entry count: each indexed root is hot.
   int64_t exact_hit_entries() const;
 
   RecyclerGraph& graph() { return graph_; }
@@ -348,10 +394,16 @@ class Recycler {
   using MNode = PreparedQuery::MNode;
 
   /// One exact-hit index entry: what MatchTree returned for a statement
-  /// whose root was hot when the statement completed.
+  /// whose root was hot when the statement completed, and what a hit
+  /// needs to serve without the plan. The base tables to pin are the
+  /// root's (RGNode::base_tables).
   struct ExactHit {
     RGNode* root = nullptr;
     std::vector<RGNode*> nodes;  // every matched node, pre-order (root first)
+    /// The root's output names in query space: the served result's names.
+    std::vector<std::string> output_names;
+    /// QueryTrace::plan_fingerprint of the canonical plan.
+    uint64_t plan_fingerprint = 0;
   };
 
   /// Adds `n` to `prepared`'s trace field for `counter` and to its
@@ -374,34 +426,27 @@ class Recycler {
   void UpdateHrChildren(RGNode* node, double delta); // shared walker
 
   // --- exact-hit index ---------------------------------------------------
-  /// Index key of a bound plan: its TreeFingerprint (`tree_fp`) plus every
-  /// name the plan introduces. MatchTree reads nothing else from the
-  /// plan, but the fingerprint leaves introduced names out, and they
-  /// steer the query->graph name mapping: `a AS x, b AS y` and `a AS y,
-  /// b AS x` fingerprint alike under the same parent predicate on `x`.
-  static std::string ExactHitKey(const PlanNode& plan, std::string tree_fp);
-  /// Serves a repeated exact hit without MatchTree: when `key` has an
-  /// entry whose root is kCached and fresh for `prepared`'s snapshots,
-  /// applies BumpImportance's effect on a cached root, sets
-  /// prepared->matched_ to the replaced root and returns the CachedScan.
-  /// Otherwise changes nothing and returns null (caller takes the full
-  /// path). Takes the shared graph lock.
-  PlanPtr TryIndexedExactHit(const std::string& key, const PlanPtr& plan,
-                             PreparedQuery* prepared);
-  /// Records `root`'s matched tree under `key` if the root is still hot;
-  /// a root keeps at most one key. Caller holds the shared graph lock.
-  void RememberExactHit(std::string key, const MNode& root);
-  /// Drops the entry rooted at `root` (its result left the hot cache).
+  /// Records `root`'s matched tree under `key`, and under `alias` when
+  /// not empty, if the root is still hot. A root keeps the keys of its
+  /// latest registration only, and a key one root. Caller holds the
+  /// shared graph lock.
+  void RememberExactHit(std::string key, std::string alias, const MNode& root,
+                        uint64_t plan_fingerprint);
+  /// Drops the keys of `root` (its result left the hot cache).
   void ForgetExactHit(const RGNode* root);
+  /// ForgetExactHit with exact_mu_ held.
+  void ForgetExactHitLocked(const RGNode* root);
 
   // --- rewriting --------------------------------------------------------
   PlanPtr RewriteForReuse(MNode* m, const PlanPtr& plan,
                           PreparedQuery* prepared);
   /// Replaces `m`'s subtree by a CachedScan over `snapshot`, `m->gnode`'s
-  /// hot or cold-loaded result: cache key, Eq. 2 credit, reuse counters
-  /// and the LRU touch. Caller holds the shared graph lock.
-  PlanPtr ServeExact(MNode* m, const PlanPtr& plan, TablePtr snapshot,
-                     bool from_cold, PreparedQuery* prepared);
+  /// hot or cold-loaded result, whose columns it names `column_names`:
+  /// cache key, Eq. 2 credit, reuse counters and the LRU touch. Caller
+  /// holds the shared graph lock.
+  PlanPtr ServeExact(MNode* m, std::vector<std::string> column_names,
+                     TablePtr snapshot, bool from_cold,
+                     PreparedQuery* prepared);
   /// Append-stale exact match: builds the delta rewrite (stitch or
   /// aggregate merge) over `snapshot`, drops the superseded cache entry,
   /// and marks `m` stitched so InjectStores re-admits the refreshed
@@ -416,7 +461,7 @@ class Recycler {
   /// rewrite that replaces it. Caller must not hold the graph lock.
   void DropSupersededEntry(RGNode* g);
   /// Freshness of `node`'s materialized result against the query's
-  /// pinned snapshots (stamps are read under the node's mat shard
+  /// pinned snapshots (checked in place under the node's mat shard
   /// mutex). Caller may hold the shared graph lock but not cache_mu_.
   Freshness NodeFreshness(RGNode* node, const PreparedQuery* prepared,
                           StaleWindow* window);
@@ -438,6 +483,12 @@ class Recycler {
                         bool speculative_ok, PreparedQuery* prepared);
   StoreRequest MakeStoreRequest(RGNode* gnode, StoreMode mode,
                                 PreparedQuery* prepared);
+  /// Prepare head (probe hit and full path): the query id, the template
+  /// hash and the template's prior runs.
+  void StartTrace(PreparedQuery* prepared, uint64_t template_hash);
+  /// Pins a snapshot of each of `tables` for `prepared`.
+  void PinTables(const std::set<std::string>& tables,
+                 PreparedQuery* prepared) const;
   /// Prepare tail (both mode paths): derives the uniform reuse_mode from
   /// the counters and captures the post-rewrite Explain when configured.
   void FinalizeTrace(PreparedQuery* prepared);
@@ -536,9 +587,9 @@ class Recycler {
   /// last and never while holding them longer than the map update).
   mutable std::mutex template_mu_;
   std::map<uint64_t, TemplateStats> template_stats_;
-  /// Exact-hit index: statement key (ExactHitKey) -> matched tree, and
-  /// root -> its one key (a pointer to the key exact_hits_ holds; map
-  /// keys never move). Guarded by exact_mu_, a leaf taken after the graph
+  /// Exact-hit index: statement key (ExactHitKey) -> entry, and
+  /// root -> its keys, at most two (pointers to the keys exact_hits_
+  /// holds; map keys never move). Guarded by exact_mu_, a leaf taken after the graph
   /// lock and cache_mu_, never with another lock acquired inside. Entries
   /// point into the graph: TruncateGraph clears the index under the
   /// exclusive lock. Every root is hot: SetMatState forgets a root that
@@ -546,7 +597,8 @@ class Recycler {
   mutable std::mutex exact_mu_;
   std::unordered_map<std::string, std::shared_ptr<const ExactHit>>
       exact_hits_;
-  std::unordered_map<const RGNode*, const std::string*> exact_hit_keys_;
+  std::unordered_map<const RGNode*, std::vector<const std::string*>>
+      exact_hit_keys_;
   Executor executor_;
   RecyclerCounters counters_;
   std::atomic<int64_t> next_query_id_{1};

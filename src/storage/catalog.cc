@@ -46,6 +46,7 @@ Status Catalog::ReplaceTable(const std::string& name, TablePtr table) {
   it->second.table = std::move(table);
   ++it->second.epoch;
   it->second.column_stats.clear();
+  schema_generation_.fetch_add(1);
   return Status::OK();
 }
 

@@ -1,6 +1,7 @@
 // Catalog: registry of base tables plus on-demand column statistics.
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -87,6 +88,13 @@ class Catalog {
 
   std::vector<std::string> TableNames() const;
 
+  /// Counts the changes that can alter a plan's binding: ReplaceTable
+  /// bumps it. RegisterTable does not (names are unique and never
+  /// dropped, so a new table changes no existing binding), nor does
+  /// AppendRows. A plan node bound under an older generation is stale
+  /// (PlanNode::HasStaleBinding; ValidatePlan rechecks it).
+  uint64_t schema_generation() const { return schema_generation_.load(); }
+
  private:
   struct Entry {
     TablePtr table;
@@ -102,6 +110,7 @@ class Catalog {
   /// append_mu_ while holding mu_.
   std::mutex append_mu_;
   std::map<std::string, Entry> tables_;
+  std::atomic<uint64_t> schema_generation_{0};
 };
 
 }  // namespace recycledb

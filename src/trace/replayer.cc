@@ -245,14 +245,9 @@ Status TraceReplayer::BuildStatementPlan(const StatementEvent& s,
   }
   RDB_RETURN_NOT_OK(ValidatePlan(plan, db_->catalog(), nullptr));
   // The driver path bypasses Session, so apply the canonicalizing pass
-  // (with Session::RunValidatedPlan's template re-tag rule) here.
+  // here.
   if (db_->options().canonicalize_plans) {
-    PlanPtr canon = CanonicalizePlan(plan);
-    if (canon != plan && canon->template_hash() != plan->template_hash()) {
-      canon = canon->WithChildren(std::vector<PlanPtr>(canon->children()));
-      canon->set_template_hash(plan->template_hash());
-    }
-    plan = std::move(canon);
+    plan = CanonicalizeKeepingTemplate(plan);
   }
   *out = std::move(plan);
   return Status::OK();

@@ -1,6 +1,8 @@
 // Tests for the public embeddable API: Database/Session facade, fluent
 // Query builder, parameterized PreparedStatements (rebinding reuse,
-// template stats, session isolation) and recoverable validation errors.
+// template stats, session isolation), recoverable validation errors, and
+// the statement pipeline (a repeat served from the exact-hit index before
+// validation; plans bound before a ReplaceTable checked again).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "plan/canonicalize.h"
 #include "plan/table_function.h"
 #include "recycledb/recycledb.h"
 #include "test_util.h"
@@ -916,6 +919,383 @@ TEST(CounterAgreement, TwoConcurrentSessionsAddUp) {
       *db, *clients[0].stmt,
       {clients[0].session->stats(), clients[1].session->stats()},
       twins_before, traces, traces);
+}
+
+// ---------------------------------------------------------------------------
+// Statement pipeline: a repeat is served from the exact-hit index as
+// submitted, before validation, canonicalization and Bind
+// ---------------------------------------------------------------------------
+
+/// The scan leaf of `plan` (first child all the way down).
+const PlanNode* LeafOf(const PlanPtr& plan) {
+  const PlanNode* n = plan.get();
+  while (!n->children().empty()) n = n->children()[0].get();
+  return n;
+}
+
+/// The trace fields a probe hit must share with a MatchTree root hit.
+void ExpectSameHit(const QueryTrace& probed, const QueryTrace& matched) {
+  EXPECT_EQ(probed.reuse_mode, matched.reuse_mode);
+  EXPECT_EQ(probed.plan_fingerprint, matched.plan_fingerprint);
+  EXPECT_EQ(probed.template_hash, matched.template_hash);
+  EXPECT_EQ(probed.template_prior_runs, matched.template_prior_runs);
+  EXPECT_EQ(probed.graph_nodes_at_match, matched.graph_nodes_at_match);
+  ExpectSameCounts("probe hit vs MatchTree hit", matched, probed);
+}
+
+TEST(StatementPipeline, RepeatSkipsValidateCanonicalizeAndBind) {
+  auto db = OpenSalesDb();
+  auto session = db->Connect({});
+  auto fresh = [&] { return SalesSince(*db, Expr::Literal(int64_t{2008})); };
+  Result first = session->Execute(fresh().plan());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_FALSE(first.recycled());
+  EXPECT_EQ(db->recycler().exact_hit_entries(), 1);
+
+  PlanPtr repeat = fresh().plan();
+  const int64_t epoch = db->recycler().graph().epoch();
+  Result hit = session->Execute(repeat);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(hit.trace().reuse_mode, ReuseMode::kExact);
+  EXPECT_FALSE(repeat->bound());  // never validated, canonicalized or bound
+  EXPECT_EQ(db->recycler().graph().epoch(), epoch + 1);
+  EXPECT_EQ(recycledb::testing::RowMultiset(*hit.table()),
+            recycledb::testing::RowMultiset(*first.table()));
+  EXPECT_EQ(hit.schema().Names(), first.schema().Names());
+
+  PlanPtr submitted = fresh().plan();
+  Result async_hit = session->Submit(submitted).get();
+  ASSERT_TRUE(async_hit.ok()) << async_hit.status().ToString();
+  EXPECT_EQ(async_hit.trace().reuse_mode, ReuseMode::kExact);
+  EXPECT_FALSE(submitted->bound());
+
+  // The same statement through the full path: a MatchTree root hit.
+  PlanPtr matched_plan = CanonicalizePlan(fresh().plan());
+  QueryTrace matched;
+  db->recycler().Execute(
+      db->recycler().Prepare(matched_plan, StatementKey{}).get(), &matched);
+  ExpectSameHit(hit.trace(), matched);
+}
+
+TEST(StatementPipeline, PreparedRepeatTraceAndTemplateStatsMatchAMatchTreeHit) {
+  // Two engines run a statement twice; the second run is a probe hit on
+  // one and a MatchTree root hit on the other.
+  auto probed_db = OpenSalesDb();
+  auto matched_db = OpenSalesDb();
+  auto probed_session = probed_db->Connect({});
+  auto matched_session = matched_db->Connect({});
+  auto probed =
+      probed_session->Prepare(SalesSince(*probed_db, Expr::Param("since")));
+  auto matched =
+      matched_session->Prepare(SalesSince(*matched_db, Expr::Param("since")));
+  ASSERT_NE(probed, nullptr);
+  ASSERT_NE(matched, nullptr);
+  const ParamMap since = {{"since", int64_t{2008}}};
+  ASSERT_TRUE(probed->Execute(since).ok());
+  ASSERT_TRUE(matched->Execute(since).ok());
+
+  Result hit = probed->Execute(since);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  PlanPtr plan;
+  ASSERT_TRUE(matched->ToPlan(&plan).ok());
+  ASSERT_EQ(CanonicalizePlan(plan), plan);
+  QueryTrace full;
+  Recycler& rec = matched_db->recycler();
+  rec.Execute(rec.Prepare(plan, StatementKey{}).get(), &full);
+  EXPECT_EQ(hit.trace().reuse_mode, ReuseMode::kExact);
+  ExpectSameHit(hit.trace(), full);
+
+  const TemplateStats a = probed->stats();
+  const TemplateStats b = matched->stats();
+  EXPECT_EQ(a.executions, 2);
+  EXPECT_EQ(a.executions, b.executions);
+  ExpectSameCounts("TemplateStats", b, a);
+}
+
+TEST(StatementPipeline, NonCanonicalStatementHitsOnItsSecondSubmission) {
+  auto db = OpenSalesDb();
+  auto session = db->Connect({});
+  auto fresh = [&](bool year_first) {
+    ExprPtr year = Expr::Ge(Expr::Column("year"), Expr::Literal(int64_t{2007}));
+    ExprPtr city = Expr::Ne(Expr::Column("city"),
+                            Expr::Literal(std::string("Brisbane")));
+    return db->Scan("sales", {"city", "year", "sales"})
+        .Filter(year_first ? Expr::And(year, city) : Expr::And(city, year))
+        .Aggregate({"city"}, {{AggFunc::kSum, Expr::Column("sales"), "t"}})
+        .plan();
+  };
+  // Whichever conjunct order the canonicalizer does not keep.
+  bool year_first = true;
+  if (CanonicalizePlan(fresh(true))->TreeFingerprint() ==
+      fresh(true)->TreeFingerprint()) {
+    year_first = false;
+  }
+  PlanPtr submitted = fresh(year_first);
+  ASSERT_NE(CanonicalizePlan(submitted)->TreeFingerprint(),
+            submitted->TreeFingerprint());
+
+  Result first = session->Execute(submitted);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_FALSE(first.recycled());
+  PlanPtr repeat = fresh(year_first);
+  Result hit = session->Execute(repeat);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(hit.trace().reuse_mode, ReuseMode::kExact);
+  EXPECT_FALSE(repeat->bound());
+  // The canonical form's fingerprint, as on a MatchTree hit.
+  EXPECT_EQ(hit.trace().plan_fingerprint, first.trace().plan_fingerprint);
+  EXPECT_EQ(recycledb::testing::RowMultiset(*hit.table()),
+            recycledb::testing::RowMultiset(*first.table()));
+}
+
+TEST(StatementPipeline, AlternatingSpellingsAreServedFromTheIndex) {
+  auto db = OpenSalesDb();
+  auto session = db->Connect({});
+  // The statement with its three conjuncts in the order `order` names.
+  auto fresh = [&](const std::vector<int>& order) {
+    const ExprPtr conjuncts[] = {
+        Expr::Ge(Expr::Column("year"), Expr::Literal(int64_t{2007})),
+        Expr::Ne(Expr::Column("city"), Expr::Literal(std::string("Brisbane"))),
+        Expr::Gt(Expr::Column("sales"), Expr::Literal(100.0))};
+    return db->Scan("sales", {"city", "year", "sales"})
+        .Filter(Expr::And(Expr::And(conjuncts[order[0]], conjuncts[order[1]]),
+                          conjuncts[order[2]]))
+        .Aggregate({"city"}, {{AggFunc::kSum, Expr::Column("sales"), "t"}})
+        .plan();
+  };
+  // Two spellings, neither of them canonical.
+  const std::string canonical_fp =
+      CanonicalizePlan(fresh({0, 1, 2}))->TreeFingerprint();
+  std::vector<std::vector<int>> spellings;
+  std::vector<int> order = {0, 1, 2};
+  do {
+    if (fresh(order)->TreeFingerprint() != canonical_fp) {
+      spellings.push_back(order);
+    }
+  } while (spellings.size() < 2 &&
+           std::next_permutation(order.begin(), order.end()));
+  ASSERT_EQ(spellings.size(), 2u);
+  ASSERT_EQ(CanonicalizePlan(fresh(spellings[1]))->TreeFingerprint(),
+            canonical_fp);
+
+  // Each run is the other spelling. The first run registers its own key
+  // and the canonical one; every later run is served from the index:
+  // before validation under its own key, or after canonicalization under
+  // the canonical key. Neither binds the scan, which a MatchTree hit
+  // would (and it would replace the other spelling's key).
+  std::multiset<std::string> rows;
+  for (int run = 0; run < 6; ++run) {
+    SCOPED_TRACE(run);
+    PlanPtr plan = fresh(spellings[run % 2]);
+    const int64_t epoch = db->recycler().graph().epoch();
+    Result r = session->Execute(plan);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(db->recycler().graph().epoch(), epoch + 1);
+    EXPECT_EQ(db->recycler().exact_hit_entries(), 1);
+    if (run == 0) {
+      EXPECT_FALSE(r.recycled());
+      rows = recycledb::testing::RowMultiset(*r.table());
+      continue;
+    }
+    EXPECT_EQ(r.trace().reuse_mode, ReuseMode::kExact);
+    EXPECT_FALSE(LeafOf(plan)->bound());
+    EXPECT_EQ(recycledb::testing::RowMultiset(*r.table()), rows);
+  }
+}
+
+TEST(StatementPipeline, BypassOffAndProactiveNeverProbe) {
+  {
+    auto db = OpenSalesDb();
+    SessionOptions options;
+    options.bypass_recycler = true;
+    auto bypass = db->Connect(options);
+    for (int run = 0; run < 2; ++run) {
+      PlanPtr plan = SalesSince(*db, Expr::Literal(int64_t{2008})).plan();
+      Result r = bypass->Execute(plan);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_FALSE(r.recycled());
+      EXPECT_TRUE(plan->bound());  // validated and bound every time
+    }
+    EXPECT_EQ(db->recycler().exact_hit_entries(), 0);
+    EXPECT_EQ(db->recycler().graph().epoch(), 0);
+  }
+  for (RecyclerMode mode : {RecyclerMode::kOff, RecyclerMode::kProactive}) {
+    SCOPED_TRACE(RecyclerModeName(mode));
+    auto db = OpenSalesDb(mode);
+    auto session = db->Connect({});
+    for (int run = 0; run < 3; ++run) {
+      PlanPtr plan = SalesSince(*db, Expr::Literal(int64_t{2008})).plan();
+      Result r = session->Execute(plan);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(plan->bound());
+    }
+    EXPECT_EQ(db->recycler().exact_hit_entries(), 0);
+  }
+}
+
+TEST(StatementPipeline, PreparedExecuteAndSubmitRepeatsAreServedFromTheIndex) {
+  for (RecyclerMode mode :
+       {RecyclerMode::kSpeculation, RecyclerMode::kProactive}) {
+    SCOPED_TRACE(RecyclerModeName(mode));
+    auto db = OpenSalesDb(mode);
+    auto session = db->Connect({});
+    auto stmt = session->Prepare(SalesSince(*db, Expr::Param("since")));
+    ASSERT_NE(stmt, nullptr);
+    stmt->Bind("since", int64_t{2008});
+    // The template's scan is pre-bound at Prepare and shared by every
+    // bound plan. A new table changes no binding; a ReplaceTable makes
+    // every binding stale, though it leaves the entry over "sales" alone.
+    PlanPtr plan;
+    ASSERT_TRUE(stmt->ToPlan(&plan).ok());
+    const PlanNode* scan = LeafOf(plan);
+    ASSERT_TRUE(stmt->Execute().ok());
+    ASSERT_TRUE(db->CreateTable("other", MakeSalesTable(10)).ok());
+    ASSERT_TRUE(scan->bound_under(db->catalog()));
+    ASSERT_TRUE(db->ReplaceTable("other", MakeSalesTable(10)).ok());
+    ASSERT_FALSE(scan->bound_under(db->catalog()));
+
+    const bool probes = mode != RecyclerMode::kProactive;
+    Result executed = stmt->Execute();
+    ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+    Result submitted = stmt->Submit().get();
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    if (probes) {
+      EXPECT_EQ(executed.trace().reuse_mode, ReuseMode::kExact);
+      EXPECT_EQ(submitted.trace().reuse_mode, ReuseMode::kExact);
+    }
+    // Proactive mode never probes, so its statements are checked and
+    // bound, on copies: the shared scan is never bound again.
+    EXPECT_FALSE(scan->bound_under(db->catalog()));
+    EXPECT_TRUE(plan->HasStaleBinding(db->catalog()));
+    EXPECT_EQ(stmt->stats().executions, 3);
+  }
+}
+
+TEST(StatementPipeline, FunctionScanRepeatIsServedFromTheIndex) {
+  DatabaseOptions options;
+  auto db = Database::OpenOrDie(options);
+  skyserver::Setup(20000, &db->catalog());
+  auto session = db->Connect({});
+  auto fresh = [&] {
+    return db->FunctionScan("fGetNearbyObjEq",
+                            {Expr::Literal(195.0), Expr::Literal(2.5),
+                             Expr::Literal(0.5)})
+        .plan();
+  };
+  Result first = session->Execute(fresh());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(db->recycler().exact_hit_entries(), 1);
+  PlanPtr repeat = fresh();
+  Result hit = session->Execute(repeat);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(hit.trace().reuse_mode, ReuseMode::kExact);
+  EXPECT_FALSE(repeat->bound());
+  EXPECT_EQ(hit.schema().Names(), first.schema().Names());
+  EXPECT_EQ(recycledb::testing::RowMultiset(*hit.table()),
+            recycledb::testing::RowMultiset(*first.table()));
+}
+
+// ---------------------------------------------------------------------------
+// ReplaceTable: a plan bound under the old schema is checked again
+// ---------------------------------------------------------------------------
+
+TablePtr MakeAbTable(bool with_b, bool a_double) {
+  std::vector<Field> fields = {
+      {"a", a_double ? TypeId::kDouble : TypeId::kInt64}};
+  if (with_b) fields.push_back({"b", TypeId::kInt64});
+  TablePtr t = MakeTable(Schema(std::move(fields)));
+  for (int64_t i = 0; i < 200; ++i) {
+    const Datum a = a_double ? Datum(static_cast<double>(i) + 0.5) : Datum(i);
+    if (with_b) {
+      t->AppendRow({a, i * 3});
+    } else {
+      t->AppendRow({a});
+    }
+  }
+  return t;
+}
+
+PlanPtr AbovePlan() {
+  return PlanNode::Select(PlanNode::Scan("t", {"a", "b"}),
+                          Expr::Gt(Expr::Column("a"),
+                                   Expr::Literal(int64_t{50})));
+}
+
+TEST(ReplaceTable, SamePlanAfterADroppedColumnReturnsTheError) {
+  auto db = Database::OpenOrDie(DatabaseOptions{});
+  ASSERT_TRUE(db->CreateTable("t", MakeAbTable(true, false)).ok());
+  auto session = db->Connect({});
+  PlanPtr plan = AbovePlan();
+  for (int run = 0; run < 2; ++run) ASSERT_TRUE(session->Execute(plan).ok());
+  ASSERT_TRUE(db->ReplaceTable("t", MakeAbTable(false, false)).ok());
+  Result copy = session->Execute(AbovePlan());
+  EXPECT_FALSE(copy.ok());
+  EXPECT_NE(copy.status().message().find("unknown column: t.b"),
+            std::string::npos)
+      << copy.status().ToString();
+  Result same = session->Execute(plan);
+  EXPECT_FALSE(same.ok());
+  EXPECT_NE(same.status().message().find("unknown column: t.b"),
+            std::string::npos)
+      << same.status().ToString();
+}
+
+TEST(ReplaceTable, ConcurrentPreparedMissesBindCopiesOfTheSharedTemplate) {
+  // After a ReplaceTable, the template's pre-bound subtrees are stale and
+  // shared by every substituted plan. Concurrent misses must not bind
+  // them again in place (run under TSan by the concurrency label).
+  DatabaseOptions options;
+  options.async_threads = 4;
+  auto db = Database::OpenOrDie(options);
+  ASSERT_TRUE(db->CreateTable("sales", MakeSalesTable()).ok());
+  auto session = db->Connect({});
+  SessionOptions bypass_options;
+  bypass_options.bypass_recycler = true;
+  auto bypass = db->Connect(bypass_options);
+  auto stmt = session->Prepare(SalesSince(*db, Expr::Param("since")));
+  ASSERT_NE(stmt, nullptr);
+  ASSERT_TRUE(stmt->Execute({{"since", int64_t{2005}}}).ok());
+  ASSERT_TRUE(db->ReplaceTable("sales", MakeSalesTable(5000)).ok());
+
+  std::vector<std::future<Result>> futures;
+  for (int64_t since = 2005; since < 2013; ++since) {
+    stmt->Bind("since", since);
+    futures.push_back(stmt->Submit());
+  }
+  for (int64_t since = 2005; since < 2013; ++since) {
+    SCOPED_TRACE(since);
+    Result r = futures[since - 2005].get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    Result truth =
+        bypass->Execute(SalesSince(*db, Expr::Literal(since)).plan());
+    ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+    EXPECT_EQ(recycledb::testing::RowMultiset(*r.table()),
+              recycledb::testing::RowMultiset(*truth.table()));
+  }
+  PlanPtr plan;
+  ASSERT_TRUE(stmt->ToPlan(&plan).ok());
+  EXPECT_TRUE(plan->HasStaleBinding(db->catalog()));
+}
+
+TEST(ReplaceTable, ColumnTypeChangeGivesBypassRowsOrAnError) {
+  auto db = Database::OpenOrDie(DatabaseOptions{});
+  ASSERT_TRUE(db->CreateTable("t", MakeAbTable(true, false)).ok());
+  auto session = db->Connect({});
+  SessionOptions bypass_options;
+  bypass_options.bypass_recycler = true;
+  auto bypass = db->Connect(bypass_options);
+  PlanPtr plan = AbovePlan();
+  for (int run = 0; run < 2; ++run) ASSERT_TRUE(session->Execute(plan).ok());
+  ASSERT_TRUE(db->ReplaceTable("t", MakeAbTable(true, true)).ok());
+  for (int run = 0; run < 2; ++run) {
+    Result r = session->Execute(plan);
+    if (!r.ok()) continue;  // an error is allowed, an abort is not
+    Result truth = bypass->Execute(AbovePlan());
+    ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+    EXPECT_EQ(r.schema().field(0).type, TypeId::kDouble);
+    EXPECT_EQ(recycledb::testing::RowMultiset(*r.table()),
+              recycledb::testing::RowMultiset(*truth.table()));
+  }
 }
 
 }  // namespace

@@ -13,7 +13,10 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 
+#include "api/database.h"
+#include "api/session.h"
 #include "recycler/recycler.h"
+#include "skyserver/skyserver.h"
 #include "test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/qgen.h"
@@ -276,9 +279,7 @@ struct RecyclerPeer {
 
   /// The index entry `plan` would be looked up under (empty: none).
   static std::vector<RGNode*> IndexedNodes(Recycler& rec, const PlanPtr& plan) {
-    plan->Bind(*rec.catalog());
-    const std::string key =
-        Recycler::ExactHitKey(*plan, plan->TreeFingerprint());
+    const std::string key = Recycler::ExactHitKey(*plan).text;
     std::lock_guard<std::mutex> lock(rec.exact_mu_);
     auto it = rec.exact_hits_.find(key);
     if (it == rec.exact_hits_.end()) return {};
@@ -290,10 +291,11 @@ struct RecyclerPeer {
   /// checks other than RememberExactHit's own (the root must be hot).
   static void Remember(Recycler& rec, const PlanPtr& plan) {
     plan->Bind(*rec.catalog());
-    std::string key = Recycler::ExactHitKey(*plan, plan->TreeFingerprint());
+    std::string key = Recycler::ExactHitKey(*plan).text;
     std::unique_ptr<Recycler::MNode> root = rec.MatchTree(plan);
     std::shared_lock<std::shared_mutex> lock(rec.graph_.mutex());
-    rec.RememberExactHit(std::move(key), *root);
+    rec.RememberExactHit(std::move(key), std::string(), *root,
+                         HashString(plan->TreeFingerprint()));
   }
 
   static void ClearIndex(Recycler& rec) {
@@ -575,6 +577,64 @@ TEST_F(ExactHitIndexTest, StaleEntryStillFallsBack) {
   EXPECT_EQ(t.reuse_mode, ReuseMode::kAggMerge);
   EXPECT_EQ(recycledb::testing::RowMultiset(*r.table),
             BypassRows(catalog_, AggPlan(10)));
+}
+
+TEST_F(ExactHitIndexTest, StaleEntryFallsBackThroughTheSessionOnce) {
+  // The session probes the index before validation; a stale entry falls
+  // back to the full path, which validates and binds the plan. Either
+  // way the graph epoch advances once per statement.
+  DatabaseOptions options;
+  std::unique_ptr<Database> db = Database::OpenOrDie(options);
+  ASSERT_TRUE(db->CreateTable("t", catalog_.GetTable("t")).ok());
+  Recycler& rec = db->recycler();
+  auto session = db->Connect({});
+  ASSERT_TRUE(session->Execute(AggPlan(10)).ok());
+  TablePtr delta = MakeTable(db->catalog().GetTable("t")->schema());
+  delta->AppendRow({int32_t{42}, 1.5});
+  ASSERT_TRUE(db->AppendTable("t", *delta).ok());
+  ASSERT_EQ(rec.exact_hit_entries(), 0);
+  RecyclerPeer::Remember(rec, AggPlan(10));
+  ASSERT_EQ(rec.exact_hit_entries(), 1);
+
+  PlanPtr stale = AggPlan(10);
+  int64_t epoch = rec.graph().epoch();
+  Result merged = session->Execute(stale);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged.trace().reuse_mode, ReuseMode::kAggMerge);
+  EXPECT_TRUE(stale->bound());  // the full path ran
+  EXPECT_EQ(rec.graph().epoch(), epoch + 1);
+  EXPECT_EQ(recycledb::testing::RowMultiset(*merged.table()),
+            BypassRows(db->catalog(), AggPlan(10)));
+
+  PlanPtr repeat = AggPlan(10);
+  epoch = rec.graph().epoch();
+  Result hit = session->Execute(repeat);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(hit.trace().reuse_mode, ReuseMode::kExact);
+  EXPECT_FALSE(repeat->bound());  // served before validation and Bind
+  EXPECT_EQ(rec.graph().epoch(), epoch + 1);
+  EXPECT_EQ(recycledb::testing::RowMultiset(*hit.table()),
+            recycledb::testing::RowMultiset(*merged.table()));
+}
+
+TEST_F(ExactHitIndexTest, KeyOfAnUnboundPlanEqualsItsBoundCopy) {
+  Catalog catalog;
+  tpch::Generate(kSf, &catalog);
+  skyserver::Setup(2000, &catalog);
+  std::vector<PlanPtr> plans = TpchPlans(5);
+  plans.push_back(PlanNode::Select(
+      PlanNode::FunctionScan("fGetNearbyObjEq", {195.0, 2.5, 0.5}),
+      Expr::Lt(Expr::Column("distance"), Expr::Literal(0.2))));
+  for (const PlanPtr& plan : plans) {
+    PlanPtr unbound = plan->CloneDeep();
+    plan->Bind(catalog);
+    const StatementKey bound_key = Recycler::ExactHitKey(*plan);
+    const StatementKey unbound_key = Recycler::ExactHitKey(*unbound);
+    EXPECT_FALSE(unbound->bound());
+    EXPECT_EQ(unbound_key.text, bound_key.text);
+    EXPECT_EQ(bound_key.text.substr(0, bound_key.fingerprint_size),
+              plan->TreeFingerprint());
+  }
 }
 
 TEST_F(ExactHitIndexTest, InFlightRootFallsBackAndStalls) {

@@ -306,6 +306,32 @@ TEST(SqlExecution, QuotesInsideStringConstantsKeepKeysApart) {
 // Recoverable errors with line/column caret snippets
 // ---------------------------------------------------------------------------
 
+TEST(SqlExecution, ReplaceTableThenSameTextReturnsTheValidationError) {
+  auto db = OpenSalesDb(2000);
+  auto session = db->Connect({});
+  const std::string text =
+      "SELECT city, SUM(sales) AS total FROM sales WHERE year >= 2008 "
+      "GROUP BY city";
+  ASSERT_TRUE(session->Sql(text).ok());
+  Result cached = session->Sql(text);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  ASSERT_EQ(cached.trace().reuse_mode, ReuseMode::kExact);
+
+  // The statement still lowers, but `sales` is now a string column.
+  TablePtr replaced = MakeTable(Schema({{"city", TypeId::kString},
+                                        {"year", TypeId::kInt32},
+                                        {"sales", TypeId::kString}}));
+  replaced->AppendRow({std::string("Edinburgh"), int32_t{2010},
+                       std::string("many")});
+  ASSERT_TRUE(db->ReplaceTable("sales", replaced).ok());
+  Result after = session->Sql(text);
+  ASSERT_FALSE(after.ok());
+  EXPECT_NE(after.status().message().find("sum over non-numeric argument"),
+            std::string::npos)
+      << after.status().ToString();
+  EXPECT_EQ(db->recycler().exact_hit_entries(), 0);
+}
+
 TEST(SqlErrors, SyntaxErrorCarriesPositionAndCaret) {
   auto db = OpenSalesDb(100);
   Result r = db->Sql("SELECT FROM sales");
