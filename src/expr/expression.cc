@@ -5,6 +5,7 @@
 #include "common/hash.h"
 #include "common/macros.h"
 #include "common/string_util.h"
+#include "storage/wire_format.h"
 
 namespace recycledb {
 
@@ -651,6 +652,228 @@ ExprPtr AndAll(const std::vector<ExprPtr>& conjuncts) {
     acc = Expr::And(acc, conjuncts[i]);
   }
   return acc;
+}
+
+namespace {
+
+// EncodeExprOrdinal's image, pre-order. Each node is its ExprKind byte
+// followed by:
+//   column ref  u32 ordinal
+//   literal     datum
+//   compare / logical / arith / like   u8 op, then (like) string pattern
+//   func        string name
+//   in-list     u32 count, datums
+// and then (every kind but column ref and literal) u32 child count and
+// the children. A datum is its variant index byte and the value: u8
+// bool, u32 int32, u64 int64, u64 double bits, or a string.
+
+void PutDatum(const Datum& d, std::string* out) {
+  out->push_back(static_cast<char>(d.index()));
+  if (const auto* b = std::get_if<bool>(&d)) {
+    out->push_back(*b ? 1 : 0);
+  } else if (const auto* i = std::get_if<int32_t>(&d)) {
+    wire::PutU32(out, static_cast<uint32_t>(*i));
+  } else if (const auto* l = std::get_if<int64_t>(&d)) {
+    wire::PutU64(out, static_cast<uint64_t>(*l));
+  } else if (const auto* v = std::get_if<double>(&d)) {
+    wire::PutDouble(out, *v);
+  } else if (const auto* s = std::get_if<std::string>(&d)) {
+    wire::PutString(out, *s);
+  }
+}
+
+bool GetDatum(wire::Cursor* c, Datum* d) {
+  uint8_t index = 0;
+  if (!c->GetU8(&index)) return false;
+  switch (index) {
+    case 0:
+      *d = std::monostate{};
+      return true;
+    case 1: {
+      uint8_t b = 0;
+      if (!c->GetU8(&b) || b > 1) return false;
+      *d = b == 1;
+      return true;
+    }
+    case 2: {
+      uint32_t v = 0;
+      if (!c->GetU32(&v)) return false;
+      *d = static_cast<int32_t>(v);
+      return true;
+    }
+    case 3: {
+      uint64_t v = 0;
+      if (!c->GetU64(&v)) return false;
+      *d = static_cast<int64_t>(v);
+      return true;
+    }
+    case 4: {
+      double v = 0;
+      if (!c->GetDouble(&v)) return false;
+      *d = v;
+      return true;
+    }
+    case 5: {
+      std::string s;
+      if (!c->GetString(&s)) return false;
+      *d = std::move(s);
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
+/// Nesting bound for decoding: a crafted image must not exhaust the
+/// stack. Planner-built predicates stay far below it.
+constexpr int kMaxDecodeDepth = 1000;
+
+ExprPtr DecodeNode(wire::Cursor* c, const std::vector<std::string>& names,
+                   int depth) {
+  uint8_t kind = 0;
+  if (depth > kMaxDecodeDepth || !c->GetU8(&kind) ||
+      kind > static_cast<uint8_t>(ExprKind::kLike)) {
+    return nullptr;
+  }
+  const ExprKind k = static_cast<ExprKind>(kind);
+  if (k == ExprKind::kColumnRef) {
+    uint32_t ordinal = 0;
+    if (!c->GetU32(&ordinal) || ordinal >= names.size()) return nullptr;
+    return Expr::Column(names[ordinal]);
+  }
+  if (k == ExprKind::kLiteral) {
+    Datum d;
+    return GetDatum(c, &d) ? Expr::Literal(std::move(d)) : nullptr;
+  }
+  uint8_t op = 0;
+  std::string text;
+  std::vector<Datum> values;
+  switch (k) {
+    case ExprKind::kCompare:
+    case ExprKind::kLogical:
+    case ExprKind::kArith:
+      if (!c->GetU8(&op)) return nullptr;
+      break;
+    case ExprKind::kLike:
+      if (!c->GetU8(&op) || !c->GetString(&text)) return nullptr;
+      break;
+    case ExprKind::kFunc:
+      if (!c->GetString(&text)) return nullptr;
+      break;
+    case ExprKind::kInList: {
+      uint32_t n = 0;
+      if (!c->GetU32(&n) || n > c->remaining()) return nullptr;
+      values.resize(n);
+      for (Datum& v : values) {
+        if (!GetDatum(c, &v)) return nullptr;
+      }
+      break;
+    }
+    default:
+      return nullptr;  // kParam is never encoded
+  }
+  uint32_t n = 0;
+  if (!c->GetU32(&n) || n > c->remaining()) return nullptr;
+  std::vector<ExprPtr> kids;
+  for (uint32_t i = 0; i < n; ++i) {
+    kids.push_back(DecodeNode(c, names, depth + 1));
+    if (kids.back() == nullptr) return nullptr;
+  }
+  auto arity = [&](size_t want) { return kids.size() == want; };
+  switch (k) {
+    case ExprKind::kCompare:
+      if (!arity(2) || op > static_cast<uint8_t>(CompareOp::kGe)) break;
+      return Expr::Compare(static_cast<CompareOp>(op), kids[0], kids[1]);
+    case ExprKind::kLogical:
+      if (op == static_cast<uint8_t>(LogicalOp::kNot) && arity(1)) {
+        return Expr::Not(kids[0]);
+      }
+      if (op == static_cast<uint8_t>(LogicalOp::kAnd) && arity(2)) {
+        return Expr::And(kids[0], kids[1]);
+      }
+      if (op == static_cast<uint8_t>(LogicalOp::kOr) && arity(2)) {
+        return Expr::Or(kids[0], kids[1]);
+      }
+      break;
+    case ExprKind::kArith:
+      if (!arity(2) || op > static_cast<uint8_t>(ArithOp::kDiv)) break;
+      return Expr::Arith(static_cast<ArithOp>(op), kids[0], kids[1]);
+    case ExprKind::kFunc:
+      return Expr::Func(std::move(text), std::move(kids));
+    case ExprKind::kCase:
+      if (!arity(3)) break;
+      return Expr::Case(kids[0], kids[1], kids[2]);
+    case ExprKind::kInList:
+      if (!arity(1)) break;
+      return Expr::In(kids[0], std::move(values));
+    case ExprKind::kLike:
+      if (!arity(1) || op > static_cast<uint8_t>(LikeKind::kNotContains)) {
+        break;
+      }
+      return Expr::Like(static_cast<LikeKind>(op), kids[0], std::move(text));
+    default:
+      break;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+bool EncodeExprOrdinal(const Expr& e,
+                       const std::vector<std::string>& input_names,
+                       std::string* out) {
+  out->push_back(static_cast<char>(e.kind()));
+  switch (e.kind()) {
+    case ExprKind::kColumnRef: {
+      for (size_t i = 0; i < input_names.size(); ++i) {
+        if (input_names[i] == e.column_name()) {
+          wire::PutU32(out, static_cast<uint32_t>(i));
+          return true;
+        }
+      }
+      return false;
+    }
+    case ExprKind::kLiteral:
+      PutDatum(e.literal(), out);
+      return true;
+    case ExprKind::kParam:
+      return false;
+    case ExprKind::kCompare:
+      out->push_back(static_cast<char>(e.compare_op()));
+      break;
+    case ExprKind::kLogical:
+      out->push_back(static_cast<char>(e.logical_op()));
+      break;
+    case ExprKind::kArith:
+      out->push_back(static_cast<char>(e.arith_op()));
+      break;
+    case ExprKind::kLike:
+      out->push_back(static_cast<char>(e.like_kind()));
+      wire::PutString(out, e.like_pattern());
+      break;
+    case ExprKind::kFunc:
+      wire::PutString(out, e.func_name());
+      break;
+    case ExprKind::kInList:
+      wire::PutU32(out, static_cast<uint32_t>(e.in_values().size()));
+      for (const Datum& v : e.in_values()) PutDatum(v, out);
+      break;
+    case ExprKind::kCase:
+      break;
+  }
+  wire::PutU32(out, static_cast<uint32_t>(e.children().size()));
+  for (const ExprPtr& c : e.children()) {
+    if (!EncodeExprOrdinal(*c, input_names, out)) return false;
+  }
+  return true;
+}
+
+ExprPtr DecodeExprOrdinal(const std::string& bytes,
+                          const std::vector<std::string>& input_names) {
+  wire::Cursor c{reinterpret_cast<const unsigned char*>(bytes.data()),
+                 bytes.size()};
+  ExprPtr e = DecodeNode(&c, input_names, 0);
+  return c.remaining() == 0 ? e : nullptr;
 }
 
 }  // namespace recycledb

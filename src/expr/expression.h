@@ -164,4 +164,20 @@ std::vector<ExprPtr> SplitConjuncts(const ExprPtr& pred);
 /// Rebuilds a conjunction from conjuncts (nullptr if empty).
 ExprPtr AndAll(const std::vector<ExprPtr>& conjuncts);
 
+/// Appends a restart-stable binary image of `e` to `out`: each column
+/// reference is stored as its ordinal in `input_names` and each literal
+/// as an exact datum (a double by its bit pattern, so -0.0 and every
+/// last bit survive). Returns false, leaving `out` in an unspecified
+/// state, when a column is not among `input_names` or the tree holds a
+/// parameter placeholder.
+bool EncodeExprOrdinal(const Expr& e,
+                       const std::vector<std::string>& input_names,
+                       std::string* out);
+
+/// Inverse of EncodeExprOrdinal: ordinal i reads back as a reference to
+/// `input_names[i]`. Returns nullptr on malformed bytes, trailing bytes
+/// or an ordinal outside `input_names`.
+ExprPtr DecodeExprOrdinal(const std::string& bytes,
+                          const std::vector<std::string>& input_names);
+
 }  // namespace recycledb

@@ -1,5 +1,6 @@
 #include "recycler/cold_tier.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <iterator>
@@ -178,6 +179,7 @@ Status ColdTier::Open(const ColdTierOptions& options) {
       // image beats a peer's). Displaced peer copies are only untracked;
       // their file is not ours to delete.
       if (!owned) continue;
+      UnfileOrphanLocked(dup->second);
       if (dup->second->owned) {
         to_delete.push_back(dup->second->path);
         used_bytes_ -= dup->second->bytes;
@@ -233,10 +235,39 @@ ColdTier::ClockIt ColdTier::AddOrphanLocked(const std::string& path,
   list.push_back(std::move(rec));
   ClockIt it = std::prev(list.end());
   by_key_[it->canon_key] = it;
+  if (!it->meta.select_child_key.empty()) {
+    by_child_.emplace(it->meta.select_child_key, it);
+  }
   if (owned) used_bytes_ += bytes;
   num_orphans_.fetch_add(1, std::memory_order_relaxed);
   orphan_gen_.fetch_add(1);
   return it;
+}
+
+void ColdTier::UnfileOrphanLocked(ClockIt it) {
+  if (it->meta.select_child_key.empty()) return;
+  auto [lo, hi] = by_child_.equal_range(it->meta.select_child_key);
+  for (auto f = lo; f != hi; ++f) {
+    if (f->second == it) {
+      by_child_.erase(f);
+      return;
+    }
+  }
+}
+
+std::vector<SpillFileMeta> ColdTier::OrphanSlicesUnder(
+    const std::string& child_key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<SpillFileMeta> out;
+  auto [lo, hi] = by_child_.equal_range(child_key);
+  for (auto f = lo; f != hi; ++f) out.push_back(f->second->meta);
+  // Bucket order depends on hashing history; graph ids of the rebuilt
+  // nodes should not.
+  std::sort(out.begin(), out.end(),
+            [](const SpillFileMeta& a, const SpillFileMeta& b) {
+              return a.canon_key < b.canon_key;
+            });
+  return out;
 }
 
 std::string ColdTier::FilePath(uint64_t name_hash) {
@@ -273,6 +304,7 @@ void ColdTier::EvictRec(ClockIt it, std::vector<const RGNode*>* dropped_nodes) {
     live_.erase(it->node);
     if (dropped_nodes != nullptr) dropped_nodes->push_back(it->node);
   } else {
+    UnfileOrphanLocked(it);
     num_orphans_.fetch_sub(1, std::memory_order_relaxed);
   }
   auto key_it = by_key_.find(it->canon_key);
@@ -476,6 +508,7 @@ bool ColdTier::AdoptOrphan(const std::string& canon_key, const RGNode* node,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_key_.find(canon_key);
   if (it == by_key_.end() || it->second->node != nullptr) return false;
+  UnfileOrphanLocked(it->second);
   it->second->node = node;
   live_[node] = it->second;
   num_orphans_.fetch_sub(1, std::memory_order_relaxed);

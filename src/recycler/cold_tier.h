@@ -9,7 +9,10 @@
 // On process start the tier scans its directory and keeps every readable
 // entry as an *orphan* keyed by the canonical subtree key; newly inserted
 // graph nodes probe that map and adopt matching orphans, which is how a
-// restart warms up from disk.
+// restart warms up from disk. An orphan whose header carries a select
+// descriptor (spill_file.h) is also filed under its child's canonical
+// key, so the recycler can rebuild the slice's graph node from the
+// header when a derived-reuse lookup first reaches that child.
 //
 // Replacement is second-chance at a byte cap: entries sit on a clock
 // list, loads set their reference bit, and an over-cap spill sweeps the
@@ -221,6 +224,13 @@ class ColdTier {
   Status LoadSlice(const RGNode* node, int filter_column,
                    const ColumnInterval& range, TablePtr* out);
 
+  /// Headers of the orphans filed under `child_key` (select descriptors
+  /// naming that child), ascending by canonical key. Copies: the caller
+  /// rebuilds graph nodes from them and adopts each through AdoptOrphan,
+  /// which fails harmlessly for one adopted or purged meanwhile.
+  std::vector<SpillFileMeta> OrphanSlicesUnder(
+      const std::string& child_key) const;
+
   /// Claims the orphan under `canon_key` for `node` (making it live) and
   /// returns its metadata. False when no orphan has that key. Adopting
   /// a peer orphan never takes ownership of the file: the entry serves
@@ -328,10 +338,14 @@ class ColdTier {
   /// Caller holds mu_; no-op outside writable shared mode.
   void SyncManifestLocked();
 
-  /// Inserts a scanned/discovered file as an orphan Rec. Caller holds
-  /// mu_.
+  /// Inserts a scanned/discovered file as an orphan Rec, filed under its
+  /// select descriptor's child key when it has one. Caller holds mu_.
   ClockIt AddOrphanLocked(const std::string& path, int64_t bytes,
                           SpillFileMeta meta, bool owned, int64_t admit_seq);
+
+  /// Takes `it` out of by_child_ (it was adopted or is being erased).
+  /// Caller holds mu_.
+  void UnfileOrphanLocked(ClockIt it);
 
   /// Applies one manifest purge record to local state. Caller holds mu_.
   void ApplyPurgeLocked(const fleet::ManifestPurge& purge,
@@ -372,6 +386,8 @@ class ColdTier {
   std::list<Rec> peers_;
   std::unordered_map<const RGNode*, ClockIt> live_;
   std::unordered_map<std::string, ClockIt> by_key_;
+  /// Orphans with a select descriptor, by the descriptor's child key.
+  std::unordered_multimap<std::string, ClockIt> by_child_;
   std::atomic<int64_t> num_orphans_{0};
   std::atomic<int64_t> orphan_gen_{0};
 

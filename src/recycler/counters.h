@@ -66,6 +66,11 @@ namespace recycledb {
   X(cold_load_errors, "Corrupt or unreadable spill files dropped.")          \
   X(cold_slice_loads,                                                        \
     "Cold entries consumed as a filtered slice of the encoded image.")       \
+  X(cold_orphans_rebuilt,                                                    \
+    "Graph nodes rebuilt from an orphan slice's select descriptor.")         \
+  X(cold_orphan_key_mismatches,                                              \
+    "Orphan slices whose rebuilt node's key differed from the file's "       \
+    "(never published).")                                                    \
   X(cold_spill_raw_bytes, "Uncompressed bytes of spill files written.")      \
   X(cold_spill_stored_bytes, "On-disk bytes of spill files written.")        \
   X(fleet_refreshes, "RefreshFleet rounds completed.")                       \

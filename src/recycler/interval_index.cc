@@ -87,10 +87,7 @@ void IntervalIndex::Overlapping(int64_t child_id, const RangeSpec& query,
     // query's upper end, every later entry does too.
     if (!q.hi.unbounded && IntervalEmpty({e.spec->range.lo, q.hi})) break;
     if (!Overlaps(e.spec->range, q)) continue;
-    if (e.node->mat_state.load() == MatState::kCached &&
-        !ConjunctsImplied(e.spec->other_fps, query.other_fps)) {
-      continue;
-    }
+    if (!ConjunctsImplied(e.spec->other_fps, query.other_fps)) continue;
     out->push_back(e);
   }
 }

@@ -8,7 +8,7 @@
 //  - per (child, column): the range slices of materialized selections
 //    (e.g. `10 < x AND x < 50` plus arbitrary non-range conjuncts), which
 //    an incoming range selection over the same child finds by overlap.
-//    The stitching rewriter (TryPartialStitch, subsumption.h) answers the
+//    The stitching rewriter (PlanPartialStitch, subsumption.h) answers the
 //    query from the union of the overlapping slices plus compensated
 //    delta scans over the uncovered remainder.
 //
@@ -61,10 +61,10 @@ class IntervalIndex {
 
   /// Appends to `out`, in ascending lower-bound order, every entry under
   /// (child_id, query.mapped_column) whose interval overlaps query.range
-  /// and that can stitch for `query`: a hot (kCached) slice needs every
-  /// one of its other conjuncts among the query's (ConjunctsImplied).
-  /// Cold slices are kept regardless: probing one loads it, and that load
-  /// happens whether or not it stitches.
+  /// and that can stitch for `query`: every one of the slice's other
+  /// conjuncts is among the query's (ConjunctsImplied). Hot and cold
+  /// slices pass the same filter; a cold one is read only if the stitch
+  /// uses it.
   void Overlapping(int64_t child_id, const RangeSpec& query,
                    std::vector<Entry>* out) const;
 

@@ -363,6 +363,17 @@ bool Recycler::MaybeSpill(RGNode* node) {
   for (const auto& [t, stamp] : stamps) {
     meta.table_versions.emplace_back(t, stamp.rows);
   }
+  // Select descriptor: a restarted process rebuilds this node from the
+  // header once a derived-reuse lookup reaches the child.
+  if (node->type == OpType::kSelect && node->children.size() == 1) {
+    RGNode* child = node->children[0];
+    if (EncodeExprOrdinal(*node->param_node->predicate(), child->output_names,
+                          &meta.select_predicate)) {
+      meta.select_child_key = CanonicalSubtreeKey(child);
+    } else {
+      meta.select_predicate.clear();
+    }
+  }
 
   // The file write happens on the tier's worker, off the cache mutex
   // the caller holds; the pinned snapshot serves loads until the commit.
@@ -476,7 +487,8 @@ TablePtr Recycler::ReadmitCold(RGNode* node) {
   return named;
 }
 
-TablePtr Recycler::SnapshotOrLoadSlice(RGNode* node, const RangeSpec* spec,
+TablePtr Recycler::SnapshotOrLoadSlice(RGNode* node, const std::string& column,
+                                       const ColumnInterval& range,
                                        PreparedQuery* prepared,
                                        bool* from_cold) {
   {
@@ -487,21 +499,21 @@ TablePtr Recycler::SnapshotOrLoadSlice(RGNode* node, const RangeSpec* spec,
       return node->cached;
     }
   }
-  if (spec != nullptr && node->mat_state.load() == MatState::kCold) {
+  if (node->mat_state.load() == MatState::kCold) {
     // Filtered slice: run the selection on the encoded spill image and
-    // materialize only in-range rows. The spec's mapped_column is in
-    // graph space, as are the node's output names; a candidate that
-    // renames or computes the column falls through to a full load.
+    // materialize only in-range rows. `column` is in graph space, as are
+    // the node's output names; a candidate that renames or computes the
+    // column falls through to a full load.
     int idx = -1;
     for (size_t i = 0; i < node->output_names.size(); ++i) {
-      if (node->output_names[i] == spec->mapped_column) {
+      if (node->output_names[i] == column) {
         idx = static_cast<int>(i);
         break;
       }
     }
     if (idx >= 0) {
       TablePtr sliced;
-      if (cold_tier_.LoadSlice(node, idx, spec->range, &sliced).ok()) {
+      if (cold_tier_.LoadSlice(node, idx, range, &sliced).ok()) {
         prepared->cold_loaded_.insert(node);
         *from_cold = true;
         counters_.cold_slice_loads.fetch_add(1);
@@ -1052,10 +1064,12 @@ void Recycler::MaybeAdoptOrphanParents(RGNode* child_gnode,
   // Derived reuse probes this child's parents for cached results; restart
   // and fleet-peer orphans among them are invisible until some query
   // re-inserts the exact node. Adopt them here by canonical key so a
-  // subsumption/stitch lookup can serve them directly. Only the orphan
-  // set's growth can make a walk adopt anything: a parent inserted since
-  // the last walk was probed at its own insert (InsertMissing), so the
-  // walk repeats only when the generation moved.
+  // subsumption/stitch lookup can serve them directly, and rebuild the
+  // nodes of the orphan slices filed under this child that no statement
+  // has inserted yet. Only the orphan set's growth can make a walk adopt
+  // anything: a parent inserted since the last walk was probed at its
+  // own insert (InsertMissing), so the walk repeats only when the
+  // generation moved.
   const int64_t gen = cold_tier_.orphan_generation();
   if (child_gnode->orphan_walk_gen.load() == gen) return;
   std::unique_lock<std::shared_mutex> glock(graph_.mutex());
@@ -1065,7 +1079,57 @@ void Recycler::MaybeAdoptOrphanParents(RGNode* child_gnode,
       Count(prepared, QueryCounter::kAdoptions);
     }
   }
+  std::vector<SpillFileMeta> slices =
+      cold_tier_.OrphanSlicesUnder(CanonicalSubtreeKey(child_gnode));
+  if (!slices.empty()) {
+    // A parent that already has the slice's identity but could not adopt
+    // (in flight or hot) must not get a twin.
+    std::unordered_set<std::string> existing;
+    for (RGNode* parent : seen) existing.insert(CanonicalSubtreeKey(parent));
+    for (const SpillFileMeta& meta : slices) {
+      if (existing.count(meta.canon_key) > 0) continue;
+      RGNode* node = RebuildOrphanSlice(child_gnode, meta);
+      if (node != nullptr && TryAdoptOrphan(node)) {
+        Count(prepared, QueryCounter::kAdoptions);
+      }
+    }
+  }
   child_gnode->orphan_walk_gen.store(gen);
+}
+
+RGNode* Recycler::RebuildOrphanSlice(RGNode* child, const SpillFileMeta& meta) {
+  // A Select passes its child's columns through; other types never
+  // adopt (TryAdoptOrphan would drop the file).
+  if (meta.column_types != child->output_types) return nullptr;
+  ExprPtr pred = DecodeExprOrdinal(meta.select_predicate, child->output_names);
+  if (pred == nullptr) {
+    counters_.cold_orphan_key_mismatches.fetch_add(1);
+    return nullptr;
+  }
+  // The fields a statement's InsertOne would set, from the graph-space
+  // predicate directly (a Select's graph parameters are its predicate
+  // renamed into the child's output names).
+  auto node = std::make_unique<RGNode>();
+  node->param_node = PlanNode::Select(nullptr, pred)->CloneParamsRenamed({});
+  node->id = graph_.NextId();
+  node->type = OpType::kSelect;
+  node->hash_key = node->param_node->HashKey();
+  node->signature = MappedSignature(*node->param_node, {});
+  node->param_fp = node->param_node->ParamFingerprint(nullptr);
+  node->conjunct_fps = ConjunctFingerprints(pred, nullptr);
+  node->children = {child};
+  node->base_tables = child->base_tables;
+  node->h_epoch = graph_.epoch();
+  node->output_names = child->output_names;
+  node->output_types = child->output_types;
+  // Publish only what a statement with this predicate would match: a
+  // node under another key would serve the slice as a result it is not.
+  if (CanonicalSubtreeKey(node.get()) != meta.canon_key) {
+    counters_.cold_orphan_key_mismatches.fetch_add(1);
+    return nullptr;
+  }
+  counters_.cold_orphans_rebuilt.fetch_add(1);
+  return graph_.AddNode(std::move(node), "");
 }
 
 PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
@@ -1174,12 +1238,9 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
       // Subsumption candidates: hot ones first, then cold ones, each in
       // ascending node id. Cold ones cost a disk load just to probe
       // (TrySubsumption needs the table), so they are only consulted when
-      // no in-memory candidate derives; a failed cold probe still leaves
-      // the loaded result promoted for future queries. A hot candidate
-      // that cannot derive is dropped before its freshness check and
-      // snapshot; cold ones are all probed, because that load (a
-      // promotion or a counted slice load) happens whether or not it
-      // derives.
+      // no in-memory candidate derives. Either kind is dropped before its
+      // freshness check and snapshot or load when it cannot derive
+      // (MaySubsume), so a cold file is read only to serve.
       std::vector<RGNode*> sub_cands;
       std::vector<std::vector<IntervalIndex::Entry>> entries_per_spec(
           stitch ? specs.size() : 0);
@@ -1189,18 +1250,17 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
         if (config_.enable_subsumption) {
           const std::vector<RGNode*>& parents =
               interval_index_.Parents(child_gnode->id);
+          std::vector<RGNode*> cold_cands;
           for (RGNode* parent : parents) {
-            if (parent != g &&
-                parent->mat_state.load() == MatState::kCached &&
-                MaySubsume(*parent, plan->type(), query_fps)) {
-              sub_cands.push_back(parent);
+            if (parent == g || !MaySubsume(*parent, plan->type(), query_fps)) {
+              continue;
             }
+            const MatState ms = parent->mat_state.load();
+            if (ms == MatState::kCached) sub_cands.push_back(parent);
+            if (ms == MatState::kCold) cold_cands.push_back(parent);
           }
-          for (RGNode* parent : parents) {
-            if (parent != g && parent->mat_state.load() == MatState::kCold) {
-              sub_cands.push_back(parent);
-            }
-          }
+          sub_cands.insert(sub_cands.end(), cold_cands.begin(),
+                           cold_cands.end());
         }
         for (size_t si = 0; si < entries_per_spec.size(); ++si) {
           interval_index_.Overlapping(child_gnode->id, specs[si],
@@ -1228,7 +1288,10 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
           }
           bool from_cold = false;
           TablePtr cached =
-              SnapshotOrLoadSlice(parent, sub_spec, prepared, &from_cold);
+              sub_spec != nullptr
+                  ? SnapshotOrLoadSlice(parent, sub_spec->mapped_column,
+                                        sub_spec->range, prepared, &from_cold)
+                  : SnapshotOrReadmit(parent, prepared, &from_cold);
           if (cached == nullptr) continue;
           derived = TrySubsumption(*m->plan, m->children[0]->mapping,
                                    *parent, cached);
@@ -1285,35 +1348,75 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
             delta_child_cached = true;
           }
         }
-        PartialPlan stitched;
+        // Lay the stitch out on intervals for every spec and keep the
+        // best; only then read the cold slices it uses, each filtered to
+        // its clip. Hot candidates carry their snapshot, cold ones none.
+        std::vector<std::vector<IntervalCandidate>> cands(specs.size());
+        StitchLayout layout;
+        size_t layout_spec = 0;
         for (size_t si = 0; si < specs.size(); ++si) {
-          std::vector<IntervalCandidate> cands;
           for (const IntervalIndex::Entry& e : entries_per_spec[si]) {
             if (e.node == g) continue;  // exact reuse handled above
-            // Stale slices never stitch (appended rows missing); cold
-            // slices load filtered through the query's own interval
-            // (rows outside it are clipped out by the stitch anyway).
+            // Stale slices never stitch (appended rows missing).
             if (NodeFreshness(e.node, prepared, nullptr) !=
                 Freshness::kFresh) {
               continue;
             }
-            bool from_cold = false;
-            TablePtr cached =
-                SnapshotOrLoadSlice(e.node, &specs[si], prepared, &from_cold);
-            if (cached == nullptr) continue;
-            cands.push_back({e.node, std::move(cached), e.spec});
+            TablePtr snapshot;
+            {
+              RecyclerGraph::MatShard& shard = graph_.mat_shard(e.node);
+              std::lock_guard<std::mutex> slock(shard.mu);
+              const MatState ms = e.node->mat_state.load();
+              if (ms == MatState::kCached) {
+                snapshot = e.node->cached;
+              } else if (ms != MatState::kCold) {
+                continue;  // dropped since the index lookup
+              }
+            }
+            cands[si].push_back({e.node, std::move(snapshot), e.spec});
           }
-          if (cands.empty()) continue;
-          PartialPlan attempt = TryPartialStitch(*plan, child_mapping,
-                                                 delta_child, specs[si],
-                                                 cands);
-          if (attempt.plan != nullptr &&
-              attempt.covered_fraction > stitched.covered_fraction) {
-            stitched = std::move(attempt);
+          if (cands[si].empty()) continue;
+          StitchLayout attempt =
+              PlanPartialStitch(*plan, specs[si], cands[si]);
+          if (!attempt.uses.empty() &&
+              attempt.covered_fraction > layout.covered_fraction) {
+            layout = std::move(attempt);
+            layout_spec = si;
           }
         }
-        int stitch_cold_hits = 0;
+        PartialPlan stitched;
+        if (!layout.uses.empty()) {
+          const RangeSpec& spec = specs[layout_spec];
+          // A cold slice is read once, filtered to the hull of its clips
+          // (a hot slice inside it splits its share in two); each use
+          // still compensates to its own clip.
+          std::map<const RGNode*, ColumnInterval> hulls;
+          for (const StitchLayout::Use& use : layout.uses) {
+            if (use.source->cached != nullptr) continue;
+            auto [it, fresh] = hulls.try_emplace(use.source->node, use.clip);
+            if (fresh) continue;
+            ColumnInterval& hull = it->second;
+            if (LoTighter(hull.lo, use.clip.lo)) hull.lo = use.clip.lo;
+            if (HiTighter(hull.hi, use.clip.hi)) hull.hi = use.clip.hi;
+          }
+          std::map<const RGNode*, TablePtr> reads;
+          for (const auto& [node, hull] : hulls) {
+            bool from_cold = false;
+            reads[node] = SnapshotOrLoadSlice(const_cast<RGNode*>(node),
+                                              spec.mapped_column, hull,
+                                              prepared, &from_cold);
+          }
+          std::vector<TablePtr> tables;
+          for (const StitchLayout::Use& use : layout.uses) {
+            tables.push_back(use.source->cached != nullptr
+                                 ? use.source->cached
+                                 : reads[use.source->node]);
+          }
+          stitched = BuildPartialStitch(*plan, child_mapping, delta_child,
+                                        spec, layout, tables);
+        }
         if (stitched.plan != nullptr) {
+          std::set<const RGNode*> cold_sources;
           std::shared_lock<std::shared_mutex> glock(graph_.mutex());
           for (const PartialPiece& piece : stitched.reuse_pieces) {
             RGNode* src = const_cast<RGNode*>(piece.source);
@@ -1325,9 +1428,10 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
             prepared->replaced_cost_[piece.cached_scan.get()] =
                 src->bcost_ms.load() * piece.fraction;
             if (prepared->cold_loaded_.count(piece.source) > 0) {
-              ++stitch_cold_hits;
+              cold_sources.insert(piece.source);
             }
           }
+          int stitch_cold_hits = static_cast<int>(cold_sources.size());
           if (delta_child_cached && stitched.num_delta_pieces > 0) {
             // The single delta branch replaced the child's base cost
             // exactly once (Eq. 2).
@@ -1338,10 +1442,6 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
                 child_gnode->bcost_ms.load();
             if (delta_child_from_cold) ++stitch_cold_hits;
           }
-        } else {
-          stitched = PartialPlan{};
-        }
-        if (stitched.plan != nullptr) {
           m->stitched = true;
           m->exec_plan = stitched.plan.get();
           prepared->exec_to_gnode_[stitched.plan.get()] = g;

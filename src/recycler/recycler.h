@@ -465,14 +465,22 @@ class Recycler {
   /// mutex). Caller may hold the shared graph lock but not cache_mu_.
   Freshness NodeFreshness(RGNode* node, const PreparedQuery* prepared,
                           StaleWindow* window);
-  /// Satellite of cold-tier restart recovery: before a derived-reuse
+  /// Cold-tier restart recovery: before a derived-reuse
   /// (subsumption/stitch) candidate scan over `child_gnode`'s parents,
-  /// adopt any restart orphans those parents still have on disk so they
-  /// are servable without an exact re-insertion. Caller must not hold
+  /// adopt any restart orphans those parents still have on disk, and
+  /// rebuild and adopt the orphan slices filed under the child
+  /// (RebuildOrphanSlice), so they are servable without an exact
+  /// re-insertion. Caller must not hold
   /// the graph lock; takes it exclusive briefly when the orphan set grew
   /// since `child_gnode`'s last walk (ColdTier::orphan_generation).
   /// Adoptions are counted into `prepared`'s trace.
   void MaybeAdoptOrphanParents(RGNode* child_gnode, PreparedQuery* prepared);
+  /// Rebuilds the graph node of an orphan slice filed under `child` from
+  /// its select descriptor (`meta`) and publishes it, still kNone, when
+  /// its canonical key equals the file's; otherwise counts a key mismatch
+  /// and returns nullptr, leaving the orphan to an exact insert. Caller
+  /// holds the exclusive graph lock.
+  RGNode* RebuildOrphanSlice(RGNode* child, const SpillFileMeta& meta);
   void InjectStores(MNode* m, PreparedQuery* prepared, bool in_store_chain);
   /// Shared admission decision for one store candidate: history-based
   /// materialization when measured (benefit admit at h >= 1, gated by
@@ -547,15 +555,16 @@ class Recycler {
 
   /// SnapshotOrReadmit variant for subsumption/stitch candidates: a hot
   /// candidate returns its snapshot as usual, but a kCold candidate with
-  /// a usable range spec (`spec` non-null and its mapped_column among the
-  /// node's outputs) is loaded as a *filtered slice* — the selection runs
-  /// on the encoded spill image and only in-range rows materialize. The
+  /// graph-space `column` among its outputs is loaded as a *filtered
+  /// slice* of the rows in `range` — the selection runs on the encoded
+  /// spill image and only in-range rows materialize. The
   /// slice is NOT promoted to the hot tier (it is a partial result) and
   /// the entry stays kCold. Sound for derived reuse only: rows the filter
   /// removes are rows the rewrite's clip/residual compensation would
   /// remove anyway. Falls back to SnapshotOrReadmit when slicing is
   /// impossible. Caller must NOT hold the graph lock.
-  TablePtr SnapshotOrLoadSlice(RGNode* node, const RangeSpec* spec,
+  TablePtr SnapshotOrLoadSlice(RGNode* node, const std::string& column,
+                               const ColumnInterval& range,
                                PreparedQuery* prepared, bool* from_cold);
 
   /// Probes the cold tier's orphan map for a restart or fleet-peer image

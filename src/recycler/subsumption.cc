@@ -299,89 +299,131 @@ bool NumericDatum(const Datum& d) {
          IsNumeric(DatumType(d));
 }
 
+/// Drops the empty gaps: besides plainly empty intervals, zero-width gaps
+/// on integer columns — e.g. slices [.,100] and [101,.) stitched for a
+/// query spanning both leave the "gap" (100, 101), which no integer can
+/// ever satisfy. Without this the stitch builds (and executes) a delta
+/// branch guaranteed to return nothing. Only genuinely integer domains
+/// qualify: a double column with integer literal bounds has values
+/// between them.
+struct GapFilter {
+  bool integer_domain = false;
+
+  GapFilter(const PlanNode& query_node, const RangeSpec& spec) {
+    const Schema& schema = query_node.output_schema();
+    const int col = schema.IndexOf(spec.column);
+    const TypeId type = col >= 0 ? schema.field(col).type : TypeId::kDouble;
+    integer_domain = type == TypeId::kInt32 || type == TypeId::kInt64 ||
+                     type == TypeId::kDate;
+  }
+  bool Empty(const ColumnInterval& gap) const {
+    return IntervalEmpty(gap) ||
+           (integer_domain && IntervalEmptyOnIntegerDomain(gap));
+  }
+};
+
+/// Share of query interval `q` that `clip` covers, or -1 when `q` is not
+/// measurable (then the pieces split the credit evenly).
+double ClipFraction(const ColumnInterval& q, const ColumnInterval& clip) {
+  const bool measurable = !q.lo.unbounded && !q.hi.unbounded &&
+                          NumericDatum(q.lo.value) && NumericDatum(q.hi.value);
+  const double qlen =
+      measurable ? DatumAsDouble(q.hi.value) - DatumAsDouble(q.lo.value) : 0;
+  if (!measurable || qlen <= 0) return -1;
+  double len = DatumAsDouble(clip.hi.value) - DatumAsDouble(clip.lo.value);
+  return std::max(0.0, std::min(1.0, len / qlen));
+}
+
+/// Fills `gap` with the fewest of `cold` (greedy: at each point the slice
+/// that covers it and reaches furthest), appending the uses and what
+/// stays uncovered.
+void CoverGap(const ColumnInterval& gap,
+              const std::vector<const IntervalCandidate*>& cold,
+              const GapFilter& filter, std::vector<StitchLayout::Use>* uses,
+              std::vector<ColumnInterval>* rest) {
+  RangeBound cursor = gap.lo;
+  for (;;) {
+    const ColumnInterval rem{cursor, gap.hi};
+    if (filter.Empty(rem)) return;
+    const IntervalCandidate* best = nullptr;
+    ColumnInterval best_clip;
+    const IntervalCandidate* next = nullptr;  // earliest start past cursor
+    for (const IntervalCandidate* c : cold) {
+      const ColumnInterval& r = c->spec->range;
+      if (LoTighter(r.lo, cursor)) {
+        if (Overlaps(r, rem) &&
+            (next == nullptr || LoTighter(next->spec->range.lo, r.lo))) {
+          next = c;
+        }
+        continue;
+      }
+      ColumnInterval clip = Intersect(r, rem);
+      if (IntervalEmpty(clip)) continue;
+      if (best == nullptr || HiTighter(best_clip.hi, clip.hi)) {
+        best = c;
+        best_clip = clip;
+      }
+    }
+    if (best == nullptr) {
+      if (next == nullptr) {
+        rest->push_back(rem);
+        return;
+      }
+      ColumnInterval uncovered{cursor, ComplementHi(next->spec->range.lo)};
+      if (!filter.Empty(uncovered)) rest->push_back(uncovered);
+      cursor = next->spec->range.lo;
+      continue;
+    }
+    uses->push_back({best, best_clip});
+    if (best_clip.hi.unbounded) return;  // covered through +inf
+    cursor = ComplementLo(best_clip.hi);
+  }
+}
+
 }  // namespace
 
-PartialPlan TryPartialStitch(const PlanNode& query_node,
-                             const NameMap& child_mapping,
-                             const PlanPtr& child_plan, const RangeSpec& spec,
-                             const std::vector<IntervalCandidate>& candidates) {
-  PartialPlan out;
+StitchLayout PlanPartialStitch(
+    const PlanNode& query_node, const RangeSpec& spec,
+    const std::vector<IntervalCandidate>& candidates) {
+  StitchLayout out;
   const ColumnInterval& q = spec.range;
 
-  // A candidate is usable when its remaining conjuncts are a subset of
-  // the query's (the cached slice then only lacks the residual filters,
-  // applied as compensation below) and its interval overlaps the query's.
-  std::vector<const IntervalCandidate*> eligible;
+  std::vector<const IntervalCandidate*> hot, cold;
   for (const IntervalCandidate& c : candidates) {
-    if (c.cached == nullptr) continue;
     if (!ConjunctsImplied(c.spec->other_fps, spec.other_fps)) continue;
     if (!Overlaps(c.spec->range, q)) continue;
-    eligible.push_back(&c);
+    (c.cached != nullptr ? hot : cold).push_back(&c);
   }
-  if (eligible.empty()) return out;
   // Fully deterministic candidate order — ascending by lo, equal-lo ties
   // broken by the wider hi (it absorbs the sweep; a narrower twin clips
   // to empty and drops out), then by graph insertion id. Without the tie
   // breaks the order inherits the interval-index bucket order, which
   // depends on admission/eviction history, and the stitched plan shape
   // (hence Explain text and goldens) would differ across engines that
-  // executed the same workload.
-  std::sort(eligible.begin(), eligible.end(),
-            [](const IntervalCandidate* a, const IntervalCandidate* b) {
-              const ColumnInterval& ra = a->spec->range;
-              const ColumnInterval& rb = b->spec->range;
-              if (LoTighter(rb.lo, ra.lo)) return true;
-              if (LoTighter(ra.lo, rb.lo)) return false;
-              if (HiTighter(rb.hi, ra.hi)) return true;
-              if (HiTighter(ra.hi, rb.hi)) return false;
-              return a->node->id < b->node->id;
-            });
-
-  // Proportional credit needs a measurable query interval; otherwise the
-  // pieces split the credit evenly (fixed up once the count is known).
-  const bool measurable = !q.lo.unbounded && !q.hi.unbounded &&
-                          NumericDatum(q.lo.value) && NumericDatum(q.hi.value);
-  const double qlen =
-      measurable ? DatumAsDouble(q.hi.value) - DatumAsDouble(q.lo.value) : 0;
-  auto fraction_of = [&](const ColumnInterval& clip) -> double {
-    if (!measurable || qlen <= 0) return -1;
-    double len =
-        DatumAsDouble(clip.hi.value) - DatumAsDouble(clip.lo.value);
-    return std::max(0.0, std::min(1.0, len / qlen));
+  // executed the same workload. The cold cover's ties go to the first
+  // candidate in this order too.
+  auto by_lo = [](const IntervalCandidate* a, const IntervalCandidate* b) {
+    const ColumnInterval& ra = a->spec->range;
+    const ColumnInterval& rb = b->spec->range;
+    if (LoTighter(rb.lo, ra.lo)) return true;
+    if (LoTighter(ra.lo, rb.lo)) return false;
+    if (HiTighter(rb.hi, ra.hi)) return true;
+    if (HiTighter(ra.hi, rb.hi)) return false;
+    return a->node->id < b->node->id;
   };
+  std::sort(hot.begin(), hot.end(), by_lo);
+  std::sort(cold.begin(), cold.end(), by_lo);
+  const GapFilter filter(query_node, spec);
 
-  const std::vector<std::string> child_names =
-      query_node.output_schema().Names();
-  std::vector<PlanPtr> branches;
-  // Uncovered gaps are collected and merged into ONE delta scan below,
-  // so the child subtree executes at most once per stitched plan.
+  // Sweep the query interval left to right over the hot slices,
+  // assigning each position to the first slice that covers it. Adjacent
+  // uses meet with complementary open/closed boundaries
+  // (ComplementLo/Hi), so boundary values land in exactly one branch of
+  // the union.
   std::vector<ColumnInterval> gaps;
-
-  // Gap filter: besides plainly empty intervals, drop zero-width gaps on
-  // integer columns — e.g. slices [.,100] and [101,.) stitched for a query
-  // spanning both leave the "gap" (100, 101), which no integer can ever
-  // satisfy. Without this the stitch builds (and executes) a delta branch
-  // guaranteed to return nothing. Only genuinely integer domains qualify:
-  // a double column with integer literal bounds has values between them.
-  const int range_col = query_node.output_schema().IndexOf(spec.column);
-  const TypeId range_type = range_col >= 0
-                                ? query_node.output_schema().field(range_col).type
-                                : TypeId::kDouble;
-  const bool integer_domain = range_type == TypeId::kInt32 ||
-                              range_type == TypeId::kInt64 ||
-                              range_type == TypeId::kDate;
-  auto gap_empty = [&](const ColumnInterval& gap) {
-    if (IntervalEmpty(gap)) return true;
-    return integer_domain && IntervalEmptyOnIntegerDomain(gap);
-  };
-
-  // Sweep the query interval left to right, assigning each position to
-  // the first cached slice that covers it. Adjacent pieces meet with
-  // complementary open/closed boundaries (ComplementLo/Hi), so boundary
-  // values land in exactly one branch of the union.
   RangeBound cursor = q.lo;
   bool exhausted = false;
-  for (const IntervalCandidate* c : eligible) {
+  for (const IntervalCandidate* c : hot) {
     ColumnInterval rem{cursor, q.hi};
     if (IntervalEmpty(rem)) {
       exhausted = true;
@@ -391,28 +433,9 @@ PartialPlan TryPartialStitch(const PlanNode& query_node,
     if (IntervalEmpty(clip)) continue;  // already covered by earlier slices
     if (LoTighter(clip.lo, cursor)) {
       ColumnInterval gap{cursor, ComplementHi(clip.lo)};
-      if (!gap_empty(gap)) gaps.push_back(gap);
+      if (!filter.Empty(gap)) gaps.push_back(gap);
     }
-    // Compensation: residual conjuncts the slice did not apply, plus the
-    // clip bounds that are tighter than the slice's own (a clip bound
-    // equal to the slice bound is already enforced by the cached data).
-    std::vector<ExprPtr> comp;
-    for (const ExprPtr& o : spec.others) {
-      if (c->spec->other_fps.count(o->Fingerprint(&child_mapping)) == 0) {
-        comp.push_back(o);
-      }
-    }
-    if (LoTighter(clip.lo, c->spec->range.lo)) {
-      comp.push_back(BoundExpr(spec.column, clip.lo, /*is_lower=*/true));
-    }
-    if (HiTighter(clip.hi, c->spec->range.hi)) {
-      comp.push_back(BoundExpr(spec.column, clip.hi, /*is_lower=*/false));
-    }
-    PlanPtr scan = PlanNode::CachedScan(c->cached, child_names);
-    PlanPtr piece =
-        comp.empty() ? scan : PlanNode::Select(scan, AndAll(comp));
-    branches.push_back(piece);
-    out.reuse_pieces.push_back({piece, scan, c->node, fraction_of(clip)});
+    out.uses.push_back({c, clip});
     if (clip.hi.unbounded) {  // covered through +inf (q.hi is unbounded)
       exhausted = true;
       break;
@@ -421,12 +444,81 @@ PartialPlan TryPartialStitch(const PlanNode& query_node,
   }
   if (!exhausted) {
     ColumnInterval rem{cursor, q.hi};
-    if (!gap_empty(rem)) gaps.push_back(rem);
+    if (!filter.Empty(rem)) gaps.push_back(rem);
+  }
+  // Cold slices only fill what the hot ones leave open.
+  if (!cold.empty()) {
+    for (const ColumnInterval& gap : gaps) {
+      CoverGap(gap, cold, filter, &out.uses, &out.gaps);
+    }
+  } else {
+    out.gaps = std::move(gaps);
+  }
+  if (out.uses.empty()) return {};
+
+  const size_t branches = out.uses.size() + (out.gaps.empty() ? 0 : 1);
+  for (const StitchLayout::Use& use : out.uses) {
+    const double f = ClipFraction(q, use.clip);
+    out.covered_fraction += f < 0 ? 1.0 / branches : f;
+  }
+  out.covered_fraction = std::min(1.0, out.covered_fraction);
+  return out;
+}
+
+PartialPlan BuildPartialStitch(const PlanNode& query_node,
+                               const NameMap& child_mapping,
+                               const PlanPtr& child_plan,
+                               const RangeSpec& spec,
+                               const StitchLayout& layout,
+                               const std::vector<TablePtr>& tables) {
+  PartialPlan out;
+  const std::vector<std::string> child_names =
+      query_node.output_schema().Names();
+  const GapFilter filter(query_node, spec);
+  std::vector<PlanPtr> branches;
+  std::vector<ColumnInterval> gaps = layout.gaps;
+  bool unread = false;
+  for (size_t i = 0; i < layout.uses.size(); ++i) {
+    const StitchLayout::Use& use = layout.uses[i];
+    if (tables[i] == nullptr) {
+      if (!filter.Empty(use.clip)) gaps.push_back(use.clip);
+      unread = true;
+      continue;
+    }
+    const RangeSpec& slice = *use.source->spec;
+    // Compensation: residual conjuncts the slice did not apply, plus the
+    // clip bounds that are tighter than the slice's own (a clip bound
+    // equal to the slice bound is already enforced by the cached data).
+    std::vector<ExprPtr> comp;
+    for (const ExprPtr& o : spec.others) {
+      if (slice.other_fps.count(o->Fingerprint(&child_mapping)) == 0) {
+        comp.push_back(o);
+      }
+    }
+    if (LoTighter(use.clip.lo, slice.range.lo)) {
+      comp.push_back(BoundExpr(spec.column, use.clip.lo, /*is_lower=*/true));
+    }
+    if (HiTighter(use.clip.hi, slice.range.hi)) {
+      comp.push_back(BoundExpr(spec.column, use.clip.hi, /*is_lower=*/false));
+    }
+    PlanPtr scan = PlanNode::CachedScan(tables[i], child_names);
+    PlanPtr piece =
+        comp.empty() ? scan : PlanNode::Select(scan, AndAll(comp));
+    branches.push_back(piece);
+    out.reuse_pieces.push_back(
+        {piece, scan, use.source->node, ClipFraction(spec.range, use.clip)});
   }
   if (out.reuse_pieces.empty()) return {};
+  if (unread) {
+    std::stable_sort(gaps.begin(), gaps.end(),
+                     [](const ColumnInterval& a, const ColumnInterval& b) {
+                       return LoTighter(b.lo, a.lo);
+                     });
+  }
 
   if (!gaps.empty()) {
-    // One compensated delta scan for every gap: the query's non-range
+    // One compensated delta scan for every gap, so the child subtree
+    // executes at most once per stitched plan: the query's non-range
     // conjuncts AND the disjunction of the gap ranges. Every gap has at
     // least one bound (it is contained in the query interval, which has
     // one), so each disjunct is non-trivial.

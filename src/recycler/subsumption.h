@@ -15,7 +15,7 @@
 //   - partial reuse (range stitching): overlapping cached range slices
 //     over the same child are unioned (with compensation filters) and the
 //     uncovered remainder is answered by compensated delta scans — see
-//     TryPartialStitch and interval_index.h.
+//     PlanPartialStitch and interval_index.h.
 #pragma once
 
 #include "recycler/graph.h"
@@ -32,19 +32,19 @@ std::set<std::string> ConjunctFingerprints(const ExprPtr& pred,
 /// The subset rule behind every derivation from a cached selection: the
 /// cached rows include every row the query needs iff each conjunct the
 /// cached result applied (`cached_fps`) is also one of the query's
-/// (`query_fps`). TrySelect, TryPartialStitch (on the non-range
+/// (`query_fps`). TrySelect, PlanPartialStitch (on the non-range
 /// conjuncts), ParamsSubsume and MaySubsume all decide with it.
 bool ConjunctsImplied(const std::set<std::string>& cached_fps,
                       const std::set<std::string>& query_fps);
 
-/// Prefilter for TrySubsumption, cheap enough to run on every hot
-/// candidate before its freshness check and snapshot: false when `cand`
-/// cannot derive a `query_type` node whatever its cached table holds —
-/// no parameters, another operator type, or (Select) a cached conjunct
-/// the query lacks. `query_fps` is ConjunctFingerprints of the query's
-/// predicate under the child mapping (read for Select only). For a Select
-/// it accepts exactly the candidates TrySubsumption derives from; other
-/// types pass on a type match.
+/// Prefilter for TrySubsumption, cheap enough to run on every candidate,
+/// hot or cold, before its freshness check and its snapshot or disk
+/// read: false when `cand` cannot derive a `query_type` node whatever its
+/// cached table holds — no parameters, another operator type, or
+/// (Select) a cached conjunct the query lacks. `query_fps` is
+/// ConjunctFingerprints of the query's predicate under the child mapping
+/// (read for Select only). For a Select it accepts exactly the candidates
+/// TrySubsumption derives from; other types pass on a type match.
 bool MaySubsume(const RGNode& cand, OpType query_type,
                 const std::set<std::string>& query_fps);
 
@@ -78,15 +78,33 @@ bool ParamsSubsume(const PlanNode& super, const PlanNode& sub);
 // Partial reuse (range stitching)
 // ---------------------------------------------------------------------------
 
-/// One cached slice the stitcher may draw from: the cached node, a
-/// pinned snapshot of its result, and the node's range spec on the
-/// stitch column (its interval and the fingerprints of its remaining
-/// conjuncts, graph space; RGNode::range_specs). The caller (Recycler)
-/// collects these from the interval index under lock.
+/// One cached slice the stitcher may draw from: the materialized node,
+/// a pinned snapshot of its result when it is hot, and the node's range
+/// spec on the stitch column (its interval and the fingerprints of its
+/// remaining conjuncts, graph space; RGNode::range_specs). A cold slice
+/// has no snapshot: the stitch reads it only if its layout uses it. The
+/// caller (Recycler) collects these from the interval index under lock.
 struct IntervalCandidate {
   const RGNode* node = nullptr;
   TablePtr cached;
   const RangeSpec* spec = nullptr;
+};
+
+/// A stitch decided on intervals alone, before any cold slice is read.
+struct StitchLayout {
+  /// One slice's share of the query interval.
+  struct Use {
+    const IntervalCandidate* source = nullptr;
+    ColumnInterval clip;
+  };
+  /// The hot slices in sweep order, then the fewest cold slices that
+  /// fill the sweep's gaps, in gap order.
+  std::vector<Use> uses;
+  /// What no use covers, ascending: the delta scan's ranges.
+  std::vector<ColumnInterval> gaps;
+  /// Share of the query interval the uses cover (as
+  /// PartialPlan::covered_fraction would be if every read succeeds).
+  double covered_fraction = 0;
 };
 
 /// One branch of a stitched plan that reads a cached slice.
@@ -119,26 +137,41 @@ struct PartialPlan {
   double covered_fraction = 0;
 };
 
-/// Attempts to answer range selection `query_node` (whose predicate
-/// decomposed into `spec`) from the union of overlapping cached slices
-/// plus compensated delta scans over `child_plan` for the uncovered
-/// remainder. `child_mapping` maps the shared child's column names to
-/// graph space. Candidates whose remaining conjuncts are not a subset of
-/// the query's are skipped (the residual conjuncts become compensation
-/// filters on their piece). Adjacent pieces meet with complementary
-/// open/closed boundaries, so shared boundary values are emitted exactly
-/// once. Returns an empty plan when no candidate contributes.
+/// Lays out a stitch of range selection `query_node` (whose predicate
+/// decomposed into `spec`) from `candidates`. A candidate is usable when
+/// its remaining conjuncts are a subset of the query's (the slice then
+/// lacks only residual filters, applied as compensation) and its
+/// interval overlaps the query's. The hot candidates are swept left to
+/// right, each position going to the first slice (ascending lo) that
+/// covers it. Then, per uncovered gap, a greedy cover picks the fewest
+/// cold candidates that fill it: at each point the one reaching
+/// furthest. Adjacent uses meet with complementary open/closed
+/// boundaries, so a shared boundary value falls in exactly one. Returns
+/// a layout with no uses when no candidate contributes.
+///
+/// Thread-safety: pure — reads only immutable RGNode identity fields.
+StitchLayout PlanPartialStitch(
+    const PlanNode& query_node, const RangeSpec& spec,
+    const std::vector<IntervalCandidate>& candidates);
+
+/// Builds the stitched plan for `layout`: one branch per use over
+/// `tables[i]` (use i's slice: a hot snapshot or a cold read), under a
+/// compensation Select for the residual conjuncts and the clip bounds
+/// tighter than the slice's own, plus one compensated delta scan over
+/// `child_plan` for every gap. A use whose table is null (its read
+/// failed) leaves its clip to that delta scan. `child_mapping` maps the
+/// shared child's column names to graph space. Returns an empty plan
+/// when no use has a table.
 ///
 /// The stitched union is a BAG equal to the selection's result as a
 /// multiset, but branch order differs from cold execution (cached slices
 /// stream before delta scans) — an order-sensitive parent without a sort
 /// (Limit without OrderBy) may surface different, equally valid, rows.
-///
-/// Thread-safety: pure — reads only immutable RGNode identity fields and
-/// the pinned snapshots inside `candidates`.
-PartialPlan TryPartialStitch(const PlanNode& query_node,
-                             const NameMap& child_mapping,
-                             const PlanPtr& child_plan, const RangeSpec& spec,
-                             const std::vector<IntervalCandidate>& candidates);
+PartialPlan BuildPartialStitch(const PlanNode& query_node,
+                               const NameMap& child_mapping,
+                               const PlanPtr& child_plan,
+                               const RangeSpec& spec,
+                               const StitchLayout& layout,
+                               const std::vector<TablePtr>& tables);
 
 }  // namespace recycledb

@@ -42,6 +42,8 @@ std::string SerializeHeader(const SpillFileMeta& meta) {
     PutString(&h, table);
     PutU64(&h, static_cast<uint64_t>(rows));
   }
+  PutString(&h, meta.select_child_key);
+  PutString(&h, meta.select_predicate);
   return h;
 }
 
@@ -91,6 +93,10 @@ Status ParseHeader(const std::string& buf, SpillFileMeta* meta) {
     }
     meta->table_versions.emplace_back(std::move(t),
                                       static_cast<int64_t>(mark));
+  }
+  if (!c.GetString(&meta->select_child_key) ||
+      !c.GetString(&meta->select_predicate)) {
+    return Status::Internal("spill header truncated in select descriptor");
   }
   return Status::OK();
 }

@@ -22,6 +22,14 @@
 // compression ratios, and the base-table row high-water marks the
 // result was computed at (delta maintenance; see recycler/delta.h).
 //
+// Version 4 adds the select descriptor: when the spilled result's root
+// is a Select over one child, the header names the child subtree by its
+// canonical key and carries the predicate in a restart-stable form
+// (column references as ordinals into the child's output, literals as
+// exact datums; EncodeExprOrdinal in expr/expression.h). A restarted
+// process can rebuild the graph node from the descriptor alone, so the
+// slice serves derived reuse before its own statement runs again.
+//
 // Only the current version is readable. Spills are cache content that
 // can always be recomputed from base data, so a file of any other
 // version fails ReadSpillMeta; the cold tier deletes it at open and the
@@ -47,7 +55,7 @@ namespace recycledb {
 
 /// The spill format version; bump on any layout change. Files of any
 /// other version are rejected with a recoverable Status.
-inline constexpr uint32_t kSpillFormatVersion = 3;
+inline constexpr uint32_t kSpillFormatVersion = 4;
 
 /// Everything the cold tier must know about a spilled result without
 /// touching its payload: the restart-stable identity plus the reference
@@ -83,6 +91,13 @@ struct SpillFileMeta {
   /// table (such entries stay unstamped and appends hard-invalidate
   /// them).
   std::vector<std::pair<std::string, int64_t>> table_versions;
+  /// Select descriptor: for a result whose root is a single-child
+  /// Select, the canonical key of the child subtree and the predicate in
+  /// EncodeExprOrdinal's form over the child's output columns. Both are
+  /// empty for any other result (and for a predicate the encoder cannot
+  /// express); such a file is adoptable only by exact key.
+  std::string select_child_key;
+  std::string select_predicate;
 };
 
 /// Writer knobs; defaults produce a compressed file.

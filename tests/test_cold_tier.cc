@@ -2,15 +2,20 @@
 // spill-file round trips and corruption handling, eviction-to-disk with
 // lazy re-admission through the exact / subsumption / partial-stitch
 // reuse paths, second-chance replacement at the byte cap, restart
-// recovery (orphan adoption), invalidation purging spilled entries,
-// graceful degradation under a tiny disk quota, canonical-key stability
-// under graph-id shifts, and a concurrent spill-vs-lookup stress run.
+// recovery (orphan adoption, and orphan slices rebuilt from their select
+// descriptor and stitched without their statement running again, reading
+// only the cold slices a stitch uses), invalidation purging spilled
+// entries, graceful degradation under a tiny disk quota, canonical-key
+// stability under graph-id shifts, and concurrent spill-vs-lookup and
+// restart-rebuild stress runs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <shared_mutex>
 #include <thread>
 
@@ -26,6 +31,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using recycledb::testing::RowMultiset;
+using recycledb::testing::SpillFiles;
 using recycledb::testing::TempSpillDir;
 
 /// Deterministic test table: `rows` rows of (a: 0..9, v: spread over
@@ -71,9 +77,22 @@ std::unique_ptr<Database> OpenDb(const std::string& spill_dir,
   options.recycler.cache_policy = policy;
   options.recycler.spill_dir = spill_dir;
   options.recycler.cold_tier_capacity_bytes = cold_capacity;
+  options.recycler.capture_plan_explain = true;  // see BaseScans
   std::unique_ptr<Database> db = Database::OpenOrDie(options);
   RDB_CHECK(db->CreateTable("f", MakeTestTable(rows)).ok());
   return db;
+}
+
+/// Scans of the base table in the plan `r` ran (a stitch's delta branch
+/// is one).
+int BaseScans(const Result& r) {
+  int n = 0;
+  const std::string& text = r.trace().plan_explain;
+  for (size_t at = text.find("Scan f ["); at != std::string::npos;
+       at = text.find("Scan f [", at + 1)) {
+    ++n;
+  }
+  return n;
 }
 
 std::multiset<std::string> Expected(Database* db, PlanPtr plan) {
@@ -548,6 +567,279 @@ TEST(ColdTier, RestartCorruptFileRecomputes) {
 }
 
 // ---------------------------------------------------------------------------
+// Spill format v4: the select descriptor
+// ---------------------------------------------------------------------------
+
+/// Structural equality with datums compared bit for bit (a double by its
+/// bit pattern, so -0.0 differs from +0.0).
+bool SameExpr(const Expr& a, const Expr& b) {
+  if (a.kind() != b.kind() || a.column_name() != b.column_name() ||
+      a.compare_op() != b.compare_op() || a.logical_op() != b.logical_op() ||
+      a.arith_op() != b.arith_op() || a.like_kind() != b.like_kind() ||
+      a.children().size() != b.children().size()) {
+    return false;
+  }
+  auto same_datum = [](const Datum& x, const Datum& y) {
+    if (x.index() != y.index()) return false;
+    if (const double* dx = std::get_if<double>(&x)) {
+      return std::memcmp(dx, &std::get<double>(y), sizeof(double)) == 0;
+    }
+    return x == y;
+  };
+  if (!same_datum(a.literal(), b.literal())) return false;
+  if (a.in_values().size() != b.in_values().size()) return false;
+  for (size_t i = 0; i < a.in_values().size(); ++i) {
+    if (!same_datum(a.in_values()[i], b.in_values()[i])) return false;
+  }
+  for (size_t i = 0; i < a.children().size(); ++i) {
+    if (!SameExpr(*a.children()[i], *b.children()[i])) return false;
+  }
+  return true;
+}
+
+TEST(SpillV4, SelectDescriptorRoundTripsBitExactly) {
+  const std::vector<std::string> in = {"d", "i", "day", "s", "x#12"};
+  auto col = [](const char* c) { return Expr::Column(c); };
+  const ExprPtr pred = AndAll({
+      Expr::Gt(col("d"), Expr::Literal(-0.0)),           // open, -0.0
+      Expr::Le(col("d"), Expr::Literal(0.1 + 0.2)),      // closed, last bit
+      Expr::Ge(col("i"), Expr::Literal(int64_t{-7})),    // int64, closed
+      Expr::Lt(col("i"), Expr::Literal(int64_t{1} << 40)),
+      Expr::Ge(col("day"), Expr::Literal(int32_t{9000})),  // date
+      Expr::Lt(col("day"), Expr::Literal(int32_t{9031})),
+      Expr::Ge(col("s"), Expr::Literal(std::string("a'b"))),  // string
+      Expr::Lt(col("s"), Expr::Literal(std::string("m\0n", 3))),
+      Expr::Not(Expr::In(col("x#12"), {Datum(int32_t{1}), Datum(true),
+                                       Datum(), Datum(2.5)})),
+      Expr::Like(LikeKind::kPrefix, col("s"), "ab%"),
+      Expr::Eq(Expr::Arith(ArithOp::kMul, col("d"), Expr::Literal(-0.0)),
+               Expr::Func("abs", {col("d")})),
+  });
+  std::string bytes;
+  ASSERT_TRUE(EncodeExprOrdinal(*pred, in, &bytes));
+
+  TempSpillDir dir;
+  const std::string path = dir.path() + "/d.spill";
+  TablePtr t = MakeTestTable(10);
+  SpillFileMeta meta;
+  meta.canon_key = "select-key";
+  meta.column_names = {"a", "v"};
+  meta.column_types = {TypeId::kInt32, TypeId::kDouble};
+  meta.num_rows = t->num_rows();
+  meta.select_child_key = "child-key";
+  meta.select_predicate = bytes;
+  ASSERT_TRUE(WriteSpillFile(path, *t, meta).ok());
+  SpillFileMeta back;
+  ASSERT_TRUE(ReadSpillMeta(path, &back).ok());
+  EXPECT_EQ(back.select_child_key, "child-key");
+  ASSERT_EQ(back.select_predicate, bytes);
+
+  // Ordinals read back through the reader's own column names.
+  ExprPtr decoded = DecodeExprOrdinal(back.select_predicate, in);
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_TRUE(SameExpr(*decoded, *pred));
+  EXPECT_EQ(decoded->Fingerprint(nullptr), pred->Fingerprint(nullptr));
+  const std::vector<std::string> renamed = {"d2", "i2", "day2", "s2", "x#40"};
+  ExprPtr moved = DecodeExprOrdinal(bytes, renamed);
+  ASSERT_NE(moved, nullptr);
+  NameMap to_new;
+  for (size_t i = 0; i < in.size(); ++i) to_new[in[i]] = renamed[i];
+  EXPECT_TRUE(SameExpr(*moved, *pred->Rename(to_new)));
+
+  // The open/closed ends survive as range specs, -0.0 with its sign.
+  std::vector<RangeSpec> specs = ExtractRangeSpecs(decoded, nullptr);
+  const RangeSpec* d = nullptr;
+  for (const RangeSpec& sp : specs) d = sp.column == "d" ? &sp : d;
+  ASSERT_NE(d, nullptr);
+  EXPECT_FALSE(d->range.lo.inclusive);
+  EXPECT_TRUE(d->range.hi.inclusive);
+  EXPECT_TRUE(std::signbit(std::get<double>(d->range.lo.value)));
+  EXPECT_EQ(std::get<double>(d->range.hi.value), 0.1 + 0.2);
+
+  // Not encodable: a parameter, or a column the child does not output.
+  std::string rejected;
+  EXPECT_FALSE(EncodeExprOrdinal(
+      *Expr::Eq(col("d"), Expr::Param("p")), in, &rejected));
+  rejected.clear();
+  EXPECT_FALSE(EncodeExprOrdinal(*Expr::Eq(col("zz"), Expr::Literal(1)), in,
+                                 &rejected));
+  // Malformed images decode to nothing: truncated, trailing, or an
+  // ordinal past the reader's columns.
+  EXPECT_EQ(DecodeExprOrdinal(bytes.substr(0, bytes.size() - 1), in),
+            nullptr);
+  EXPECT_EQ(DecodeExprOrdinal(bytes + "x", in), nullptr);
+  EXPECT_EQ(DecodeExprOrdinal(bytes, {"d", "i", "day", "s"}), nullptr);
+}
+
+TEST(SpillV4, MismatchedOrphanIsNeverPublishedAndExactInsertAdopts) {
+  TempSpillDir dir;
+  std::multiset<std::string> expected_slice, expected_inner;
+  {
+    auto db = OpenDb(dir.path(), 256 << 20, 20000);
+    expected_slice = Expected(db.get(), RangeQuery(0, 3000));
+    expected_inner = Expected(db.get(), RangeQuery(1000, 2000));
+    ASSERT_TRUE(db->Execute(RangeQuery(0, 3000)).ok());
+  }
+  // Rewrite the file's descriptor to another predicate over the same
+  // child, keeping its key: the rebuilt node's key cannot match.
+  const std::vector<std::string> files = SpillFiles(dir.path());
+  ASSERT_EQ(files.size(), 1u);
+  SpillFileMeta meta;
+  TablePtr table;
+  ASSERT_TRUE(ReadSpillTable(files[0], &meta, &table).ok());
+  ASSERT_FALSE(meta.select_child_key.empty());
+  meta.select_predicate.clear();
+  ASSERT_TRUE(EncodeExprOrdinal(
+      *Expr::And(Expr::Ge(Expr::Column("v"), Expr::Literal(0.0)),
+                 Expr::Lt(Expr::Column("v"), Expr::Literal(2999.0))),
+      {"a", "v"}, &meta.select_predicate));
+  ASSERT_TRUE(WriteSpillFile(files[0], *table, meta).ok());
+
+  auto db = OpenDb(dir.path(), 256 << 20, 20000);
+  // A range lookup over the scan walks the orphans filed under it.
+  Result inner = db->Execute(RangeQuery(1000, 2000));
+  ASSERT_TRUE(inner.ok());
+  EXPECT_EQ(inner.trace().num_reuses, 0);
+  EXPECT_EQ(RowMultiset(*inner.table()), expected_inner);
+  EXPECT_EQ(db->counters().cold_orphan_key_mismatches.load(), 1);
+  EXPECT_EQ(db->counters().cold_orphans_rebuilt.load(), 0);
+  EXPECT_EQ(db->recycler().cold_tier().Stats().orphans, 1);
+  EXPECT_EQ(db->graph_stats().num_cold, 0);
+
+  // The exact statement still adopts the file by its key.
+  Result exact = db->Execute(RangeQuery(0, 3000));
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(exact.trace().num_adoptions, 1);
+  EXPECT_EQ(exact.trace().num_cold_hits, 1);
+  EXPECT_EQ(RowMultiset(*exact.table()), expected_slice);
+}
+
+// ---------------------------------------------------------------------------
+// Derived reuse over orphan slices: rebuilt at the first lookup, read only
+// when used
+// ---------------------------------------------------------------------------
+
+TEST(ColdTier, RestartOrphanSlicesStitchWithoutPriming) {
+  TempSpillDir dir;
+  std::multiset<std::string> expected;
+  {
+    auto db = OpenDb(dir.path(), 256 << 20, 20000);
+    expected = Expected(db.get(), RangeQuery(1000, 5000));
+    ASSERT_TRUE(db->Execute(RangeQuery(0, 3000)).ok());
+    ASSERT_TRUE(db->Execute(RangeQuery(3000, 6000)).ok());
+  }
+  auto db = OpenDb(dir.path(), 256 << 20, 20000);
+  Result r = db->Execute(RangeQuery(1000, 5000));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.trace().num_partial_reuses, 1);
+  EXPECT_EQ(r.trace().num_adoptions, 2);
+  EXPECT_EQ(r.trace().num_cold_hits, 2);
+  // No delta branch: the base table is never scanned.
+  EXPECT_EQ(BaseScans(r), 0) << r.trace().plan_explain;
+  EXPECT_EQ(db->counters().cold_slice_loads.load(), 2);
+  EXPECT_EQ(db->counters().cold_orphans_rebuilt.load(), 2);
+  EXPECT_EQ(db->counters().cold_readmissions.load(), 0);
+  EXPECT_EQ(RowMultiset(*r.table()), expected);
+}
+
+TEST(ColdTier, StitchReadsOnlyTheColdSlicesItUses) {
+  TempSpillDir dir;
+  auto db = OpenDb(dir.path(), 256 << 20, 20000);
+  auto expected = Expected(db.get(), RangeQuery(1000, 5500));
+  // Eight cold slices overlapping each other, then one hot slice ending
+  // where the first cold one starts.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(db->Execute(RangeQuery(3000 + 100 * i, 6000 + 100 * i)).ok());
+  }
+  db->FlushCache();
+  ASSERT_EQ(db->graph_stats().num_cold, 8);
+  ASSERT_TRUE(db->Execute(RangeQuery(0, 3000)).ok());
+  ASSERT_EQ(db->graph_stats().num_cached, 1);
+  const int64_t slice_loads = db->counters().cold_slice_loads.load();
+  const int64_t readmissions = db->counters().cold_readmissions.load();
+
+  // The hot slice covers [1000, 3000); only [3000, 6000) starts early
+  // enough to fill the rest, so it is the one cold read.
+  Result r = db->Execute(RangeQuery(1000, 5500));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.trace().num_partial_reuses, 1);
+  EXPECT_EQ(r.trace().num_cold_hits, 1);
+  EXPECT_EQ(BaseScans(r), 0) << r.trace().plan_explain;
+  EXPECT_EQ(db->counters().cold_slice_loads.load(), slice_loads + 1);
+  EXPECT_EQ(db->counters().cold_readmissions.load(), readmissions);
+  EXPECT_EQ(RowMultiset(*r.table()), expected);
+}
+
+TEST(ColdTier, ColdSliceAroundAHotOneIsReadOnce) {
+  TempSpillDir dir;
+  auto db = OpenDb(dir.path(), 256 << 20, 20000);
+  auto expected = Expected(db.get(), RangeQuery(1500, 3000));
+  ASSERT_TRUE(db->Execute(RangeQuery(1000, 4000)).ok());
+  db->FlushCache();
+  // Stitched from the cold slice, then admitted hot in its own right.
+  ASSERT_TRUE(db->Execute(RangeQuery(2000, 2500)).ok());
+  ASSERT_EQ(db->graph_stats().num_cached, 1);
+  const int64_t slice_loads = db->counters().cold_slice_loads.load();
+
+  // The hot slice splits the cold one's share into two clips: one read.
+  Result r = db->Execute(RangeQuery(1500, 3000));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.trace().num_partial_reuses, 1);
+  EXPECT_EQ(r.trace().num_cold_hits, 1);
+  EXPECT_EQ(BaseScans(r), 0) << r.trace().plan_explain;
+  EXPECT_EQ(db->counters().cold_slice_loads.load(), slice_loads + 1);
+  EXPECT_EQ(RowMultiset(*r.table()), expected);
+}
+
+TEST(ColdTier, ColdSubsumptionProbeReadsNothingItCannotDeriveFrom) {
+  TempSpillDir dir;
+  auto db = OpenDb(dir.path(), 256 << 20, 20000);
+  auto a_equals = [](int32_t a) {
+    return PlanNode::Select(PlanNode::Scan("f", {"a", "v"}),
+                            Expr::Eq(Expr::Column("a"), Expr::Literal(a)));
+  };
+  auto expected = Expected(db.get(), a_equals(3));
+  ASSERT_TRUE(db->Execute(a_equals(2)).ok());
+  db->FlushCache();
+  ASSERT_EQ(db->graph_stats().num_cold, 1);
+  const int64_t slice_loads = db->counters().cold_slice_loads.load();
+  const int64_t readmissions = db->counters().cold_readmissions.load();
+
+  Result r = db->Execute(a_equals(3));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.trace().num_reuses, 0);
+  EXPECT_EQ(r.trace().num_cold_hits, 0);
+  EXPECT_EQ(db->counters().cold_slice_loads.load(), slice_loads);
+  EXPECT_EQ(db->counters().cold_readmissions.load(), readmissions);
+  EXPECT_EQ(RowMultiset(*r.table()), expected);
+}
+
+TEST(ColdTier, StaleOrphanNeverStitches) {
+  TempSpillDir dir;
+  {
+    auto db = OpenDb(dir.path(), 256 << 20, 20000);
+    ASSERT_TRUE(db->Execute(RangeQuery(0, 3000)).ok());
+    ASSERT_TRUE(db->Execute(RangeQuery(3000, 6000)).ok());
+  }
+  auto db = OpenDb(dir.path(), 256 << 20, 20000);
+  // Rows appended after the close fall inside both slices.
+  Schema s({{"a", TypeId::kInt32}, {"v", TypeId::kDouble}});
+  TablePtr delta = MakeTable(s);
+  for (int i = 0; i < 50; ++i) {
+    delta->AppendRow({static_cast<int32_t>(i % 10), 1000.5 + 80 * i});
+  }
+  ASSERT_TRUE(db->AppendTable("f", *delta).ok());
+  const auto expected = Expected(db.get(), RangeQuery(1000, 5000));
+
+  Result r = db->Execute(RangeQuery(1000, 5000));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.trace().num_partial_reuses, 0);
+  EXPECT_EQ(BaseScans(r), 1) << r.trace().plan_explain;
+  EXPECT_EQ(db->counters().cold_slice_loads.load(), 0);
+  EXPECT_EQ(RowMultiset(*r.table()), expected);
+}
+
+// ---------------------------------------------------------------------------
 // Canonical key stability
 // ---------------------------------------------------------------------------
 
@@ -628,6 +920,60 @@ TEST(ColdTierConcurrency, SpillVsLookupStress) {
 
   // The run must actually have exercised the tier.
   EXPECT_GE(db->counters().cold_spills.load(), 1);
+}
+
+TEST(ColdTierConcurrency, RestartRebuildRace) {
+  TempSpillDir dir;
+  constexpr int kSlices = 8;
+  auto slice = [](int i) {
+    return RangeQuery(i * 1250.0, i * 1250.0 + 1500.0);
+  };
+  // Windows 0..5 overlap the slices; statements 6..13 are the slices'
+  // own, which must match the rebuilt nodes rather than insert twins.
+  constexpr int kStatements = 6 + kSlices;
+  auto statement = [&](int k) {
+    return k < 6 ? RangeQuery(k * 1200.0 + 600.0, k * 1200.0 + 3300.0)
+                 : slice(k - 6);
+  };
+  std::vector<std::multiset<std::string>> expected;
+  {
+    auto db = OpenDb(dir.path(), 256 << 20, 5000);
+    for (int k = 0; k < kStatements; ++k) {
+      expected.push_back(Expected(db.get(), statement(k)));
+    }
+    for (int i = 0; i < kSlices; ++i) {
+      ASSERT_TRUE(db->Execute(slice(i)).ok());
+    }
+  }
+  // Four clients race the first lookups over the scan right after Open:
+  // any of them may walk, and the walks must rebuild every slice once.
+  auto db = OpenDb(dir.path(), 256 << 20, 5000);
+  constexpr int kThreads = 4;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto session = db->Connect();
+      for (int i = 0; i < kStatements; ++i) {
+        const int k = (t * 5 + i) % kStatements;
+        Result r = session->Execute(statement(k));
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(RowMultiset(*r.table()), expected[k]) << "statement " << k;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  // Each orphan is adopted once, rebuilt by a walk or inserted by its
+  // own statement first.
+  EXPECT_EQ(db->counters().cold_adoptions.load(), kSlices);
+  EXPECT_GE(db->counters().cold_orphans_rebuilt.load(), 1);
+  Recycler& rec = db->recycler();
+  std::shared_lock<std::shared_mutex> lock(rec.graph().mutex());
+  std::set<std::string> keys;
+  for (const auto& n : rec.graph().nodes()) {
+    EXPECT_TRUE(keys.insert(rec.CanonicalSubtreeKey(n.get())).second)
+        << "two graph nodes under one key";
+  }
 }
 
 }  // namespace

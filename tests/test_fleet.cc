@@ -264,9 +264,10 @@ TEST(FleetSharing, SecondInstanceServesPeerSpillsWithoutReexecuting) {
 TEST(FleetSharing, PeerEntryRefreshedAfterInsertIsAdoptedAtTheNextLookup) {
   // B inserts the broad node (below a speculated aggregate root, so the
   // selection itself is never materialized) and walks the scan's parents
-  // for orphans. Only afterwards does A publish the broad result, which B
-  // learns through RefreshFleet: the refresh must make B's next derived
-  // lookup over the scan walk again and adopt it.
+  // for orphans; the walk rebuilds and adopts A's range slice from its
+  // select descriptor. Only afterwards does A publish the broad result,
+  // which B learns through RefreshFleet: the refresh must make B's next
+  // derived lookup over the scan walk again and adopt it.
   TempSpillDir dir;
   auto a = OpenInstance(dir.path(), "alpha");
   ASSERT_TRUE(a->Execute(RangeQuery(0, 3000)).ok());
@@ -276,7 +277,8 @@ TEST(FleetSharing, PeerEntryRefreshedAfterInsertIsAdoptedAtTheNextLookup) {
   Result agg = b->Execute(PlanNode::Aggregate(
       BroadQuery(5000), {"a"}, {{AggFunc::kSum, Expr::Column("v"), "sv"}}));
   ASSERT_TRUE(agg.ok());
-  EXPECT_EQ(agg.trace().num_adoptions, 0);
+  EXPECT_EQ(agg.trace().num_adoptions, 1);
+  EXPECT_EQ(b->counters().cold_orphans_rebuilt.load(), 1);
 
   ASSERT_TRUE(a->Execute(BroadQuery(5000)).ok());
   a->FlushCache();

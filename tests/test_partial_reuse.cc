@@ -165,8 +165,8 @@ TEST(IntervalIndexTest, OverlapLookupAndRemove) {
   EXPECT_TRUE(overlapping(7, other_column).empty());
   EXPECT_TRUE(overlapping(9, query).empty());
 
-  // A hot slice with a conjunct the query lacks can never stitch, so the
-  // lookup leaves it out; a cold one stays (probing it loads it anyway).
+  // A slice with a conjunct the query lacks can never stitch, so the
+  // lookup leaves it out, hot or cold (a cold one is read only if used).
   n2.range_specs[0].other_fps = {"g = 1"};
   n2.mat_state.store(MatState::kCached);
   EXPECT_EQ(overlapping(7, query), (std::vector<RGNode*>{&n1}));
@@ -174,7 +174,8 @@ TEST(IntervalIndexTest, OverlapLookupAndRemove) {
   EXPECT_EQ(overlapping(7, query), (std::vector<RGNode*>{&n1, &n2}));
   query.other_fps.clear();
   n2.mat_state.store(MatState::kCold);
-  EXPECT_EQ(overlapping(7, query), (std::vector<RGNode*>{&n1, &n2}));
+  EXPECT_EQ(overlapping(7, query), (std::vector<RGNode*>{&n1}));
+  n2.range_specs[0].other_fps.clear();
 
   index.Remove(&n1);
   index.Remove(&n4);
@@ -718,10 +719,9 @@ TEST_F(PartialReuseTest, PrefilterAcceptsExactlyTheDerivableCandidates) {
     const RangeSpec* cspec = SpecOn(cspecs, "w#9");
     ASSERT_NE(qspec, nullptr);
     ASSERT_NE(cspec, nullptr);
-    const bool stitches =
-        TryPartialStitch(*query, mapping, query->children()[0], *qspec,
-                         {{&cand, cached, cspec}})
-            .plan != nullptr;
+    const std::vector<IntervalCandidate> slices = {{&cand, cached, cspec}};
+    const bool stitches = !PlanPartialStitch(*query, *qspec, slices)
+                               .uses.empty();
     EXPECT_EQ(ConjunctsImplied(cspec->other_fps, qspec->other_fps), stitches)
         << "trial " << trial;
     stitchable += stitches;
@@ -756,32 +756,6 @@ TEST_F(PartialReuseTest, PrefilterAcceptsExactlyTheDerivableCandidates) {
   project.param_node =
       SelectPredicateGenerator::Child()->CloneParamsRenamed(mapping);
   EXPECT_FALSE(MaySubsume(project, OpType::kSelect, {}));
-}
-
-TEST_F(PartialReuseTest, ColdCandidateThatCannotSubsumeIsStillPromoted) {
-  // The prefilter skips hot candidates only. A cold one must be loaded to
-  // be probed, and that load promotes it even when it cannot derive.
-  TempSpillDir dir;
-  RecyclerConfig cfg;
-  cfg.mode = RecyclerMode::kSpeculation;
-  cfg.spill_dir = dir.path();
-  Recycler rec(&catalog_, cfg);
-  auto g_equals = [](int64_t g) {
-    return PlanNode::Select(
-        PlanNode::Scan("t", {"a", "g", "v"}),
-        Expr::Eq(Expr::Column("g"), Expr::Literal(g)));
-  };
-  rec.Execute(g_equals(2));
-  rec.FlushCache();
-  ASSERT_EQ(rec.graph().Stats().num_cold, 1);
-  const int64_t readmissions = rec.counters().cold_readmissions.load();
-
-  QueryTrace trace;
-  ExecResult r = rec.Execute(g_equals(3), &trace);
-  EXPECT_EQ(trace.num_reuses, 0);
-  EXPECT_EQ(rec.counters().cold_readmissions.load(), readmissions + 1);
-  EXPECT_EQ(rec.graph().Stats().num_cold, 0);
-  EXPECT_EQ(RowMultiset(*r.table), RunOff(g_equals(3)));
 }
 
 TEST_F(PartialReuseTest, ConcurrentOverlappingRangesStayCorrect) {

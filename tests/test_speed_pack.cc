@@ -30,6 +30,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using recycledb::testing::RowMultiset;
+using recycledb::testing::SpillFiles;
 using recycledb::testing::TempSpillDir;
 
 RangeBound Bound(Datum v, bool inclusive) {
@@ -623,21 +624,13 @@ void PatchSpillVersion(const std::string& path, uint32_t version) {
   std::fclose(f);
 }
 
-std::vector<std::string> SpillFiles(const std::string& dir) {
-  std::vector<std::string> out;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() == ".spill") out.push_back(entry.path());
-  }
-  return out;
-}
-
 TEST(SpillV2, OtherVersionsAreDeletedAtOpenAndMiss) {
   auto window = [] {
     return PlanNode::Select(
         WideScan(), Expr::And(Expr::Ge(Expr::Column("i"), Expr::Literal(100)),
                               Expr::Lt(Expr::Column("i"), Expr::Literal(900))));
   };
-  for (uint32_t version : {1u, 2u, kSpillFormatVersion + 1}) {
+  for (uint32_t version : {1u, 2u, 3u, kSpillFormatVersion + 1}) {
     SCOPED_TRACE(StrFormat("version %u", version));
     TempSpillDir dir;
     DatabaseOptions options;

@@ -41,6 +41,15 @@ class TempSpillDir {
   std::string path_;
 };
 
+/// Paths of the spill files in `dir`.
+inline std::vector<std::string> SpillFiles(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".spill") out.push_back(entry.path());
+  }
+  return out;
+}
+
 /// Renders a row as a canonical string (doubles at 6 significant digits so
 /// summation-order differences do not break equality).
 inline std::string RowKey(const Table& t, int64_t row) {
