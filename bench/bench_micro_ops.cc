@@ -7,6 +7,7 @@
 // public umbrella header.
 #include "exec/operators.h"
 #include "recycledb/recycledb.h"
+#include "workload/rollup.h"
 
 namespace recycledb {
 namespace {
@@ -297,6 +298,45 @@ void BM_SessionRepeatHit(benchmark::State& state) {
       static_cast<double>(hits), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_SessionRepeatHit)->Unit(benchmark::kMicrosecond);
+
+// A delta stitch after a 20-row append (Arg = rows before it): the
+// rollup threshold Select that keeps half the rows, whose first run
+// cached its root, runs again as its cached prefix followed by a scan of
+// the 20 new rows, and re-admits the refreshed result. Each iteration
+// starts over with a fresh database, the first run and the append,
+// outside the timer.
+void BM_DeltaStitchSelect(benchmark::State& state) {
+  rollup::RollupOptions ropt;
+  ropt.initial_rows = state.range(0);
+  const TablePtr events = rollup::MakeBatch(ropt.initial_rows, 0, ropt);
+  const TablePtr append = rollup::MakeBatch(20, ropt.initial_rows, ropt);
+  const std::string sql =
+      "SELECT ts, sensor, value FROM events WHERE value >= 500.0";
+  int64_t stitches = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto db = Database::OpenOrDie(DatabaseOptions{});
+    (void)db->CreateTable("events", events);
+    (void)db->Sql(sql);
+    (void)db->AppendTable("events", *append);
+    state.ResumeTiming();
+    Result result = db->Sql(sql);
+    stitches += result.trace().num_delta_reuses;
+    benchmark::DoNotOptimize(result);
+    state.PauseTiming();
+    result = Result();
+    db.reset();
+    state.ResumeTiming();
+  }
+  // 1.0 when every timed run was a delta stitch.
+  state.counters["delta"] = benchmark::Counter(
+      static_cast<double>(stitches), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_DeltaStitchSelect)
+    ->Arg(10000)
+    ->Arg(40000)
+    ->Iterations(500)
+    ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Zero-copy reuse path: scanning a cached 1M-row result (int64 + string

@@ -38,6 +38,13 @@ std::vector<ScanOp::PruneHint> DerivePruneHints(const PlanNode& select) {
   return hints;
 }
 
+/// For a result that shares a cache entry's columns: freezes them, so
+/// appending to the result aborts as it does on any table a scan has
+/// sliced.
+void FreezeColumns(const Table& table) {
+  for (int i = 0; i < table.num_columns(); ++i) table.column(i)->Freeze();
+}
+
 }  // namespace
 
 OperatorPtr Executor::BuildOperator(
@@ -173,16 +180,31 @@ ExecResult Executor::Run(
   }
   std::map<const PlanNode*, Operator*> node_ops;
   OperatorPtr root = BuildOperator(plan, store_requests, &node_ops, pins);
+  // BuildOperator wraps the root in a StoreOp exactly when it has a
+  // store request.
+  const StoreOp* root_store =
+      store_requests != nullptr && store_requests->count(plan.get()) > 0
+          ? static_cast<const StoreOp*>(root.get())
+          : nullptr;
 
   ExecResult result;
   Stopwatch sw;
   root->Open();
-  result.table = MakeTable(root->output_schema());
   Batch batch;
-  while (root->NextTimed(&batch)) {
-    result.table->AppendBatch(batch);
+  bool more = root->NextTimed(&batch);
+  // A root store that materializes builds the result itself. The store
+  // decides before its first batch, so this holds for the whole run.
+  const bool stored = root_store != nullptr && root_store->materializing();
+  if (!stored) result.table = MakeTable(root->output_schema());
+  for (; more; more = root->NextTimed(&batch)) {
+    if (!stored) result.table->AppendBatch(batch);
   }
   root->Close();
+  if (stored) {
+    result.table = root_store->result();
+    RDB_CHECK(result.table != nullptr);
+    FreezeColumns(*result.table);
+  }
   result.total_ms = sw.ElapsedMs();
 
   for (const auto& [node, op] : node_ops) {
@@ -202,9 +224,7 @@ ExecResult Executor::RunCachedRoot(const PlanPtr& plan) {
   ExecResult result;
   Stopwatch sw;
   const TablePtr& cached = plan->cached_result();
-  // The result shares the entry's columns: freeze them, so appending to
-  // the result aborts as it does on any table a scan has sliced.
-  for (int i = 0; i < cached->num_columns(); ++i) cached->column(i)->Freeze();
+  FreezeColumns(*cached);
   result.table = cached->RenameColumns(plan->output_schema().Names());
   result.total_ms = sw.ElapsedMs();
   // What ScanOp would report for the same table: one batch per 1024-row

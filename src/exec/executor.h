@@ -59,7 +59,8 @@ class Executor {
   /// that is a bare CachedScan without a store request builds no tree:
   /// its result is the cached table itself under the plan's column names
   /// (zero copy; the columns are frozen), with the node runtime a scan of
-  /// it would report.
+  /// it would report. Likewise, when the root's store materializes, the
+  /// result is the store's table (columns frozen), not a second copy.
   ExecResult Run(const PlanPtr& plan,
                  const std::map<const PlanNode*, StoreRequest>*
                      store_requests = nullptr,

@@ -43,7 +43,7 @@ SpeculationEstimate StoreOp::CurrentEstimate() const {
   SpeculationEstimate est;
   est.progress = child_->Progress();
   est.buffered_bytes = buffered_bytes_;
-  est.buffered_rows = result_->num_rows();
+  est.buffered_rows = rows_in_;
   double p = est.progress;
   if (p < 1e-3) p = 1e-3;  // avoid wild extrapolation at the very start
   est.est_cost_ms = child_ms_ / p;
@@ -83,15 +83,42 @@ void StoreOp::Close() {
   child_->Close();
 }
 
+void StoreOp::Capture(const Batch& in) {
+  const TablePtr& prefix = request_.prefix;
+  if (prefix != nullptr && rows_in_ < prefix->num_rows()) {
+    // The prefix arrives as the CachedScan's views of its own columns:
+    // confirm that, rather than trust the plan shape, and copy nothing.
+    RDB_CHECK_MSG(static_cast<int>(in.columns.size()) ==
+                          prefix->num_columns() &&
+                      rows_in_ + in.num_rows <= prefix->num_rows(),
+                  "store batch does not fit its prefix");
+    for (int i = 0; i < prefix->num_columns(); ++i) {
+      RDB_CHECK_MSG(in.columns[i]->IsViewOf(*prefix->column(i), rows_in_),
+                    "store input is not a view of its prefix");
+    }
+  } else {
+    result_->AppendBatch(in);
+  }
+  rows_in_ += in.num_rows;
+}
+
 void StoreOp::FinishIfNeeded() {
   if (finished_) return;
   finished_ = true;
-  if (materializing_) {
-    request_.on_complete(request_.token, result_, child_ms_);
-  } else {
+  if (!materializing_) {
+    result_.reset();
     request_.on_complete(request_.token, nullptr, child_ms_);
+    return;
   }
-  result_.reset();
+  if (request_.prefix != nullptr) {
+    RDB_CHECK_MSG(rows_in_ >= request_.prefix->num_rows(),
+                  "store input ended inside its prefix");
+    result_ = request_.prefix->RenameColumns(output_schema_.Names())
+                  ->WithAppended(*result_);
+  }
+  // The table outlives the offer: a root store's table is the query
+  // result (Executor::Run).
+  request_.on_complete(request_.token, result_, child_ms_);
 }
 
 bool StoreOp::Next(Batch* out) {
@@ -112,7 +139,7 @@ bool StoreOp::Next(Batch* out) {
       break;
     }
     buffered_bytes_ += BatchBytes(in);
-    result_->AppendBatch(in);
+    Capture(in);
     buffered_.push_back(std::move(in));
     if (buffered_bytes_ > request_.buffer_cap_bytes) {
       state_ = State::kRejected;  // too large to be worth caching
@@ -143,7 +170,7 @@ bool StoreOp::Next(Batch* out) {
     FinishIfNeeded();
     return false;
   }
-  if (materializing_ && !finished_) result_->AppendBatch(in);
+  if (materializing_ && !finished_) Capture(in);
   *out = std::move(in);
   return true;
 }

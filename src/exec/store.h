@@ -53,12 +53,20 @@ struct StoreRequest {
       on_complete;
   /// Hard cap on speculative buffering; exceeding it abandons.
   int64_t buffer_cap_bytes = 64 << 20;
+  /// The cached prefix a delta stitch extends, set by the recycler for
+  /// the store over UnionAll(CachedScan(prefix), delta). The input's
+  /// first `prefix->num_rows()` rows must be views of the prefix's
+  /// columns (checked); the store copies only the rows after them and
+  /// completes with the prefix followed by those rows. Null otherwise.
+  TablePtr prefix;
 };
 
 /// Store operator implementation.
 ///
 /// kMaterialize: copies every batch into the result table while passing it
-/// along (no flow interruption).
+/// along (no flow interruption). With a `prefix`, the prefix's rows are
+/// passed along without a copy, and the result is built once at the end
+/// at its exact size (Table::WithAppended).
 ///
 /// kSpeculative: withholds batches while undecided (the paper's
 /// "temporarily buffers the tuple flow"), extrapolating cost/size from the
@@ -78,13 +86,23 @@ class StoreOp : public Operator {
   void Close() override;
   double Progress() const override { return child_->Progress(); }
 
-  /// True if this store decided (or was configured) to materialize.
+  /// True if this store decided (or was configured) to materialize. A
+  /// speculative store decides before it emits its first batch, so the
+  /// value seen after the first Next() holds for the rest of the run.
   bool materializing() const { return materializing_; }
+
+  /// The materialized table, kept after `on_complete` has offered it:
+  /// non-null once the input is done and the store materialized.
+  TablePtr result() const {
+    return finished_ && materializing_ ? result_ : nullptr;
+  }
 
  private:
   enum class State { kUndecided, kAccepted, kRejected };
 
   void FinishIfNeeded();
+  /// Adds `in` to the result: a prefix batch is only checked and skipped.
+  void Capture(const Batch& in);
   bool PullChild(Batch* out);
   SpeculationEstimate CurrentEstimate() const;
 
@@ -96,6 +114,7 @@ class StoreOp : public Operator {
   TablePtr result_;
   std::deque<Batch> buffered_;
   int64_t buffered_bytes_ = 0;
+  int64_t rows_in_ = 0;  // input rows captured so far, prefix included
   double child_ms_ = 0;  // accumulated time inside child Next calls
 };
 

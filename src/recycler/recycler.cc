@@ -1029,6 +1029,7 @@ PlanPtr Recycler::TryDeltaRewrite(MNode* m, const PlanPtr& plan, RGNode* g,
   // with this query's snapshots).
   DropSupersededEntry(g);
   m->stitched = true;
+  if (!agg_merge) m->delta_prefix = cached_scan->cached_result();
   m->exec_plan = delta_plan.get();
   prepared->exec_to_gnode_[delta_plan.get()] = g;
   Count(prepared, QueryCounter::kReuses);
@@ -1558,8 +1559,10 @@ void Recycler::InjectStores(MNode* m, PreparedQuery* prepared,
     // overlap history is exactly what predicts the next overlapping
     // query). Children are not walked: delta branches may share plan
     // nodes, and a shared store target would double-offer its result.
-    MaybeInjectStore(g, m->exec_plan, /*history_ok=*/!in_store_chain,
-                     /*speculative_ok=*/spec_mode, prepared);
+    if (MaybeInjectStore(g, m->exec_plan, /*history_ok=*/!in_store_chain,
+                         /*speculative_ok=*/spec_mode, prepared)) {
+      prepared->stores_[m->exec_plan].prefix = m->delta_prefix;
+    }
     return;
   }
 

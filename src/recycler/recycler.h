@@ -245,6 +245,9 @@ struct PreparedQuery::MNode {
   /// unlike `replaced` it remains a store candidate — but its children
   /// are not walked for stores (delta branches may share plan nodes).
   bool stitched = false;
+  /// For a node TryDeltaRewrite stitched (BuildDeltaStitch): the cached
+  /// prefix the refreshed result extends (StoreRequest::prefix).
+  TablePtr delta_prefix;
   NameMap mapping;         // query -> graph names, valid at this output
   /// Plan node actually present in the executed (rewritten) plan; null for
   /// nodes inside replaced subtrees.

@@ -61,6 +61,13 @@ class ColumnVector {
   }
 
   bool is_view() const { return view_src_ != nullptr; }
+  /// True if this column is a view of rows [offset, offset + size()) of
+  /// `src` (a view `src` resolves to the column it windows).
+  bool IsViewOf(const ColumnVector& src, int64_t offset) const {
+    return is_view() && view_src_.get() == &src.payload() &&
+           view_offset_ == src.view_offset_ + offset &&
+           offset + view_length_ <= src.size();
+  }
   /// True once the column has been used as a Slice() source or frozen;
   /// shared columns are immutable for the rest of their life.
   bool shared() const { return shared_.load(std::memory_order_relaxed); }

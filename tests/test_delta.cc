@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "api/database.h"
 #include "common/string_util.h"
 #include "test_util.h"
+#include "trace/trace_format.h"
 #include "workload/rollup.h"
 
 namespace recycledb {
@@ -211,6 +213,87 @@ TEST(DeltaTest, SelectChainStitchPreservesRowOrder) {
     // Ordered comparison: cached prefix then delta window IS scan order.
     EXPECT_EQ(BitRows(*stitched.table(), true), Truth(db.get(), q, true));
   }
+}
+
+/// The rollup threshold Select, run, then 20 rows appended: the next run
+/// of `kHalfSelect` on `db` is a delta stitch.
+constexpr char kHalfSelect[] =
+    "SELECT ts, sensor, value FROM events WHERE value >= 500.0";
+void SeedAndAppend(Database* db) {
+  rollup::RollupOptions ropt;
+  ropt.initial_rows = 6000;
+  ASSERT_TRUE(rollup::Setup(db, ropt).ok());
+  ASSERT_TRUE(db->Sql(kHalfSelect).ok());
+  ASSERT_TRUE(
+      db->AppendTable("events", *rollup::MakeBatch(20, 6000, ropt)).ok());
+}
+
+/// The cached table of the graph node whose columns `result` shares, or
+/// null when no entry shares its first column.
+TablePtr EntrySharing(Database* db, const Table& result) {
+  RecyclerGraph& graph = db->recycler().graph();
+  std::shared_lock<std::shared_mutex> lock(graph.mutex());
+  for (const auto& n : graph.nodes()) {
+    if (n->cached != nullptr && n->cached->num_columns() > 0 &&
+        n->cached->column(0) == result.column(0)) {
+      return n->cached;
+    }
+  }
+  return nullptr;
+}
+
+TEST(DeltaTest, StitchedSelectSharesItsRefreshedEntry) {
+  auto db = Database::OpenOrDie(DeltaOptions());
+  SeedAndAppend(db.get());
+  Result r = db->Sql(kHalfSelect);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.trace().num_delta_reuses, 1);
+
+  SessionOptions bypass;
+  bypass.bypass_recycler = true;
+  Result truth = db->Connect(bypass)->Sql(kHalfSelect);
+  ASSERT_TRUE(truth.ok());
+  EXPECT_EQ(r.num_rows(), truth.num_rows());
+  EXPECT_EQ(trace::ResultDigest(*r.table()),
+            trace::ResultDigest(*truth.table()));
+
+  // The refreshed entry is the result: same columns, frozen.
+  TablePtr entry = EntrySharing(db.get(), *r.table());
+  ASSERT_NE(entry, nullptr);
+  ASSERT_EQ(entry->num_columns(), r.table()->num_columns());
+  for (int c = 0; c < entry->num_columns(); ++c) {
+    EXPECT_EQ(entry->column(c), r.table()->column(c)) << "column " << c;
+    EXPECT_TRUE(r.table()->column(c)->shared()) << "column " << c;
+  }
+  // Built once at its exact size (ts int64, sensor int32, value double):
+  // no slack from capacity doubling.
+  EXPECT_EQ(entry->ByteSize(), entry->num_rows() * (8 + 4 + 8));
+}
+
+TEST(DeltaDeathTest, MutatingAStitchedResultDies) {
+  auto db = Database::OpenOrDie(DeltaOptions());
+  SeedAndAppend(db.get());
+  Result r = db->Sql(kHalfSelect);
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r.trace().num_delta_reuses, 1);
+  EXPECT_DEATH(r.table()->AppendRow({int64_t{1}, int32_t{0}, 2.0}),
+               "mutating a shared column");
+}
+
+TEST(DeltaTest, RejectedRootStoreReturnsEveryRow) {
+  // A buffer cap below one batch makes speculation abandon the root's
+  // store; the statement must still return every row, through the copy
+  // the executor makes when no store materializes.
+  DatabaseOptions options = DeltaOptions();
+  options.recycler.speculation_buffer_cap = 1024;
+  auto db = Database::OpenOrDie(options);
+  rollup::RollupOptions ropt;
+  ropt.initial_rows = 6000;
+  ASSERT_TRUE(rollup::Setup(db.get(), ropt).ok());
+  Result r = db->Sql(kHalfSelect);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GE(r.trace().num_spec_aborted, 1);
+  EXPECT_EQ(BitRows(*r.table(), true), Truth(db.get(), kHalfSelect, true));
 }
 
 TEST(DeltaTest, RollupScenarioAllShapesBitIdentical) {
