@@ -97,21 +97,10 @@ Status Database::Open(DatabaseOptions options, std::unique_ptr<Database>* out) {
         StrFormat("async_threads must be positive (got %d)",
                   options.async_threads));
   }
-  if (!options.recycler.spill_dir.empty()) {
-    // Probe the directory now so an unusable spill_dir surfaces here as
-    // an actionable Status instead of silently degrading later. The
-    // probe matches the mode: an adopt-only standby on a read-only
-    // mount must open cleanly (no create, no write), while a writable
-    // tier over a genuinely unwritable directory is still an error.
-    if (options.recycler.spill_read_only) {
-      RDB_RETURN_NOT_OK(
-          ColdTier::ValidateSpillDirReadable(options.recycler.spill_dir));
-    } else {
-      RDB_RETURN_NOT_OK(
-          ColdTier::ValidateSpillDir(options.recycler.spill_dir));
-    }
-  }
-  out->reset(new Database(std::move(options)));
+  std::unique_ptr<Database> db(new Database(std::move(options)));
+  // The cold tier probed spill_dir while the recycler was constructed.
+  RDB_RETURN_NOT_OK(db->recycler_.cold_tier().open_status());
+  *out = std::move(db);
   return Status::OK();
 }
 

@@ -63,10 +63,10 @@ class Database {
  public:
   /// Validates `options` and constructs the engine. On failure `*out` is
   /// untouched and the status says which option is invalid (including an
-  /// unwritable `recycler.spill_dir`, which is probed here). With a
-  /// spill_dir set, Open scans the directory and adopts spill files left
-  /// by a previous process, so the recycler warms up from disk instead
-  /// of starting cold.
+  /// unusable `recycler.spill_dir`, which the cold tier probes as it
+  /// opens). With a spill_dir set, Open scans the directory and adopts
+  /// spill files left by a previous process, so the recycler warms up
+  /// from disk instead of starting cold.
   static Status Open(DatabaseOptions options, std::unique_ptr<Database>* out);
 
   /// Convenience for tools and benches: aborts on invalid options.

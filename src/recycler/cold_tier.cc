@@ -98,11 +98,12 @@ ColdTier::~ColdTier() {
 
 Status ColdTier::Open(const ColdTierOptions& options) {
   if (options.dir.empty()) return Status::OK();
-  if (options.read_only) {
-    RDB_RETURN_NOT_OK(ValidateSpillDirReadable(options.dir));
-  } else {
-    RDB_RETURN_NOT_OK(ValidateSpillDir(options.dir));
-  }
+  // The one probe of the directory matches the mode: an adopt-only
+  // standby on a read-only mount must open cleanly (no create, no write),
+  // while a writable tier over an unwritable directory is an error.
+  open_status_ = options.read_only ? ValidateSpillDirReadable(options.dir)
+                                   : ValidateSpillDir(options.dir);
+  RDB_RETURN_NOT_OK(open_status_);
   std::lock_guard<std::mutex> lock(mu_);
   dir_ = options.dir;
   capacity_bytes_ = options.capacity_bytes;
@@ -111,8 +112,9 @@ Status ColdTier::Open(const ColdTierOptions& options) {
   instance_ = options.instance_id;
   lease_ms_ = options.lease_ms;
   if (shared_ && !read_only_ && instance_.empty()) {
-    return Status::InvalidArgument(
+    open_status_ = Status::InvalidArgument(
         "shared cold tier requires a non-empty instance id");
+    return open_status_;
   }
 
   // Shared mode: the manifest decides which scanned files are claimable

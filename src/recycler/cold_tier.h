@@ -121,9 +121,8 @@ class ColdTier {
   ColdTier(const ColdTier&) = delete;
   ColdTier& operator=(const ColdTier&) = delete;
 
-  /// Validates that `dir` can be created and written (probe file). Used
-  /// by Database::Open so an unusable spill_dir surfaces as a
-  /// recoverable, actionable Status before the engine is constructed.
+  /// Validates that `dir` can be created and written (probe file). Open
+  /// runs it for a writable tier.
   static Status ValidateSpillDir(const std::string& dir);
 
   /// Read-only variant: validates that `dir` exists and is a readable
@@ -142,6 +141,10 @@ class ColdTier {
   /// first SpillAsync. An empty dir leaves the tier disabled and returns
   /// OK.
   Status Open(const ColdTierOptions& options);
+
+  /// What the last Open returned (OK if none ran). Database::Open returns
+  /// it, so an unusable spill_dir surfaces there as an actionable Status.
+  const Status& open_status() const { return open_status_; }
 
   bool enabled() const { return enabled_; }
   bool read_only() const { return read_only_; }
@@ -370,6 +373,7 @@ class ColdTier {
   std::string FilePath(uint64_t name_hash);
 
   mutable std::mutex mu_;
+  Status open_status_;
   bool enabled_ = false;
   bool compress_ = true;
   bool shared_ = false;

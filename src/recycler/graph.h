@@ -145,9 +145,6 @@ struct RGNode {
   /// Importance factor h_R (Eq. 3/4), stored unaged; age with h_epoch.
   std::atomic<double> h{0};
   std::atomic<int64_t> h_epoch{0};
-  /// Query id that inserted this node (to exclude self-references when
-  /// bumping h, §III-C).
-  int64_t inserted_by = -1;
   /// Total times a query exactly-matched this node (diagnostics).
   std::atomic<int64_t> match_count{0};
   /// Epoch of the last match/insert touching this node (drives

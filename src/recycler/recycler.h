@@ -229,7 +229,6 @@ class PreparedQuery {
   /// proactive modes.
   std::string exact_hit_key_;
   std::string exact_hit_alias_;
-  int64_t query_id_ = 0;
 };
 
 /// Matched-tree node: pairs each query plan node with its recycler-graph
@@ -324,8 +323,9 @@ class Recycler {
   /// ones delta maintenance can refresh (stamped, same epoch, delta-
   /// eligible shape); everything else — unstamped legacy entries, nodes
   /// with joins or non-decomposable roots — is evicted as a hard
-  /// invalidation. With enable_delta_maintenance off, behaves like
-  /// InvalidateTable.
+  /// invalidation. With enable_delta_maintenance off it evicts every such
+  /// entry, but unlike InvalidateTable it purges only the unstamped
+  /// restart orphans (PurgeUnversionedOrphans, not PurgeTable).
   void OnTableAppended(const std::string& table);
 
   /// Evicts everything from the cache (simulated refresh, Fig. 6).
@@ -412,15 +412,34 @@ class Recycler {
   /// Adds `n` to `prepared`'s trace field for `counter` and to its
   /// RecyclerCounters twin.
   void Count(PreparedQuery* prepared, QueryCounter counter, int64_t n = 1);
+  /// Estimated result size in bytes (measured when available, else
+  /// cardinality x estimated row width; §III-C "size(R)").
+  double EstimatedSize(const RGNode* node) const;
+  /// Prepare head (probe hit and full path): the query id, the template
+  /// hash and the template's prior runs.
+  void StartTrace(PreparedQuery* prepared, uint64_t template_hash);
+  /// Pins a snapshot of each of `tables` for `prepared`.
+  void PinTables(const std::set<std::string>& tables,
+                 PreparedQuery* prepared) const;
+  /// Prepare tail (both mode paths): derives the uniform reuse_mode from
+  /// the counters and captures the post-rewrite Explain when configured.
+  void FinalizeTrace(PreparedQuery* prepared);
 
-  // --- matching & insertion (§III-A/B) --------------------------------
+  // --- matching & insertion (§III-A/B), recycler_match.cc -------------
   std::unique_ptr<MNode> MatchTree(const PlanPtr& plan);
   void InsertMissing(MNode* m, PreparedQuery* prepared);
   RGNode* MatchOne(const PlanNode& node, const std::vector<RGNode*>& child_g,
                    const NameMap& mapping) const;
+  /// MatchOne over `m`'s merged child mappings; a match sets `m->gnode`
+  /// and extends `m->mapping` across the node's outputs.
+  void MatchMapped(MNode* m, const std::vector<RGNode*>& child_g) const;
   RGNode* InsertOne(const PlanNode& node, const std::vector<RGNode*>& child_g,
-                    NameMap* mapping, int64_t query_id);
+                    NameMap* mapping);
   static std::string LeafKey(const PlanNode& node);
+  static uint64_t MappedSignature(const PlanNode& node,
+                                  const NameMap& mapping);
+  /// Computed results only: a base-table scan's data is already resident.
+  static bool CacheableType(OpType type);
 
   // --- h maintenance (§III-C) ------------------------------------------
   void BumpImportance(MNode* m, bool has_materialized_ancestor);
@@ -428,7 +447,7 @@ class Recycler {
   void UpdateHrOnEvict(RGNode* node);                // Eq. 4
   void UpdateHrChildren(RGNode* node, double delta); // shared walker
 
-  // --- exact-hit index ---------------------------------------------------
+  // --- exact-hit index, recycler_match.cc ------------------------------
   /// Records `root`'s matched tree under `key`, and under `alias` when
   /// not empty, if the root is still hot. A root keeps the keys of its
   /// latest registration only, and a key one root. Caller holds the
@@ -440,9 +459,33 @@ class Recycler {
   /// ForgetExactHit with exact_mu_ held.
   void ForgetExactHitLocked(const RGNode* root);
 
-  // --- rewriting --------------------------------------------------------
+  // --- reuse rules (§III-A, §IV-A), recycler_reuse.cc ------------------
+  struct DerivedCandidates;  // what TrySubsume and TryStitch derive from
+  /// The first rule that serves `m` wins, in this order: TryExact,
+  /// TrySubsume, TryStitch; else recurses into the children. A rule
+  /// returns the rewritten plan, or null when it declines. No lock held.
   PlanPtr RewriteForReuse(MNode* m, const PlanPtr& plan,
                           PreparedQuery* prepared);
+  /// `m->gnode`'s own result, hot or cold, after any stall. An
+  /// append-stale entry goes on to TryDeltaRewrite; another stale entry,
+  /// unless ahead of the query, is dropped.
+  PlanPtr TryExact(MNode* m, const PlanPtr& plan, PreparedQuery* prepared);
+  /// Fills `out` from the derived-reuse index in one cache_mu_ section.
+  /// False when neither derived rule applies to `m`.
+  bool GatherDerived(MNode* m, const PlanPtr& plan, PreparedQuery* prepared,
+                     DerivedCandidates* out);
+  /// Single-superset subsumption (§IV-A).
+  PlanPtr TrySubsume(MNode* m, const DerivedCandidates& cands,
+                     PreparedQuery* prepared);
+  /// Range stitching: the union of overlapping cached slices plus
+  /// compensated delta scans of the remainder.
+  PlanPtr TryStitch(MNode* m, const PlanPtr& plan,
+                    const DerivedCandidates& cands, PreparedQuery* prepared);
+  /// Eq. 2 credit for `scan`, a CachedScan that replaced `share` of
+  /// `source`'s work: its cache key, the replaced cost and, if `bump_h`, a
+  /// reference of weight `share`. Caller holds the graph lock.
+  void CreditReuse(RGNode* source, PlanNode* scan, double share, bool bump_h,
+                   PreparedQuery* prepared);
   /// Replaces `m`'s subtree by a CachedScan over `snapshot`, `m->gnode`'s
   /// hot or cold-loaded result, whose columns it names `column_names`:
   /// cache key, Eq. 2 credit, reuse counters and the LRU touch. Caller
@@ -468,22 +511,8 @@ class Recycler {
   /// mutex). Caller may hold the shared graph lock but not cache_mu_.
   Freshness NodeFreshness(RGNode* node, const PreparedQuery* prepared,
                           StaleWindow* window);
-  /// Cold-tier restart recovery: before a derived-reuse
-  /// (subsumption/stitch) candidate scan over `child_gnode`'s parents,
-  /// adopt any restart orphans those parents still have on disk, and
-  /// rebuild and adopt the orphan slices filed under the child
-  /// (RebuildOrphanSlice), so they are servable without an exact
-  /// re-insertion. Caller must not hold
-  /// the graph lock; takes it exclusive briefly when the orphan set grew
-  /// since `child_gnode`'s last walk (ColdTier::orphan_generation).
-  /// Adoptions are counted into `prepared`'s trace.
-  void MaybeAdoptOrphanParents(RGNode* child_gnode, PreparedQuery* prepared);
-  /// Rebuilds the graph node of an orphan slice filed under `child` from
-  /// its select descriptor (`meta`) and publishes it, still kNone, when
-  /// its canonical key equals the file's; otherwise counts a key mismatch
-  /// and returns nullptr, leaving the orphan to an exact insert. Caller
-  /// holds the exclusive graph lock.
-  RGNode* RebuildOrphanSlice(RGNode* child, const SpillFileMeta& meta);
+
+  // --- admission and eviction, recycler_admission.cc -------------------
   void InjectStores(MNode* m, PreparedQuery* prepared, bool in_store_chain);
   /// Shared admission decision for one store candidate: history-based
   /// materialization when measured (benefit admit at h >= 1, gated by
@@ -494,19 +523,13 @@ class Recycler {
                         bool speculative_ok, PreparedQuery* prepared);
   StoreRequest MakeStoreRequest(RGNode* gnode, StoreMode mode,
                                 PreparedQuery* prepared);
-  /// Prepare head (probe hit and full path): the query id, the template
-  /// hash and the template's prior runs.
-  void StartTrace(PreparedQuery* prepared, uint64_t template_hash);
-  /// Pins a snapshot of each of `tables` for `prepared`.
-  void PinTables(const std::set<std::string>& tables,
-                 PreparedQuery* prepared) const;
-  /// Prepare tail (both mode paths): derives the uniform reuse_mode from
-  /// the counters and captures the post-rewrite Explain when configured.
-  void FinalizeTrace(PreparedQuery* prepared);
-
-  // --- store callbacks --------------------------------------------------
   void OfferResult(RGNode* node, TablePtr result, double subtree_ms,
                    PreparedQuery* prepared);
+  /// Admits `table` as `node`'s hot result if `node` is still in state
+  /// `from` (kInFlight for a store, kCold for a promotion), evicting the
+  /// victims, and publishes it kCached. A rejected node keeps its state.
+  /// Caller holds the shared graph lock, not cache_mu_.
+  bool AdmitHot(RGNode* node, TablePtr table, MatState from);
   bool SpeculationKeepGoing(RGNode* node, const SpeculationEstimate& est);
   /// Publishes a MatState transition under the node's mat shard mutex and
   /// wakes stalled queries. `clear_cached` also drops the node's cached
@@ -516,31 +539,26 @@ class Recycler {
   /// simply skips its store. No wakeup needed: queries only stall on the
   /// transitions *out* of kInFlight, which SetMatState publishes.
   static bool TryClaimInFlight(RGNode* node);
-
-  /// Estimated result size in bytes (measured when available, else
-  /// cardinality x estimated row width; §III-C "size(R)").
-  double EstimatedSize(const RGNode* node) const;
-
-  /// Caller holds at least the shared graph lock AND cache_mu_.
-  void EvictNode(RGNode* node, bool update_h);
-
-  // --- cold tier --------------------------------------------------------
+  /// Drops `node`'s entry from both tiers; an `invalidation` also gives
+  /// back a hot entry's h (Eq. 4) and is counted. Caller holds at least
+  /// the shared graph lock AND cache_mu_.
+  void EvictNode(RGNode* node, bool invalidation);
   /// Handles one hot-cache eviction: Eq. 4 h-update, then spill-or-drop —
   /// a spilled victim flips to kCold and keeps its interval-index
   /// registrations (cold slices still stitch); a dropped one goes to
   /// kNone. Caller holds at least the shared graph lock AND cache_mu_.
   void HandleHotEviction(RGNode* victim);
 
+  // --- cold tier and fleet bridge, recycler_cold.cc --------------------
   /// Queues `node`'s result for the cold tier when the tier is enabled
   /// (no-op true when a live file or pending spill already exists).
   /// Caller holds at least the shared graph lock AND cache_mu_.
   bool MaybeSpill(RGNode* node);
 
-  /// Demotes a node whose cold entry the tier's sweep dropped: a kCold
-  /// node loses its registrations and becomes kNone; a node that is
-  /// (also) hot keeps its hot state. Caller holds the shared graph lock
-  /// AND cache_mu_.
-  void OnColdEntryDropped(RGNode* node);
+  /// Demotes nodes whose cold entries the tier dropped: a kCold node
+  /// loses its registrations and becomes kNone; a node that is (also) hot
+  /// keeps its hot state. Caller holds the shared graph lock AND cache_mu_.
+  void OnColdEntriesDropped(const std::vector<const RGNode*>& nodes);
 
   /// Pinned snapshot of `node`'s result from either tier: the hot table
   /// when kCached, else a lazy re-admission from the cold tier (load ->
@@ -548,33 +566,40 @@ class Recycler {
   /// result in either tier. A load is recorded in `prepared`'s
   /// cold-loaded set; `*from_cold` reports whether THIS query pulled the
   /// node from disk (now or earlier in its rewrite), so call sites count
-  /// cold hits only for reuses actually consumed. Caller must NOT hold
-  /// the graph lock (promotion acquires it shared).
-  TablePtr SnapshotOrReadmit(RGNode* node, PreparedQuery* prepared,
-                             bool* from_cold);
+  /// cold hits only for reuses actually consumed. With a `clip` (derived
+  /// reuse only), a kCold node with graph-space `clip_column` among its
+  /// outputs loads just the rows in `*clip`, decoded from the spill image
+  /// and not promoted: the rewrite's compensation drops the other rows
+  /// anyway. Caller must NOT hold the graph lock (promotion takes it).
+  TablePtr SnapshotEitherTier(RGNode* node, PreparedQuery* prepared,
+                              bool* from_cold,
+                              const std::string& clip_column = std::string(),
+                              const ColumnInterval* clip = nullptr);
 
-  /// The cold half of SnapshotOrReadmit.
+  /// The cold half of SnapshotEitherTier.
   TablePtr ReadmitCold(RGNode* node);
-
-  /// SnapshotOrReadmit variant for subsumption/stitch candidates: a hot
-  /// candidate returns its snapshot as usual, but a kCold candidate with
-  /// graph-space `column` among its outputs is loaded as a *filtered
-  /// slice* of the rows in `range` — the selection runs on the encoded
-  /// spill image and only in-range rows materialize. The
-  /// slice is NOT promoted to the hot tier (it is a partial result) and
-  /// the entry stays kCold. Sound for derived reuse only: rows the filter
-  /// removes are rows the rewrite's clip/residual compensation would
-  /// remove anyway. Falls back to SnapshotOrReadmit when slicing is
-  /// impossible. Caller must NOT hold the graph lock.
-  TablePtr SnapshotOrLoadSlice(RGNode* node, const std::string& column,
-                               const ColumnInterval& range,
-                               PreparedQuery* prepared, bool* from_cold);
 
   /// Probes the cold tier's orphan map for a restart or fleet-peer image
   /// of the just-inserted `node` and adopts it (re-seed stats, kCold
   /// state, interval registration). Returns true on adoption. Caller
   /// holds the exclusive graph lock.
   bool TryAdoptOrphan(RGNode* node);
+  /// Cold-tier restart recovery: before a derived-reuse
+  /// (subsumption/stitch) candidate scan over `child_gnode`'s parents,
+  /// adopt any restart orphans those parents still have on disk, and
+  /// rebuild and adopt the orphan slices filed under the child
+  /// (RebuildOrphanSlice), so they are servable without an exact
+  /// re-insertion. Caller must not hold the graph lock; takes it
+  /// exclusive briefly when the orphan set grew since `child_gnode`'s last
+  /// walk (ColdTier::orphan_generation).
+  /// Adoptions are counted into `prepared`'s trace.
+  void MaybeAdoptOrphanParents(RGNode* child_gnode, PreparedQuery* prepared);
+  /// Rebuilds the graph node of an orphan slice filed under `child` from
+  /// its select descriptor (`meta`) and publishes it, still kNone, when
+  /// its canonical key equals the file's; otherwise counts a key mismatch
+  /// and returns nullptr, leaving the orphan to an exact insert. Caller
+  /// holds the exclusive graph lock.
+  RGNode* RebuildOrphanSlice(RGNode* child, const SpillFileMeta& meta);
 
   const Catalog* catalog_;
   RecyclerConfig config_;

@@ -1205,12 +1205,14 @@ TablePtr MakeAbTable(bool with_b, bool a_double) {
   if (with_b) fields.push_back({"b", TypeId::kInt64});
   TablePtr t = MakeTable(Schema(std::move(fields)));
   for (int64_t i = 0; i < 200; ++i) {
-    const Datum a = a_double ? Datum(static_cast<double>(i) + 0.5) : Datum(i);
-    if (with_b) {
-      t->AppendRow({a, i * 3});
+    std::vector<Datum> row;
+    if (a_double) {
+      row.emplace_back(static_cast<double>(i) + 0.5);
     } else {
-      t->AppendRow({a});
+      row.emplace_back(i);
     }
+    if (with_b) row.emplace_back(i * 3);
+    t->AppendRow(row);
   }
   return t;
 }

@@ -267,6 +267,37 @@ TEST_F(PartialReuseTest, WorksWithSubsumptionDisabled) {
   EXPECT_EQ(RowMultiset(*r.table), RunOff(RangeQuery(30, 80)));
 }
 
+TEST_F(PartialReuseTest, SubsumptionOutranksStitching) {
+  // (10, 50) AND g = 3: the cached (10, 50) selection subsumes it, and
+  // the overlapping cached slices (10, 50) and (40, 90) could stitch it.
+  auto query = [] {
+    return PlanNode::Select(
+        PlanNode::Scan("t", {"a", "g", "v"}),
+        Expr::And(Expr::And(Expr::Gt(Expr::Column("v"), Expr::Literal(10.0)),
+                            Expr::Lt(Expr::Column("v"), Expr::Literal(50.0))),
+                  Expr::Eq(Expr::Column("g"), Expr::Literal(int64_t{3}))));
+  };
+
+  // Control: without subsumption, the slices stitch it.
+  RecyclerConfig cfg;
+  cfg.mode = RecyclerMode::kSpeculation;
+  cfg.enable_subsumption = false;
+  Recycler control(&catalog_, cfg);
+  control.Execute(RangeQuery(10, 50));
+  control.Execute(RangeQuery(40, 90));
+  QueryTrace trace;
+  control.Execute(query(), &trace);
+  ASSERT_EQ(trace.num_partial_reuses, 1);
+
+  Recycler rec = MakeRecycler();
+  rec.Execute(RangeQuery(10, 50));
+  rec.Execute(RangeQuery(40, 90));
+  ExecResult r = rec.Execute(query(), &trace);
+  EXPECT_EQ(trace.num_subsumption_reuses, 1);
+  EXPECT_EQ(trace.num_partial_reuses, 0);
+  EXPECT_EQ(RowMultiset(*r.table), RunOff(query()));
+}
+
 TEST_F(PartialReuseTest, LimitOverStitchedSelectReturnsValidRows) {
   // A stitched union is a BAG: branch order differs from cold execution
   // (cached slices stream before delta scans), so an order-sensitive

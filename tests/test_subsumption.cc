@@ -164,6 +164,43 @@ TEST_F(SubsumptionTest, SubsumptionEdgeRecordedInGraph) {
   EXPECT_GE(rec.counters().subsumption_reuses.load(), 1);
 }
 
+TEST_F(SubsumptionTest, ExactReuseOutranksSubsumption) {
+  // The narrow selection sits under a fresh aggregate root, so the lookup
+  // reaches it through the reuse rules rather than the exact-hit index.
+  ExprPtr base = Expr::Gt(Expr::Column("k"), Expr::Literal(int64_t{40}));
+  auto narrow = [&base] {
+    return PlanNode::Select(
+        PlanNode::Scan("t", {"k", "g", "v"}),
+        Expr::And(base,
+                  Expr::Eq(Expr::Column("g"), Expr::Literal(int64_t{3}))));
+  };
+  auto broad = [&base] {
+    return PlanNode::Select(PlanNode::Scan("t", {"k", "g", "v"}), base);
+  };
+  auto rollup = [&narrow] {
+    return PlanNode::Aggregate(narrow(), {"k"},
+                               {{AggFunc::kCount, Expr::Column("v"), "n"}});
+  };
+
+  // Control: with only the superset cached, subsumption serves the narrow
+  // selection.
+  Recycler control = MakeRecycler();
+  control.Execute(broad());
+  QueryTrace trace;
+  control.Execute(rollup(), &trace);
+  ASSERT_EQ(trace.num_subsumption_reuses, 1);
+
+  // With the narrow result cached too, its exact match wins.
+  Recycler rec = MakeRecycler();
+  rec.Execute(narrow());
+  rec.Execute(broad());
+  ExecResult r = rec.Execute(rollup(), &trace);
+  EXPECT_EQ(trace.num_subsumption_reuses, 0);
+  EXPECT_EQ(trace.num_reuses, 1);
+  EXPECT_EQ(trace.reuse_mode, ReuseMode::kExact);
+  EXPECT_EQ(recycledb::testing::RowMultiset(*r.table), RunOff(rollup()));
+}
+
 // ---- direct unit tests of the ParamsSubsume predicate --------------------
 
 TEST(ParamsSubsumeTest, SelectConjuncts) {
