@@ -404,9 +404,8 @@ void BM_PlanFingerprint(benchmark::State& state) {
                     Expr::Lt(Expr::Column("k"), Expr::Literal(int64_t{99})))),
       {"g"}, {{AggFunc::kSum, Expr::Column("v"), "sv"}});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(plan->ParamFingerprint(nullptr));
+    benchmark::DoNotOptimize(plan->ParamFingerprint());
     benchmark::DoNotOptimize(plan->HashKey());
-    benchmark::DoNotOptimize(plan->Signature());
   }
 }
 BENCHMARK(BM_PlanFingerprint);

@@ -21,3 +21,13 @@ RECYCLEDB_UPDATE_GOLDENS=1 "$build_dir/test_golden"
 
 echo "goldens updated:"
 git -C "$repo_root" status --short tests/golden/ || true
+
+# Changed lines (added plus removed) per file: Explain text ("|"-prefixed)
+# and the rest (mode, rows, digest or sql: lines; every line of a .trace).
+echo "changed lines (explain / other):"
+for f in "$repo_root"/tests/golden/*; do
+  git -C "$repo_root" diff -U0 -- "$f" | awk -v name="$(basename "$f")" '
+    /^(\+\+\+|---) / { next }
+    /^[-+]/ { if (substr($0, 2) ~ /^[ \t]*\|/) e++; else o++ }
+    END { printf "  %s: %d explain, %d other\n", name, e, o }'
+done

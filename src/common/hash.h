@@ -1,4 +1,4 @@
-// Hashing utilities used for recycler-graph keys, signatures and hash joins.
+// Hashing utilities used for recycler-graph keys and hash joins.
 #pragma once
 
 #include <cstdint>
@@ -36,13 +36,6 @@ inline uint64_t HashMix(uint64_t k) {
 /// Combines two hashes (boost-style).
 inline uint64_t HashCombine(uint64_t a, uint64_t b) {
   return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2));
-}
-
-/// Column-set signature: each column name switches on one bit of a 64-bit
-/// mask (the paper's n.signature). A candidate that does not provide all
-/// needed columns can be eliminated with a single AND.
-inline uint64_t ColumnSignatureBit(std::string_view column_name) {
-  return 1ULL << (HashString(column_name) % 64);
 }
 
 }  // namespace recycledb

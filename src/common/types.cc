@@ -3,8 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/macros.h"
 
@@ -111,33 +109,6 @@ void AppendDatumKey(const Datum& d, std::string* out) {
     default:
       *out += DatumToString(d);
   }
-}
-
-std::string KeyToDisplayString(const std::string& key) {
-  std::string out;
-  out.reserve(key.size());
-  bool quoted = false;
-  for (size_t i = 0; i < key.size();) {
-    const char c = key[i];
-    if (c == '\'') quoted = !quoted;
-    // A hex float starts a token: "l:0x1.8p+0", "(in c:x 0x1p+0 ...)".
-    const size_t digits = c == '-' ? i + 1 : i;
-    const bool token_start =
-        i == 0 || std::strchr(":( ,", key[i - 1]) != nullptr;
-    if (!quoted && token_start && key.compare(digits, 2, "0x") == 0) {
-      char* end = nullptr;
-      const double v = std::strtod(key.c_str() + i, &end);
-      const size_t len = static_cast<size_t>(end - (key.c_str() + i));
-      if (len > 0 && key.find('p', i) < i + len) {
-        out += DatumToString(Datum(v));
-        i += len;
-        continue;
-      }
-    }
-    out += c;
-    ++i;
-  }
-  return out;
 }
 
 double DatumAsDouble(const Datum& d) {

@@ -51,11 +51,6 @@ std::string DatumToKeyString(const Datum& d);
 /// DatumToKeyString(d) appended to `out`, without a temporary string.
 void AppendDatumKey(const Datum& d, std::string* out);
 
-/// Display form of text built with DatumToKeyString: every hex float
-/// token (outside quoted strings) re-rendered as DatumToString renders
-/// that double. Strings keep their doubled inner quotes.
-std::string KeyToDisplayString(const std::string& key);
-
 /// Numeric coercion helpers; RDB_CHECK-fail on non-numeric alternatives.
 double DatumAsDouble(const Datum& d);
 int64_t DatumAsInt64(const Datum& d);

@@ -20,13 +20,12 @@ const char* AggFuncName(AggFunc fn) {
   return "?";
 }
 
-void AggItem::AppendFingerprint(std::string* out,
-                                const NameMap* mapping) const {
+void AggItem::AppendFingerprint(std::string* out, const Schema* input) const {
   // out_name is a *new* name assigned by the node; it is not part of the
-  // parameter fingerprint (the graph canonicalizes assigned names).
+  // parameter fingerprint (a parent reads the column by its ordinal).
   *out += AggFuncName(fn);
   *out += '(';
-  arg->AppendFingerprint(out, mapping);
+  arg->AppendFingerprint(out, input);
   *out += ')';
 }
 

@@ -183,14 +183,18 @@ ExprPtr Expr::SubstituteParams(const ParamMap& params,
   return e;
 }
 
-std::string Expr::Fingerprint(const NameMap* mapping,
+std::string OrdinalName(int ordinal) {
+  return "#" + std::to_string(ordinal);
+}
+
+std::string Expr::Fingerprint(const Schema* input,
                               bool anonymize_columns) const {
   std::string out;
-  AppendFingerprint(&out, mapping, anonymize_columns);
+  AppendFingerprint(&out, input, anonymize_columns);
   return out;
 }
 
-void Expr::AppendFingerprint(std::string* out, const NameMap* mapping,
+void Expr::AppendFingerprint(std::string* out, const Schema* input,
                              bool anonymize_columns) const {
   // "(<op> <child> <child> ...)", single spaces between the parts.
   auto op_and_children = [&](const char* op) {
@@ -198,7 +202,7 @@ void Expr::AppendFingerprint(std::string* out, const NameMap* mapping,
     *out += op;
     for (const auto& c : children_) {
       *out += ' ';
-      c->AppendFingerprint(out, mapping, anonymize_columns);
+      c->AppendFingerprint(out, input, anonymize_columns);
     }
     *out += ')';
   };
@@ -209,14 +213,8 @@ void Expr::AppendFingerprint(std::string* out, const NameMap* mapping,
         return;
       }
       *out += "c:";
-      if (mapping != nullptr) {
-        auto it = mapping->find(name_);
-        if (it != mapping->end()) {
-          *out += it->second;
-          return;
-        }
-      }
-      *out += name_;
+      *out += input != nullptr ? OrdinalName(input->IndexOfChecked(name_))
+                               : name_;
       return;
     }
     case ExprKind::kLiteral:
@@ -245,7 +243,7 @@ void Expr::AppendFingerprint(std::string* out, const NameMap* mapping,
       return op_and_children("case");
     case ExprKind::kInList: {
       *out += "(in ";
-      children_[0]->AppendFingerprint(out, mapping, anonymize_columns);
+      children_[0]->AppendFingerprint(out, input, anonymize_columns);
       for (const auto& v : in_values_) {
         *out += ' ';
         AppendDatumKey(v, out);
@@ -259,7 +257,7 @@ void Expr::AppendFingerprint(std::string* out, const NameMap* mapping,
       *out += '(';
       *out += names[static_cast<int>(like_kind_)];
       *out += ' ';
-      children_[0]->AppendFingerprint(out, mapping, anonymize_columns);
+      children_[0]->AppendFingerprint(out, input, anonymize_columns);
       *out += " '";
       *out += name_;
       *out += "')";
@@ -267,6 +265,16 @@ void Expr::AppendFingerprint(std::string* out, const NameMap* mapping,
     }
   }
   RDB_UNREACHABLE("bad expr kind");
+}
+
+ExprPtr Expr::Positional(const Schema& input) const {
+  auto e = std::shared_ptr<Expr>(new Expr(*this));
+  if (kind_ == ExprKind::kColumnRef) {
+    e->name_ = OrdinalName(input.IndexOfChecked(name_));
+    return e;
+  }
+  for (auto& c : e->children_) c = c->Positional(input);
+  return e;
 }
 
 ExprPtr Expr::Rename(const NameMap& mapping) const {

@@ -1,8 +1,9 @@
 // Scalar expression IR with a vectorized interpreter.
 //
 // Expressions are the parameters of Select/Project plan nodes; the recycler
-// matches them structurally via Fingerprint() under a query<->graph column
-// name mapping (see plan/fingerprint and recycler/matching).
+// matches them structurally via Fingerprint(), with each column reference
+// rendered as its ordinal in the input (see PlanNode::PositionalParams in
+// plan/plan.h and Recycler::MatchOne in recycler/recycler_match.cc).
 #pragma once
 
 #include <map>
@@ -19,8 +20,8 @@ namespace recycledb {
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
-/// Mapping from one column-name space to another (query tree names to
-/// recycler-graph names and back).
+/// Mapping from one column-name space to another (the renaming plan
+/// rewrites of the canonicalizer and the proactive strategies).
 using NameMap = std::map<std::string, std::string>;
 
 /// Bound values for named parameter placeholders ($name -> Datum).
@@ -113,16 +114,21 @@ class Expr : public std::enable_shared_from_this<Expr> {
   ExprPtr SubstituteParams(const ParamMap& params,
                            std::vector<std::string>* missing) const;
 
-  /// Canonical structural rendering. Column names are passed through
-  /// `mapping` when present (identity otherwise). Two expressions are
-  /// considered parameter-equal by the recycler iff fingerprints match.
-  /// With `anonymize_columns` every column ref renders as "c:?" — used for
-  /// name-space-independent hash keys.
-  std::string Fingerprint(const NameMap* mapping,
+  /// Canonical structural rendering. With `input`, each column reference
+  /// renders as its ordinal in `input` (OrdinalName), so the rendering
+  /// equals Positional(*input)'s; without, as written. Two expressions
+  /// are considered parameter-equal by the recycler iff their positional
+  /// fingerprints match. With `anonymize_columns` every column ref
+  /// renders as "c:?" — used for name-independent hash keys.
+  std::string Fingerprint(const Schema* input,
                           bool anonymize_columns = false) const;
   /// Fingerprint() appended to `out`.
-  void AppendFingerprint(std::string* out, const NameMap* mapping,
+  void AppendFingerprint(std::string* out, const Schema* input,
                          bool anonymize_columns = false) const;
+
+  /// Returns a copy with each column reference renamed to its ordinal in
+  /// `input` (OrdinalName); RDB_CHECK-fails on a column `input` lacks.
+  ExprPtr Positional(const Schema& input) const;
 
   /// Returns a copy with column refs renamed through `mapping` (names
   /// missing from the mapping are kept).
@@ -156,6 +162,11 @@ class Expr : public std::enable_shared_from_this<Expr> {
   std::vector<Datum> in_values_;
   std::vector<ExprPtr> children_;
 };
+
+/// The positional name of the column at `ordinal` of an input: "#<ordinal>".
+/// A recycler-graph node's parameters name every column they read this
+/// way, so they carry no query's names.
+std::string OrdinalName(int ordinal);
 
 /// Splits a predicate into its top-level AND conjuncts.
 /// Used by the tuple-subsumption rule (cached conjunct-subset detection).

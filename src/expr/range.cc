@@ -54,7 +54,7 @@ bool AsRangeConjunct(const ExprPtr& conjunct, std::string* column,
 }  // namespace
 
 std::vector<RangeSpec> ExtractRangeSpecs(const ExprPtr& pred,
-                                         const NameMap* mapping) {
+                                         const Schema* input) {
   std::vector<RangeSpec> out;
   if (pred == nullptr) return out;
   std::vector<ExprPtr> conjuncts = SplitConjuncts(pred);
@@ -85,18 +85,13 @@ std::vector<RangeSpec> ExtractRangeSpecs(const ExprPtr& pred,
     if (IntervalEmpty(pc.range)) continue;  // contradictory predicate
     RangeSpec spec;
     spec.column = column;
-    if (mapping != nullptr) {
-      auto it = mapping->find(column);
-      spec.mapped_column = it == mapping->end() ? column : it->second;
-    } else {
-      spec.mapped_column = column;
-    }
+    if (input != nullptr) spec.ordinal = input->IndexOfChecked(column);
     spec.range = pc.range;
     std::set<size_t> mine(pc.positions.begin(), pc.positions.end());
     for (size_t i = 0; i < conjuncts.size(); ++i) {
       if (mine.count(i) > 0) continue;
       spec.others.push_back(conjuncts[i]);
-      spec.other_fps.insert(conjuncts[i]->Fingerprint(mapping));
+      spec.other_fps.insert(conjuncts[i]->Fingerprint(input));
     }
     out.push_back(std::move(spec));
   }

@@ -21,14 +21,14 @@ namespace recycledb {
 struct RangeSpec {
   /// Ranged column name in the predicate's own name space.
   std::string column;
-  /// `column` translated through the extraction mapping (equal to
-  /// `column` when no mapping was given). Graph-space index key.
-  std::string mapped_column;
+  /// `column`'s ordinal in the extraction input (-1 without one): the
+  /// interval index key.
+  int ordinal = -1;
   /// The conjunction of all range conjuncts on `column`.
   ColumnInterval range;
   /// Non-range conjuncts, original expressions (predicate name space).
   std::vector<ExprPtr> others;
-  /// Fingerprints of `others` under the extraction mapping.
+  /// Fingerprints of `others` over the extraction input (positional).
   std::set<std::string> other_fps;
 };
 
@@ -38,9 +38,9 @@ struct RangeSpec {
 /// spec's `others` — including range conjuncts on *different* columns,
 /// which then must match by fingerprint like any other conjunct. Specs
 /// whose interval is empty (contradictory predicate) are dropped.
-/// `mapping` (optional) translates column names for `mapped_column` and
-/// `other_fps` (query space -> graph space).
+/// `input` (optional) is the schema the predicate reads: it resolves
+/// `ordinal` and renders `other_fps` positionally (Expr::Fingerprint).
 std::vector<RangeSpec> ExtractRangeSpecs(const ExprPtr& pred,
-                                         const NameMap* mapping);
+                                         const Schema* input);
 
 }  // namespace recycledb

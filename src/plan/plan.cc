@@ -308,33 +308,44 @@ void PlanNode::Bind(const Catalog& catalog) {
 
 namespace {
 
-void AppendName(const std::string& name, const NameMap* mapping,
-                std::string* out) {
-  if (mapping != nullptr) {
-    auto it = mapping->find(name);
-    if (it != mapping->end()) {
-      *out += it->second;
-      return;
-    }
-  }
-  *out += name;
-}
-
 void AppendInt(int64_t v, std::string* out) {
   char buf[24];
   out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
+/// `name` as written, or its ordinal in `input` when given.
+void AppendColumn(const std::string& name, const Schema* input,
+                  std::string* out) {
+  *out += input != nullptr ? OrdinalName(input->IndexOfChecked(name)) : name;
+}
+
 }  // namespace
 
-std::string PlanNode::ParamFingerprint(const NameMap* mapping) const {
+std::string PlanNode::ParamFingerprint() const {
   std::string out;
-  AppendParamFingerprint(&out, mapping);
+  AppendParams(&out, /*positional=*/false);
   return out;
 }
 
-void PlanNode::AppendParamFingerprint(std::string* out,
-                                      const NameMap* mapping) const {
+void PlanNode::AppendParamFingerprint(std::string* out) const {
+  AppendParams(out, /*positional=*/false);
+}
+
+std::string PlanNode::PositionalFingerprint() const {
+  std::string out;
+  AppendParams(&out, /*positional=*/true);
+  return out;
+}
+
+void PlanNode::AppendParams(std::string* out, bool positional) const {
+  // The schemas the parameters read: child 0's output, and for a join's
+  // right keys child 1's.
+  const Schema* in = nullptr;
+  const Schema* right = nullptr;
+  if (positional && !children_.empty()) {
+    in = &children_[0]->output_schema();
+    if (children_.size() > 1) right = &children_[1]->output_schema();
+  }
   switch (type_) {
     case OpType::kScan:
       *out += "scan:";
@@ -360,7 +371,7 @@ void PlanNode::AppendParamFingerprint(std::string* out,
       if (!arg_exprs_.empty()) {
         for (size_t i = 0; i < arg_exprs_.size(); ++i) {
           if (i > 0) *out += ',';
-          arg_exprs_[i]->AppendFingerprint(out, mapping);
+          arg_exprs_[i]->AppendFingerprint(out, in);
         }
       } else {
         for (size_t i = 0; i < args_.size(); ++i) {
@@ -372,13 +383,13 @@ void PlanNode::AppendParamFingerprint(std::string* out,
       return;
     case OpType::kSelect:
       *out += "select:";
-      predicate_->AppendFingerprint(out, mapping);
+      predicate_->AppendFingerprint(out, in);
       return;
     case OpType::kProject:
       *out += "project:[";
       for (size_t i = 0; i < projections_.size(); ++i) {
         if (i > 0) *out += ',';
-        projections_[i].expr->AppendFingerprint(out, mapping);
+        projections_[i].expr->AppendFingerprint(out, in);
       }
       *out += ']';
       return;
@@ -386,12 +397,12 @@ void PlanNode::AppendParamFingerprint(std::string* out,
       *out += "agg:[";
       for (size_t i = 0; i < group_by_.size(); ++i) {
         if (i > 0) *out += ',';
-        AppendName(group_by_[i], mapping, out);
+        AppendColumn(group_by_[i], in, out);
       }
       *out += "]:[";
       for (size_t i = 0; i < aggregates_.size(); ++i) {
         if (i > 0) *out += ',';
-        aggregates_[i].AppendFingerprint(out, mapping);
+        aggregates_[i].AppendFingerprint(out, in);
       }
       *out += ']';
       return;
@@ -401,12 +412,12 @@ void PlanNode::AppendParamFingerprint(std::string* out,
       *out += ":[";
       for (size_t i = 0; i < left_keys_.size(); ++i) {
         if (i > 0) *out += ',';
-        AppendName(left_keys_[i], mapping, out);
+        AppendColumn(left_keys_[i], in, out);
       }
       *out += "]=[";
       for (size_t i = 0; i < right_keys_.size(); ++i) {
         if (i > 0) *out += ',';
-        AppendName(right_keys_[i], mapping, out);
+        AppendColumn(right_keys_[i], right, out);
       }
       *out += ']';
       return;
@@ -421,7 +432,7 @@ void PlanNode::AppendParamFingerprint(std::string* out,
       }
       for (size_t i = 0; i < sort_keys_.size(); ++i) {
         if (i > 0) *out += ',';
-        AppendName(sort_keys_[i].column, mapping, out);
+        AppendColumn(sort_keys_[i].column, in, out);
         *out += sort_keys_[i].ascending ? '+' : '-';
       }
       *out += ']';
@@ -491,65 +502,6 @@ uint64_t PlanNode::HashKey() const {
   return h;
 }
 
-std::set<std::string> PlanNode::ParamInputColumns() const {
-  std::set<std::string> cols;
-  switch (type_) {
-    case OpType::kScan:
-    case OpType::kCachedScan:
-      cols.insert(columns_.begin(), columns_.end());
-      break;
-    case OpType::kFunctionScan:
-      break;
-    case OpType::kSelect:
-      predicate_->CollectColumns(&cols);
-      break;
-    case OpType::kProject:
-      for (const auto& p : projections_) p.expr->CollectColumns(&cols);
-      break;
-    case OpType::kAggregate:
-      cols.insert(group_by_.begin(), group_by_.end());
-      for (const auto& a : aggregates_) a.arg->CollectColumns(&cols);
-      break;
-    case OpType::kHashJoin:
-      cols.insert(left_keys_.begin(), left_keys_.end());
-      cols.insert(right_keys_.begin(), right_keys_.end());
-      break;
-    case OpType::kOrderBy:
-    case OpType::kTopN:
-      for (const auto& k : sort_keys_) cols.insert(k.column);
-      break;
-    case OpType::kLimit:
-    case OpType::kUnionAll:
-      break;
-  }
-  return cols;
-}
-
-uint64_t PlanNode::Signature() const {
-  uint64_t sig = 0;
-  for (const auto& c : ParamInputColumns()) sig |= ColumnSignatureBit(c);
-  return sig;
-}
-
-std::vector<std::string> PlanNode::NewNames() const {
-  std::vector<std::string> names;
-  switch (type_) {
-    case OpType::kProject:
-      for (const auto& p : projections_) names.push_back(p.out_name);
-      break;
-    case OpType::kAggregate:
-      for (const auto& a : aggregates_) names.push_back(a.out_name);
-      break;
-    case OpType::kFunctionScan:
-      RDB_CHECK_MSG(bound_, "FunctionScan::NewNames requires bound plan");
-      for (const auto& f : output_schema_.fields()) names.push_back(f.name);
-      break;
-    default:
-      break;
-  }
-  return names;
-}
-
 bool PlanNode::HasParams() const {
   if (!arg_exprs_.empty()) return true;
   if (predicate_ != nullptr && predicate_->HasParams()) return true;
@@ -613,7 +565,7 @@ std::string PlanNode::TreeFingerprint() const {
 }
 
 void PlanNode::AppendTreeFingerprint(std::string* out) const {
-  AppendParamFingerprint(out, nullptr);
+  AppendParamFingerprint(out);
   if (!children_.empty()) {
     *out += '(';
     for (size_t i = 0; i < children_.size(); ++i) {
@@ -664,27 +616,28 @@ PlanPtr PlanNode::WithLimit(int64_t n) const {
   return p;
 }
 
-PlanPtr PlanNode::CloneParamsRenamed(const NameMap& mapping) const {
+PlanPtr PlanNode::PositionalParams() const {
   PlanPtr p = CloneShallow();
   p->children_.clear();
-  auto map_name = [&mapping](std::string* name) {
-    auto it = mapping.find(*name);
-    if (it != mapping.end()) *name = it->second;
+  if (children_.empty()) return p;  // leaves read no child
+  const Schema& in = children_[0]->output_schema();
+  auto to_ordinal = [](const Schema& s, std::string* name) {
+    *name = OrdinalName(s.IndexOfChecked(*name));
   };
-  if (p->predicate_ != nullptr) p->predicate_ = p->predicate_->Rename(mapping);
-  for (auto& item : p->projections_) item.expr = item.expr->Rename(mapping);
-  for (auto& g : p->group_by_) map_name(&g);
-  for (auto& a : p->aggregates_) a.arg = a.arg->Rename(mapping);
-  for (auto& k : p->left_keys_) map_name(&k);
-  for (auto& k : p->right_keys_) map_name(&k);
-  for (auto& k : p->sort_keys_) map_name(&k.column);
+  if (p->predicate_ != nullptr) p->predicate_ = p->predicate_->Positional(in);
+  for (auto& item : p->projections_) item.expr = item.expr->Positional(in);
+  for (auto& g : p->group_by_) to_ordinal(in, &g);
+  for (auto& a : p->aggregates_) a.arg = a.arg->Positional(in);
+  for (auto& k : p->left_keys_) to_ordinal(in, &k);
+  for (auto& k : p->right_keys_) to_ordinal(children_[1]->output_schema(), &k);
+  for (auto& k : p->sort_keys_) to_ordinal(in, &k.column);
   return p;
 }
 
 std::string PlanNode::ToString(int indent) const {
   std::ostringstream os;
   os << std::string(indent * 2, ' ') << OpTypeName(type_) << " "
-     << KeyToDisplayString(ParamFingerprint(nullptr));
+     << ParamFingerprint();
   if (bound_) os << " => " << output_schema_.ToString();
   os << "\n";
   for (const auto& c : children_) os << c->ToString(indent + 1);
@@ -794,7 +747,7 @@ std::string PlanNode::Explain(int indent) const {
         line += StrFormat(" as-of=%lld", (long long)as_of_rows_);
       }
       if (!cache_key_.empty()) {
-        line += " key=" + KeyToDisplayString(cache_key_);
+        line += " key=" + cache_key_;
       }
       break;
   }

@@ -196,31 +196,24 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
 
   // ---- recycler support ---------------------------------------------------
   /// Fingerprint of this node's *parameters only* (not children), with
-  /// column names translated through `mapping` (query -> graph space).
-  /// Two nodes with equal op type, equal parameter fingerprints and
-  /// exactly-matching children are bisimilar (the paper's exact match).
-  std::string ParamFingerprint(const NameMap* mapping) const;
+  /// column names as written.
+  std::string ParamFingerprint() const;
   /// ParamFingerprint() appended to `out`, without a string per node.
-  void AppendParamFingerprint(std::string* out, const NameMap* mapping) const;
+  void AppendParamFingerprint(std::string* out) const;
+
+  /// Fingerprint of PositionalParams(), computed without building it: each
+  /// column reference renders as its ordinal in the output of the child it
+  /// reads. Two nodes with equal op type, equal positional fingerprints
+  /// and exactly-matching children are bisimilar (the paper's exact
+  /// match). Requires bound children.
+  std::string PositionalFingerprint() const;
 
   /// Hash key for candidate lookup: cheap characteristics that must match
   /// exactly (op type + shallow parameters). Collisions are resolved by
-  /// ParamFingerprint comparison.
+  /// PositionalFingerprint comparison.
   uint64_t HashKey() const;
 
-  /// Column names referenced by this node's parameters (predicate columns,
-  /// join keys, group-by columns, ...). These are the names the matcher
-  /// translates through name mappings; signatures are derived from them.
-  std::set<std::string> ParamInputColumns() const;
-
-  /// Column-bitmask signature over ParamInputColumns() (unmapped names).
-  uint64_t Signature() const;
-
-  /// Output column names (query space) that this node newly assigns
-  /// (project/aggregate outputs). Pass-through names are not included.
-  std::vector<std::string> NewNames() const;
-
-  /// Full-subtree structural fingerprint (no name mapping); used by tests
+  /// Full-subtree structural fingerprint (names as written); used by tests
   /// and by the keep-all baseline's direct result matching.
   std::string TreeFingerprint() const;
   /// TreeFingerprint() appended to `out`.
@@ -248,10 +241,12 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
   PlanPtr WithLimit(int64_t n) const;
 
   /// Childless copy with every column reference in the parameters renamed
-  /// through `mapping` (query space -> graph space). Stored inside
-  /// recycler-graph nodes so subsumption/proactive logic can inspect
-  /// parameters in graph name space.
-  PlanPtr CloneParamsRenamed(const NameMap& mapping) const;
+  /// to its ordinal in the output of the child it reads (OrdinalName): a
+  /// join's left keys index the left child, its right keys the right.
+  /// Output names are kept but read by no comparison. Stored inside
+  /// recycler-graph nodes, so subsumption and stitching inspect parameters
+  /// that no query's names appear in. Requires bound children.
+  PlanPtr PositionalParams() const;
 
   /// Pretty multi-line plan rendering.
   std::string ToString(int indent = 0) const;
@@ -263,6 +258,9 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
 
  private:
   PlanNode() = default;
+
+  /// ParamFingerprint (`positional` false) or PositionalFingerprint.
+  void AppendParams(std::string* out, bool positional) const;
 
   OpType type_ = OpType::kScan;
   std::vector<PlanPtr> children_;

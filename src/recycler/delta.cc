@@ -11,8 +11,8 @@ namespace recycledb {
 namespace {
 
 /// Index of the aggregate `fn(arg_fp)` in `items` (-1 if absent).
-/// Fingerprints are taken without a mapping: both sides live in the same
-/// name space (the query plan's, or a param_node's graph space).
+/// Fingerprints are taken as written: both sides live in the same name
+/// space (the query plan's, or a param_node's positional one).
 int FindAgg(const std::vector<AggItem>& items, AggFunc fn,
             const std::string& arg_fp) {
   for (size_t i = 0; i < items.size(); ++i) {

@@ -5,6 +5,15 @@
 
 namespace recycledb {
 
+Schema PositionalInput(const RGNode& child) {
+  std::vector<Field> fields;
+  fields.reserve(child.output_types.size());
+  for (size_t i = 0; i < child.output_types.size(); ++i) {
+    fields.push_back({OrdinalName(static_cast<int>(i)), child.output_types[i]});
+  }
+  return Schema(std::move(fields));
+}
+
 double RecyclerGraph::AgedH(const RGNode* node) const {
   double h = node->h.load(std::memory_order_relaxed);
   if (aging_alpha_ >= 1.0) return h;

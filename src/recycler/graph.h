@@ -62,10 +62,10 @@ struct TableStamp {
 /// A node of the recycler graph: one relational operator with parameters,
 /// annotated with reference statistics and its cached result (if any).
 ///
-/// Column names inside the node (its parameter fingerprint, its
-/// output_names) live in the *graph name space*: names newly assigned by
-/// the operator are suffixed "#<node id>" so different queries assigning
-/// the same alias never collide (the paper appends a query identifier).
+/// The node's parameters name no query's columns: a column they read is
+/// its ordinal in the output of the child it reads ("#3", OrdinalName),
+/// so queries that alias the same columns differently share the node.
+/// Only scan leaves carry names, their base table's, which are stable.
 ///
 /// Field guards (see the class comment below for the full discipline):
 ///  - identity fields (id..base_tables, leaf_key) are immutable once the
@@ -92,27 +92,28 @@ struct RGNode {
   int64_t id = 0;
   OpType type = OpType::kScan;
 
-  /// Parameter fingerprint in graph name space (exact-match identity
-  /// together with `type` and `children`).
+  /// Positional parameter fingerprint (exact-match identity together with
+  /// `type` and `children`): param_node's ParamFingerprint.
   std::string param_fp;
   uint64_t hash_key = 0;
-  uint64_t signature = 0;
 
   std::vector<RGNode*> children;
   /// Parent hash index (the paper's "small hash-indexes attached to each
   /// node"): hash_key -> parent node.
   std::unordered_multimap<uint64_t, RGNode*> parents;
 
-  /// A childless copy of the defining plan node with all column references
-  /// renamed to graph space. Keeps the parameters (predicates, group-by
-  /// lists, aggregate items...) inspectable for subsumption and rewrites.
+  /// The defining plan node's PositionalParams: a childless copy with
+  /// every column reference an ordinal of the child's output. Keeps the
+  /// parameters (predicates, group-by lists, aggregate items...)
+  /// inspectable for subsumption and rewrites.
   PlanPtr param_node;
   /// Select nodes only: the fingerprints of param_node's conjuncts, taken
   /// once at insert so derived-reuse lookups can rule a candidate out
   /// without rebuilding fingerprint strings (MaySubsume, subsumption.h).
   std::set<std::string> conjunct_fps;
   /// Single-child Select nodes only: the range decomposition of
-  /// param_node's predicate (ExtractRangeSpecs, graph space), filled once
+  /// param_node's predicate (ExtractRangeSpecs over PositionalInput of
+  /// the child, so each spec's ordinal is set), filled once
   /// under range_specs_once when the node is first materialized
   /// (IntervalIndex::Insert), so a Select that never is keeps none. The
   /// interval index points at these specs while the node is materialized
@@ -120,10 +121,8 @@ struct RGNode {
   std::once_flag range_specs_once;
   std::vector<RangeSpec> range_specs;
 
-  /// Output column names in graph space, positionally matching the
-  /// defining plan node's output schema.
-  std::vector<std::string> output_names;
-  /// Output column types (positional).
+  /// Output column types, positionally matching the defining plan node's
+  /// output schema.
   std::vector<TypeId> output_types;
 
   /// Base tables under this subtree (for update invalidation).
@@ -155,8 +154,8 @@ struct RGNode {
   /// truncation.
   std::string leaf_key;
   /// Memo of Recycler::CanonicalSubtreeKey, filled on first use. The key
-  /// reads only ids, types, param_fp and children, which never change
-  /// after insertion.
+  /// reads only types, param_fp and children, which never change after
+  /// insertion.
   std::once_flag canonical_key_once;
   std::string canonical_key;
   /// Cold-tier orphan generation at which this node's parents were last
@@ -170,7 +169,7 @@ struct RGNode {
   /// the shard condvar so stalled queries wake.
   std::atomic<MatState> mat_state{MatState::kNone};
   /// Guarded by the node's mat shard mutex.
-  TablePtr cached;  // column names are graph-space output_names
+  TablePtr cached;  // column names are those of the query that produced it
   std::atomic<int64_t> cached_bytes{0};
   /// Per-base-table as-of versions of the materialized result (one entry
   /// per name in `base_tables`), written when the result is admitted and
@@ -182,6 +181,10 @@ struct RGNode {
   /// hard-invalidate it.
   std::map<std::string, TableStamp> stamps;
 };
+
+/// The input a node's positional parameters read, as a schema: `child`'s
+/// output types under their ordinal names (OrdinalName).
+Schema PositionalInput(const RGNode& child);
 
 /// Statistics snapshot of the graph (diagnostics & Fig. 10 bench).
 struct GraphStats {

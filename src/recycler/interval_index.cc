@@ -18,11 +18,12 @@ bool ById(const RGNode* a, const RGNode* b) { return a->id < b->id; }
 void IntervalIndex::Insert(RGNode* node) {
   auto [reg, fresh] = registered_.try_emplace(node);
   if (!fresh) return;  // already registered
-  // param_node lives in graph name space, so the specs index directly.
+  // param_node is positional, so its specs read the child's ordinals.
   std::call_once(node->range_specs_once, [node] {
     if (node->type == OpType::kSelect && node->children.size() == 1) {
+      const Schema input = PositionalInput(*node->children[0]);
       node->range_specs =
-          ExtractRangeSpecs(node->param_node->predicate(), nullptr);
+          ExtractRangeSpecs(node->param_node->predicate(), &input);
     }
   });
   for (const RGNode* child : node->children) {
@@ -31,7 +32,7 @@ void IntervalIndex::Insert(RGNode* node) {
     if (pos == parents.end() || *pos != node) parents.insert(pos, node);
   }
   for (const RangeSpec& spec : node->range_specs) {
-    Key key{node->children[0]->id, spec.mapped_column};
+    Key key{node->children[0]->id, spec.ordinal};
     std::vector<Entry>& bucket = buckets_[key];
     auto pos = std::upper_bound(
         bucket.begin(), bucket.end(), spec.range.lo,
@@ -79,7 +80,7 @@ const std::vector<RGNode*>& IntervalIndex::Parents(int64_t child_id) const {
 
 void IntervalIndex::Overlapping(int64_t child_id, const RangeSpec& query,
                                 std::vector<Entry>* out) const {
-  auto it = buckets_.find(Key{child_id, query.mapped_column});
+  auto it = buckets_.find(Key{child_id, query.ordinal});
   if (it == buckets_.end()) return;
   const ColumnInterval& q = query.range;
   for (const Entry& e : it->second) {

@@ -5,9 +5,10 @@
 // child graph node a derived-reuse lookup starts from:
 //  - per child: every materialized parent, the subsumption candidates
 //    (§IV-A);
-//  - per (child, column): the range slices of materialized selections
-//    (e.g. `10 < x AND x < 50` plus arbitrary non-range conjuncts), which
-//    an incoming range selection over the same child finds by overlap.
+//  - per (child, column ordinal): the range slices of materialized
+//    selections (e.g. `10 < x AND x < 50` plus arbitrary non-range
+//    conjuncts), which an incoming range selection over the same child
+//    finds by overlap.
 //    The stitching rewriter (PlanPartialStitch, subsumption.h) answers the
 //    query from the union of the overlapping slices plus compensated
 //    delta scans over the uncovered remainder.
@@ -48,7 +49,7 @@ class IntervalIndex {
   };
 
   /// Registers `node` as a materialized parent of each of its children
-  /// and each of its range_specs under (children[0]->id, mapped_column).
+  /// and each of its range_specs under (children[0]->id, ordinal).
   /// A single-child Select's range_specs are computed on its first insert.
   /// Inserting a registered node again is a no-op.
   void Insert(RGNode* node);
@@ -60,7 +61,7 @@ class IntervalIndex {
   const std::vector<RGNode*>& Parents(int64_t child_id) const;
 
   /// Appends to `out`, in ascending lower-bound order, every entry under
-  /// (child_id, query.mapped_column) whose interval overlaps query.range
+  /// (child_id, query.ordinal) whose interval overlaps query.range
   /// and that can stitch for `query`: every one of the slice's other
   /// conjuncts is among the query's (ConjunctsImplied). Hot and cold
   /// slices pass the same filter; a cold one is read only if the stitch
@@ -72,7 +73,7 @@ class IntervalIndex {
   int64_t num_entries() const { return num_entries_; }
 
  private:
-  using Key = std::pair<int64_t, std::string>;
+  using Key = std::pair<int64_t, int>;
 
   /// child id -> materialized parents, ascending by id.
   std::unordered_map<int64_t, std::vector<RGNode*>> parents_;

@@ -232,7 +232,7 @@ class PreparedQuery {
 };
 
 /// Matched-tree node: pairs each query plan node with its recycler-graph
-/// node and the accumulated query->graph name mapping.
+/// node.
 struct PreparedQuery::MNode {
   const PlanNode* plan = nullptr;
   PlanPtr plan_ref;
@@ -247,7 +247,6 @@ struct PreparedQuery::MNode {
   /// For a node TryDeltaRewrite stitched (BuildDeltaStitch): the cached
   /// prefix the refreshed result extends (StoreRequest::prefix).
   TablePtr delta_prefix;
-  NameMap mapping;         // query -> graph names, valid at this output
   /// Plan node actually present in the executed (rewritten) plan; null for
   /// nodes inside replaced subtrees.
   const PlanNode* exec_plan = nullptr;
@@ -289,9 +288,9 @@ class Recycler {
 
   /// Exact-hit index key of a plan, bound or not, built in one walk: its
   /// TreeFingerprint plus every name its Projects and Aggregates
-  /// introduce. The fingerprint leaves introduced names out, and they
-  /// steer the query->graph name mapping: `a AS x, b AS y` and `a AS y,
-  /// b AS x` fingerprint alike under the same parent predicate on `x`.
+  /// introduce. The fingerprint leaves introduced names out, yet they
+  /// decide which column a later name reads: `a AS x, b AS y` and `a AS
+  /// y, b AS x` fingerprint alike under the same parent predicate on `x`.
   /// A FunctionScan's output names follow from its function and
   /// arguments, which the fingerprint holds.
   static StatementKey ExactHitKey(const PlanNode& plan);
@@ -373,9 +372,10 @@ class Recycler {
   Status RefreshFleet(int64_t* new_peer_entries = nullptr);
 
   /// Canonical, restart-stable fingerprint of the graph subtree rooted
-  /// at `node`: node-id suffixes inside parameter fingerprints are
-  /// rewritten to subtree-relative positions, so the same logical
-  /// subtree produces the same key in every process. Cold-tier identity.
+  /// at `node`: pre-order `type{param_fp}(children)`. Parameter
+  /// fingerprints are positional and scan leaves name base-table
+  /// columns, so the same logical subtree produces the same key in every
+  /// process. Cold-tier identity.
   /// Computed once per node. Caller holds at least the shared lock on
   /// graph().mutex(), which keeps the returned reference valid.
   const std::string& CanonicalSubtreeKey(RGNode* node) const;
@@ -428,16 +428,12 @@ class Recycler {
   // --- matching & insertion (§III-A/B), recycler_match.cc -------------
   std::unique_ptr<MNode> MatchTree(const PlanPtr& plan);
   void InsertMissing(MNode* m, PreparedQuery* prepared);
-  RGNode* MatchOne(const PlanNode& node, const std::vector<RGNode*>& child_g,
-                   const NameMap& mapping) const;
-  /// MatchOne over `m`'s merged child mappings; a match sets `m->gnode`
-  /// and extends `m->mapping` across the node's outputs.
-  void MatchMapped(MNode* m, const std::vector<RGNode*>& child_g) const;
-  RGNode* InsertOne(const PlanNode& node, const std::vector<RGNode*>& child_g,
-                    NameMap* mapping);
+  /// The graph node `node` exactly matches over its matched children
+  /// `child_g`: same type, same children, equal positional fingerprint.
+  RGNode* MatchOne(const PlanNode& node,
+                   const std::vector<RGNode*>& child_g) const;
+  RGNode* InsertOne(const PlanNode& node, const std::vector<RGNode*>& child_g);
   static std::string LeafKey(const PlanNode& node);
-  static uint64_t MappedSignature(const PlanNode& node,
-                                  const NameMap& mapping);
   /// Computed results only: a base-table scan's data is already resident.
   static bool CacheableType(OpType type);
 
@@ -567,13 +563,13 @@ class Recycler {
   /// cold-loaded set; `*from_cold` reports whether THIS query pulled the
   /// node from disk (now or earlier in its rewrite), so call sites count
   /// cold hits only for reuses actually consumed. With a `clip` (derived
-  /// reuse only), a kCold node with graph-space `clip_column` among its
-  /// outputs loads just the rows in `*clip`, decoded from the spill image
-  /// and not promoted: the rewrite's compensation drops the other rows
-  /// anyway. Caller must NOT hold the graph lock (promotion takes it).
+  /// reuse of a Select only), a kCold node loads just the rows whose
+  /// output column `clip_ordinal` lies in `*clip`, decoded from the spill
+  /// image and not promoted: the rewrite's compensation drops the other
+  /// rows anyway. Caller must NOT hold the graph lock (promotion takes
+  /// it).
   TablePtr SnapshotEitherTier(RGNode* node, PreparedQuery* prepared,
-                              bool* from_cold,
-                              const std::string& clip_column = std::string(),
+                              bool* from_cold, int clip_ordinal = -1,
                               const ColumnInterval* clip = nullptr);
 
   /// The cold half of SnapshotEitherTier.

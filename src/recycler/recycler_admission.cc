@@ -210,9 +210,9 @@ void Recycler::OfferResult(RGNode* node, TablePtr result, double subtree_ms,
       node->stamps[t] = TableStamp{it->second.epoch, it->second.rows};
     }
   }
-  // Store the result under graph-space column names.
-  if (AdmitHot(node, result->RenameColumns(node->output_names),
-               MatState::kInFlight)) {
+  // The result keeps this query's column names: every reader renames
+  // positionally.
+  if (AdmitHot(node, result, MatState::kInFlight)) {
     // Every exact hit on this entry carries its cache key; computing the
     // memo now puts that cost on the miss that produced the result.
     CanonicalSubtreeKey(node);

@@ -2,7 +2,6 @@
 // key, spills, either-tier snapshots and re-admission, orphan adoption and
 // rebuild, checkpoints and fleet refreshes.
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <unordered_set>
 
@@ -13,75 +12,28 @@ namespace recycledb {
 
 namespace {
 
-/// Rewrites every "#<digits>" node-id suffix in `s` through `canon_ids`
-/// (graph node id -> subtree pre-order index). Ids outside the map are
-/// kept verbatim (base-table column names never carry a suffix; the only
-/// way to hit this is a user column literally named like a suffix, which
-/// at worst costs a cold miss because the key never matches again).
-std::string CanonicalizeIdSuffixes(
-    const std::string& s, const std::map<int64_t, int>& canon_ids) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size();) {
-    if (s[i] != '#') {
-      out.push_back(s[i++]);
-      continue;
-    }
-    size_t j = i + 1;
-    while (j < s.size() && s[j] >= '0' && s[j] <= '9') ++j;
-    if (j == i + 1) {
-      out.push_back(s[i++]);
-      continue;
-    }
-    int64_t id = std::atoll(s.substr(i + 1, j - i - 1).c_str());
-    auto it = canon_ids.find(id);
-    if (it == canon_ids.end()) {
-      out.append(s, i, j - i);
-    } else {
-      out += "#@" + std::to_string(it->second);
-    }
-    i = j;
+/// Pre-order `type{param_fp}(children)`. Every column a non-leaf reads is
+/// an ordinal of its child's output and a leaf names only base-table
+/// columns, so the key is stable across restarts as it stands.
+void AppendCanonicalSubtreeKey(const RGNode* n, std::string* out) {
+  *out += std::to_string(static_cast<int>(n->type));
+  *out += '{';
+  *out += n->param_fp;
+  *out += '}';
+  if (n->children.empty()) return;
+  *out += '(';
+  for (size_t i = 0; i < n->children.size(); ++i) {
+    if (i > 0) *out += ';';
+    AppendCanonicalSubtreeKey(n->children[i], out);
   }
-  return out;
-}
-std::string ComputeCanonicalSubtreeKey(const RGNode* node) {
-  // Pre-order id numbering makes the rewritten suffixes independent of
-  // graph insertion order (and therefore stable across restarts).
-  std::map<int64_t, int> canon_ids;
-  struct Numberer {
-    std::map<int64_t, int>* ids;
-    void Walk(const RGNode* n) {
-      if (ids->emplace(n->id, static_cast<int>(ids->size())).second) {
-        for (const RGNode* c : n->children) Walk(c);
-      }
-    }
-  };
-  Numberer{&canon_ids}.Walk(node);
-
-  struct Printer {
-    const std::map<int64_t, int>* ids;
-    std::string Walk(const RGNode* n) {
-      std::string out = std::to_string(static_cast<int>(n->type)) + "{" +
-                        CanonicalizeIdSuffixes(n->param_fp, *ids) + "}";
-      if (!n->children.empty()) {
-        out += "(";
-        for (size_t i = 0; i < n->children.size(); ++i) {
-          if (i > 0) out += ";";
-          out += Walk(n->children[i]);
-        }
-        out += ")";
-      }
-      return out;
-    }
-  };
-  return Printer{&canon_ids}.Walk(node);
+  *out += ')';
 }
 
 }  // namespace
 
 const std::string& Recycler::CanonicalSubtreeKey(RGNode* node) const {
   std::call_once(node->canonical_key_once, [node] {
-    node->canonical_key = ComputeCanonicalSubtreeKey(node);
+    AppendCanonicalSubtreeKey(node, &node->canonical_key);
   });
   return node->canonical_key;
 }
@@ -102,7 +54,7 @@ bool Recycler::MaybeSpill(RGNode* node) {
 
   SpillFileMeta meta;
   meta.canon_key = CanonicalSubtreeKey(node);
-  meta.column_names = node->output_names;
+  meta.column_names = snapshot->schema().Names();
   meta.column_types = node->output_types;
   meta.num_rows = snapshot->num_rows();
   meta.bcost_ms = node->bcost_ms.load();
@@ -117,7 +69,8 @@ bool Recycler::MaybeSpill(RGNode* node) {
   // header once a derived-reuse lookup reaches the child.
   if (node->type == OpType::kSelect && node->children.size() == 1) {
     RGNode* child = node->children[0];
-    if (EncodeExprOrdinal(*node->param_node->predicate(), child->output_names,
+    if (EncodeExprOrdinal(*node->param_node->predicate(),
+                          PositionalInput(*child).Names(),
                           &meta.select_predicate)) {
       meta.select_child_key = CanonicalSubtreeKey(child);
     } else {
@@ -146,8 +99,7 @@ void Recycler::OnColdEntriesDropped(const std::vector<const RGNode*>& nodes) {
 }
 
 TablePtr Recycler::SnapshotEitherTier(RGNode* node, PreparedQuery* prepared,
-                                      bool* from_cold,
-                                      const std::string& clip_column,
+                                      bool* from_cold, int clip_ordinal,
                                       const ColumnInterval* clip) {
   *from_cold = prepared->cold_loaded_.count(node) > 0;
   {
@@ -158,20 +110,9 @@ TablePtr Recycler::SnapshotEitherTier(RGNode* node, PreparedQuery* prepared,
     if (ms != MatState::kCold) return nullptr;
   }
   TablePtr loaded;
-  if (clip != nullptr) {
-    // A filtered slice: `clip_column` is in graph space, as are the
-    // node's output names; a candidate that renames or computes the
-    // column loads whole.
-    const std::vector<std::string>& names = node->output_names;
-    auto col = std::find(names.begin(), names.end(), clip_column);
-    TablePtr sliced;
-    if (col != names.end() &&
-        cold_tier_.LoadSlice(node, static_cast<int>(col - names.begin()),
-                             *clip, &sliced)
-            .ok()) {
-      counters_.cold_slice_loads.fetch_add(1);
-      loaded = sliced->RenameColumns(names);
-    }
+  if (clip != nullptr &&
+      cold_tier_.LoadSlice(node, clip_ordinal, *clip, &loaded).ok()) {
+    counters_.cold_slice_loads.fetch_add(1);
   }
   if (loaded == nullptr) loaded = ReadmitCold(node);
   if (loaded != nullptr) {
@@ -201,19 +142,18 @@ TablePtr Recycler::ReadmitCold(RGNode* node) {
     }
     return nullptr;
   }
-  TablePtr named = loaded->RenameColumns(node->output_names);
   // Promote to the hot tier when admission allows; a rejected promotion
   // still serves the loaded snapshot (one-shot) and leaves the entry
   // cold for the next hit.
   std::shared_lock<std::shared_mutex> glock(graph_.mutex());
-  if (AdmitHot(node, named, MatState::kCold)) {
+  if (AdmitHot(node, loaded, MatState::kCold)) {
     counters_.cold_readmissions.fetch_add(1);
   } else if (node->mat_state.load() == MatState::kCached) {
     // Another stream promoted it while we were loading.
     std::lock_guard<std::mutex> slock(graph_.mat_shard(node).mu);
     if (node->cached != nullptr) return node->cached;
   }
-  return named;
+  return loaded;
 }
 
 bool Recycler::TryAdoptOrphan(RGNode* node) {
@@ -349,26 +289,24 @@ RGNode* Recycler::RebuildOrphanSlice(RGNode* child, const SpillFileMeta& meta) {
   // A Select passes its child's columns through; other types never
   // adopt (TryAdoptOrphan would drop the file).
   if (meta.column_types != child->output_types) return nullptr;
-  ExprPtr pred = DecodeExprOrdinal(meta.select_predicate, child->output_names);
+  ExprPtr pred = DecodeExprOrdinal(meta.select_predicate,
+                                   PositionalInput(*child).Names());
   if (pred == nullptr) {
     counters_.cold_orphan_key_mismatches.fetch_add(1);
     return nullptr;
   }
-  // The fields a statement's InsertOne would set, from the graph-space
-  // predicate directly (a Select's graph parameters are its predicate
-  // renamed into the child's output names).
+  // The fields a statement's InsertOne would set, from the positional
+  // predicate directly (the descriptor's ordinals read back as names).
   auto node = std::make_unique<RGNode>();
-  node->param_node = PlanNode::Select(nullptr, pred)->CloneParamsRenamed({});
+  node->param_node = PlanNode::Select(nullptr, pred)->WithChildren({});
   node->id = graph_.NextId();
   node->type = OpType::kSelect;
   node->hash_key = node->param_node->HashKey();
-  node->signature = MappedSignature(*node->param_node, {});
-  node->param_fp = node->param_node->ParamFingerprint(nullptr);
+  node->param_fp = node->param_node->ParamFingerprint();
   node->conjunct_fps = ConjunctFingerprints(pred, nullptr);
   node->children = {child};
   node->base_tables = child->base_tables;
   node->h_epoch = graph_.epoch();
-  node->output_names = child->output_names;
   node->output_types = child->output_types;
   // Publish only what a statement with this predicate would match: a
   // node under another key would serve the slice as a result it is not.

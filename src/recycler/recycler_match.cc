@@ -2,7 +2,6 @@
 // missing (§III-A, §III-B), and the exact-hit index that serves a
 // repeated statement before matching.
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/stopwatch.h"
 #include "recycler/recycler.h"
@@ -10,86 +9,51 @@
 
 namespace recycledb {
 
-uint64_t Recycler::MappedSignature(const PlanNode& node,
-                                   const NameMap& mapping) {
-  uint64_t sig = 0;
-  for (const auto& c : node.ParamInputColumns()) {
-    auto it = mapping.find(c);
-    sig |= ColumnSignatureBit(it == mapping.end() ? c : it->second);
-  }
-  return sig;
-}
-
 std::string Recycler::LeafKey(const PlanNode& node) {
   if (node.type() == OpType::kScan) return "t:" + node.table_name();
   if (node.type() == OpType::kFunctionScan) {
-    return "f:" + node.ParamFingerprint(nullptr);
+    return "f:" + node.ParamFingerprint();
   }
   return "";
 }
 
 RGNode* Recycler::MatchOne(const PlanNode& node,
-                           const std::vector<RGNode*>& child_g,
-                           const NameMap& mapping) const {
+                           const std::vector<RGNode*>& child_g) const {
+  // The positional fingerprint, taken at the first candidate that gets
+  // as far as comparing it.
+  std::string fp;
+  auto same_params = [&](const RGNode* cand) {
+    if (fp.empty()) fp = node.PositionalFingerprint();
+    return cand->param_fp == fp;
+  };
   if (child_g.empty()) {
     // Leaf: probe the global leaf hash table (Algorithm 1 lines 1-5).
     for (RGNode* cand : graph_.LeafCandidates(LeafKey(node), node.HashKey())) {
-      if (cand->type == node.type() &&
-          cand->param_fp == node.ParamFingerprint(nullptr)) {
-        return cand;
-      }
+      if (cand->type == node.type() && same_params(cand)) return cand;
     }
     return nullptr;
   }
   // Non-leaf: candidates are the parents of the first matched child
-  // (Algorithm 1 lines 8-13), pre-filtered by hash key and signature.
-  uint64_t sig = MappedSignature(node, mapping);
+  // (Algorithm 1 lines 8-13), pre-filtered by hash key.
   auto range = child_g[0]->parents.equal_range(node.HashKey());
   for (auto it = range.first; it != range.second; ++it) {
     RGNode* cand = it->second;
-    if (cand->type != node.type()) continue;
-    if (cand->signature != sig) continue;
-    if (cand->children.size() != child_g.size()) continue;
-    bool same_children = true;
-    for (size_t i = 0; i < child_g.size(); ++i) {
-      if (cand->children[i] != child_g[i]) {
-        same_children = false;
-        break;
-      }
+    if (cand->type == node.type() && cand->children == child_g &&
+        same_params(cand)) {
+      return cand;
     }
-    if (!same_children) continue;
-    if (cand->param_fp != node.ParamFingerprint(&mapping)) continue;
-    return cand;
   }
   return nullptr;
 }
 
-void Recycler::MatchMapped(MNode* m,
-                           const std::vector<RGNode*>& child_g) const {
-  m->mapping.clear();
-  for (const auto& cm : m->children) {
-    m->mapping.insert(cm->mapping.begin(), cm->mapping.end());
-  }
-  RGNode* g = MatchOne(*m->plan, child_g, m->mapping);
-  if (g == nullptr) return;
-  m->gnode = g;
-  // Extend the mapping across this node's outputs (positional).
-  const Schema& schema = m->plan->output_schema();
-  for (int i = 0; i < schema.num_fields(); ++i) {
-    m->mapping[schema.field(i).name] = g->output_names[i];
-  }
-}
-
 RGNode* Recycler::InsertOne(const PlanNode& node,
-                            const std::vector<RGNode*>& child_g,
-                            NameMap* mapping) {
+                            const std::vector<RGNode*>& child_g) {
   auto gnode = std::make_unique<RGNode>();
   gnode->id = graph_.NextId();
   gnode->type = node.type();
   gnode->hash_key = node.HashKey();
-  gnode->signature = MappedSignature(node, *mapping);
-  gnode->param_fp = node.ParamFingerprint(mapping);
-  gnode->param_node = node.CloneParamsRenamed(*mapping);
+  gnode->param_node = node.PositionalParams();
+  gnode->param_fp = gnode->param_node->ParamFingerprint();
   if (gnode->type == OpType::kSelect) {
     gnode->conjunct_fps =
         ConjunctFingerprints(gnode->param_node->predicate(), nullptr);
@@ -97,25 +61,8 @@ RGNode* Recycler::InsertOne(const PlanNode& node,
   gnode->children = child_g;
   gnode->base_tables = node.base_tables();
   gnode->h_epoch = graph_.epoch();
-
-  // Output names: new names get the "#<id>" suffix (the paper appends a
-  // query-unique identifier); pass-through names keep their graph name.
-  std::vector<std::string> new_names = node.NewNames();
-  std::unordered_set<std::string> new_set(new_names.begin(), new_names.end());
-  const Schema& schema = node.output_schema();
-  for (int i = 0; i < schema.num_fields(); ++i) {
-    const std::string& q = schema.field(i).name;
-    std::string graph_name;
-    if (new_set.count(q) > 0) {
-      graph_name = q + "#" + std::to_string(gnode->id);
-      (*mapping)[q] = graph_name;
-    } else {
-      auto it = mapping->find(q);
-      graph_name = it == mapping->end() ? q : it->second;
-      (*mapping)[q] = graph_name;
-    }
-    gnode->output_names.push_back(graph_name);
-    gnode->output_types.push_back(schema.field(i).type);
+  for (const Field& f : node.output_schema().fields()) {
+    gnode->output_types.push_back(f.type);
   }
   return graph_.AddNode(std::move(gnode), LeafKey(node));
 }
@@ -139,7 +86,7 @@ std::unique_ptr<Recycler::MNode> Recycler::MatchTree(const PlanPtr& plan) {
         }
         m->children.push_back(std::move(cm));
       }
-      if (all_matched) self->MatchMapped(m.get(), child_g);
+      if (all_matched) m->gnode = self->MatchOne(*p, child_g);
       return m;
     }
   };
@@ -159,9 +106,9 @@ void Recycler::InsertMissing(MNode* m, PreparedQuery* prepared) {
     InsertMissing(cm.get(), prepared);
     child_g.push_back(cm->gnode);
   }
-  MatchMapped(m, child_g);
+  m->gnode = MatchOne(*m->plan, child_g);
   if (m->gnode != nullptr) return;
-  m->gnode = InsertOne(*m->plan, child_g, &m->mapping);
+  m->gnode = InsertOne(*m->plan, child_g);
   m->inserted = true;
   // Warm-up: a node inserted for the first time in this process may have
   // a spilled image from a previous one — or from a fleet peer — so
@@ -180,7 +127,7 @@ namespace {
 /// introduces (Project and Aggregate outputs) to `names`, pre-order.
 void AppendExactHitKey(const PlanNode& node, std::string* fp,
                        std::string* names) {
-  node.AppendParamFingerprint(fp, nullptr);
+  node.AppendParamFingerprint(fp);
   if (node.type() == OpType::kProject) {
     for (const ProjItem& p : node.projections()) {
       *names += '|';

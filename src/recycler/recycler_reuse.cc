@@ -119,7 +119,7 @@ bool Recycler::GatherDerived(MNode* m, const PlanPtr& plan,
     return false;
   }
   RGNode* child = m->children[0]->gnode;
-  const NameMap& child_mapping = m->children[0]->mapping;
+  const Schema& input = plan->child()->output_schema();
   // Restart orphans among this child's parents become directly servable
   // subsumption/stitch candidates (adoption by canonical key), instead of
   // waiting for an exact re-insertion.
@@ -127,11 +127,11 @@ bool Recycler::GatherDerived(MNode* m, const PlanPtr& plan,
 
   const bool select = plan->type() == OpType::kSelect;
   if (select) {
-    out->specs = ExtractRangeSpecs(plan->predicate(), &child_mapping);
+    out->specs = ExtractRangeSpecs(plan->predicate(), &input);
   }
   std::set<std::string> query_fps;
   if (config_.enable_subsumption && select) {
-    query_fps = ConjunctFingerprints(plan->predicate(), &child_mapping);
+    query_fps = ConjunctFingerprints(plan->predicate(), &input);
   }
   out->slices.resize(config_.enable_partial_reuse && select ? out->specs.size()
                                                             : 0);
@@ -185,11 +185,11 @@ PlanPtr Recycler::TrySubsume(MNode* m, const DerivedCandidates& cands,
     bool from_cold = false;
     TablePtr cached =
         spec != nullptr ? SnapshotEitherTier(parent, prepared, &from_cold,
-                                             spec->mapped_column, &spec->range)
+                                             spec->ordinal, &spec->range)
                         : SnapshotEitherTier(parent, prepared, &from_cold);
     if (cached == nullptr) continue;
     SubsumptionPlan derived =
-        TrySubsumption(*m->plan, m->children[0]->mapping, *parent, cached);
+        TrySubsumption(*m->plan, *parent, cached);
     if (derived.plan == nullptr) continue;
     {
       // Exclusive: the subsumption edge list is graph structure.
@@ -293,15 +293,15 @@ PlanPtr Recycler::TryStitch(MNode* m, const PlanPtr& plan,
   for (const auto& [node, hull] : hulls) {
     bool from_cold = false;
     reads[node] = SnapshotEitherTier(const_cast<RGNode*>(node), prepared,
-                                     &from_cold, spec.mapped_column, &hull);
+                                     &from_cold, spec.ordinal, &hull);
   }
   std::vector<TablePtr> tables;
   for (const StitchLayout::Use& use : layout.uses) {
     tables.push_back(use.source->cached != nullptr ? use.source->cached
                                                    : reads[use.source->node]);
   }
-  PartialPlan stitched = BuildPartialStitch(
-      *plan, m->children[0]->mapping, delta_child, spec, layout, tables);
+  PartialPlan stitched =
+      BuildPartialStitch(*plan, delta_child, spec, layout, tables);
   if (stitched.plan == nullptr) return nullptr;
 
   // The single delta branch replaced the child's base cost exactly once

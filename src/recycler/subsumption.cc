@@ -10,10 +10,10 @@
 namespace recycledb {
 
 std::set<std::string> ConjunctFingerprints(const ExprPtr& pred,
-                                           const NameMap* mapping) {
+                                           const Schema* input) {
   std::set<std::string> out;
   for (const auto& c : SplitConjuncts(pred)) {
-    out.insert(c->Fingerprint(mapping));
+    out.insert(c->Fingerprint(input));
   }
   return out;
 }
@@ -33,15 +33,17 @@ bool MaySubsume(const RGNode& cand, OpType query_type,
 
 namespace {
 
-bool SameSortKeys(const std::vector<SortKey>& query_keys,
-                  const NameMap& mapping,
+/// `query_keys` (over `input` when given, else positional) equal the
+/// positional `cand_keys`.
+bool SameSortKeys(const std::vector<SortKey>& query_keys, const Schema* input,
                   const std::vector<SortKey>& cand_keys) {
   if (query_keys.size() != cand_keys.size()) return false;
   for (size_t i = 0; i < query_keys.size(); ++i) {
-    auto it = mapping.find(query_keys[i].column);
-    const std::string& mapped =
-        it == mapping.end() ? query_keys[i].column : it->second;
-    if (mapped != cand_keys[i].column) return false;
+    const std::string& q = query_keys[i].column;
+    if ((input != nullptr ? OrdinalName(input->IndexOfChecked(q)) : q) !=
+        cand_keys[i].column) {
+      return false;
+    }
     if (query_keys[i].ascending != cand_keys[i].ascending) return false;
   }
   return true;
@@ -71,9 +73,8 @@ SubsumptionPlan MakeSyntheticScan(TablePtr cached) {
   return out;
 }
 
-SubsumptionPlan TrySelect(const PlanNode& query_node,
-                          const NameMap& child_mapping, const RGNode& cand,
-                          TablePtr cached) {
+SubsumptionPlan TrySelect(const PlanNode& query_node, const Schema& input,
+                          const RGNode& cand, TablePtr cached) {
   // The candidate's conjuncts come from its parameters, not from the
   // conjunct_fps copy MaySubsume reads: the prefilter may only skip work,
   // so this check never depends on it.
@@ -82,7 +83,7 @@ SubsumptionPlan TrySelect(const PlanNode& query_node,
   std::vector<ExprPtr> residual;
   std::set<std::string> query_fps;
   for (const auto& c : SplitConjuncts(query_node.predicate())) {
-    std::string fp = c->Fingerprint(&child_mapping);
+    std::string fp = c->Fingerprint(&input);
     if (cand_fps.count(fp) == 0) residual.push_back(c);
     query_fps.insert(std::move(fp));
   }
@@ -101,11 +102,11 @@ SubsumptionPlan TrySelect(const PlanNode& query_node,
   return out;
 }
 
-SubsumptionPlan TryTopN(const PlanNode& query_node, const NameMap& child_mapping,
+SubsumptionPlan TryTopN(const PlanNode& query_node, const Schema& input,
                         const RGNode& cand, TablePtr cached) {
   const PlanNode& cp = *cand.param_node;
   if (cp.limit() < query_node.limit()) return {};
-  if (!SameSortKeys(query_node.sort_keys(), child_mapping, cp.sort_keys())) {
+  if (!SameSortKeys(query_node.sort_keys(), &input, cp.sort_keys())) {
     return {};
   }
   SubsumptionPlan out;
@@ -116,13 +117,12 @@ SubsumptionPlan TryTopN(const PlanNode& query_node, const NameMap& child_mapping
   return out;
 }
 
-SubsumptionPlan TryProject(const PlanNode& query_node,
-                           const NameMap& child_mapping, const RGNode& cand,
-                           TablePtr cached) {
+SubsumptionPlan TryProject(const PlanNode& query_node, const Schema& input,
+                           const RGNode& cand, TablePtr cached) {
   const PlanNode& cp = *cand.param_node;
   std::vector<int> positions;
   for (const auto& item : query_node.projections()) {
-    std::string fp = item.expr->Fingerprint(&child_mapping);
+    std::string fp = item.expr->Fingerprint(&input);
     int pos = -1;
     for (size_t j = 0; j < cp.projections().size(); ++j) {
       if (cp.projections()[j].expr->Fingerprint(nullptr) == fp) {
@@ -143,17 +143,15 @@ SubsumptionPlan TryProject(const PlanNode& query_node,
   return out;
 }
 
-SubsumptionPlan TryAggregate(const PlanNode& query_node,
-                             const NameMap& child_mapping, const RGNode& cand,
-                             TablePtr cached) {
+SubsumptionPlan TryAggregate(const PlanNode& query_node, const Schema& input,
+                             const RGNode& cand, TablePtr cached) {
   const PlanNode& cp = *cand.param_node;
   const int cand_groups = static_cast<int>(cp.group_by().size());
 
   // Map each query group column to its position in the cached result.
   std::vector<int> group_pos;
   for (const auto& q : query_node.group_by()) {
-    auto it = child_mapping.find(q);
-    const std::string& gq = it == child_mapping.end() ? q : it->second;
+    const std::string gq = OrdinalName(input.IndexOfChecked(q));
     int pos = -1;
     for (int j = 0; j < cand_groups; ++j) {
       if (cp.group_by()[j] == gq) {
@@ -173,7 +171,7 @@ SubsumptionPlan TryAggregate(const PlanNode& query_node,
     // present verbatim -> project out the needed columns.
     std::vector<int> agg_pos;
     for (const auto& a : query_node.aggregates()) {
-      int j = FindCandAgg(cp, a.fn, a.arg->Fingerprint(&child_mapping));
+      int j = FindCandAgg(cp, a.fn, a.arg->Fingerprint(&input));
       if (j < 0) return {};
       agg_pos.push_back(cand_groups + j);
     }
@@ -201,7 +199,7 @@ SubsumptionPlan TryAggregate(const PlanNode& query_node,
   }
   int temp_serial = 0;
   for (const auto& a : query_node.aggregates()) {
-    std::string arg_fp = a.arg->Fingerprint(&child_mapping);
+    std::string arg_fp = a.arg->Fingerprint(&input);
     switch (a.fn) {
       case AggFunc::kSum:
       case AggFunc::kMin:
@@ -265,20 +263,22 @@ SubsumptionPlan TryAggregate(const PlanNode& query_node,
 
 }  // namespace
 
-SubsumptionPlan TrySubsumption(const PlanNode& query_node,
-                               const NameMap& child_mapping,
-                               const RGNode& cand, TablePtr cached) {
+SubsumptionPlan TrySubsumption(const PlanNode& query_node, const RGNode& cand,
+                               TablePtr cached) {
   if (cand.param_node == nullptr || cached == nullptr) return {};
-  if (cand.type != query_node.type()) return {};
+  if (cand.type != query_node.type() || query_node.num_children() != 1) {
+    return {};
+  }
+  const Schema& input = query_node.child()->output_schema();
   switch (query_node.type()) {
     case OpType::kSelect:
-      return TrySelect(query_node, child_mapping, cand, std::move(cached));
+      return TrySelect(query_node, input, cand, std::move(cached));
     case OpType::kTopN:
-      return TryTopN(query_node, child_mapping, cand, std::move(cached));
+      return TryTopN(query_node, input, cand, std::move(cached));
     case OpType::kProject:
-      return TryProject(query_node, child_mapping, cand, std::move(cached));
+      return TryProject(query_node, input, cand, std::move(cached));
     case OpType::kAggregate:
-      return TryAggregate(query_node, child_mapping, cand, std::move(cached));
+      return TryAggregate(query_node, input, cand, std::move(cached));
     default:
       return {};
   }
@@ -466,7 +466,6 @@ StitchLayout PlanPartialStitch(
 }
 
 PartialPlan BuildPartialStitch(const PlanNode& query_node,
-                               const NameMap& child_mapping,
                                const PlanPtr& child_plan,
                                const RangeSpec& spec,
                                const StitchLayout& layout,
@@ -491,7 +490,8 @@ PartialPlan BuildPartialStitch(const PlanNode& query_node,
     // equal to the slice bound is already enforced by the cached data).
     std::vector<ExprPtr> comp;
     for (const ExprPtr& o : spec.others) {
-      if (slice.other_fps.count(o->Fingerprint(&child_mapping)) == 0) {
+      if (slice.other_fps.count(o->Fingerprint(&query_node.output_schema())) ==
+          0) {
         comp.push_back(o);
       }
     }
@@ -566,7 +566,7 @@ bool ParamsSubsume(const PlanNode& super, const PlanNode& sub) {
                               ConjunctFingerprints(sub.predicate(), nullptr));
     case OpType::kTopN:
       return super.limit() >= sub.limit() &&
-             SameSortKeys(sub.sort_keys(), {}, super.sort_keys());
+             SameSortKeys(sub.sort_keys(), nullptr, super.sort_keys());
     case OpType::kProject: {
       for (const auto& item : sub.projections()) {
         bool found = false;

@@ -23,11 +23,11 @@
 
 namespace recycledb {
 
-/// Fingerprints of `pred`'s conjuncts, column names translated through
-/// `mapping` (null: as written). A set, so neither the order nor the
-/// repetition of conjuncts matters.
+/// Fingerprints of `pred`'s conjuncts, each column an ordinal of `input`
+/// (null: as written, e.g. a graph node's positional predicate). A set,
+/// so neither the order nor the repetition of conjuncts matters.
 std::set<std::string> ConjunctFingerprints(const ExprPtr& pred,
-                                           const NameMap* mapping);
+                                           const Schema* input);
 
 /// The subset rule behind every derivation from a cached selection: the
 /// cached rows include every row the query needs iff each conjunct the
@@ -42,7 +42,7 @@ bool ConjunctsImplied(const std::set<std::string>& cached_fps,
 /// read: false when `cand` cannot derive a `query_type` node whatever its
 /// cached table holds — no parameters, another operator type, or
 /// (Select) a cached conjunct the query lacks. `query_fps` is
-/// ConjunctFingerprints of the query's predicate under the child mapping
+/// ConjunctFingerprints of the query's predicate over its child's output
 /// (read for Select only). For a Select it accepts exactly the candidates
 /// TrySubsumption derives from; other types pass on a type match.
 bool MaySubsume(const RGNode& cand, OpType query_type,
@@ -58,20 +58,20 @@ struct SubsumptionPlan {
 };
 
 /// Attempts to derive `query_node`'s result from the cached result of
-/// `cand`. `child_mapping` maps the query child's column names to graph
-/// space (the two nodes share the child subtree). `cached` is the
-/// candidate's materialized result (caller snapshots it under lock).
-/// Returns an empty plan when no supported derivation applies.
+/// `cand`, a parent of the graph node the query's child matched. The
+/// query's parameters are compared positionally, over its child's output,
+/// with the candidate's param_node. `cached` is the candidate's
+/// materialized result (caller snapshots it under lock). Returns an empty
+/// plan when no supported derivation applies.
 ///
-/// Thread-safety: reads only immutable RGNode fields (param_node,
-/// output_names) plus the passed-in `cached` snapshot.
-SubsumptionPlan TrySubsumption(const PlanNode& query_node,
-                               const NameMap& child_mapping,
-                               const RGNode& cand, TablePtr cached);
+/// Thread-safety: reads only the immutable RGNode field param_node plus
+/// the passed-in `cached` snapshot.
+SubsumptionPlan TrySubsumption(const PlanNode& query_node, const RGNode& cand,
+                               TablePtr cached);
 
-/// True if `sub`'s parameters are subsumed by `super`'s (both param_nodes
-/// in graph space, same child). Used to maintain most-specific
-/// subsumption edges in the graph.
+/// True if `sub`'s parameters are subsumed by `super`'s (both positional
+/// param_nodes, same child). Used to maintain most-specific subsumption
+/// edges in the graph.
 bool ParamsSubsume(const PlanNode& super, const PlanNode& sub);
 
 // ---------------------------------------------------------------------------
@@ -80,8 +80,8 @@ bool ParamsSubsume(const PlanNode& super, const PlanNode& sub);
 
 /// One cached slice the stitcher may draw from: the materialized node,
 /// a pinned snapshot of its result when it is hot, and the node's range
-/// spec on the stitch column (its interval and the fingerprints of its
-/// remaining conjuncts, graph space; RGNode::range_specs). A cold slice
+/// spec on the stitch column (its interval and the positional
+/// fingerprints of its remaining conjuncts; RGNode::range_specs). A cold slice
 /// has no snapshot: the stitch reads it only if its layout uses it. The
 /// caller (Recycler) collects these from the interval index under lock.
 struct IntervalCandidate {
@@ -159,8 +159,7 @@ StitchLayout PlanPartialStitch(
 /// compensation Select for the residual conjuncts and the clip bounds
 /// tighter than the slice's own, plus one compensated delta scan over
 /// `child_plan` for every gap. A use whose table is null (its read
-/// failed) leaves its clip to that delta scan. `child_mapping` maps the
-/// shared child's column names to graph space. Returns an empty plan
+/// failed) leaves its clip to that delta scan. Returns an empty plan
 /// when no use has a table.
 ///
 /// The stitched union is a BAG equal to the selection's result as a
@@ -168,7 +167,6 @@ StitchLayout PlanPartialStitch(
 /// stream before delta scans) — an order-sensitive parent without a sort
 /// (Limit without OrderBy) may surface different, equally valid, rows.
 PartialPlan BuildPartialStitch(const PlanNode& query_node,
-                               const NameMap& child_mapping,
                                const PlanPtr& child_plan,
                                const RangeSpec& spec,
                                const StitchLayout& layout,

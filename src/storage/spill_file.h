@@ -53,9 +53,10 @@
 
 namespace recycledb {
 
-/// The spill format version; bump on any layout change. Files of any
-/// other version are rejected with a recoverable Status.
-inline constexpr uint32_t kSpillFormatVersion = 4;
+/// The spill format version; bump on any layout change, including the
+/// grammar of the canonical key the header holds. Files of any other
+/// version are rejected with a recoverable Status.
+inline constexpr uint32_t kSpillFormatVersion = 5;
 
 /// Everything the cold tier must know about a spilled result without
 /// touching its payload: the restart-stable identity plus the reference
@@ -64,8 +65,8 @@ struct SpillFileMeta {
   /// Canonical structural key of the producing graph subtree
   /// (Recycler::CanonicalSubtreeKey): stable across process restarts.
   std::string canon_key;
-  /// Column names at spill time (graph name space of the *writing*
-  /// process; readers rename positionally into their own graph space).
+  /// Column names at spill time (those of the query that produced the
+  /// result; readers rename positionally into their own).
   std::vector<std::string> column_names;
   /// Column types (positional); verified against the adopting node.
   std::vector<TypeId> column_types;

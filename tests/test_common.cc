@@ -60,18 +60,6 @@ TEST(DatumTest, KeyStringIsBitExact) {
   EXPECT_EQ(DatumToKeyString(Datum(int64_t{42})), "42");
 }
 
-TEST(DatumTest, KeyToDisplayStringRestoresTheDisplayForm) {
-  const std::string key = "(and (>= c:x l:" +
-                          DatumToKeyString(Datum(228.241040)) +
-                          ") (in c:y " + DatumToKeyString(Datum(-2.5)) +
-                          " " + DatumToKeyString(Datum(1.5)) +
-                          ") (= c:s l:'0x1p+0') (= c:t l:'it''s 0x1p+0')"
-                          " (= c:n l:10))";
-  EXPECT_EQ(KeyToDisplayString(key),
-            "(and (>= c:x l:228.241) (in c:y -2.5 1.5) (= c:s l:'0x1p+0') "
-            "(= c:t l:'it''s 0x1p+0') (= c:n l:10))");
-}
-
 TEST(DatumTest, CompareNumericCrossType) {
   EXPECT_EQ(DatumCompare(Datum(int32_t{3}), Datum(3.0)), 0);
   EXPECT_LT(DatumCompare(Datum(int32_t{2}), Datum(int64_t{3})), 0);
@@ -132,13 +120,6 @@ TEST(HashTest, StableAcrossCalls) {
 TEST(HashTest, CombineOrderSensitive) {
   uint64_t a = HashString("a"), b = HashString("b");
   EXPECT_NE(HashCombine(a, b), HashCombine(b, a));
-}
-
-TEST(HashTest, SignatureBitSubset) {
-  uint64_t sig = ColumnSignatureBit("l_orderkey") |
-                 ColumnSignatureBit("l_quantity");
-  EXPECT_EQ(sig & ColumnSignatureBit("l_orderkey"),
-            ColumnSignatureBit("l_orderkey"));
 }
 
 TEST(RngTest, DeterministicForSeed) {

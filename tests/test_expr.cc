@@ -139,11 +139,18 @@ TEST(ExprFingerprintTest, StructuralIdentity) {
   EXPECT_NE(a->Fingerprint(nullptr), c->Fingerprint(nullptr));
 }
 
-TEST(ExprFingerprintTest, MappingSubstitutesColumns) {
+TEST(ExprFingerprintTest, InputRendersColumnsAsOrdinals) {
   ExprPtr e = Expr::Gt(Expr::Column("x"), Expr::Literal(int64_t{5}));
-  NameMap m{{"x", "x#12"}};
-  EXPECT_EQ(e->Fingerprint(&m), "(> c:x#12 l:5)");
+  const Schema input({{"w", TypeId::kInt64}, {"x", TypeId::kInt64}});
+  EXPECT_EQ(e->Fingerprint(&input), "(> c:#1 l:5)");
   EXPECT_EQ(e->Fingerprint(nullptr), "(> c:x l:5)");
+  // The positional copy renders alike with no input at all.
+  EXPECT_EQ(e->Positional(input)->Fingerprint(nullptr), "(> c:#1 l:5)");
+  // Another name at the same ordinal is the same column.
+  const Schema renamed({{"w", TypeId::kInt64}, {"y", TypeId::kInt64}});
+  EXPECT_EQ(Expr::Gt(Expr::Column("y"), Expr::Literal(int64_t{5}))
+                ->Fingerprint(&renamed),
+            e->Fingerprint(&input));
 }
 
 TEST(ExprFingerprintTest, AnonymizedShapeEqualAcrossNames) {

@@ -83,6 +83,17 @@ TEST(ExtractRangeSpecs, SingleColumnWithOthers) {
   EXPECT_EQ(DatumAsDouble(specs[0].range.hi.value), 50.0);
   ASSERT_EQ(specs[0].others.size(), 1u);
   EXPECT_EQ(specs[0].other_fps.size(), 1u);
+  EXPECT_EQ(specs[0].ordinal, -1);
+
+  // Over an input, the column resolves to its ordinal and the other
+  // conjuncts fingerprint positionally; `others` keep their names.
+  const Schema input({{"g", TypeId::kInt64}, {"x", TypeId::kDouble}});
+  specs = ExtractRangeSpecs(pred, &input);
+  ASSERT_EQ(specs.size(), 1u);
+  EXPECT_EQ(specs[0].column, "x");
+  EXPECT_EQ(specs[0].ordinal, 1);
+  EXPECT_EQ(specs[0].other_fps, (std::set<std::string>{"(= c:#0 l:3)"}));
+  EXPECT_EQ(specs[0].others[0]->children()[0]->column_name(), "g");
 }
 
 TEST(ExtractRangeSpecs, TwoRangedColumnsYieldTwoSpecs) {
@@ -131,7 +142,8 @@ TEST(IntervalIndexTest, OverlapLookupAndRemove) {
     n->id = id;
     n->children = {child};
     RangeSpec spec;
-    spec.column = spec.mapped_column = "v";
+    spec.column = "v";
+    spec.ordinal = 1;
     spec.range = range;
     n->range_specs.push_back(spec);
   };
@@ -149,7 +161,8 @@ TEST(IntervalIndexTest, OverlapLookupAndRemove) {
   EXPECT_TRUE(index.Parents(9).empty());
 
   RangeSpec query;
-  query.column = query.mapped_column = "v";
+  query.column = "v";
+  query.ordinal = 1;
   query.range = {Lo(30, false), Hi(80, false)};
   auto overlapping = [&](int64_t child_id, const RangeSpec& q) {
     std::vector<RGNode*> nodes;
@@ -161,7 +174,7 @@ TEST(IntervalIndexTest, OverlapLookupAndRemove) {
   // Ascending by lower bound.
   EXPECT_EQ(overlapping(7, query), (std::vector<RGNode*>{&n1, &n2}));
   RangeSpec other_column = query;
-  other_column.mapped_column = "w";
+  other_column.ordinal = 2;
   EXPECT_TRUE(overlapping(7, other_column).empty());
   EXPECT_TRUE(overlapping(9, query).empty());
 
@@ -696,17 +709,25 @@ class SelectPredicateGenerator {
   Rng rng_;
 };
 
-const RangeSpec* SpecOn(const std::vector<RangeSpec>& specs,
-                        const std::string& mapped_column) {
+const RangeSpec* SpecOn(const std::vector<RangeSpec>& specs, int ordinal) {
   for (const RangeSpec& s : specs) {
-    if (s.mapped_column == mapped_column) return &s;
+    if (s.ordinal == ordinal) return &s;
   }
   return nullptr;
 }
 
 TEST_F(PartialReuseTest, PrefilterAcceptsExactlyTheDerivableCandidates) {
-  // The graph renamed the child's outputs; the query is in query space.
-  const NameMap mapping = {{"x", "x#9"}, {"y", "y#9"}, {"w", "w#9"}};
+  // The graph holds the candidate's parameters positionally; the query
+  // names its child's columns.
+  PlanPtr child = SelectPredicateGenerator::Child();
+  child->Bind(catalog_);
+  const Schema& input = child->output_schema();
+  RGNode child_node;
+  for (const Field& f : input.fields()) {
+    child_node.output_types.push_back(f.type);
+  }
+  const Schema positional = PositionalInput(child_node);
+  const int w = input.IndexOfChecked("w");
   SelectPredicateGenerator gen(8675309);
   int derivable = 0, stitchable = 0;
   constexpr int kTrials = 400;
@@ -718,36 +739,35 @@ TEST_F(PartialReuseTest, PrefilterAcceptsExactlyTheDerivableCandidates) {
     ExprPtr qpred = gen.Predicate(0, qpool);
     ExprPtr cpred = gen.Predicate(crange, cpool);
 
-    PlanPtr query = PlanNode::Select(SelectPredicateGenerator::Child(), qpred);
+    PlanPtr query = PlanNode::Select(child, qpred);
     query->Bind(catalog_);
-    // The candidate as the recycler inserts it: parameters in graph
-    // space, conjunct fingerprints taken from them once.
+    // The candidate as the recycler inserts it: positional parameters,
+    // conjunct fingerprints taken from them once.
+    PlanPtr cand_plan = PlanNode::Select(child, cpred);
+    cand_plan->Bind(catalog_);
     RGNode cand;
     cand.id = 1;
     cand.type = OpType::kSelect;
-    cand.param_node =
-        PlanNode::Select(SelectPredicateGenerator::Child(), cpred)
-            ->CloneParamsRenamed(mapping);
+    cand.param_node = cand_plan->PositionalParams();
     cand.conjunct_fps =
         ConjunctFingerprints(cand.param_node->predicate(), nullptr);
     TablePtr cached = MakeTable(query->output_schema());
 
     // Subsumption: the prefilter sees the query's fingerprints computed
-    // once under the child mapping, as RewriteForReuse computes them.
-    const bool derives =
-        TrySubsumption(*query, mapping, cand, cached).plan != nullptr;
+    // once over the child's output, as RewriteForReuse computes them.
+    const bool derives = TrySubsumption(*query, cand, cached).plan != nullptr;
     EXPECT_EQ(MaySubsume(cand, OpType::kSelect,
-                         ConjunctFingerprints(qpred, &mapping)),
+                         ConjunctFingerprints(qpred, &input)),
               derives)
         << "trial " << trial;
     derivable += derives;
 
     // Stitching: the slice as the interval index registers it.
-    std::vector<RangeSpec> qspecs = ExtractRangeSpecs(qpred, &mapping);
+    std::vector<RangeSpec> qspecs = ExtractRangeSpecs(qpred, &input);
     std::vector<RangeSpec> cspecs =
-        ExtractRangeSpecs(cand.param_node->predicate(), nullptr);
-    const RangeSpec* qspec = SpecOn(qspecs, "w#9");
-    const RangeSpec* cspec = SpecOn(cspecs, "w#9");
+        ExtractRangeSpecs(cand.param_node->predicate(), &positional);
+    const RangeSpec* qspec = SpecOn(qspecs, w);
+    const RangeSpec* cspec = SpecOn(cspecs, w);
     ASSERT_NE(qspec, nullptr);
     ASSERT_NE(cspec, nullptr);
     const std::vector<IntervalCandidate> slices = {{&cand, cached, cspec}};
@@ -784,8 +804,7 @@ TEST_F(PartialReuseTest, PrefilterAcceptsExactlyTheDerivableCandidates) {
   // Another operator type never passes, whatever its parameters.
   RGNode project;
   project.type = OpType::kProject;
-  project.param_node =
-      SelectPredicateGenerator::Child()->CloneParamsRenamed(mapping);
+  project.param_node = child->PositionalParams();
   EXPECT_FALSE(MaySubsume(project, OpType::kSelect, {}));
 }
 

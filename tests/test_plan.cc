@@ -1,5 +1,5 @@
-// Unit tests for src/plan: binding, fingerprints, hash keys, signatures,
-// new-name detection, cloning.
+// Unit tests for src/plan: binding, fingerprints (named and positional),
+// hash keys, cloning.
 #include <gtest/gtest.h>
 
 #include "plan/plan.h"
@@ -49,7 +49,6 @@ TEST_F(PlanTest, ProjectAssignsNewNames) {
         "v2"}});
   p->Bind(catalog_);
   EXPECT_EQ(p->output_schema().Names(), (std::vector<std::string>{"v2"}));
-  EXPECT_EQ(p->NewNames(), (std::vector<std::string>{"v2"}));
 }
 
 TEST_F(PlanTest, AggregateSchemaGroupsThenAggs) {
@@ -62,7 +61,6 @@ TEST_F(PlanTest, AggregateSchemaGroupsThenAggs) {
             (std::vector<std::string>{"k", "sv", "c"}));
   EXPECT_EQ(p->output_schema().field(1).type, TypeId::kDouble);  // sum(double)
   EXPECT_EQ(p->output_schema().field(2).type, TypeId::kInt64);
-  EXPECT_EQ(p->NewNames(), (std::vector<std::string>{"sv", "c"}));
 }
 
 TEST_F(PlanTest, JoinSchemaConcatsAndSemiKeepsLeft) {
@@ -83,20 +81,54 @@ TEST_F(PlanTest, JoinSchemaConcatsAndSemiKeepsLeft) {
 
 TEST_F(PlanTest, ParamFingerprintExcludesOutputNames) {
   // Two projects computing the same expression under different out names
-  // share a parameter fingerprint (the graph canonicalizes new names).
+  // share a parameter fingerprint (a parent reads them by ordinal).
   PlanPtr a = PlanNode::Project(PlanNode::Scan("t", {"v"}),
                                 {{Expr::Column("v"), "x"}});
   PlanPtr b = PlanNode::Project(PlanNode::Scan("t", {"v"}),
                                 {{Expr::Column("v"), "y"}});
-  EXPECT_EQ(a->ParamFingerprint(nullptr), b->ParamFingerprint(nullptr));
+  EXPECT_EQ(a->ParamFingerprint(), b->ParamFingerprint());
 }
 
-TEST_F(PlanTest, ParamFingerprintMappingApplies) {
-  PlanPtr p = PlanNode::Select(
-      PlanNode::Scan("t", {"k"}),
-      Expr::Gt(Expr::Column("k"), Expr::Literal(int64_t{1})));
-  NameMap m{{"k", "k#9"}};
-  EXPECT_NE(p->ParamFingerprint(nullptr), p->ParamFingerprint(&m));
+TEST_F(PlanTest, PositionalFingerprintReadsChildOrdinals) {
+  auto select_v = [&](std::vector<std::string> columns) {
+    PlanPtr p = PlanNode::Select(
+        PlanNode::Scan("t", std::move(columns)),
+        Expr::Gt(Expr::Column("v"), Expr::Literal(1.0)));
+    p->Bind(catalog_);
+    return p;
+  };
+  PlanPtr kv = select_v({"k", "v"});
+  PlanPtr vk = select_v({"v", "k"});
+  // Same names, different ordinals: different positional parameters.
+  EXPECT_EQ(kv->ParamFingerprint(), vk->ParamFingerprint());
+  EXPECT_NE(kv->PositionalFingerprint(), vk->PositionalFingerprint());
+  EXPECT_NE(kv->PositionalFingerprint().find("c:#1"), std::string::npos);
+  // A leaf reads no child: its positional form is its named one.
+  EXPECT_EQ(kv->child()->PositionalFingerprint(),
+            kv->child()->ParamFingerprint());
+}
+
+TEST_F(PlanTest, PositionalFingerprintIsThePositionalParams) {
+  PlanPtr join = PlanNode::HashJoin(PlanNode::Scan("t", {"k", "v"}),
+                                    PlanNode::Scan("t2", {"w", "k2"}),
+                                    JoinKind::kInner, {"k"}, {"k2"});
+  PlanPtr top = PlanNode::TopN(
+      PlanNode::Aggregate(
+          PlanNode::Project(
+              PlanNode::Select(join, Expr::Lt(Expr::Column("w"),
+                                              Expr::Literal(int64_t{3}))),
+              {{Expr::Column("k2"), "g"}, {Expr::Column("v"), "x"}}),
+          {"g"}, {{AggFunc::kSum, Expr::Column("x"), "sx"}}),
+      {{"sx", false}}, 5);
+  top->Bind(catalog_);
+  for (PlanPtr n = top;; n = n->child()) {
+    SCOPED_TRACE(OpTypeName(n->type()));
+    EXPECT_EQ(n->PositionalFingerprint(),
+              n->PositionalParams()->ParamFingerprint());
+    if (n->type() == OpType::kHashJoin) break;
+  }
+  // Left keys index the left child, right keys the right child.
+  EXPECT_EQ(join->PositionalFingerprint(), "join:inner:[#0]=[#1]");
 }
 
 TEST_F(PlanTest, HashKeyDistinguishesLiteralsButNotColumnNames) {
@@ -111,15 +143,6 @@ TEST_F(PlanTest, HashKeyDistinguishesLiteralsButNotColumnNames) {
       Expr::Gt(Expr::Column("k"), Expr::Literal(int64_t{2})));
   EXPECT_EQ(a->HashKey(), b->HashKey());  // name-space independent
   EXPECT_NE(a->HashKey(), c->HashKey());  // literal-sensitive
-}
-
-TEST_F(PlanTest, SignatureCoversParamColumns) {
-  PlanPtr p = PlanNode::HashJoin(PlanNode::Scan("t", {"k", "v"}),
-                                 PlanNode::Scan("t2", {"k2", "w"}),
-                                 JoinKind::kInner, {"k"}, {"k2"});
-  auto cols = p->ParamInputColumns();
-  EXPECT_EQ(cols, (std::set<std::string>{"k", "k2"}));
-  EXPECT_NE(p->Signature() & ColumnSignatureBit("k"), 0u);
 }
 
 TEST_F(PlanTest, TreeFingerprintDistinguishesSubtrees) {
@@ -146,16 +169,17 @@ TEST_F(PlanTest, CloneAndWithChildren) {
   EXPECT_EQ(sel->child(0), scan);  // original untouched
 }
 
-TEST_F(PlanTest, CloneParamsRenamed) {
+TEST_F(PlanTest, PositionalParams) {
   PlanPtr agg = PlanNode::Aggregate(
-      PlanNode::Scan("t", {"k", "v"}), {"k"},
+      PlanNode::Scan("t", {"v", "k"}), {"k"},
       {{AggFunc::kSum, Expr::Column("v"), "sv"}});
-  PlanPtr renamed = agg->CloneParamsRenamed({{"k", "k#1"}, {"v", "v#1"}});
-  EXPECT_EQ(renamed->num_children(), 0);
-  EXPECT_EQ(renamed->group_by()[0], "k#1");
+  agg->Bind(catalog_);
+  PlanPtr positional = agg->PositionalParams();
+  EXPECT_EQ(positional->num_children(), 0);
+  EXPECT_EQ(positional->group_by()[0], "#1");
   std::set<std::string> cols;
-  renamed->aggregates()[0].arg->CollectColumns(&cols);
-  EXPECT_EQ(cols, (std::set<std::string>{"v#1"}));
+  positional->aggregates()[0].arg->CollectColumns(&cols);
+  EXPECT_EQ(cols, (std::set<std::string>{"#0"}));
 }
 
 TEST_F(PlanTest, UnionRequiresCompatibleChildren) {

@@ -253,11 +253,13 @@ TablePtr MakeFuzzBatch(int64_t rows, int64_t start_row) {
 /// workload repeats spellings (exact), refines them (subsumption),
 /// slides ranges (stitch) and re-aggregates across appends (delta /
 /// agg-merge). Some range bounds sit 1e-4 either side of a stored value
-/// (the two bounds differ only past six significant digits). No ORDER
-/// BY: rows compare as multisets.
+/// (the two bounds differ only past six significant digits). One case
+/// swaps the aggregate aliases of another, so `sv` and `n` each name two
+/// different columns across statements. No ORDER BY: rows compare as
+/// multisets.
 std::string RandomFuzzSql(Rng* rng) {
   char buf[160];
-  switch (rng->Uniform(0, 4)) {
+  switch (rng->Uniform(0, 5)) {
     case 0: {
       int lo = static_cast<int>(rng->Uniform(0, 4)) * 10;
       std::snprintf(buf, sizeof(buf),
@@ -274,6 +276,14 @@ std::string RandomFuzzSql(Rng* rng) {
       break;
     }
     case 2: {
+      int cut = static_cast<int>(rng->Uniform(1, 4)) * 100;
+      std::snprintf(buf, sizeof(buf),
+                    "SELECT a, SUM(v) AS n, COUNT(v) AS sv FROM fuzz"
+                    " WHERE b < %d GROUP BY a",
+                    cut);
+      break;
+    }
+    case 3: {
       int lo = static_cast<int>(rng->Uniform(0, 2)) * 15;
       std::snprintf(buf, sizeof(buf),
                     "SELECT b, MIN(v) AS lo, MAX(v) AS hi FROM fuzz"
@@ -281,7 +291,7 @@ std::string RandomFuzzSql(Rng* rng) {
                     lo);
       break;
     }
-    case 3: {
+    case 4: {
       const double g = FuzzCollisionValue(static_cast<int>(rng->Uniform(0, 1)));
       const double bound = rng->Uniform(0, 1) == 0 ? g - 1e-4 : g + 1e-4;
       std::snprintf(buf, sizeof(buf), "SELECT * FROM fuzz WHERE v >= %.4f",

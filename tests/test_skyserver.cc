@@ -58,7 +58,7 @@ TEST_F(SkyTest, WorkloadHasDominantPatternSharingFunctionCall) {
     const PlanNode* n = q.plan.get();
     while (n->num_children() > 0) n = n->child(0).get();
     ASSERT_EQ(n->type(), OpType::kFunctionScan);
-    function_fps.insert(n->ParamFingerprint(nullptr));
+    function_fps.insert(n->ParamFingerprint());
   }
   EXPECT_GT(dominant, 50);
   // Every query shares the same fGetNearbyObjEq(195, 2.5, 0.5) call.

@@ -150,8 +150,9 @@ TEST_F(StoreTest, EmptyInputMaterializesEmptyResult) {
 // ---------------------------------------------------------------------------
 
 /// The delta-stitch shape: UnionAll(CachedScan(prefix), scan of a tail),
-/// under a store configured with that prefix. The prefix carries
-/// graph-space names ("pk", "pv"); the store's output uses the query's.
+/// under a store configured with that prefix. The prefix carries the
+/// names of the statement that produced it ("pk", "pv"); the store's
+/// output uses the query's.
 class PrefixStoreTest : public ::testing::Test {
  protected:
   static Schema QuerySchema() {

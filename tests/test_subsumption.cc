@@ -206,9 +206,9 @@ TEST_F(SubsumptionTest, ExactReuseOutranksSubsumption) {
 TEST(ParamsSubsumeTest, SelectConjuncts) {
   ExprPtr a = Expr::Gt(Expr::Column("x"), Expr::Literal(int64_t{1}));
   ExprPtr b = Expr::Lt(Expr::Column("y"), Expr::Literal(int64_t{2}));
-  PlanPtr broad = PlanNode::Select(nullptr, a)->CloneParamsRenamed({});
+  PlanPtr broad = PlanNode::Select(nullptr, a)->WithChildren({});
   PlanPtr narrow = PlanNode::Select(nullptr, Expr::And(a, b))
-                       ->CloneParamsRenamed({});
+                       ->WithChildren({});
   EXPECT_TRUE(ParamsSubsume(*broad, *narrow));
   EXPECT_FALSE(ParamsSubsume(*narrow, *broad));
 }
@@ -217,22 +217,22 @@ TEST(ParamsSubsumeTest, AggregateGroupsAndAvg) {
   PlanPtr fine = PlanNode::Aggregate(
       nullptr, {"a", "b"},
       {{AggFunc::kSum, Expr::Column("v"), "s"},
-       {AggFunc::kCount, Expr::Column("v"), "c"}})->CloneParamsRenamed({});
+       {AggFunc::kCount, Expr::Column("v"), "c"}})->WithChildren({});
   PlanPtr coarse_avg = PlanNode::Aggregate(
       nullptr, {"a"}, {{AggFunc::kAvg, Expr::Column("v"), "av"}})
-      ->CloneParamsRenamed({});
+      ->WithChildren({});
   EXPECT_TRUE(ParamsSubsume(*fine, *coarse_avg));  // avg from sum+count
   PlanPtr coarse_min = PlanNode::Aggregate(
       nullptr, {"a"}, {{AggFunc::kMin, Expr::Column("v"), "m"}})
-      ->CloneParamsRenamed({});
+      ->WithChildren({});
   EXPECT_FALSE(ParamsSubsume(*fine, *coarse_min));  // min not derivable
 }
 
 TEST(ParamsSubsumeTest, TopNLimits) {
   PlanPtr big = PlanNode::TopN(nullptr, {{"v", false}}, 100)
-                    ->CloneParamsRenamed({});
+                    ->WithChildren({});
   PlanPtr small = PlanNode::TopN(nullptr, {{"v", false}}, 10)
-                      ->CloneParamsRenamed({});
+                      ->WithChildren({});
   EXPECT_TRUE(ParamsSubsume(*big, *small));
   EXPECT_FALSE(ParamsSubsume(*small, *big));
 }
