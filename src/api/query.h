@@ -100,7 +100,9 @@ class Query {
   std::string Explain() const {
     return plan_ == nullptr ? "(empty query)\n" : plan_->Explain();
   }
-  /// Canonical template fingerprint (binding-independent).
+  /// Canonical template fingerprint (binding-independent): opaque binary
+  /// bytes, equal for two queries exactly when their plans are the same
+  /// template. Compare or hash it; do not print or parse it.
   std::string TemplateFingerprint() const {
     return plan_ == nullptr ? "" : plan_->TemplateFingerprint();
   }

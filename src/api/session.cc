@@ -174,12 +174,12 @@ std::string Session::Explain(const Query& query) const {
   const PlanPtr& plan = query.plan();
   std::string out =
       StrFormat("plan %016llx\n",
-                (unsigned long long)HashString(plan->TreeFingerprint())) +
+                (unsigned long long)HashString(plan->TreeKey())) +
       plan->Explain();
   if (db_->options().canonicalize_plans) {
     PlanPtr canon = CanonicalizePlan(plan);
     out += StrFormat("canonical %016llx\n",
-                     (unsigned long long)HashString(canon->TreeFingerprint()));
+                     (unsigned long long)HashString(canon->TreeKey()));
     out += canon != plan ? canon->Explain()
                          : std::string("  (already canonical)\n");
   }
@@ -223,7 +223,7 @@ Result Session::RunPipeline(PlanPtr plan) {
       canonical->Bind(db_->catalog());
       QueryTrace trace;
       trace.template_hash = canonical->template_hash();
-      trace.plan_fingerprint = HashString(canonical->TreeFingerprint());
+      trace.plan_fingerprint = HashString(canonical->TreeKey());
       ExecResult exec = db_->raw_executor().Run(canonical);
       trace.blocks_scanned = exec.blocks_scanned;
       trace.blocks_pruned = exec.blocks_pruned;

@@ -35,7 +35,9 @@ class PreparedStatement {
   // ---- template inspection --------------------------------------------
   /// Names of the parameters the template declares.
   const std::set<std::string>& parameters() const { return params_; }
-  /// Canonical binding-independent rendering of the template.
+  /// Canonical binding-independent key of the template: opaque binary
+  /// bytes, equal for two statements exactly when their templates are
+  /// the same. Compare or hash it; do not print or parse it.
   const std::string& template_fingerprint() const { return fingerprint_; }
   /// Hash of template_fingerprint(); the recycler's TemplateStats key.
   uint64_t template_hash() const { return hash_; }

@@ -42,7 +42,7 @@ TablePtr KeepAllEngine::ExecNode(const PlanPtr& plan, bool* hit) {
         child_result, c->output_schema().Names()));
   }
 
-  const std::string key = plan->TreeFingerprint();
+  const std::string key = plan->TreeKey();
   if (config_.recycling && children_hit) {
     auto it = cache_.find(key);
     if (it != cache_.end()) {

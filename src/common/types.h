@@ -44,9 +44,11 @@ TypeId DatumType(const Datum& d);
 /// never build a key, hash or equality check on this text.
 std::string DatumToString(const Datum& d);
 
-/// Renders a datum exactly for keys, fingerprints and digests: doubles
-/// as hex floats (so -0.0 and +0.0 differ), strings quoted with every
-/// inner quote doubled, every other alternative as DatumToString does.
+/// Renders a datum exactly as text, for result digests (trace RowDigest):
+/// doubles as hex floats (so -0.0 and +0.0 differ), strings quoted with
+/// every inner quote doubled, every other alternative as DatumToString
+/// does. Plan keys use the typed binary AppendTypedDatum
+/// (expr/expression.h) instead.
 std::string DatumToKeyString(const Datum& d);
 /// DatumToKeyString(d) appended to `out`, without a temporary string.
 void AppendDatumKey(const Datum& d, std::string* out);

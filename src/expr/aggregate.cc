@@ -20,13 +20,11 @@ const char* AggFuncName(AggFunc fn) {
   return "?";
 }
 
-void AggItem::AppendFingerprint(std::string* out, const Schema* input) const {
+void AggItem::AppendKey(std::string* out, const Schema* input) const {
   // out_name is a *new* name assigned by the node; it is not part of the
-  // parameter fingerprint (a parent reads the column by its ordinal).
-  *out += AggFuncName(fn);
-  *out += '(';
-  arg->AppendFingerprint(out, input);
-  *out += ')';
+  // parameter key (a parent reads the column by its ordinal).
+  out->push_back(static_cast<char>(fn));
+  arg->AppendKey(out, input);
 }
 
 TypeId AggResultType(AggFunc fn, TypeId input) {

@@ -25,9 +25,9 @@ struct AggItem {
   ExprPtr arg;          // input expression (never null; use Literal(1) for *)
   std::string out_name;
 
-  /// Appends the canonical rendering to `out` (for plan fingerprints),
-  /// `arg` rendered as Expr::AppendFingerprint renders it over `input`.
-  void AppendFingerprint(std::string* out, const Schema* input) const;
+  /// Appends the key to `out` (for plan keys): the function byte, then
+  /// `arg`'s Expr::AppendKey over `input`. `out_name` is left out.
+  void AppendKey(std::string* out, const Schema* input) const;
 };
 
 /// Result value type of an aggregate over an input of type `input`.

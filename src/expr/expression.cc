@@ -187,84 +187,73 @@ std::string OrdinalName(int ordinal) {
   return "#" + std::to_string(ordinal);
 }
 
-std::string Expr::Fingerprint(const Schema* input,
-                              bool anonymize_columns) const {
+std::string Expr::Key(const Schema* input) const {
   std::string out;
-  AppendFingerprint(&out, input, anonymize_columns);
+  AppendKey(&out, input);
   return out;
 }
 
-void Expr::AppendFingerprint(std::string* out, const Schema* input,
-                             bool anonymize_columns) const {
-  // "(<op> <child> <child> ...)", single spaces between the parts.
-  auto op_and_children = [&](const char* op) {
-    *out += '(';
-    *out += op;
-    for (const auto& c : children_) {
-      *out += ' ';
-      c->AppendFingerprint(out, input, anonymize_columns);
-    }
-    *out += ')';
-  };
+void AppendColumnKey(const std::string& name, const Schema* input,
+                     std::string* out) {
+  if (input != nullptr) {
+    wire::PutU32(out, static_cast<uint32_t>(input->IndexOfChecked(name)));
+  } else {
+    wire::PutString(out, name);
+  }
+}
+
+void AppendTypedDatum(const Datum& d, std::string* out) {
+  out->push_back(static_cast<char>(d.index()));
+  if (const auto* b = std::get_if<bool>(&d)) {
+    out->push_back(*b ? 1 : 0);
+  } else if (const auto* i = std::get_if<int32_t>(&d)) {
+    wire::PutU32(out, static_cast<uint32_t>(*i));
+  } else if (const auto* l = std::get_if<int64_t>(&d)) {
+    wire::PutU64(out, static_cast<uint64_t>(*l));
+  } else if (const auto* v = std::get_if<double>(&d)) {
+    wire::PutDouble(out, *v);
+  } else if (const auto* s = std::get_if<std::string>(&d)) {
+    wire::PutString(out, *s);
+  }
+}
+
+void Expr::AppendKey(std::string* out, const Schema* input) const {
+  out->push_back(static_cast<char>(kind_));
   switch (kind_) {
-    case ExprKind::kColumnRef: {
-      if (anonymize_columns) {
-        *out += "c:?";
-        return;
-      }
-      *out += "c:";
-      *out += input != nullptr ? OrdinalName(input->IndexOfChecked(name_))
-                               : name_;
+    case ExprKind::kColumnRef:
+      AppendColumnKey(name_, input, out);
       return;
-    }
     case ExprKind::kLiteral:
-      *out += "l:";
-      AppendDatumKey(literal_, out);
+      AppendTypedDatum(literal_, out);
       return;
     case ExprKind::kParam:
-      *out += '$';
-      *out += name_;
+      wire::PutString(out, name_);
       return;
-    case ExprKind::kCompare: {
-      static const char* names[] = {"=", "!=", "<", "<=", ">", ">="};
-      return op_and_children(names[static_cast<int>(compare_op_)]);
-    }
-    case ExprKind::kLogical: {
-      static const char* names[] = {"and", "or", "not"};
-      return op_and_children(names[static_cast<int>(logical_op_)]);
-    }
-    case ExprKind::kArith: {
-      static const char* names[] = {"+", "-", "*", "/"};
-      return op_and_children(names[static_cast<int>(arith_op_)]);
-    }
+    case ExprKind::kCompare:
+      out->push_back(static_cast<char>(compare_op_));
+      break;
+    case ExprKind::kLogical:
+      out->push_back(static_cast<char>(logical_op_));
+      break;
+    case ExprKind::kArith:
+      out->push_back(static_cast<char>(arith_op_));
+      break;
+    case ExprKind::kLike:
+      out->push_back(static_cast<char>(like_kind_));
+      wire::PutString(out, name_);
+      break;
     case ExprKind::kFunc:
-      return op_and_children(name_.c_str());
+      wire::PutString(out, name_);
+      break;
+    case ExprKind::kInList:
+      wire::PutU32(out, static_cast<uint32_t>(in_values_.size()));
+      for (const Datum& v : in_values_) AppendTypedDatum(v, out);
+      break;
     case ExprKind::kCase:
-      return op_and_children("case");
-    case ExprKind::kInList: {
-      *out += "(in ";
-      children_[0]->AppendFingerprint(out, input, anonymize_columns);
-      for (const auto& v : in_values_) {
-        *out += ' ';
-        AppendDatumKey(v, out);
-      }
-      *out += ')';
-      return;
-    }
-    case ExprKind::kLike: {
-      static const char* names[] = {"contains", "prefix", "suffix",
-                                    "notcontains"};
-      *out += '(';
-      *out += names[static_cast<int>(like_kind_)];
-      *out += ' ';
-      children_[0]->AppendFingerprint(out, input, anonymize_columns);
-      *out += " '";
-      *out += name_;
-      *out += "')";
-      return;
-    }
+      break;
   }
-  RDB_UNREACHABLE("bad expr kind");
+  wire::PutU32(out, static_cast<uint32_t>(children_.size()));
+  for (const ExprPtr& c : children_) c->AppendKey(out, input);
 }
 
 ExprPtr Expr::Positional(const Schema& input) const {
@@ -664,32 +653,6 @@ ExprPtr AndAll(const std::vector<ExprPtr>& conjuncts) {
 
 namespace {
 
-// EncodeExprOrdinal's image, pre-order. Each node is its ExprKind byte
-// followed by:
-//   column ref  u32 ordinal
-//   literal     datum
-//   compare / logical / arith / like   u8 op, then (like) string pattern
-//   func        string name
-//   in-list     u32 count, datums
-// and then (every kind but column ref and literal) u32 child count and
-// the children. A datum is its variant index byte and the value: u8
-// bool, u32 int32, u64 int64, u64 double bits, or a string.
-
-void PutDatum(const Datum& d, std::string* out) {
-  out->push_back(static_cast<char>(d.index()));
-  if (const auto* b = std::get_if<bool>(&d)) {
-    out->push_back(*b ? 1 : 0);
-  } else if (const auto* i = std::get_if<int32_t>(&d)) {
-    wire::PutU32(out, static_cast<uint32_t>(*i));
-  } else if (const auto* l = std::get_if<int64_t>(&d)) {
-    wire::PutU64(out, static_cast<uint64_t>(*l));
-  } else if (const auto* v = std::get_if<double>(&d)) {
-    wire::PutDouble(out, *v);
-  } else if (const auto* s = std::get_if<std::string>(&d)) {
-    wire::PutString(out, *s);
-  }
-}
-
 bool GetDatum(wire::Cursor* c, Datum* d) {
   uint8_t index = 0;
   if (!c->GetU8(&index)) return false;
@@ -753,6 +716,10 @@ ExprPtr DecodeNode(wire::Cursor* c, const std::vector<std::string>& names,
     Datum d;
     return GetDatum(c, &d) ? Expr::Literal(std::move(d)) : nullptr;
   }
+  if (k == ExprKind::kParam) {
+    std::string name;
+    return c->GetString(&name) ? Expr::Param(std::move(name)) : nullptr;
+  }
   uint8_t op = 0;
   std::string text;
   std::vector<Datum> values;
@@ -778,7 +745,7 @@ ExprPtr DecodeNode(wire::Cursor* c, const std::vector<std::string>& names,
       break;
     }
     default:
-      return nullptr;  // kParam is never encoded
+      break;
   }
   uint32_t n = 0;
   if (!c->GetU32(&n) || n > c->remaining()) return nullptr;
@@ -826,55 +793,6 @@ ExprPtr DecodeNode(wire::Cursor* c, const std::vector<std::string>& names,
 }
 
 }  // namespace
-
-bool EncodeExprOrdinal(const Expr& e,
-                       const std::vector<std::string>& input_names,
-                       std::string* out) {
-  out->push_back(static_cast<char>(e.kind()));
-  switch (e.kind()) {
-    case ExprKind::kColumnRef: {
-      for (size_t i = 0; i < input_names.size(); ++i) {
-        if (input_names[i] == e.column_name()) {
-          wire::PutU32(out, static_cast<uint32_t>(i));
-          return true;
-        }
-      }
-      return false;
-    }
-    case ExprKind::kLiteral:
-      PutDatum(e.literal(), out);
-      return true;
-    case ExprKind::kParam:
-      return false;
-    case ExprKind::kCompare:
-      out->push_back(static_cast<char>(e.compare_op()));
-      break;
-    case ExprKind::kLogical:
-      out->push_back(static_cast<char>(e.logical_op()));
-      break;
-    case ExprKind::kArith:
-      out->push_back(static_cast<char>(e.arith_op()));
-      break;
-    case ExprKind::kLike:
-      out->push_back(static_cast<char>(e.like_kind()));
-      wire::PutString(out, e.like_pattern());
-      break;
-    case ExprKind::kFunc:
-      wire::PutString(out, e.func_name());
-      break;
-    case ExprKind::kInList:
-      wire::PutU32(out, static_cast<uint32_t>(e.in_values().size()));
-      for (const Datum& v : e.in_values()) PutDatum(v, out);
-      break;
-    case ExprKind::kCase:
-      break;
-  }
-  wire::PutU32(out, static_cast<uint32_t>(e.children().size()));
-  for (const ExprPtr& c : e.children()) {
-    if (!EncodeExprOrdinal(*c, input_names, out)) return false;
-  }
-  return true;
-}
 
 ExprPtr DecodeExprOrdinal(const std::string& bytes,
                           const std::vector<std::string>& input_names) {

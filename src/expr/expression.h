@@ -1,9 +1,10 @@
 // Scalar expression IR with a vectorized interpreter.
 //
-// Expressions are the parameters of Select/Project plan nodes; the recycler
-// matches them structurally via Fingerprint(), with each column reference
-// rendered as its ordinal in the input (see PlanNode::PositionalParams in
-// plan/plan.h and Recycler::MatchOne in recycler/recycler_match.cc).
+// Expressions are the parameters of Select/Project plan nodes. The
+// recycler compares them by key (Expr::AppendKey): an injective binary
+// image in which a column reference is its ordinal in the input it reads
+// (see PlanNode::AppendParamKey in plan/plan.h and Recycler::MatchOne in
+// recycler/recycler_match.cc). DecodeExprOrdinal reads such a key back.
 #pragma once
 
 #include <map>
@@ -114,17 +115,20 @@ class Expr : public std::enable_shared_from_this<Expr> {
   ExprPtr SubstituteParams(const ParamMap& params,
                            std::vector<std::string>* missing) const;
 
-  /// Canonical structural rendering. With `input`, each column reference
-  /// renders as its ordinal in `input` (OrdinalName), so the rendering
-  /// equals Positional(*input)'s; without, as written. Two expressions
-  /// are considered parameter-equal by the recycler iff their positional
-  /// fingerprints match. With `anonymize_columns` every column ref
-  /// renders as "c:?" — used for name-independent hash keys.
-  std::string Fingerprint(const Schema* input,
-                          bool anonymize_columns = false) const;
-  /// Fingerprint() appended to `out`.
-  void AppendFingerprint(std::string* out, const Schema* input,
-                         bool anonymize_columns = false) const;
+  /// Appends this tree's key to `out`, pre-order. Each node is its kind
+  /// byte, then: a column reference as its u32 ordinal in `input` (a
+  /// column `input` lacks RDB_CHECK-fails) or, without `input`, its
+  /// length-prefixed name; a literal as its typed datum
+  /// (AppendTypedDatum); a parameter as its length-prefixed name; an
+  /// operator as its op byte (a LIKE also its length-prefixed pattern, a
+  /// function its length-prefixed name, an IN list its value count and
+  /// typed values), then its child count and children. Two trees have
+  /// equal keys over one `input` iff they are structurally equal, and
+  /// `AppendKey(&in)` equals `Positional(in)`'s key over the ordinal-named
+  /// schema of `in`.
+  void AppendKey(std::string* out, const Schema* input) const;
+  /// AppendKey into a new string.
+  std::string Key(const Schema* input) const;
 
   /// Returns a copy with each column reference renamed to its ordinal in
   /// `input` (OrdinalName); RDB_CHECK-fails on a column `input` lacks.
@@ -135,8 +139,8 @@ class Expr : public std::enable_shared_from_this<Expr> {
   ExprPtr Rename(const NameMap& mapping) const;
 
   /// Human-readable infix rendering (columns bare, parameters as $name);
-  /// used by Plan::Explain and API error messages. Fingerprint() stays
-  /// the canonical matching form.
+  /// used by Plan::Explain and API error messages. AppendKey() stays the
+  /// canonical matching form.
   std::string DisplayString() const;
 
   // ---- evaluation -----------------------------------------------------
@@ -175,19 +179,21 @@ std::vector<ExprPtr> SplitConjuncts(const ExprPtr& pred);
 /// Rebuilds a conjunction from conjuncts (nullptr if empty).
 ExprPtr AndAll(const std::vector<ExprPtr>& conjuncts);
 
-/// Appends a restart-stable binary image of `e` to `out`: each column
-/// reference is stored as its ordinal in `input_names` and each literal
-/// as an exact datum (a double by its bit pattern, so -0.0 and every
-/// last bit survive). Returns false, leaving `out` in an unspecified
-/// state, when a column is not among `input_names` or the tree holds a
-/// parameter placeholder.
-bool EncodeExprOrdinal(const Expr& e,
-                       const std::vector<std::string>& input_names,
-                       std::string* out);
+/// Appends `d`'s typed image to `out`: its variant index byte, then the
+/// value (u8 bool, u32 int32, u64 int64, u64 double bits, or a
+/// length-prefixed string). Exact: -0.0 and 0.0, and 1 as int32, int64
+/// and double, all differ.
+void AppendTypedDatum(const Datum& d, std::string* out);
 
-/// Inverse of EncodeExprOrdinal: ordinal i reads back as a reference to
-/// `input_names[i]`. Returns nullptr on malformed bytes, trailing bytes
-/// or an ordinal outside `input_names`.
+/// Appends a column reference's key part: its u32 ordinal in `input`, or
+/// its length-prefixed name when `input` is null.
+void AppendColumnKey(const std::string& name, const Schema* input,
+                     std::string* out);
+
+/// Inverse of AppendKey over an input: ordinal i reads back as a
+/// reference to `input_names[i]`. Restart-stable, so the spill header
+/// keeps a Select's predicate in this form. Returns nullptr on malformed
+/// bytes, trailing bytes or an ordinal outside `input_names`.
 ExprPtr DecodeExprOrdinal(const std::string& bytes,
                           const std::vector<std::string>& input_names);
 

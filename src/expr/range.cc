@@ -91,7 +91,7 @@ std::vector<RangeSpec> ExtractRangeSpecs(const ExprPtr& pred,
     for (size_t i = 0; i < conjuncts.size(); ++i) {
       if (mine.count(i) > 0) continue;
       spec.others.push_back(conjuncts[i]);
-      spec.other_fps.insert(conjuncts[i]->Fingerprint(input));
+      spec.other_keys.insert(conjuncts[i]->Key(input));
     }
     out.push_back(std::move(spec));
   }

@@ -17,7 +17,7 @@ namespace recycledb {
 
 /// A selection predicate decomposed around one ranged column: the
 /// column's interval plus every remaining conjunct ("others", matched by
-/// fingerprint between cached slice and query).
+/// key between cached slice and query).
 struct RangeSpec {
   /// Ranged column name in the predicate's own name space.
   std::string column;
@@ -28,18 +28,18 @@ struct RangeSpec {
   ColumnInterval range;
   /// Non-range conjuncts, original expressions (predicate name space).
   std::vector<ExprPtr> others;
-  /// Fingerprints of `others` over the extraction input (positional).
-  std::set<std::string> other_fps;
+  /// Keys (Expr::AppendKey) of `others` over the extraction input.
+  std::set<std::string> other_keys;
 };
 
 /// Decomposes a selection predicate into one RangeSpec per column that
 /// carries at least one range conjunct (`col < lit`, `lit <= col`, ...).
 /// Every conjunct not contributing to a spec's column lands in that
 /// spec's `others` — including range conjuncts on *different* columns,
-/// which then must match by fingerprint like any other conjunct. Specs
+/// which then must match by key like any other conjunct. Specs
 /// whose interval is empty (contradictory predicate) are dropped.
 /// `input` (optional) is the schema the predicate reads: it resolves
-/// `ordinal` and renders `other_fps` positionally (Expr::Fingerprint).
+/// `ordinal` and keys `other_keys` by ordinal (Expr::AppendKey).
 std::vector<RangeSpec> ExtractRangeSpecs(const ExprPtr& pred,
                                          const Schema* input);
 

@@ -430,13 +430,13 @@ ExprPtr CanonicalizeLogicalChain(LogicalOp op, const ExprPtr& e) {
     }
     kept = std::move(rest);
   }
-  // Deduplicate, then order deterministically by structural fingerprint.
+  // Deduplicate, then order deterministically by key.
   std::vector<std::pair<std::string, ExprPtr>> keyed;
   for (const ExprPtr& p : kept) {
-    std::string fp = p->Fingerprint(nullptr);
+    std::string key = p->Key(nullptr);
     bool dup = false;
-    for (const auto& [k, q] : keyed) dup = dup || k == fp;
-    if (!dup) keyed.emplace_back(std::move(fp), p);
+    for (const auto& [k, q] : keyed) dup = dup || k == key;
+    if (!dup) keyed.emplace_back(std::move(key), p);
   }
   std::stable_sort(keyed.begin(), keyed.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -446,9 +446,9 @@ ExprPtr CanonicalizeLogicalChain(LogicalOp op, const ExprPtr& e) {
   for (auto& [k, p] : keyed) ordered.push_back(std::move(p));
   ExprPtr rebuilt = BuildLogicalChain(op, ordered);
   // Pointer stability: an already-canonical chain (same operands, same
-  // order, left-deep) rebuilds to an identical fingerprint — return the
-  // original so callers can detect "unchanged" by pointer.
-  if (rebuilt->Fingerprint(nullptr) == e->Fingerprint(nullptr)) return e;
+  // order, left-deep) rebuilds to an identical key — return the original
+  // so callers can detect "unchanged" by pointer.
+  if (rebuilt->Key(nullptr) == e->Key(nullptr)) return e;
   return rebuilt;
 }
 

@@ -1,5 +1,5 @@
 // Canonicalizing rewrite pass: syntactically different, semantically
-// equal plans normalize to one structural form so their fingerprints —
+// equal plans normalize to one structural form so their keys —
 // and therefore their recycler-graph nodes, cache entries and cold-tier
 // subtree keys — coincide.
 //
@@ -9,7 +9,7 @@
 //     division-by-zero-yields-0, numeric comparison through double)
 //   - comparison normalization: `5 < x` becomes `x > 5`
 //   - AND/OR flattening, conjunct deduplication and deterministic
-//     (fingerprint-sorted) ordering, TRUE/FALSE simplification
+//     (key-sorted) ordering, TRUE/FALSE simplification
 //   - per-column range-conjunct merging: `x > 1 AND x > 2` -> `x > 2`,
 //     `x >= 5 AND x <= 5` -> `x = 5`, contradictions -> FALSE
 //   - NOT elimination over comparisons (NULL-free engine)

@@ -1,13 +1,10 @@
 #include "plan/plan.h"
 
-#include <charconv>
-#include <sstream>
-
-#include "common/hash.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "expr/range.h"
 #include "plan/table_function.h"
+#include "storage/wire_format.h"
 
 namespace recycledb {
 
@@ -306,38 +303,7 @@ void PlanNode::Bind(const Catalog& catalog) {
   bound_generation_ = generation;
 }
 
-namespace {
-
-void AppendInt(int64_t v, std::string* out) {
-  char buf[24];
-  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
-}
-
-/// `name` as written, or its ordinal in `input` when given.
-void AppendColumn(const std::string& name, const Schema* input,
-                  std::string* out) {
-  *out += input != nullptr ? OrdinalName(input->IndexOfChecked(name)) : name;
-}
-
-}  // namespace
-
-std::string PlanNode::ParamFingerprint() const {
-  std::string out;
-  AppendParams(&out, /*positional=*/false);
-  return out;
-}
-
-void PlanNode::AppendParamFingerprint(std::string* out) const {
-  AppendParams(out, /*positional=*/false);
-}
-
-std::string PlanNode::PositionalFingerprint() const {
-  std::string out;
-  AppendParams(&out, /*positional=*/true);
-  return out;
-}
-
-void PlanNode::AppendParams(std::string* out, bool positional) const {
+void PlanNode::AppendParamKey(std::string* out, bool positional) const {
   // The schemas the parameters read: child 0's output, and for a join's
   // right keys child 1's.
   const Schema* in = nullptr;
@@ -346,160 +312,70 @@ void PlanNode::AppendParams(std::string* out, bool positional) const {
     in = &children_[0]->output_schema();
     if (children_.size() > 1) right = &children_[1]->output_schema();
   }
+  auto put_count = [out](size_t n) {
+    wire::PutU32(out, static_cast<uint32_t>(n));
+  };
   switch (type_) {
     case OpType::kScan:
-      *out += "scan:";
-      *out += table_;
-      *out += ":[";
-      for (size_t i = 0; i < columns_.size(); ++i) {
-        if (i > 0) *out += ',';
-        *out += columns_[i];
-      }
-      *out += ']';
-      if (has_scan_range()) {
-        *out += ":rows[";
-        AppendInt(scan_begin_, out);
-        *out += ',';
-        AppendInt(scan_end_, out);
-        *out += ')';
-      }
+      wire::PutString(out, table_);
+      put_count(columns_.size());
+      for (const auto& c : columns_) wire::PutString(out, c);
+      wire::PutU64(out, static_cast<uint64_t>(scan_begin_));
+      wire::PutU64(out, static_cast<uint64_t>(scan_end_));
       return;
     case OpType::kFunctionScan:
-      *out += "fscan:";
-      *out += table_;
-      *out += '(';
+      // A literal argument keys as the literal expression it came from,
+      // so a template whose arguments are all bound keys like the plain
+      // FunctionScan it becomes.
+      wire::PutString(out, table_);
       if (!arg_exprs_.empty()) {
-        for (size_t i = 0; i < arg_exprs_.size(); ++i) {
-          if (i > 0) *out += ',';
-          arg_exprs_[i]->AppendFingerprint(out, in);
-        }
+        put_count(arg_exprs_.size());
+        for (const auto& a : arg_exprs_) a->AppendKey(out, in);
       } else {
-        for (size_t i = 0; i < args_.size(); ++i) {
-          if (i > 0) *out += ',';
-          AppendDatumKey(args_[i], out);
+        put_count(args_.size());
+        for (const auto& a : args_) {
+          out->push_back(static_cast<char>(ExprKind::kLiteral));
+          AppendTypedDatum(a, out);
         }
       }
-      *out += ')';
       return;
     case OpType::kSelect:
-      *out += "select:";
-      predicate_->AppendFingerprint(out, in);
+      predicate_->AppendKey(out, in);
       return;
     case OpType::kProject:
-      *out += "project:[";
-      for (size_t i = 0; i < projections_.size(); ++i) {
-        if (i > 0) *out += ',';
-        projections_[i].expr->AppendFingerprint(out, in);
-      }
-      *out += ']';
+      put_count(projections_.size());
+      for (const auto& p : projections_) p.expr->AppendKey(out, in);
       return;
     case OpType::kAggregate:
-      *out += "agg:[";
-      for (size_t i = 0; i < group_by_.size(); ++i) {
-        if (i > 0) *out += ',';
-        AppendColumn(group_by_[i], in, out);
-      }
-      *out += "]:[";
-      for (size_t i = 0; i < aggregates_.size(); ++i) {
-        if (i > 0) *out += ',';
-        aggregates_[i].AppendFingerprint(out, in);
-      }
-      *out += ']';
+      put_count(group_by_.size());
+      for (const auto& g : group_by_) AppendColumnKey(g, in, out);
+      put_count(aggregates_.size());
+      for (const auto& a : aggregates_) a.AppendKey(out, in);
       return;
     case OpType::kHashJoin:
-      *out += "join:";
-      *out += JoinKindName(join_kind_);
-      *out += ":[";
-      for (size_t i = 0; i < left_keys_.size(); ++i) {
-        if (i > 0) *out += ',';
-        AppendColumn(left_keys_[i], in, out);
-      }
-      *out += "]=[";
-      for (size_t i = 0; i < right_keys_.size(); ++i) {
-        if (i > 0) *out += ',';
-        AppendColumn(right_keys_[i], right, out);
-      }
-      *out += ']';
+      out->push_back(static_cast<char>(join_kind_));
+      put_count(left_keys_.size());
+      for (const auto& k : left_keys_) AppendColumnKey(k, in, out);
+      put_count(right_keys_.size());
+      for (const auto& k : right_keys_) AppendColumnKey(k, right, out);
       return;
     case OpType::kOrderBy:
     case OpType::kTopN:
-      if (type_ == OpType::kTopN) {
-        *out += "topn:";
-        AppendInt(limit_, out);
-        *out += ":[";
-      } else {
-        *out += "sort:[";
+      wire::PutU64(out, static_cast<uint64_t>(limit_));
+      put_count(sort_keys_.size());
+      for (const auto& k : sort_keys_) {
+        AppendColumnKey(k.column, in, out);
+        out->push_back(k.ascending ? 1 : 0);
       }
-      for (size_t i = 0; i < sort_keys_.size(); ++i) {
-        if (i > 0) *out += ',';
-        AppendColumn(sort_keys_[i].column, in, out);
-        *out += sort_keys_[i].ascending ? '+' : '-';
-      }
-      *out += ']';
       return;
     case OpType::kLimit:
-      *out += "limit:";
-      AppendInt(limit_, out);
+      wire::PutU64(out, static_cast<uint64_t>(limit_));
       return;
     case OpType::kUnionAll:
-      *out += "union";
-      return;
     case OpType::kCachedScan:
-      *out += "cachedscan";
       return;
   }
   RDB_UNREACHABLE("bad op type");
-}
-
-uint64_t PlanNode::HashKey() const {
-  uint64_t h = HashMix(static_cast<uint64_t>(type_) + 1);
-  switch (type_) {
-    case OpType::kScan:
-      h = HashCombine(h, HashString(table_));
-      if (has_scan_range()) {
-        h = HashCombine(h, HashMix(static_cast<uint64_t>(scan_begin_) * 131 +
-                                   static_cast<uint64_t>(scan_end_ + 1)));
-      }
-      break;
-    case OpType::kFunctionScan: {
-      h = HashCombine(h, HashString(table_));
-      for (const auto& a : args_) {
-        h = HashCombine(h, HashString(DatumToKeyString(a)));
-      }
-      break;
-    }
-    case OpType::kSelect:
-      // Shape + literals, column names anonymized (they live in different
-      // name spaces on the query vs graph side).
-      h = HashCombine(h, HashString(predicate_->Fingerprint(nullptr, true)));
-      break;
-    case OpType::kProject:
-      h = HashCombine(h, HashMix(projections_.size()));
-      break;
-    case OpType::kAggregate: {
-      h = HashCombine(h, HashMix(group_by_.size()));
-      for (const auto& a : aggregates_) {
-        h = HashCombine(h, HashString(AggFuncName(a.fn)));
-      }
-      break;
-    }
-    case OpType::kHashJoin:
-      h = HashCombine(h, HashMix(static_cast<uint64_t>(join_kind_) * 31 +
-                                 left_keys_.size()));
-      break;
-    case OpType::kOrderBy:
-    case OpType::kTopN:
-      h = HashCombine(h, HashMix(sort_keys_.size() * 131 +
-                                 static_cast<uint64_t>(limit_)));
-      break;
-    case OpType::kLimit:
-      h = HashCombine(h, HashMix(static_cast<uint64_t>(limit_)));
-      break;
-    case OpType::kUnionAll:
-    case OpType::kCachedScan:
-      break;
-  }
-  return h;
 }
 
 bool PlanNode::HasParams() const {
@@ -558,22 +434,24 @@ PlanPtr PlanNode::SubstituteParams(const ParamMap& params,
   return p;
 }
 
-std::string PlanNode::TreeFingerprint() const {
+std::string PlanNode::TreeKey() const {
   std::string out;
-  AppendTreeFingerprint(&out);
+  AppendTreeKey(&out);
   return out;
 }
 
-void PlanNode::AppendTreeFingerprint(std::string* out) const {
-  AppendParamFingerprint(out);
-  if (!children_.empty()) {
-    *out += '(';
-    for (size_t i = 0; i < children_.size(); ++i) {
-      if (i > 0) *out += ';';
-      children_[i]->AppendTreeFingerprint(out);
-    }
-    *out += ')';
+void PlanNode::AppendTreeKey(std::string* out) const {
+  out->push_back(static_cast<char>(type_));
+  // The param key's length, patched in once the key is written.
+  const size_t at = out->size();
+  wire::PutU32(out, 0);
+  AppendParamKey(out, /*positional=*/false);
+  const uint32_t length = static_cast<uint32_t>(out->size() - at - 4);
+  for (int i = 0; i < 4; ++i) {
+    (*out)[at + i] = static_cast<char>(length >> (8 * i));
   }
+  wire::PutU32(out, static_cast<uint32_t>(children_.size()));
+  for (const auto& c : children_) c->AppendTreeKey(out);
 }
 
 PlanPtr PlanNode::CloneShallow() const {
@@ -632,16 +510,6 @@ PlanPtr PlanNode::PositionalParams() const {
   for (auto& k : p->right_keys_) to_ordinal(children_[1]->output_schema(), &k);
   for (auto& k : p->sort_keys_) to_ordinal(in, &k.column);
   return p;
-}
-
-std::string PlanNode::ToString(int indent) const {
-  std::ostringstream os;
-  os << std::string(indent * 2, ' ') << OpTypeName(type_) << " "
-     << ParamFingerprint();
-  if (bound_) os << " => " << output_schema_.ToString();
-  os << "\n";
-  for (const auto& c : children_) os << c->ToString(indent + 1);
-  return os.str();
 }
 
 namespace {
@@ -746,8 +614,8 @@ std::string PlanNode::Explain(int indent) const {
       if (as_of_rows_ >= 0) {
         line += StrFormat(" as-of=%lld", (long long)as_of_rows_);
       }
-      if (!cache_key_.empty()) {
-        line += " key=" + cache_key_;
+      if (cache_key_ != 0) {
+        line += StrFormat(" key=%016llx", (unsigned long long)cache_key_);
       }
       break;
   }

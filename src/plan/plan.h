@@ -128,16 +128,17 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
   int64_t limit() const { return limit_; }
   const TablePtr& cached_result() const { return cached_; }
 
-  /// Recycler-cache identity of a kCachedScan: the canonical subtree key
-  /// of the graph node whose result this scan reads (also the cold-tier
-  /// spill key). Display-only — excluded from fingerprints — and printed
-  /// by Explain so reuse decisions are attributable to cache entries.
-  const std::string& cache_key() const { return cache_key_; }
-  void set_cache_key(std::string key) { cache_key_ = std::move(key); }
+  /// Recycler-cache identity of a kCachedScan: the 64-bit hash of the
+  /// canonical subtree key of the graph node whose result this scan reads
+  /// (the key is also the cold-tier spill key); 0 = none. Display-only —
+  /// excluded from keys — and printed by Explain as 16 hex digits so
+  /// reuse decisions are attributable to cache entries.
+  uint64_t cache_key() const { return cache_key_; }
+  void set_cache_key(uint64_t key) { cache_key_ = key; }
 
   /// Append high-water mark the result behind a kCachedScan was computed
   /// at (result-as-of-row-N, delta maintenance). Display-only — excluded
-  /// from fingerprints — and printed by Explain; -1 means unstamped.
+  /// from keys — and printed by Explain; -1 means unstamped.
   int64_t as_of_rows() const { return as_of_rows_; }
   void set_as_of_rows(int64_t rows) { as_of_rows_ = rows; }
 
@@ -181,12 +182,13 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
   PlanPtr SubstituteParams(const ParamMap& params,
                            std::vector<std::string>* missing);
 
-  /// Canonical fingerprint of a (possibly parameterized) template:
-  /// parameters render as $name, so every binding of one template yields
-  /// the same fingerprint. PreparedStatement hashes this once at Prepare;
-  /// the hash rides on bound plans (template_hash) and lets the recycler
-  /// attribute reuse to the template cheaply.
-  std::string TemplateFingerprint() const { return TreeFingerprint(); }
+  /// Canonical key of a (possibly parameterized) template, as opaque
+  /// bytes: the TreeKey, in which a parameter is its name, so every
+  /// binding of one template yields the same key. PreparedStatement
+  /// hashes this once at Prepare; the hash rides on bound plans
+  /// (template_hash) and lets the recycler attribute reuse to the
+  /// template cheaply.
+  std::string TemplateFingerprint() const { return TreeKey(); }
 
   /// Template identity tag (0 = none). Set on bound plans produced from a
   /// PreparedStatement; propagated by CloneShallow/WithChildren, read by
@@ -194,30 +196,26 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
   uint64_t template_hash() const { return template_hash_; }
   void set_template_hash(uint64_t h) { template_hash_ = h; }
 
-  // ---- recycler support ---------------------------------------------------
-  /// Fingerprint of this node's *parameters only* (not children), with
-  /// column names as written.
-  std::string ParamFingerprint() const;
-  /// ParamFingerprint() appended to `out`, without a string per node.
-  void AppendParamFingerprint(std::string* out) const;
+  // ---- keys ---------------------------------------------------------------
+  /// Appends the key of this node's parameters — not its type, not its
+  /// children — to `out`. Strings are length-prefixed, lists counted,
+  /// literals typed (Expr::AppendKey), so the key is injective for one
+  /// op type. With `positional`, each column reference is its ordinal in
+  /// the output of the child it reads (a join's right keys: child 1's),
+  /// which requires bound children; a leaf names only base columns, so
+  /// its key is the same either way. Without, each column is its name.
+  /// Two nodes with equal type, equal positional param keys and
+  /// exactly-matching children are bisimilar (the paper's exact match),
+  /// and a graph node's positional param key is its identity.
+  void AppendParamKey(std::string* out, bool positional) const;
 
-  /// Fingerprint of PositionalParams(), computed without building it: each
-  /// column reference renders as its ordinal in the output of the child it
-  /// reads. Two nodes with equal op type, equal positional fingerprints
-  /// and exactly-matching children are bisimilar (the paper's exact
-  /// match). Requires bound children.
-  std::string PositionalFingerprint() const;
-
-  /// Hash key for candidate lookup: cheap characteristics that must match
-  /// exactly (op type + shallow parameters). Collisions are resolved by
-  /// PositionalFingerprint comparison.
-  uint64_t HashKey() const;
-
-  /// Full-subtree structural fingerprint (names as written); used by tests
-  /// and by the keep-all baseline's direct result matching.
-  std::string TreeFingerprint() const;
-  /// TreeFingerprint() appended to `out`.
-  void AppendTreeFingerprint(std::string* out) const;
+  /// Named key of the whole subtree, pre-order: per node its type byte,
+  /// its length-prefixed named param key and its child count. The
+  /// template fingerprint, QueryTrace::plan_fingerprint's input, and the
+  /// prefix of Recycler::ExactHitKey.
+  void AppendTreeKey(std::string* out) const;
+  /// AppendTreeKey into a new string.
+  std::string TreeKey() const;
 
   /// Shallow copy (children shared). Clears binding on the copy.
   PlanPtr CloneShallow() const;
@@ -248,9 +246,6 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
   /// that no query's names appear in. Requires bound children.
   PlanPtr PositionalParams() const;
 
-  /// Pretty multi-line plan rendering.
-  std::string ToString(int indent = 0) const;
-
   /// Human-readable indented operator tree with parameters ($name for
   /// unbound placeholders). Used by Query::Explain / Statement::Explain
   /// and by API error messages.
@@ -258,9 +253,6 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
 
  private:
   PlanNode() = default;
-
-  /// ParamFingerprint (`positional` false) or PositionalFingerprint.
-  void AppendParams(std::string* out, bool positional) const;
 
   OpType type_ = OpType::kScan;
   std::vector<PlanPtr> children_;
@@ -282,7 +274,7 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
   std::vector<SortKey> sort_keys_;
   int64_t limit_ = 0;
   TablePtr cached_;
-  std::string cache_key_;  // kCachedScan provenance (display-only)
+  uint64_t cache_key_ = 0;  // kCachedScan provenance (display-only)
 
   bool bound_ = false;
   uint64_t bound_generation_ = 0;  // Catalog::schema_generation at Bind

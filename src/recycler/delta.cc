@@ -10,13 +10,14 @@ namespace recycledb {
 
 namespace {
 
-/// Index of the aggregate `fn(arg_fp)` in `items` (-1 if absent).
-/// Fingerprints are taken as written: both sides live in the same name
-/// space (the query plan's, or a param_node's positional one).
+/// Index of the aggregate `fn` whose argument keys as `arg_key` in
+/// `items` (-1 if absent). Keys name columns as written: both sides live
+/// in the same name space (the query plan's, or a param_node's
+/// positional one).
 int FindAgg(const std::vector<AggItem>& items, AggFunc fn,
-            const std::string& arg_fp) {
+            const std::string& arg_key) {
   for (size_t i = 0; i < items.size(); ++i) {
-    if (items[i].fn == fn && items[i].arg->Fingerprint(nullptr) == arg_fp) {
+    if (items[i].fn == fn && items[i].arg->Key(nullptr) == arg_key) {
       return static_cast<int>(i);
     }
   }
@@ -39,9 +40,9 @@ bool AggListEligible(const std::vector<std::string>& group_by,
         if (group_by.empty()) return false;
         break;
       case AggFunc::kAvg: {
-        std::string fp = item.arg->Fingerprint(nullptr);
-        if (FindAgg(items, AggFunc::kSum, fp) < 0 ||
-            FindAgg(items, AggFunc::kCount, fp) < 0) {
+        const std::string key = item.arg->Key(nullptr);
+        if (FindAgg(items, AggFunc::kSum, key) < 0 ||
+            FindAgg(items, AggFunc::kCount, key) < 0) {
           return false;
         }
         break;
@@ -204,9 +205,9 @@ PlanPtr BuildAggMerge(const PlanNode& plan, TablePtr cached,
       proj.push_back({Expr::Column(temp[i]), items[i].out_name});
       continue;
     }
-    std::string fp = items[i].arg->Fingerprint(nullptr);
-    int js = FindAgg(items, AggFunc::kSum, fp);
-    int jc = FindAgg(items, AggFunc::kCount, fp);
+    const std::string key = items[i].arg->Key(nullptr);
+    int js = FindAgg(items, AggFunc::kSum, key);
+    int jc = FindAgg(items, AggFunc::kCount, key);
     RDB_CHECK_MSG(js >= 0 && jc >= 0, "avg without sum/count partials");
     proj.push_back(
         {Expr::Arith(ArithOp::kDiv,

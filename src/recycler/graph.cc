@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hash.h"
+
 namespace recycledb {
 
 Schema PositionalInput(const RGNode& child) {
@@ -12,6 +14,10 @@ Schema PositionalInput(const RGNode& child) {
     fields.push_back({OrdinalName(static_cast<int>(i)), child.output_types[i]});
   }
   return Schema(std::move(fields));
+}
+
+uint64_t NodeKeyHash(OpType type, std::string_view param_key) {
+  return HashString(param_key, HashMix(static_cast<uint64_t>(type) + 1));
 }
 
 double RecyclerGraph::AgedH(const RGNode* node) const {
@@ -39,29 +45,16 @@ void RecyclerGraph::FoldAging(RGNode* node) {
   }
 }
 
-std::vector<RGNode*> RecyclerGraph::LeafCandidates(const std::string& leaf_key,
-                                                   uint64_t hash_key) const {
-  std::vector<RGNode*> out;
-  auto range = leaf_index_.equal_range(leaf_key);
-  for (auto it = range.first; it != range.second; ++it) {
-    if (it->second->hash_key == hash_key) out.push_back(it->second);
-  }
-  return out;
-}
-
-RGNode* RecyclerGraph::AddNode(std::unique_ptr<RGNode> node,
-                               const std::string& leaf_key) {
+RGNode* RecyclerGraph::AddNode(std::unique_ptr<RGNode> node) {
   RGNode* raw = node.get();
-  raw->leaf_key = leaf_key;
   raw->last_access_epoch = epoch_.load();
   nodes_.push_back(std::move(node));
   num_nodes_.store(static_cast<int64_t>(nodes_.size()));
+  const uint64_t h = NodeKeyHash(raw->type, raw->param_key);
   if (raw->children.empty()) {
-    leaf_index_.emplace(leaf_key, raw);
+    leaf_index_.emplace(h, raw);
   } else {
-    for (RGNode* child : raw->children) {
-      child->parents.emplace(raw->hash_key, raw);
-    }
+    for (RGNode* child : raw->children) child->parents.emplace(h, raw);
   }
   return raw;
 }
@@ -82,9 +75,10 @@ int64_t RecyclerGraph::Truncate(int64_t idle_epochs) {
     }
     if (victims.empty()) break;
     for (RGNode* v : victims) {
+      const uint64_t h = NodeKeyHash(v->type, v->param_key);
       // Unlink from children's parent indexes.
       for (RGNode* child : v->children) {
-        auto range = child->parents.equal_range(v->hash_key);
+        auto range = child->parents.equal_range(h);
         for (auto it = range.first; it != range.second;) {
           it = it->second == v ? child->parents.erase(it) : std::next(it);
         }
@@ -96,7 +90,7 @@ int64_t RecyclerGraph::Truncate(int64_t idle_epochs) {
       }
       // Unregister from the leaf index.
       if (v->children.empty()) {
-        auto range = leaf_index_.equal_range(v->leaf_key);
+        auto range = leaf_index_.equal_range(h);
         for (auto it = range.first; it != range.second;) {
           it = it->second == v ? leaf_index_.erase(it) : std::next(it);
         }

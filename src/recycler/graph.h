@@ -12,6 +12,7 @@
 #include <set>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -68,7 +69,7 @@ struct TableStamp {
 /// Only scan leaves carry names, their base table's, which are stable.
 ///
 /// Field guards (see the class comment below for the full discipline):
-///  - identity fields (id..base_tables, leaf_key) are immutable once the
+///  - identity fields (id..base_tables) are immutable once the
 ///    node is published under the exclusive graph lock; shared-lock
 ///    readers may touch them freely.
 ///  - `parents` and `subsumes` are structure: mutated only under the
@@ -92,14 +93,14 @@ struct RGNode {
   int64_t id = 0;
   OpType type = OpType::kScan;
 
-  /// Positional parameter fingerprint (exact-match identity together with
-  /// `type` and `children`): param_node's ParamFingerprint.
-  std::string param_fp;
-  uint64_t hash_key = 0;
+  /// Positional parameter key (exact-match identity together with `type`
+  /// and `children`): the defining plan node's AppendParamKey with
+  /// `positional` set, so it names no query's columns.
+  std::string param_key;
 
   std::vector<RGNode*> children;
   /// Parent hash index (the paper's "small hash-indexes attached to each
-  /// node"): hash_key -> parent node.
+  /// node"): NodeKeyHash(type, param_key) -> parent node.
   std::unordered_multimap<uint64_t, RGNode*> parents;
 
   /// The defining plan node's PositionalParams: a childless copy with
@@ -107,10 +108,11 @@ struct RGNode {
   /// parameters (predicates, group-by lists, aggregate items...)
   /// inspectable for subsumption and rewrites.
   PlanPtr param_node;
-  /// Select nodes only: the fingerprints of param_node's conjuncts, taken
-  /// once at insert so derived-reuse lookups can rule a candidate out
-  /// without rebuilding fingerprint strings (MaySubsume, subsumption.h).
-  std::set<std::string> conjunct_fps;
+  /// Select nodes only: the keys of param_node's conjuncts over the
+  /// child's output (ConjunctKeys), taken once at insert so derived-reuse
+  /// lookups can rule a candidate out without re-encoding them
+  /// (MaySubsume, subsumption.h).
+  std::set<std::string> conjunct_keys;
   /// Single-child Select nodes only: the range decomposition of
   /// param_node's predicate (ExtractRangeSpecs over PositionalInput of
   /// the child, so each spec's ordinal is set), filled once
@@ -150,11 +152,8 @@ struct RGNode {
   /// truncation: §II "removing subtrees that have not been accessed for
   /// some time").
   std::atomic<int64_t> last_access_epoch{0};
-  /// Leaf-index key (empty for non-leaves); needed to unregister on
-  /// truncation.
-  std::string leaf_key;
   /// Memo of Recycler::CanonicalSubtreeKey, filled on first use. The key
-  /// reads only types, param_fp and children, which never change after
+  /// reads only types, param_key and children, which never change after
   /// insertion.
   std::once_flag canonical_key_once;
   std::string canonical_key;
@@ -183,8 +182,15 @@ struct RGNode {
 };
 
 /// The input a node's positional parameters read, as a schema: `child`'s
-/// output types under their ordinal names (OrdinalName).
+/// output types under their ordinal names (OrdinalName). A graph node's
+/// stored parameters key over it exactly as the query node they came
+/// from keys over its child's output.
 Schema PositionalInput(const RGNode& child);
+
+/// The graph's index hash of a node: its op type and positional param
+/// key. Both the leaf index and the parent indexes are keyed by it; a
+/// collision is resolved by comparing the key bytes.
+uint64_t NodeKeyHash(OpType type, std::string_view param_key);
 
 /// Statistics snapshot of the graph (diagnostics & Fig. 10 bench).
 struct GraphStats {
@@ -255,14 +261,15 @@ class RecyclerGraph {
   /// acceptable imprecision in a decay heuristic).
   void FoldAging(RGNode* node);
 
-  /// Leaf candidates for a scan/function-scan keyed by fingerprintable
-  /// identity (table name / function+args). Caller holds a lock.
-  std::vector<RGNode*> LeafCandidates(const std::string& leaf_key,
-                                      uint64_t hash_key) const;
+  /// Leaves whose NodeKeyHash is `key_hash`. Caller holds a lock.
+  auto Leaves(uint64_t key_hash) const {
+    return leaf_index_.equal_range(key_hash);
+  }
 
-  /// Allocates a node (exclusive lock held by caller) and registers it in
-  /// the leaf index when it has no children.
-  RGNode* AddNode(std::unique_ptr<RGNode> node, const std::string& leaf_key);
+  /// Allocates a node (exclusive lock held by caller) and registers it
+  /// under its NodeKeyHash: in the leaf index when it has no children,
+  /// else in each child's parent index.
+  RGNode* AddNode(std::unique_ptr<RGNode> node);
 
   /// Next node id (exclusive lock held by caller).
   int64_t NextId() { return next_id_++; }
@@ -293,8 +300,8 @@ class RecyclerGraph {
   /// nodes_.size(), kept in step under the exclusive lock.
   std::atomic<int64_t> num_nodes_{0};
   /// Global leaf hash table (the paper's "global hash table for
-  /// efficiently matching table scans"): leaf key -> nodes.
-  std::unordered_multimap<std::string, RGNode*> leaf_index_;
+  /// efficiently matching table scans"): NodeKeyHash -> nodes.
+  std::unordered_multimap<uint64_t, RGNode*> leaf_index_;
 
   std::atomic<int64_t> epoch_{0};
   int64_t next_id_ = 1;

@@ -88,7 +88,7 @@ void IntervalIndex::Overlapping(int64_t child_id, const RangeSpec& query,
     // query's upper end, every later entry does too.
     if (!q.hi.unbounded && IntervalEmpty({e.spec->range.lo, q.hi})) break;
     if (!Overlaps(e.spec->range, q)) continue;
-    if (!ConjunctsImplied(e.spec->other_fps, query.other_fps)) continue;
+    if (!ConjunctsImplied(e.spec->other_keys, query.other_keys)) continue;
     out->push_back(e);
   }
 }

@@ -308,11 +308,11 @@ std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan,
   plan->Bind(*catalog_);
   // Identity of the statement as submitted (post-canonicalization,
   // pre-rewrite): trace/golden tooling keys replay diffs on this. The
-  // plan's key already holds its fingerprint.
+  // plan's exact-hit key already holds its tree key.
   prepared->trace_.plan_fingerprint =
-      key.text.empty() ? HashString(plan->TreeFingerprint())
+      key.text.empty() ? HashString(plan->TreeKey())
                        : HashString(std::string_view(key.text).substr(
-                             0, key.fingerprint_size));
+                             0, key.tree_key_size));
 
   // Pin one consistent as-of snapshot of every base table for this
   // query (pinned in every mode: scans must not see rows appended

@@ -154,7 +154,7 @@ struct QueryTrace : QueryCounts {
   /// The chosen reuse mode, set uniformly by Recycler::Execute from the
   /// counters (bypass-recycler traces stay kNone).
   ReuseMode reuse_mode = ReuseMode::kNone;
-  /// Fingerprint of the plan as executed (post-canonicalization,
+  /// Hash of the TreeKey of the plan as executed (post-canonicalization,
   /// PRE-rewrite): restart-stable identity of "the same statement".
   uint64_t plan_fingerprint = 0;
   /// Explain text of the POST-rewrite plan (CachedScans, stitched
@@ -174,12 +174,12 @@ struct TemplateStats : QueryCounts {
 class Recycler;
 
 /// A statement's exact-hit index key (see Recycler::ProbeExactHit): its
-/// TreeFingerprint followed by every name the plan introduces, computed
-/// from the plan as submitted — unbound and unvalidated is fine.
+/// TreeKey followed by every name the plan introduces, computed from the
+/// plan as submitted — unbound and unvalidated is fine.
 struct StatementKey {
   std::string text;
-  /// Length of the TreeFingerprint prefix of `text`.
-  size_t fingerprint_size = 0;
+  /// Length of the TreeKey prefix of `text`.
+  size_t tree_key_size = 0;
 };
 
 /// A query prepared for execution: the (possibly rewritten) plan plus the
@@ -237,6 +237,10 @@ struct PreparedQuery::MNode {
   const PlanNode* plan = nullptr;
   PlanPtr plan_ref;
   RGNode* gnode = nullptr;
+  /// The node's positional param key (PlanNode::AppendParamKey), taken
+  /// once by MatchTree for both of the node's MatchOne calls and its
+  /// InsertOne; empty on an exact-hit index hit, which matches nothing.
+  std::string param_key;
   bool inserted = false;   // inserted into the graph by this invocation
   bool replaced = false;   // subtree replaced by a cached result
   /// Subtree replaced by a stitched partial-reuse plan: the node's result
@@ -286,13 +290,13 @@ class Recycler {
   std::unique_ptr<PreparedQuery> ProbeExactHit(const PlanPtr& query_plan,
                                                StatementKey* key);
 
-  /// Exact-hit index key of a plan, bound or not, built in one walk: its
-  /// TreeFingerprint plus every name its Projects and Aggregates
-  /// introduce. The fingerprint leaves introduced names out, yet they
-  /// decide which column a later name reads: `a AS x, b AS y` and `a AS
-  /// y, b AS x` fingerprint alike under the same parent predicate on `x`.
-  /// A FunctionScan's output names follow from its function and
-  /// arguments, which the fingerprint holds.
+  /// Exact-hit index key of a plan, bound or not: its TreeKey, then the
+  /// count of the names its Projects and Aggregates introduce and each
+  /// name length-prefixed, pre-order. The tree key leaves introduced
+  /// names out, yet they decide which column a later name reads: `a AS
+  /// x, b AS y` and `a AS y, b AS x` key alike under the same parent
+  /// predicate on `x`. A FunctionScan's output names follow from its
+  /// function and arguments, which the tree key holds.
   static StatementKey ExactHitKey(const PlanNode& plan);
 
   /// ProbeExactHit keyed on `query_plan`, then on a miss the full path.
@@ -303,7 +307,7 @@ class Recycler {
   /// operators. The input plan is not modified. Binds both input and
   /// output plans. Does not probe the exact-hit index. `key` must be
   /// ExactHitKey(*query_plan) (ProbeExactHit's on this plan), or empty:
-  /// its fingerprint prefix is hashed for the trace, and it is registered
+  /// its tree-key prefix is hashed for the trace, and it is registered
   /// at completion when the root is hot. `alias`, when not empty, is the
   /// key of the spelling the statement was submitted in, where that
   /// differs from `query_plan` (a non-canonical spelling); it is
@@ -371,11 +375,11 @@ class Recycler {
   /// be called while holding engine locks.
   Status RefreshFleet(int64_t* new_peer_entries = nullptr);
 
-  /// Canonical, restart-stable fingerprint of the graph subtree rooted
-  /// at `node`: pre-order `type{param_fp}(children)`. Parameter
-  /// fingerprints are positional and scan leaves name base-table
-  /// columns, so the same logical subtree produces the same key in every
-  /// process. Cold-tier identity.
+  /// Canonical, restart-stable key of the graph subtree rooted at
+  /// `node`, pre-order: per node its type byte, its length-prefixed
+  /// param_key and its child count. Parameter keys are positional and
+  /// scan leaves name base-table columns, so the same logical subtree
+  /// produces the same key in every process. Cold-tier identity.
   /// Computed once per node. Caller holds at least the shared lock on
   /// graph().mutex(), which keeps the returned reference valid.
   const std::string& CanonicalSubtreeKey(RGNode* node) const;
@@ -428,12 +432,15 @@ class Recycler {
   // --- matching & insertion (§III-A/B), recycler_match.cc -------------
   std::unique_ptr<MNode> MatchTree(const PlanPtr& plan);
   void InsertMissing(MNode* m, PreparedQuery* prepared);
-  /// The graph node `node` exactly matches over its matched children
-  /// `child_g`: same type, same children, equal positional fingerprint.
-  RGNode* MatchOne(const PlanNode& node,
+  /// The graph node a query node of `type` with positional param key
+  /// `param_key` exactly matches over its matched children `child_g`:
+  /// same type, same children, equal key.
+  RGNode* MatchOne(OpType type, const std::string& param_key,
                    const std::vector<RGNode*>& child_g) const;
-  RGNode* InsertOne(const PlanNode& node, const std::vector<RGNode*>& child_g);
-  static std::string LeafKey(const PlanNode& node);
+  /// Inserts `node`, whose positional param key is `param_key`, over
+  /// `child_g` (exclusive lock held).
+  RGNode* InsertOne(const PlanNode& node, const std::string& param_key,
+                    const std::vector<RGNode*>& child_g);
   /// Computed results only: a base-table scan's data is already resident.
   static bool CacheableType(OpType type);
 

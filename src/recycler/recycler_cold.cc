@@ -7,26 +7,21 @@
 
 #include "recycler/recycler.h"
 #include "recycler/subsumption.h"
+#include "storage/wire_format.h"
 
 namespace recycledb {
 
 namespace {
 
-/// Pre-order `type{param_fp}(children)`. Every column a non-leaf reads is
-/// an ordinal of its child's output and a leaf names only base-table
-/// columns, so the key is stable across restarts as it stands.
+/// Pre-order: type byte, length-prefixed param_key, child count. Every
+/// column a non-leaf reads is an ordinal of its child's output and a leaf
+/// names only base-table columns, so the key is stable across restarts
+/// as it stands.
 void AppendCanonicalSubtreeKey(const RGNode* n, std::string* out) {
-  *out += std::to_string(static_cast<int>(n->type));
-  *out += '{';
-  *out += n->param_fp;
-  *out += '}';
-  if (n->children.empty()) return;
-  *out += '(';
-  for (size_t i = 0; i < n->children.size(); ++i) {
-    if (i > 0) *out += ';';
-    AppendCanonicalSubtreeKey(n->children[i], out);
-  }
-  *out += ')';
+  out->push_back(static_cast<char>(n->type));
+  wire::PutString(out, n->param_key);
+  wire::PutU32(out, static_cast<uint32_t>(n->children.size()));
+  for (const RGNode* c : n->children) AppendCanonicalSubtreeKey(c, out);
 }
 
 }  // namespace
@@ -66,16 +61,11 @@ bool Recycler::MaybeSpill(RGNode* node) {
     meta.table_versions.emplace_back(t, stamp.rows);
   }
   // Select descriptor: a restarted process rebuilds this node from the
-  // header once a derived-reuse lookup reaches the child.
+  // header once a derived-reuse lookup reaches the child. A Select's
+  // param key is its predicate's key over the child's output.
   if (node->type == OpType::kSelect && node->children.size() == 1) {
-    RGNode* child = node->children[0];
-    if (EncodeExprOrdinal(*node->param_node->predicate(),
-                          PositionalInput(*child).Names(),
-                          &meta.select_predicate)) {
-      meta.select_child_key = CanonicalSubtreeKey(child);
-    } else {
-      meta.select_predicate.clear();
-    }
+    meta.select_child_key = CanonicalSubtreeKey(node->children[0]);
+    meta.select_predicate = node->param_key;
   }
 
   // The file write happens on the tier's worker, off the cache mutex
@@ -289,8 +279,8 @@ RGNode* Recycler::RebuildOrphanSlice(RGNode* child, const SpillFileMeta& meta) {
   // A Select passes its child's columns through; other types never
   // adopt (TryAdoptOrphan would drop the file).
   if (meta.column_types != child->output_types) return nullptr;
-  ExprPtr pred = DecodeExprOrdinal(meta.select_predicate,
-                                   PositionalInput(*child).Names());
+  const Schema input = PositionalInput(*child);
+  ExprPtr pred = DecodeExprOrdinal(meta.select_predicate, input.Names());
   if (pred == nullptr) {
     counters_.cold_orphan_key_mismatches.fetch_add(1);
     return nullptr;
@@ -301,9 +291,8 @@ RGNode* Recycler::RebuildOrphanSlice(RGNode* child, const SpillFileMeta& meta) {
   node->param_node = PlanNode::Select(nullptr, pred)->WithChildren({});
   node->id = graph_.NextId();
   node->type = OpType::kSelect;
-  node->hash_key = node->param_node->HashKey();
-  node->param_fp = node->param_node->ParamFingerprint();
-  node->conjunct_fps = ConjunctFingerprints(pred, nullptr);
+  node->param_key = pred->Key(&input);
+  node->conjunct_keys = ConjunctKeys(pred, &input);
   node->children = {child};
   node->base_tables = child->base_tables;
   node->h_epoch = graph_.epoch();
@@ -315,7 +304,7 @@ RGNode* Recycler::RebuildOrphanSlice(RGNode* child, const SpillFileMeta& meta) {
     return nullptr;
   }
   counters_.cold_orphans_rebuilt.fetch_add(1);
-  return graph_.AddNode(std::move(node), "");
+  return graph_.AddNode(std::move(node));
 }
 
 }  // namespace recycledb

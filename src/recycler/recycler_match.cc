@@ -6,57 +6,44 @@
 #include "common/stopwatch.h"
 #include "recycler/recycler.h"
 #include "recycler/subsumption.h"
+#include "storage/wire_format.h"
 
 namespace recycledb {
 
-std::string Recycler::LeafKey(const PlanNode& node) {
-  if (node.type() == OpType::kScan) return "t:" + node.table_name();
-  if (node.type() == OpType::kFunctionScan) {
-    return "f:" + node.ParamFingerprint();
-  }
-  return "";
-}
-
-RGNode* Recycler::MatchOne(const PlanNode& node,
+RGNode* Recycler::MatchOne(OpType type, const std::string& param_key,
                            const std::vector<RGNode*>& child_g) const {
-  // The positional fingerprint, taken at the first candidate that gets
-  // as far as comparing it.
-  std::string fp;
-  auto same_params = [&](const RGNode* cand) {
-    if (fp.empty()) fp = node.PositionalFingerprint();
-    return cand->param_fp == fp;
+  const uint64_t h = NodeKeyHash(type, param_key);
+  auto same = [&](const RGNode* cand) {
+    return cand->type == type && cand->param_key == param_key;
   };
   if (child_g.empty()) {
     // Leaf: probe the global leaf hash table (Algorithm 1 lines 1-5).
-    for (RGNode* cand : graph_.LeafCandidates(LeafKey(node), node.HashKey())) {
-      if (cand->type == node.type() && same_params(cand)) return cand;
+    auto [begin, end] = graph_.Leaves(h);
+    for (auto it = begin; it != end; ++it) {
+      if (same(it->second)) return it->second;
     }
     return nullptr;
   }
   // Non-leaf: candidates are the parents of the first matched child
-  // (Algorithm 1 lines 8-13), pre-filtered by hash key.
-  auto range = child_g[0]->parents.equal_range(node.HashKey());
-  for (auto it = range.first; it != range.second; ++it) {
+  // (Algorithm 1 lines 8-13) under the same hash.
+  auto [begin, end] = child_g[0]->parents.equal_range(h);
+  for (auto it = begin; it != end; ++it) {
     RGNode* cand = it->second;
-    if (cand->type == node.type() && cand->children == child_g &&
-        same_params(cand)) {
-      return cand;
-    }
+    if (cand->children == child_g && same(cand)) return cand;
   }
   return nullptr;
 }
 
-RGNode* Recycler::InsertOne(const PlanNode& node,
+RGNode* Recycler::InsertOne(const PlanNode& node, const std::string& param_key,
                             const std::vector<RGNode*>& child_g) {
   auto gnode = std::make_unique<RGNode>();
   gnode->id = graph_.NextId();
   gnode->type = node.type();
-  gnode->hash_key = node.HashKey();
+  gnode->param_key = param_key;
   gnode->param_node = node.PositionalParams();
-  gnode->param_fp = gnode->param_node->ParamFingerprint();
   if (gnode->type == OpType::kSelect) {
-    gnode->conjunct_fps =
-        ConjunctFingerprints(gnode->param_node->predicate(), nullptr);
+    gnode->conjunct_keys =
+        ConjunctKeys(node.predicate(), &node.child()->output_schema());
   }
   gnode->children = child_g;
   gnode->base_tables = node.base_tables();
@@ -64,7 +51,7 @@ RGNode* Recycler::InsertOne(const PlanNode& node,
   for (const Field& f : node.output_schema().fields()) {
     gnode->output_types.push_back(f.type);
   }
-  return graph_.AddNode(std::move(gnode), LeafKey(node));
+  return graph_.AddNode(std::move(gnode));
 }
 
 std::unique_ptr<Recycler::MNode> Recycler::MatchTree(const PlanPtr& plan) {
@@ -86,7 +73,10 @@ std::unique_ptr<Recycler::MNode> Recycler::MatchTree(const PlanPtr& plan) {
         }
         m->children.push_back(std::move(cm));
       }
-      if (all_matched) m->gnode = self->MatchOne(*p, child_g);
+      p->AppendParamKey(&m->param_key, /*positional=*/true);
+      if (all_matched) {
+        m->gnode = self->MatchOne(p->type(), m->param_key, child_g);
+      }
       return m;
     }
   };
@@ -106,9 +96,9 @@ void Recycler::InsertMissing(MNode* m, PreparedQuery* prepared) {
     InsertMissing(cm.get(), prepared);
     child_g.push_back(cm->gnode);
   }
-  m->gnode = MatchOne(*m->plan, child_g);
+  m->gnode = MatchOne(m->plan->type(), m->param_key, child_g);
   if (m->gnode != nullptr) return;
-  m->gnode = InsertOne(*m->plan, child_g);
+  m->gnode = InsertOne(*m->plan, m->param_key, child_g);
   m->inserted = true;
   // Warm-up: a node inserted for the first time in this process may have
   // a spilled image from a previous one — or from a fleet peer — so
@@ -123,38 +113,36 @@ void Recycler::InsertMissing(MNode* m, PreparedQuery* prepared) {
 
 namespace {
 
-/// Appends `node`'s TreeFingerprint to `fp` and the names its subtree
-/// introduces (Project and Aggregate outputs) to `names`, pre-order.
-void AppendExactHitKey(const PlanNode& node, std::string* fp,
-                       std::string* names) {
-  node.AppendParamFingerprint(fp);
+/// Appends the names `node`'s subtree introduces (Project and Aggregate
+/// outputs) to `out`, pre-order, each length-prefixed, and counts them.
+void AppendIntroducedNames(const PlanNode& node, std::string* out,
+                           uint32_t* count) {
   if (node.type() == OpType::kProject) {
     for (const ProjItem& p : node.projections()) {
-      *names += '|';
-      *names += p.out_name;
+      wire::PutString(out, p.out_name);
     }
+    *count += static_cast<uint32_t>(node.projections().size());
   } else if (node.type() == OpType::kAggregate) {
     for (const AggItem& a : node.aggregates()) {
-      *names += '|';
-      *names += a.out_name;
+      wire::PutString(out, a.out_name);
     }
+    *count += static_cast<uint32_t>(node.aggregates().size());
   }
-  if (node.children().empty()) return;
-  *fp += '(';
-  for (size_t i = 0; i < node.children().size(); ++i) {
-    if (i > 0) *fp += ';';
-    AppendExactHitKey(*node.children()[i], fp, names);
+  for (const PlanPtr& c : node.children()) {
+    AppendIntroducedNames(*c, out, count);
   }
-  *fp += ')';
 }
 
 }  // namespace
 
 StatementKey Recycler::ExactHitKey(const PlanNode& plan) {
   StatementKey key;
+  plan.AppendTreeKey(&key.text);
+  key.tree_key_size = key.text.size();
   std::string names;
-  AppendExactHitKey(plan, &key.text, &names);
-  key.fingerprint_size = key.text.size();
+  uint32_t count = 0;
+  AppendIntroducedNames(plan, &names, &count);
+  wire::PutU32(&key.text, count);
   key.text += names;
   return key;
 }

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "common/hash.h"
 #include "common/stopwatch.h"
 #include "recycler/recycler.h"
 #include "recycler/subsumption.h"
@@ -129,9 +130,9 @@ bool Recycler::GatherDerived(MNode* m, const PlanPtr& plan,
   if (select) {
     out->specs = ExtractRangeSpecs(plan->predicate(), &input);
   }
-  std::set<std::string> query_fps;
+  std::set<std::string> query_keys;
   if (config_.enable_subsumption && select) {
-    query_fps = ConjunctFingerprints(plan->predicate(), &input);
+    query_keys = ConjunctKeys(plan->predicate(), &input);
   }
   out->slices.resize(config_.enable_partial_reuse && select ? out->specs.size()
                                                             : 0);
@@ -153,7 +154,7 @@ bool Recycler::GatherDerived(MNode* m, const PlanPtr& plan,
     std::vector<RGNode*> cold;
     for (RGNode* parent : interval_index_.Parents(child->id)) {
       if (parent == m->gnode ||
-          !MaySubsume(*parent, plan->type(), query_fps)) {
+          !MaySubsume(*parent, plan->type(), query_keys)) {
         continue;
       }
       const MatState ms = parent->mat_state.load();
@@ -341,7 +342,7 @@ void Recycler::CreditReuse(RGNode* source, PlanNode* scan, double share,
     graph_.FoldAging(source);
     AtomicAddClamped(source->h, share, 0.0);
   }
-  scan->set_cache_key(CanonicalSubtreeKey(source));
+  scan->set_cache_key(HashString(CanonicalSubtreeKey(source)));
   prepared->replaced_cost_[scan] = source->bcost_ms.load() * share;
 }
 

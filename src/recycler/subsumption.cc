@@ -9,26 +9,26 @@
 
 namespace recycledb {
 
-std::set<std::string> ConjunctFingerprints(const ExprPtr& pred,
+std::set<std::string> ConjunctKeys(const ExprPtr& pred,
                                            const Schema* input) {
   std::set<std::string> out;
   for (const auto& c : SplitConjuncts(pred)) {
-    out.insert(c->Fingerprint(input));
+    out.insert(c->Key(input));
   }
   return out;
 }
 
-bool ConjunctsImplied(const std::set<std::string>& cached_fps,
-                      const std::set<std::string>& query_fps) {
-  return std::includes(query_fps.begin(), query_fps.end(), cached_fps.begin(),
-                       cached_fps.end());
+bool ConjunctsImplied(const std::set<std::string>& cached_keys,
+                      const std::set<std::string>& query_keys) {
+  return std::includes(query_keys.begin(), query_keys.end(),
+                       cached_keys.begin(), cached_keys.end());
 }
 
 bool MaySubsume(const RGNode& cand, OpType query_type,
-                const std::set<std::string>& query_fps) {
+                const std::set<std::string>& query_keys) {
   if (cand.param_node == nullptr || cand.type != query_type) return false;
   return query_type != OpType::kSelect ||
-         ConjunctsImplied(cand.conjunct_fps, query_fps);
+         ConjunctsImplied(cand.conjunct_keys, query_keys);
 }
 
 namespace {
@@ -49,12 +49,13 @@ bool SameSortKeys(const std::vector<SortKey>& query_keys, const Schema* input,
   return true;
 }
 
-/// Index of the cand aggregate with function `fn` and argument fingerprint
-/// `arg_fp`, or -1.
-int FindCandAgg(const PlanNode& cand, AggFunc fn, const std::string& arg_fp) {
+/// Index of the cand aggregate with function `fn` whose argument keys as
+/// `arg_key` over `cand_input`, or -1.
+int FindCandAgg(const PlanNode& cand, const Schema* cand_input, AggFunc fn,
+                const std::string& arg_key) {
   const auto& aggs = cand.aggregates();
   for (size_t j = 0; j < aggs.size(); ++j) {
-    if (aggs[j].fn == fn && aggs[j].arg->Fingerprint(nullptr) == arg_fp) {
+    if (aggs[j].fn == fn && aggs[j].arg->Key(cand_input) == arg_key) {
       return static_cast<int>(j);
     }
   }
@@ -74,22 +75,23 @@ SubsumptionPlan MakeSyntheticScan(TablePtr cached) {
 }
 
 SubsumptionPlan TrySelect(const PlanNode& query_node, const Schema& input,
-                          const RGNode& cand, TablePtr cached) {
+                          const RGNode& cand, const Schema& cand_input,
+                          TablePtr cached) {
   // The candidate's conjuncts come from its parameters, not from the
-  // conjunct_fps copy MaySubsume reads: the prefilter may only skip work,
+  // conjunct_keys copy MaySubsume reads: the prefilter may only skip work,
   // so this check never depends on it.
-  const std::set<std::string> cand_fps =
-      ConjunctFingerprints(cand.param_node->predicate(), nullptr);
+  const std::set<std::string> cand_keys =
+      ConjunctKeys(cand.param_node->predicate(), &cand_input);
   std::vector<ExprPtr> residual;
-  std::set<std::string> query_fps;
+  std::set<std::string> query_keys;
   for (const auto& c : SplitConjuncts(query_node.predicate())) {
-    std::string fp = c->Fingerprint(&input);
-    if (cand_fps.count(fp) == 0) residual.push_back(c);
-    query_fps.insert(std::move(fp));
+    std::string key = c->Key(&input);
+    if (cand_keys.count(key) == 0) residual.push_back(c);
+    query_keys.insert(std::move(key));
   }
   // Every cached conjunct must be implied by the query's (conjunct subset):
   // otherwise the cached result dropped rows the query needs.
-  if (!ConjunctsImplied(cand_fps, query_fps)) return {};
+  if (!ConjunctsImplied(cand_keys, query_keys)) return {};
 
   SubsumptionPlan out;
   // The select's output schema equals its child's; the cached columns are
@@ -118,14 +120,15 @@ SubsumptionPlan TryTopN(const PlanNode& query_node, const Schema& input,
 }
 
 SubsumptionPlan TryProject(const PlanNode& query_node, const Schema& input,
-                           const RGNode& cand, TablePtr cached) {
+                           const RGNode& cand, const Schema& cand_input,
+                           TablePtr cached) {
   const PlanNode& cp = *cand.param_node;
   std::vector<int> positions;
   for (const auto& item : query_node.projections()) {
-    std::string fp = item.expr->Fingerprint(&input);
+    const std::string key = item.expr->Key(&input);
     int pos = -1;
     for (size_t j = 0; j < cp.projections().size(); ++j) {
-      if (cp.projections()[j].expr->Fingerprint(nullptr) == fp) {
+      if (cp.projections()[j].expr->Key(&cand_input) == key) {
         pos = static_cast<int>(j);
         break;
       }
@@ -144,7 +147,8 @@ SubsumptionPlan TryProject(const PlanNode& query_node, const Schema& input,
 }
 
 SubsumptionPlan TryAggregate(const PlanNode& query_node, const Schema& input,
-                             const RGNode& cand, TablePtr cached) {
+                             const RGNode& cand, const Schema& cand_input,
+                             TablePtr cached) {
   const PlanNode& cp = *cand.param_node;
   const int cand_groups = static_cast<int>(cp.group_by().size());
 
@@ -171,7 +175,7 @@ SubsumptionPlan TryAggregate(const PlanNode& query_node, const Schema& input,
     // present verbatim -> project out the needed columns.
     std::vector<int> agg_pos;
     for (const auto& a : query_node.aggregates()) {
-      int j = FindCandAgg(cp, a.fn, a.arg->Fingerprint(&input));
+      int j = FindCandAgg(cp, &cand_input, a.fn, a.arg->Key(&input));
       if (j < 0) return {};
       agg_pos.push_back(cand_groups + j);
     }
@@ -199,12 +203,12 @@ SubsumptionPlan TryAggregate(const PlanNode& query_node, const Schema& input,
   }
   int temp_serial = 0;
   for (const auto& a : query_node.aggregates()) {
-    std::string arg_fp = a.arg->Fingerprint(&input);
+    const std::string arg_key = a.arg->Key(&input);
     switch (a.fn) {
       case AggFunc::kSum:
       case AggFunc::kMin:
       case AggFunc::kMax: {
-        int j = FindCandAgg(cp, a.fn, arg_fp);
+        int j = FindCandAgg(cp, &cand_input, a.fn, arg_key);
         if (j < 0) return {};
         std::string tmp = StrFormat("r%d", temp_serial++);
         AggFunc refn = a.fn == AggFunc::kSum ? AggFunc::kSum : a.fn;
@@ -214,7 +218,7 @@ SubsumptionPlan TryAggregate(const PlanNode& query_node, const Schema& input,
         break;
       }
       case AggFunc::kCount: {
-        int j = FindCandAgg(cp, AggFunc::kCount, arg_fp);
+        int j = FindCandAgg(cp, &cand_input, AggFunc::kCount, arg_key);
         if (j < 0) return {};
         std::string tmp = StrFormat("r%d", temp_serial++);
         reaggs.push_back(
@@ -224,8 +228,8 @@ SubsumptionPlan TryAggregate(const PlanNode& query_node, const Schema& input,
         break;
       }
       case AggFunc::kAvg: {
-        int js = FindCandAgg(cp, AggFunc::kSum, arg_fp);
-        int jc = FindCandAgg(cp, AggFunc::kCount, arg_fp);
+        int js = FindCandAgg(cp, &cand_input, AggFunc::kSum, arg_key);
+        int jc = FindCandAgg(cp, &cand_input, AggFunc::kCount, arg_key);
         if (js < 0 || jc < 0) return {};
         std::string ts = StrFormat("r%d", temp_serial++);
         std::string tc = StrFormat("r%d", temp_serial++);
@@ -270,15 +274,20 @@ SubsumptionPlan TrySubsumption(const PlanNode& query_node, const RGNode& cand,
     return {};
   }
   const Schema& input = query_node.child()->output_schema();
+  // The candidate's parameters key over its child's output as the query's
+  // key over theirs.
+  const Schema cand_input = PositionalInput(*cand.children[0]);
   switch (query_node.type()) {
     case OpType::kSelect:
-      return TrySelect(query_node, input, cand, std::move(cached));
+      return TrySelect(query_node, input, cand, cand_input, std::move(cached));
     case OpType::kTopN:
       return TryTopN(query_node, input, cand, std::move(cached));
     case OpType::kProject:
-      return TryProject(query_node, input, cand, std::move(cached));
+      return TryProject(query_node, input, cand, cand_input,
+                        std::move(cached));
     case OpType::kAggregate:
-      return TryAggregate(query_node, input, cand, std::move(cached));
+      return TryAggregate(query_node, input, cand, cand_input,
+                          std::move(cached));
     default:
       return {};
   }
@@ -390,7 +399,7 @@ StitchLayout PlanPartialStitch(
 
   std::vector<const IntervalCandidate*> hot, cold;
   for (const IntervalCandidate& c : candidates) {
-    if (!ConjunctsImplied(c.spec->other_fps, spec.other_fps)) continue;
+    if (!ConjunctsImplied(c.spec->other_keys, spec.other_keys)) continue;
     if (!Overlaps(c.spec->range, q)) continue;
     (c.cached != nullptr ? hot : cold).push_back(&c);
   }
@@ -490,8 +499,7 @@ PartialPlan BuildPartialStitch(const PlanNode& query_node,
     // equal to the slice bound is already enforced by the cached data).
     std::vector<ExprPtr> comp;
     for (const ExprPtr& o : spec.others) {
-      if (slice.other_fps.count(o->Fingerprint(&query_node.output_schema())) ==
-          0) {
+      if (slice.other_keys.count(o->Key(&query_node.output_schema())) == 0) {
         comp.push_back(o);
       }
     }
@@ -562,8 +570,8 @@ bool ParamsSubsume(const PlanNode& super, const PlanNode& sub) {
   switch (super.type()) {
     case OpType::kSelect:
       // super's conjuncts must be a subset of sub's.
-      return ConjunctsImplied(ConjunctFingerprints(super.predicate(), nullptr),
-                              ConjunctFingerprints(sub.predicate(), nullptr));
+      return ConjunctsImplied(ConjunctKeys(super.predicate(), nullptr),
+                              ConjunctKeys(sub.predicate(), nullptr));
     case OpType::kTopN:
       return super.limit() >= sub.limit() &&
              SameSortKeys(sub.sort_keys(), nullptr, super.sort_keys());
@@ -571,8 +579,7 @@ bool ParamsSubsume(const PlanNode& super, const PlanNode& sub) {
       for (const auto& item : sub.projections()) {
         bool found = false;
         for (const auto& sitem : super.projections()) {
-          if (sitem.expr->Fingerprint(nullptr) ==
-              item.expr->Fingerprint(nullptr)) {
+          if (sitem.expr->Key(nullptr) == item.expr->Key(nullptr)) {
             found = true;
             break;
           }
@@ -589,13 +596,13 @@ bool ParamsSubsume(const PlanNode& super, const PlanNode& sub) {
         if (super_groups.count(g) == 0) return false;
       }
       for (const auto& a : sub.aggregates()) {
-        std::string arg_fp = a.arg->Fingerprint(nullptr);
+        const std::string arg_key = a.arg->Key(nullptr);
         if (a.fn == AggFunc::kAvg) {
-          if (FindCandAgg(super, AggFunc::kSum, arg_fp) < 0 ||
-              FindCandAgg(super, AggFunc::kCount, arg_fp) < 0) {
+          if (FindCandAgg(super, nullptr, AggFunc::kSum, arg_key) < 0 ||
+              FindCandAgg(super, nullptr, AggFunc::kCount, arg_key) < 0) {
             return false;
           }
-        } else if (FindCandAgg(super, a.fn, arg_fp) < 0) {
+        } else if (FindCandAgg(super, nullptr, a.fn, arg_key) < 0) {
           return false;
         }
       }

@@ -23,30 +23,30 @@
 
 namespace recycledb {
 
-/// Fingerprints of `pred`'s conjuncts, each column an ordinal of `input`
-/// (null: as written, e.g. a graph node's positional predicate). A set,
-/// so neither the order nor the repetition of conjuncts matters.
-std::set<std::string> ConjunctFingerprints(const ExprPtr& pred,
-                                           const Schema* input);
+/// Keys (Expr::AppendKey) of `pred`'s conjuncts over `input`: a query's
+/// over its child's output, a graph node's over PositionalInput of its
+/// child; null keys names as written. A set, so neither the order nor
+/// the repetition of conjuncts matters.
+std::set<std::string> ConjunctKeys(const ExprPtr& pred, const Schema* input);
 
 /// The subset rule behind every derivation from a cached selection: the
 /// cached rows include every row the query needs iff each conjunct the
-/// cached result applied (`cached_fps`) is also one of the query's
-/// (`query_fps`). TrySelect, PlanPartialStitch (on the non-range
+/// cached result applied (`cached_keys`) is also one of the query's
+/// (`query_keys`). TrySelect, PlanPartialStitch (on the non-range
 /// conjuncts), ParamsSubsume and MaySubsume all decide with it.
-bool ConjunctsImplied(const std::set<std::string>& cached_fps,
-                      const std::set<std::string>& query_fps);
+bool ConjunctsImplied(const std::set<std::string>& cached_keys,
+                      const std::set<std::string>& query_keys);
 
 /// Prefilter for TrySubsumption, cheap enough to run on every candidate,
 /// hot or cold, before its freshness check and its snapshot or disk
 /// read: false when `cand` cannot derive a `query_type` node whatever its
 /// cached table holds — no parameters, another operator type, or
-/// (Select) a cached conjunct the query lacks. `query_fps` is
-/// ConjunctFingerprints of the query's predicate over its child's output
+/// (Select) a cached conjunct the query lacks. `query_keys` is
+/// ConjunctKeys of the query's predicate over its child's output
 /// (read for Select only). For a Select it accepts exactly the candidates
 /// TrySubsumption derives from; other types pass on a type match.
 bool MaySubsume(const RGNode& cand, OpType query_type,
-                const std::set<std::string>& query_fps);
+                const std::set<std::string>& query_keys);
 
 /// Result of a successful subsumption derivation.
 struct SubsumptionPlan {
@@ -59,13 +59,14 @@ struct SubsumptionPlan {
 
 /// Attempts to derive `query_node`'s result from the cached result of
 /// `cand`, a parent of the graph node the query's child matched. The
-/// query's parameters are compared positionally, over its child's output,
-/// with the candidate's param_node. `cached` is the candidate's
-/// materialized result (caller snapshots it under lock). Returns an empty
-/// plan when no supported derivation applies.
+/// query's parameters, keyed over its child's output, are compared with
+/// the candidate's param_node, keyed over PositionalInput of that child.
+/// `cached` is the candidate's materialized result (caller snapshots it
+/// under lock). Returns an empty plan when no supported derivation
+/// applies.
 ///
-/// Thread-safety: reads only the immutable RGNode field param_node plus
-/// the passed-in `cached` snapshot.
+/// Thread-safety: reads only the immutable RGNode fields param_node and
+/// children plus the passed-in `cached` snapshot.
 SubsumptionPlan TrySubsumption(const PlanNode& query_node, const RGNode& cand,
                                TablePtr cached);
 
@@ -80,8 +81,8 @@ bool ParamsSubsume(const PlanNode& super, const PlanNode& sub);
 
 /// One cached slice the stitcher may draw from: the materialized node,
 /// a pinned snapshot of its result when it is hot, and the node's range
-/// spec on the stitch column (its interval and the positional
-/// fingerprints of its remaining conjuncts; RGNode::range_specs). A cold slice
+/// spec on the stitch column (its interval and the positional keys of
+/// its remaining conjuncts; RGNode::range_specs). A cold slice
 /// has no snapshot: the stitch reads it only if its layout uses it. The
 /// caller (Recycler) collects these from the interval index under lock.
 struct IntervalCandidate {

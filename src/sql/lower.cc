@@ -318,7 +318,7 @@ Status LowerSelect(const SelectStmt& stmt, std::string_view sql,
       }
     }
     // Scan columns in table-schema order: syntactic column order in the
-    // SELECT list never changes the scan subtree's fingerprint.
+    // SELECT list never changes the scan subtree's key.
     std::vector<std::string> scan_cols;
     for (const Field& f : ctx.schema->fields()) {
       if (stmt.select_star || referenced.count(f.name) > 0) {

@@ -22,13 +22,18 @@
 // compression ratios, and the base-table row high-water marks the
 // result was computed at (delta maintenance; see recycler/delta.h).
 //
-// Version 4 adds the select descriptor: when the spilled result's root
-// is a Select over one child, the header names the child subtree by its
-// canonical key and carries the predicate in a restart-stable form
-// (column references as ordinals into the child's output, literals as
-// exact datums; EncodeExprOrdinal in expr/expression.h). A restarted
-// process can rebuild the graph node from the descriptor alone, so the
-// slice serves derived reuse before its own statement runs again.
+// The canonical key is binary: per node of the subtree, pre-order, its
+// op type byte, its length-prefixed positional parameter key
+// (PlanNode::AppendParamKey) and its child count.
+//
+// The select descriptor: when the spilled result's root is a Select over
+// one child, the header names the child subtree by its canonical key and
+// carries the Select's parameter key, which is its predicate's key over
+// the child's output (column references as ordinals, literals as exact
+// typed datums; Expr::AppendKey, read back by DecodeExprOrdinal in
+// expr/expression.h). A restarted process can rebuild the graph node
+// from the descriptor alone, so the slice serves derived reuse before
+// its own statement runs again.
 //
 // Only the current version is readable. Spills are cache content that
 // can always be recomputed from base data, so a file of any other
@@ -56,7 +61,7 @@ namespace recycledb {
 /// The spill format version; bump on any layout change, including the
 /// grammar of the canonical key the header holds. Files of any other
 /// version are rejected with a recoverable Status.
-inline constexpr uint32_t kSpillFormatVersion = 5;
+inline constexpr uint32_t kSpillFormatVersion = 6;
 
 /// Everything the cold tier must know about a spilled result without
 /// touching its payload: the restart-stable identity plus the reference
@@ -93,10 +98,10 @@ struct SpillFileMeta {
   /// them).
   std::vector<std::pair<std::string, int64_t>> table_versions;
   /// Select descriptor: for a result whose root is a single-child
-  /// Select, the canonical key of the child subtree and the predicate in
-  /// EncodeExprOrdinal's form over the child's output columns. Both are
-  /// empty for any other result (and for a predicate the encoder cannot
-  /// express); such a file is adoptable only by exact key.
+  /// Select, the canonical key of the child subtree and the Select's
+  /// positional parameter key (its predicate's Expr::AppendKey over the
+  /// child's output). Both are empty for any other result; such a file
+  /// is adoptable only by exact key.
   std::string select_child_key;
   std::string select_predicate;
 };

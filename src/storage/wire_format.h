@@ -13,11 +13,15 @@ namespace recycledb {
 namespace wire {
 
 inline void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+  char b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>(v >> (8 * i));
+  out->append(b, sizeof(b));
 }
 
 inline void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+  char b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
+  out->append(b, sizeof(b));
 }
 
 inline void PutDouble(std::string* out, double v) {

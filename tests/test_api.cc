@@ -407,6 +407,42 @@ TEST(Sessions, BypassRecyclerOverride) {
   EXPECT_EQ(r1.table()->ToString(10), r2.table()->ToString(10));
 }
 
+TEST(Sessions, ScanOfAColumnNamedLikeAListIsNotServedAnother) {
+  // `Scan g [a, b]` and `Scan g ["a,b"]` read different columns; a key
+  // that joined the column list with commas would serve one the other's
+  // rows.
+  Schema schema({{"a", TypeId::kInt32},
+                 {"b", TypeId::kInt32},
+                 {"a,b", TypeId::kInt32}});
+  TablePtr g = MakeTable(schema);
+  for (int i = 0; i < 20000; ++i) {
+    g->AppendRow({int32_t{i % 100}, int32_t{i % 7}, int32_t{i % 13}});
+  }
+  auto db = Database::OpenOrDie(DatabaseOptions{});
+  ASSERT_TRUE(db->CreateTable("g", g).ok());
+  auto count_over = [](std::vector<std::string> columns,
+                       const std::string& filtered) {
+    return PlanNode::Aggregate(
+        PlanNode::Select(PlanNode::Scan("g", std::move(columns)),
+                         Expr::Gt(Expr::Column(filtered),
+                                  Expr::Literal(int32_t{5}))),
+        {}, {{AggFunc::kCount, Expr::Literal(int64_t{1}), "c"}});
+  };
+  auto session = db->Connect({});
+  SessionOptions bypass;
+  bypass.bypass_recycler = true;
+  auto oracle = db->Connect(bypass);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(session->Execute(count_over({"a", "b"}, "a")).ok());
+  }
+  Result r = session->Execute(count_over({"a,b"}, "a,b"));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  Result want = oracle->Execute(count_over({"a,b"}, "a,b"));
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(recycledb::testing::RowMultiset(*r.table()),
+            recycledb::testing::RowMultiset(*want.table()));
+}
+
 // ---------------------------------------------------------------------------
 // Async submission
 // ---------------------------------------------------------------------------
@@ -1026,13 +1062,13 @@ TEST(StatementPipeline, NonCanonicalStatementHitsOnItsSecondSubmission) {
   };
   // Whichever conjunct order the canonicalizer does not keep.
   bool year_first = true;
-  if (CanonicalizePlan(fresh(true))->TreeFingerprint() ==
-      fresh(true)->TreeFingerprint()) {
+  if (CanonicalizePlan(fresh(true))->TreeKey() ==
+      fresh(true)->TreeKey()) {
     year_first = false;
   }
   PlanPtr submitted = fresh(year_first);
-  ASSERT_NE(CanonicalizePlan(submitted)->TreeFingerprint(),
-            submitted->TreeFingerprint());
+  ASSERT_NE(CanonicalizePlan(submitted)->TreeKey(),
+            submitted->TreeKey());
 
   Result first = session->Execute(submitted);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -1064,19 +1100,19 @@ TEST(StatementPipeline, AlternatingSpellingsAreServedFromTheIndex) {
         .plan();
   };
   // Two spellings, neither of them canonical.
-  const std::string canonical_fp =
-      CanonicalizePlan(fresh({0, 1, 2}))->TreeFingerprint();
+  const std::string canonical_key =
+      CanonicalizePlan(fresh({0, 1, 2}))->TreeKey();
   std::vector<std::vector<int>> spellings;
   std::vector<int> order = {0, 1, 2};
   do {
-    if (fresh(order)->TreeFingerprint() != canonical_fp) {
+    if (fresh(order)->TreeKey() != canonical_key) {
       spellings.push_back(order);
     }
   } while (spellings.size() < 2 &&
            std::next_permutation(order.begin(), order.end()));
   ASSERT_EQ(spellings.size(), 2u);
-  ASSERT_EQ(CanonicalizePlan(fresh(spellings[1]))->TreeFingerprint(),
-            canonical_fp);
+  ASSERT_EQ(CanonicalizePlan(fresh(spellings[1]))->TreeKey(),
+            canonical_key);
 
   // Each run is the other spelling. The first run registers its own key
   // and the canonical one; every later run is served from the index:

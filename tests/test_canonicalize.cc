@@ -20,8 +20,8 @@ namespace {
 
 using recycledb::testing::RowMultiset;
 
-std::string Fp(const ExprPtr& e) { return e->Fingerprint(nullptr); }
-std::string CanonFp(const ExprPtr& e) { return Fp(CanonicalizeExpr(e)); }
+std::string KeyOf(const ExprPtr& e) { return e->Key(nullptr); }
+std::string CanonKey(const ExprPtr& e) { return KeyOf(CanonicalizeExpr(e)); }
 
 ExprPtr Col(const char* name) { return Expr::Column(name); }
 
@@ -31,114 +31,114 @@ ExprPtr Col(const char* name) { return Expr::Column(name); }
 
 TEST(CanonicalizeExprTest, FlipsLiteralToTheRight) {
   // `5 < x` -> `x > 5`; `5 >= x` -> `x <= 5`; `5 = x` -> `x = 5`.
-  EXPECT_EQ(CanonFp(Expr::Lt(Expr::Literal(5), Col("x"))),
-            Fp(Expr::Gt(Col("x"), Expr::Literal(5))));
-  EXPECT_EQ(CanonFp(Expr::Ge(Expr::Literal(5), Col("x"))),
-            Fp(Expr::Le(Col("x"), Expr::Literal(5))));
-  EXPECT_EQ(CanonFp(Expr::Eq(Expr::Literal(5), Col("x"))),
-            Fp(Expr::Eq(Col("x"), Expr::Literal(5))));
+  EXPECT_EQ(CanonKey(Expr::Lt(Expr::Literal(5), Col("x"))),
+            KeyOf(Expr::Gt(Col("x"), Expr::Literal(5))));
+  EXPECT_EQ(CanonKey(Expr::Ge(Expr::Literal(5), Col("x"))),
+            KeyOf(Expr::Le(Col("x"), Expr::Literal(5))));
+  EXPECT_EQ(CanonKey(Expr::Eq(Expr::Literal(5), Col("x"))),
+            KeyOf(Expr::Eq(Col("x"), Expr::Literal(5))));
 }
 
 TEST(CanonicalizeExprTest, FoldsArithmeticLikeEval) {
   // int32 + int32 stays int32.
-  EXPECT_EQ(CanonFp(Expr::Arith(ArithOp::kAdd, Expr::Literal(2000),
+  EXPECT_EQ(CanonKey(Expr::Arith(ArithOp::kAdd, Expr::Literal(2000),
                                 Expr::Literal(10))),
-            Fp(Expr::Literal(2010)));
+            KeyOf(Expr::Literal(2010)));
   // Division by zero yields 0 in every numeric type (Eval's rule).
-  EXPECT_EQ(CanonFp(Expr::Arith(ArithOp::kDiv, Expr::Literal(7.0),
+  EXPECT_EQ(CanonKey(Expr::Arith(ArithOp::kDiv, Expr::Literal(7.0),
                                 Expr::Literal(0.0))),
-            Fp(Expr::Literal(0.0)));
-  EXPECT_EQ(CanonFp(Expr::Arith(ArithOp::kDiv, Expr::Literal(int64_t{7}),
+            KeyOf(Expr::Literal(0.0)));
+  EXPECT_EQ(CanonKey(Expr::Arith(ArithOp::kDiv, Expr::Literal(int64_t{7}),
                                 Expr::Literal(int64_t{0}))),
-            Fp(Expr::Literal(int64_t{0})));
+            KeyOf(Expr::Literal(int64_t{0})));
   // Mixed int/double promotes to double.
-  EXPECT_EQ(CanonFp(Expr::Arith(ArithOp::kMul, Expr::Literal(2),
+  EXPECT_EQ(CanonKey(Expr::Arith(ArithOp::kMul, Expr::Literal(2),
                                 Expr::Literal(1.5))),
-            Fp(Expr::Literal(3.0)));
+            KeyOf(Expr::Literal(3.0)));
   // Nested constant subtrees fold bottom-up: (2000 + 5) + 5 -> 2010.
-  EXPECT_EQ(CanonFp(Expr::Arith(
+  EXPECT_EQ(CanonKey(Expr::Arith(
                 ArithOp::kAdd,
                 Expr::Arith(ArithOp::kAdd, Expr::Literal(2000),
                             Expr::Literal(5)),
                 Expr::Literal(5))),
-            Fp(Expr::Literal(2010)));
+            KeyOf(Expr::Literal(2010)));
 }
 
 TEST(CanonicalizeExprTest, FoldsComparisonsThroughDouble) {
-  EXPECT_EQ(CanonFp(Expr::Lt(Expr::Literal(1), Expr::Literal(2))),
-            Fp(Expr::Literal(true)));
+  EXPECT_EQ(CanonKey(Expr::Lt(Expr::Literal(1), Expr::Literal(2))),
+            KeyOf(Expr::Literal(true)));
   // Numeric comparison crosses int/double exactly as Eval does.
-  EXPECT_EQ(CanonFp(Expr::Eq(Expr::Literal(2), Expr::Literal(2.0))),
-            Fp(Expr::Literal(true)));
-  EXPECT_EQ(CanonFp(Expr::Eq(Expr::Literal(std::string("a")),
+  EXPECT_EQ(CanonKey(Expr::Eq(Expr::Literal(2), Expr::Literal(2.0))),
+            KeyOf(Expr::Literal(true)));
+  EXPECT_EQ(CanonKey(Expr::Eq(Expr::Literal(std::string("a")),
                              Expr::Literal(std::string("b")))),
-            Fp(Expr::Literal(false)));
+            KeyOf(Expr::Literal(false)));
 }
 
 TEST(CanonicalizeExprTest, EliminatesNotOverComparisons) {
   // NULL-free engine: NOT(a < b) is exactly a >= b.
-  EXPECT_EQ(CanonFp(Expr::Not(Expr::Lt(Col("x"), Expr::Literal(5)))),
-            Fp(Expr::Ge(Col("x"), Expr::Literal(5))));
+  EXPECT_EQ(CanonKey(Expr::Not(Expr::Lt(Col("x"), Expr::Literal(5)))),
+            KeyOf(Expr::Ge(Col("x"), Expr::Literal(5))));
   // Double negation disappears; NOT over LIKE flips the match kind.
   ExprPtr like = Expr::Like(LikeKind::kContains, Col("city"), "bur");
   ExprPtr once = CanonicalizeExpr(Expr::Not(like));
   ASSERT_EQ(once->kind(), ExprKind::kLike);
   EXPECT_EQ(once->like_kind(), LikeKind::kNotContains);
-  EXPECT_EQ(CanonFp(Expr::Not(Expr::Not(like))), Fp(like));
+  EXPECT_EQ(CanonKey(Expr::Not(Expr::Not(like))), KeyOf(like));
 }
 
 TEST(CanonicalizeExprTest, ConjunctOrderIsDeterministic) {
   // Non-range conjuncts (no column-vs-literal interval shape) keep their
-  // identity but land in one fingerprint-sorted order.
+  // identity but land in one key-sorted order.
   ExprPtr p1 = Expr::Like(LikeKind::kContains, Col("city"), "bur");
   ExprPtr p2 = Expr::Eq(Col("a"), Col("b"));
   ExprPtr p3 = Expr::In(Col("g"), {Datum{1}, Datum{2}});
-  std::string fp = CanonFp(Expr::And(p1, Expr::And(p2, p3)));
-  EXPECT_EQ(CanonFp(Expr::And(Expr::And(p3, p1), p2)), fp);
-  EXPECT_EQ(CanonFp(Expr::And(p2, Expr::And(p3, p1))), fp);
+  std::string fp = CanonKey(Expr::And(p1, Expr::And(p2, p3)));
+  EXPECT_EQ(CanonKey(Expr::And(Expr::And(p3, p1), p2)), fp);
+  EXPECT_EQ(CanonKey(Expr::And(p2, Expr::And(p3, p1))), fp);
 }
 
 TEST(CanonicalizeExprTest, DeduplicatesConjuncts) {
   ExprPtr p = Expr::Like(LikeKind::kPrefix, Col("city"), "Ed");
-  EXPECT_EQ(CanonFp(Expr::And(p, p)), Fp(p));
+  EXPECT_EQ(CanonKey(Expr::And(p, p)), KeyOf(p));
 }
 
 TEST(CanonicalizeExprTest, BoolIdentityAndAbsorbingElements) {
   ExprPtr p = Expr::Eq(Col("a"), Col("b"));
-  EXPECT_EQ(CanonFp(Expr::And(p, Expr::Literal(true))), Fp(p));
-  EXPECT_EQ(CanonFp(Expr::And(p, Expr::Literal(false))),
-            Fp(Expr::Literal(false)));
-  EXPECT_EQ(CanonFp(Expr::Or(p, Expr::Literal(false))), Fp(p));
-  EXPECT_EQ(CanonFp(Expr::Or(p, Expr::Literal(true))),
-            Fp(Expr::Literal(true)));
+  EXPECT_EQ(CanonKey(Expr::And(p, Expr::Literal(true))), KeyOf(p));
+  EXPECT_EQ(CanonKey(Expr::And(p, Expr::Literal(false))),
+            KeyOf(Expr::Literal(false)));
+  EXPECT_EQ(CanonKey(Expr::Or(p, Expr::Literal(false))), KeyOf(p));
+  EXPECT_EQ(CanonKey(Expr::Or(p, Expr::Literal(true))),
+            KeyOf(Expr::Literal(true)));
 }
 
 TEST(CanonicalizeExprTest, MergesPerColumnRanges) {
   // `x > 1 AND x > 2` -> `x > 2`.
-  EXPECT_EQ(CanonFp(Expr::And(Expr::Gt(Col("x"), Expr::Literal(1.0)),
+  EXPECT_EQ(CanonKey(Expr::And(Expr::Gt(Col("x"), Expr::Literal(1.0)),
                               Expr::Gt(Col("x"), Expr::Literal(2.0)))),
-            Fp(Expr::Gt(Col("x"), Expr::Literal(2.0))));
+            KeyOf(Expr::Gt(Col("x"), Expr::Literal(2.0))));
   // `x >= 5 AND x <= 5` -> `x = 5`.
-  EXPECT_EQ(CanonFp(Expr::And(Expr::Ge(Col("x"), Expr::Literal(5)),
+  EXPECT_EQ(CanonKey(Expr::And(Expr::Ge(Col("x"), Expr::Literal(5)),
                               Expr::Le(Col("x"), Expr::Literal(5)))),
-            Fp(Expr::Eq(Col("x"), Expr::Literal(5))));
+            KeyOf(Expr::Eq(Col("x"), Expr::Literal(5))));
   // Contradiction -> FALSE.
-  EXPECT_EQ(CanonFp(Expr::And(Expr::Gt(Col("x"), Expr::Literal(9)),
+  EXPECT_EQ(CanonKey(Expr::And(Expr::Gt(Col("x"), Expr::Literal(9)),
                               Expr::Lt(Col("x"), Expr::Literal(1)))),
-            Fp(Expr::Literal(false)));
+            KeyOf(Expr::Literal(false)));
   // Ranges on different columns merge independently.
-  EXPECT_EQ(CanonFp(Expr::And(
+  EXPECT_EQ(CanonKey(Expr::And(
                 Expr::And(Expr::Gt(Col("x"), Expr::Literal(1.0)),
                           Expr::Lt(Col("y"), Expr::Literal(9.0))),
                 Expr::Gt(Col("x"), Expr::Literal(4.0)))),
-            CanonFp(Expr::And(Expr::Gt(Col("x"), Expr::Literal(4.0)),
+            CanonKey(Expr::And(Expr::Gt(Col("x"), Expr::Literal(4.0)),
                               Expr::Lt(Col("y"), Expr::Literal(9.0)))));
 }
 
 TEST(CanonicalizeExprTest, SortsAndDedupsInLists) {
-  EXPECT_EQ(CanonFp(Expr::In(Col("g"), {Datum{3}, Datum{1}, Datum{3},
+  EXPECT_EQ(CanonKey(Expr::In(Col("g"), {Datum{3}, Datum{1}, Datum{3},
                                         Datum{2}})),
-            Fp(Expr::In(Col("g"), {Datum{1}, Datum{2}, Datum{3}})));
+            KeyOf(Expr::In(Col("g"), {Datum{1}, Datum{2}, Datum{3}})));
 }
 
 TEST(CanonicalizeExprTest, IdempotentAndPointerStable) {

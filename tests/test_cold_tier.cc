@@ -616,8 +616,15 @@ TEST(SpillV4, SelectDescriptorRoundTripsBitExactly) {
       Expr::Eq(Expr::Arith(ArithOp::kMul, col("d"), Expr::Literal(-0.0)),
                Expr::Func("abs", {col("d")})),
   });
-  std::string bytes;
-  ASSERT_TRUE(EncodeExprOrdinal(*pred, in, &bytes));
+  // The descriptor's bytes are the predicate's key over the child's
+  // output (a Select's positional param key).
+  auto schema_of = [](const std::vector<std::string>& names) {
+    std::vector<Field> fields;
+    for (const std::string& n : names) fields.push_back({n, TypeId::kInt64});
+    return Schema(std::move(fields));
+  };
+  const Schema input = schema_of(in);
+  const std::string bytes = pred->Key(&input);
 
   TempSpillDir dir;
   const std::string path = dir.path() + "/d.spill";
@@ -639,15 +646,14 @@ TEST(SpillV4, SelectDescriptorRoundTripsBitExactly) {
   ExprPtr decoded = DecodeExprOrdinal(back.select_predicate, in);
   ASSERT_NE(decoded, nullptr);
   EXPECT_TRUE(SameExpr(*decoded, *pred));
-  EXPECT_EQ(decoded->Fingerprint(nullptr), pred->Fingerprint(nullptr));
+  EXPECT_EQ(decoded->Key(nullptr), pred->Key(nullptr));
   // Under other names the same ordinals come back: re-encoding over those
   // names yields the same image.
   const std::vector<std::string> renamed = {"d2", "i2", "day2", "s2", "x#40"};
   ExprPtr moved = DecodeExprOrdinal(bytes, renamed);
   ASSERT_NE(moved, nullptr);
-  std::string moved_bytes;
-  ASSERT_TRUE(EncodeExprOrdinal(*moved, renamed, &moved_bytes));
-  EXPECT_EQ(moved_bytes, bytes);
+  const Schema renamed_input = schema_of(renamed);
+  EXPECT_EQ(moved->Key(&renamed_input), bytes);
   std::set<std::string> moved_columns;
   moved->CollectColumns(&moved_columns);
   EXPECT_EQ(moved_columns,
@@ -663,13 +669,11 @@ TEST(SpillV4, SelectDescriptorRoundTripsBitExactly) {
   EXPECT_TRUE(std::signbit(std::get<double>(d->range.lo.value)));
   EXPECT_EQ(std::get<double>(d->range.hi.value), 0.1 + 0.2);
 
-  // Not encodable: a parameter, or a column the child does not output.
-  std::string rejected;
-  EXPECT_FALSE(EncodeExprOrdinal(
-      *Expr::Eq(col("d"), Expr::Param("p")), in, &rejected));
-  rejected.clear();
-  EXPECT_FALSE(EncodeExprOrdinal(*Expr::Eq(col("zz"), Expr::Literal(1)), in,
-                                 &rejected));
+  // A parameter keys by its name and reads back as itself.
+  const ExprPtr with_param = Expr::Eq(col("d"), Expr::Param("p"));
+  ExprPtr param_back = DecodeExprOrdinal(with_param->Key(&input), in);
+  ASSERT_NE(param_back, nullptr);
+  EXPECT_TRUE(SameExpr(*param_back, *with_param));
   // Malformed images decode to nothing: truncated, trailing, or an
   // ordinal past the reader's columns.
   EXPECT_EQ(DecodeExprOrdinal(bytes.substr(0, bytes.size() - 1), in),
@@ -695,11 +699,11 @@ TEST(SpillV4, MismatchedOrphanIsNeverPublishedAndExactInsertAdopts) {
   TablePtr table;
   ASSERT_TRUE(ReadSpillTable(files[0], &meta, &table).ok());
   ASSERT_FALSE(meta.select_child_key.empty());
-  meta.select_predicate.clear();
-  ASSERT_TRUE(EncodeExprOrdinal(
-      *Expr::And(Expr::Ge(Expr::Column("v"), Expr::Literal(0.0)),
-                 Expr::Lt(Expr::Column("v"), Expr::Literal(2999.0))),
-      {"a", "v"}, &meta.select_predicate));
+  const Schema child_output({{"a", TypeId::kInt32}, {"v", TypeId::kDouble}});
+  meta.select_predicate =
+      Expr::And(Expr::Ge(Expr::Column("v"), Expr::Literal(0.0)),
+                Expr::Lt(Expr::Column("v"), Expr::Literal(2999.0)))
+          ->Key(&child_output);
   ASSERT_TRUE(WriteSpillFile(files[0], *table, meta).ok());
 
   auto db = OpenDb(dir.path(), 256 << 20, 20000);

@@ -52,7 +52,7 @@ class ConcurrencyTest : public ::testing::Test {
     std::shared_lock<std::shared_mutex> lock(rec.graph().mutex());
     int64_t cached_nodes = 0;
     for (const auto& n : rec.graph().nodes()) {
-      EXPECT_NE(n->mat_state.load(), MatState::kInFlight) << n->param_fp;
+      EXPECT_NE(n->mat_state.load(), MatState::kInFlight) << "node " << n->id;
       if (n->mat_state.load() == MatState::kCached) ++cached_nodes;
     }
     EXPECT_EQ(cached_nodes, rec.cache().num_entries());

@@ -1,4 +1,4 @@
-// Unit tests for src/expr: evaluation, type deduction, fingerprints,
+// Unit tests for src/expr: evaluation, type deduction, keys,
 // renaming, conjunct splitting, aggregate decomposition.
 #include <gtest/gtest.h>
 
@@ -131,35 +131,40 @@ TEST(ExprEvalTest, LikeVariants) {
             (std::vector<int32_t>{1}));
 }
 
-TEST(ExprFingerprintTest, StructuralIdentity) {
+TEST(ExprKeyTest, StructuralIdentity) {
   ExprPtr a = Expr::Gt(Expr::Column("x"), Expr::Literal(int64_t{5}));
   ExprPtr b = Expr::Gt(Expr::Column("x"), Expr::Literal(int64_t{5}));
   ExprPtr c = Expr::Gt(Expr::Column("x"), Expr::Literal(int64_t{6}));
-  EXPECT_EQ(a->Fingerprint(nullptr), b->Fingerprint(nullptr));
-  EXPECT_NE(a->Fingerprint(nullptr), c->Fingerprint(nullptr));
+  EXPECT_EQ(a->Key(nullptr), b->Key(nullptr));
+  EXPECT_NE(a->Key(nullptr), c->Key(nullptr));
 }
 
-TEST(ExprFingerprintTest, InputRendersColumnsAsOrdinals) {
+TEST(ExprKeyTest, InputKeysColumnsAsOrdinals) {
   ExprPtr e = Expr::Gt(Expr::Column("x"), Expr::Literal(int64_t{5}));
   const Schema input({{"w", TypeId::kInt64}, {"x", TypeId::kInt64}});
-  EXPECT_EQ(e->Fingerprint(&input), "(> c:#1 l:5)");
-  EXPECT_EQ(e->Fingerprint(nullptr), "(> c:x l:5)");
-  // The positional copy renders alike with no input at all.
-  EXPECT_EQ(e->Positional(input)->Fingerprint(nullptr), "(> c:#1 l:5)");
-  // Another name at the same ordinal is the same column.
+  EXPECT_NE(e->Key(&input), e->Key(nullptr));
+  // The positional copy keys alike over the ordinal-named input.
+  const Schema ordinals({{"#0", TypeId::kInt64}, {"#1", TypeId::kInt64}});
+  EXPECT_EQ(e->Positional(input)->Key(&ordinals), e->Key(&input));
+  // Another name at the same ordinal is the same column; another ordinal
+  // is not.
   const Schema renamed({{"w", TypeId::kInt64}, {"y", TypeId::kInt64}});
   EXPECT_EQ(Expr::Gt(Expr::Column("y"), Expr::Literal(int64_t{5}))
-                ->Fingerprint(&renamed),
-            e->Fingerprint(&input));
+                ->Key(&renamed),
+            e->Key(&input));
+  EXPECT_NE(Expr::Gt(Expr::Column("w"), Expr::Literal(int64_t{5}))
+                ->Key(&input),
+            e->Key(&input));
 }
 
-TEST(ExprFingerprintTest, AnonymizedShapeEqualAcrossNames) {
-  ExprPtr a = Expr::Gt(Expr::Column("x"), Expr::Literal(int64_t{5}));
-  ExprPtr b = Expr::Gt(Expr::Column("y"), Expr::Literal(int64_t{5}));
-  EXPECT_EQ(a->Fingerprint(nullptr, true), b->Fingerprint(nullptr, true));
-  // But different literals still differ (hash-key selectivity).
-  ExprPtr c = Expr::Gt(Expr::Column("y"), Expr::Literal(int64_t{6}));
-  EXPECT_NE(a->Fingerprint(nullptr, true), c->Fingerprint(nullptr, true));
+TEST(ExprKeyTest, LiteralsThatPrintAlikeKeyApart) {
+  auto key = [](Datum d) { return Expr::Literal(std::move(d))->Key(nullptr); };
+  EXPECT_NE(key(int32_t{1}), key(int64_t{1}));
+  EXPECT_NE(key(int64_t{1}), key(1.0));
+  EXPECT_NE(key(-0.0), key(0.0));
+  EXPECT_NE(key(std::string("a")), key(std::string("a'")));
+  // A string equal to another literal's text.
+  EXPECT_NE(key(std::string("1")), key(int32_t{1}));
 }
 
 TEST(ExprRenameTest, RenamesAllReferences) {
@@ -178,9 +183,9 @@ TEST(ExprConjunctsTest, SplitAndRebuild) {
   ExprPtr all = Expr::And(Expr::And(a, b), c);
   auto parts = SplitConjuncts(all);
   ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0]->Fingerprint(nullptr), a->Fingerprint(nullptr));
+  EXPECT_EQ(parts[0]->Key(nullptr), a->Key(nullptr));
   ExprPtr rebuilt = AndAll(parts);
-  EXPECT_EQ(rebuilt->Fingerprint(nullptr), all->Fingerprint(nullptr));
+  EXPECT_EQ(rebuilt->Key(nullptr), all->Key(nullptr));
   // OR is not split.
   EXPECT_EQ(SplitConjuncts(Expr::Or(a, b)).size(), 1u);
   EXPECT_EQ(AndAll({}), nullptr);

@@ -30,12 +30,13 @@ class GraphTest : public ::testing::Test {
                                {{AggFunc::kSum, Expr::Column("v"), out}});
   }
 
-  /// Finds the unique graph node whose param fingerprint contains `sub`.
-  RGNode* FindNode(Recycler& rec, const std::string& sub) {
+  /// Finds the unique graph node of `type`.
+  RGNode* FindNode(Recycler& rec, OpType type) {
     RGNode* found = nullptr;
     for (const auto& n : rec.graph().nodes()) {
-      if (Contains(n->param_fp, sub)) {
-        EXPECT_EQ(found, nullptr) << "ambiguous node query: " << sub;
+      if (n->type == type) {
+        EXPECT_EQ(found, nullptr) << "ambiguous node query: "
+                                  << OpTypeName(type);
         found = n.get();
       }
     }
@@ -102,7 +103,7 @@ TEST_F(GraphTest, ImportanceCountsReoccurrences) {
   cfg.cache_bytes = 0;  // disable materialization so h is undisturbed
   Recycler rec(&catalog_, cfg);
   rec.Execute(SelectPlan(10));  // inserts: h stays 0
-  RGNode* sel = FindNode(rec, "select:");
+  RGNode* sel = FindNode(rec, OpType::kSelect);
   ASSERT_NE(sel, nullptr);
   EXPECT_DOUBLE_EQ(sel->h, 0.0);
   rec.Execute(SelectPlan(10));
@@ -119,7 +120,7 @@ TEST_F(GraphTest, AgingDecaysImportance) {
   Recycler rec(&catalog_, cfg);
   rec.Execute(SelectPlan(10));
   rec.Execute(SelectPlan(10));  // h = 1 at epoch 2
-  RGNode* sel = FindNode(rec, "select:");
+  RGNode* sel = FindNode(rec, OpType::kSelect);
   ASSERT_NE(sel, nullptr);
   double h_now = rec.graph().AgedH(sel);
   EXPECT_DOUBLE_EQ(h_now, 1.0);
@@ -134,12 +135,12 @@ TEST_F(GraphTest, BcostAnnotatedAfterExecution) {
   cfg.mode = RecyclerMode::kHistory;
   Recycler rec(&catalog_, cfg);
   rec.Execute(AggPlan(10));
-  RGNode* agg = FindNode(rec, "agg:");
+  RGNode* agg = FindNode(rec, OpType::kAggregate);
   ASSERT_NE(agg, nullptr);
   EXPECT_TRUE(agg->has_bcost);
   EXPECT_GE(agg->bcost_ms, 0.0);
   EXPECT_GT(agg->rows, 0);
-  RGNode* scan = FindNode(rec, "scan:");
+  RGNode* scan = FindNode(rec, OpType::kScan);
   ASSERT_NE(scan, nullptr);
   EXPECT_EQ(scan->rows, 2000);
   // Inclusive: the aggregate's base cost covers its whole subtree.
@@ -152,8 +153,8 @@ TEST_F(GraphTest, TrueCostSubtractsDmd) {
   Recycler rec(&catalog_, cfg);
   // First run: speculation materializes the aggregate (final result).
   rec.Execute(AggPlan(10));
-  RGNode* agg = FindNode(rec, "agg:");
-  RGNode* sel = FindNode(rec, "select:");
+  RGNode* agg = FindNode(rec, OpType::kAggregate);
+  RGNode* sel = FindNode(rec, OpType::kSelect);
   ASSERT_NE(agg, nullptr);
   ASSERT_NE(sel, nullptr);
   ASSERT_EQ(agg->mat_state.load(), MatState::kCached);
@@ -173,8 +174,8 @@ TEST_F(GraphTest, UpdateHrOnMaterializeReducesDescendants) {
   // Three occurrences: 1st inserts, 2nd materializes (HIST store), h of
   // descendants is then reduced by the aggregate's h (Eq. 3).
   rec.Execute(AggPlan(10));
-  RGNode* sel = FindNode(rec, "select:");
-  RGNode* agg = FindNode(rec, "agg:");
+  RGNode* sel = FindNode(rec, OpType::kSelect);
+  RGNode* agg = FindNode(rec, OpType::kAggregate);
   ASSERT_NE(sel, nullptr);
   rec.Execute(AggPlan(10));  // h(agg)=h(sel)=1; store decision on agg
   ASSERT_EQ(agg->mat_state.load(), MatState::kCached);
@@ -188,8 +189,8 @@ TEST_F(GraphTest, UpdateHrOnEvictRestoresDescendants) {
   Recycler rec(&catalog_, cfg);
   rec.Execute(AggPlan(10));
   rec.Execute(AggPlan(10));
-  RGNode* sel = FindNode(rec, "select:");
-  RGNode* agg = FindNode(rec, "agg:");
+  RGNode* sel = FindNode(rec, OpType::kSelect);
+  RGNode* agg = FindNode(rec, OpType::kAggregate);
   ASSERT_EQ(agg->mat_state.load(), MatState::kCached);
   double h_agg = agg->h;
   double h_sel_before = sel->h;
@@ -203,8 +204,8 @@ TEST_F(GraphTest, NodesBelowCachedAncestorDoNotGainH) {
   cfg.mode = RecyclerMode::kSpeculation;
   Recycler rec(&catalog_, cfg);
   rec.Execute(AggPlan(10));  // speculation caches the aggregate
-  RGNode* agg = FindNode(rec, "agg:");
-  RGNode* sel = FindNode(rec, "select:");
+  RGNode* agg = FindNode(rec, OpType::kAggregate);
+  RGNode* sel = FindNode(rec, OpType::kSelect);
   ASSERT_EQ(agg->mat_state.load(), MatState::kCached);
   double h_sel = sel->h;
   double h_agg = agg->h;

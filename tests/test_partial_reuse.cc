@@ -82,17 +82,20 @@ TEST(ExtractRangeSpecs, SingleColumnWithOthers) {
   EXPECT_EQ(DatumAsDouble(specs[0].range.lo.value), 10.0);
   EXPECT_EQ(DatumAsDouble(specs[0].range.hi.value), 50.0);
   ASSERT_EQ(specs[0].others.size(), 1u);
-  EXPECT_EQ(specs[0].other_fps.size(), 1u);
+  EXPECT_EQ(specs[0].other_keys.size(), 1u);
   EXPECT_EQ(specs[0].ordinal, -1);
 
   // Over an input, the column resolves to its ordinal and the other
-  // conjuncts fingerprint positionally; `others` keep their names.
+  // conjuncts key by ordinal; `others` keep their names.
   const Schema input({{"g", TypeId::kInt64}, {"x", TypeId::kDouble}});
   specs = ExtractRangeSpecs(pred, &input);
   ASSERT_EQ(specs.size(), 1u);
   EXPECT_EQ(specs[0].column, "x");
   EXPECT_EQ(specs[0].ordinal, 1);
-  EXPECT_EQ(specs[0].other_fps, (std::set<std::string>{"(= c:#0 l:3)"}));
+  EXPECT_EQ(specs[0].other_keys,
+            (std::set<std::string>{
+                Expr::Eq(Expr::Column("g"), Expr::Literal(int64_t{3}))
+                    ->Key(&input)}));
   EXPECT_EQ(specs[0].others[0]->children()[0]->column_name(), "g");
 }
 
@@ -106,7 +109,7 @@ TEST(ExtractRangeSpecs, TwoRangedColumnsYieldTwoSpecs) {
   ASSERT_EQ(specs.size(), 2u);
   for (const auto& s : specs) {
     EXPECT_EQ(s.others.size(), 1u);
-    EXPECT_EQ(s.other_fps.size(), 1u);
+    EXPECT_EQ(s.other_keys.size(), 1u);
   }
 }
 
@@ -180,15 +183,15 @@ TEST(IntervalIndexTest, OverlapLookupAndRemove) {
 
   // A slice with a conjunct the query lacks can never stitch, so the
   // lookup leaves it out, hot or cold (a cold one is read only if used).
-  n2.range_specs[0].other_fps = {"g = 1"};
+  n2.range_specs[0].other_keys = {"g = 1"};
   n2.mat_state.store(MatState::kCached);
   EXPECT_EQ(overlapping(7, query), (std::vector<RGNode*>{&n1}));
-  query.other_fps = {"g = 1"};
+  query.other_keys = {"g = 1"};
   EXPECT_EQ(overlapping(7, query), (std::vector<RGNode*>{&n1, &n2}));
-  query.other_fps.clear();
+  query.other_keys.clear();
   n2.mat_state.store(MatState::kCold);
   EXPECT_EQ(overlapping(7, query), (std::vector<RGNode*>{&n1}));
-  n2.range_specs[0].other_fps.clear();
+  n2.range_specs[0].other_keys.clear();
 
   index.Remove(&n1);
   index.Remove(&n4);
@@ -741,23 +744,24 @@ TEST_F(PartialReuseTest, PrefilterAcceptsExactlyTheDerivableCandidates) {
 
     PlanPtr query = PlanNode::Select(child, qpred);
     query->Bind(catalog_);
-    // The candidate as the recycler inserts it: positional parameters,
-    // conjunct fingerprints taken from them once.
+    // The candidate as the recycler inserts it: positional parameters
+    // over the child node, conjunct keys taken from them once.
     PlanPtr cand_plan = PlanNode::Select(child, cpred);
     cand_plan->Bind(catalog_);
     RGNode cand;
     cand.id = 1;
     cand.type = OpType::kSelect;
+    cand.children = {&child_node};
     cand.param_node = cand_plan->PositionalParams();
-    cand.conjunct_fps =
-        ConjunctFingerprints(cand.param_node->predicate(), nullptr);
+    cand.conjunct_keys =
+        ConjunctKeys(cand.param_node->predicate(), &positional);
     TablePtr cached = MakeTable(query->output_schema());
 
-    // Subsumption: the prefilter sees the query's fingerprints computed
+    // Subsumption: the prefilter sees the query's keys computed
     // once over the child's output, as RewriteForReuse computes them.
     const bool derives = TrySubsumption(*query, cand, cached).plan != nullptr;
     EXPECT_EQ(MaySubsume(cand, OpType::kSelect,
-                         ConjunctFingerprints(qpred, &input)),
+                         ConjunctKeys(qpred, &input)),
               derives)
         << "trial " << trial;
     derivable += derives;
@@ -773,7 +777,7 @@ TEST_F(PartialReuseTest, PrefilterAcceptsExactlyTheDerivableCandidates) {
     const std::vector<IntervalCandidate> slices = {{&cand, cached, cspec}};
     const bool stitches = !PlanPartialStitch(*query, *qspec, slices)
                                .uses.empty();
-    EXPECT_EQ(ConjunctsImplied(cspec->other_fps, qspec->other_fps), stitches)
+    EXPECT_EQ(ConjunctsImplied(cspec->other_keys, qspec->other_keys), stitches)
         << "trial " << trial;
     stitchable += stitches;
 

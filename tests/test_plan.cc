@@ -1,8 +1,9 @@
-// Unit tests for src/plan: binding, fingerprints (named and positional),
-// hash keys, cloning.
+// Unit tests for src/plan: binding, parameter keys (named and
+// positional), tree keys, cloning.
 #include <gtest/gtest.h>
 
 #include "plan/plan.h"
+#include "storage/wire_format.h"
 
 namespace recycledb {
 namespace {
@@ -79,17 +80,23 @@ TEST_F(PlanTest, JoinSchemaConcatsAndSemiKeepsLeft) {
   EXPECT_EQ(semi->base_tables(), (std::set<std::string>{"t", "t2"}));
 }
 
-TEST_F(PlanTest, ParamFingerprintExcludesOutputNames) {
+std::string ParamKey(const PlanPtr& p, bool positional) {
+  std::string out;
+  p->AppendParamKey(&out, positional);
+  return out;
+}
+
+TEST_F(PlanTest, ParamKeyExcludesOutputNames) {
   // Two projects computing the same expression under different out names
-  // share a parameter fingerprint (a parent reads them by ordinal).
+  // share a parameter key (a parent reads them by ordinal).
   PlanPtr a = PlanNode::Project(PlanNode::Scan("t", {"v"}),
                                 {{Expr::Column("v"), "x"}});
   PlanPtr b = PlanNode::Project(PlanNode::Scan("t", {"v"}),
                                 {{Expr::Column("v"), "y"}});
-  EXPECT_EQ(a->ParamFingerprint(), b->ParamFingerprint());
+  EXPECT_EQ(ParamKey(a, false), ParamKey(b, false));
 }
 
-TEST_F(PlanTest, PositionalFingerprintReadsChildOrdinals) {
+TEST_F(PlanTest, PositionalKeyReadsChildOrdinals) {
   auto select_v = [&](std::vector<std::string> columns) {
     PlanPtr p = PlanNode::Select(
         PlanNode::Scan("t", std::move(columns)),
@@ -100,59 +107,68 @@ TEST_F(PlanTest, PositionalFingerprintReadsChildOrdinals) {
   PlanPtr kv = select_v({"k", "v"});
   PlanPtr vk = select_v({"v", "k"});
   // Same names, different ordinals: different positional parameters.
-  EXPECT_EQ(kv->ParamFingerprint(), vk->ParamFingerprint());
-  EXPECT_NE(kv->PositionalFingerprint(), vk->PositionalFingerprint());
-  EXPECT_NE(kv->PositionalFingerprint().find("c:#1"), std::string::npos);
-  // A leaf reads no child: its positional form is its named one.
-  EXPECT_EQ(kv->child()->PositionalFingerprint(),
-            kv->child()->ParamFingerprint());
+  EXPECT_EQ(ParamKey(kv, false), ParamKey(vk, false));
+  EXPECT_NE(ParamKey(kv, true), ParamKey(vk, true));
+  // A leaf reads no child: its positional key is its named one.
+  EXPECT_EQ(ParamKey(kv->child(), true), ParamKey(kv->child(), false));
 }
 
-TEST_F(PlanTest, PositionalFingerprintIsThePositionalParams) {
+TEST_F(PlanTest, PositionalKeyIgnoresNamesAChildIntroduces) {
+  auto top = [&](const std::string& g, const std::string& x) {
+    PlanPtr p = PlanNode::TopN(
+        PlanNode::Aggregate(
+            PlanNode::Project(PlanNode::Scan("t", {"k", "v"}),
+                              {{Expr::Column("k"), g}, {Expr::Column("v"), x}}),
+            {g}, {{AggFunc::kSum, Expr::Column(x), "sx"}}),
+        {{"sx", false}}, 5);
+    p->Bind(catalog_);
+    return p;
+  };
+  PlanPtr a = top("g", "x");
+  PlanPtr b = top("a", "b");
+  EXPECT_NE(ParamKey(a->child(), false), ParamKey(b->child(), false));
+  EXPECT_EQ(ParamKey(a->child(), true), ParamKey(b->child(), true));
+  EXPECT_EQ(ParamKey(a, true), ParamKey(b, true));
+}
+
+TEST_F(PlanTest, JoinKeysIndexTheirOwnChild) {
   PlanPtr join = PlanNode::HashJoin(PlanNode::Scan("t", {"k", "v"}),
                                     PlanNode::Scan("t2", {"w", "k2"}),
                                     JoinKind::kInner, {"k"}, {"k2"});
-  PlanPtr top = PlanNode::TopN(
-      PlanNode::Aggregate(
-          PlanNode::Project(
-              PlanNode::Select(join, Expr::Lt(Expr::Column("w"),
-                                              Expr::Literal(int64_t{3}))),
-              {{Expr::Column("k2"), "g"}, {Expr::Column("v"), "x"}}),
-          {"g"}, {{AggFunc::kSum, Expr::Column("x"), "sx"}}),
-      {{"sx", false}}, 5);
-  top->Bind(catalog_);
-  for (PlanPtr n = top;; n = n->child()) {
-    SCOPED_TRACE(OpTypeName(n->type()));
-    EXPECT_EQ(n->PositionalFingerprint(),
-              n->PositionalParams()->ParamFingerprint());
-    if (n->type() == OpType::kHashJoin) break;
-  }
-  // Left keys index the left child, right keys the right child.
-  EXPECT_EQ(join->PositionalFingerprint(), "join:inner:[#0]=[#1]");
+  join->Bind(catalog_);
+  std::string want(1, static_cast<char>(JoinKind::kInner));
+  wire::PutU32(&want, 1);
+  wire::PutU32(&want, 0);  // k: ordinal 0 of the left child
+  wire::PutU32(&want, 1);
+  wire::PutU32(&want, 1);  // k2: ordinal 1 of the right child
+  EXPECT_EQ(ParamKey(join, true), want);
 }
 
-TEST_F(PlanTest, HashKeyDistinguishesLiteralsButNotColumnNames) {
-  PlanPtr a = PlanNode::Select(
-      PlanNode::Scan("t", {"k"}),
-      Expr::Gt(Expr::Column("k"), Expr::Literal(int64_t{1})));
-  PlanPtr b = PlanNode::Select(
-      PlanNode::Scan("t", {"k"}),
-      Expr::Gt(Expr::Column("renamed"), Expr::Literal(int64_t{1})));
-  PlanPtr c = PlanNode::Select(
-      PlanNode::Scan("t", {"k"}),
-      Expr::Gt(Expr::Column("k"), Expr::Literal(int64_t{2})));
-  EXPECT_EQ(a->HashKey(), b->HashKey());  // name-space independent
-  EXPECT_NE(a->HashKey(), c->HashKey());  // literal-sensitive
+TEST_F(PlanTest, PositionalKeyDistinguishesLiteralsButNotColumnNames) {
+  auto select_gt = [&](const std::string& table, const std::string& column,
+                       int64_t lit) {
+    PlanPtr p = PlanNode::Select(
+        PlanNode::Scan(table, {column}),
+        Expr::Gt(Expr::Column(column), Expr::Literal(lit)));
+    p->Bind(catalog_);
+    return p;
+  };
+  PlanPtr a = select_gt("t", "k", 1);
+  PlanPtr b = select_gt("t2", "k2", 1);
+  PlanPtr c = select_gt("t", "k", 2);
+  EXPECT_NE(ParamKey(a, false), ParamKey(b, false));
+  EXPECT_EQ(ParamKey(a, true), ParamKey(b, true));  // name-space independent
+  EXPECT_NE(ParamKey(a, true), ParamKey(c, true));  // literal-sensitive
 }
 
-TEST_F(PlanTest, TreeFingerprintDistinguishesSubtrees) {
+TEST_F(PlanTest, TreeKeyDistinguishesSubtrees) {
   auto mk = [&](int64_t lit) {
     return PlanNode::Select(
         PlanNode::Scan("t", {"k"}),
         Expr::Gt(Expr::Column("k"), Expr::Literal(lit)));
   };
-  EXPECT_EQ(mk(1)->TreeFingerprint(), mk(1)->TreeFingerprint());
-  EXPECT_NE(mk(1)->TreeFingerprint(), mk(2)->TreeFingerprint());
+  EXPECT_EQ(mk(1)->TreeKey(), mk(1)->TreeKey());
+  EXPECT_NE(mk(1)->TreeKey(), mk(2)->TreeKey());
 }
 
 TEST_F(PlanTest, CloneAndWithChildren) {

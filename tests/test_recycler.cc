@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <shared_mutex>
 #include <thread>
+#include <tuple>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -204,7 +205,7 @@ TEST_F(RecyclerTest, LimitAboveStoreDoesNotLeakInFlightState) {
   // No node may be left in-flight after all queries completed.
   std::shared_lock<std::shared_mutex> lock(rec.graph().mutex());
   for (const auto& n : rec.graph().nodes()) {
-    EXPECT_NE(n->mat_state.load(), MatState::kInFlight) << n->param_fp;
+    EXPECT_NE(n->mat_state.load(), MatState::kInFlight) << "node " << n->id;
   }
 }
 
@@ -244,13 +245,12 @@ TEST_F(RecyclerTest, ConcurrentDistinctQueriesKeepGraphConsistent) {
     });
   }
   for (auto& th : threads) th.join();
-  // OCC invariant: no duplicate (type, fingerprint, children) nodes.
-  std::set<std::string> identities;
+  // OCC invariant: no duplicate (type, param key, children) nodes.
+  std::set<std::tuple<OpType, std::string, std::vector<RGNode*>>> identities;
   std::shared_lock<std::shared_mutex> lock(rec.graph().mutex());
   for (const auto& n : rec.graph().nodes()) {
-    std::string id = n->param_fp;
-    for (const RGNode* c : n->children) id += "@" + std::to_string(c->id);
-    EXPECT_TRUE(identities.insert(id).second) << "duplicate node: " << id;
+    EXPECT_TRUE(identities.emplace(n->type, n->param_key, n->children).second)
+        << "duplicate node: " << n->id;
   }
   // 4 selects + 4 aggs + 1 scan.
   EXPECT_EQ(rec.graph().Stats().num_nodes, 9);
@@ -295,7 +295,7 @@ struct RecyclerPeer {
     std::unique_ptr<Recycler::MNode> root = rec.MatchTree(plan);
     std::shared_lock<std::shared_mutex> lock(rec.graph_.mutex());
     rec.RememberExactHit(std::move(key), std::string(), *root,
-                         HashString(plan->TreeFingerprint()));
+                         HashString(plan->TreeKey()));
   }
 
   static void ClearIndex(Recycler& rec) {
@@ -496,7 +496,7 @@ TEST_F(ExactHitIndexTest, MissWithARefusedRootRegistersNothing) {
 }
 
 TEST_F(ExactHitIndexTest, IntroducedNamesArePartOfTheKey) {
-  // Both plans fingerprint as select:(x>50)(project:[k,v](scan)), but the
+  // Both plans have one tree key, select(x>50) over project(k, v), but the
   // first filters k and the second v.
   auto plan = [](const std::string& k_name, const std::string& v_name) {
     return PlanNode::Aggregate(
@@ -511,7 +511,7 @@ TEST_F(ExactHitIndexTest, IntroducedNamesArePartOfTheKey) {
   PlanPtr on_v = plan("y", "x");
   on_k->Bind(catalog_);
   on_v->Bind(catalog_);
-  ASSERT_EQ(on_k->TreeFingerprint(), on_v->TreeFingerprint());
+  ASSERT_EQ(on_k->TreeKey(), on_v->TreeKey());
   Recycler rec(&catalog_, RecyclerConfig{});
   Recycler off(&catalog_, [] {
     RecyclerConfig c;
@@ -522,6 +522,36 @@ TEST_F(ExactHitIndexTest, IntroducedNamesArePartOfTheKey) {
   ASSERT_EQ(rec.exact_hit_entries(), 1);
   EXPECT_EQ(recycledb::testing::RowMultiset(*rec.Execute(on_v).table),
             recycledb::testing::RowMultiset(*off.Execute(on_v).table));
+}
+
+TEST_F(ExactHitIndexTest, SeparatorsInIntroducedNamesKeepDistinctKeys) {
+  // Names that hold a separator of a joined-text key: (x, y|x) and (x|y,
+  // x) would both end in "x|y|x|c" there, though the first filters k and
+  // the second v.
+  auto plan = [](const std::string& k_name, const std::string& v_name) {
+    return PlanNode::Aggregate(
+        PlanNode::Select(
+            PlanNode::Project(PlanNode::Scan("t", {"k", "v"}),
+                              {{Expr::Column("k"), k_name},
+                               {Expr::Column("v"), v_name}}),
+            Expr::Gt(Expr::Column("x"), Expr::Literal(int64_t{50}))),
+        {}, {{AggFunc::kCount, Expr::Literal(int64_t{1}), "c"}});
+  };
+  std::unique_ptr<Database> db = Database::OpenOrDie(DatabaseOptions{});
+  ASSERT_TRUE(db->CreateTable("t", catalog_.GetTable("t")).ok());
+  auto session = db->Connect({});
+  SessionOptions bypass;
+  bypass.bypass_recycler = true;
+  auto oracle = db->Connect(bypass);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(session->Execute(plan("x", "y|x")).ok());
+  }
+  Result r = session->Execute(plan("x|y", "x"));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  Result want = oracle->Execute(plan("x|y", "x"));
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(recycledb::testing::RowMultiset(*r.table()),
+            recycledb::testing::RowMultiset(*want.table()));
 }
 
 /// `plan`'s rows from a recycler that is off.
@@ -632,8 +662,8 @@ TEST_F(ExactHitIndexTest, KeyOfAnUnboundPlanEqualsItsBoundCopy) {
     const StatementKey unbound_key = Recycler::ExactHitKey(*unbound);
     EXPECT_FALSE(unbound->bound());
     EXPECT_EQ(unbound_key.text, bound_key.text);
-    EXPECT_EQ(bound_key.text.substr(0, bound_key.fingerprint_size),
-              plan->TreeFingerprint());
+    EXPECT_EQ(bound_key.text.substr(0, bound_key.tree_key_size),
+              plan->TreeKey());
   }
 }
 
@@ -1040,7 +1070,7 @@ TEST_F(RecyclerTest, SubsumptionTriesTheLowerNodeIdFirst) {
     EXPECT_NE(winner, nullptr);
     if (winner == nullptr) return std::string();
     EXPECT_EQ(winner->id, first_cached);
-    return winner->param_fp;
+    return winner->param_key;
   };
   const std::string k_first = subsumer(by_k(), by_v());
   EXPECT_NE(subsumer(by_v(), by_k()), k_first);

@@ -51,18 +51,20 @@ TEST_F(SkyTest, WorkloadHasDominantPatternSharingFunctionCall) {
   auto workload = skyserver::GenerateWorkload(100, &rng);
   ASSERT_EQ(workload.size(), 100u);
   int dominant = 0;
-  std::set<std::string> function_fps;
+  std::set<std::string> function_keys;
   for (const auto& q : workload) {
     if (q.dominant) ++dominant;
     // Find the FunctionScan leaf.
     const PlanNode* n = q.plan.get();
     while (n->num_children() > 0) n = n->child(0).get();
     ASSERT_EQ(n->type(), OpType::kFunctionScan);
-    function_fps.insert(n->ParamFingerprint());
+    std::string key;
+    n->AppendParamKey(&key, /*positional=*/false);
+    function_keys.insert(std::move(key));
   }
   EXPECT_GT(dominant, 50);
   // Every query shares the same fGetNearbyObjEq(195, 2.5, 0.5) call.
-  EXPECT_EQ(function_fps.size(), 1u);
+  EXPECT_EQ(function_keys.size(), 1u);
 }
 
 TEST_F(SkyTest, RecyclerReusesFunctionCallAcrossVariants) {

@@ -630,7 +630,7 @@ TEST(SpillV2, OtherVersionsAreDeletedAtOpenAndMiss) {
         WideScan(), Expr::And(Expr::Ge(Expr::Column("i"), Expr::Literal(100)),
                               Expr::Lt(Expr::Column("i"), Expr::Literal(900))));
   };
-  for (uint32_t version : {1u, 2u, 3u, 4u, kSpillFormatVersion + 1}) {
+  for (uint32_t version : {1u, 2u, 3u, 4u, 5u, kSpillFormatVersion + 1}) {
     SCOPED_TRACE(StrFormat("version %u", version));
     TempSpillDir dir;
     DatabaseOptions options;
