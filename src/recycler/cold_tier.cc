@@ -1,5 +1,7 @@
 #include "recycler/cold_tier.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -41,14 +43,12 @@ Status ColdTier::ValidateSpillDir(const std::string& dir) {
     return Status::InvalidArgument(
         StrFormat("spill_dir %s is not a directory", dir.c_str()));
   }
-  const std::string probe = dir + "/.rdb-probe";
-  std::FILE* f = std::fopen(probe.c_str(), "wb");
-  if (f == nullptr) {
+  // Permission to create and delete entries, checked without writing a
+  // file into the directory.
+  if (::access(dir.c_str(), W_OK | X_OK) != 0) {
     return Status::InvalidArgument(
         StrFormat("spill_dir %s is not writable", dir.c_str()));
   }
-  std::fclose(f);
-  std::remove(probe.c_str());
   return Status::OK();
 }
 
@@ -417,11 +417,11 @@ void ColdTier::WorkerLoop() {
     TablePtr snapshot = ps.snapshot;
 
     lock.unlock();
-    const bool wrote = WriteSpillFile(path, *snapshot, stored, wopts).ok();
-    if (wrote && !ReadSpillMeta(path, &stored).ok()) stored = ps.meta;
-    std::error_code ec;
-    int64_t bytes = wrote ? static_cast<int64_t>(fs::file_size(path, ec)) : 0;
-    if (wrote && ec) bytes = snapshot->ByteSize();
+    SpillWriteInfo written;
+    const bool wrote =
+        WriteSpillFile(path, *snapshot, stored, wopts, &written).ok();
+    stored.raw_bytes = written.raw_bytes;
+    const int64_t bytes = written.file_bytes;
     lock.lock();
 
     std::vector<const RGNode*> dropped;

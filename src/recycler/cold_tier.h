@@ -121,8 +121,9 @@ class ColdTier {
   ColdTier(const ColdTier&) = delete;
   ColdTier& operator=(const ColdTier&) = delete;
 
-  /// Validates that `dir` can be created and written (probe file). Open
-  /// runs it for a writable tier.
+  /// Validates that `dir` can be created and that the process may
+  /// create and delete entries in it (access(2) with W_OK | X_OK; no
+  /// file is written). Open runs it for a writable tier.
   static Status ValidateSpillDir(const std::string& dir);
 
   /// Read-only variant: validates that `dir` exists and is a readable

@@ -1,7 +1,10 @@
 #include "storage/compression.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
+#include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <variant>
@@ -444,50 +447,81 @@ Status ForSelectRange(Cursor* c, TypeId type, int64_t n,
 
 // --- per-type encoder dispatch ---------------------------------------------
 
-/// One analysis pass: raw bytes, run count/bytes, distinct count (capped
-/// at 64k, past which dictionaries cannot win a 4-byte code anyway), and
-/// min/max for integer frames.
+template <typename T>
+constexpr bool SupportsDict() {
+  return !std::is_same_v<T, double> && !std::is_same_v<T, uint8_t>;
+}
+
+template <typename T>
+constexpr bool SupportsFor() {
+  return std::is_integral_v<T> && !std::is_same_v<T, uint8_t>;
+}
+
+/// One size pass: raw bytes, run count and bytes, and min/max for
+/// integer frames. Distinct values are counted separately, and only
+/// while a dictionary can still win (DictSizeBelow).
 struct ColumnShape {
   int64_t raw_bytes = 0;
   int64_t runs = 0;
   int64_t run_value_bytes = 0;
-  int64_t distinct = 0;        // valid while !distinct_overflow
-  bool distinct_overflow = false;
-  int64_t dict_value_bytes = 0;
   uint64_t max_delta = 0;      // integers only
 };
 
 template <typename T>
 ColumnShape Analyze(const T* data, int64_t n) {
   ColumnShape s;
-  std::unordered_set<T> distinct;
-  T min_v{};
-  T max_v{};
-  for (int64_t i = 0; i < n; ++i) {
-    s.raw_bytes += static_cast<int64_t>(ValueBytes(data[i]));
-    if (i == 0 || !BitEq(data[i], data[i - 1])) {
+  if (n == 0) return s;
+  [[maybe_unused]] T min_v{};
+  [[maybe_unused]] T max_v{};
+  if constexpr (SupportsFor<T>()) min_v = max_v = data[0];
+  s.runs = 1;
+  s.run_value_bytes = static_cast<int64_t>(ValueBytes(data[0]));
+  for (int64_t i = 1; i < n; ++i) {
+    if (!BitEq(data[i], data[i - 1])) {
       ++s.runs;
       s.run_value_bytes += static_cast<int64_t>(ValueBytes(data[i]));
     }
-    if (!s.distinct_overflow) {
-      if (distinct.insert(data[i]).second) {
-        s.dict_value_bytes += static_cast<int64_t>(ValueBytes(data[i]));
-        if (distinct.size() > 0xffff) s.distinct_overflow = true;
-      }
-    }
-    if constexpr (std::is_integral_v<T> && !std::is_same_v<T, uint8_t>) {
-      if (i == 0 || data[i] < min_v) min_v = data[i];
-      if (i == 0 || data[i] > max_v) max_v = data[i];
+    if constexpr (SupportsFor<T>()) {
+      if (data[i] < min_v) min_v = data[i];
+      if (data[i] > max_v) max_v = data[i];
     }
   }
-  s.distinct = static_cast<int64_t>(distinct.size());
-  if constexpr (std::is_integral_v<T> && !std::is_same_v<T, uint8_t>) {
-    if (n > 0) {
-      s.max_delta =
-          static_cast<uint64_t>(max_v) - static_cast<uint64_t>(min_v);
+  if constexpr (std::is_same_v<T, std::string>) {
+    for (int64_t i = 0; i < n; ++i) {
+      s.raw_bytes += static_cast<int64_t>(ValueBytes(data[i]));
     }
+  } else {
+    s.raw_bytes = n * static_cast<int64_t>(sizeof(T));
+  }
+  if constexpr (SupportsFor<T>()) {
+    s.max_delta = static_cast<uint64_t>(max_v) - static_cast<uint64_t>(min_v);
   }
   return s;
+}
+
+/// Size of the dictionary image of `data` (n > 0) when it is below
+/// `bound`, else -1. Counting stops as soon as the image's lower bound
+/// (the values seen so far plus n codes at their width) reaches
+/// `bound`, or at 0x10000 distinct values: past that a code takes 4
+/// bytes, and the chooser does not weigh 4-byte codes.
+template <typename T>
+int64_t DictSizeBelow(const T* data, int64_t n, int64_t bound) {
+  // Strings are keyed by view: `data` outlives the set.
+  using Key =
+      std::conditional_t<std::is_same_v<T, std::string>, std::string_view, T>;
+  std::unordered_set<Key> distinct;
+  int64_t value_bytes = 0;
+  auto lower_bound = [&] {
+    return 4 + value_bytes + 1 + n * CodeWidth(distinct.size());
+  };
+  if (lower_bound() >= bound) return -1;
+  for (int64_t i = 0; i < n; ++i) {
+    if (!distinct.insert(Key(data[i])).second) continue;
+    if (distinct.size() > 0xffff) return -1;
+    value_bytes += static_cast<int64_t>(ValueBytes(data[i]));
+    if (lower_bound() >= bound) return -1;
+  }
+  return lower_bound();
 }
 
 template <typename T>
@@ -497,16 +531,6 @@ T ColumnMin(const T* data, int64_t n) {
     if (data[i] < min_v) min_v = data[i];
   }
   return min_v;
-}
-
-template <typename T>
-bool SupportsDict() {
-  return !std::is_same_v<T, double> && !std::is_same_v<T, uint8_t>;
-}
-
-template <typename T>
-constexpr bool SupportsFor() {
-  return std::is_integral_v<T> && !std::is_same_v<T, uint8_t>;
 }
 
 template <typename T>
@@ -524,14 +548,12 @@ Status EncodeTypedAs(const T* data, int64_t n, TypeId type,
       RleEncode(data, n, &out->payload);
       return Status::OK();
     case ColumnEncoding::kDict:
-      if (!SupportsDict<T>()) {
-        return Status::InvalidArgument(
-            StrFormat("dict encoding unsupported for %s", TypeName(type)));
-      }
-      if constexpr (!std::is_same_v<T, double> && !std::is_same_v<T, uint8_t>) {
+      if constexpr (SupportsDict<T>()) {
         DictEncode(data, n, &out->payload);
+        return Status::OK();
       }
-      return Status::OK();
+      return Status::InvalidArgument(
+          StrFormat("dict encoding unsupported for %s", TypeName(type)));
     case ColumnEncoding::kFor:
       if constexpr (SupportsFor<T>()) {
         ForEncode(data, n, n > 0 ? ColumnMin(data, n) : T{}, &out->payload);
@@ -543,6 +565,9 @@ Status EncodeTypedAs(const T* data, int64_t n, TypeId type,
   return Status::InvalidArgument("unknown encoding");
 }
 
+/// Picks the smallest codec; ties go to the earlier of raw, RLE, dict,
+/// FOR, so each must be strictly smaller than everything before it. The
+/// dictionary is sized last and only below the size it must beat.
 template <typename T>
 EncodedColumn EncodeTypedBest(const T* data, int64_t n, TypeId type) {
   const ColumnShape s = Analyze(data, n);
@@ -554,22 +579,24 @@ EncodedColumn EncodeTypedBest(const T* data, int64_t n, TypeId type) {
     best = ColumnEncoding::kRle;
     best_size = rle_size;
   }
-  if (SupportsDict<T>() && !s.distinct_overflow && n > 0) {
-    const int64_t dict_size =
-        4 + s.dict_value_bytes + 1 +
-        n * CodeWidth(static_cast<size_t>(s.distinct));
-    if (dict_size < best_size) {
-      best = ColumnEncoding::kDict;
-      best_size = dict_size;
-    }
-  }
+  int64_t for_size = -1;
   if constexpr (SupportsFor<T>()) {
-    const int64_t for_size = 8 + 1 + n * DeltaWidth(s.max_delta);
-    if (n > 0 && for_size < best_size) {
-      best = ColumnEncoding::kFor;
-      best_size = for_size;
+    if (n > 0) for_size = 8 + 1 + n * DeltaWidth(s.max_delta);
+  }
+  if constexpr (SupportsDict<T>()) {
+    if (n > 0) {
+      // A dictionary wins only below the raw/RLE size and at or below
+      // FOR's, which it beats on a tie.
+      const int64_t bound =
+          for_size >= 0 ? std::min(best_size, for_size + 1) : best_size;
+      const int64_t dict_size = DictSizeBelow(data, n, bound);
+      if (dict_size >= 0) {
+        best = ColumnEncoding::kDict;
+        best_size = dict_size;
+      }
     }
   }
+  if (for_size >= 0 && for_size < best_size) best = ColumnEncoding::kFor;
 
   EncodedColumn out;
   Status st = EncodeTypedAs(data, n, type, best, &out);
@@ -590,7 +617,7 @@ Status DecodeTyped(const EncodedColumn& enc, std::vector<T>* out) {
       st = RleDecode(&c, enc.num_rows, out);
       break;
     case ColumnEncoding::kDict:
-      if constexpr (!std::is_same_v<T, double> && !std::is_same_v<T, uint8_t>) {
+      if constexpr (SupportsDict<T>()) {
         st = DictDecode(&c, enc.num_rows, out);
       } else {
         st = Status::Internal("dict payload for unsupported type");
@@ -620,7 +647,7 @@ Status SelectTyped(const EncodedColumn& enc, const ColumnInterval& range,
     case ColumnEncoding::kRle:
       return RleSelectRange<T>(&c, enc.type, enc.num_rows, range, sel);
     case ColumnEncoding::kDict:
-      if constexpr (!std::is_same_v<T, double> && !std::is_same_v<T, uint8_t>) {
+      if constexpr (SupportsDict<T>()) {
         return DictSelectRange<T>(&c, enc.type, enc.num_rows, range, sel);
       }
       return Status::Internal("dict payload for unsupported type");

@@ -13,8 +13,13 @@
 //
 // EncodeColumn picks the smallest encoding (falling back to kRaw when
 // nothing beats the raw image), so a spill payload is never larger than
-// the uncompressed column. Decoding is bit-exact: doubles are
-// compared/stored by bit pattern, never by value arithmetic.
+// the uncompressed column. Ties go to the earlier of raw, RLE, dict,
+// FOR, and a dictionary is a candidate only up to 0xffff distinct
+// values (2-byte codes). Sizes are computed, not encoded: one pass for
+// raw, RLE and FOR, then a distinct count for dictionary-capable types
+// that stops as soon as the dictionary cannot win. Decoding is
+// bit-exact: doubles are compared/stored by bit pattern, never by value
+// arithmetic.
 //
 // SelectRangeEncoded evaluates a range predicate directly on the encoded
 // image — one comparison per RLE run / dictionary entry instead of per
@@ -52,8 +57,8 @@ struct EncodedColumn {
   std::string payload;
 };
 
-/// Encodes `col` with the smallest applicable codec (size computed
-/// analytically per candidate before encoding anything).
+/// Encodes `col` with the smallest applicable codec (sizes computed
+/// before encoding anything; see the file comment for ties).
 EncodedColumn EncodeColumn(const ColumnVector& col);
 
 /// Encodes with a specific codec; InvalidArgument for unsupported

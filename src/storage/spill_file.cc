@@ -98,6 +98,7 @@ Status ParseHeader(const std::string& buf, SpillFileMeta* meta) {
       !c.GetString(&meta->select_predicate)) {
     return Status::Internal("spill header truncated in select descriptor");
   }
+  if (c.remaining() != 0) return Status::Internal("spill header too long");
   return Status::OK();
 }
 
@@ -132,29 +133,26 @@ int64_t RawPayloadBytes(const Table& table) {
   return bytes;
 }
 
-/// FILE* wrapper that streams every written byte through FNV-1a.
+/// FILE* wrapper that streams every written byte through the checksum
+/// and counts them.
 class ChecksummedWriter {
  public:
   explicit ChecksummedWriter(std::FILE* f) : f_(f) {}
 
   bool Write(const void* data, size_t len) {
     if (len == 0) return true;  // zero-row columns pass a null span
-    sum_ = Fnv1a(data, len, sum_);
+    sum_.Update(data, len);
+    bytes_ += static_cast<int64_t>(len);
     return std::fwrite(data, 1, len, f_) == len;
   }
-  uint64_t sum() const { return sum_; }
+  uint64_t sum() const { return sum_.Digest(); }
+  int64_t bytes() const { return bytes_; }
 
  private:
   std::FILE* f_;
-  uint64_t sum_ = 0xcbf29ce484222325ULL;
+  StreamChecksum sum_;
+  int64_t bytes_ = 0;
 };
-
-/// Bulk-reads `len` bytes, folding them into `*sum`.
-bool ReadChecked(std::FILE* f, void* data, size_t len, uint64_t* sum) {
-  if (std::fread(data, 1, len, f) != len) return false;
-  *sum = Fnv1a(data, len, *sum);
-  return true;
-}
 
 // --- payload (encoded column blocks) --------------------------------------
 
@@ -179,10 +177,10 @@ Status WriteColumns(ChecksummedWriter* w, const Table& table, bool compress) {
 }
 
 /// Opens `path`, validates magic/version, reads the header. On success
-/// `*f_out` is positioned at the first payload byte and `*sum` holds the
-/// running checksum over the header bytes.
+/// `*f_out` is positioned at the first payload byte and `*sum` has taken
+/// the header bytes.
 Status OpenAndReadHeader(const std::string& path, std::FILE** f_out,
-                         SpillFileMeta* meta, uint64_t* sum) {
+                         SpillFileMeta* meta, StreamChecksum* sum) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return Status::NotFound(StrFormat("spill file %s cannot be opened",
@@ -226,7 +224,7 @@ Status OpenAndReadHeader(const std::string& path, std::FILE** f_out,
     return Status::Internal(StrFormat("%s: %s", path.c_str(),
                                       st.message().c_str()));
   }
-  *sum = Fnv1a(header.data(), header.size());
+  sum->Update(header.data(), header.size());
   *f_out = f;
   return Status::OK();
 }
@@ -243,7 +241,7 @@ Status ReadColumnBlocks(const std::string& path, SpillFileMeta* meta,
     return Status::Internal(StrFormat("%s: %s", path.c_str(), what.c_str()));
   };
   std::FILE* f = nullptr;
-  uint64_t sum = 0;
+  StreamChecksum sum;
   RDB_RETURN_NOT_OK(OpenAndReadHeader(path, &f, meta, &sum));
   // Payload size = bytes between the header and the 8-byte checksum.
   const long payload_start = std::ftell(f);
@@ -260,8 +258,7 @@ Status ReadColumnBlocks(const std::string& path, SpillFileMeta* meta,
     error = "spill file truncated";
   } else {
     payload.resize(static_cast<size_t>(payload_bytes));
-    if (payload_bytes > 0 &&
-        !ReadChecked(f, payload.data(), payload.size(), &sum)) {
+    if (std::fread(payload.data(), 1, payload.size(), f) != payload.size()) {
       error = "spill payload truncated";
     } else if (std::fread(sumbuf, 1, 8, f) != 8) {
       error = "spill checksum missing";
@@ -272,7 +269,8 @@ Status ReadColumnBlocks(const std::string& path, SpillFileMeta* meta,
   uint64_t stored = 0;
   for (int i = 0; i < 8; ++i)
     stored |= static_cast<uint64_t>(sumbuf[i]) << (8 * i);
-  if (stored != sum) return corrupt("spill checksum mismatch");
+  sum.Update(payload.data(), payload.size());
+  if (stored != sum.Digest()) return corrupt("spill checksum mismatch");
 
   if (meta->num_rows < 0) return corrupt("spill header has negative row count");
   Cursor c{reinterpret_cast<const unsigned char*>(payload.data()),
@@ -366,7 +364,8 @@ ColumnPtr GatherRows(const ColumnVector& col, const std::vector<int32_t>& sel) {
 
 Status WriteSpillFile(const std::string& path, const Table& table,
                       const SpillFileMeta& meta,
-                      const SpillWriteOptions& options) {
+                      const SpillWriteOptions& options,
+                      SpillWriteInfo* info) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
@@ -405,13 +404,20 @@ Status WriteSpillFile(const std::string& path, const Table& table,
   if (st.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
     st = Status::Internal(StrFormat("cannot rename %s into place", tmp.c_str()));
   }
-  if (!st.ok()) std::remove(tmp.c_str());
+  if (!st.ok()) {
+    std::remove(tmp.c_str());
+    return st;
+  }
+  if (info != nullptr) {
+    info->file_bytes = static_cast<int64_t>(prefix.size()) + w.bytes() + 8;
+    info->raw_bytes = stamped.raw_bytes;
+  }
   return st;
 }
 
 Status ReadSpillMeta(const std::string& path, SpillFileMeta* meta) {
   std::FILE* f = nullptr;
-  uint64_t sum = 0;
+  StreamChecksum sum;
   RDB_RETURN_NOT_OK(OpenAndReadHeader(path, &f, meta, &sum));
   std::fclose(f);
   return Status::OK();

@@ -10,7 +10,7 @@
 //
 // Layout (all integers little-endian, strings length-prefixed u32):
 //
-//   "RDBS" magic | u32 version | u64 header_len | header | payload | u64 fnv
+//   "RDBS" magic | u32 version | u64 header_len | header | payload | u64 sum
 //
 // Each column is a self-describing encoded block
 //
@@ -40,7 +40,10 @@
 // version fails ReadSpillMeta; the cold tier deletes it at open and the
 // result becomes a miss.
 //
-// The checksum is FNV-1a over header + payload. Writers stream to
+// The checksum is XXH64 (StreamChecksum in common/hash.h) over header +
+// payload, a word at a time: it runs over every byte on write and again
+// before every load, so it must cost little more than the read. Writers
+// stream to
 // "<path>.tmp" and rename into place, so a final-named file is always
 // complete: a crash can lose the entry being written, never produce a
 // half-readable one. Readers return recoverable Status (never abort) on
@@ -61,7 +64,7 @@ namespace recycledb {
 /// The spill format version; bump on any layout change, including the
 /// grammar of the canonical key the header holds. Files of any other
 /// version are rejected with a recoverable Status.
-inline constexpr uint32_t kSpillFormatVersion = 6;
+inline constexpr uint32_t kSpillFormatVersion = 7;
 
 /// Everything the cold tier must know about a spilled result without
 /// touching its payload: the restart-stable identity plus the reference
@@ -113,13 +116,23 @@ struct SpillWriteOptions {
   bool compress = true;
 };
 
+/// What WriteSpillFile put on disk, so a caller need not read it back.
+struct SpillWriteInfo {
+  /// Size of the final file in bytes.
+  int64_t file_bytes = 0;
+  /// The SpillFileMeta::raw_bytes the writer stamped into the header.
+  int64_t raw_bytes = 0;
+};
+
 /// Writes `table` with `meta` to `path` via a "<path>.tmp" + rename
 /// protocol. On any error the final path is left untouched (a stale tmp
 /// file may remain; directory scans delete those). `meta.raw_bytes` is
-/// computed by the writer; the caller's value is ignored.
+/// computed by the writer; the caller's value is ignored. On success a
+/// non-null `info` receives the file size and the stamped raw size.
 Status WriteSpillFile(const std::string& path, const Table& table,
                       const SpillFileMeta& meta,
-                      const SpillWriteOptions& options = {});
+                      const SpillWriteOptions& options = {},
+                      SpillWriteInfo* info = nullptr);
 
 /// Reads only the header of `path` (directory-scan fast path; the
 /// payload checksum is NOT verified here).

@@ -11,6 +11,7 @@
 // runs.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cmath>
@@ -237,7 +238,7 @@ TEST(SpillFile, ImplausibleRowCountRejectedBeforeAllocation) {
 
   // Patch the header's num_rows (offset: 16-byte prefix + "k" string
   // (5) + ncols (4) + two "a"/"v" column records (6 each)) to a value
-  // that would allocate terabytes if trusted, and recompute the FNV
+  // that would allocate terabytes if trusted, and recompute the
   // checksum over header + payload so the file stays checksum-valid.
   // The codecs must fail with a recoverable Status before allocating.
   std::string bytes;
@@ -250,7 +251,9 @@ TEST(SpillFile, ImplausibleRowCountRejectedBeforeAllocation) {
   }
   const uint64_t huge = 1ull << 40;
   std::memcpy(&bytes[16 + 5 + 4 + 6 + 6], &huge, sizeof(huge));
-  const uint64_t sum = Fnv1a(bytes.data() + 16, bytes.size() - 16 - 8);
+  StreamChecksum checksum;
+  checksum.Update(bytes.data() + 16, bytes.size() - 16 - 8);
+  const uint64_t sum = checksum.Digest();
   std::memcpy(&bytes[bytes.size() - 8], &sum, sizeof(sum));
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -282,6 +285,112 @@ TEST(SpillFile, GarbageFileRejected) {
   std::fclose(f);
   SpillFileMeta meta;
   EXPECT_FALSE(ReadSpillMeta(path, &meta).ok());
+}
+
+TEST(StreamChecksum, IsXxh64AndIgnoresChunking) {
+  auto digest = [](const std::string& bytes) {
+    StreamChecksum c;
+    c.Update(bytes.data(), bytes.size());
+    return c.Digest();
+  };
+  // Published XXH64 (seed 0) values.
+  EXPECT_EQ(digest(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(digest("a"), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(digest("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ULL);
+
+  std::string buf;
+  for (int i = 0; i < 1000; ++i) {
+    buf.push_back(static_cast<char>((i * 131 + i / 7) & 0xff));
+  }
+  const uint64_t whole = digest(buf);
+  for (size_t cut = 0; cut <= buf.size(); ++cut) {
+    StreamChecksum c;
+    c.Update(buf.data(), cut);
+    c.Update(buf.data() + cut, buf.size() - cut);
+    ASSERT_EQ(c.Digest(), whole) << "split at " << cut;
+  }
+  for (size_t chunk = 1; chunk <= 70; ++chunk) {
+    StreamChecksum c;
+    for (size_t pos = 0; pos < buf.size(); pos += chunk) {
+      c.Update(buf.data() + pos, std::min(chunk, buf.size() - pos));
+    }
+    ASSERT_EQ(c.Digest(), whole) << "chunks of " << chunk;
+  }
+  // The length is mixed in: a trailing zero byte changes the digest.
+  EXPECT_NE(digest(buf + std::string(1, '\0')), whole);
+}
+
+TEST(SpillFile, EveryByteFlipAndTruncationIsAnError) {
+  TempSpillDir dir;
+  TablePtr t = MakeTestTable(200);
+  SpillFileMeta meta;
+  meta.canon_key = "k";
+  meta.column_names = t->schema().Names();
+  meta.column_types = {TypeId::kInt32, TypeId::kDouble};
+  meta.num_rows = t->num_rows();
+  const std::string path = dir.path() + "/flip.spill";
+  auto put = [&path](const std::string& bytes) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  };
+  // Neither the full nor the filtered read may accept the file.
+  auto rejected = [&path] {
+    SpillFileMeta m;
+    TablePtr back;
+    if (ReadSpillTable(path, &m, &back).ok() || back != nullptr) return false;
+    return !ReadSpillTableFiltered(path, &m, 1, ColumnInterval{}, &back).ok() &&
+           back == nullptr;
+  };
+  for (bool compress : {true, false}) {
+    SCOPED_TRACE(compress ? "compressed" : "raw");
+    SpillWriteOptions opts;
+    opts.compress = compress;
+    ASSERT_TRUE(WriteSpillFile(path, *t, meta, opts).ok());
+    std::string bytes;
+    {
+      std::FILE* f = std::fopen(path.c_str(), "rb");
+      ASSERT_NE(f, nullptr);
+      bytes.resize(fs::file_size(path));
+      ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+      std::fclose(f);
+    }
+    ASSERT_GT(bytes.size(), 1500u);
+    ASSERT_LT(bytes.size(), 2600u);
+    for (size_t pos = 0; pos < bytes.size(); ++pos) {
+      for (unsigned char mask : {0x01, 0xff}) {
+        std::string flipped = bytes;
+        flipped[pos] = static_cast<char>(flipped[pos] ^ mask);
+        put(flipped);
+        ASSERT_TRUE(rejected()) << "byte " << pos << " ^ " << int{mask};
+      }
+    }
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      put(bytes.substr(0, len));
+      ASSERT_TRUE(rejected()) << "truncated to " << len;
+    }
+    put(bytes);
+    EXPECT_TRUE(!rejected());
+  }
+}
+
+TEST(ColdTier, PrivateOpenWritesNothingToAFreshDir) {
+  TempSpillDir dir;
+  // Open checks that the directory is writable without writing to it: a
+  // probe file would show as a changed modification time even after its
+  // unlink. The sleep puts any such change past the clock's granularity.
+  const auto before = fs::last_write_time(dir.path());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  DatabaseOptions options;
+  options.recycler.spill_dir = dir.path();
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(options, &db).ok());
+  EXPECT_TRUE(fs::is_empty(dir.path()));
+  EXPECT_EQ(fs::last_write_time(dir.path()), before);
+  db.reset();  // nothing ran, so the checkpoint has nothing to write
+  EXPECT_TRUE(fs::is_empty(dir.path()));
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@
 #include <filesystem>
 #include <functional>
 #include <limits>
+#include <map>
+#include <random>
 #include <shared_mutex>
 #include <thread>
 
@@ -438,6 +440,165 @@ TEST(Compression, DoubleBitPatternsSurviveRle) {
   EXPECT_TRUE(ColumnsBitEqual(*col, *back));
 }
 
+/// The codec a size-only chooser must pick: every legal codec encoded
+/// through EncodeColumnAs, the smallest payload kept, ties to the
+/// earlier of raw, RLE, dict, FOR. A dictionary is legal up to 0xffff
+/// entries (2-byte codes): EncodeColumn does not weigh 4-byte codes.
+EncodedColumn SmallestLegalEncoding(const ColumnVector& col) {
+  EncodedColumn best;
+  bool have = false;
+  for (ColumnEncoding e :
+       {ColumnEncoding::kRaw, ColumnEncoding::kRle, ColumnEncoding::kDict,
+        ColumnEncoding::kFor}) {
+    EncodedColumn enc;
+    if (!EncodeColumnAs(col, e, &enc).ok()) continue;
+    if (e == ColumnEncoding::kDict) {
+      uint32_t entries = 0;
+      std::memcpy(&entries, enc.payload.data(), sizeof(entries));
+      if (entries > 0xffff) continue;
+    }
+    if (!have || enc.payload.size() < best.payload.size()) {
+      best = std::move(enc);
+      have = true;
+    }
+  }
+  return best;
+}
+
+/// One value of `type` per int64 (doubles and strings derived from it).
+ColumnPtr ColumnOf(TypeId type, const std::vector<int64_t>& v) {
+  ColumnPtr c = MakeColumn(type);
+  for (int64_t x : v) {
+    switch (type) {
+      case TypeId::kBool: c->Data<uint8_t>().push_back(x & 1); break;
+      case TypeId::kInt32:
+      case TypeId::kDate:
+        c->Data<int32_t>().push_back(static_cast<int32_t>(x));
+        break;
+      case TypeId::kInt64: c->Data<int64_t>().push_back(x); break;
+      case TypeId::kDouble:
+        c->Data<double>().push_back(static_cast<double>(x) * 0.25);
+        break;
+      case TypeId::kString:
+        c->Data<std::string>().push_back(x == 0 ? "" : "s" + std::to_string(x));
+        break;
+    }
+  }
+  return c;
+}
+
+TEST(Compression, ChoiceIsTheSmallestLegalCodec) {
+  const TypeId kTypes[] = {TypeId::kBool,   TypeId::kInt32, TypeId::kDate,
+                           TypeId::kInt64,  TypeId::kDouble, TypeId::kString};
+  constexpr int64_t kMin64 = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax64 = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin32 = std::numeric_limits<int32_t>::min();
+  constexpr int64_t kMax32 = std::numeric_limits<int32_t>::max();
+  std::vector<std::pair<std::string, ColumnPtr>> cases;
+  auto every_type = [&](const std::string& name, std::vector<int64_t> v) {
+    for (TypeId t : kTypes) {
+      cases.emplace_back(name + "/" + TypeName(t), ColumnOf(t, v));
+    }
+  };
+
+  every_type("empty", {});
+  every_type("constant1", {7});
+  every_type("constant1000", std::vector<int64_t>(1000, 7));
+  // Three cycling ints over 8 rows: the dictionary (5 + 12 + 8) ties
+  // FOR at 2-byte deltas (9 + 16), both under raw (32) and RLE.
+  std::vector<int64_t> tie;
+  for (int i = 0; i < 8; ++i) tie.push_back((i % 3) * 1000);
+  every_type("dict_ties_for", tie);
+  // Distinct-count boundaries: code widths 1/2 and the 0xffff cap, with
+  // values spread so that FOR needs 4- or 8-byte deltas.
+  for (int64_t d : {255, 256, 257, 65535, 65536}) {
+    std::vector<int64_t> cyclic, sorted;
+    for (int64_t i = 0; i < 3 * d; ++i) {
+      cyclic.push_back((i % d) * 65537);
+      sorted.push_back((i / 3) * 65537);
+    }
+    for (TypeId t : {TypeId::kInt32, TypeId::kInt64, TypeId::kString}) {
+      cases.emplace_back(StrFormat("distinct%lld_cyclic/%s", (long long)d,
+                                   TypeName(t)),
+                         ColumnOf(t, cyclic));
+      cases.emplace_back(StrFormat("distinct%lld_sorted/%s", (long long)d,
+                                   TypeName(t)),
+                         ColumnOf(t, sorted));
+    }
+  }
+  // FOR delta-width boundaries, many distinct values between the ends.
+  for (int64_t delta : {int64_t{255}, int64_t{256}, int64_t{65535},
+                        int64_t{65536}, int64_t{0xffffffff},
+                        int64_t{0x100000000}}) {
+    for (int64_t base : {int64_t{0}, int64_t{-12345}, kMin64}) {
+      std::vector<int64_t> v = {base, base + delta};
+      for (int64_t i = 2; i < 600; ++i) {
+        v.push_back(base + (i * 7919) % (delta + 1));
+      }
+      cases.emplace_back(StrFormat("for_delta%lld_base%lld/int64",
+                                   (long long)delta, (long long)base),
+                         ColumnOf(TypeId::kInt64, v));
+      if (delta <= 0xffffffff && base == 0) {
+        for (int64_t& x : v) x += kMin32;  // stays in int32 range
+        cases.emplace_back(StrFormat("for_delta%lld/int32", (long long)delta),
+                           ColumnOf(TypeId::kInt32, v));
+      }
+    }
+  }
+  every_type("int32_extremes", {kMin32, kMax32, 0, kMin32, kMin32, kMax32});
+  cases.emplace_back("int64_extremes",
+                     ColumnOf(TypeId::kInt64,
+                              {kMin64, kMax64, 0, kMin64, kMin64, kMax64, -1}));
+  {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> v = {-0.0, 0.0, -0.0, -0.0, nan, nan, -nan, 0.0, 1.5};
+    for (int i = 0; i < 40; ++i) v.push_back(i % 3 == 0 ? -0.0 : nan);
+    cases.emplace_back("signed_zero_nan/double",
+                       TypedColumn<double>(TypeId::kDouble, v));
+  }
+  cases.emplace_back(
+      "empty_strings/string",
+      TypedColumn<std::string>(TypeId::kString,
+                               {"", "", "a", "", "", "", "bb", "", ""}));
+  // Seeded sweep of small columns over small domains, where sizes tie
+  // often: runs, dictionary and FOR widths all near their boundaries.
+  std::mt19937_64 rng(33);
+  const int64_t spreads[] = {1, 255, 256, 65535, 65536, int64_t{1} << 32,
+                             kMax64};
+  for (int c = 0; c < 3000; ++c) {
+    const TypeId t = kTypes[rng() % 6];
+    const int n = static_cast<int>(rng() % 49);
+    const int64_t spread = spreads[rng() % 7];
+    std::vector<int64_t> domain(1 + rng() % 12);
+    for (int64_t& x : domain) {
+      x = spread == kMax64 ? static_cast<int64_t>(rng())
+                           : static_cast<int64_t>(rng() % (spread + 1));
+    }
+    std::vector<int64_t> v;
+    for (int i = 0; i < n; ++i) {
+      v.push_back(i > 0 && rng() % 2 == 0 ? v.back()
+                                          : domain[rng() % domain.size()]);
+    }
+    cases.emplace_back(StrFormat("sweep%d/%s", c, TypeName(t)),
+                       ColumnOf(t, v));
+  }
+
+  std::map<ColumnEncoding, int> chosen;
+  for (const auto& [name, col] : cases) {
+    SCOPED_TRACE(name);
+    const EncodedColumn got = EncodeColumn(*col);
+    const EncodedColumn want = SmallestLegalEncoding(*col);
+    EXPECT_STREQ(EncodingName(got.encoding), EncodingName(want.encoding));
+    EXPECT_TRUE(got.payload == want.payload);
+    ++chosen[got.encoding];
+    if (name == "dict_ties_for/INT32" || name == "dict_ties_for/DATE") {
+      EXPECT_EQ(got.encoding, ColumnEncoding::kDict);  // the tie decided
+    }
+  }
+  // Every codec won somewhere, so every comparison was exercised.
+  EXPECT_EQ(chosen.size(), 4u);
+}
+
 TEST(Compression, SelectRangeEncodedMatchesDecodeThenFilter) {
   std::vector<int32_t> sawtooth;
   for (int i = 0; i < 3000; ++i) sawtooth.push_back(i / 100);
@@ -630,7 +791,7 @@ TEST(SpillV2, OtherVersionsAreDeletedAtOpenAndMiss) {
         WideScan(), Expr::And(Expr::Ge(Expr::Column("i"), Expr::Literal(100)),
                               Expr::Lt(Expr::Column("i"), Expr::Literal(900))));
   };
-  for (uint32_t version : {1u, 2u, 3u, 4u, 5u, kSpillFormatVersion + 1}) {
+  for (uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u, kSpillFormatVersion + 1}) {
     SCOPED_TRACE(StrFormat("version %u", version));
     TempSpillDir dir;
     DatabaseOptions options;
