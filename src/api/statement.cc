@@ -17,8 +17,7 @@ PreparedStatement::PreparedStatement(Session* session, PlanPtr template_plan,
       pre_canonical_(std::move(pre_canonical)) {
   template_->CollectParams(&params_);
   fingerprint_ = template_->TemplateFingerprint();
-  hash_ = HashString(fingerprint_);
-  if (hash_ == 0) hash_ = 1;  // 0 is reserved for ad-hoc queries
+  hash_ = TemplateHash(fingerprint_);
   // Tag the template root: SubstituteParams clones propagate the hash, so
   // every bound plan carries its template identity to the recycler.
   template_->set_template_hash(hash_);

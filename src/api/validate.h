@@ -1,13 +1,14 @@
-// Non-aborting plan/expression validation for the public API.
+// Non-aborting plan validation for the public API.
 //
-// The internal binder (PlanNode::Bind, Expr::DeduceType) treats invalid
-// plans as programmer errors and RDB_CHECK-aborts, which is the right
-// contract for our own generators but not for an embeddable API surface
-// where queries and parameter bindings come from the host application.
-// These mirrors perform the same checks bottom-up, without mutating the
-// plan, and return Status so Session/PreparedStatement can reject bad
-// input (unknown columns, unbound parameters, type mismatches) with an
-// Explain() rendering of the offending operator instead of aborting.
+// There is one schema-and-type rule, PlanNode::DeriveSchema (which types
+// expressions with Expr::CheckType). The internal binder, PlanNode::Bind,
+// RDB_CHECK-aborts when it fails, which is the right contract for our own
+// generators but not for an embeddable API surface where queries and
+// parameter bindings come from the host application. ValidatePlan applies
+// the same rule bottom-up, without mutating the plan, and returns its
+// failure as a Status, so Session/PreparedStatement can reject bad input
+// (unknown columns, unbound parameters, type mismatches) with an Explain()
+// rendering of the offending operator instead of aborting.
 #pragma once
 
 #include "common/status.h"
@@ -15,18 +16,12 @@
 
 namespace recycledb {
 
-/// Type-checks `expr` against `input` without aborting. On success `*out`
-/// (optional) receives the deduced result type. Unbound parameters,
-/// unknown columns/functions and operand type mismatches yield
-/// InvalidArgument.
-Status CheckExprType(const Expr& expr, const Schema& input, TypeId* out);
-
-/// Validates `plan` bottom-up against `catalog`: resolves output schemas,
-/// checks column references, predicate/projection/aggregate types, join
-/// keys and union compatibility — every condition Bind() would abort on,
-/// plus unresolved parameter placeholders. Does not mutate the plan. On
-/// success `*out_schema` (optional) receives the plan's output schema; on
-/// failure the message includes the offending operator subtree.
+/// Validates `plan` bottom-up against `catalog` by PlanNode::DeriveSchema:
+/// every condition Bind() would abort on, including unresolved parameter
+/// placeholders. Subtrees bound under the catalog's current schema
+/// generation are not walked again. Does not mutate the plan. On success
+/// `*out_schema` (optional) receives the plan's output schema; on failure
+/// the message includes the offending operator subtree.
 Status ValidatePlan(const PlanPtr& plan, const Catalog& catalog,
                     Schema* out_schema);
 

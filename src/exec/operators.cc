@@ -457,7 +457,12 @@ HashAggOp::HashAggOp(Schema output_schema, OperatorPtr child,
       aggs_(std::move(aggs)) {
   const Schema& in = child_->output_schema();
   for (const auto& g : group_by_) group_idx_.push_back(in.IndexOfChecked(g));
-  for (const auto& a : aggs_) agg_arg_types_.push_back(a.arg->DeduceType(in));
+  for (const auto& a : aggs_) {
+    TypeId t;
+    const Status st = a.arg->CheckType(in, &t);
+    RDB_CHECK_MSG(st.ok(), st.message().c_str());
+    agg_arg_types_.push_back(t);
+  }
 }
 
 void HashAggOp::Open() {

@@ -1,5 +1,6 @@
 #include "expr/expression.h"
 
+#include <cmath>
 #include <unordered_set>
 
 #include "common/hash.h"
@@ -102,45 +103,124 @@ ExprPtr Expr::Like(LikeKind kind, ExprPtr v, std::string pattern) {
   return e;
 }
 
-TypeId Expr::DeduceType(const Schema& input) const {
+namespace {
+
+// The type arithmetic over `l` and `r` yields, and a CASE over branches
+// of two different numeric types.
+TypeId NumericResultType(TypeId l, TypeId r) {
+  if (l == TypeId::kDouble || r == TypeId::kDouble) return TypeId::kDouble;
+  if (l == TypeId::kInt64 || r == TypeId::kInt64) return TypeId::kInt64;
+  return TypeId::kInt32;
+}
+
+Status ExprError(const Expr& expr, const std::string& what) {
+  return Status::InvalidArgument(what + " in expression " +
+                                 expr.DisplayString());
+}
+
+}  // namespace
+
+Status Expr::CheckType(const Schema& input, TypeId* out) const {
+  auto ok = [out](TypeId t) {
+    if (out != nullptr) *out = t;
+    return Status::OK();
+  };
+  TypeId l, r;
   switch (kind_) {
     case ExprKind::kColumnRef: {
       int idx = input.IndexOf(name_);
-      RDB_CHECK_MSG(idx >= 0, ("unbound column: " + name_).c_str());
-      return input.field(idx).type;
+      if (idx < 0) return Status::InvalidArgument("unknown column: " + name_);
+      return ok(input.field(idx).type);
     }
     case ExprKind::kLiteral:
-      return DatumType(literal_);
+      if (std::holds_alternative<std::monostate>(literal_)) {
+        return ExprError(*this, "null literal (engine is NULL-free)");
+      }
+      return ok(DatumType(literal_));
     case ExprKind::kParam:
-      RDB_UNREACHABLE(("unbound parameter: $" + name_).c_str());
+      return Status::InvalidArgument("unbound parameter: $" + name_);
     case ExprKind::kCompare:
+      RDB_RETURN_NOT_OK(children_[0]->CheckType(input, &l));
+      RDB_RETURN_NOT_OK(children_[1]->CheckType(input, &r));
+      if ((l == TypeId::kString) != (r == TypeId::kString)) {
+        return ExprError(*this,
+                         StrFormat("type mismatch: cannot compare %s to %s",
+                                   TypeName(l), TypeName(r)));
+      }
+      return ok(TypeId::kBool);
     case ExprKind::kLogical:
+      for (const auto& c : children_) {
+        RDB_RETURN_NOT_OK(c->CheckType(input, &l));
+        if (l != TypeId::kBool) {
+          return ExprError(*this, "logical operand is not boolean");
+        }
+      }
+      return ok(TypeId::kBool);
+    case ExprKind::kArith:
+      RDB_RETURN_NOT_OK(children_[0]->CheckType(input, &l));
+      RDB_RETURN_NOT_OK(children_[1]->CheckType(input, &r));
+      if (!IsNumeric(l) || !IsNumeric(r)) {
+        return ExprError(*this, "arithmetic on non-numeric operand");
+      }
+      return ok(NumericResultType(l, r));
+    case ExprKind::kFunc:
+      if (name_ == "year" || name_ == "month") {
+        if (children_.size() != 1) {
+          return ExprError(*this, name_ + " takes one argument");
+        }
+        RDB_RETURN_NOT_OK(children_[0]->CheckType(input, &l));
+        if (l != TypeId::kDate && l != TypeId::kInt32) {
+          return ExprError(*this, name_ + " argument must be a date");
+        }
+        return ok(TypeId::kInt32);
+      }
+      if (name_ == "bin") {
+        if (children_.size() != 2) {
+          return ExprError(*this, "bin takes (value, width)");
+        }
+        RDB_RETURN_NOT_OK(children_[0]->CheckType(input, &l));
+        if (!IsNumeric(l)) {
+          return ExprError(*this, "bin value must be numeric");
+        }
+        const Expr& width = *children_[1];
+        if (width.kind_ != ExprKind::kLiteral ||
+            !(std::holds_alternative<int32_t>(width.literal_) ||
+              std::holds_alternative<int64_t>(width.literal_)) ||
+            DatumAsInt64(width.literal_) <= 0) {
+          return ExprError(*this, "bin width must be a positive integer");
+        }
+        return ok(TypeId::kInt64);
+      }
+      return ExprError(*this, "unknown function: " + name_);
+    case ExprKind::kCase:
+      RDB_RETURN_NOT_OK(children_[0]->CheckType(input, &l));
+      if (l != TypeId::kBool) {
+        return ExprError(*this, "CASE condition is not boolean");
+      }
+      RDB_RETURN_NOT_OK(children_[1]->CheckType(input, &l));
+      RDB_RETURN_NOT_OK(children_[2]->CheckType(input, &r));
+      if (l == r) return ok(l);
+      if (!IsNumeric(l) || !IsNumeric(r)) {
+        return ExprError(*this, "CASE branch type mismatch");
+      }
+      return ok(NumericResultType(l, r));
     case ExprKind::kInList:
+      RDB_RETURN_NOT_OK(children_[0]->CheckType(input, &l));
+      for (const auto& v : in_values_) {
+        if (std::holds_alternative<std::monostate>(v) ||
+            (DatumType(v) == TypeId::kString) != (l == TypeId::kString)) {
+          return ExprError(*this, "IN list value type mismatch");
+        }
+      }
+      return ok(TypeId::kBool);
     case ExprKind::kLike:
-      return TypeId::kBool;
-    case ExprKind::kArith: {
-      TypeId l = children_[0]->DeduceType(input);
-      TypeId r = children_[1]->DeduceType(input);
-      RDB_CHECK_MSG(IsNumeric(l) && IsNumeric(r), "arith on non-numeric");
-      if (l == TypeId::kDouble || r == TypeId::kDouble) return TypeId::kDouble;
-      if (l == TypeId::kInt64 || r == TypeId::kInt64) return TypeId::kInt64;
-      return TypeId::kInt32;
-    }
-    case ExprKind::kFunc: {
-      if (name_ == "year" || name_ == "month") return TypeId::kInt32;
-      if (name_ == "bin") return TypeId::kInt64;
-      RDB_UNREACHABLE(("unknown function: " + name_).c_str());
-    }
-    case ExprKind::kCase: {
-      TypeId t = children_[1]->DeduceType(input);
-      TypeId e = children_[2]->DeduceType(input);
-      if (t == e) return t;
-      RDB_CHECK_MSG(IsNumeric(t) && IsNumeric(e), "CASE branch type mismatch");
-      if (t == TypeId::kDouble || e == TypeId::kDouble) return TypeId::kDouble;
-      return TypeId::kInt64;
-    }
+      RDB_RETURN_NOT_OK(children_[0]->CheckType(input, &l));
+      if (l != TypeId::kString) {
+        return ExprError(*this, "LIKE operand must be a string");
+      }
+      return ok(TypeId::kBool);
   }
-  RDB_UNREACHABLE("bad expr kind");
+  return Status::Internal("bad expression kind");
 }
 
 void Expr::CollectColumns(std::set<std::string>* out) const {
@@ -468,7 +548,7 @@ ColumnPtr Expr::Eval(const Batch& batch, const Schema& input) const {
     case ExprKind::kArith: {
       ColumnPtr l = children_[0]->Eval(batch, input);
       ColumnPtr r = children_[1]->Eval(batch, input);
-      TypeId out_type = DeduceType(input);
+      const TypeId out_type = NumericResultType(l->type(), r->type());
       auto out = MakeColumn(out_type);
       if (out_type == TypeId::kDouble) {
         auto& o = out->Data<double>();
@@ -527,14 +607,22 @@ ColumnPtr Expr::Eval(const Batch& batch, const Schema& input) const {
         return out;
       }
       if (name_ == "bin") {
-        // bin(value, width): floor(value / width); width is a literal.
+        // bin(value, width): floor(value / width); width is a positive
+        // integer literal (CheckType). A double value floors as a double.
         ColumnPtr arg = children_[0]->Eval(batch, input);
-        RDB_CHECK(children_[1]->kind() == ExprKind::kLiteral);
-        int64_t width = DatumAsInt64(children_[1]->literal());
+        const int64_t width = DatumAsInt64(children_[1]->literal());
         RDB_CHECK(width > 0);
         auto out = MakeColumn(TypeId::kInt64);
         auto& o = out->Data<int64_t>();
         o.resize(n);
+        if (arg->type() == TypeId::kDouble) {
+          const double* v = arg->Raw<double>();
+          const double w = static_cast<double>(width);
+          for (int64_t i = 0; i < n; ++i) {
+            o[i] = static_cast<int64_t>(std::floor(v[i] / w));
+          }
+          return out;
+        }
         for (int64_t i = 0; i < n; ++i) {
           int64_t v = AsInt64(*arg, i);
           int64_t q = v / width;
@@ -549,27 +637,39 @@ ColumnPtr Expr::Eval(const Batch& batch, const Schema& input) const {
       ColumnPtr cond = children_[0]->Eval(batch, input);
       ColumnPtr t = children_[1]->Eval(batch, input);
       ColumnPtr e = children_[2]->Eval(batch, input);
-      TypeId out_type = DeduceType(input);
+      const TypeId out_type = t->type() == e->type()
+                                  ? t->type()
+                                  : NumericResultType(t->type(), e->type());
       auto out = MakeColumn(out_type);
       const uint8_t* cv = cond->Raw<uint8_t>();
-      if (out_type == TypeId::kString) {
-        auto& o = out->Data<std::string>();
+      // Writes row i as the THEN or ELSE column's value, read by `get`.
+      auto fill = [&](auto& o, auto get) {
         o.resize(n);
-        for (int64_t i = 0; i < n; ++i) {
-          o[i] = cv[i] ? t->Raw<std::string>()[i] : e->Raw<std::string>()[i];
-        }
-      } else if (out_type == TypeId::kDouble) {
-        auto& o = out->Data<double>();
-        o.resize(n);
-        for (int64_t i = 0; i < n; ++i) {
-          o[i] = cv[i] ? AsDouble(*t, i) : AsDouble(*e, i);
-        }
-      } else {
-        auto& o = out->Data<int64_t>();
-        o.resize(n);
-        for (int64_t i = 0; i < n; ++i) {
-          o[i] = cv[i] ? AsInt64(*t, i) : AsInt64(*e, i);
-        }
+        for (int64_t i = 0; i < n; ++i) o[i] = cv[i] ? get(*t, i) : get(*e, i);
+      };
+      switch (out_type) {
+        case TypeId::kString:
+          fill(out->Data<std::string>(),
+               [](const ColumnVector& c, int64_t i) -> const std::string& {
+                 return c.Raw<std::string>()[i];
+               });
+          break;
+        case TypeId::kDouble:
+          fill(out->Data<double>(), AsDouble);
+          break;
+        case TypeId::kInt64:
+          fill(out->Data<int64_t>(), AsInt64);
+          break;
+        case TypeId::kBool:
+          fill(out->Data<uint8_t>(), [](const ColumnVector& c, int64_t i) {
+            return c.Raw<uint8_t>()[i];
+          });
+          break;
+        default:  // kInt32, kDate
+          fill(out->Data<int32_t>(), [](const ColumnVector& c, int64_t i) {
+            return static_cast<int32_t>(AsInt64(c, i));
+          });
+          break;
       }
       return out;
     }

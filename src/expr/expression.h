@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
 #include "storage/table.h"
 
@@ -52,7 +53,7 @@ enum class LikeKind : uint8_t { kContains, kPrefix, kSuffix, kNotContains };
 /// An immutable scalar expression tree.
 ///
 /// Build with the static factory functions; evaluate against a Batch with
-/// Eval() after checking/deducing types with DeduceType().
+/// Eval() after CheckType() accepted the tree over the batch's schema.
 class Expr : public std::enable_shared_from_this<Expr> {
  public:
   // ---- factories -----------------------------------------------------
@@ -95,9 +96,12 @@ class Expr : public std::enable_shared_from_this<Expr> {
   const std::vector<ExprPtr>& children() const { return children_; }
 
   // ---- analysis -------------------------------------------------------
-  /// Deduces the result type against `input`; RDB_CHECK-fails on unbound
-  /// columns or type errors. Pure (no caching), cheap.
-  TypeId DeduceType(const Schema& input) const;
+  /// The typing rule: checks this tree against `input` and on success
+  /// sets `*out` (optional) to its result type. Unknown columns or
+  /// functions, unbound parameters, NULL literals and operand type
+  /// mismatches yield InvalidArgument. PlanNode::DeriveSchema applies it
+  /// to every expression of a plan, for both Bind and ValidatePlan.
+  Status CheckType(const Schema& input, TypeId* out) const;
 
   /// Adds every referenced column name to `out`.
   void CollectColumns(std::set<std::string>* out) const;
@@ -145,7 +149,8 @@ class Expr : public std::enable_shared_from_this<Expr> {
 
   // ---- evaluation -----------------------------------------------------
   /// Vectorized evaluation over a batch laid out per `input`.
-  /// Returns a column of DeduceType(input) with batch.num_rows rows.
+  /// Returns a column of the CheckType(input) type with batch.num_rows
+  /// rows.
   ColumnPtr Eval(const Batch& batch, const Schema& input) const;
 
   /// Evaluates a predicate and returns the selected row indexes.

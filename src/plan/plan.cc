@@ -1,5 +1,6 @@
 #include "plan/plan.h"
 
+#include "common/hash.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "expr/range.h"
@@ -34,6 +35,11 @@ const char* JoinKindName(JoinKind kind) {
     case JoinKind::kSingle: return "single";
   }
   return "?";
+}
+
+uint64_t TemplateHash(const std::string& fingerprint) {
+  const uint64_t hash = HashString(fingerprint);
+  return hash == 0 ? 1 : hash;
 }
 
 PlanPtr PlanNode::Scan(std::string table, std::vector<std::string> columns) {
@@ -179,125 +185,207 @@ bool PlanNode::HasStaleBinding(const Catalog& catalog) const {
   return false;
 }
 
-void PlanNode::Bind(const Catalog& catalog) {
-  if (bound_) return;
-  // Read before the children bind, so a parent never records a newer
-  // generation than a child it was bound under.
-  const uint64_t generation = catalog.schema_generation();
-  for (auto& c : children_) c->Bind(catalog);
-  base_tables_.clear();
-  for (const auto& c : children_) {
-    base_tables_.insert(c->base_tables_.begin(), c->base_tables_.end());
-  }
+Status PlanNode::DeriveSchema(const Catalog& catalog,
+                              const std::vector<const Schema*>& inputs,
+                              Schema* out) const {
+  auto error = [](const std::string& what) {
+    return Status::InvalidArgument(what);
+  };
   switch (type_) {
     case OpType::kScan: {
       TablePtr t = catalog.GetTable(table_);
-      RDB_CHECK_MSG(t != nullptr, ("unknown table: " + table_).c_str());
+      if (t == nullptr) return error("unknown table: " + table_);
+      if (columns_.empty()) return error("scan selects no columns");
       std::vector<Field> fields;
+      fields.reserve(columns_.size());
       for (const auto& col : columns_) {
-        int idx = t->schema().IndexOfChecked(col);
+        int idx = t->schema().IndexOf(col);
+        if (idx < 0) return error("unknown column: " + table_ + "." + col);
         fields.push_back(t->schema().field(idx));
       }
-      output_schema_ = Schema(std::move(fields));
-      base_tables_.insert(table_);
-      break;
+      *out = Schema(std::move(fields));
+      return Status::OK();
     }
     case OpType::kFunctionScan: {
-      RDB_CHECK_MSG(arg_exprs_.empty(),
-                    "FunctionScan template has unresolved parameters; "
-                    "SubstituteParams must run before Bind");
+      if (!arg_exprs_.empty()) {
+        std::set<std::string> params;
+        CollectParams(&params);
+        std::string names;
+        for (const auto& p : params) {
+          if (!names.empty()) names += ", ";
+          names += "$" + p;
+        }
+        return error("unbound function-scan parameters: " + names);
+      }
       const TableFunction* fn = TableFunctionRegistry::Global().Get(table_);
-      RDB_CHECK_MSG(fn != nullptr, ("unknown function: " + table_).c_str());
-      output_schema_ = fn->schema_fn(args_);
-      base_tables_.insert(fn->base_tables.begin(), fn->base_tables.end());
-      break;
+      if (fn == nullptr) return error("unknown table function: " + table_);
+      for (const auto& a : args_) {
+        if (std::holds_alternative<std::monostate>(a)) {
+          return error("null argument to " + table_);
+        }
+      }
+      if (!fn->arg_types.empty()) {
+        if (args_.size() != fn->arg_types.size()) {
+          return error(StrFormat("%s takes %zu arguments, got %zu",
+                                 table_.c_str(), fn->arg_types.size(),
+                                 args_.size()));
+        }
+        for (size_t i = 0; i < fn->arg_types.size(); ++i) {
+          TypeId expected = fn->arg_types[i];
+          TypeId actual = DatumType(args_[i]);
+          if (expected != actual &&
+              !(IsNumeric(expected) && IsNumeric(actual))) {
+            return error(StrFormat("%s argument %zu: expected %s, got %s",
+                                   table_.c_str(), i + 1, TypeName(expected),
+                                   TypeName(actual)));
+          }
+        }
+      }
+      *out = fn->schema_fn(args_);
+      return Status::OK();
     }
     case OpType::kSelect: {
-      TypeId t = predicate_->DeduceType(children_[0]->output_schema());
-      RDB_CHECK_MSG(t == TypeId::kBool, "selection predicate must be bool");
-      output_schema_ = children_[0]->output_schema();
-      break;
+      TypeId t;
+      RDB_RETURN_NOT_OK(predicate_->CheckType(*inputs[0], &t));
+      if (t != TypeId::kBool) return error("filter predicate is not boolean");
+      *out = *inputs[0];
+      return Status::OK();
     }
     case OpType::kProject: {
-      const Schema& in = children_[0]->output_schema();
-      std::vector<Field> fields;
-      for (const auto& item : projections_) {
-        fields.push_back({item.out_name, item.expr->DeduceType(in)});
+      if (projections_.empty()) return error("projection computes no columns");
+      std::vector<Field> fields(projections_.size());
+      for (size_t i = 0; i < projections_.size(); ++i) {
+        fields[i].name = projections_[i].out_name;
+        RDB_RETURN_NOT_OK(
+            projections_[i].expr->CheckType(*inputs[0], &fields[i].type));
       }
-      output_schema_ = Schema(std::move(fields));
-      break;
+      *out = Schema(std::move(fields));
+      return Status::OK();
     }
     case OpType::kAggregate: {
-      const Schema& in = children_[0]->output_schema();
+      const Schema& in = *inputs[0];
       std::vector<Field> fields;
+      fields.reserve(group_by_.size() + aggregates_.size());
       for (const auto& g : group_by_) {
-        fields.push_back(in.field(in.IndexOfChecked(g)));
+        int idx = in.IndexOf(g);
+        if (idx < 0) return error("unknown group-by column: " + g);
+        fields.push_back(in.field(idx));
       }
       for (const auto& a : aggregates_) {
-        TypeId arg_type = a.arg->DeduceType(in);
-        fields.push_back({a.out_name, AggResultType(a.fn, arg_type)});
+        TypeId t;
+        RDB_RETURN_NOT_OK(a.arg->CheckType(in, &t));
+        if ((a.fn == AggFunc::kSum || a.fn == AggFunc::kAvg) &&
+            !IsNumeric(t)) {
+          return error(StrFormat("%s over non-numeric argument",
+                                 AggFuncName(a.fn)));
+        }
+        fields.push_back({a.out_name, AggResultType(a.fn, t)});
       }
-      output_schema_ = Schema(std::move(fields));
-      break;
+      *out = Schema(std::move(fields));
+      return Status::OK();
     }
     case OpType::kHashJoin: {
-      const Schema& l = children_[0]->output_schema();
-      const Schema& r = children_[1]->output_schema();
-      RDB_CHECK(left_keys_.size() == right_keys_.size() &&
-                !left_keys_.empty());
+      const Schema& l = *inputs[0];
+      const Schema& r = *inputs[1];
+      if (left_keys_.empty() || left_keys_.size() != right_keys_.size()) {
+        return error("join key lists must be non-empty and equal length");
+      }
       for (size_t i = 0; i < left_keys_.size(); ++i) {
-        l.IndexOfChecked(left_keys_[i]);
-        r.IndexOfChecked(right_keys_[i]);
+        int li = l.IndexOf(left_keys_[i]);
+        if (li < 0) return error("unknown left join key: " + left_keys_[i]);
+        int ri = r.IndexOf(right_keys_[i]);
+        if (ri < 0) return error("unknown right join key: " + right_keys_[i]);
+        // The join's row comparator requires identical key types.
+        if (l.field(li).type != r.field(ri).type) {
+          return error(StrFormat(
+              "join key type mismatch: %s is %s but %s is %s",
+              left_keys_[i].c_str(), TypeName(l.field(li).type),
+              right_keys_[i].c_str(), TypeName(r.field(ri).type)));
+        }
       }
       std::vector<Field> fields = l.fields();
       if (join_kind_ == JoinKind::kInner ||
           join_kind_ == JoinKind::kLeftOuter ||
           join_kind_ == JoinKind::kSingle) {
         for (const auto& f : r.fields()) {
-          RDB_CHECK_MSG(!l.Has(f.name),
-                        ("duplicate join output column: " + f.name).c_str());
+          if (l.Has(f.name)) {
+            return error("duplicate join output column: " + f.name);
+          }
           fields.push_back(f);
         }
       }
-      output_schema_ = Schema(std::move(fields));
-      break;
+      *out = Schema(std::move(fields));
+      return Status::OK();
     }
     case OpType::kOrderBy:
-    case OpType::kTopN: {
-      const Schema& in = children_[0]->output_schema();
-      for (const auto& k : sort_keys_) in.IndexOfChecked(k.column);
-      output_schema_ = in;
-      break;
-    }
-    case OpType::kLimit:
-      output_schema_ = children_[0]->output_schema();
-      break;
-    case OpType::kUnionAll: {
-      RDB_CHECK(!children_.empty());
-      const Schema& first = children_[0]->output_schema();
-      for (const auto& c : children_) {
-        const Schema& s = c->output_schema();
-        RDB_CHECK_MSG(s.num_fields() == first.num_fields(),
-                      "union children arity mismatch");
-        for (int i = 0; i < s.num_fields(); ++i) {
-          RDB_CHECK_MSG(s.field(i).type == first.field(i).type,
-                        "union children type mismatch");
+    case OpType::kTopN:
+      for (const auto& k : sort_keys_) {
+        if (inputs[0]->IndexOf(k.column) < 0) {
+          return error("unknown sort column: " + k.column);
         }
       }
-      output_schema_ = first;
-      break;
+      if (type_ == OpType::kTopN && limit_ <= 0) {
+        return error("top-N limit must be positive");
+      }
+      *out = *inputs[0];
+      return Status::OK();
+    case OpType::kLimit:
+      if (limit_ < 0) return error("limit must be non-negative");
+      *out = *inputs[0];
+      return Status::OK();
+    case OpType::kUnionAll: {
+      if (inputs.empty()) return error("union has no children");
+      const Schema& first = *inputs[0];
+      for (const Schema* s : inputs) {
+        if (s->num_fields() != first.num_fields()) {
+          return error("union children arity mismatch");
+        }
+        for (int i = 0; i < s->num_fields(); ++i) {
+          if (s->field(i).type != first.field(i).type) {
+            return error("union children type mismatch");
+          }
+        }
+      }
+      *out = first;
+      return Status::OK();
     }
     case OpType::kCachedScan: {
-      RDB_CHECK(cached_ != nullptr);
-      RDB_CHECK(static_cast<int>(columns_.size()) ==
-                cached_->schema().num_fields());
-      std::vector<Field> fields;
-      for (int i = 0; i < cached_->schema().num_fields(); ++i) {
-        fields.push_back({columns_[i], cached_->schema().field(i).type});
+      if (cached_ == nullptr) return error("cached scan without a result");
+      const Schema& cached = cached_->schema();
+      if (static_cast<int>(columns_.size()) != cached.num_fields()) {
+        return error("cached scan column-rename arity mismatch");
       }
-      output_schema_ = Schema(std::move(fields));
-      break;
+      std::vector<Field> fields;
+      fields.reserve(columns_.size());
+      for (int i = 0; i < cached.num_fields(); ++i) {
+        fields.push_back({columns_[i], cached.field(i).type});
+      }
+      *out = Schema(std::move(fields));
+      return Status::OK();
     }
+  }
+  return Status::Internal("bad plan operator");
+}
+
+void PlanNode::Bind(const Catalog& catalog) {
+  if (bound_) return;
+  // Read before the children bind, so a parent never records a newer
+  // generation than a child it was bound under.
+  const uint64_t generation = catalog.schema_generation();
+  std::vector<const Schema*> inputs;
+  inputs.reserve(children_.size());
+  base_tables_.clear();
+  for (auto& c : children_) {
+    c->Bind(catalog);
+    inputs.push_back(&c->output_schema_);
+    base_tables_.insert(c->base_tables_.begin(), c->base_tables_.end());
+  }
+  const Status st = DeriveSchema(catalog, inputs, &output_schema_);
+  RDB_CHECK_MSG(st.ok(), st.message().c_str());
+  if (type_ == OpType::kScan) base_tables_.insert(table_);
+  if (type_ == OpType::kFunctionScan) {
+    const TableFunction* fn = TableFunctionRegistry::Global().Get(table_);
+    base_tables_.insert(fn->base_tables.begin(), fn->base_tables.end());
   }
   bound_ = true;
   bound_generation_ = generation;

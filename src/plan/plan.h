@@ -159,12 +159,24 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
   const std::set<std::string>& base_tables() const { return base_tables_; }
 
   // ---- binding ----------------------------------------------------------
-  /// Resolves output schemas bottom-up and validates column references.
-  /// Idempotent: a bound node is never written again, so bound subtrees
-  /// can be shared across threads. RDB_CHECK-fails on invalid plans
-  /// (programmer error: plans are produced by our own generators).
-  /// Embedders building plans through the public API get recoverable
-  /// Status errors from ValidatePlan (api/validate.h) before this runs.
+  /// The schema rule: this node's output schema over `catalog` and its
+  /// children's output schemas (`inputs`, one per child, in order). Checks
+  /// every column reference, expression type (Expr::CheckType), join key,
+  /// union and function-scan argument of this node alone; a failure is
+  /// InvalidArgument naming the problem. Bind and ValidatePlan both apply
+  /// it, so a plan one accepts the other accepts, with the same schema.
+  Status DeriveSchema(const Catalog& catalog,
+                      const std::vector<const Schema*>& inputs,
+                      Schema* out) const;
+
+  /// Binds the children, then sets this node's output schema by
+  /// DeriveSchema and records its base tables. Idempotent: a bound node
+  /// is never written again, so bound subtrees can be shared across
+  /// threads. RDB_CHECK-fails with DeriveSchema's message on an invalid
+  /// plan (programmer error: plans are produced by our own generators).
+  /// Embedders building plans through the public API get the same rule's
+  /// message as a Status from ValidatePlan (api/validate.h) before this
+  /// runs.
   void Bind(const Catalog& catalog);
 
   // ---- parameterized templates ------------------------------------------
@@ -190,9 +202,10 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
   /// template cheaply.
   std::string TemplateFingerprint() const { return TreeKey(); }
 
-  /// Template identity tag (0 = none). Set on bound plans produced from a
-  /// PreparedStatement; propagated by CloneShallow/WithChildren, read by
-  /// Recycler::Prepare into QueryTrace::template_hash.
+  /// Template identity tag (0 = none): TemplateHash of the template's
+  /// fingerprint. Set on bound plans produced from a PreparedStatement;
+  /// propagated by CloneShallow/WithChildren, read by Recycler::Prepare
+  /// into QueryTrace::template_hash.
   uint64_t template_hash() const { return template_hash_; }
   void set_template_hash(uint64_t h) { template_hash_ = h; }
 
@@ -281,5 +294,9 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
   Schema output_schema_;
   std::set<std::string> base_tables_;
 };
+
+/// The template identity tag of a TemplateFingerprint: its hash, except
+/// that a hash of 0, which marks an ad-hoc plan, becomes 1.
+uint64_t TemplateHash(const std::string& fingerprint);
 
 }  // namespace recycledb

@@ -27,9 +27,10 @@ struct TableFunction {
   std::function<TablePtr(const Catalog&, const std::vector<Datum>&)> eval_fn;
   /// Base tables it reads (for recycler invalidation on updates).
   std::vector<std::string> base_tables;
-  /// Declared argument types. When non-empty, the public API's
-  /// ValidatePlan enforces arity and types before eval_fn can see
-  /// user-bound arguments (eval_fn aborts on bad input otherwise).
+  /// Declared argument types. When non-empty, the schema rule
+  /// (PlanNode::DeriveSchema, applied by ValidatePlan and Bind) enforces
+  /// arity and types before eval_fn can see user-bound arguments (eval_fn
+  /// aborts on bad input otherwise).
   std::vector<TypeId> arg_types;
 };
 

@@ -24,7 +24,7 @@ std::string ToLower(const std::string& s) {
 /// Lowering context: the source text (caret snippets) and, for base-table
 /// scans, the table schema for name resolution. Function scans have no
 /// statically known schema here; their column references are checked by
-/// ValidatePlan instead.
+/// the schema rule (PlanNode::DeriveSchema) in ValidatePlan instead.
 struct LowerCtx {
   std::string_view sql;
   const Schema* schema = nullptr;  // null for function scans

@@ -5,8 +5,8 @@
 // table-schema order) or FunctionScan at the base, then Select,
 // Aggregate, Project, OrderBy/TopN/Limit as the clauses require. Name
 // resolution failures come back as Status with the parser's caret
-// snippets; structural/type errors are left to ValidatePlan (the shared
-// api/validate surface).
+// snippets; structural/type errors are left to the schema rule
+// (PlanNode::DeriveSchema), which ValidatePlan applies.
 #pragma once
 
 #include <string_view>

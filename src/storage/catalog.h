@@ -92,7 +92,8 @@ class Catalog {
   /// bumps it. RegisterTable does not (names are unique and never
   /// dropped, so a new table changes no existing binding), nor does
   /// AppendRows. A plan node bound under an older generation is stale
-  /// (PlanNode::HasStaleBinding; ValidatePlan rechecks it).
+  /// (PlanNode::HasStaleBinding; ValidatePlan applies the schema rule to
+  /// it again instead of trusting the binding).
   uint64_t schema_generation() const { return schema_generation_.load(); }
 
  private:

@@ -6,7 +6,6 @@
 
 #include "api/database.h"
 #include "api/validate.h"
-#include "common/hash.h"
 #include "common/string_util.h"
 #include "plan/canonicalize.h"
 #include "sql/lower.h"
@@ -232,9 +231,7 @@ Status TraceReplayer::BuildStatementPlan(const StatementEvent& s,
     // Reproduce the prepared-statement pipeline: canonicalize the
     // template, tag its hash, substitute the recorded bindings.
     if (db_->options().canonicalize_plans) tmpl = CanonicalizePlan(tmpl);
-    uint64_t hash = HashString(tmpl->TemplateFingerprint());
-    if (hash == 0) hash = 1;
-    tmpl->set_template_hash(hash);
+    tmpl->set_template_hash(TemplateHash(tmpl->TemplateFingerprint()));
     std::vector<std::string> missing;
     plan = tmpl->SubstituteParams(s.params, &missing);
     if (!missing.empty()) {

@@ -5,13 +5,10 @@
 #include <mutex>
 
 #include "api/database.h"
-#include "api/validate.h"
 #include "common/admission.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "plan/canonicalize.h"
-#include "sql/lower.h"
 #include "trace/trace_format.h"
 
 namespace recycledb {
@@ -154,24 +151,6 @@ StreamSpec MakeStatementStream(PreparedStatement* statement,
     PlanPtr plan;
     Status st = statement->ToPlan(&plan);
     RDB_CHECK_MSG(st.ok(), st.ToString().c_str());
-    spec.labels.push_back(label);
-    spec.plans.push_back(std::move(plan));
-  }
-  return spec;
-}
-
-StreamSpec MakeSqlStream(Database* db, const std::vector<std::string>& sql,
-                         const std::string& label) {
-  StreamSpec spec;
-  for (const std::string& text : sql) {
-    PlanPtr plan;
-    Status st = sql::SqlToPlan(text, db->catalog(), &plan);
-    RDB_CHECK_MSG(st.ok(), st.ToString().c_str());
-    RDB_CHECK_MSG(!plan->HasParams(),
-                  "SQL stream statements must be parameter-free");
-    st = ValidatePlan(plan, db->catalog(), nullptr);
-    RDB_CHECK_MSG(st.ok(), st.ToString().c_str());
-    if (db->options().canonicalize_plans) plan = CanonicalizePlan(plan);
     spec.labels.push_back(label);
     spec.plans.push_back(std::move(plan));
   }

@@ -147,16 +147,6 @@ StreamSpec MakeStatementStream(PreparedStatement* statement,
                                const std::vector<ParamMap>& bindings,
                                const std::string& label);
 
-/// Builds a stream from SQL texts executed in order. Statements are
-/// parsed, lowered, validated and canonicalized at construction (the
-/// driver hands plans straight to Recycler::Execute, bypassing Session's
-/// canonicalization hook, so normalization must happen here for SQL
-/// variants to share cache entries). Honors the database's
-/// canonicalize_plans option; bad SQL RDB_CHECK-fails (stream
-/// construction is builder-time).
-StreamSpec MakeSqlStream(Database* db, const std::vector<std::string>& sql,
-                         const std::string& label);
-
 /// Formats a Fig. 9-style trace of `report` (who materialized / reused /
 /// stalled, per stream and query).
 std::string FormatTrace(const RunReport& report);

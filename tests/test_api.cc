@@ -747,6 +747,21 @@ TEST(Errors, JoinKeyTypeMismatchFails) {
             std::string::npos);
 }
 
+TEST(Errors, BinWidthThatIsNotAPositiveIntegerFails) {
+  auto db = OpenSalesDb();
+  // floor(2007 / 2.9) is 692, not the 1003 a width truncated to 2 gives.
+  for (const char* sql : {"SELECT bin(year, 2.9) AS b FROM sales",
+                          "SELECT bin(year, 0) AS b FROM sales"}) {
+    Result r = db->Sql(sql);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(r.status().message().find("bin width must be a positive"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+  Result ok = db->Sql("SELECT bin(year, 2) AS b FROM sales");
+  EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+}
+
 TEST(Sessions, ConcurrentPrepareOfOneSharedQueryIsSafe) {
   auto db = OpenSalesDb();
   // One Query template shared by two client threads, each with its own

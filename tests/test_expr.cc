@@ -45,7 +45,9 @@ TEST(ExprEvalTest, Arithmetic) {
       ArithOp::kAdd,
       Expr::Arith(ArithOp::kMul, Expr::Column("a"), Expr::Literal(int64_t{2})),
       Expr::Column("b"));
-  EXPECT_EQ(e->DeduceType(TestSchema()), TypeId::kDouble);
+  TypeId t;
+  ASSERT_TRUE(e->CheckType(TestSchema(), &t).ok());
+  EXPECT_EQ(t, TypeId::kDouble);
   ColumnPtr c = e->Eval(b, TestSchema());
   EXPECT_DOUBLE_EQ(c->Raw<double>()[1], 6.5);
 }
@@ -97,6 +99,28 @@ TEST(ExprEvalTest, BinFunctionFloorDivision) {
   EXPECT_EQ(c->Raw<int64_t>()[0], 0);  // 1/2
   EXPECT_EQ(c->Raw<int64_t>()[1], 1);  // 2/2
   EXPECT_EQ(c->Raw<int64_t>()[2], 1);  // 3/2
+  // A double value floors as a double, not truncated to an integer first.
+  Schema vs({{"v", TypeId::kDouble}});
+  Batch vb;
+  vb.columns = {MakeColumn(TypeId::kDouble)};
+  for (double v : {-4.5, -2.5, 3.0}) vb.columns[0]->Append(Datum(v));
+  vb.num_rows = 3;
+  c = Expr::Func("bin", {Expr::Column("v"), Expr::Literal(int64_t{2})})
+          ->Eval(vb, vs);
+  EXPECT_EQ(c->Raw<int64_t>()[0], -3);  // floor(-2.25)
+  EXPECT_EQ(c->Raw<int64_t>()[1], -2);  // floor(-1.25)
+  EXPECT_EQ(c->Raw<int64_t>()[2], 1);   // floor(1.5)
+  // The width is a positive integer literal: bin(2, 2.9) is not 1, nor
+  // bin(3, 1.5) 3; neither is accepted.
+  for (const Datum& width :
+       {Datum(2.9), Datum(1.5), Datum(int64_t{0}), Datum(int32_t{-2})}) {
+    Status st = Expr::Func("bin", {Expr::Column("a"), Expr::Literal(width)})
+                    ->CheckType(TestSchema(), nullptr);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << DatumToString(width);
+  }
+  TypeId t;
+  ASSERT_TRUE(e->CheckType(TestSchema(), &t).ok());
+  EXPECT_EQ(t, TypeId::kInt64);
 }
 
 TEST(ExprEvalTest, CaseWhen) {
@@ -106,6 +130,23 @@ TEST(ExprEvalTest, CaseWhen) {
   ColumnPtr c = e->Eval(b, TestSchema());
   EXPECT_DOUBLE_EQ(c->Raw<double>()[0], 0.0);
   EXPECT_DOUBLE_EQ(c->Raw<double>()[2], 3.5);
+  // Branches of one non-double type, and an INT32/DATE pair, give a
+  // column of the type CheckType gives.
+  ExprPtr gt1 = Expr::Gt(Expr::Column("a"), Expr::Literal(int64_t{1}));
+  struct {
+    ExprPtr then_e, else_e;
+    Datum row2;
+  } cases[] = {{Expr::Column("a"), Expr::Column("a"), Datum(int32_t{3})},
+               {Expr::Column("a"), Expr::Column("d"), Datum(int32_t{3})},
+               {gt1, gt1, Datum(true)}};
+  for (const auto& k : cases) {
+    ExprPtr ce = Expr::Case(gt1, k.then_e, k.else_e);
+    TypeId t;
+    ASSERT_TRUE(ce->CheckType(TestSchema(), &t).ok());
+    c = ce->Eval(b, TestSchema());
+    EXPECT_EQ(c->type(), t);
+    EXPECT_EQ(c->GetDatum(2), k.row2);
+  }
 }
 
 TEST(ExprEvalTest, InList) {

@@ -1,7 +1,8 @@
-// Unit tests for src/plan: binding, parameter keys (named and
-// positional), tree keys, cloning.
+// Unit tests for src/plan: binding and its schema rule, parameter keys
+// (named and positional), tree keys, cloning.
 #include <gtest/gtest.h>
 
+#include "api/validate.h"
 #include "plan/plan.h"
 #include "storage/wire_format.h"
 
@@ -220,6 +221,54 @@ TEST_F(PlanTest, BindIsIdempotent) {
   p->Bind(catalog_);
   EXPECT_TRUE(p->bound());
 }
+
+// Plans that break the schema rule abort in Bind with the message
+// ValidatePlan returns for them.
+struct RuleCase {
+  const char* name;
+  PlanPtr (*build)();
+  const char* message;
+};
+
+class BindRuleDeathTest : public PlanTest,
+                          public ::testing::WithParamInterface<RuleCase> {};
+
+TEST_P(BindRuleDeathTest, BindAbortsWithTheValidatorsMessage) {
+  PlanPtr plan = GetParam().build();
+  Status st = ValidatePlan(plan, catalog_, nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find(GetParam().message), std::string::npos)
+      << st.message();
+  EXPECT_DEATH(plan->Bind(catalog_), GetParam().message);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RejectedPlans, BindRuleDeathTest,
+    ::testing::Values(
+        RuleCase{"StringComparedWithInt64",
+                 [] {
+                   return PlanNode::Select(
+                       PlanNode::Scan("t", {"s"}),
+                       Expr::Eq(Expr::Column("s"), Expr::Literal(int64_t{1})));
+                 },
+                 "cannot compare STRING to INT64"},
+        RuleCase{"LikeOnANumber",
+                 [] {
+                   return PlanNode::Select(
+                       PlanNode::Scan("t", {"k"}),
+                       Expr::Like(LikeKind::kContains, Expr::Column("k"), "1"));
+                 },
+                 "LIKE operand must be a string"},
+        RuleCase{"JoinKeysOfDifferentTypes",
+                 [] {
+                   return PlanNode::HashJoin(
+                       PlanNode::Scan("t", {"k"}), PlanNode::Scan("t2", {"w"}),
+                       JoinKind::kInner, {"k"}, {"w"});
+                 },
+                 "join key type mismatch: k is INT32 but w is INT64"}),
+    [](const ::testing::TestParamInfo<RuleCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace recycledb
