@@ -1,6 +1,8 @@
-// Aggregate function specifications and decomposition rules.
+// Aggregate function specifications and the re-aggregation rule.
 #pragma once
 
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -35,34 +37,62 @@ struct AggItem {
 /// min/max preserve the input type.
 TypeId AggResultType(AggFunc fn, TypeId input);
 
-/// Decomposition for re-aggregation (the paper's "standard aggregate
-/// calculation decomposition rules" used by cube caching):
-/// a query aggregate α is computed from partial aggregates α' as α''(α'):
-///   sum   -> sum of partial sums
-///   count -> sum of partial counts
-///   min   -> min of partial mins
-///   max   -> max of partial maxs
-///   avg   -> sum(partial sums) / sum(partial counts)
-///
-/// `partials` receives the α' items to compute in the inner aggregation,
-/// and the returned expression (over the partials' out_names) computes the
-/// final value; `refn` receives the re-aggregation functions to apply to
-/// each partial in the outer aggregation before the final expression.
-struct AggDecomposition {
-  /// Partial aggregates to compute in the inner (extended) aggregation.
-  std::vector<AggItem> partials;
-  /// Re-aggregation of each partial in the outer aggregation
-  /// (positionally matches `partials`).
-  std::vector<AggFunc> reaggs;
-  /// Expression over the re-aggregated partials producing the final value;
-  /// references partials by out_name. Null means "the single re-aggregated
-  /// partial is the final value".
-  ExprPtr final_expr;
+/// Index of the item of `items` computing `fn` over an argument whose
+/// Expr::Key over `input` (null: names as written) is `arg_key`, or -1.
+int FindAggregate(const std::vector<AggItem>& items, const Schema* input,
+                  AggFunc fn, const std::string& arg_key);
+
+// The re-aggregation rule (the paper's "standard aggregate calculation
+// decomposition rules"): an aggregate over the union of row sets is an
+// aggregate over partial aggregates of each set.
+//   SUM   <- SUM of partial SUMs
+//   COUNT <- SUM of partial COUNTs
+//   MIN   <- MIN of partial MINs
+//   MAX   <- MAX of partial MAXs
+//   AVG   <- (SUM of partial SUMs * 1.0) / SUM of partial COUNTs
+// Delta aggregate merges, tuple subsumption and both cube-caching
+// strategies derive through Reaggregate; cube caching computes its
+// partials with DecomposeAggregate.
+
+/// The partial aggregates `item` is re-aggregated from: `item` itself for
+/// SUM, COUNT, MIN and MAX (named `prefix`_p0), SUM and COUNT of its
+/// argument for AVG (`prefix`_psum, `prefix`_pcnt). Names are made fresh
+/// against `taken` (FreshName).
+std::vector<AggItem> DecomposeAggregate(const AggItem& item,
+                                        const std::string& prefix,
+                                        std::set<std::string>* taken);
+
+/// The outer half of a two-level aggregation:
+/// Project(final, Aggregate(groups, outer, <partial rows>)).
+struct Reaggregation {
+  /// The outer aggregate's items: one per partial read, over the column
+  /// holding it, as a temporary.
+  std::vector<AggItem> outer;
+  /// Over the outer aggregate's output: each group as itself, then each
+  /// wanted item under its out_name.
+  std::vector<ProjItem> final;
 };
 
-/// Decomposes `item` for two-level aggregation. `partial_prefix` is used
-/// to build unique partial output names.
-AggDecomposition DecomposeAggregate(const AggItem& item,
-                                    const std::string& partial_prefix);
+/// Derives `wanted` (arguments keyed over `wanted_input`) from
+/// `partials` (keyed over `partial_input`; each held in the column named
+/// by its out_name) grouped by `groups`, by the rule above: a wanted
+/// item reads the first partial with the function and argument key the
+/// rule names. Returns nullopt when some item is not derivable.
+///
+/// The temporary for partial j is `temp_prefix` + j, made fresh against
+/// `scope`, the groups, the partials' columns and the wanted out_names,
+/// so it never names another column of the outer aggregate's input or
+/// output.
+std::optional<Reaggregation> Reaggregate(
+    const std::vector<AggItem>& wanted, const Schema* wanted_input,
+    const std::vector<AggItem>& partials, const Schema* partial_input,
+    const std::vector<std::string>& groups, const std::string& temp_prefix,
+    std::set<std::string> scope);
+
+/// True when Reaggregate would derive `wanted` from `partials`, without
+/// building the plan items: the rule's lookup alone.
+bool Derivable(const std::vector<AggItem>& wanted, const Schema* wanted_input,
+               const std::vector<AggItem>& partials,
+               const Schema* partial_input);
 
 }  // namespace recycledb

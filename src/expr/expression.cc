@@ -267,6 +267,16 @@ std::string OrdinalName(int ordinal) {
   return "#" + std::to_string(ordinal);
 }
 
+std::string FreshName(const std::string& preferred,
+                      std::set<std::string>* taken) {
+  std::string name = preferred;
+  for (int n = 1; taken->count(name) > 0; ++n) {
+    name = preferred + "_" + std::to_string(n);
+  }
+  taken->insert(name);
+  return name;
+}
+
 std::string Expr::Key(const Schema* input) const {
   std::string out;
   AppendKey(&out, input);

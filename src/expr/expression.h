@@ -177,6 +177,19 @@ class Expr : public std::enable_shared_from_this<Expr> {
 /// way, so they carry no query's names.
 std::string OrdinalName(int ordinal);
 
+/// A name for a temporary column: `preferred` when `taken` lacks it, else
+/// `preferred` + "_" + n for the smallest n >= 1 that is free. The name
+/// returned is added to `taken`, so one set threaded through a rewrite
+/// keeps every temporary distinct from every name in scope.
+std::string FreshName(const std::string& preferred,
+                      std::set<std::string>* taken);
+
+/// One computed output column of a projection: `expr` AS `out_name`.
+struct ProjItem {
+  ExprPtr expr;
+  std::string out_name;
+};
+
 /// Splits a predicate into its top-level AND conjuncts.
 /// Used by the tuple-subsumption rule (cached conjunct-subset detection).
 std::vector<ExprPtr> SplitConjuncts(const ExprPtr& pred);

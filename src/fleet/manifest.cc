@@ -43,8 +43,8 @@ bool Manifest::OwnerLive(const std::string& owner, int64_t now_ms) const {
   return false;
 }
 
-void Manifest::AddPurge(const std::string& table, bool unversioned_only) {
-  purges.push_back(ManifestPurge{table, seq, unversioned_only});
+void Manifest::AddPurge(const std::string& table) {
+  purges.push_back(ManifestPurge{table, seq});
   if (purges.size() > kManifestMaxPurges) {
     purges.erase(purges.begin(),
                  purges.begin() + (purges.size() - kManifestMaxPurges));
@@ -86,7 +86,6 @@ std::string SerializeManifest(const Manifest& m) {
   for (const ManifestPurge& p : m.purges) {
     wire::PutString(&out, p.table);
     wire::PutU64(&out, static_cast<uint64_t>(p.seq));
-    out.push_back(p.unversioned_only ? 1 : 0);
   }
   wire::PutU64(&out, HashString(out));
   return out;
@@ -153,12 +152,8 @@ Status ParseManifest(const std::string& buf, Manifest* out) {
   for (uint32_t i = 0; i < n; ++i) {
     ManifestPurge p;
     uint64_t seq64 = 0;
-    uint8_t flag = 0;
-    if (!c.GetString(&p.table) || !c.GetU64(&seq64) || !c.GetU8(&flag)) {
-      return corrupt("purge");
-    }
+    if (!c.GetString(&p.table) || !c.GetU64(&seq64)) return corrupt("purge");
     p.seq = static_cast<int64_t>(seq64);
-    p.unversioned_only = flag != 0;
     out->purges.push_back(std::move(p));
   }
   if (c.remaining() != 0) return corrupt("trailing bytes");

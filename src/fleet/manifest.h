@@ -33,7 +33,8 @@
 namespace recycledb {
 namespace fleet {
 
-inline constexpr uint32_t kManifestFormatVersion = 1;
+/// Version 2 dropped the purge records' append-only flag byte.
+inline constexpr uint32_t kManifestFormatVersion = 2;
 
 /// Purge records kept in the manifest (older ones age out). An instance
 /// that falls further behind cannot tell which purges it missed, so it
@@ -66,14 +67,13 @@ struct ManifestEntry {
   int64_t admit_seq = 0;
 };
 
-/// A table invalidation to be applied fleet-wide. `unversioned_only`
-/// distinguishes an append (only unstamped images are
-/// indistinguishable from stale) from a replace (everything over the
-/// table must go).
+/// A table invalidation to be applied fleet-wide: every image over
+/// `table` admitted no later than `seq` goes. Only a replace purges; an
+/// append needs no record, since every image carries the row mark of
+/// each base table and re-anchors it on adoption.
 struct ManifestPurge {
   std::string table;
   int64_t seq = 0;
-  bool unversioned_only = false;
 };
 
 struct Manifest {
@@ -92,7 +92,7 @@ struct Manifest {
 
   /// Appends a purge record at the current seq, aging out the oldest
   /// beyond kManifestMaxPurges.
-  void AddPurge(const std::string& table, bool unversioned_only);
+  void AddPurge(const std::string& table);
 };
 
 /// `<dir>/manifest.rdbm` / `<dir>/manifest.lock`.

@@ -51,12 +51,6 @@ struct SortKey {
   bool ascending = true;
 };
 
-/// One computed output column of a kProject.
-struct ProjItem {
-  ExprPtr expr;
-  std::string out_name;
-};
-
 class PlanNode;
 using PlanPtr = std::shared_ptr<PlanNode>;
 

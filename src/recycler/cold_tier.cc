@@ -546,10 +546,6 @@ void ColdTier::ApplyPurgeLocked(const fleet::ManifestPurge& purge,
                                 std::vector<const RGNode*>* dropped_nodes) {
   auto matches = [&purge](const Rec& r) {
     if (r.admit_seq > purge.seq) return false;  // postdates the purge
-    if (purge.unversioned_only &&
-        (r.node != nullptr || !r.meta.table_versions.empty())) {
-      return false;  // live: the recycler judges it; stamped: adoptable
-    }
     for (const std::string& t : r.meta.base_tables) {
       if (t == purge.table) return true;
     }
@@ -562,30 +558,27 @@ void ColdTier::ApplyPurgeLocked(const fleet::ManifestPurge& purge,
     }
   }
   // Pending spills over the table are stale the same way; cancel
-  // them so they never commit (full purges only: pending spills belong
-  // to live nodes, which the unversioned-only variant spares).
-  if (!purge.unversioned_only) {
-    for (auto pit = pending_by_node_.begin(); pit != pending_by_node_.end();) {
-      PendingSpill& ps = *pit->second;
-      bool hit = false;
-      for (const std::string& t : ps.meta.base_tables) {
-        hit |= t == purge.table;
-      }
-      if (!hit) {
-        ++pit;
-        continue;
-      }
-      if (dropped_nodes != nullptr) dropped_nodes->push_back(ps.node);
-      ps.canceled = true;
-      for (auto qit = pending_.begin(); qit != pending_.end(); ++qit) {
-        if (&*qit == &ps) {
-          pending_.erase(qit);
-          if (pending_.empty()) drain_cv_.notify_all();
-          break;
-        }
-      }
-      pit = pending_by_node_.erase(pit);
+  // them so they never commit.
+  for (auto pit = pending_by_node_.begin(); pit != pending_by_node_.end();) {
+    PendingSpill& ps = *pit->second;
+    bool hit = false;
+    for (const std::string& t : ps.meta.base_tables) {
+      hit |= t == purge.table;
     }
+    if (!hit) {
+      ++pit;
+      continue;
+    }
+    if (dropped_nodes != nullptr) dropped_nodes->push_back(ps.node);
+    ps.canceled = true;
+    for (auto qit = pending_.begin(); qit != pending_.end(); ++qit) {
+      if (&*qit == &ps) {
+        pending_.erase(qit);
+        if (pending_.empty()) drain_cv_.notify_all();
+        break;
+      }
+    }
+    pit = pending_by_node_.erase(pit);
   }
 }
 
@@ -629,24 +622,9 @@ void ColdTier::PurgeTable(const std::string& table,
   fleet::ManifestPurge purge;
   purge.table = table;
   purge.seq = std::numeric_limits<int64_t>::max();  // everything local
-  purge.unversioned_only = false;
   ApplyPurgeLocked(purge, dropped_nodes);
   if (shared_ && !read_only_) {
-    pending_purges_.push_back(fleet::ManifestPurge{table, 0, false});
-    SyncManifestLocked();
-  }
-}
-
-void ColdTier::PurgeUnversionedOrphans(
-    const std::string& table, std::vector<const RGNode*>* dropped_nodes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  fleet::ManifestPurge purge;
-  purge.table = table;
-  purge.seq = std::numeric_limits<int64_t>::max();
-  purge.unversioned_only = true;
-  ApplyPurgeLocked(purge, dropped_nodes);
-  if (shared_ && !read_only_) {
-    pending_purges_.push_back(fleet::ManifestPurge{table, 0, true});
+    pending_purges_.push_back(fleet::ManifestPurge{table, 0});
     SyncManifestLocked();
   }
 }
@@ -709,7 +687,7 @@ void ColdTier::SyncManifestLocked() {
   }
   m.entries = std::move(entries);
   for (fleet::ManifestPurge& p : pending_purges_) {
-    m.AddPurge(p.table, p.unversioned_only);
+    m.AddPurge(p.table);
   }
   pending_purges_.clear();
 

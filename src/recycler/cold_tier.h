@@ -256,15 +256,6 @@ class ColdTier {
   void PurgeTable(const std::string& table,
                   std::vector<const RGNode*>* dropped_nodes);
 
-  /// Append-time variant of PurgeTable: deletes only entries over
-  /// `table` WITHOUT row stamps (results whose producing node had no
-  /// pinned snapshot — indistinguishable from stale under appends).
-  /// Stamped entries survive: orphans re-anchor their marks on adoption,
-  /// and live entries are judged by the recycler against their in-memory
-  /// stamps.
-  void PurgeUnversionedOrphans(const std::string& table,
-                               std::vector<const RGNode*>* dropped_nodes);
-
   /// Fleet refresh: lock-free manifest read, then (a) applies purge
   /// records published since the manifest was last read here (by a
   /// refresh or by a manifest sync) — or, when the bounded purge log

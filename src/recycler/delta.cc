@@ -10,52 +10,20 @@ namespace recycledb {
 
 namespace {
 
-/// Index of the aggregate `fn` whose argument keys as `arg_key` in
-/// `items` (-1 if absent). Keys name columns as written: both sides live
-/// in the same name space (the query plan's, or a param_node's
-/// positional one).
-int FindAgg(const std::vector<AggItem>& items, AggFunc fn,
-            const std::string& arg_key) {
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (items[i].fn == fn && items[i].arg->Key(nullptr) == arg_key) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-/// Decomposability of one aggregate list (see DeltaEligiblePlan).
+/// Decomposability of one aggregate list (see DeltaEligibleNode): every
+/// item re-aggregates from the list's own partials. A global MIN/MAX over
+/// an empty delta group would merge the operator's pad row into the
+/// result; grouped aggregates emit no row for an empty delta, so only the
+/// global form is excluded.
 bool AggListEligible(const std::vector<std::string>& group_by,
                      const std::vector<AggItem>& items) {
   for (const AggItem& item : items) {
-    switch (item.fn) {
-      case AggFunc::kSum:
-      case AggFunc::kCount:
-        break;
-      case AggFunc::kMin:
-      case AggFunc::kMax:
-        // A global MIN/MAX over an empty delta group would merge the
-        // operator's pad row into the result; grouped aggregates emit no
-        // row for an empty delta, so only the global form is excluded.
-        if (group_by.empty()) return false;
-        break;
-      case AggFunc::kAvg: {
-        const std::string key = item.arg->Key(nullptr);
-        if (FindAgg(items, AggFunc::kSum, key) < 0 ||
-            FindAgg(items, AggFunc::kCount, key) < 0) {
-          return false;
-        }
-        break;
-      }
+    if (group_by.empty() &&
+        (item.fn == AggFunc::kMin || item.fn == AggFunc::kMax)) {
+      return false;
     }
   }
-  return true;
-}
-
-/// Re-aggregation function merging partials of `fn` (kAvg never reaches
-/// here: its columns are excluded from the outer aggregation).
-AggFunc ReaggOf(AggFunc fn) {
-  return fn == AggFunc::kCount ? AggFunc::kSum : fn;
+  return Derivable(items, nullptr, items, nullptr);
 }
 
 /// Clones the chain with the leaf scan replaced by the delta window
@@ -79,8 +47,6 @@ Freshness CheckFreshness(const std::map<std::string, TableStamp>& stamps,
                          const std::map<std::string, TableSnapshot>& snapshots,
                          StaleWindow* window) {
   if (window != nullptr) *window = StaleWindow{};
-  // Unstamped legacy entry: fresh by the append-invalidation contract.
-  if (stamps.empty()) return Freshness::kFresh;
   int stale_tables = 0;
   bool ahead = false;
   for (const std::string& table : base_tables) {
@@ -113,24 +79,6 @@ Freshness CheckFreshness(const std::map<std::string, TableStamp>& stamps,
   }
   if (ahead) return Freshness::kAhead;
   return stale_tables == 0 ? Freshness::kFresh : Freshness::kAppendStale;
-}
-
-bool DeltaEligiblePlan(const PlanNode& plan, const std::string& table) {
-  RDB_CHECK_MSG(plan.bound(), "DeltaEligiblePlan needs a bound plan");
-  if (plan.base_tables().size() != 1 ||
-      plan.base_tables().count(table) == 0) {
-    return false;
-  }
-  const PlanNode* cur = &plan;
-  if (cur->type() == OpType::kAggregate) {
-    if (!AggListEligible(cur->group_by(), cur->aggregates())) return false;
-    cur = cur->child().get();
-  }
-  while (cur->type() == OpType::kSelect || cur->type() == OpType::kProject) {
-    cur = cur->child().get();
-  }
-  return cur->type() == OpType::kScan && cur->table_name() == table &&
-         !cur->has_scan_range();
 }
 
 bool DeltaEligibleNode(const RGNode& node, const std::string& table) {
@@ -182,41 +130,14 @@ PlanPtr BuildAggMerge(const PlanNode& plan, TablePtr cached,
   PlanPtr delta_agg = CloneWithWindow(plan, window);
   PlanPtr merged = PlanNode::UnionAll({cached_scan, delta_agg});
 
-  // Re-aggregate partials per group. AVG columns are carried by the
-  // union but not re-aggregated: the final value is recomputed from the
-  // merged SUM/COUNT of the same argument (decomposition rules).
-  std::vector<AggItem> outer;
-  std::vector<std::string> temp(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (items[i].fn == AggFunc::kAvg) continue;
-    temp[i] = "dm" + std::to_string(i);
-    outer.push_back(
-        {ReaggOf(items[i].fn), Expr::Column(items[i].out_name), temp[i]});
-  }
-  PlanPtr reagg = PlanNode::Aggregate(merged, groups, std::move(outer));
-
-  // Restore the original output layout and names.
-  std::vector<ProjItem> proj;
-  for (const std::string& g : groups) {
-    proj.push_back({Expr::Column(g), g});
-  }
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (items[i].fn != AggFunc::kAvg) {
-      proj.push_back({Expr::Column(temp[i]), items[i].out_name});
-      continue;
-    }
-    const std::string key = items[i].arg->Key(nullptr);
-    int js = FindAgg(items, AggFunc::kSum, key);
-    int jc = FindAgg(items, AggFunc::kCount, key);
-    RDB_CHECK_MSG(js >= 0 && jc >= 0, "avg without sum/count partials");
-    proj.push_back(
-        {Expr::Arith(ArithOp::kDiv,
-                     Expr::Arith(ArithOp::kMul, Expr::Column(temp[js]),
-                                 Expr::Literal(1.0)),
-                     Expr::Column(temp[jc])),
-         items[i].out_name});
-  }
-  return PlanNode::Project(reagg, std::move(proj));
+  // Re-aggregate the partials per group: the union carries each item's
+  // partial state under its output name.
+  std::optional<Reaggregation> r =
+      Reaggregate(items, nullptr, items, nullptr, groups, "dm", {});
+  RDB_CHECK_MSG(r.has_value(), "aggregate merge of a non-decomposable list");
+  return PlanNode::Project(
+      PlanNode::Aggregate(merged, groups, std::move(r->outer)),
+      std::move(r->final));
 }
 
 }  // namespace recycledb

@@ -45,12 +45,13 @@ struct StaleWindow {
 
 /// Classifies a cached entry (its `stamps`, read under the mat shard
 /// mutex, and the `base_tables` it depends on) against the per-query
-/// pinned snapshots. An empty stamp map is kFresh: unstamped entries are
-/// hard-invalidated on every append (Recycler::OnTableAppended), so a
-/// surviving one cannot be stale. `window` (may be null) receives the
-/// delta window when the result is kAppendStale with exactly one grown
-/// table; multi-table growth leaves window->table empty (such entries
-/// never pass DeltaEligible* and get evicted by the caller).
+/// pinned snapshots. Every admitted entry is stamped for each of its base
+/// tables (OfferResult; adoption re-anchors a spilled image's row marks),
+/// so a dependency without a stamp or a snapshot is kIncompatible.
+/// `window` (may be null) receives the delta window when the result is
+/// kAppendStale with exactly one grown table; multi-table growth leaves
+/// window->table empty (such entries never pass DeltaEligibleNode and get
+/// evicted by the caller).
 ///
 /// kAhead arises when a concurrent append + refresh re-admitted the
 /// entry at a higher row mark than this query's older pinned snapshot:
@@ -62,39 +63,40 @@ Freshness CheckFreshness(const std::map<std::string, TableStamp>& stamps,
                          const std::map<std::string, TableSnapshot>& snapshots,
                          StaleWindow* window);
 
-/// True when a query plan rooted at `plan` supports delta maintenance
-/// over appends to `table`: an optional kAggregate root whose functions
-/// are all decomposable (SUM/COUNT/MIN/MAX; AVG only when SUM and COUNT
-/// of the same argument are also present; global MIN/MAX — no group-by —
-/// is excluded because an all-filtered-out delta would contribute a pad
-/// row), over a chain of single-child kSelect/kProject nodes, over one
-/// full (unwindowed) kScan of `table`, with no other base table in the
-/// subtree.
-bool DeltaEligiblePlan(const PlanNode& plan, const std::string& table);
-
-/// Graph-side mirror of DeltaEligiblePlan, used by OnTableAppended to
-/// decide which stale entries are worth keeping for delta rewrite.
-/// Caller holds at least the shared graph lock.
+/// True when the graph node `node` supports delta maintenance over
+/// appends to `table`: an optional kAggregate root whose items all
+/// re-aggregate from the list's own partials (Reaggregate: SUM, COUNT,
+/// MIN, MAX, and AVG only when SUM and COUNT of the same argument are
+/// also present; global MIN/MAX, with no group-by, is excluded because an
+/// all-filtered-out delta would contribute a pad row), over a chain of
+/// single-child kSelect/kProject nodes, over one full (unwindowed) kScan
+/// of `table`, with no other base table in the subtree. OnTableAppended
+/// asks it which stale entries to keep, and TryDeltaRewrite asks it of
+/// the node a query's plan exactly matched. Reads only identity fields,
+/// so the caller need only keep the node alive (the graph lock, or the
+/// Prepare-to-OnComplete window of a query that matched it).
 bool DeltaEligibleNode(const RGNode& node, const std::string& table);
 
 /// Builds the delta-stitch rewrite for a non-aggregate chain:
 /// UnionAll(CachedScan(cached as-of from_rows), chain over rows
-/// [from_rows, to_rows)). `plan` must be bound, DeltaEligiblePlan, and
-/// structurally the query whose result `cached` holds. Row order equals
-/// a cold re-execution's (cached prefix first, delta rows after), so the
-/// result is bit-identical. `cached_scan_out` receives the CachedScan
-/// node for cost crediting / as-of display.
+/// [from_rows, to_rows)). `plan` must be bound, match a DeltaEligibleNode
+/// node, and be structurally the query whose result `cached` holds. Row
+/// order equals a cold re-execution's (cached prefix first, delta rows
+/// after), so the result is bit-identical. `cached_scan_out` receives the
+/// CachedScan node for cost crediting / as-of display.
 PlanPtr BuildDeltaStitch(const PlanNode& plan, TablePtr cached,
                          const StaleWindow& window, PlanPtr* cached_scan_out);
 
 /// Builds the aggregate-merge rewrite for a kAggregate root: the delta
 /// window is aggregated with the original functions, unioned with the
-/// cached aggregate state, re-aggregated with the decomposition rules
-/// (SUM->SUM, COUNT->SUM, MIN->MIN, MAX->MAX), and a final Project
-/// restores output names and recomputes AVG as merged SUM / merged
-/// COUNT. No base rows before the window are rescanned. Group emission
-/// order matches a cold re-execution (first-seen order is preserved
-/// through the union), so the result is bit-identical.
+/// cached aggregate state, and re-aggregated by the one rule
+/// (Reaggregate, expr/aggregate.h) with the items themselves as the
+/// partials; its final Project restores output names and recomputes AVG
+/// as merged SUM / merged COUNT. The merge's temporaries never collide
+/// with a group or output name. No base rows before the window are
+/// rescanned. Group emission order matches a cold re-execution
+/// (first-seen order is preserved through the union), so the result is
+/// bit-identical.
 PlanPtr BuildAggMerge(const PlanNode& plan, TablePtr cached,
                       const StaleWindow& window, PlanPtr* cached_scan_out);
 

@@ -1,6 +1,5 @@
 #include "recycler/graph.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/hash.h"
@@ -82,11 +81,6 @@ int64_t RecyclerGraph::Truncate(int64_t idle_epochs) {
         for (auto it = range.first; it != range.second;) {
           it = it->second == v ? child->parents.erase(it) : std::next(it);
         }
-      }
-      // Drop dangling subsumption edges pointing at the victim.
-      for (const auto& n : nodes_) {
-        auto& subs = n->subsumes;
-        subs.erase(std::remove(subs.begin(), subs.end(), v), subs.end());
       }
       // Unregister from the leaf index.
       if (v->children.empty()) {

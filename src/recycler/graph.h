@@ -72,8 +72,8 @@ struct TableStamp {
 ///  - identity fields (id..base_tables) are immutable once the
 ///    node is published under the exclusive graph lock; shared-lock
 ///    readers may touch them freely.
-///  - `parents` and `subsumes` are structure: mutated only under the
-///    exclusive graph lock, read under at least the shared lock.
+///  - `parents` is structure: mutated only under the exclusive graph
+///    lock, read under at least the shared lock.
 ///  - the statistics block is atomic: no lock is needed for individual
 ///    reads/writes. Node *lifetime* is what callers must respect: a
 ///    node pointer stays valid while holding the graph lock (any mode),
@@ -129,10 +129,6 @@ struct RGNode {
 
   /// Base tables under this subtree (for update invalidation).
   std::set<std::string> base_tables;
-
-  /// Subsumption edges: nodes whose result this node's result can derive
-  /// (most-specific only; transitive relationships follow the edges).
-  std::vector<RGNode*> subsumes;
 
   // --- statistics (atomic; shared graph lock suffices) ----------------
   /// Measured cost to compute this result from base tables (Eq. 2 input).
@@ -208,7 +204,7 @@ struct GraphStats {
 /// mat shard mutex; see DESIGN.md "Concurrency model"):
 ///
 ///  - `mutex()` (shared_mutex) guards the graph *structure*: the node
-///    list, leaf index, parent indexes, subsumption edges. Matching runs
+///    list, leaf index and parent indexes. Matching runs
 ///    under the shared lock; insertion and truncation take the exclusive
 ///    lock and *re-validate* the match candidates before inserting (the
 ///    paper's backwards validation at node granularity, collapsed into

@@ -40,58 +40,34 @@ std::optional<ColumnStats> FindColumnStats(const Catalog& catalog,
   return std::nullopt;
 }
 
-struct DecomposedAggs {
-  std::vector<ProjItem> arg_items;   // aa<i> = <agg arg expr> (over X cols)
-  std::vector<AggItem> partials;     // α' over aa<i>
-  std::vector<AggItem> reaggs;       // α'' over partial names
-  std::vector<ProjItem> finals;      // original out names over reagg names
+/// The aggregates of a cube rewrite in two levels: the inner aggregation
+/// computes `partials` over argument columns (`args`: aa<i> := the
+/// argument of item i), and `reagg` re-aggregates them into `agg`'s
+/// output. Every name is fresh against `taken`.
+struct CubeAggs {
+  std::vector<ProjItem> args;
+  std::vector<AggItem> partials;
+  Reaggregation reagg;
 };
 
-/// Decomposes every aggregate of `node` for two-level evaluation:
-/// inner Aggregate computes partials over projected argument columns,
-/// outer Aggregate re-aggregates, final Project restores names/semantics.
-DecomposedAggs DecomposeAll(const PlanNode& node) {
-  DecomposedAggs out;
-  int serial = 0;
-  for (const auto& a : node.aggregates()) {
-    std::string arg_name = StrFormat("aa%d", serial);
-    out.arg_items.push_back({a.arg, arg_name});
-    AggItem rebased{a.fn, Expr::Column(arg_name), a.out_name};
-    AggDecomposition d =
-        DecomposeAggregate(rebased, StrFormat("pa%d", serial));
-    ++serial;
-    NameMap partial_to_reagg;
-    for (size_t i = 0; i < d.partials.size(); ++i) {
-      out.partials.push_back(d.partials[i]);
-      std::string reagg_name = "rr_" + d.partials[i].out_name;
-      out.reaggs.push_back({d.reaggs[i],
-                            Expr::Column(d.partials[i].out_name), reagg_name});
-      partial_to_reagg[d.partials[i].out_name] = reagg_name;
-    }
-    if (d.final_expr == nullptr) {
-      out.finals.push_back(
-          {Expr::Column(partial_to_reagg.begin()->second), a.out_name});
-    } else {
-      out.finals.push_back({d.final_expr->Rename(partial_to_reagg),
-                            a.out_name});
+CubeAggs SplitAggregates(const PlanNode& agg, std::set<std::string>* taken) {
+  CubeAggs out;
+  std::vector<AggItem> wanted;
+  for (size_t i = 0; i < agg.aggregates().size(); ++i) {
+    const AggItem& a = agg.aggregates()[i];
+    const std::string arg = FreshName(StrFormat("aa%zu", i), taken);
+    out.args.push_back({a.arg, arg});
+    wanted.push_back({a.fn, Expr::Column(arg), a.out_name});
+    for (AggItem& p :
+         DecomposeAggregate(wanted.back(), StrFormat("pa%zu", i), taken)) {
+      out.partials.push_back(std::move(p));
     }
   }
+  std::optional<Reaggregation> r = Reaggregate(
+      wanted, nullptr, out.partials, nullptr, agg.group_by(), "rr", *taken);
+  RDB_CHECK_MSG(r.has_value(), "cube partials do not derive the aggregate");
+  out.reagg = std::move(*r);
   return out;
-}
-
-/// Shared tail of both cube strategies: given the two union parts emitting
-/// (γ..., partials...), build UnionAll -> re-aggregate -> final Project.
-PlanPtr FinishCube(const PlanNode& agg_node, const DecomposedAggs& d,
-                   std::vector<PlanPtr> parts) {
-  PlanPtr merged = parts.size() == 1 ? parts[0]
-                                     : PlanNode::UnionAll(std::move(parts));
-  PlanPtr outer = PlanNode::Aggregate(merged, agg_node.group_by(), d.reaggs);
-  std::vector<ProjItem> final_items;
-  for (const auto& g : agg_node.group_by()) {
-    final_items.push_back({Expr::Column(g), g});
-  }
-  for (const auto& f : d.finals) final_items.push_back(f);
-  return PlanNode::Project(outer, std::move(final_items));
 }
 
 /// Pattern probe: is `plan` Aggregate(γ, α) over Select(p, X)?
@@ -130,14 +106,15 @@ std::optional<CubeRewrite> TryBinning(const PlanPtr& plan) {
   const int32_t d_date = std::get<int32_t>(rhs->literal());
   const int year_d = DateYear(d_date);
 
-  DecomposedAggs d = DecomposeAll(agg);
+  std::set<std::string> taken(agg.group_by().begin(), agg.group_by().end());
+  const std::string bin_col = FreshName(c + "_year", &taken);
+  const CubeAggs d = SplitAggregates(agg, &taken);
 
   // --- binned part: year-cube over X, filtered to full years < year(D).
   std::vector<ProjItem> p1_items;
   for (const auto& g : agg.group_by()) p1_items.push_back({Expr::Column(g), g});
-  std::string bin_col = c + "_year";
   p1_items.push_back({Expr::Func("year", {Expr::Column(c)}), bin_col});
-  for (const auto& it : d.arg_items) p1_items.push_back(it);
+  for (const auto& it : d.args) p1_items.push_back(it);
   PlanPtr p1 = PlanNode::Project(x, p1_items);
 
   std::vector<std::string> bin_groups = agg.group_by();
@@ -164,13 +141,16 @@ std::optional<CubeRewrite> TryBinning(const PlanPtr& plan) {
   PlanPtr sel_res = PlanNode::Select(x, residual);
   std::vector<ProjItem> p2_items;
   for (const auto& g : agg.group_by()) p2_items.push_back({Expr::Column(g), g});
-  for (const auto& it : d.arg_items) p2_items.push_back(it);
+  for (const auto& it : d.args) p2_items.push_back(it);
   PlanPtr p2 = PlanNode::Project(sel_res, p2_items);
   PlanPtr part_b = PlanNode::Aggregate(p2, agg.group_by(), d.partials);
 
   CubeRewrite out;
   out.gate = binned;
-  out.plan = FinishCube(agg, d, {part_a, part_b});
+  out.plan = PlanNode::Project(
+      PlanNode::Aggregate(PlanNode::UnionAll({part_a, part_b}),
+                          agg.group_by(), d.reagg.outer),
+      d.reagg.final);
   return out;
 }
 
@@ -211,14 +191,16 @@ std::optional<CubeRewrite> TrySelections(const PlanPtr& plan,
     return out;
   }
 
-  DecomposedAggs d = DecomposeAll(agg);
+  std::set<std::string> taken = groups;
+  taken.insert(pred_cols.begin(), pred_cols.end());
+  const CubeAggs d = SplitAggregates(agg, &taken);
 
   std::vector<ProjItem> p1_items;
   for (const auto& g : agg.group_by()) p1_items.push_back({Expr::Column(g), g});
   for (const auto& c : pred_cols) {
     if (groups.count(c) == 0) p1_items.push_back({Expr::Column(c), c});
   }
-  for (const auto& it : d.arg_items) p1_items.push_back(it);
+  for (const auto& it : d.args) p1_items.push_back(it);
   PlanPtr p1 = PlanNode::Project(x, p1_items);
 
   std::vector<std::string> cube_groups = agg.group_by();
@@ -238,7 +220,9 @@ std::optional<CubeRewrite> TrySelections(const PlanPtr& plan,
 
   CubeRewrite out;
   out.gate = inner;
-  out.plan = FinishCube(agg, d, {dropped});
+  out.plan = PlanNode::Project(
+      PlanNode::Aggregate(dropped, agg.group_by(), d.reagg.outer),
+      d.reagg.final);
   return out;
 }
 

@@ -323,12 +323,12 @@ class Recycler {
 
   /// Append hook (Database::AppendTable, after Catalog::AppendRows):
   /// walks every materialized entry depending on `table` and keeps the
-  /// ones delta maintenance can refresh (stamped, same epoch, delta-
-  /// eligible shape); everything else — unstamped legacy entries, nodes
-  /// with joins or non-decomposable roots — is evicted as a hard
-  /// invalidation. With enable_delta_maintenance off it evicts every such
-  /// entry, but unlike InvalidateTable it purges only the unstamped
-  /// restart orphans (PurgeUnversionedOrphans, not PurgeTable).
+  /// ones delta maintenance can refresh (same epoch, delta-eligible
+  /// shape); everything else — nodes with joins or non-decomposable
+  /// roots — is evicted as a hard invalidation. With
+  /// enable_delta_maintenance off it evicts every such entry. Unlike
+  /// InvalidateTable it leaves restart orphans alone: their row marks
+  /// re-anchor on adoption.
   void OnTableAppended(const std::string& table);
 
   /// Evicts everything from the cache (simulated refresh, Fig. 6).

@@ -196,17 +196,15 @@ void Recycler::OfferResult(RGNode* node, TablePtr result, double subtree_ms,
   }
   {
     // Stamp the result with the as-of versions it was computed from
-    // (delta maintenance). A dependency without a pinned snapshot leaves
-    // the entry unstamped; appends then hard-invalidate it.
+    // (delta maintenance). The query pinned every table its plan names
+    // (PinTables), and the catalog never drops one.
     RecyclerGraph::MatShard& shard = graph_.mat_shard(node);
     std::lock_guard<std::mutex> slock(shard.mu);
     node->stamps.clear();
     for (const std::string& t : node->base_tables) {
       auto it = prepared->snapshots_.find(t);
-      if (it == prepared->snapshots_.end()) {
-        node->stamps.clear();
-        break;
-      }
+      RDB_CHECK_MSG(it != prepared->snapshots_.end(),
+                    "admitted result without a snapshot of a base table");
       node->stamps[t] = TableStamp{it->second.epoch, it->second.rows};
     }
   }
@@ -323,8 +321,8 @@ void Recycler::OnTableAppended(const std::string& table) {
   // survivable: a materialized entry is KEPT when delta maintenance can
   // refresh it — stamped at the current epoch with a mark not past the
   // table, and of a delta-eligible shape (single-table chain with an
-  // optionally decomposable aggregate root). Everything else — unstamped
-  // legacy entries, joins, non-decomposable roots — hard-invalidates.
+  // optionally decomposable aggregate root). Everything else — joins,
+  // non-decomposable roots — hard-invalidates.
   TableSnapshot snap = catalog_->Snapshot(table);
   std::shared_lock<std::shared_mutex> lock(graph_.mutex());
   std::lock_guard<std::mutex> clock(cache_mu_);
@@ -353,12 +351,7 @@ void Recycler::OnTableAppended(const std::string& table) {
   }
   // Orphan images from a previous process carry row marks and re-anchor
   // on adoption (TryAdoptOrphan drops any whose mark exceeds the live
-  // table), so they survive appends. Unstamped files (spilled while a
-  // dependency had no pinned snapshot) are indistinguishable from stale
-  // — purge those.
-  std::vector<const RGNode*> dropped;
-  cold_tier_.PurgeUnversionedOrphans(table, &dropped);
-  OnColdEntriesDropped(dropped);
+  // table), so they survive appends.
 }
 
 int64_t Recycler::TruncateGraph(int64_t idle_epochs) {

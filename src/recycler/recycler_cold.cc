@@ -166,8 +166,8 @@ bool Recycler::TryAdoptOrphan(RGNode* node) {
   // Re-anchor row stamps against the live catalog: replace-epochs are
   // process-local, so an image is adoptable iff every row mark still fits
   // inside the current table (appends since the spill leave it usable as
-  // an as-of prefix; a shrunk or missing base does not). Unstamped images
-  // adopt unstamped (same-base-data contract).
+  // an as-of prefix; a shrunk or missing base does not). The header
+  // reader guarantees a mark for every base table.
   std::map<std::string, TableStamp> stamps;
   for (const auto& [tname, rows] : meta.table_versions) {
     TableSnapshot snap = catalog_->Snapshot(tname);
@@ -184,7 +184,7 @@ bool Recycler::TryAdoptOrphan(RGNode* node) {
   node->has_size.store(true);
   node->h.store(meta.h);
   node->h_epoch.store(graph_.epoch());
-  if (!stamps.empty()) {
+  {
     RecyclerGraph::MatShard& shard = graph_.mat_shard(node);
     std::lock_guard<std::mutex> slock(shard.mu);
     node->stamps = std::move(stamps);

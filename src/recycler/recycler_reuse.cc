@@ -193,14 +193,9 @@ PlanPtr Recycler::TrySubsume(MNode* m, const DerivedCandidates& cands,
         TrySubsumption(*m->plan, *parent, cached);
     if (derived.plan == nullptr) continue;
     {
-      // Exclusive: the subsumption edge list is graph structure.
-      std::unique_lock<std::shared_mutex> glock(graph_.mutex());
+      std::shared_lock<std::shared_mutex> glock(graph_.mutex());
       CreditReuse(parent, derived.cached_scan.get(), 1.0, /*bump_h=*/true,
                   prepared);
-      std::vector<RGNode*>& edges = parent->subsumes;
-      if (std::find(edges.begin(), edges.end(), m->gnode) == edges.end()) {
-        edges.push_back(m->gnode);
-      }
     }
     m->replaced = true;
     Count(prepared, QueryCounter::kReuses);
@@ -366,7 +361,7 @@ PlanPtr Recycler::ServeExact(MNode* m, std::vector<std::string> column_names,
 PlanPtr Recycler::TryDeltaRewrite(MNode* m, const PlanPtr& plan, RGNode* g,
                                   TablePtr snapshot, const StaleWindow& window,
                                   PreparedQuery* prepared) {
-  if (!DeltaEligiblePlan(*plan, window.table)) return nullptr;
+  if (!DeltaEligibleNode(*g, window.table)) return nullptr;
   const bool agg_merge = plan->type() == OpType::kAggregate;
   PlanPtr cached_scan;
   PlanPtr delta_plan =

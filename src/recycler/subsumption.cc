@@ -33,45 +33,29 @@ bool MaySubsume(const RGNode& cand, OpType query_type,
 
 namespace {
 
-/// `query_keys` (over `input` when given, else positional) equal the
-/// positional `cand_keys`.
-bool SameSortKeys(const std::vector<SortKey>& query_keys, const Schema* input,
+/// `query_keys` (over `input`) equal the positional `cand_keys`.
+bool SameSortKeys(const std::vector<SortKey>& query_keys, const Schema& input,
                   const std::vector<SortKey>& cand_keys) {
   if (query_keys.size() != cand_keys.size()) return false;
   for (size_t i = 0; i < query_keys.size(); ++i) {
-    const std::string& q = query_keys[i].column;
-    if ((input != nullptr ? OrdinalName(input->IndexOfChecked(q)) : q) !=
-        cand_keys[i].column) {
+    if (OrdinalName(input.IndexOfChecked(query_keys[i].column)) !=
+            cand_keys[i].column ||
+        query_keys[i].ascending != cand_keys[i].ascending) {
       return false;
     }
-    if (query_keys[i].ascending != cand_keys[i].ascending) return false;
   }
   return true;
 }
 
-/// Index of the cand aggregate with function `fn` whose argument keys as
-/// `arg_key` over `cand_input`, or -1.
-int FindCandAgg(const PlanNode& cand, const Schema* cand_input, AggFunc fn,
-                const std::string& arg_key) {
-  const auto& aggs = cand.aggregates();
-  for (size_t j = 0; j < aggs.size(); ++j) {
-    if (aggs[j].fn == fn && aggs[j].arg->Key(cand_input) == arg_key) {
-      return static_cast<int>(j);
-    }
-  }
-  return -1;
-}
-
-/// Builds the CachedScan with synthetic column names s0..s<k>.
-SubsumptionPlan MakeSyntheticScan(TablePtr cached) {
-  SubsumptionPlan out;
+/// Names for the columns of a cached result, s0..s<k>, each made fresh
+/// against `scope`: names the derived plan puts beside them.
+std::vector<std::string> SyntheticNames(const Table& cached,
+                                        std::set<std::string> scope) {
   std::vector<std::string> names;
-  names.reserve(cached->schema().num_fields());
-  for (int i = 0; i < cached->schema().num_fields(); ++i) {
-    names.push_back(StrFormat("s%d", i));
+  for (int i = 0; i < cached.schema().num_fields(); ++i) {
+    names.push_back(FreshName(StrFormat("s%d", i), &scope));
   }
-  out.cached_scan = PlanNode::CachedScan(std::move(cached), std::move(names));
-  return out;
+  return names;
 }
 
 SubsumptionPlan TrySelect(const PlanNode& query_node, const Schema& input,
@@ -108,7 +92,7 @@ SubsumptionPlan TryTopN(const PlanNode& query_node, const Schema& input,
                         const RGNode& cand, TablePtr cached) {
   const PlanNode& cp = *cand.param_node;
   if (cp.limit() < query_node.limit()) return {};
-  if (!SameSortKeys(query_node.sort_keys(), &input, cp.sort_keys())) {
+  if (!SameSortKeys(query_node.sort_keys(), input, cp.sort_keys())) {
     return {};
   }
   SubsumptionPlan out;
@@ -136,12 +120,14 @@ SubsumptionPlan TryProject(const PlanNode& query_node, const Schema& input,
     if (pos < 0) return {};  // column subsumption requires a superset
     positions.push_back(pos);
   }
-  SubsumptionPlan out = MakeSyntheticScan(std::move(cached));
+  const std::vector<std::string> names = SyntheticNames(*cached, {});
   std::vector<ProjItem> items;
   for (size_t i = 0; i < positions.size(); ++i) {
-    items.push_back({Expr::Column(StrFormat("s%d", positions[i])),
+    items.push_back({Expr::Column(names[positions[i]]),
                      query_node.projections()[i].out_name});
   }
+  SubsumptionPlan out;
+  out.cached_scan = PlanNode::CachedScan(std::move(cached), names);
   out.plan = PlanNode::Project(out.cached_scan, std::move(items));
   return out;
 }
@@ -167,101 +153,48 @@ SubsumptionPlan TryAggregate(const PlanNode& query_node, const Schema& input,
     group_pos.push_back(pos);
   }
 
-  const bool same_grouping =
-      static_cast<int>(query_node.group_by().size()) == cand_groups;
-
-  if (same_grouping) {
+  // The query's group names go beside the synthetic ones.
+  std::vector<std::string> names = SyntheticNames(
+      *cached, {query_node.group_by().begin(), query_node.group_by().end()});
+  SubsumptionPlan out;
+  if (static_cast<int>(query_node.group_by().size()) == cand_groups) {
     // Column subsumption: same grouping; every requested aggregate must be
     // present verbatim -> project out the needed columns.
-    std::vector<int> agg_pos;
-    for (const auto& a : query_node.aggregates()) {
-      int j = FindCandAgg(cp, &cand_input, a.fn, a.arg->Key(&input));
-      if (j < 0) return {};
-      agg_pos.push_back(cand_groups + j);
-    }
-    SubsumptionPlan out = MakeSyntheticScan(std::move(cached));
     std::vector<ProjItem> items;
     for (size_t i = 0; i < group_pos.size(); ++i) {
-      items.push_back({Expr::Column(StrFormat("s%d", group_pos[i])),
-                       query_node.group_by()[i]});
+      items.push_back(
+          {Expr::Column(names[group_pos[i]]), query_node.group_by()[i]});
     }
-    for (size_t i = 0; i < agg_pos.size(); ++i) {
-      items.push_back({Expr::Column(StrFormat("s%d", agg_pos[i])),
-                       query_node.aggregates()[i].out_name});
+    for (const auto& a : query_node.aggregates()) {
+      const int j = FindAggregate(cp.aggregates(), &cand_input, a.fn,
+                                  a.arg->Key(&input));
+      if (j < 0) return {};
+      items.push_back({Expr::Column(names[cand_groups + j]), a.out_name});
     }
+    out.cached_scan = PlanNode::CachedScan(std::move(cached), names);
     out.plan = PlanNode::Project(out.cached_scan, std::move(items));
     return out;
   }
 
-  // Tuple subsumption: the cached grouping is strictly finer. Re-aggregate
-  // the cached partials with the decomposition rules.
-  std::vector<AggItem> reaggs;      // over synthetic columns
-  std::vector<ProjItem> final_items;
+  // Tuple subsumption: the cached grouping is strictly finer. The scan
+  // gives the query's group columns their final names, and the cached
+  // aggregates are the partials the query's items re-aggregate from.
   for (size_t i = 0; i < group_pos.size(); ++i) {
-    final_items.push_back({Expr::Column(query_node.group_by()[i]),
-                           query_node.group_by()[i]});
+    names[group_pos[i]] = query_node.group_by()[i];
   }
-  int temp_serial = 0;
-  for (const auto& a : query_node.aggregates()) {
-    const std::string arg_key = a.arg->Key(&input);
-    switch (a.fn) {
-      case AggFunc::kSum:
-      case AggFunc::kMin:
-      case AggFunc::kMax: {
-        int j = FindCandAgg(cp, &cand_input, a.fn, arg_key);
-        if (j < 0) return {};
-        std::string tmp = StrFormat("r%d", temp_serial++);
-        AggFunc refn = a.fn == AggFunc::kSum ? AggFunc::kSum : a.fn;
-        reaggs.push_back(
-            {refn, Expr::Column(StrFormat("s%d", cand_groups + j)), tmp});
-        final_items.push_back({Expr::Column(tmp), a.out_name});
-        break;
-      }
-      case AggFunc::kCount: {
-        int j = FindCandAgg(cp, &cand_input, AggFunc::kCount, arg_key);
-        if (j < 0) return {};
-        std::string tmp = StrFormat("r%d", temp_serial++);
-        reaggs.push_back(
-            {AggFunc::kSum, Expr::Column(StrFormat("s%d", cand_groups + j)),
-             tmp});
-        final_items.push_back({Expr::Column(tmp), a.out_name});
-        break;
-      }
-      case AggFunc::kAvg: {
-        int js = FindCandAgg(cp, &cand_input, AggFunc::kSum, arg_key);
-        int jc = FindCandAgg(cp, &cand_input, AggFunc::kCount, arg_key);
-        if (js < 0 || jc < 0) return {};
-        std::string ts = StrFormat("r%d", temp_serial++);
-        std::string tc = StrFormat("r%d", temp_serial++);
-        reaggs.push_back(
-            {AggFunc::kSum, Expr::Column(StrFormat("s%d", cand_groups + js)),
-             ts});
-        reaggs.push_back(
-            {AggFunc::kSum, Expr::Column(StrFormat("s%d", cand_groups + jc)),
-             tc});
-        final_items.push_back(
-            {Expr::Arith(ArithOp::kDiv,
-                         Expr::Arith(ArithOp::kMul, Expr::Column(ts),
-                                     Expr::Literal(1.0)),
-                         Expr::Column(tc)),
-             a.out_name});
-        break;
-      }
-    }
+  std::vector<AggItem> partials = cp.aggregates();
+  for (size_t j = 0; j < partials.size(); ++j) {
+    partials[j].out_name = names[cand_groups + j];
   }
-
-  SubsumptionPlan out = MakeSyntheticScan(std::move(cached));
-  // Rename the query's group columns in the synthetic scan so the
-  // re-aggregation's group outputs carry the final names directly.
-  std::vector<std::string> scan_names = out.cached_scan->scan_columns();
-  for (size_t i = 0; i < group_pos.size(); ++i) {
-    scan_names[group_pos[i]] = query_node.group_by()[i];
-  }
-  out.cached_scan =
-      PlanNode::CachedScan(out.cached_scan->cached_result(), scan_names);
-  PlanPtr reagg = PlanNode::Aggregate(out.cached_scan,
-                                      query_node.group_by(), reaggs);
-  out.plan = PlanNode::Project(reagg, std::move(final_items));
+  std::optional<Reaggregation> r = Reaggregate(
+      query_node.aggregates(), &input, partials, &cand_input,
+      query_node.group_by(), "r", {names.begin(), names.end()});
+  if (!r.has_value()) return {};
+  out.cached_scan = PlanNode::CachedScan(std::move(cached), names);
+  out.plan = PlanNode::Project(
+      PlanNode::Aggregate(out.cached_scan, query_node.group_by(),
+                          std::move(r->outer)),
+      std::move(r->final));
   return out;
 }
 
@@ -563,54 +496,6 @@ PartialPlan BuildPartialStitch(const PlanNode& query_node,
   out.plan = branches.size() == 1 ? branches[0]
                                   : PlanNode::UnionAll(std::move(branches));
   return out;
-}
-
-bool ParamsSubsume(const PlanNode& super, const PlanNode& sub) {
-  if (super.type() != sub.type()) return false;
-  switch (super.type()) {
-    case OpType::kSelect:
-      // super's conjuncts must be a subset of sub's.
-      return ConjunctsImplied(ConjunctKeys(super.predicate(), nullptr),
-                              ConjunctKeys(sub.predicate(), nullptr));
-    case OpType::kTopN:
-      return super.limit() >= sub.limit() &&
-             SameSortKeys(sub.sort_keys(), nullptr, super.sort_keys());
-    case OpType::kProject: {
-      for (const auto& item : sub.projections()) {
-        bool found = false;
-        for (const auto& sitem : super.projections()) {
-          if (sitem.expr->Key(nullptr) == item.expr->Key(nullptr)) {
-            found = true;
-            break;
-          }
-        }
-        if (!found) return false;
-      }
-      return true;
-    }
-    case OpType::kAggregate: {
-      // super groups must be a superset of sub groups.
-      std::set<std::string> super_groups(super.group_by().begin(),
-                                         super.group_by().end());
-      for (const auto& g : sub.group_by()) {
-        if (super_groups.count(g) == 0) return false;
-      }
-      for (const auto& a : sub.aggregates()) {
-        const std::string arg_key = a.arg->Key(nullptr);
-        if (a.fn == AggFunc::kAvg) {
-          if (FindCandAgg(super, nullptr, AggFunc::kSum, arg_key) < 0 ||
-              FindCandAgg(super, nullptr, AggFunc::kCount, arg_key) < 0) {
-            return false;
-          }
-        } else if (FindCandAgg(super, nullptr, a.fn, arg_key) < 0) {
-          return false;
-        }
-      }
-      return true;
-    }
-    default:
-      return false;
-  }
 }
 
 }  // namespace recycledb

@@ -8,7 +8,10 @@
 //     subset of the requested ones -> apply the residual conjuncts.
 //   - tuple subsumption (Aggregate): the cached GROUP BY is finer (its
 //     grouping columns are a superset) and every requested aggregate can
-//     be re-aggregated from cached partials -> re-aggregate.
+//     be re-aggregated from the cached aggregates -> re-aggregate by the
+//     one rule delta merges and cube caching also use (Reaggregate,
+//     expr/aggregate.h). With the same GROUP BY every requested
+//     aggregate must be cached verbatim -> project it out.
 //   - tuple subsumption (TopN): the cached top-M with the same sort keys
 //     and M >= N answers top-N via a Limit (the proactive top-N strategy
 //     relies on this).
@@ -33,7 +36,7 @@ std::set<std::string> ConjunctKeys(const ExprPtr& pred, const Schema* input);
 /// cached rows include every row the query needs iff each conjunct the
 /// cached result applied (`cached_keys`) is also one of the query's
 /// (`query_keys`). TrySelect, PlanPartialStitch (on the non-range
-/// conjuncts), ParamsSubsume and MaySubsume all decide with it.
+/// conjuncts) and MaySubsume all decide with it.
 bool ConjunctsImplied(const std::set<std::string>& cached_keys,
                       const std::set<std::string>& query_keys);
 
@@ -63,17 +66,14 @@ struct SubsumptionPlan {
 /// the candidate's param_node, keyed over PositionalInput of that child.
 /// `cached` is the candidate's materialized result (caller snapshots it
 /// under lock). Returns an empty plan when no supported derivation
-/// applies.
+/// applies. The derived plan's temporary column names (the synthetic
+/// names of the cached columns, the re-aggregation's) are fresh against
+/// the query's group and output names.
 ///
 /// Thread-safety: reads only the immutable RGNode fields param_node and
 /// children plus the passed-in `cached` snapshot.
 SubsumptionPlan TrySubsumption(const PlanNode& query_node, const RGNode& cand,
                                TablePtr cached);
-
-/// True if `sub`'s parameters are subsumed by `super`'s (both positional
-/// param_nodes, same child). Used to maintain most-specific subsumption
-/// edges in the graph.
-bool ParamsSubsume(const PlanNode& super, const PlanNode& sub);
 
 // ---------------------------------------------------------------------------
 // Partial reuse (range stitching)

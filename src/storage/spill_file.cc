@@ -1,5 +1,6 @@
 #include "storage/spill_file.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -99,6 +100,16 @@ Status ParseHeader(const std::string& buf, SpillFileMeta* meta) {
     return Status::Internal("spill header truncated in select descriptor");
   }
   if (c.remaining() != 0) return Status::Internal("spill header too long");
+  // Every image is stamped: one row mark per base table, and no other.
+  std::vector<std::string> marked, bases = meta->base_tables;
+  for (const auto& version : meta->table_versions) {
+    marked.push_back(version.first);
+  }
+  std::sort(marked.begin(), marked.end());
+  std::sort(bases.begin(), bases.end());
+  if (marked != bases) {
+    return Status::Internal("spill header row marks do not match its tables");
+  }
   return Status::OK();
 }
 

@@ -96,9 +96,8 @@ struct SpillFileMeta {
   /// Replace-epochs are process-local and deliberately NOT persisted;
   /// adoption re-anchors the stamps against the live catalog and drops
   /// images whose marks exceed the current table (shrunk/replaced base).
-  /// Empty when the producing node had no pinned snapshot of a base
-  /// table (such entries stay unstamped and appends hard-invalidate
-  /// them).
+  /// Names exactly `base_tables`: the header reader rejects any other
+  /// file as corrupt.
   std::vector<std::pair<std::string, int64_t>> table_versions;
   /// Select descriptor: for a result whose root is a single-child
   /// Select, the canonical key of the child subtree and the Select's

@@ -134,6 +134,7 @@ TEST(SpillFile, RoundTripAllTypesBitEqual) {
   meta.h = 3.25;
   meta.benefit = 0.125;
   meta.base_tables = {"f", "g"};
+  meta.table_versions = {{"g", 7}, {"f", 4000}};
 
   const std::string path = dir.path() + "/roundtrip.spill";
   ASSERT_TRUE(WriteSpillFile(path, *t, meta).ok());
@@ -147,6 +148,7 @@ TEST(SpillFile, RoundTripAllTypesBitEqual) {
   EXPECT_DOUBLE_EQ(header.bcost_ms, meta.bcost_ms);
   EXPECT_DOUBLE_EQ(header.h, meta.h);
   EXPECT_EQ(header.base_tables, meta.base_tables);
+  EXPECT_EQ(header.table_versions, meta.table_versions);
 
   SpillFileMeta meta2;
   TablePtr back;
@@ -956,6 +958,39 @@ TEST(ColdTier, StaleOrphanNeverStitches) {
   EXPECT_EQ(r.trace().num_partial_reuses, 0);
   EXPECT_EQ(BaseScans(r), 1) << r.trace().plan_explain;
   EXPECT_EQ(db->counters().cold_slice_loads.load(), 0);
+  EXPECT_EQ(RowMultiset(*r.table()), expected);
+}
+
+TEST(ColdTier, HeaderWithoutRowMarksIsDeletedAtOpen) {
+  // Every image carries a row mark for each base table: a header naming a
+  // base table without one is corrupt, so the open scan deletes the file
+  // and the query recomputes.
+  TempSpillDir dir;
+  std::multiset<std::string> expected;
+  {
+    auto db = OpenDb(dir.path(), 256 << 20, 20000);
+    expected = Expected(db.get(), RangeQuery(0, 3000));
+    ASSERT_TRUE(db->Execute(RangeQuery(0, 3000)).ok());
+  }
+  const std::vector<std::string> files = SpillFiles(dir.path());
+  ASSERT_EQ(files.size(), 1u);
+  SpillFileMeta meta;
+  TablePtr table;
+  ASSERT_TRUE(ReadSpillTable(files[0], &meta, &table).ok());
+  ASSERT_EQ(meta.base_tables, std::vector<std::string>{"f"});
+  ASSERT_EQ(meta.table_versions.size(), 1u);
+  meta.table_versions.clear();
+  ASSERT_TRUE(WriteSpillFile(files[0], *table, meta).ok());
+  SpillFileMeta back;
+  EXPECT_FALSE(ReadSpillMeta(files[0], &back).ok());
+
+  auto db = OpenDb(dir.path(), 256 << 20, 20000);
+  EXPECT_TRUE(SpillFiles(dir.path()).empty());
+  EXPECT_EQ(db->recycler().cold_tier().Stats().orphans, 0);
+  Result r = db->Execute(RangeQuery(0, 3000));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.trace().num_reuses, 0);
+  EXPECT_EQ(r.trace().num_adoptions, 0);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
 }
 

@@ -21,27 +21,9 @@
 namespace recycledb {
 namespace {
 
-/// Exact row rendering (doubles at full precision: these tests assert
-/// bit-identity, not approximate equality). The scenario generators use
-/// integer-valued doubles, so partial-sum merging stays exact.
-std::vector<std::string> BitRows(const Table& t, bool ordered) {
-  std::vector<std::string> rows;
-  for (int64_t r = 0; r < t.num_rows(); ++r) {
-    std::string key;
-    for (int c = 0; c < t.num_columns(); ++c) {
-      const Datum& d = t.Get(r, c);
-      if (std::holds_alternative<double>(d)) {
-        key += StrFormat("%.17g", std::get<double>(d));
-      } else {
-        key += DatumToString(d);
-      }
-      key += "|";
-    }
-    rows.push_back(std::move(key));
-  }
-  if (!ordered) std::sort(rows.begin(), rows.end());
-  return rows;
-}
+// The scenario generators use integer-valued doubles, so partial-sum
+// merging stays exact and results compare bit for bit.
+using testing::BitRows;
 
 DatabaseOptions DeltaOptions(bool delta_on = true) {
   DatabaseOptions options;

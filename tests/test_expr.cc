@@ -241,28 +241,79 @@ TEST(AggregateTest, ResultTypes) {
 }
 
 TEST(AggregateTest, DecomposeSumCountMinMax) {
-  AggItem sum{AggFunc::kSum, Expr::Column("v"), "s"};
-  AggDecomposition d = DecomposeAggregate(sum, "p");
-  ASSERT_EQ(d.partials.size(), 1u);
-  EXPECT_EQ(d.reaggs[0], AggFunc::kSum);
-  EXPECT_EQ(d.final_expr, nullptr);
+  // Each of these is its own partial, named fresh against the scope.
+  std::set<std::string> taken = {"p_p0"};
+  for (AggFunc fn : {AggFunc::kSum, AggFunc::kCount, AggFunc::kMin}) {
+    AggItem item{fn, Expr::Column("v"), "x"};
+    std::vector<AggItem> partials = DecomposeAggregate(item, "p", &taken);
+    ASSERT_EQ(partials.size(), 1u);
+    EXPECT_EQ(partials[0].fn, fn);
+    EXPECT_EQ(partials[0].arg->Key(nullptr), item.arg->Key(nullptr));
+    EXPECT_NE(partials[0].out_name, "p_p0");
+  }
+  EXPECT_EQ(taken.size(), 4u);
 
-  AggItem cnt{AggFunc::kCount, Expr::Literal(int64_t{1}), "c"};
-  d = DecomposeAggregate(cnt, "p");
-  EXPECT_EQ(d.reaggs[0], AggFunc::kSum);  // count of union = sum of counts
-
-  AggItem mn{AggFunc::kMin, Expr::Column("v"), "m"};
-  d = DecomposeAggregate(mn, "p");
-  EXPECT_EQ(d.reaggs[0], AggFunc::kMin);
+  // Re-aggregation: COUNT merges by SUM, the others by themselves.
+  std::vector<AggItem> items = {{AggFunc::kSum, Expr::Column("v"), "s"},
+                                {AggFunc::kCount, Expr::Literal(int64_t{1}),
+                                 "c"},
+                                {AggFunc::kMin, Expr::Column("v"), "m"}};
+  std::optional<Reaggregation> r =
+      Reaggregate(items, nullptr, items, nullptr, {"g"}, "t", {});
+  ASSERT_TRUE(r.has_value());
+  ASSERT_EQ(r->outer.size(), 3u);
+  EXPECT_EQ(r->outer[0].fn, AggFunc::kSum);
+  EXPECT_EQ(r->outer[1].fn, AggFunc::kSum);  // count of union = sum of counts
+  EXPECT_EQ(r->outer[2].fn, AggFunc::kMin);
+  EXPECT_EQ(r->outer[1].arg->column_name(), "c");
+  ASSERT_EQ(r->final.size(), 4u);
+  EXPECT_EQ(r->final[0].out_name, "g");
+  EXPECT_EQ(r->final[2].out_name, "c");
+  EXPECT_EQ(r->final[2].expr->column_name(), r->outer[1].out_name);
 }
 
 TEST(AggregateTest, DecomposeAvgNeedsSumAndCount) {
+  std::set<std::string> taken;
   AggItem avg{AggFunc::kAvg, Expr::Column("v"), "a"};
-  AggDecomposition d = DecomposeAggregate(avg, "p");
-  ASSERT_EQ(d.partials.size(), 2u);
-  EXPECT_EQ(d.partials[0].fn, AggFunc::kSum);
-  EXPECT_EQ(d.partials[1].fn, AggFunc::kCount);
-  ASSERT_NE(d.final_expr, nullptr);
+  std::vector<AggItem> partials = DecomposeAggregate(avg, "p", &taken);
+  ASSERT_EQ(partials.size(), 2u);
+  EXPECT_EQ(partials[0].fn, AggFunc::kSum);
+  EXPECT_EQ(partials[1].fn, AggFunc::kCount);
+
+  // AVG re-aggregates from its SUM and COUNT partials...
+  std::optional<Reaggregation> r =
+      Reaggregate({avg}, nullptr, partials, nullptr, {}, "t", {});
+  ASSERT_TRUE(r.has_value());
+  ASSERT_EQ(r->outer.size(), 2u);
+  ASSERT_EQ(r->final.size(), 1u);
+  EXPECT_EQ(r->final[0].expr->kind(), ExprKind::kArith);
+  // ... and from nothing less, as MIN does not from SUM and COUNT.
+  EXPECT_FALSE(Reaggregate({avg}, nullptr, {partials[0]}, nullptr, {}, "t", {})
+                   .has_value());
+  AggItem min{AggFunc::kMin, Expr::Column("v"), "m"};
+  EXPECT_FALSE(
+      Reaggregate({min}, nullptr, partials, nullptr, {}, "t", {}).has_value());
+  // Derivable answers the same without building anything.
+  EXPECT_TRUE(Derivable({avg}, nullptr, partials, nullptr));
+  EXPECT_FALSE(Derivable({avg}, nullptr, {partials[0]}, nullptr));
+  EXPECT_FALSE(Derivable({min}, nullptr, partials, nullptr));
+}
+
+TEST(AggregateTest, ReaggregateTemporariesAvoidEveryName) {
+  // Group "t0" and output "t1" take the temporaries' preferred names.
+  std::vector<AggItem> items = {{AggFunc::kSum, Expr::Column("v"), "x"},
+                                {AggFunc::kMax, Expr::Column("v"), "t1"}};
+  std::optional<Reaggregation> r =
+      Reaggregate(items, nullptr, items, nullptr, {"t0"}, "t", {"x_scope"});
+  ASSERT_TRUE(r.has_value());
+  ASSERT_EQ(r->outer.size(), 2u);
+  EXPECT_EQ(r->outer[0].out_name, "t0_1");
+  EXPECT_EQ(r->outer[1].out_name, "t1_1");
+
+  std::set<std::string> taken = {"a", "a_1"};
+  EXPECT_EQ(FreshName("b", &taken), "b");
+  EXPECT_EQ(FreshName("a", &taken), "a_2");
+  EXPECT_EQ(FreshName("a", &taken), "a_3");
 }
 
 }  // namespace

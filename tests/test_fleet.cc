@@ -134,8 +134,8 @@ TEST(FleetManifest, RoundTripsOwnersEntriesPurges) {
   m.owners.push_back({"beta", 1700000123456});
   m.entries.push_back({"4{select}(0{scan:f})", "r01-alpha-1.spill", "alpha", 7});
   m.entries.push_back({"9{agg}(0{scan:g})", "r02-beta-3.spill", "beta", 41});
-  m.purges.push_back({"f", 5, false});
-  m.purges.push_back({"g", 6, true});
+  m.purges.push_back({"f", 5});
+  m.purges.push_back({"g", 6});
 
   fleet::Manifest back;
   ASSERT_TRUE(fleet::ParseManifest(fleet::SerializeManifest(m), &back).ok());
@@ -150,7 +150,7 @@ TEST(FleetManifest, RoundTripsOwnersEntriesPurges) {
   EXPECT_EQ(back.entries[0].admit_seq, 7);
   ASSERT_EQ(back.purges.size(), 2u);
   EXPECT_EQ(back.purges[1].table, "g");
-  EXPECT_TRUE(back.purges[1].unversioned_only);
+  EXPECT_EQ(back.purges[1].seq, 6);
 
   // Liveness: unknown and empty owners are never live.
   EXPECT_TRUE(back.OwnerLive("alpha", 1699999999999));
@@ -189,12 +189,18 @@ TEST(FleetManifest, CorruptionAndSkewAreRecoverable) {
   st = fleet::ParseManifest(skewed, &out);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  // So is one from an older engine.
+  uint32_t older = fleet::kManifestFormatVersion - 1;
+  std::memcpy(&skewed[4], &older, sizeof(older));
+  st = fleet::ParseManifest(skewed, &out);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(FleetManifest, PurgeLogIsBounded) {
   fleet::Manifest m;
   for (size_t i = 0; i < fleet::kManifestMaxPurges + 20; ++i) {
-    m.AddPurge("t" + std::to_string(i), false);
+    m.AddPurge("t" + std::to_string(i));
     ++m.seq;
   }
   EXPECT_LE(m.purges.size(), fleet::kManifestMaxPurges);

@@ -1055,18 +1055,26 @@ TEST_F(RecyclerTest, SubsumptionTriesTheLowerNodeIdFirst) {
     Recycler rec(&catalog_, RecyclerConfig{});
     rec.Execute(PlanNode::Select(scan(), std::move(first)));
     rec.Execute(PlanNode::Select(scan(), std::move(second)));
-    QueryTrace trace;
-    rec.Execute(PlanNode::Select(scan(), Expr::And(by_k(), by_v())), &trace);
-    EXPECT_EQ(trace.num_subsumption_reuses, 1);
-    std::shared_lock<std::shared_mutex> lock(rec.graph().mutex());
+    // The derived plan reads the winner's cached table.
+    std::unique_ptr<PreparedQuery> prepared =
+        rec.Prepare(PlanNode::Select(scan(), Expr::And(by_k(), by_v())));
+    const PlanNode* read = prepared->plan().get();
+    while (read->type() != OpType::kCachedScan && read->num_children() > 0) {
+      read = read->child(0).get();
+    }
     int64_t first_cached = -1;
     const RGNode* winner = nullptr;
-    for (const auto& n : rec.graph().nodes()) {
-      if (first_cached < 0 && n->mat_state.load() == MatState::kCached) {
-        first_cached = n->id;
+    {
+      std::shared_lock<std::shared_mutex> lock(rec.graph().mutex());
+      for (const auto& n : rec.graph().nodes()) {
+        if (n->mat_state.load() != MatState::kCached) continue;
+        if (first_cached < 0) first_cached = n->id;
+        if (n->cached == read->cached_result()) winner = n.get();
       }
-      if (!n->subsumes.empty()) winner = n.get();
     }
+    QueryTrace trace;
+    rec.Execute(prepared.get(), &trace);
+    EXPECT_EQ(trace.num_subsumption_reuses, 1);
     EXPECT_NE(winner, nullptr);
     if (winner == nullptr) return std::string();
     EXPECT_EQ(winner->id, first_cached);

@@ -764,6 +764,7 @@ SpillFileMeta MakeMeta(const Table& t) {
   meta.bcost_ms = 3.5;
   meta.h = 2.0;
   meta.base_tables = {"w"};
+  meta.table_versions = {{"w", t.num_rows()}};
   return meta;
 }
 

@@ -1,7 +1,14 @@
-// Tests for subsumption-based reuse (§IV-A): column subsumption,
-// tuple subsumption for selections / aggregates / top-N, edge maintenance.
+// Tests for subsumption-based reuse (§IV-A): column subsumption, tuple
+// subsumption for selections / aggregates / top-N, and tuple subsumption
+// racing appends and refreshes.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
+#include <thread>
+#include <vector>
+
+#include "api/database.h"
 #include "recycler/recycler.h"
 #include "recycler/subsumption.h"
 #include "test_util.h"
@@ -61,6 +68,12 @@ TEST_F(SubsumptionTest, SelectConjunctSubsetReused) {
   ExecResult r = rec.Execute(narrow, &trace);
   EXPECT_GE(trace.num_subsumption_reuses, 1);
   EXPECT_EQ(recycledb::testing::RowMultiset(*r.table), RunOff(narrow_copy));
+
+  // The reverse never derives: the narrow result lacks rows of the broad.
+  Recycler reverse = MakeRecycler();
+  reverse.Execute(narrow_copy->CloneDeep());
+  reverse.Execute(broad->CloneDeep(), &trace);
+  EXPECT_EQ(trace.num_subsumption_reuses, 0);
 }
 
 TEST_F(SubsumptionTest, AggregateFinerGroupingReaggregated) {
@@ -121,6 +134,12 @@ TEST_F(SubsumptionTest, TopNPrefixOfCachedLargerTopN) {
   EXPECT_GE(trace.num_subsumption_reuses, 1);
   ASSERT_EQ(r.table->num_rows(), 10);
   EXPECT_EQ(recycledb::testing::RowMultiset(*r.table), RunOff(small()));
+
+  // A cached top-10 does not answer a top-500.
+  Recycler reverse = MakeRecycler();
+  reverse.Execute(small());
+  reverse.Execute(big->CloneDeep(), &trace);
+  EXPECT_EQ(trace.num_subsumption_reuses, 0);
 }
 
 TEST_F(SubsumptionTest, TopNWithDifferentKeysNotSubsumed) {
@@ -145,23 +164,6 @@ TEST_F(SubsumptionTest, DisabledSubsumptionFallsBackToComputing) {
   ExecResult r = rec.Execute(narrow, &trace);
   EXPECT_EQ(trace.num_subsumption_reuses, 0);
   EXPECT_GT(r.table->num_rows(), 0);
-}
-
-TEST_F(SubsumptionTest, SubsumptionEdgeRecordedInGraph) {
-  Recycler rec = MakeRecycler();
-  ExprPtr base = Expr::Gt(Expr::Column("k"), Expr::Literal(int64_t{40}));
-  rec.Execute(PlanNode::Select(PlanNode::Scan("t", {"k", "g", "v"}), base));
-  PlanPtr narrow = PlanNode::Select(
-      PlanNode::Scan("t", {"k", "g", "v"}),
-      Expr::And(base, Expr::Eq(Expr::Column("g"), Expr::Literal(int64_t{3}))));
-  rec.Execute(narrow);
-  bool found_edge = false;
-  std::shared_lock<std::shared_mutex> lock(rec.graph().mutex());
-  for (const auto& n : rec.graph().nodes()) {
-    if (!n->subsumes.empty()) found_edge = true;
-  }
-  EXPECT_TRUE(found_edge);
-  EXPECT_GE(rec.counters().subsumption_reuses.load(), 1);
 }
 
 TEST_F(SubsumptionTest, ExactReuseOutranksSubsumption) {
@@ -201,40 +203,116 @@ TEST_F(SubsumptionTest, ExactReuseOutranksSubsumption) {
   EXPECT_EQ(recycledb::testing::RowMultiset(*r.table), RunOff(rollup()));
 }
 
-// ---- direct unit tests of the ParamsSubsume predicate --------------------
+TEST(SubsumptionStress, CoarseAggregatesRaceRefreshAndAppends) {
+  // TSan stress: four threads repeat a coarse aggregate that tuple
+  // subsumption derives from the cached fine one, a fifth reruns the fine
+  // aggregate (refreshing it by a delta merge after each append), and a
+  // sixth appends. Subsumption credits its source under the shared graph
+  // lock, concurrently with the refresh's admission. Each coarse result
+  // must equal the bypass result at the snapshot it read, which its
+  // COUNT(*) total identifies.
+  constexpr int kInitial = 2000;
+  constexpr int kBatch = 50;
+  constexpr int kAppends = 12;
+  Schema schema({{"g", TypeId::kInt32},
+                 {"k", TypeId::kInt32},
+                 {"v", TypeId::kInt64}});
+  auto rows = [&schema](int from, int count) {
+    TablePtr t = MakeTable(schema);
+    for (int i = from; i < from + count; ++i) {
+      t->AppendRow({int32_t{i % 5}, int32_t{i % 13}, int64_t{i % 101}});
+    }
+    return t;
+  };
+  auto fine = [] {
+    return PlanNode::Aggregate(PlanNode::Scan("w", {"g", "k", "v"}),
+                               {"g", "k"},
+                               {{AggFunc::kSum, Expr::Column("v"), "sv"},
+                                {AggFunc::kCount, Expr::Column("v"), "cv"},
+                                {AggFunc::kCount, Expr::Literal(int64_t{1}),
+                                 "n"}});
+  };
+  auto coarse = [] {
+    return PlanNode::Aggregate(PlanNode::Scan("w", {"g", "k", "v"}), {"g"},
+                               {{AggFunc::kSum, Expr::Column("v"), "sv"},
+                                {AggFunc::kAvg, Expr::Column("v"), "av"},
+                                {AggFunc::kCount, Expr::Literal(int64_t{1}),
+                                 "n"},
+                                {AggFunc::kCount, Expr::Column("v"), "cv"}});
+  };
+  auto total = [](const Table& t) {
+    int64_t n = 0;
+    for (int64_t r = 0; r < t.num_rows(); ++r) {
+      n += std::get<int64_t>(t.Get(r, 3));
+    }
+    return n;
+  };
 
-TEST(ParamsSubsumeTest, SelectConjuncts) {
-  ExprPtr a = Expr::Gt(Expr::Column("x"), Expr::Literal(int64_t{1}));
-  ExprPtr b = Expr::Lt(Expr::Column("y"), Expr::Literal(int64_t{2}));
-  PlanPtr broad = PlanNode::Select(nullptr, a)->WithChildren({});
-  PlanPtr narrow = PlanNode::Select(nullptr, Expr::And(a, b))
-                       ->WithChildren({});
-  EXPECT_TRUE(ParamsSubsume(*broad, *narrow));
-  EXPECT_FALSE(ParamsSubsume(*narrow, *broad));
-}
+  // The bypass result at every snapshot the race can read.
+  std::map<int64_t, std::vector<std::string>> truth;
+  {
+    auto db = Database::OpenOrDie();
+    ASSERT_TRUE(db->CreateTable("w", rows(0, kInitial)).ok());
+    SessionOptions bypass;
+    bypass.bypass_recycler = true;
+    auto session = db->Connect(bypass);
+    for (int i = 0; i <= kAppends; ++i) {
+      if (i > 0) {
+        ASSERT_TRUE(
+            db->AppendTable("w", *rows(kInitial + (i - 1) * kBatch, kBatch))
+                .ok());
+      }
+      Result r = session->Execute(coarse());
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      truth[total(*r.table())] = testing::BitRows(*r.table(), false);
+    }
+  }
 
-TEST(ParamsSubsumeTest, AggregateGroupsAndAvg) {
-  PlanPtr fine = PlanNode::Aggregate(
-      nullptr, {"a", "b"},
-      {{AggFunc::kSum, Expr::Column("v"), "s"},
-       {AggFunc::kCount, Expr::Column("v"), "c"}})->WithChildren({});
-  PlanPtr coarse_avg = PlanNode::Aggregate(
-      nullptr, {"a"}, {{AggFunc::kAvg, Expr::Column("v"), "av"}})
-      ->WithChildren({});
-  EXPECT_TRUE(ParamsSubsume(*fine, *coarse_avg));  // avg from sum+count
-  PlanPtr coarse_min = PlanNode::Aggregate(
-      nullptr, {"a"}, {{AggFunc::kMin, Expr::Column("v"), "m"}})
-      ->WithChildren({});
-  EXPECT_FALSE(ParamsSubsume(*fine, *coarse_min));  // min not derivable
-}
+  DatabaseOptions options;
+  options.recycler.mode = RecyclerMode::kSpeculation;
+  auto db = Database::OpenOrDie(options);
+  ASSERT_TRUE(db->CreateTable("w", rows(0, kInitial)).ok());
+  ASSERT_TRUE(db->Execute(fine()).ok());
+  Result warm = db->Execute(coarse());
+  ASSERT_TRUE(warm.ok());
+  ASSERT_EQ(warm.trace().num_subsumption_reuses, 1);
 
-TEST(ParamsSubsumeTest, TopNLimits) {
-  PlanPtr big = PlanNode::TopN(nullptr, {{"v", false}}, 100)
-                    ->WithChildren({});
-  PlanPtr small = PlanNode::TopN(nullptr, {{"v", false}}, 10)
-                      ->WithChildren({});
-  EXPECT_TRUE(ParamsSubsume(*big, *small));
-  EXPECT_FALSE(ParamsSubsume(*small, *big));
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < 4; ++c) {
+    threads.emplace_back([&] {
+      auto session = db->Connect();
+      for (int i = 0; i < 30; ++i) {
+        Result r = session->Execute(coarse());
+        auto want = r.ok() ? truth.find(total(*r.table())) : truth.end();
+        if (want == truth.end() ||
+            testing::BitRows(*r.table(), false) != want->second) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    auto session = db->Connect();
+    while (!done.load()) {
+      if (!session->Execute(fine()).ok()) failures.fetch_add(1);
+    }
+  });
+  std::thread writer([&] {
+    for (int i = 0; i < kAppends; ++i) {
+      if (!db->AppendTable("w", *rows(kInitial + i * kBatch, kBatch)).ok()) {
+        failures.fetch_add(1);
+      }
+      std::this_thread::yield();
+    }
+  });
+  writer.join();
+  for (int c = 0; c < 4; ++c) threads[c].join();
+  done = true;
+  threads.back().join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(db->counters().subsumption_reuses.load(), 1);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "common/string_util.h"
 #include "storage/table.h"
 
 namespace recycledb {
@@ -65,6 +66,26 @@ inline std::string RowKey(const Table& t, int64_t row) {
 inline std::multiset<std::string> RowMultiset(const Table& t) {
   std::multiset<std::string> rows;
   for (int64_t r = 0; r < t.num_rows(); ++r) rows.insert(RowKey(t, r));
+  return rows;
+}
+
+/// Exact row rendering, in table order or sorted: doubles at 17
+/// significant digits, so equal renderings mean bit-equal values (for
+/// oracles that demand bit-identity with a recycler-bypass run).
+inline std::vector<std::string> BitRows(const Table& t, bool ordered) {
+  std::vector<std::string> rows;
+  for (int64_t r = 0; r < t.num_rows(); ++r) {
+    std::string key;
+    for (int c = 0; c < t.num_columns(); ++c) {
+      const Datum& d = t.Get(r, c);
+      key += std::holds_alternative<double>(d)
+                 ? StrFormat("%.17g", std::get<double>(d))
+                 : DatumToString(d);
+      key += "|";
+    }
+    rows.push_back(std::move(key));
+  }
+  if (!ordered) std::sort(rows.begin(), rows.end());
   return rows;
 }
 
