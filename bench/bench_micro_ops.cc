@@ -210,6 +210,131 @@ void BM_PrepareMissWithSiblings(benchmark::State& state) {
 }
 BENCHMARK(BM_PrepareMissWithSiblings)->Arg(1000)->Arg(10000);
 
+// A miss of the `distinct_miss` e2e workload's shape: `range(0)` cached
+// five-conjunct boxes over one scan (a ship fortnight, a quantity band,
+// a discount half), then a probe box disjoint from every one of them.
+// Its Prepare runs both derived-reuse lookups, which find nothing; the
+// conjunct signatures should reject most candidates without comparing a
+// key, so /1000 should stay within 1.5x of /100.
+void BM_PrepareMissBoxes(benchmark::State& state) {
+  DatabaseOptions options;
+  options.recycler.mode = RecyclerMode::kHistory;
+  auto db = Database::OpenOrDie(options);
+  const int64_t boxes = state.range(0);
+  const int64_t fortnights = boxes / 10;  // 5 bands x 2 halves each
+  TablePtr table = MakeTable(Schema({{"shipdate", TypeId::kInt32},
+                                     {"quantity", TypeId::kDouble},
+                                     {"discount", TypeId::kDouble},
+                                     {"price", TypeId::kDouble}}));
+  Rng rng(11);
+  for (int i = 0; i < 8192; ++i) {
+    table->AppendRow(
+        {static_cast<int32_t>(rng.Uniform(0, fortnights * 14 - 1)),
+         static_cast<double>(rng.Uniform(1, 60)),
+         static_cast<double>(rng.Uniform(0, 10)) / 100.0,
+         static_cast<double>(rng.Uniform(100, 10000))});
+  }
+  (void)db->CreateTable("boxes", table);
+  auto box = [](int64_t fortnight, int band, bool high_discount) {
+    const ExprPtr date = Expr::Column("shipdate");
+    const ExprPtr qty = Expr::Column("quantity");
+    const ExprPtr disc = Expr::Column("discount");
+    const int32_t day = static_cast<int32_t>(fortnight * 14);
+    return PlanNode::Select(
+        PlanNode::Scan("boxes", {"shipdate", "quantity", "discount", "price"}),
+        AndAll({Expr::Ge(date, Expr::Literal(day)),
+                Expr::Lt(date, Expr::Literal(day + 14)),
+                Expr::Ge(qty, Expr::Literal(band * 10.0 + 1)),
+                Expr::Lt(qty, Expr::Literal(band * 10.0 + 11)),
+                high_discount ? Expr::Ge(disc, Expr::Literal(0.05))
+                              : Expr::Lt(disc, Expr::Literal(0.05))}));
+  };
+  Recycler& rec = db->recycler();  // Prepare-only: white-box by design
+  // History mode materializes a result on its second run and never one
+  // that only went through Prepare.
+  for (int64_t i = 0; i < boxes; ++i) {
+    for (int run = 0; run < 2; ++run) {
+      rec.Execute(box(i / 10, static_cast<int>(i % 5), (i / 5) % 2 == 1));
+    }
+  }
+  // Quantity band 5 (51-60) is no cached box's.
+  PlanPtr probe = box(fortnights / 2, 5, false);
+  for (auto _ : state) {
+    auto prepared = rec.Prepare(probe->CloneShallow());
+    benchmark::DoNotOptimize(prepared);
+  }
+  state.counters["cached"] =
+      static_cast<double>(rec.graph().Stats().num_cached);
+}
+BENCHMARK(BM_PrepareMissBoxes)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Unit(benchmark::kMicrosecond);
+
+// A speculative store into a full cache: a root selection whose 16
+// result batches (128 of each 1024 scanned rows) are buffered one by
+// one, each checked against the cache before the next, then offered.
+// The candidate's size group holds 512 cached selections of its shape
+// that read a cached projection, so their benefit counts only their own
+// filter: every check passes and the offer evicts one of them. Each
+// iteration starts over with a fresh recycler, filled outside the timer.
+void BM_SpeculativeStoreFullCache(benchmark::State& state) {
+  constexpr int kFillers = 512;
+  constexpr int64_t kRows = 16 * kDefaultBatchRows;
+  Catalog catalog;
+  TablePtr table = MakeTable(Schema({{"v", TypeId::kInt64},
+                                     {"g", TypeId::kInt32}}));
+  for (int64_t i = 0; i < kRows; ++i) {
+    table->AppendRow({i, static_cast<int32_t>(i % 8)});
+  }
+  (void)catalog.RegisterTable("spec", table);
+  const ExprPtr v = Expr::Column("v");
+  const ExprPtr g = Expr::Column("g");
+  auto scan = [] { return PlanNode::Scan("spec", {"v", "g"}); };
+  auto eighth = [&](PlanPtr child, int32_t group, int64_t other) {
+    return PlanNode::Select(
+        std::move(child),
+        Expr::And(Expr::Eq(g, Expr::Literal(group)),
+                  Expr::Ne(v, Expr::Literal(other))));
+  };
+  auto projection = [&] {
+    return PlanNode::Project(scan(), {{v, "v"}, {g, "g"}});
+  };
+  RecyclerConfig config;
+  config.mode = RecyclerMode::kSpeculation;
+  // The projection and the fillers, with less room left than one more.
+  config.cache_bytes = kRows * 12 + (kFillers + 1) * (kRows / 8) * 12 - 4096;
+  int64_t materialized = 0, aborted = 0, cached = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto rec = std::make_unique<Recycler>(&catalog, config);
+    rec->Execute(projection());
+    for (int i = 0; i < kFillers; ++i) {
+      rec->Execute(eighth(projection(), 1, -1 - i));
+    }
+    PlanPtr candidate = eighth(scan(), 0, -1);
+    state.ResumeTiming();
+    QueryTrace trace;
+    ExecResult result = rec->Execute(candidate, &trace);
+    benchmark::DoNotOptimize(result);
+    materialized += trace.num_materialized;
+    aborted += trace.num_spec_aborted;
+    state.PauseTiming();
+    cached = rec->graph().Stats().num_cached;
+    rec.reset();
+    state.ResumeTiming();
+  }
+  // 1.0 and 0.0 when every candidate passed its checks and was admitted.
+  state.counters["materialized"] = benchmark::Counter(
+      static_cast<double>(materialized), benchmark::Counter::kAvgIterations);
+  state.counters["spec_aborted"] = benchmark::Counter(
+      static_cast<double>(aborted), benchmark::Counter::kAvgIterations);
+  state.counters["cached"] = static_cast<double>(cached);
+}
+BENCHMARK(BM_SpeculativeStoreFullCache)
+    ->Iterations(30)
+    ->Unit(benchmark::kMicrosecond);
+
 /// The TPC-H catalog the exact-hit benches share (SF 0.002).
 constexpr double kHitSf = 0.002;
 Catalog* HitCatalog() {

@@ -32,11 +32,13 @@ RangeBound TighterHi(const RangeBound& a, const RangeBound& b) {
   return HiTighter(a, b) ? a : b;
 }
 
-bool IntervalEmpty(const ColumnInterval& i) {
-  if (i.lo.unbounded || i.hi.unbounded) return false;
-  int cmp = DatumCompare(i.lo.value, i.hi.value);
+bool IntervalEmpty(const ColumnInterval& i) { return BoundsEmpty(i.lo, i.hi); }
+
+bool BoundsEmpty(const RangeBound& lo, const RangeBound& hi) {
+  if (lo.unbounded || hi.unbounded) return false;
+  int cmp = DatumCompare(lo.value, hi.value);
   if (cmp != 0) return cmp > 0;
-  return !(i.lo.inclusive && i.hi.inclusive);
+  return !(lo.inclusive && hi.inclusive);
 }
 
 bool Overlaps(const ColumnInterval& a, const ColumnInterval& b) {

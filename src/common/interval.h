@@ -42,6 +42,9 @@ RangeBound TighterHi(const RangeBound& a, const RangeBound& b);
 /// True when the interval contains no value (lo past hi, or equal with
 /// either end open). Unbounded ends never make an interval empty.
 bool IntervalEmpty(const ColumnInterval& i);
+/// IntervalEmpty of `lo .. hi`, without copying either bound into an
+/// interval.
+bool BoundsEmpty(const RangeBound& lo, const RangeBound& hi);
 
 /// True when the two intervals share at least one value (a shared closed
 /// boundary point counts).

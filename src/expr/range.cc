@@ -1,9 +1,43 @@
 #include "expr/range.h"
 
+#include <algorithm>
 #include <map>
 #include <variant>
 
+#include "common/hash.h"
+
 namespace recycledb {
+
+ConjunctSet::ConjunctSet(std::vector<std::string> keys)
+    : keys_(std::move(keys)) {
+  std::sort(keys_.begin(), keys_.end());
+  keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+  for (const std::string& k : keys_) sig_ |= Bit(k);
+}
+
+void ConjunctSet::Insert(std::string key) {
+  auto pos = std::lower_bound(keys_.begin(), keys_.end(), key);
+  if (pos != keys_.end() && *pos == key) return;
+  sig_ |= Bit(key);
+  keys_.insert(pos, std::move(key));
+}
+
+bool ConjunctSet::Contains(std::string_view key) const {
+  return std::binary_search(keys_.begin(), keys_.end(), key);
+}
+
+uint64_t ConjunctSet::Bit(std::string_view key) {
+  return uint64_t{1} << (HashMix(HashString(key)) & 63);
+}
+
+KeyedConjuncts KeyConjuncts(const ExprPtr& pred, const Schema* input) {
+  KeyedConjuncts out;
+  if (pred == nullptr) return out;
+  out.conjuncts = SplitConjuncts(pred);
+  out.keys.reserve(out.conjuncts.size());
+  for (const ExprPtr& c : out.conjuncts) out.keys.push_back(c->Key(input));
+  return out;
+}
 
 namespace {
 
@@ -51,13 +85,12 @@ bool AsRangeConjunct(const ExprPtr& conjunct, std::string* column,
   return true;
 }
 
-}  // namespace
-
-std::vector<RangeSpec> ExtractRangeSpecs(const ExprPtr& pred,
-                                         const Schema* input) {
+/// ExtractRangeSpecs over `conjuncts`, whose keys are `keys` or, when it
+/// is null, taken here once a spec needs them.
+std::vector<RangeSpec> Extract(const std::vector<ExprPtr>& conjuncts,
+                               const std::vector<std::string>* keys,
+                               const Schema* input) {
   std::vector<RangeSpec> out;
-  if (pred == nullptr) return out;
-  std::vector<ExprPtr> conjuncts = SplitConjuncts(pred);
 
   // Pass 1: fold each column's range conjuncts into one interval and
   // remember which conjunct positions contributed to which column.
@@ -81,21 +114,42 @@ std::vector<RangeSpec> ExtractRangeSpecs(const ExprPtr& pred,
   }
 
   // Pass 2: one spec per ranged column; everything else is "others".
+  std::vector<std::string> own_keys;
   for (auto& [column, pc] : ranged) {
     if (IntervalEmpty(pc.range)) continue;  // contradictory predicate
+    if (keys == nullptr) {
+      for (const ExprPtr& c : conjuncts) own_keys.push_back(c->Key(input));
+      keys = &own_keys;
+    }
     RangeSpec spec;
     spec.column = column;
     if (input != nullptr) spec.ordinal = input->IndexOfChecked(column);
     spec.range = pc.range;
-    std::set<size_t> mine(pc.positions.begin(), pc.positions.end());
+    std::vector<std::string> other_keys;
     for (size_t i = 0; i < conjuncts.size(); ++i) {
-      if (mine.count(i) > 0) continue;
+      if (std::count(pc.positions.begin(), pc.positions.end(), i) > 0) {
+        continue;
+      }
       spec.others.push_back(conjuncts[i]);
-      spec.other_keys.insert(conjuncts[i]->Key(input));
+      other_keys.push_back((*keys)[i]);
     }
+    spec.other_keys = ConjunctSet(std::move(other_keys));
     out.push_back(std::move(spec));
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<RangeSpec> ExtractRangeSpecs(const KeyedConjuncts& pred,
+                                         const Schema* input) {
+  return Extract(pred.conjuncts, &pred.keys, input);
+}
+
+std::vector<RangeSpec> ExtractRangeSpecs(const ExprPtr& pred,
+                                         const Schema* input) {
+  if (pred == nullptr) return {};
+  return Extract(SplitConjuncts(pred), nullptr, input);
 }
 
 }  // namespace recycledb

@@ -6,14 +6,54 @@
 // zone-map scan pruning, and Plan::Explain's prunable-range annotation.
 #pragma once
 
-#include <set>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/interval.h"
 #include "expr/expression.h"
 
 namespace recycledb {
+
+/// A set of conjunct keys (Expr::AppendKey), sorted and without repeats,
+/// with a 64-bit signature: the OR of one bit per key, chosen by the
+/// key's hash. Equal keys set equal bits, so a set whose signature has a
+/// bit another's lacks is not its subset; the converse needs the keys
+/// (ConjunctsImplied, recycler/subsumption.h).
+class ConjunctSet {
+ public:
+  ConjunctSet() = default;
+  explicit ConjunctSet(std::vector<std::string> keys);
+
+  /// Adds `key`; a no-op when it is already present.
+  void Insert(std::string key);
+  bool Contains(std::string_view key) const;
+  /// The signature bit `key` sets.
+  static uint64_t Bit(std::string_view key);
+
+  const std::vector<std::string>& keys() const { return keys_; }
+  uint64_t sig() const { return sig_; }
+  size_t size() const { return keys_.size(); }
+  bool operator==(const ConjunctSet& other) const {
+    return keys_ == other.keys_;
+  }
+
+ private:
+  std::vector<std::string> keys_;
+  uint64_t sig_ = 0;
+};
+
+/// A predicate's conjuncts (SplitConjuncts) with their keys over the
+/// schema they read, each taken once: `keys[i]` is `conjuncts[i]`'s.
+struct KeyedConjuncts {
+  std::vector<ExprPtr> conjuncts;
+  std::vector<std::string> keys;
+};
+
+/// Splits `pred` (null: no conjuncts) and keys each conjunct over `input`
+/// (null: names as written).
+KeyedConjuncts KeyConjuncts(const ExprPtr& pred, const Schema* input);
 
 /// A selection predicate decomposed around one ranged column: the
 /// column's interval plus every remaining conjunct ("others", matched by
@@ -28,8 +68,9 @@ struct RangeSpec {
   ColumnInterval range;
   /// Non-range conjuncts, original expressions (predicate name space).
   std::vector<ExprPtr> others;
-  /// Keys (Expr::AppendKey) of `others` over the extraction input.
-  std::set<std::string> other_keys;
+  /// Keys (Expr::AppendKey) of `others` over the extraction input, with
+  /// their signature: ConjunctsImplied rejects on it before comparing keys.
+  ConjunctSet other_keys;
 };
 
 /// Decomposes a selection predicate into one RangeSpec per column that
@@ -39,7 +80,12 @@ struct RangeSpec {
 /// which then must match by key like any other conjunct. Specs
 /// whose interval is empty (contradictory predicate) are dropped.
 /// `input` (optional) is the schema the predicate reads: it resolves
-/// `ordinal` and keys `other_keys` by ordinal (Expr::AppendKey).
+/// `ordinal`. `other_keys` come from `pred.keys`, so no conjunct is keyed
+/// again however many specs it lands in.
+std::vector<RangeSpec> ExtractRangeSpecs(const KeyedConjuncts& pred,
+                                         const Schema* input);
+/// The same over `pred`'s conjuncts, keyed only when some spec needs them
+/// (a predicate without a range conjunct is never keyed).
 std::vector<RangeSpec> ExtractRangeSpecs(const ExprPtr& pred,
                                          const Schema* input);
 

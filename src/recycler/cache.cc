@@ -8,11 +8,14 @@ namespace recycledb {
 
 RecyclerCache::RecyclerCache(int64_t capacity_bytes,
                              std::function<double(const RGNode*)> benefit_fn,
+                             std::function<uint64_t()> benefit_stamp,
                              CachePolicy policy)
     : capacity_bytes_(capacity_bytes),
       benefit_fn_(std::move(benefit_fn)),
+      benefit_stamp_(std::move(benefit_stamp)),
       policy_(policy) {
   RDB_CHECK(benefit_fn_ != nullptr);
+  RDB_CHECK(benefit_stamp_ != nullptr);
 }
 
 int RecyclerCache::SizeGroup(int64_t size_bytes) {
@@ -27,16 +30,16 @@ int RecyclerCache::SizeGroup(int64_t size_bytes) {
 
 int64_t RecyclerCache::num_entries() const {
   int64_t n = 0;
-  for (const auto& [g, entries] : groups_) {
-    n += static_cast<int64_t>(entries.size());
+  for (const auto& [g, group] : groups_) {
+    n += static_cast<int64_t>(group.entries.size());
   }
   return n;
 }
 
 std::vector<RGNode*> RecyclerCache::Entries() const {
   std::vector<RGNode*> out;
-  for (const auto& [g, entries] : groups_) {
-    for (const auto& e : entries) out.push_back(e.node);
+  for (const auto& [g, group] : groups_) {
+    for (const auto& e : group.entries) out.push_back(e.node);
   }
   return out;
 }
@@ -55,6 +58,18 @@ std::vector<RecyclerCache::Ranked> RecyclerCache::RankByBenefit(
   return ranked;
 }
 
+const std::vector<RecyclerCache::Ranked>& RecyclerCache::GroupRanking(
+    const Group& group) const {
+  // The stamp is read before the benefits: a write landing while they
+  // are taken bumps it past the value kept, so the next call re-ranks.
+  const uint64_t stamp = benefit_stamp_();
+  if (group.ranked_at != stamp) {
+    group.ranked = RankByBenefit(group.entries);
+    group.ranked_at = stamp;
+  }
+  return group.ranked;
+}
+
 bool RecyclerCache::PlanEviction(double benefit, int64_t size_bytes,
                                  std::vector<RGNode*>* victims) const {
   int64_t free_bytes = unlimited()
@@ -67,8 +82,8 @@ bool RecyclerCache::PlanEviction(double benefit, int64_t size_bytes,
     // Ablations: evict globally, unconditionally, until the result fits —
     // in LRU order, or smallest benefit first (admit-all).
     std::vector<Entry> all;
-    for (const auto& [g, entries] : groups_) {
-      all.insert(all.end(), entries.begin(), entries.end());
+    for (const auto& [g, group] : groups_) {
+      all.insert(all.end(), group.entries.begin(), group.entries.end());
     }
     std::vector<RGNode*> order;
     if (policy_ == CachePolicy::kLru) {
@@ -96,7 +111,7 @@ bool RecyclerCache::PlanEviction(double benefit, int64_t size_bytes,
   int64_t freed = 0;
   double benefit_sum = 0;
   int count = 0;
-  for (const Ranked& r : RankByBenefit(git->second)) {
+  for (const Ranked& r : GroupRanking(git->second)) {
     const double b = r.benefit;
     // (a) average benefit of the victim set must stay below the
     // candidate's benefit.
@@ -124,54 +139,45 @@ bool RecyclerCache::Admit(RGNode* node, double benefit,
   std::vector<RGNode*> victims;
   if (!PlanEviction(benefit, size, &victims)) return false;
   for (RGNode* v : victims) {
-    EvictOne(v);
+    RDB_CHECK_MSG(Erase(v), "evicting node not present in its size group");
     evicted->push_back(v);
   }
-  groups_[SizeGroup(size)].push_back({node, ++lru_counter_});
+  Group& group = groups_[SizeGroup(size)];
+  group.entries.push_back({node, ++lru_counter_});
+  group.ranked_at.reset();
   used_bytes_ += size;
   return true;
 }
 
-void RecyclerCache::EvictOne(RGNode* node) {
+bool RecyclerCache::Erase(RGNode* node) {
   const int64_t size = node->cached_bytes.load();
   auto git = groups_.find(SizeGroup(size));
-  RDB_CHECK(git != groups_.end());
-  auto& entries = git->second;
-  for (auto it = entries.begin(); it != entries.end(); ++it) {
+  if (git == groups_.end()) return false;
+  Group& group = git->second;
+  for (auto it = group.entries.begin(); it != group.entries.end(); ++it) {
     if (it->node == node) {
       used_bytes_ -= size;
-      entries.erase(it);
-      return;
+      group.entries.erase(it);
+      group.ranked_at.reset();
+      return true;
     }
   }
-  RDB_UNREACHABLE("evicting node not present in its size group");
+  return false;
 }
 
-void RecyclerCache::Remove(RGNode* node) {
-  const int64_t size = node->cached_bytes.load();
-  auto git = groups_.find(SizeGroup(size));
-  if (git == groups_.end()) return;
-  auto& entries = git->second;
-  for (auto it = entries.begin(); it != entries.end(); ++it) {
-    if (it->node == node) {
-      used_bytes_ -= size;
-      entries.erase(it);
-      return;
-    }
-  }
-}
+void RecyclerCache::Remove(RGNode* node) { Erase(node); }
 
 void RecyclerCache::Flush(std::vector<RGNode*>* evicted) {
-  for (auto& [g, entries] : groups_) {
-    for (const auto& e : entries) evicted->push_back(e.node);
+  for (auto& [g, group] : groups_) {
+    for (const auto& e : group.entries) evicted->push_back(e.node);
   }
   groups_.clear();
   used_bytes_ = 0;
 }
 
 void RecyclerCache::TouchForLru(RGNode* node) {
-  for (auto& [g, entries] : groups_) {
-    for (auto& e : entries) {
+  for (auto& [g, group] : groups_) {
+    for (auto& e : group.entries) {
       if (e.node == node) {
         e.lru_stamp = ++lru_counter_;
         return;

@@ -39,6 +39,7 @@ void RecyclerGraph::FoldAging(RGNode* node) {
                                             std::memory_order_relaxed)) {
       AtomicScale(node->h,
                   std::pow(aging_alpha_, static_cast<double>(now - stamp)));
+      NoteBenefitWrite();
       return;
     }
   }

@@ -109,10 +109,12 @@ struct RGNode {
   /// inspectable for subsumption and rewrites.
   PlanPtr param_node;
   /// Select nodes only: the keys of param_node's conjuncts over the
-  /// child's output (ConjunctKeys), taken once at insert so derived-reuse
-  /// lookups can rule a candidate out without re-encoding them
-  /// (MaySubsume, subsumption.h).
-  std::set<std::string> conjunct_keys;
+  /// child's output (ConjunctKeys) with their signature, taken once at
+  /// insert (InsertOne, RebuildOrphanSlice) so derived-reuse lookups can
+  /// rule a candidate out without re-encoding them, most often on the
+  /// signature alone, which the derived-reuse index keeps beside each
+  /// parent (MaySubsume, subsumption.h; IntervalIndex::Subsumers).
+  ConjunctSet conjunct_keys;
   /// Single-child Select nodes only: the range decomposition of
   /// param_node's predicate (ExtractRangeSpecs over PositionalInput of
   /// the child, so each spec's ordinal is set), filled once
@@ -246,6 +248,19 @@ class RecyclerGraph {
   int64_t epoch() const { return epoch_.load(); }
   double aging_alpha() const { return aging_alpha_; }
 
+  /// The benefit stamp: the epoch plus the number of NoteBenefitWrite
+  /// calls. Both only grow, so the stamp reads the same twice only if no
+  /// input of Recycler::BenefitOf was written in between (the cache
+  /// reuses a size group's benefit ranking on that; cache.h).
+  uint64_t benefit_stamp() const {
+    return static_cast<uint64_t>(epoch_.load()) + benefit_writes_.load();
+  }
+  /// Call after every write of a field BenefitOf reads: h or h_epoch
+  /// (FoldAging calls it itself), bcost_ms, rows, size_bytes/has_size,
+  /// cached_bytes, and mat_state (SetMatState). One call may follow
+  /// several writes.
+  void NoteBenefitWrite() { benefit_writes_.fetch_add(1); }
+
   /// h of `node` aged to the current epoch (Eq. 5, lazy). Caller holds at
   /// least the shared lock on mutex().
   double AgedH(const RGNode* node) const;
@@ -300,6 +315,7 @@ class RecyclerGraph {
   std::unordered_multimap<uint64_t, RGNode*> leaf_index_;
 
   std::atomic<int64_t> epoch_{0};
+  std::atomic<uint64_t> benefit_writes_{0};
   int64_t next_id_ = 1;
   double aging_alpha_;
 };

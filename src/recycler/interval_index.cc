@@ -9,11 +9,9 @@
 
 namespace recycledb {
 
-namespace {
-
-bool ById(const RGNode* a, const RGNode* b) { return a->id < b->id; }
-
-}  // namespace
+bool IntervalIndex::ParentBefore(const Parent& parent, const RGNode* node) {
+  return parent.node->id < node->id;
+}
 
 void IntervalIndex::Insert(RGNode* node) {
   auto [reg, fresh] = registered_.try_emplace(node);
@@ -27,19 +25,24 @@ void IntervalIndex::Insert(RGNode* node) {
     }
   });
   for (const RGNode* child : node->children) {
-    std::vector<RGNode*>& parents = parents_[child->id];
-    auto pos = std::lower_bound(parents.begin(), parents.end(), node, ById);
-    if (pos == parents.end() || *pos != node) parents.insert(pos, node);
+    std::vector<Parent>& parents = parents_[child->id];
+    auto pos = std::lower_bound(parents.begin(), parents.end(), node,
+                                ParentBefore);
+    if (pos == parents.end() || pos->node != node) {
+      parents.insert(pos, Parent{node, node->type, node->conjunct_keys.sig()});
+    }
   }
   for (const RangeSpec& spec : node->range_specs) {
     Key key{node->children[0]->id, spec.ordinal};
-    std::vector<Entry>& bucket = buckets_[key];
+    Bucket& bucket = buckets_[key];
     auto pos = std::upper_bound(
-        bucket.begin(), bucket.end(), spec.range.lo,
+        bucket.entries.begin(), bucket.entries.end(), spec.range.lo,
         [](const RangeBound& lo, const Entry& e) {
           return LoTighter(e.spec->range.lo, lo);  // ascending by lo
         });
-    bucket.insert(pos, Entry{node, &spec});
+    bucket.sigs.insert(bucket.sigs.begin() + (pos - bucket.entries.begin()),
+                       spec.other_keys.sig());
+    bucket.entries.insert(pos, Entry{node, &spec});
     reg->second.push_back(std::move(key));
     ++num_entries_;
   }
@@ -51,31 +54,48 @@ void IntervalIndex::Remove(const RGNode* node) {
   for (const RGNode* child : node->children) {
     auto pit = parents_.find(child->id);
     if (pit == parents_.end()) continue;  // a repeated child, already done
-    std::vector<RGNode*>& parents = pit->second;
-    auto pos = std::lower_bound(parents.begin(), parents.end(), node, ById);
-    if (pos != parents.end() && *pos == node) parents.erase(pos);
+    std::vector<Parent>& parents = pit->second;
+    auto pos = std::lower_bound(parents.begin(), parents.end(), node,
+                                ParentBefore);
+    if (pos != parents.end() && pos->node == node) parents.erase(pos);
     if (parents.empty()) parents_.erase(pit);
   }
   for (const Key& key : it->second) {
     auto bit = buckets_.find(key);
     if (bit == buckets_.end()) continue;
-    std::vector<Entry>& bucket = bit->second;
-    for (auto e = bucket.begin(); e != bucket.end(); ++e) {
-      if (e->node == node) {
-        bucket.erase(e);
+    Bucket& bucket = bit->second;
+    for (size_t i = 0; i < bucket.entries.size(); ++i) {
+      if (bucket.entries[i].node == node) {
+        bucket.entries.erase(bucket.entries.begin() + i);
+        bucket.sigs.erase(bucket.sigs.begin() + i);
         --num_entries_;
         break;
       }
     }
-    if (bucket.empty()) buckets_.erase(bit);
+    if (bucket.entries.empty()) buckets_.erase(bit);
   }
   registered_.erase(it);
 }
 
-const std::vector<RGNode*>& IntervalIndex::Parents(int64_t child_id) const {
-  static const std::vector<RGNode*> kNone;
+std::vector<RGNode*> IntervalIndex::Parents(int64_t child_id) const {
+  std::vector<RGNode*> out;
   auto it = parents_.find(child_id);
-  return it == parents_.end() ? kNone : it->second;
+  if (it == parents_.end()) return out;
+  for (const Parent& p : it->second) out.push_back(p.node);
+  return out;
+}
+
+void IntervalIndex::Subsumers(int64_t child_id, OpType type,
+                              const ConjunctSet& query_keys,
+                              std::vector<RGNode*>* out) const {
+  auto it = parents_.find(child_id);
+  if (it == parents_.end()) return;
+  // MaySubsume's type and signature tests, on the copies kept here.
+  const uint64_t lacking = type == OpType::kSelect ? ~query_keys.sig() : 0;
+  for (const Parent& p : it->second) {
+    if (p.type != type || (p.sig & lacking) != 0) continue;
+    if (MaySubsume(*p.node, type, query_keys)) out->push_back(p.node);
+  }
 }
 
 void IntervalIndex::Overlapping(int64_t child_id, const RangeSpec& query,
@@ -83,12 +103,18 @@ void IntervalIndex::Overlapping(int64_t child_id, const RangeSpec& query,
   auto it = buckets_.find(Key{child_id, query.ordinal});
   if (it == buckets_.end()) return;
   const ColumnInterval& q = query.range;
-  for (const Entry& e : it->second) {
+  const Bucket& bucket = it->second;
+  const uint64_t lacking = ~query.other_keys.sig();
+  for (size_t i = 0; i < bucket.entries.size(); ++i) {
+    // A slice with a signature bit the query lacks cannot stitch
+    // (ConjunctsImplied): rejected on the bucket's copy of the signature.
+    if ((bucket.sigs[i] & lacking) != 0) continue;
+    const Entry& e = bucket.entries[i];
     // Bucket is sorted ascending by lo: once an entry starts past the
     // query's upper end, every later entry does too.
-    if (!q.hi.unbounded && IntervalEmpty({e.spec->range.lo, q.hi})) break;
-    if (!Overlaps(e.spec->range, q)) continue;
+    if (BoundsEmpty(e.spec->range.lo, q.hi)) break;
     if (!ConjunctsImplied(e.spec->other_keys, query.other_keys)) continue;
+    if (!Overlaps(e.spec->range, q)) continue;
     out->push_back(e);
   }
 }

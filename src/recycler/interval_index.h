@@ -27,6 +27,7 @@
 
 #include "common/interval.h"
 #include "expr/range.h"
+#include "plan/plan.h"
 
 namespace recycledb {
 
@@ -58,14 +59,22 @@ class IntervalIndex {
   void Remove(const RGNode* node);
 
   /// Materialized parents of the child node `child_id`, ascending by id.
-  const std::vector<RGNode*>& Parents(int64_t child_id) const;
+  std::vector<RGNode*> Parents(int64_t child_id) const;
+
+  /// Appends to `out`, ascending by id, the materialized parents of
+  /// `child_id` that pass MaySubsume for a `type` query whose conjunct
+  /// keys are `query_keys`. Each parent's operator type and conjunct
+  /// signature are kept beside it, so a parent they reject is not read.
+  void Subsumers(int64_t child_id, OpType type, const ConjunctSet& query_keys,
+                 std::vector<RGNode*>* out) const;
 
   /// Appends to `out`, in ascending lower-bound order, every entry under
   /// (child_id, query.ordinal) whose interval overlaps query.range
   /// and that can stitch for `query`: every one of the slice's other
-  /// conjuncts is among the query's (ConjunctsImplied). Hot and cold
-  /// slices pass the same filter; a cold one is read only if the stitch
-  /// uses it.
+  /// conjuncts is among the query's (ConjunctsImplied). That check runs
+  /// before the interval test, so a slice whose conjunct signature is not
+  /// within the query's costs one AND. Hot and cold slices pass the same
+  /// filter; a cold one is read only if the stitch uses it.
   void Overlapping(int64_t child_id, const RangeSpec& query,
                    std::vector<Entry>* out) const;
 
@@ -75,10 +84,27 @@ class IntervalIndex {
  private:
   using Key = std::pair<int64_t, int>;
 
-  /// child id -> materialized parents, ascending by id.
-  std::unordered_map<int64_t, std::vector<RGNode*>> parents_;
-  /// Buckets sorted ascending by entry lower bound.
-  std::map<Key, std::vector<Entry>> buckets_;
+  /// A materialized parent with the node fields Subsumers rejects on.
+  struct Parent {
+    RGNode* node = nullptr;
+    OpType type = OpType::kScan;
+    /// node->conjunct_keys.sig().
+    uint64_t sig = 0;
+  };
+
+  /// Orders parents by node id (lower_bound finds `node`'s position).
+  static bool ParentBefore(const Parent& parent, const RGNode* node);
+
+  /// child id -> materialized parents, ascending by node id.
+  std::unordered_map<int64_t, std::vector<Parent>> parents_;
+  /// One (child, column) bucket: its entries ascending by lower bound,
+  /// and in step with them each entry's spec->other_keys.sig(), so a
+  /// lookup rejects on a dense array without reading a spec.
+  struct Bucket {
+    std::vector<Entry> entries;
+    std::vector<uint64_t> sigs;
+  };
+  std::map<Key, Bucket> buckets_;
   /// node -> bucket keys it is registered under (for Remove); every
   /// registered node has an entry, possibly with no keys.
   std::unordered_map<const RGNode*, std::vector<Key>> registered_;

@@ -144,7 +144,7 @@ Recycler::Recycler(const Catalog* catalog, RecyclerConfig config)
       graph_(config.aging_alpha),
       cache_(config.cache_bytes,
              [this](const RGNode* n) { return BenefitOf(n); },
-             config.cache_policy),
+             [this] { return graph_.benefit_stamp(); }, config.cache_policy),
       executor_(catalog) {
   RDB_CHECK(catalog != nullptr);
   executor_.set_zone_map_pruning(config_.enable_zone_map_pruning);
@@ -242,6 +242,7 @@ void Recycler::BumpImportance(MNode* m, bool has_materialized_ancestor) {
   if (!m->inserted && !has_materialized_ancestor) {
     graph_.FoldAging(g);
     AtomicAddClamped(g->h, 1.0, 0.0);
+    graph_.NoteBenefitWrite();
     g->match_count.fetch_add(1);
   }
   bool flag =
@@ -256,6 +257,7 @@ void Recycler::UpdateHrChildren(RGNode* node, double delta) {
     graph_.FoldAging(n);
     AtomicAddClamped(n->h, delta, 0.0);
   });
+  graph_.NoteBenefitWrite();
 }
 
 void Recycler::UpdateHrOnMaterialize(RGNode* node) {
@@ -493,6 +495,7 @@ void Recycler::OnComplete(PreparedQuery* prepared, const ExecResult& result) {
                    EstRowWidth(gnode->output_types)));
     }
   }
+  graph_.NoteBenefitWrite();
 }
 
 TemplateStats Recycler::TemplateStatsFor(uint64_t template_hash) const {

@@ -155,6 +155,7 @@ void Recycler::SetMatState(RGNode* node, MatState state, bool clear_cached) {
     }
     node->mat_state.store(state);
   }
+  graph_.NoteBenefitWrite();
   shard.cv.notify_all();
   if (prev == MatState::kCached && state != MatState::kCached) {
     ForgetExactHit(node);
@@ -194,6 +195,7 @@ void Recycler::OfferResult(RGNode* node, TablePtr result, double subtree_ms,
     node->bcost_ms.store(subtree_ms);
     node->has_bcost.store(true);
   }
+  graph_.NoteBenefitWrite();
   {
     // Stamp the result with the as-of versions it was computed from
     // (delta maintenance). The query pinned every table its plan names
@@ -235,6 +237,7 @@ bool Recycler::AdmitHot(RGNode* node, TablePtr table, MatState from) {
     node->cached_bytes.store(bytes);
     node->size_bytes.store(static_cast<double>(bytes));
     node->has_size.store(true);
+    graph_.NoteBenefitWrite();
     std::vector<RGNode*> evicted;
     admitted = cache_.Admit(node, BenefitOf(node), &evicted);
     for (RGNode* v : evicted) HandleHotEviction(v);

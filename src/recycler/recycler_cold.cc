@@ -184,6 +184,7 @@ bool Recycler::TryAdoptOrphan(RGNode* node) {
   node->has_size.store(true);
   node->h.store(meta.h);
   node->h_epoch.store(graph_.epoch());
+  graph_.NoteBenefitWrite();
   {
     RecyclerGraph::MatShard& shard = graph_.mat_shard(node);
     std::lock_guard<std::mutex> slock(shard.mu);

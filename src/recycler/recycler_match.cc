@@ -192,6 +192,7 @@ std::unique_ptr<PreparedQuery> Recycler::ProbeExactHit(
     for (RGNode* n : hit->nodes) n->last_access_epoch.store(epoch);
     graph_.FoldAging(g);
     AtomicAddClamped(g->h, 1.0, 0.0);
+    graph_.NoteBenefitWrite();
     g->match_count.fetch_add(1);
 
     auto m = std::make_unique<MNode>();

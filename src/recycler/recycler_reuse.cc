@@ -126,13 +126,16 @@ bool Recycler::GatherDerived(MNode* m, const PlanPtr& plan,
   // waiting for an exact re-insertion.
   MaybeAdoptOrphanParents(child, prepared);
 
+  // Each of the query's conjuncts is keyed once: the range specs' other
+  // keys and the subsumption prefilter's key set share those keys.
   const bool select = plan->type() == OpType::kSelect;
+  ConjunctSet query_keys;
   if (select) {
-    out->specs = ExtractRangeSpecs(plan->predicate(), &input);
-  }
-  std::set<std::string> query_keys;
-  if (config_.enable_subsumption && select) {
-    query_keys = ConjunctKeys(plan->predicate(), &input);
+    KeyedConjuncts keyed = KeyConjuncts(plan->predicate(), &input);
+    out->specs = ExtractRangeSpecs(keyed, &input);
+    if (config_.enable_subsumption) {
+      query_keys = ConjunctSet(std::move(keyed.keys));
+    }
   }
   out->slices.resize(config_.enable_partial_reuse && select ? out->specs.size()
                                                             : 0);
@@ -151,12 +154,10 @@ bool Recycler::GatherDerived(MNode* m, const PlanPtr& plan,
   // to serve.
   std::lock_guard<std::mutex> clock(cache_mu_);
   if (config_.enable_subsumption) {
-    std::vector<RGNode*> cold;
-    for (RGNode* parent : interval_index_.Parents(child->id)) {
-      if (parent == m->gnode ||
-          !MaySubsume(*parent, plan->type(), query_keys)) {
-        continue;
-      }
+    std::vector<RGNode*> may, cold;
+    interval_index_.Subsumers(child->id, plan->type(), query_keys, &may);
+    for (RGNode* parent : may) {
+      if (parent == m->gnode) continue;
       const MatState ms = parent->mat_state.load();
       if (ms == MatState::kCached) out->subsumers.push_back(parent);
       if (ms == MatState::kCold) cold.push_back(parent);
@@ -336,6 +337,7 @@ void Recycler::CreditReuse(RGNode* source, PlanNode* scan, double share,
   if (bump_h) {
     graph_.FoldAging(source);
     AtomicAddClamped(source->h, share, 0.0);
+    graph_.NoteBenefitWrite();
   }
   scan->set_cache_key(HashString(CanonicalSubtreeKey(source)));
   prepared->replaced_cost_[scan] = source->bcost_ms.load() * share;

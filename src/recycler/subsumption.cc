@@ -9,23 +9,19 @@
 
 namespace recycledb {
 
-std::set<std::string> ConjunctKeys(const ExprPtr& pred,
-                                           const Schema* input) {
-  std::set<std::string> out;
-  for (const auto& c : SplitConjuncts(pred)) {
-    out.insert(c->Key(input));
-  }
-  return out;
+ConjunctSet ConjunctKeys(const ExprPtr& pred, const Schema* input) {
+  return ConjunctSet(KeyConjuncts(pred, input).keys);
 }
 
-bool ConjunctsImplied(const std::set<std::string>& cached_keys,
-                      const std::set<std::string>& query_keys) {
-  return std::includes(query_keys.begin(), query_keys.end(),
-                       cached_keys.begin(), cached_keys.end());
+bool ConjunctsImplied(const ConjunctSet& cached_keys,
+                      const ConjunctSet& query_keys) {
+  if ((cached_keys.sig() & ~query_keys.sig()) != 0) return false;
+  return std::includes(query_keys.keys().begin(), query_keys.keys().end(),
+                       cached_keys.keys().begin(), cached_keys.keys().end());
 }
 
 bool MaySubsume(const RGNode& cand, OpType query_type,
-                const std::set<std::string>& query_keys) {
+                const ConjunctSet& query_keys) {
   if (cand.param_node == nullptr || cand.type != query_type) return false;
   return query_type != OpType::kSelect ||
          ConjunctsImplied(cand.conjunct_keys, query_keys);
@@ -64,14 +60,14 @@ SubsumptionPlan TrySelect(const PlanNode& query_node, const Schema& input,
   // The candidate's conjuncts come from its parameters, not from the
   // conjunct_keys copy MaySubsume reads: the prefilter may only skip work,
   // so this check never depends on it.
-  const std::set<std::string> cand_keys =
+  const ConjunctSet cand_keys =
       ConjunctKeys(cand.param_node->predicate(), &cand_input);
   std::vector<ExprPtr> residual;
-  std::set<std::string> query_keys;
+  ConjunctSet query_keys;
   for (const auto& c : SplitConjuncts(query_node.predicate())) {
     std::string key = c->Key(&input);
-    if (cand_keys.count(key) == 0) residual.push_back(c);
-    query_keys.insert(std::move(key));
+    if (!cand_keys.Contains(key)) residual.push_back(c);
+    query_keys.Insert(std::move(key));
   }
   // Every cached conjunct must be implied by the query's (conjunct subset):
   // otherwise the cached result dropped rows the query needs.
@@ -432,7 +428,7 @@ PartialPlan BuildPartialStitch(const PlanNode& query_node,
     // equal to the slice bound is already enforced by the cached data).
     std::vector<ExprPtr> comp;
     for (const ExprPtr& o : spec.others) {
-      if (slice.other_keys.count(o->Key(&query_node.output_schema())) == 0) {
+      if (!slice.other_keys.Contains(o->Key(&query_node.output_schema()))) {
         comp.push_back(o);
       }
     }

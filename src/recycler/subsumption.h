@@ -30,26 +30,30 @@ namespace recycledb {
 /// over its child's output, a graph node's over PositionalInput of its
 /// child; null keys names as written. A set, so neither the order nor
 /// the repetition of conjuncts matters.
-std::set<std::string> ConjunctKeys(const ExprPtr& pred, const Schema* input);
+ConjunctSet ConjunctKeys(const ExprPtr& pred, const Schema* input);
 
 /// The subset rule behind every derivation from a cached selection: the
 /// cached rows include every row the query needs iff each conjunct the
 /// cached result applied (`cached_keys`) is also one of the query's
-/// (`query_keys`). TrySelect, PlanPartialStitch (on the non-range
-/// conjuncts) and MaySubsume all decide with it.
-bool ConjunctsImplied(const std::set<std::string>& cached_keys,
-                      const std::set<std::string>& query_keys);
+/// (`query_keys`). A cached signature bit the query's signature lacks
+/// rejects without reading a key; every accept compares the keys, so the
+/// signature only ever saves work. TrySelect, PlanPartialStitch (on the
+/// non-range conjuncts), IntervalIndex::Overlapping and MaySubsume all
+/// decide with it.
+bool ConjunctsImplied(const ConjunctSet& cached_keys,
+                      const ConjunctSet& query_keys);
 
 /// Prefilter for TrySubsumption, cheap enough to run on every candidate,
 /// hot or cold, before its freshness check and its snapshot or disk
 /// read: false when `cand` cannot derive a `query_type` node whatever its
 /// cached table holds — no parameters, another operator type, or
-/// (Select) a cached conjunct the query lacks. `query_keys` is
-/// ConjunctKeys of the query's predicate over its child's output
-/// (read for Select only). For a Select it accepts exactly the candidates
-/// TrySubsumption derives from; other types pass on a type match.
+/// (Select) a cached conjunct the query lacks, most often told by the
+/// signatures alone. `query_keys` is ConjunctKeys of the query's
+/// predicate over its child's output (read for Select only). For a
+/// Select it accepts exactly the candidates TrySubsumption derives from;
+/// other types pass on a type match.
 bool MaySubsume(const RGNode& cand, OpType query_type,
-                const std::set<std::string>& query_keys);
+                const ConjunctSet& query_keys);
 
 /// Result of a successful subsumption derivation.
 struct SubsumptionPlan {

@@ -93,9 +93,8 @@ TEST(ExtractRangeSpecs, SingleColumnWithOthers) {
   EXPECT_EQ(specs[0].column, "x");
   EXPECT_EQ(specs[0].ordinal, 1);
   EXPECT_EQ(specs[0].other_keys,
-            (std::set<std::string>{
-                Expr::Eq(Expr::Column("g"), Expr::Literal(int64_t{3}))
-                    ->Key(&input)}));
+            ConjunctSet({Expr::Eq(Expr::Column("g"), Expr::Literal(int64_t{3}))
+                             ->Key(&input)}));
   EXPECT_EQ(specs[0].others[0]->children()[0]->column_name(), "g");
 }
 
@@ -127,6 +126,48 @@ TEST(ExtractRangeSpecs, MirroredLiteralAndContradiction) {
                 Expr::Lt(Expr::Column("x"), Expr::Literal(1.0))),
       nullptr);
   EXPECT_TRUE(specs.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Conjunct sets
+// ---------------------------------------------------------------------------
+
+/// A key `set` lacks whose signature bit `set` already has.
+std::string SignatureCollider(const ConjunctSet& set) {
+  for (int i = 0;; ++i) {
+    std::string key = "k" + std::to_string(i);
+    if ((ConjunctSet::Bit(key) & set.sig()) != 0 && !set.Contains(key)) {
+      return key;
+    }
+  }
+}
+
+TEST(ConjunctSetTest, SignatureOnlyRejects) {
+  const ConjunctSet query({"b", "a", "c", "a"});
+  EXPECT_EQ(query.keys(), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(query.sig(), ConjunctSet::Bit("a") | ConjunctSet::Bit("b") |
+                             ConjunctSet::Bit("c"));
+  ConjunctSet inserted;
+  for (const char* k : {"c", "a", "b", "b"}) inserted.Insert(k);
+  EXPECT_EQ(inserted, query);
+  EXPECT_EQ(inserted.sig(), query.sig());
+
+  // Subsets are implied, the empty set by everything.
+  EXPECT_TRUE(ConjunctsImplied(ConjunctSet({"a", "c"}), query));
+  EXPECT_TRUE(ConjunctsImplied(query, query));
+  EXPECT_TRUE(ConjunctsImplied(ConjunctSet(), query));
+  EXPECT_FALSE(ConjunctsImplied(query, ConjunctSet({"a", "c"})));
+
+  // A key whose bit is already in the query's signature passes the
+  // signature test; the key comparison still rejects it.
+  const std::string collider = SignatureCollider(query);
+  const ConjunctSet cached({"a", collider});
+  EXPECT_EQ(cached.sig() & ~query.sig(), 0u);
+  EXPECT_FALSE(ConjunctsImplied(cached, query));
+  ConjunctSet widened = query;
+  widened.Insert(collider);
+  EXPECT_EQ(widened.sig(), query.sig());
+  EXPECT_TRUE(ConjunctsImplied(cached, widened));
 }
 
 // ---------------------------------------------------------------------------
@@ -183,15 +224,23 @@ TEST(IntervalIndexTest, OverlapLookupAndRemove) {
 
   // A slice with a conjunct the query lacks can never stitch, so the
   // lookup leaves it out, hot or cold (a cold one is read only if used).
-  n2.range_specs[0].other_keys = {"g = 1"};
+  n2.range_specs[0].other_keys = ConjunctSet({"g = 1"});
   n2.mat_state.store(MatState::kCached);
   EXPECT_EQ(overlapping(7, query), (std::vector<RGNode*>{&n1}));
-  query.other_keys = {"g = 1"};
+  query.other_keys = ConjunctSet({"g = 1"});
   EXPECT_EQ(overlapping(7, query), (std::vector<RGNode*>{&n1, &n2}));
-  query.other_keys.clear();
+  // A slice key whose signature bit the query's keys already set, but
+  // which no query key equals, passes the signature and still fails.
+  query.other_keys = ConjunctSet({"g = 1", "h = 2"});
+  const std::string collider = SignatureCollider(query.other_keys);
+  n2.range_specs[0].other_keys = ConjunctSet({collider});
+  EXPECT_EQ(n2.range_specs[0].other_keys.sig() & ~query.other_keys.sig(), 0u);
+  EXPECT_EQ(overlapping(7, query), (std::vector<RGNode*>{&n1}));
+  n2.range_specs[0].other_keys = ConjunctSet({"g = 1"});
+  query.other_keys = ConjunctSet();
   n2.mat_state.store(MatState::kCold);
   EXPECT_EQ(overlapping(7, query), (std::vector<RGNode*>{&n1}));
-  n2.range_specs[0].other_keys.clear();
+  n2.range_specs[0].other_keys = ConjunctSet();
 
   index.Remove(&n1);
   index.Remove(&n4);
@@ -732,7 +781,7 @@ TEST_F(PartialReuseTest, PrefilterAcceptsExactlyTheDerivableCandidates) {
   const Schema positional = PositionalInput(child_node);
   const int w = input.IndexOfChecked("w");
   SelectPredicateGenerator gen(8675309);
-  int derivable = 0, stitchable = 0;
+  int derivable = 0, stitchable = 0, sig_rejected = 0;
   constexpr int kTrials = 400;
   for (int trial = 0; trial < kTrials; ++trial) {
     const std::vector<int> qpool = gen.PickPool(nullptr);
@@ -759,12 +808,21 @@ TEST_F(PartialReuseTest, PrefilterAcceptsExactlyTheDerivableCandidates) {
 
     // Subsumption: the prefilter sees the query's keys computed
     // once over the child's output, as RewriteForReuse computes them.
+    // The signature alone never rejects a candidate that derives.
     const bool derives = TrySubsumption(*query, cand, cached).plan != nullptr;
-    EXPECT_EQ(MaySubsume(cand, OpType::kSelect,
-                         ConjunctKeys(qpred, &input)),
-              derives)
+    const ConjunctSet qkeys = ConjunctKeys(qpred, &input);
+    EXPECT_EQ(MaySubsume(cand, OpType::kSelect, qkeys), derives)
         << "trial " << trial;
+    const bool sig_rejects = (cand.conjunct_keys.sig() & ~qkeys.sig()) != 0;
+    EXPECT_FALSE(sig_rejects && derives) << "trial " << trial;
+    // The index lookup, on its copies of type and signature, agrees.
+    IntervalIndex index;
+    index.Insert(&cand);
+    std::vector<RGNode*> subsumers;
+    index.Subsumers(child_node.id, OpType::kSelect, qkeys, &subsumers);
+    EXPECT_EQ(subsumers.size(), derives ? 1u : 0u) << "trial " << trial;
     derivable += derives;
+    sig_rejected += sig_rejects;
 
     // Stitching: the slice as the interval index registers it.
     std::vector<RangeSpec> qspecs = ExtractRangeSpecs(qpred, &input);
@@ -779,6 +837,18 @@ TEST_F(PartialReuseTest, PrefilterAcceptsExactlyTheDerivableCandidates) {
                                .uses.empty();
     EXPECT_EQ(ConjunctsImplied(cspec->other_keys, qspec->other_keys), stitches)
         << "trial " << trial;
+    EXPECT_FALSE(
+        (cspec->other_keys.sig() & ~qspec->other_keys.sig()) != 0 && stitches)
+        << "trial " << trial;
+    // Keyed once for subsumption and stitching alike, the query's specs
+    // hold the keys ExtractRangeSpecs takes on its own.
+    const std::vector<RangeSpec> shared =
+        ExtractRangeSpecs(KeyConjuncts(qpred, &input), &input);
+    ASSERT_EQ(shared.size(), qspecs.size());
+    for (size_t i = 0; i < shared.size(); ++i) {
+      EXPECT_EQ(shared[i].other_keys, qspecs[i].other_keys);
+      EXPECT_EQ(shared[i].other_keys.sig(), qspecs[i].other_keys.sig());
+    }
     stitchable += stitches;
 
     if (trial % 8 != 0) continue;
@@ -804,6 +874,8 @@ TEST_F(PartialReuseTest, PrefilterAcceptsExactlyTheDerivableCandidates) {
   EXPECT_LT(derivable, kTrials * 9 / 10);
   EXPECT_GT(stitchable, kTrials / 10);
   EXPECT_LT(stitchable, kTrials * 9 / 10);
+  // Most candidates that do not derive fall to the signature alone.
+  EXPECT_GT(sig_rejected, (kTrials - derivable) / 2);
 
   // Another operator type never passes, whatever its parameters.
   RGNode project;

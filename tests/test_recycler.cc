@@ -327,6 +327,53 @@ struct RecyclerPeer {
     rec.SetMatState(node, state);
   }
 
+  /// Empty when every size group ranking `rec`'s cache keeps at the
+  /// current benefit stamp, which a decision would reuse, equals a fresh
+  /// ranking; else the first group whose does not.
+  static std::string StaleRanking(Recycler& rec) {
+    std::shared_lock<std::shared_mutex> glock(rec.graph_.mutex());
+    std::lock_guard<std::mutex> clock(rec.cache_mu_);
+    const RecyclerCache& cache = rec.cache_;
+    const uint64_t stamp = cache.benefit_stamp_();
+    for (const auto& [g, group] : cache.groups_) {
+      if (group.ranked_at != stamp) continue;
+      const std::vector<RecyclerCache::Ranked> fresh =
+          cache.RankByBenefit(group.entries);
+      for (size_t i = 0; i < fresh.size(); ++i) {
+        if (fresh[i].node != group.ranked[i].node ||
+            fresh[i].benefit != group.ranked[i].benefit) {
+          return "size group " + std::to_string(g);
+        }
+      }
+    }
+    return "";
+  }
+
+  /// Recycler::Execute, with StaleRanking checked after Prepare, after
+  /// the run (its stores' admissions) and after OnComplete.
+  static std::string ExecuteCheckingRankings(Recycler& rec,
+                                             const PlanPtr& plan,
+                                             QueryTrace* trace) {
+    std::unique_ptr<PreparedQuery> q = rec.Prepare(plan);
+    std::string stale = StaleRanking(rec);
+    ExecResult r = rec.executor_.Run(q->plan(), &q->stores(), &q->pins_);
+    if (stale.empty()) stale = StaleRanking(rec);
+    rec.OnComplete(q.get(), r);
+    if (stale.empty()) stale = StaleRanking(rec);
+    *trace = q->trace();
+    return stale;
+  }
+
+  /// Gives `rec` a cache whose benefit stamp moves on every read, so it
+  /// ranks a size group afresh for every decision.
+  static void RankEveryTime(Recycler& rec) {
+    rec.cache_ = RecyclerCache(
+        rec.config_.cache_bytes,
+        [&rec](const RGNode* n) { return rec.BenefitOf(n); },
+        [ticks = uint64_t{0}]() mutable { return ++ticks; },
+        rec.config_.cache_policy);
+  }
+
   /// Checks the derived-reuse index against a brute-force scan of the
   /// graph: every child's registered parents are exactly its distinct
   /// kCached/kCold parents in ascending id, and the interval entries are
@@ -1040,6 +1087,63 @@ TEST_F(RecyclerTest, DerivedIndexMatchesParentScanUnderConcurrentMix) {
     EXPECT_GT(checks, 0);
     EXPECT_EQ(RecyclerPeer::DerivedIndexViolation(rec), "");
   }
+}
+
+TEST_F(RecyclerTest, KeptRankingsDecideLikeFreshOnes) {
+  // One seeded mix on two recyclers: one as built, whose cache reuses a
+  // size group's ranking while the benefit stamp reads the same, and one
+  // that ranks afresh for every decision. History mode decides on model
+  // costs alone, so the traces must agree. Within and after every step,
+  // a ranking the first keeps at the current stamp must equal a fresh
+  // one: a benefit written without moving the stamp fails here. Aging
+  // makes FoldAging write too.
+  RecyclerConfig cfg;
+  cfg.mode = RecyclerMode::kHistory;
+  cfg.cache_bytes = 64 << 10;
+  cfg.aging_alpha = 0.9;
+  Recycler kept(&catalog_, cfg);
+  Recycler fresh(&catalog_, cfg);
+  RecyclerPeer::RankEveryTime(fresh);
+  Rng rng(38);
+  for (int step = 0; step < 600; ++step) {
+    const int64_t op = rng.Uniform(0, 99);
+    if (op < 94) {
+      const int i = static_cast<int>(rng.Uniform(0, 39));
+      QueryTrace tk, tf;
+      ASSERT_EQ(RecyclerPeer::ExecuteCheckingRankings(kept, MixStatement(i),
+                                                      &tk),
+                "")
+          << "step " << step;
+      fresh.Execute(MixStatement(i), &tf);
+      ASSERT_EQ(TraceSansTimings(tk), TraceSansTimings(tf)) << "step " << step;
+    } else if (op < 97) {
+      kept.FlushCache();
+      fresh.FlushCache();
+    } else {
+      kept.InvalidateTable("t");
+      fresh.InvalidateTable("t");
+    }
+    ASSERT_EQ(GraphStats(kept), GraphStats(fresh)) << "step " << step;
+    ASSERT_EQ(RecyclerPeer::StaleRanking(kept), "") << "step " << step;
+  }
+  EXPECT_EQ(kept.counters().evictions.load(),
+            fresh.counters().evictions.load());
+  EXPECT_GT(kept.counters().evictions.load(), 50);
+  EXPECT_GT(kept.counters().materializations.load(), 100);
+
+  // Speculation decides on measured times, so only the kept rankings
+  // are checked there.
+  cfg.mode = RecyclerMode::kSpeculation;
+  Recycler spec(&catalog_, cfg);
+  for (int step = 0; step < 300; ++step) {
+    QueryTrace trace;
+    ASSERT_EQ(RecyclerPeer::ExecuteCheckingRankings(
+                  spec, MixStatement(static_cast<int>(rng.Uniform(0, 39))),
+                  &trace),
+              "")
+        << "step " << step;
+  }
+  EXPECT_GT(spec.counters().evictions.load(), 50);
 }
 
 TEST_F(RecyclerTest, SubsumptionTriesTheLowerNodeIdFirst) {
