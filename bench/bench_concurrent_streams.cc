@@ -53,12 +53,12 @@ int main() {
     for (int streams : {1, 2, 4, 8, 16}) {
       if (streams > max_streams) continue;
       auto db = MakeDatabase(catalog, mode);
-      workload::DriverOptions options;
-      options.max_concurrent = streams;  // execution bound scales along
-      workload::WorkloadDriver driver(&db->recycler(), options);
-      workload::RunReport report = driver.Run(
+      // The execution bound scales along with the stream count.
+      workload::RunReport report = workload::RunStreams(
+          db.get(),
           workload == "sky" ? skyserver::MakeStreams(streams, sky_queries)
-                            : tpch::MakeStreams(streams, sf));
+                            : tpch::MakeStreams(streams, sf),
+          streams);
 
       const QueryCounts totals = report.Totals();
       double qps = report.QueriesPerSec();

@@ -53,7 +53,6 @@ std::unique_ptr<Database> OpenInstance(const trace::Trace& t,
   options.recycler.cache_bytes = -1;
   options.recycler.spill_dir = spill_dir;
   options.recycler.cold_tier_capacity_bytes = 1ll << 30;
-  options.recycler.shared_spill_dir = true;
   options.recycler.fleet_instance = instance;
   auto db = Database::OpenOrDie(options);
   auto it = t.header.tags.find("objects");

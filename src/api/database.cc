@@ -48,24 +48,17 @@ Status ValidateRecyclerConfig(const RecyclerConfig& config) {
                   "disable the cold tier",
                   (long long)config.cold_tier_capacity_bytes));
   }
-  // Fleet tier: both flags are properties of the spill directory and are
-  // meaningless without one.
-  if (config.spill_dir.empty()) {
-    if (config.shared_spill_dir) {
-      return Status::InvalidArgument(
-          "shared_spill_dir requires spill_dir to be set");
-    }
-    if (config.spill_read_only) {
-      return Status::InvalidArgument(
-          "spill_read_only requires spill_dir to be set");
-    }
-  }
-  if (config.spill_read_only && !config.shared_spill_dir) {
+  // Fleet tier: a member identity or a read-only mount makes the tier
+  // coordinate through the manifest; both are properties of the spill
+  // directory and are meaningless without one.
+  const bool fleet = !config.fleet_instance.empty() || config.spill_read_only;
+  if (fleet && config.spill_dir.empty()) {
     return Status::InvalidArgument(
-        "spill_read_only requires shared_spill_dir (a private tier that "
-        "can never write is useless)");
+        config.spill_read_only
+            ? "spill_read_only requires spill_dir to be set"
+            : "fleet_instance requires spill_dir to be set");
   }
-  if (config.shared_spill_dir) {
+  if (fleet) {
     if (config.fleet_lease_ms <= 0) {
       return Status::InvalidArgument(
           StrFormat("fleet_lease_ms must be positive (got %lld)",

@@ -1,6 +1,7 @@
 // Counting semaphore bounding concurrently executing queries (C++17 has
-// no std::counting_semaphore). Shared by the workload driver's per-run
-// gate and the Database facade's async-submission path.
+// no std::counting_semaphore). Serves the Database facade's
+// async-submission path; the workload driver bounds execution by its
+// pool size instead.
 #pragma once
 
 #include <condition_variable>

@@ -9,7 +9,6 @@
 //
 //   DatabaseOptions opts;
 //   opts.recycler.spill_dir = shared_dir;      // same dir as the primary
-//   opts.recycler.shared_spill_dir = true;
 //   opts.recycler.fleet_instance = "standby";
 //   auto standby = Database::OpenOrDie(opts);
 //   fleet::StandbyTailer tailer(standby.get(), {});

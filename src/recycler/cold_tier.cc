@@ -29,6 +29,23 @@ std::string Basename(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
+/// Parses an in-flight spill file name (FilePath + ".tmp"):
+/// "r<hash>-<writer>-<n>.spill.tmp" in shared mode, "r<hash>-<n>.spill.tmp"
+/// (empty writer) from a private tier. False for any other name.
+bool SpillTmpWriter(const std::string& name, std::string* writer) {
+  static const std::string kSuffix = ".spill.tmp";
+  if (name.empty() || name[0] != 'r' || !EndsWith(name, kSuffix)) {
+    return false;
+  }
+  const std::string stem = name.substr(0, name.size() - kSuffix.size());
+  const size_t first = stem.find('-');
+  const size_t last = stem.rfind('-');
+  if (first == std::string::npos) return false;
+  *writer = first == last ? std::string()
+                          : stem.substr(first + 1, last - first - 1);
+  return true;
+}
+
 }  // namespace
 
 Status ColdTier::ValidateSpillDir(const std::string& dir) {
@@ -142,7 +159,16 @@ Status ColdTier::Open(const ColdTierOptions& options) {
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     const fs::path& p = entry.path();
     if (p.extension() == ".tmp") {
-      if (!read_only_) to_delete.push_back(p);
+      // A torn write. In shared mode a live peer may still be writing its
+      // spill, and the manifest tmp belongs to the flock holder: delete
+      // only spills of this instance, of a dead owner or of no owner.
+      std::string writer;
+      const bool ours =
+          !shared_ ||
+          (SpillTmpWriter(p.filename().string(), &writer) &&
+           (writer.empty() || writer == instance_ ||
+            !manifest.OwnerLive(writer, now_ms)));
+      if (!read_only_ && ours) to_delete.push_back(p);
       continue;
     }
     if (p.extension() != ".spill") continue;

@@ -136,7 +136,8 @@ class ColdTier {
   /// orphan map (unreadable or duplicate-key files are deleted, newest
   /// key wins). In shared mode the manifest decides which scanned files
   /// are claimable (unlisted, unowned, ours, or a dead owner's) versus
-  /// peer-owned; claims and this instance's lease are written back, and
+  /// peer-owned, and which .tmp files are stale (a live peer's spill
+  /// .tmp and the manifest's own .tmp are left alone); claims and this instance's lease are written back, and
   /// the manifest's purge log is applied like a refresh would (a full log
   /// counts as a gap). A writable tier starts its spill worker on the
   /// first SpillAsync. An empty dir leaves the tier disabled and returns

@@ -173,9 +173,10 @@ struct RGNode {
   /// cleared when the entry drops back to kNone. Guarded by the node's
   /// mat shard mutex, like `cached`; meaningful only while mat_state is
   /// kCached/kCold (the stamp outlives `cached` across the spill tier).
-  /// An empty map on a materialized entry means "stamped before delta
-  /// maintenance existed" — lookups treat it as fresh and appends must
-  /// hard-invalidate it.
+  /// A base table without a stamp makes the entry unjudgeable:
+  /// CheckFreshness reports it kIncompatible and OnTableAppended evicts
+  /// it. The map is legitimately empty only for a subtree that reads no
+  /// base table.
   std::map<std::string, TableStamp> stamps;
 };
 

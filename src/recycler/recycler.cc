@@ -3,14 +3,11 @@
 // recycler_{match,reuse,admission,cold}.cc.
 #include "recycler/recycler.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 
 #include "common/hash.h"
 #include "common/macros.h"
 #include "common/stopwatch.h"
-#include "common/string_util.h"
 #include "exec/cost_model.h"
 #include "recycler/proactive.h"
 
@@ -175,14 +172,10 @@ Recycler::Recycler(const Catalog* catalog, RecyclerConfig config)
     ColdTierOptions copts;
     copts.dir = config_.spill_dir;
     copts.capacity_bytes = config_.cold_tier_capacity_bytes;
-    copts.shared = config_.shared_spill_dir;
+    copts.shared = !config_.fleet_instance.empty() || config_.spill_read_only;
     copts.read_only = config_.spill_read_only;
     copts.lease_ms = config_.fleet_lease_ms;
-    if (config_.shared_spill_dir && !config_.spill_read_only) {
-      copts.instance_id = config_.fleet_instance.empty()
-                              ? StrFormat("pid%d", static_cast<int>(getpid()))
-                              : config_.fleet_instance;
-    }
+    if (!config_.spill_read_only) copts.instance_id = config_.fleet_instance;
     cold_tier_.Open(copts).ok();
   }
 }

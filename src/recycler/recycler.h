@@ -73,21 +73,24 @@ struct RecyclerConfig {
   /// changes how many entries fit under cold_tier_capacity_bytes.
   bool compress_spill = true;
   // --- fleet tier (shared cold directory) ------------------------------
-  /// Coordinate with other engine processes sharing spill_dir through
-  /// the fleet ownership manifest (fleet/manifest.h). Off = the classic
-  /// private tier (the directory must then belong to one instance).
-  bool shared_spill_dir = false;
-  /// This process's identity in the fleet manifest. Must be non-empty
-  /// and filename-safe ([A-Za-z0-9_-]) when shared_spill_dir is set and
-  /// the tier is writable; auto-derived from the pid when left empty.
+  // A tier coordinates with other engine processes sharing spill_dir
+  // through the fleet ownership manifest (fleet/manifest.h) exactly when
+  // fleet_instance is non-empty or spill_read_only is set. Otherwise it
+  // is the classic private tier (the directory must belong to one
+  // instance).
+  /// This process's identity in the fleet manifest: filename-safe
+  /// ([A-Za-z0-9_-]) and stable across restarts, so a restarted member
+  /// reclaims its own files at once. Requires spill_dir. Empty (and not
+  /// read-only) = a private tier.
   std::string fleet_instance;
   /// Adopt-only fleet member: discover and serve peers' spills but never
   /// create, delete or lock anything in the directory (standby on a
-  /// read-only mount). Implies no spills and no checkpoint.
+  /// read-only mount). Implies no spills and no checkpoint. Requires
+  /// spill_dir.
   bool spill_read_only = false;
   /// Fleet liveness lease; an instance that has not renewed within this
   /// window is presumed dead and its entries become claimable
-  /// (stale-lease takeover). Must be positive when shared_spill_dir.
+  /// (stale-lease takeover). Must be positive on a fleet tier.
   int64_t fleet_lease_ms = 30000;
   /// Consult base-table zone maps to skip scan blocks that cannot match
   /// a query's range predicate. Pruning is conservative (never skips a

@@ -237,12 +237,5 @@ std::vector<workload::StreamSpec> MakeStreams(int num_streams,
   return streams;
 }
 
-std::vector<workload::StreamSpec> MakeStreams(
-    int num_streams, int queries_per_stream,
-    const workload::DriverOptions& options) {
-  return MakeStreams(num_streams, queries_per_stream,
-                     workload::ResolveSeed(options, 42));
-}
-
 }  // namespace skyserver
 }  // namespace recycledb

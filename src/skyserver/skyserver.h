@@ -68,13 +68,6 @@ std::vector<workload::StreamSpec> MakeStreams(int num_streams,
                                               int queries_per_stream,
                                               uint64_t seed = 42);
 
-/// Driver-options overload: uses `options.seed` when non-zero, else the
-/// historical default (42), so a recorded run names one seed that
-/// regenerates the identical streams.
-std::vector<workload::StreamSpec> MakeStreams(
-    int num_streams, int queries_per_stream,
-    const workload::DriverOptions& options);
-
 /// SQL texts of the overlapping region sweep (same formulas and RNG
 /// consumption as GenerateRegionSweep, rendered as replayable SQL over
 /// photoprimary). The trace/golden corpora use this form so every query

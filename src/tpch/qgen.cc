@@ -206,12 +206,5 @@ std::vector<workload::StreamSpec> MakeStreams(int num_streams,
   return streams;
 }
 
-std::vector<workload::StreamSpec> MakeStreams(
-    int num_streams, double scale_factor,
-    const workload::DriverOptions& options) {
-  return MakeStreams(num_streams, scale_factor,
-                     workload::ResolveSeed(options, 77));
-}
-
 }  // namespace tpch
 }  // namespace recycledb

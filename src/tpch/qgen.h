@@ -33,12 +33,5 @@ std::vector<workload::StreamSpec> MakeStreams(int num_streams,
                                               double scale_factor,
                                               uint64_t seed = 77);
 
-/// Driver-options overload: uses `options.seed` when non-zero, else the
-/// historical default (77), so a recorded run names one seed that
-/// regenerates the identical streams.
-std::vector<workload::StreamSpec> MakeStreams(
-    int num_streams, double scale_factor,
-    const workload::DriverOptions& options);
-
 }  // namespace tpch
 }  // namespace recycledb

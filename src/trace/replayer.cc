@@ -5,11 +5,8 @@
 #include <utility>
 
 #include "api/database.h"
-#include "api/validate.h"
 #include "common/string_util.h"
-#include "plan/canonicalize.h"
-#include "sql/lower.h"
-#include "workload/driver.h"
+#include "common/thread_pool.h"
 
 namespace recycledb {
 namespace trace {
@@ -73,6 +70,61 @@ bool CompareExecution(const StatementEvent& recorded, int64_t index,
   return replayed_trace.reuse_mode != ReuseMode::kNone;
 }
 
+/// One replay stream: a session plus its templates, prepared once per
+/// distinct text, as a recording client would have done.
+struct ReplayStream {
+  ReplayStream(Database* db, int stream) : stream(stream) {
+    SessionOptions sopts;
+    sopts.name = "trace-replay-" + std::to_string(stream);
+    sopts.collect_traces = false;
+    session = db->Connect(sopts);
+  }
+
+  int stream;
+  std::unique_ptr<Session> session;
+  std::map<std::string, std::unique_ptr<PreparedStatement>> prepared;
+};
+
+/// The per-statement replay step: runs the recorded statement `s` on the
+/// stream's session (through its prepared statement when the recording
+/// bound parameters) and diffs the execution against the recording into
+/// `report`, counting a replayed cache hit in `*hits`. A template that no
+/// longer prepares makes the trace non-replayable (the returned Status);
+/// a failed execution is a divergence.
+Status ReplayStatement(const StatementEvent& s, int64_t index,
+                       bool compare_plan, ReplayStream* replay,
+                       ReplayReport* report, int64_t* hits) {
+  Result result;
+  if (s.params.empty()) {
+    result = replay->session->Sql(s.sql);
+  } else {
+    auto it = replay->prepared.find(s.sql);
+    if (it == replay->prepared.end()) {
+      Status prep_status;
+      std::unique_ptr<PreparedStatement> stmt =
+          replay->session->Prepare(std::string_view(s.sql), &prep_status);
+      if (stmt == nullptr) return prep_status;
+      it = replay->prepared.emplace(s.sql, std::move(stmt)).first;
+    }
+    it->second->ClearBindings();
+    result = it->second->Execute(s.params);
+  }
+  ++report->statements;
+  if (!result.ok()) {
+    ++report->errors;
+    AddDivergence(report, {index, replay->stream, "error", "ok",
+                           result.status().ToString(), s.sql});
+  } else if (CompareExecution(s, index, replay->stream, result.trace(),
+                              result.num_rows(),
+                              result.table() == nullptr
+                                  ? 0
+                                  : ResultDigest(*result.table()),
+                              compare_plan, report)) {
+    ++*hits;
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 TraceReplayer::TraceReplayer(Database* db, ReplayOptions options)
@@ -80,7 +132,6 @@ TraceReplayer::TraceReplayer(Database* db, ReplayOptions options)
 
 Status TraceReplayer::Replay(const Trace& trace, ReplayReport* report) {
   *report = ReplayReport{};
-  replayed_hits_ = 0;
   std::vector<const StatementEvent*> statements;
   RDB_RETURN_NOT_OK(CollectStatements(trace, &statements));
   const int64_t num_appends = trace.NumAppends();
@@ -94,168 +145,106 @@ Status TraceReplayer::Replay(const Trace& trace, ReplayReport* report) {
         "trace has append events but ReplayOptions::append_provider is "
         "not set");
   }
-  Status st = options_.concurrency > 1 ? ReplayConcurrent(trace, report)
-                                       : ReplaySingle(trace, report);
-  Finish(trace, report);
+  int64_t hits = 0;
+  Status st = options_.concurrency > 1
+                  ? ReplayConcurrent(statements, report, &hits)
+                  : ReplaySingle(trace, report, &hits);
+  Finish(trace, hits, report);
   return st;
 }
 
-Status TraceReplayer::ReplaySingle(const Trace& trace, ReplayReport* report) {
-  SessionOptions sopts;
-  sopts.name = "trace-replay";
-  sopts.collect_traces = false;
-  std::unique_ptr<Session> session = db_->Connect(sopts);
-  const bool compare_plan =
-      options_.check_plan_shape && db_->config().capture_plan_explain;
-  // Templates are prepared once per distinct text, as a recording client
-  // would have done.
-  std::map<std::string, std::unique_ptr<PreparedStatement>> prepared;
+bool TraceReplayer::ComparePlans() const {
+  return options_.check_plan_shape && db_->config().capture_plan_explain;
+}
 
+Status TraceReplayer::ReplaySingle(const Trace& trace, ReplayReport* report,
+                                   int64_t* hits) {
+  ReplayStream replay(db_, 0);
   int64_t index = 0;
   for (const TraceEvent& e : trace.events) {
-    if (e.kind == TraceEvent::Kind::kAppend) {
-      const AppendEvent& a = e.append;
-      TablePtr current = db_->catalog().GetTable(a.table);
-      if (current == nullptr) {
-        return Status::NotFound("replay append: unknown table " + a.table);
-      }
-      if (current->num_rows() != a.start_row) {
-        return Status::InvalidArgument(StrFormat(
-            "replay append drift: table %s has %lld rows, trace recorded "
-            "the append at %lld — the data generator no longer matches "
-            "the recording",
-            a.table.c_str(), static_cast<long long>(current->num_rows()),
-            static_cast<long long>(a.start_row)));
-      }
-      TablePtr batch =
-          options_.append_provider == nullptr ? nullptr
-                                              : options_.append_provider(a);
-      if (batch == nullptr) {
-        return Status::InvalidArgument(
-            "replay append: provider returned no batch for table " +
-            a.table);
-      }
-      if (batch->num_rows() != a.rows) {
-        return Status::InvalidArgument(StrFormat(
-            "replay append drift: provider built %lld rows for table %s, "
-            "trace recorded %lld",
-            static_cast<long long>(batch->num_rows()), a.table.c_str(),
-            static_cast<long long>(a.rows)));
-      }
-      RDB_RETURN_NOT_OK(db_->AppendTable(a.table, *batch));
-      ++report->appends;
+    if (e.kind == TraceEvent::Kind::kStatement) {
+      RDB_RETURN_NOT_OK(ReplayStatement(e.statement, index++, ComparePlans(),
+                                        &replay, report, hits));
       continue;
     }
-
-    const StatementEvent& s = e.statement;
-    Result result;
-    if (s.params.empty()) {
-      result = session->Sql(s.sql);
-    } else {
-      auto it = prepared.find(s.sql);
-      if (it == prepared.end()) {
-        Status prep_status;
-        std::unique_ptr<PreparedStatement> stmt =
-            session->Prepare(std::string_view(s.sql), &prep_status);
-        if (stmt == nullptr) return prep_status;
-        it = prepared.emplace(s.sql, std::move(stmt)).first;
-      }
-      it->second->ClearBindings();
-      result = it->second->Execute(s.params);
+    const AppendEvent& a = e.append;
+    TablePtr current = db_->catalog().GetTable(a.table);
+    if (current == nullptr) {
+      return Status::NotFound("replay append: unknown table " + a.table);
     }
-    ++report->statements;
-    if (!result.ok()) {
-      ++report->errors;
-      AddDivergence(report, {index, 0, "error", "ok",
-                             result.status().ToString(), s.sql});
-    } else if (CompareExecution(s, index, 0, result.trace(),
-                                result.num_rows(),
-                                result.table() == nullptr
-                                    ? 0
-                                    : ResultDigest(*result.table()),
-                                compare_plan, report)) {
-      ++replayed_hits_;
+    if (current->num_rows() != a.start_row) {
+      return Status::InvalidArgument(StrFormat(
+          "replay append drift: table %s has %lld rows, trace recorded "
+          "the append at %lld — the data generator no longer matches "
+          "the recording",
+          a.table.c_str(), static_cast<long long>(current->num_rows()),
+          static_cast<long long>(a.start_row)));
     }
-    ++index;
-  }
-  return Status::OK();
-}
-
-Status TraceReplayer::ReplayConcurrent(const Trace& trace,
-                                       ReplayReport* report) {
-  std::vector<const StatementEvent*> statements;
-  RDB_RETURN_NOT_OK(CollectStatements(trace, &statements));
-  const bool compare_plan =
-      options_.check_plan_shape && db_->config().capture_plan_explain;
-
-  // Every stream gets its own plan instances: Bind mutates plan nodes,
-  // so concurrent streams must not share trees.
-  std::vector<workload::StreamSpec> streams;
-  streams.reserve(options_.concurrency);
-  for (int c = 0; c < options_.concurrency; ++c) {
-    workload::StreamSpec spec;
-    for (size_t q = 0; q < statements.size(); ++q) {
-      PlanPtr plan;
-      RDB_RETURN_NOT_OK(BuildStatementPlan(*statements[q], &plan));
-      spec.labels.push_back(StrFormat("q%zu", q));
-      spec.plans.push_back(std::move(plan));
-    }
-    streams.push_back(std::move(spec));
-  }
-
-  workload::DriverOptions dopts;
-  dopts.max_concurrent = options_.concurrency;
-  dopts.threads = options_.concurrency;
-  dopts.compute_digests = true;
-  workload::WorkloadDriver driver(&db_->recycler(), dopts);
-  workload::RunReport run = driver.Run(std::move(streams));
-
-  for (const workload::QueryRecord& rec : run.records) {
-    const StatementEvent& s = *statements[rec.index];
-    ++report->statements;
-    if (CompareExecution(s, rec.index, rec.stream, rec.trace,
-                         rec.result_rows, rec.digest, compare_plan,
-                         report)) {
-      ++replayed_hits_;
-    }
-  }
-  return Status::OK();
-}
-
-Status TraceReplayer::BuildStatementPlan(const StatementEvent& s,
-                                         PlanPtr* out) {
-  PlanPtr tmpl;
-  RDB_RETURN_NOT_OK(sql::SqlToPlan(s.sql, db_->catalog(), &tmpl));
-  PlanPtr plan = tmpl;
-  if (tmpl->HasParams() || !s.params.empty()) {
-    // Reproduce the prepared-statement pipeline: canonicalize the
-    // template, tag its hash, substitute the recorded bindings.
-    if (db_->options().canonicalize_plans) tmpl = CanonicalizePlan(tmpl);
-    tmpl->set_template_hash(TemplateHash(tmpl->TemplateFingerprint()));
-    std::vector<std::string> missing;
-    plan = tmpl->SubstituteParams(s.params, &missing);
-    if (!missing.empty()) {
+    TablePtr batch = options_.append_provider == nullptr
+                         ? nullptr
+                         : options_.append_provider(a);
+    if (batch == nullptr) {
       return Status::InvalidArgument(
-          "trace statement is missing bindings for its own template: " +
-          s.sql);
+          "replay append: provider returned no batch for table " + a.table);
     }
+    if (batch->num_rows() != a.rows) {
+      return Status::InvalidArgument(StrFormat(
+          "replay append drift: provider built %lld rows for table %s, "
+          "trace recorded %lld",
+          static_cast<long long>(batch->num_rows()), a.table.c_str(),
+          static_cast<long long>(a.rows)));
+    }
+    RDB_RETURN_NOT_OK(db_->AppendTable(a.table, *batch));
+    ++report->appends;
   }
-  RDB_RETURN_NOT_OK(ValidatePlan(plan, db_->catalog(), nullptr));
-  // The driver path bypasses Session, so apply the canonicalizing pass
-  // here.
-  if (db_->options().canonicalize_plans) {
-    plan = CanonicalizeKeepingTemplate(plan);
-  }
-  *out = std::move(plan);
   return Status::OK();
 }
 
-void TraceReplayer::Finish(const Trace& trace, ReplayReport* report) const {
+Status TraceReplayer::ReplayConcurrent(
+    const std::vector<const StatementEvent*>& statements,
+    ReplayReport* report, int64_t* hits) {
+  // Each stream replays the whole statement sequence on its own session
+  // and thread, into its own report; the reports merge in stream order.
+  const int n = options_.concurrency;
+  std::vector<ReplayReport> reports(n);
+  std::vector<int64_t> stream_hits(n, 0);
+  std::vector<Status> statuses(n);
+  {
+    ThreadPool pool(n);
+    for (int c = 0; c < n; ++c) {
+      pool.Submit([&, c] {
+        ReplayStream replay(db_, c);
+        for (size_t q = 0; q < statements.size() && statuses[c].ok(); ++q) {
+          statuses[c] = ReplayStatement(*statements[q],
+                                        static_cast<int64_t>(q),
+                                        ComparePlans(), &replay, &reports[c],
+                                        &stream_hits[c]);
+        }
+      });
+    }
+    pool.WaitIdle();
+  }
+  for (int c = 0; c < n; ++c) {
+    const ReplayReport& r = reports[c];
+    report->statements += r.statements;
+    report->errors += r.errors;
+    report->digest_mismatches += r.digest_mismatches;
+    report->mode_mismatches += r.mode_mismatches;
+    report->plan_mismatches += r.plan_mismatches;
+    for (const ReplayDivergence& d : r.divergences) AddDivergence(report, d);
+    *hits += stream_hits[c];
+  }
+  for (const Status& st : statuses) RDB_RETURN_NOT_OK(st);
+  return Status::OK();
+}
+
+void TraceReplayer::Finish(const Trace& trace, int64_t hits,
+                           ReplayReport* report) const {
   report->recorded_hit_rate = 100.0 * trace.HitRate();
   report->replayed_hit_rate =
       report->statements == 0
           ? 0
-          : 100.0 * static_cast<double>(replayed_hits_) /
+          : 100.0 * static_cast<double>(hits) /
                 static_cast<double>(report->statements);
   const bool results_ok =
       report->errors == 0 && report->digest_mismatches == 0;

@@ -9,8 +9,9 @@
 // treats any divergence as a failure.
 //
 // Concurrent replay (concurrency == N > 1) runs N copies of the
-// statement sequence through the WorkloadDriver against one shared
-// engine. Digests stay strict — recycling must never change results —
+// statement sequence on N threads, each through its own Session over the
+// one shared engine, with the per-statement step single-stream replay
+// uses. Digests stay strict — recycling must never change results —
 // but per-execution reuse modes are inherently schedule-dependent (a
 // statement another stream already warmed upgrades from the recorded
 // miss to a hit), so mode agreement is reported per execution while
@@ -114,18 +115,18 @@ class TraceReplayer {
   Status Replay(const Trace& trace, ReplayReport* report);
 
  private:
-  Status ReplaySingle(const Trace& trace, ReplayReport* report);
-  Status ReplayConcurrent(const Trace& trace, ReplayReport* report);
-  /// Rebuilds one statement's executable plan for the driver path,
-  /// reproducing the session pipeline (template canonicalization + hash
-  /// tag, parameter substitution, validation, canonicalizing pass).
-  Status BuildStatementPlan(const StatementEvent& s, PlanPtr* out);
-  void Finish(const Trace& trace, ReplayReport* report) const;
+  // Both replay modes add the executions that consumed a cached result
+  // to `*hits` (for the replayed hit rate).
+  Status ReplaySingle(const Trace& trace, ReplayReport* report,
+                      int64_t* hits);
+  Status ReplayConcurrent(const std::vector<const StatementEvent*>& statements,
+                          ReplayReport* report, int64_t* hits);
+  /// Whether replayed plan shapes are diffed (see check_plan_shape).
+  bool ComparePlans() const;
+  void Finish(const Trace& trace, int64_t hits, ReplayReport* report) const;
 
   Database* db_;
   ReplayOptions options_;
-  /// Replayed executions that consumed a cached result (reset per Replay).
-  int64_t replayed_hits_ = 0;
 };
 
 }  // namespace trace

@@ -5,11 +5,9 @@
 #include <mutex>
 
 #include "api/database.h"
-#include "common/admission.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "trace/trace_format.h"
 
 namespace recycledb {
 namespace workload {
@@ -60,22 +58,16 @@ double RunReport::ReuseRate() const {
   return static_cast<double>(reusing) / static_cast<double>(records.size());
 }
 
-WorkloadDriver::WorkloadDriver(Recycler* recycler, DriverOptions options)
-    : recycler_(recycler), options_(options) {}
-
-RunReport WorkloadDriver::Run(std::vector<StreamSpec> streams) {
+RunReport RunStreams(Database* db, std::vector<StreamSpec> streams,
+                     int max_concurrent) {
   RunReport report;
   report.stream_ms.assign(streams.size(), 0.0);
   report.stream_stats.assign(streams.size(), StreamStats{});
   std::mutex report_mu;
 
-  const int max_concurrent = std::max(1, options_.max_concurrent);
-  int threads = options_.threads > 0
-                    ? options_.threads
-                    : std::min<int>(max_concurrent,
-                                    static_cast<int>(streams.size()));
-  threads = std::max(1, threads);
-  AdmissionGate gate(max_concurrent);
+  // One task per stream, so the pool size is the execution bound.
+  const int threads = std::max(
+      1, std::min(max_concurrent, static_cast<int>(streams.size())));
 
   Stopwatch run_sw;
   {
@@ -83,21 +75,22 @@ RunReport WorkloadDriver::Run(std::vector<StreamSpec> streams) {
     for (size_t s = 0; s < streams.size(); ++s) {
       pool.Submit([&, s] {
         const StreamSpec& spec = streams[s];
+        SessionOptions sopts;
+        sopts.name = "S" + std::to_string(s + 1);
+        sopts.collect_traces = false;
+        std::unique_ptr<Session> session = db->Connect(sopts);
         double stream_start = run_sw.ElapsedMs();
         for (size_t q = 0; q < spec.plans.size(); ++q) {
           QueryRecord rec;
           rec.stream = static_cast<int>(s);
           rec.index = static_cast<int>(q);
           rec.label = spec.labels[q];
-          gate.Acquire();
           rec.start_ms = run_sw.ElapsedMs();
-          ExecResult result = recycler_->Execute(spec.plans[q], &rec.trace);
+          Result result = session->Execute(spec.plans[q]);
           rec.end_ms = run_sw.ElapsedMs();
-          gate.Release();
-          rec.result_rows = result.table->num_rows();
-          if (options_.compute_digests) {
-            rec.digest = trace::ResultDigest(*result.table);
-          }
+          RDB_CHECK_MSG(result.ok(), result.status().ToString().c_str());
+          rec.result_rows = result.num_rows();
+          rec.trace = result.trace();
           std::lock_guard<std::mutex> lock(report_mu);
           report.records.push_back(std::move(rec));
         }
@@ -126,19 +119,6 @@ RunReport WorkloadDriver::Run(std::vector<StreamSpec> streams) {
               return a.start_ms < b.start_ms;
             });
   return report;
-}
-
-RunReport RunStreams(Recycler* recycler, std::vector<StreamSpec> streams,
-                     int max_concurrent) {
-  DriverOptions options;
-  options.max_concurrent = max_concurrent;
-  WorkloadDriver driver(recycler, options);
-  return driver.Run(std::move(streams));
-}
-
-RunReport RunStreams(Database* db, std::vector<StreamSpec> streams,
-                     int max_concurrent) {
-  return RunStreams(&db->recycler(), std::move(streams), max_concurrent);
 }
 
 StreamSpec MakeStatementStream(PreparedStatement* statement,

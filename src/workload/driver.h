@@ -1,10 +1,13 @@
 // Multi-stream workload harness (§V TPC-H / SkyServer evaluation).
 //
-// `WorkloadDriver` runs N query streams against one shared Recycler with
-// a bound on concurrently *executing* queries (the paper's "Vectorwise
-// was set up to execute 12 queries in parallel"), records one traced
-// QueryRecord per query, and aggregates throughput / latency / reuse
-// statistics per stream, per label, and for the whole run.
+// `RunStreams` runs N query streams against one shared Database, each on
+// its own Session, so every statement takes the pipeline every embedder's
+// does (validation, canonicalization, the exact-hit probes). At most
+// `max_concurrent` statements execute at once (the paper's "Vectorwise
+// was set up to execute 12 queries in parallel"): the driver's thread
+// pool has that many threads and runs one task per stream. It records
+// one traced QueryRecord per query and aggregates throughput / latency /
+// reuse statistics per stream, per label, and for the whole run.
 #pragma once
 
 #include <map>
@@ -35,10 +38,6 @@ struct QueryRecord {
   double start_ms = 0;  // relative to the run start
   double end_ms = 0;
   int64_t result_rows = 0;
-  /// Order-insensitive result digest (trace::ResultDigest); 0 unless
-  /// DriverOptions::compute_digests is on. Trace replay diffs this
-  /// against the recorded value per execution.
-  uint64_t digest = 0;
   QueryTrace trace;
 };
 
@@ -83,59 +82,13 @@ struct RunReport {
   double ReuseRate() const;
 };
 
-/// Driver configuration.
-struct DriverOptions {
-  /// Upper bound on simultaneously executing queries. Streams beyond the
-  /// bound queue, as in the paper's setup.
-  int max_concurrent = 12;
-  /// Server threads running stream tasks; 0 = min(max_concurrent,
-  /// #streams). When larger than max_concurrent, the admission gate (not
-  /// the thread count) enforces the execution bound.
-  int threads = 0;
-  /// Explicit RNG seed for generator-built streams: the MakeStreams /
-  /// Setup overloads taking a DriverOptions (skyserver, tpch, rollup)
-  /// derive their per-stream seeds from this value, so a recorded
-  /// workload can be regenerated exactly. 0 keeps each generator's
-  /// historical default seed (the current behavior).
-  uint64_t seed = 0;
-  /// Compute QueryRecord::digest for every result (order-insensitive
-  /// FNV over all datums). Off by default: hashing every result row is
-  /// measurable overhead benches should not pay.
-  bool compute_digests = false;
-};
-
-/// Seed-resolution helper for generator overloads taking DriverOptions:
-/// the explicit driver seed when set, else the generator's default.
-inline uint64_t ResolveSeed(const DriverOptions& options,
-                            uint64_t generator_default) {
-  return options.seed != 0 ? options.seed : generator_default;
-}
-
-/// The multi-stream harness. One instance may be reused for several runs
-/// (each Run builds its own thread pool so a report is always complete
-/// when it returns).
-class WorkloadDriver {
- public:
-  WorkloadDriver(Recycler* recycler, DriverOptions options = {});
-
-  /// Executes all streams to completion and returns the aggregated
-  /// report. Safe to call repeatedly; the recycler keeps its state across
-  /// runs (warm cache), so callers wanting cold numbers use a fresh
-  /// Recycler.
-  RunReport Run(std::vector<StreamSpec> streams);
-
-  const DriverOptions& options() const { return options_; }
-
- private:
-  Recycler* recycler_;
-  DriverOptions options_;
-};
-
-/// Convenience wrapper: one-shot run with the given execution bound.
-RunReport RunStreams(Recycler* recycler, std::vector<StreamSpec> streams,
-                     int max_concurrent = 12);
-
-/// Facade overload: runs against the Database's recycler.
+/// Executes all streams to completion, each on its own Session of `db`,
+/// and returns the aggregated report. The pool runs
+/// min(max_concurrent, #streams) stream tasks at a time, so at most
+/// `max_concurrent` statements execute at once; streams beyond the bound
+/// queue, as in the paper's setup. The recycler keeps its state across
+/// runs (warm cache), so callers wanting cold numbers use a fresh
+/// Database. A failed statement aborts with its Status text.
 RunReport RunStreams(Database* db, std::vector<StreamSpec> streams,
                      int max_concurrent = 12);
 

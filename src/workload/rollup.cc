@@ -3,7 +3,6 @@
 #include "api/database.h"
 #include "common/rng.h"
 #include "common/string_util.h"
-#include "workload/driver.h"
 
 namespace recycledb {
 namespace rollup {
@@ -70,12 +69,6 @@ std::vector<std::string> RollupSql(const RollupOptions& options) {
         options.value_range * pct / 100));
   }
   return sql;
-}
-
-RollupOptions WithDriverSeed(RollupOptions base,
-                             const workload::DriverOptions& driver) {
-  base.seed = workload::ResolveSeed(driver, base.seed);
-  return base;
 }
 
 }  // namespace rollup

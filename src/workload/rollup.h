@@ -21,10 +21,6 @@ namespace recycledb {
 
 class Database;
 
-namespace workload {
-struct DriverOptions;
-}  // namespace workload
-
 namespace rollup {
 
 /// Scenario shape. Event values are integer-valued doubles in
@@ -57,13 +53,6 @@ TablePtr MakeBatch(int64_t rows, int64_t start_ts,
 /// grouped SUM/COUNT/AVG and MIN/MAX rollups plus overlapping
 /// value-threshold window scans.
 std::vector<std::string> RollupSql(const RollupOptions& options = {});
-
-/// Driver-options seed plumbing: `base` with its generator seed replaced
-/// by `driver.seed` when non-zero (the historical default, 20130413,
-/// otherwise), so one recorded driver seed regenerates the identical
-/// event series.
-RollupOptions WithDriverSeed(RollupOptions base,
-                             const workload::DriverOptions& driver);
 
 }  // namespace rollup
 }  // namespace recycledb

@@ -6,10 +6,13 @@
 // streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "api/database.h"
 #include "common/stopwatch.h"
 #include "recycler/recycler.h"
 #include "test_util.h"
@@ -243,14 +246,16 @@ TEST_F(ConcurrencyTest, ColdStartHerdReusesOrStallsAndAgrees) {
 }
 
 TEST_F(ConcurrencyTest, WorkloadDriverBoundsConcurrentExecution) {
-  // End-to-end through the WorkloadDriver: more stream tasks than
-  // execution slots, so the admission gate (not the thread count) is the
-  // binding constraint. Also validates the per-stream aggregates.
-  RecyclerConfig cfg;
-  cfg.mode = RecyclerMode::kSpeculation;
-  Recycler rec(&catalog_, cfg);
+  // End-to-end through the workload driver: more streams than execution
+  // slots, each on its own session. Also validates the per-stream
+  // aggregates.
+  DatabaseOptions options;
+  options.recycler.mode = RecyclerMode::kSpeculation;
+  auto db = Database::OpenOrDie(options);
+  ASSERT_TRUE(db->CreateTable("t", catalog_.GetTable("t")).ok());
 
   constexpr int kStreams = 6;
+  constexpr int kMaxConcurrent = 2;
   std::vector<workload::StreamSpec> streams;
   for (int s = 0; s < kStreams; ++s) {
     workload::StreamSpec spec;
@@ -261,11 +266,8 @@ TEST_F(ConcurrencyTest, WorkloadDriverBoundsConcurrentExecution) {
     streams.push_back(std::move(spec));
   }
 
-  workload::DriverOptions options;
-  options.max_concurrent = 2;
-  options.threads = kStreams;  // oversubscribed: the gate must bound
-  workload::WorkloadDriver driver(&rec, options);
-  workload::RunReport report = driver.Run(std::move(streams));
+  workload::RunReport report =
+      workload::RunStreams(db.get(), std::move(streams), kMaxConcurrent);
 
   EXPECT_EQ(report.TotalQueries(), kStreams * 4);
   ASSERT_EQ(report.stream_stats.size(), static_cast<size_t>(kStreams));
@@ -277,7 +279,24 @@ TEST_F(ConcurrencyTest, WorkloadDriverBoundsConcurrentExecution) {
   EXPECT_GT(report.Totals().num_reuses, 0);
   EXPECT_GE(report.LatencyPercentileMs(99),
             report.LatencyPercentileMs(50));
-  ExpectQuiescentConsistency(rec);
+
+  // The execution bound, from the records: sweep the [start, end]
+  // intervals (an end sorts before a start at the same instant) and
+  // track how many statements ran at once.
+  std::vector<std::pair<double, int>> events;
+  for (const auto& r : report.records) {
+    events.emplace_back(r.start_ms, +1);
+    events.emplace_back(r.end_ms, -1);
+  }
+  std::sort(events.begin(), events.end());
+  int running = 0, peak = 0;
+  for (const auto& [ms, delta] : events) {
+    running += delta;
+    peak = std::max(peak, running);
+  }
+  EXPECT_GE(peak, 1);
+  EXPECT_LE(peak, kMaxConcurrent);
+  ExpectQuiescentConsistency(db->recycler());
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // version skew), two live instances over one directory (the second serves
 // exact / subsumption / stitch hits from the first's spills without
 // re-executing, and never steals ownership), stale-lease takeover (expired
-// owners are claimed, live ones are not), purges that a member read only
+// owners are claimed, live ones are not; an opener leaves a live peer's
+// in-flight files alone), purges that a member read only
 // through a manifest sync or lost to the bounded purge log (at a refresh or
 // at open), the read-only adoption mode, the async spill queue's drain
 // barrier, and a spill-vs-adopt race between two instances (run under TSan by
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -93,7 +95,6 @@ std::unique_ptr<Database> OpenInstance(const std::string& spill_dir,
   options.recycler.cache_bytes = 256ll << 20;
   options.recycler.spill_dir = spill_dir;
   options.recycler.cold_tier_capacity_bytes = 256ll << 20;
-  options.recycler.shared_spill_dir = true;
   options.recycler.fleet_instance = instance;
   options.recycler.spill_read_only = read_only;
   options.recycler.fleet_lease_ms = lease_ms;
@@ -421,6 +422,50 @@ TEST(FleetLease, LiveOwnersEntriesAreNotClaimed) {
   for (const auto& e : after.entries) EXPECT_EQ(e.owner, "alpha");
 }
 
+TEST(FleetLease, OpenLeavesALivePeersInFlightFilesAlone) {
+  TempSpillDir dir;
+  auto a = OpenInstance(dir.path(), "alpha");  // publishes a live lease
+  auto plant = [&](const std::string& name) {
+    const std::string path = dir.path() + "/" + name;
+    std::ofstream(path) << "partial";
+    return path;
+  };
+  // What alpha may be writing right now: a spill, and the manifest under
+  // the flock (held below, as alpha's write would).
+  const std::string peer_spill = plant("r00000000000000aa-alpha-7.spill.tmp");
+  const std::string manifest_tmp = plant("manifest.rdbm.tmp");
+  // Torn writes the opener may delete: its own (a prior incarnation's),
+  // an owner without a lease, and a private tier's.
+  const std::vector<std::string> stale = {
+      plant("r00000000000000bb-beta-1.spill.tmp"),
+      plant("r00000000000000cc-ghost-2.spill.tmp"),
+      plant("r00000000000000dd-3.spill.tmp")};
+
+  fleet::DirLock held;
+  ASSERT_TRUE(
+      fleet::DirLock::Acquire(fleet::ManifestLockPath(dir.path()), &held)
+          .ok());
+  // B scans and deletes before its first manifest sync, which then waits
+  // for the flock.
+  std::unique_ptr<Database> b;
+  std::thread opener([&] { b = OpenInstance(dir.path(), "beta"); });
+  bool swept = false;
+  for (int i = 0; i < 2000 && !swept; ++i) {
+    swept = true;
+    for (const std::string& path : stale) swept = swept && !fs::exists(path);
+    if (!swept) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const bool peer_spill_kept = fs::exists(peer_spill);
+  const bool manifest_tmp_kept = fs::exists(manifest_tmp);
+  held.Release();
+  opener.join();
+
+  EXPECT_TRUE(swept);
+  EXPECT_TRUE(peer_spill_kept);
+  EXPECT_TRUE(manifest_tmp_kept);
+  EXPECT_TRUE(fs::exists(peer_spill));  // B's own sync leaves it too
+}
+
 TEST(FleetLease, StaleLeaseTakeoverAtRefresh) {
   TempSpillDir dir;
   auto a = OpenInstance(dir.path(), "alpha", /*rows=*/20000, false,
@@ -643,16 +688,14 @@ TEST(FleetReadOnly, OpenProbeDistinguishesAdoptionFromUnusableDir) {
   EXPECT_TRUE(ColdTier::ValidateSpillDirReadable(dir.path()).ok());
   DatabaseOptions options;
   options.recycler.spill_dir = dir.path();
-  options.recycler.shared_spill_dir = true;
   options.recycler.spill_read_only = true;
   options.recycler.fleet_instance = "reader";
   std::unique_ptr<Database> db;
   EXPECT_TRUE(Database::Open(options, &db).ok());
 
-  // Config validation: read-only requires the shared mode.
+  // Config validation: a fleet member needs a spill directory.
   DatabaseOptions bad;
-  bad.recycler.spill_dir = dir.path();
-  bad.recycler.spill_read_only = true;
+  bad.recycler.fleet_instance = "reader";
   std::unique_ptr<Database> none;
   EXPECT_FALSE(Database::Open(bad, &none).ok());
 }

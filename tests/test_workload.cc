@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "api/database.h"
 #include "tpch/dbgen.h"
 #include "tpch/qgen.h"
 #include "workload/driver.h"
@@ -16,6 +17,16 @@ class WorkloadTest : public ::testing::Test {
   static void SetUpTestSuite() {
     catalog_ = new Catalog();
     tpch::Generate(0.003, catalog_);
+  }
+  /// A speculating Database over the suite's TPC-H tables.
+  static std::unique_ptr<Database> OpenDatabase() {
+    DatabaseOptions options;
+    options.recycler.mode = RecyclerMode::kSpeculation;
+    std::unique_ptr<Database> db = Database::OpenOrDie(options);
+    for (const auto& name : catalog_->TableNames()) {
+      RDB_CHECK(db->CreateTable(name, catalog_->GetTable(name)).ok());
+    }
+    return db;
   }
   static Catalog* catalog_;
 };
@@ -78,9 +89,7 @@ TEST_F(WorkloadTest, ParameterCollisionsGrowWithStreams) {
 }
 
 TEST_F(WorkloadTest, DriverRunsAllQueriesAndAggregates) {
-  RecyclerConfig cfg;
-  cfg.mode = RecyclerMode::kSpeculation;
-  Recycler rec(catalog_, cfg);
+  auto db = OpenDatabase();
   std::vector<workload::StreamSpec> streams;
   Rng rng(9);
   for (int s = 0; s < 4; ++s) {
@@ -92,7 +101,7 @@ TEST_F(WorkloadTest, DriverRunsAllQueriesAndAggregates) {
     }
     streams.push_back(std::move(spec));
   }
-  workload::RunReport report = workload::RunStreams(&rec, streams, 4);
+  workload::RunReport report = workload::RunStreams(db.get(), streams, 4);
   EXPECT_EQ(report.records.size(), 12u);
   EXPECT_EQ(report.stream_ms.size(), 4u);
   for (double ms : report.stream_ms) EXPECT_GT(ms, 0.0);
@@ -135,9 +144,7 @@ TEST(FormatTraceTest, EveryCounterHasItsTimelineTag) {
 }
 
 TEST_F(WorkloadTest, ConcurrencyCapRespectedAndResultsStable) {
-  RecyclerConfig cfg;
-  cfg.mode = RecyclerMode::kSpeculation;
-  Recycler rec(catalog_, cfg);
+  auto db = OpenDatabase();
   Rng rng(13);
   // One fixed parameter assignment shared by all 8 streams, so every
   // stream issues the identical Q6 and sharing is guaranteed.
@@ -149,7 +156,7 @@ TEST_F(WorkloadTest, ConcurrencyCapRespectedAndResultsStable) {
     spec.plans.push_back(tpch::BuildQuery(6, p, 0.003));
     streams.push_back(std::move(spec));
   }
-  workload::RunReport report = workload::RunStreams(&rec, streams, 2);
+  workload::RunReport report = workload::RunStreams(db.get(), streams, 2);
   EXPECT_EQ(report.records.size(), 8u);
   // At least some executions should have reused or stalled on peers.
   int reuse_or_stall = 0;
