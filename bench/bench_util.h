@@ -135,12 +135,10 @@ inline std::unique_ptr<Database> MakeDatabase(const Catalog& source,
   return db;
 }
 
-inline std::unique_ptr<Database> MakeDatabase(
-    const Catalog& source, RecyclerMode mode,
-    int64_t cache_bytes = 256ll << 20) {
+inline std::unique_ptr<Database> MakeDatabase(const Catalog& source,
+                                              RecyclerMode mode) {
   RecyclerConfig config;
   config.mode = mode;
-  config.cache_bytes = cache_bytes;
   return MakeDatabase(source, config);
 }
 

@@ -2,7 +2,7 @@
 // miniature, through the public facade. Multiple client streams share one
 // Database; identical intermediate results are materialized once
 // (concurrent requesters stall briefly) and reused by everyone else.
-// Also demonstrates async submission through the admission gate.
+// Also demonstrates async submission on the database's worker pool.
 //
 //   $ ./build/example_concurrent_streams
 #include <cstdio>
@@ -61,7 +61,7 @@ int main() {
   }
 
   // Async clients: sessions submit Q6 with colliding parameters through
-  // the database's admission gate; futures deliver the results.
+  // the database's worker pool; futures deliver the results.
   auto session = on->Connect({});
   Rng rng(99);
   std::vector<std::future<Result>> futures;

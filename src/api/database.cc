@@ -7,10 +7,6 @@
 namespace recycledb {
 
 Status ValidateRecyclerConfig(const RecyclerConfig& config) {
-  if (config.speculation_h < 0) {
-    return Status::InvalidArgument(
-        StrFormat("speculation_h must be >= 0 (got %g)", config.speculation_h));
-  }
   if (config.stall_timeout_ms <= 0) {
     return Status::InvalidArgument(
         StrFormat("stall_timeout_ms must be positive (got %lld)",
@@ -34,11 +30,6 @@ Status ValidateRecyclerConfig(const RecyclerConfig& config) {
     return Status::InvalidArgument(
         StrFormat("speculation_buffer_cap must be positive (got %lld)",
                   (long long)config.speculation_buffer_cap));
-  }
-  if (config.proactive_topn_limit <= 0) {
-    return Status::InvalidArgument(
-        StrFormat("proactive_topn_limit must be positive (got %lld)",
-                  (long long)config.proactive_topn_limit));
   }
   // The capacity only matters once a spill_dir enables the cold tier.
   if (!config.spill_dir.empty() && config.cold_tier_capacity_bytes <= 0) {
@@ -80,11 +71,6 @@ Status ValidateRecyclerConfig(const RecyclerConfig& config) {
 
 Status Database::Open(DatabaseOptions options, std::unique_ptr<Database>* out) {
   RDB_RETURN_NOT_OK(ValidateRecyclerConfig(options.recycler));
-  if (options.max_concurrent <= 0) {
-    return Status::InvalidArgument(
-        StrFormat("max_concurrent must be positive (got %d)",
-                  options.max_concurrent));
-  }
   if (options.async_threads <= 0) {
     return Status::InvalidArgument(
         StrFormat("async_threads must be positive (got %d)",
@@ -108,7 +94,6 @@ Database::Database(DatabaseOptions options)
     : options_(std::move(options)),
       recycler_(&catalog_, options_.recycler),
       raw_executor_(&catalog_),
-      gate_(options_.max_concurrent),
       pool_(options_.async_threads) {
   raw_executor_.set_zone_map_pruning(options_.recycler.enable_zone_map_pruning);
   SessionOptions session_options;
@@ -161,7 +146,6 @@ std::future<Result> Database::SubmitTask(std::function<Result()> fn,
   auto promise = std::make_shared<std::promise<Result>>();
   std::future<Result> future = promise->get_future();
   bool ok = pool_.Submit([this, promise, fn = std::move(fn)] {
-    AdmissionSlot slot(&gate_);
     promise->set_value(fn());
   });
   if (!ok) {

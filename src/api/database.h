@@ -1,9 +1,8 @@
 // Database: the embeddable engine facade.
 //
-// Owns the Catalog, the Recycler (the paper's contribution), a worker
-// pool and an admission gate for asynchronous submissions. Thread-safe:
-// concurrent sessions share one Database. See DESIGN.md "Public API &
-// session model".
+// Owns the Catalog, the Recycler (the paper's contribution) and a worker
+// pool for asynchronous submissions. Thread-safe: concurrent sessions
+// share one Database. See DESIGN.md "Public API & session model".
 //
 //   DatabaseOptions options;
 //   options.recycler.mode = RecyclerMode::kSpeculation;
@@ -21,7 +20,6 @@
 #include "api/query.h"
 #include "api/result.h"
 #include "api/session.h"
-#include "common/admission.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "recycler/recycler.h"
@@ -32,12 +30,9 @@ namespace recycledb {
 struct DatabaseOptions {
   /// Recycler tunables (validated by Database::Open).
   RecyclerConfig recycler;
-  /// Bound on simultaneously executing queries admitted through async
-  /// Submit() calls (the paper's execution bound).
-  int max_concurrent = 12;
   /// Worker threads serving async submissions: how many Submit()ed
-  /// statements run at once (and at most max_concurrent of them). A
-  /// deployment setting, sized to the host's cores.
+  /// statements run at once. A deployment setting, sized to the host's
+  /// cores.
   int async_threads = 2;
   /// Run every session-executed plan (and every prepared-statement
   /// template) through the canonicalizing rewrite pass, so syntactically
@@ -48,17 +43,17 @@ struct DatabaseOptions {
 };
 
 /// Validates recycler tunables, returning InvalidArgument for nonsense
-/// (negative speculation_h, non-positive stall timeout, sub-4KB positive
-/// cache budgets, aging alpha outside (0, 1], non-positive
-/// cold_tier_capacity_bytes with a spill_dir set, ...). cache_bytes == 0
-/// (cache disabled) and cache_bytes < 0 (unlimited) are both valid. Whether
-/// spill_dir itself is usable is an I/O question and is probed by
-/// Database::Open, not here.
+/// (non-positive stall timeout, sub-4KB positive cache budgets, aging
+/// alpha outside (0, 1], non-positive cold_tier_capacity_bytes with a
+/// spill_dir set, ...). cache_bytes == 0 (cache disabled) and
+/// cache_bytes < 0 (unlimited) are both valid. Whether spill_dir itself
+/// is usable is an I/O question and is probed by Database::Open, not
+/// here.
 Status ValidateRecyclerConfig(const RecyclerConfig& config);
 
-/// The embeddable engine facade: owns the catalog, the recycler, the
-/// async worker pool and the admission gate. Thread-safe; one Database
-/// is shared by all of its Sessions.
+/// The embeddable engine facade: owns the catalog, the recycler and the
+/// async worker pool. Thread-safe; one Database is shared by all of its
+/// Sessions.
 class Database {
  public:
   /// Validates `options` and constructs the engine. On failure `*out` is
@@ -174,7 +169,7 @@ class Database {
 
   explicit Database(DatabaseOptions options);
 
-  /// Runs `fn` on a worker thread under the admission gate. `*accepted`
+  /// Runs `fn` on a worker thread of the async pool. `*accepted`
   /// (optional) reports whether the pool took the task; on rejection
   /// (shutdown) the future is fulfilled with an error and `fn` is never
   /// invoked.
@@ -188,7 +183,6 @@ class Database {
   Catalog catalog_;
   Recycler recycler_;
   Executor raw_executor_;
-  AdmissionGate gate_;
   std::unique_ptr<Session> default_session_;
   /// Declared last: destroyed first, draining in-flight submissions while
   /// the engine state above is still alive.

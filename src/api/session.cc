@@ -265,7 +265,7 @@ void Session::Record(const Result& result, const StatementOrigin* origin) {
     }
     stats_ += result.trace();
     stats_.total_ms += result.total_ms();
-    if (options_.collect_traces && options_.max_traces > 0) {
+    if (options_.max_traces > 0) {
       if (traces_.size() < options_.max_traces) {
         traces_.push_back(result.trace());
       } else {

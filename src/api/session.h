@@ -34,9 +34,8 @@ class TraceRecorder;
 struct SessionOptions {
   /// Label used in traces/diagnostics.
   std::string name = "session";
-  /// Keep a ring of per-query traces (session-local observability).
-  bool collect_traces = true;
-  /// Trace ring capacity.
+  /// Capacity of the ring of per-query traces (session-local
+  /// observability); 0 keeps none.
   size_t max_traces = 1024;
   /// Override: execute this session's queries WITHOUT the recycler
   /// (plain pipelined execution). For per-client A/B comparisons against
@@ -100,9 +99,8 @@ class Session {
   /// Runs a raw plan through the statement pipeline (workload
   /// generators).
   Result Execute(PlanPtr plan);
-  /// Async execution routed through the database admission gate. Deep-
-  /// clones the plan so the same Query object can be submitted
-  /// concurrently.
+  /// Async execution on the database's async pool. Deep-clones the plan
+  /// so the same Query object can be submitted concurrently.
   std::future<Result> Submit(const Query& query);
   /// Async raw-plan variant; transfers ownership of `plan` (do not
   /// submit one unbound plan object twice).
@@ -141,7 +139,7 @@ class Session {
 
   /// Snapshot of this session's aggregate statistics.
   SessionStats stats() const;
-  /// Most recent traces, oldest first (empty if collect_traces is off).
+  /// Most recent traces, oldest first (empty if max_traces is 0).
   std::vector<QueryTrace> traces() const;
   /// The options this session was opened with.
   const SessionOptions& options() const { return options_; }

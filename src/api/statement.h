@@ -68,8 +68,8 @@ class PreparedStatement {
   Result Execute();
   /// BindAll + Execute in one call (bindings persist afterwards).
   Result Execute(const ParamMap& params);
-  /// Asynchronous execution routed through the database's admission gate;
-  /// the returned future is fulfilled by a database worker thread.
+  /// Asynchronous execution on the database's async pool; the returned
+  /// future is fulfilled by a database worker thread.
   std::future<Result> Submit();
 
   /// Recycler-side aggregate over every execution of this template.

@@ -39,51 +39,75 @@ KeyedConjuncts KeyConjuncts(const ExprPtr& pred, const Schema* input) {
   return out;
 }
 
-namespace {
+CompareOp MirrorOp(CompareOp op) {
+  switch (op) {
+    case CompareOp::kLt:
+      return CompareOp::kGt;
+    case CompareOp::kLe:
+      return CompareOp::kGe;
+    case CompareOp::kGt:
+      return CompareOp::kLt;
+    case CompareOp::kGe:
+      return CompareOp::kLe;
+    default:
+      return op;  // = and != are symmetric
+  }
+}
 
-/// Classifies `conjunct` as a range comparison between one column and one
-/// literal. Normalizes `lit op col` to the column-first form.
-bool AsRangeConjunct(const ExprPtr& conjunct, std::string* column,
-                     bool* is_lower, RangeBound* bound) {
-  if (conjunct->kind() != ExprKind::kCompare) return false;
-  CompareOp op = conjunct->compare_op();
-  if (op == CompareOp::kEq || op == CompareOp::kNe) return false;
-  const ExprPtr& l = conjunct->children()[0];
-  const ExprPtr& r = conjunct->children()[1];
-  const Expr* col = nullptr;
-  const Expr* lit = nullptr;
-  bool flipped = false;
-  if (l->kind() == ExprKind::kColumnRef && r->kind() == ExprKind::kLiteral) {
-    col = l.get();
-    lit = r.get();
-  } else if (l->kind() == ExprKind::kLiteral &&
-             r->kind() == ExprKind::kColumnRef) {
-    col = r.get();
-    lit = l.get();
-    flipped = true;  // `lit op col` reads as `col op' lit` with op mirrored
-  } else {
-    return false;
-  }
-  if (std::holds_alternative<std::monostate>(lit->literal()) ||
-      std::holds_alternative<bool>(lit->literal())) {
-    return false;  // no ordering worth stitching on
-  }
-  if (flipped) {
-    switch (op) {
-      case CompareOp::kLt: op = CompareOp::kGt; break;
-      case CompareOp::kLe: op = CompareOp::kGe; break;
-      case CompareOp::kGt: op = CompareOp::kLt; break;
-      case CompareOp::kGe: op = CompareOp::kLe; break;
-      default: return false;
+std::vector<ColumnRange> FoldColumnRanges(const std::vector<ExprPtr>& conjuncts,
+                                          bool with_equalities) {
+  struct Fold {
+    ColumnRange cr;
+    bool is_string = false;
+    bool mixed = false;
+  };
+  std::map<std::string, Fold> folds;
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    const Expr& e = *conjuncts[i];
+    if (e.kind() != ExprKind::kCompare) continue;
+    const Expr* col = e.children()[0].get();
+    const Expr* lit = e.children()[1].get();
+    CompareOp op = e.compare_op();
+    if (col->kind() == ExprKind::kLiteral) {
+      std::swap(col, lit);
+      op = MirrorOp(op);
+    }
+    if (col->kind() != ExprKind::kColumnRef ||
+        lit->kind() != ExprKind::kLiteral || lit->literal().index() < 2 ||
+        op == CompareOp::kNe || (op == CompareOp::kEq && !with_equalities)) {
+      continue;
+    }
+    const Datum& value = lit->literal();
+    Fold& f = folds[col->column_name()];
+    const bool is_string = std::holds_alternative<std::string>(value);
+    if (f.cr.positions.empty()) {
+      f.is_string = is_string;
+    } else if (f.is_string != is_string) {
+      f.mixed = true;
+    }
+    f.cr.positions.push_back(i);
+    if (f.mixed) continue;
+    // The op-to-bounds mapping: > and >= bound below, < and <= above, =
+    // both; the bound is closed for >=, <= and =.
+    const RangeBound bound{false, value,
+                           op != CompareOp::kLt && op != CompareOp::kGt};
+    if (op != CompareOp::kLt && op != CompareOp::kLe) {
+      f.cr.range.lo = TighterLo(f.cr.range.lo, bound);
+    }
+    if (op != CompareOp::kGt && op != CompareOp::kGe) {
+      f.cr.range.hi = TighterHi(f.cr.range.hi, bound);
     }
   }
-  *column = col->column_name();
-  bound->unbounded = false;
-  bound->value = lit->literal();
-  bound->inclusive = op == CompareOp::kLe || op == CompareOp::kGe;
-  *is_lower = op == CompareOp::kGt || op == CompareOp::kGe;
-  return true;
+  std::vector<ColumnRange> out;
+  for (auto& [column, f] : folds) {
+    if (f.mixed) continue;
+    f.cr.column = column;
+    out.push_back(std::move(f.cr));
+  }
+  return out;
 }
+
+namespace {
 
 /// ExtractRangeSpecs over `conjuncts`, whose keys are `keys` or, when it
 /// is null, taken here once a spec needs them.
@@ -91,39 +115,17 @@ std::vector<RangeSpec> Extract(const std::vector<ExprPtr>& conjuncts,
                                const std::vector<std::string>* keys,
                                const Schema* input) {
   std::vector<RangeSpec> out;
-
-  // Pass 1: fold each column's range conjuncts into one interval and
-  // remember which conjunct positions contributed to which column.
-  struct PerColumn {
-    ColumnInterval range;
-    std::vector<size_t> positions;
-  };
-  std::map<std::string, PerColumn> ranged;
-  for (size_t i = 0; i < conjuncts.size(); ++i) {
-    std::string column;
-    bool is_lower = false;
-    RangeBound bound;
-    if (!AsRangeConjunct(conjuncts[i], &column, &is_lower, &bound)) continue;
-    PerColumn& pc = ranged[column];
-    if (is_lower) {
-      pc.range.lo = TighterLo(pc.range.lo, bound);
-    } else {
-      pc.range.hi = TighterHi(pc.range.hi, bound);
-    }
-    pc.positions.push_back(i);
-  }
-
-  // Pass 2: one spec per ranged column; everything else is "others".
+  // One spec per ranged column; everything else is "others".
   std::vector<std::string> own_keys;
-  for (auto& [column, pc] : ranged) {
+  for (ColumnRange& pc : FoldColumnRanges(conjuncts, false)) {
     if (IntervalEmpty(pc.range)) continue;  // contradictory predicate
     if (keys == nullptr) {
       for (const ExprPtr& c : conjuncts) own_keys.push_back(c->Key(input));
       keys = &own_keys;
     }
     RangeSpec spec;
-    spec.column = column;
-    if (input != nullptr) spec.ordinal = input->IndexOfChecked(column);
+    spec.column = std::move(pc.column);
+    if (input != nullptr) spec.ordinal = input->IndexOfChecked(spec.column);
     spec.range = pc.range;
     std::vector<std::string> other_keys;
     for (size_t i = 0; i < conjuncts.size(); ++i) {

@@ -55,6 +55,28 @@ struct KeyedConjuncts {
 /// (null: names as written).
 KeyedConjuncts KeyConjuncts(const ExprPtr& pred, const Schema* input);
 
+/// `op` with its operands swapped: `a < b` reads as `b > a` (= and !=
+/// are symmetric).
+CompareOp MirrorOp(CompareOp op);
+
+/// One column's range conjuncts folded into one interval.
+struct ColumnRange {
+  std::string column;
+  ColumnInterval range;
+  /// Indexes of the conjuncts folded into `range`, ascending.
+  std::vector<size_t> positions;
+};
+
+/// The range rule, shared by the canonicalizer and ExtractRangeSpecs. A
+/// range conjunct compares a column with an orderable literal (int32,
+/// int64, double or string; not NULL or bool) by any operator but !=,
+/// either way round: `5 < x` reads as `x > 5`. Equalities fold to a
+/// point only `with_equalities`. Returns one entry per column, ordered
+/// by name. A column whose range literals mix strings and numbers gets
+/// no entry: its conjuncts stay unfolded, for validation to reject.
+std::vector<ColumnRange> FoldColumnRanges(const std::vector<ExprPtr>& conjuncts,
+                                          bool with_equalities);
+
 /// A selection predicate decomposed around one ranged column: the
 /// column's interval plus every remaining conjunct ("others", matched by
 /// key between cached slice and query).

@@ -1,11 +1,11 @@
 #include "plan/canonicalize.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 
 #include "common/interval.h"
 #include "common/macros.h"
+#include "expr/range.h"
 
 namespace recycledb {
 
@@ -23,25 +23,6 @@ bool IsBoolLiteral(const ExprPtr& e, bool value) {
 }
 
 ExprPtr BoolLiteral(bool value) { return Expr::Literal(value); }
-
-/// Literal usable as an interval bound / foldable operand: int32, int64,
-/// double or string (not NULL, not bool).
-bool OrderableDatum(const Datum& d) { return d.index() >= 2; }
-
-CompareOp MirrorOp(CompareOp op) {
-  switch (op) {
-    case CompareOp::kLt:
-      return CompareOp::kGt;
-    case CompareOp::kLe:
-      return CompareOp::kGe;
-    case CompareOp::kGt:
-      return CompareOp::kLt;
-    case CompareOp::kGe:
-      return CompareOp::kLe;
-    default:
-      return op;  // = and != are symmetric
-  }
-}
 
 CompareOp NegateOp(CompareOp op) {
   switch (op) {
@@ -178,22 +159,6 @@ void FlattenLogical(LogicalOp op, const ExprPtr& e,
     return;
   }
   out->push_back(e);
-}
-
-/// True for a range conjunct `col <op> literal` usable in interval
-/// merging (op is not !=, literal is orderable).
-bool IsRangeConjunct(const ExprPtr& e, std::string* col, CompareOp* op,
-                     Datum* lit) {
-  if (e->kind() != ExprKind::kCompare) return false;
-  if (e->compare_op() == CompareOp::kNe) return false;
-  const ExprPtr& l = e->children()[0];
-  const ExprPtr& r = e->children()[1];
-  if (l->kind() != ExprKind::kColumnRef || !IsLiteral(r)) return false;
-  if (!OrderableDatum(r->literal())) return false;
-  *col = l->column_name();
-  *op = e->compare_op();
-  *lit = r->literal();
-  return true;
 }
 
 ExprPtr RangeConjunct(const std::string& col, CompareOp op, Datum value) {
@@ -355,77 +320,34 @@ ExprPtr CanonicalizeLogicalChain(LogicalOp op, const ExprPtr& e) {
     // Merge per-column range conjuncts into one canonical interval:
     // `x > 1 AND x > 2` -> `x > 2`; `x >= 5 AND x <= 5` -> `x = 5`;
     // a contradictory interval collapses the conjunction to FALSE.
-    struct Group {
-      ColumnInterval iv;
-      bool is_string = false;
-      bool mixed = false;
-      std::vector<ExprPtr> originals;
-    };
-    std::map<std::string, Group> groups;
+    std::vector<ColumnRange> ranges = FoldColumnRanges(kept, true);
+    std::vector<char> folded(kept.size(), 0);
     std::vector<ExprPtr> rest;
-    for (const ExprPtr& p : kept) {
-      std::string col;
-      CompareOp cop;
-      Datum lit;
-      if (!IsRangeConjunct(p, &col, &cop, &lit)) {
-        rest.push_back(p);
-        continue;
-      }
-      Group& g = groups[col];
-      bool lit_string = lit.index() == 5;
-      if (g.originals.empty()) {
-        g.is_string = lit_string;
-      } else if (g.is_string != lit_string) {
-        g.mixed = true;  // string vs numeric: leave for validation
-      }
-      g.originals.push_back(p);
-      if (g.mixed) continue;
-      RangeBound lo, hi;
-      switch (cop) {
-        case CompareOp::kEq:
-          lo = {false, lit, true};
-          hi = {false, lit, true};
-          break;
-        case CompareOp::kLt:
-          hi = {false, lit, false};
-          break;
-        case CompareOp::kLe:
-          hi = {false, lit, true};
-          break;
-        case CompareOp::kGt:
-          lo = {false, lit, false};
-          break;
-        case CompareOp::kGe:
-          lo = {false, lit, true};
-          break;
-        case CompareOp::kNe:
-          break;  // excluded by IsRangeConjunct
-      }
-      if (!lo.unbounded) g.iv.lo = TighterLo(g.iv.lo, lo);
-      if (!hi.unbounded) g.iv.hi = TighterHi(g.iv.hi, hi);
+    for (const ColumnRange& cr : ranges) {
+      for (size_t i : cr.positions) folded[i] = 1;
     }
-    for (auto& [col, g] : groups) {
-      if (g.mixed) {
-        rest.insert(rest.end(), g.originals.begin(), g.originals.end());
-        continue;
-      }
-      if (IntervalEmpty(g.iv)) return BoolLiteral(false);
-      bool point = !g.iv.lo.unbounded && !g.iv.hi.unbounded &&
-                   g.iv.lo.inclusive && g.iv.hi.inclusive &&
-                   DatumCompare(g.iv.lo.value, g.iv.hi.value) == 0;
+    for (size_t i = 0; i < kept.size(); ++i) {
+      if (!folded[i]) rest.push_back(kept[i]);
+    }
+    for (const ColumnRange& cr : ranges) {
+      const ColumnInterval& iv = cr.range;
+      if (IntervalEmpty(iv)) return BoolLiteral(false);
+      bool point = !iv.lo.unbounded && !iv.hi.unbounded &&
+                   iv.lo.inclusive && iv.hi.inclusive &&
+                   DatumCompare(iv.lo.value, iv.hi.value) == 0;
       if (point) {
-        rest.push_back(RangeConjunct(col, CompareOp::kEq, g.iv.lo.value));
+        rest.push_back(RangeConjunct(cr.column, CompareOp::kEq, iv.lo.value));
         continue;
       }
-      if (!g.iv.lo.unbounded) {
+      if (!iv.lo.unbounded) {
         rest.push_back(RangeConjunct(
-            col, g.iv.lo.inclusive ? CompareOp::kGe : CompareOp::kGt,
-            g.iv.lo.value));
+            cr.column, iv.lo.inclusive ? CompareOp::kGe : CompareOp::kGt,
+            iv.lo.value));
       }
-      if (!g.iv.hi.unbounded) {
+      if (!iv.hi.unbounded) {
         rest.push_back(RangeConjunct(
-            col, g.iv.hi.inclusive ? CompareOp::kLe : CompareOp::kLt,
-            g.iv.hi.value));
+            cr.column, iv.hi.inclusive ? CompareOp::kLe : CompareOp::kLt,
+            iv.hi.value));
       }
     }
     kept = std::move(rest);

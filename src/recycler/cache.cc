@@ -78,27 +78,21 @@ bool RecyclerCache::PlanEviction(double benefit, int64_t size_bytes,
   if (free_bytes >= size_bytes) return true;  // fits without eviction
   if (!unlimited() && size_bytes > capacity_bytes_) return false;
 
-  if (policy_ != CachePolicy::kBenefit) {
-    // Ablations: evict globally, unconditionally, until the result fits —
-    // in LRU order, or smallest benefit first (admit-all).
+  if (policy_ == CachePolicy::kLru) {
+    // Evict globally, unconditionally, least recently used first, until
+    // the result fits.
     std::vector<Entry> all;
     for (const auto& [g, group] : groups_) {
       all.insert(all.end(), group.entries.begin(), group.entries.end());
     }
-    std::vector<RGNode*> order;
-    if (policy_ == CachePolicy::kLru) {
-      std::sort(all.begin(), all.end(), [](const Entry& a, const Entry& b) {
-        return a.lru_stamp < b.lru_stamp;
-      });
-      for (const Entry& e : all) order.push_back(e.node);
-    } else {
-      for (const Ranked& r : RankByBenefit(all)) order.push_back(r.node);
-    }
+    std::sort(all.begin(), all.end(), [](const Entry& a, const Entry& b) {
+      return a.lru_stamp < b.lru_stamp;
+    });
     int64_t freed = 0;
-    for (RGNode* n : order) {
+    for (const Entry& e : all) {
       if (free_bytes + freed >= size_bytes) break;
-      victims->push_back(n);
-      freed += n->cached_bytes.load();
+      victims->push_back(e.node);
+      freed += e.node->cached_bytes.load();
     }
     return free_bytes + freed >= size_bytes;
   }

@@ -20,9 +20,9 @@
 
 namespace recycledb {
 
-/// Replacement-policy flavors. kBenefit is the paper's policy; kLru and
-/// kAdmitAll exist for the ablation benchmarks.
-enum class CachePolicy : uint8_t { kBenefit, kLru, kAdmitAll };
+/// Replacement-policy flavors. kBenefit is the paper's policy; kLru
+/// evicts globally in LRU order (see RecyclerConfig::cache_policy).
+enum class CachePolicy : uint8_t { kBenefit, kLru };
 
 /// The recycler cache. NOT thread-safe by itself: the owning Recycler
 /// serializes access under its dedicated cache mutex (decoupled from the
@@ -58,7 +58,7 @@ class RecyclerCache {
   /// Removes every entry, appending them to `evicted`.
   void Flush(std::vector<RGNode*>* evicted);
 
-  /// Marks `node` as referenced (LRU bookkeeping for the ablation policy).
+  /// Marks `node` as referenced (LRU bookkeeping for kLru).
   void TouchForLru(RGNode* node);
 
   int64_t used_bytes() const { return used_bytes_; }

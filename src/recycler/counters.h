@@ -4,8 +4,7 @@
 // else. Each entry names the counter, its field in QueryCounts (and so
 // in QueryTrace, SessionStats, TemplateStats and the driver's
 // StreamStats, which all derive from QueryCounts), its engine-wide twin
-// in RecyclerCounters, its tag in the workload timeline
-// (workload::FormatTrace) and its meaning. Counters only the engine sees
+// in RecyclerCounters and its meaning. Counters only the engine sees
 // (evictions, the cold and fleet tiers) are listed in
 // RECYCLEDB_ENGINE_COUNTERS. A counter added to a list is declared,
 // summed, compared by the counter-agreement test and printed everywhere
@@ -17,40 +16,38 @@
 
 namespace recycledb {
 
-// X(Name, field, twin, tag, doc)
+// X(Name, field, twin, doc)
 //   Name    enumerator suffix in QueryCounter (kName)
 //   field   QueryCounts member (keeps the historical num_* / blocks_* name)
 //   twin    RecyclerCounters atomic, bumped together with the field
-//   tag     FormatTrace event, '#' standing for the value ("" = not shown)
 //   doc     what one unit of the counter is
-// Listed in timeline order.
 #define RECYCLEDB_QUERY_COUNTERS(X)                                          \
-  X(Reuses, num_reuses, reuses, "reused:#",                                  \
+  X(Reuses, num_reuses, reuses,                                              \
     "Cached results consumed (exact, subsumed, stitched and delta).")        \
   X(SubsumptionReuses, num_subsumption_reuses, subsumption_reuses,           \
-    "(subsumed:#)", "Reuses derived by single-superset subsumption.")       \
-  X(PartialReuses, num_partial_reuses, partial_reuses, "(stitched:#)",       \
+    "Reuses derived by single-superset subsumption.")                        \
+  X(PartialReuses, num_partial_reuses, partial_reuses,                       \
     "Reuses answered by stitching overlapping cached range slices.")         \
-  X(ColdHits, num_cold_hits, cold_hits, "(cold:#)",                          \
+  X(ColdHits, num_cold_hits, cold_hits,                                      \
     "Reuses served by loading a spilled result from the cold tier.")         \
-  X(Adoptions, num_adoptions, cold_adoptions, "(adopt:#)",                   \
+  X(Adoptions, num_adoptions, cold_adoptions,                                \
     "Cold-tier orphans (restart images or fleet peers' spills) adopted "     \
     "while preparing the query; they make a reuse servable but are not "     \
     "reuses themselves.")                                                    \
-  X(DeltaReuses, num_delta_reuses, delta_hits, "(delta:#)",                  \
+  X(DeltaReuses, num_delta_reuses, delta_hits,                               \
     "Reuses of append-stale entries served as cached prefix plus delta.")    \
-  X(AggMerges, num_agg_merges, agg_merges, "(agg-merge:#)",                  \
+  X(AggMerges, num_agg_merges, agg_merges,                                   \
     "Delta reuses that merged cached aggregate state with the delta "        \
     "window (no base-row rescan).")                                          \
-  X(Materialized, num_materialized, materializations, "materialized:#",      \
+  X(Materialized, num_materialized, materializations,                        \
     "Results added to the cache.")                                           \
-  X(SpecAborted, num_spec_aborted, spec_aborts, "spec-aborted:#",            \
+  X(SpecAborted, num_spec_aborted, spec_aborts,                              \
     "Speculative stores that backed off.")                                   \
-  X(Stalls, num_stalls, stalls, "stalled:#",                                 \
+  X(Stalls, num_stalls, stalls,                                              \
     "Waits on another query's in-flight materialization.")                   \
-  X(BlocksScanned, blocks_scanned, blocks_scanned, "",                       \
+  X(BlocksScanned, blocks_scanned, blocks_scanned,                           \
     "1024-row scan blocks read.")                                            \
-  X(BlocksPruned, blocks_pruned, blocks_pruned, "pruned:#",                  \
+  X(BlocksPruned, blocks_pruned, blocks_pruned,                              \
     "1024-row scan blocks skipped by zone-map pruning (pruned + scanned = "  \
     "blocks the scans would touch without zone maps).")
 
@@ -79,7 +76,7 @@ namespace recycledb {
 
 /// Identifies one per-query counter (an index into kQueryCounters).
 enum class QueryCounter : int {
-#define RECYCLEDB_COUNTER_ENUM(Name, field, twin, tag, doc) k##Name,
+#define RECYCLEDB_COUNTER_ENUM(Name, field, twin, doc) k##Name,
   RECYCLEDB_QUERY_COUNTERS(RECYCLEDB_COUNTER_ENUM)
 #undef RECYCLEDB_COUNTER_ENUM
 };
@@ -87,14 +84,14 @@ enum class QueryCounter : int {
 /// The per-query counts: one query's in QueryTrace, a sum of queries' in
 /// SessionStats, TemplateStats and StreamStats.
 struct QueryCounts {
-#define RECYCLEDB_COUNTER_FIELD(Name, field, twin, tag, doc) \
+#define RECYCLEDB_COUNTER_FIELD(Name, field, twin, doc) \
   int64_t field = 0;
   RECYCLEDB_QUERY_COUNTERS(RECYCLEDB_COUNTER_FIELD)
 #undef RECYCLEDB_COUNTER_FIELD
 
   /// Adds every count of `other`.
   QueryCounts& operator+=(const QueryCounts& other) {
-#define RECYCLEDB_COUNTER_ADD(Name, field, twin, tag, doc) \
+#define RECYCLEDB_COUNTER_ADD(Name, field, twin, doc) \
   field += other.field;
     RECYCLEDB_QUERY_COUNTERS(RECYCLEDB_COUNTER_ADD)
 #undef RECYCLEDB_COUNTER_ADD
@@ -105,7 +102,7 @@ struct QueryCounts {
 /// Engine-wide counters across all queries (reported by benches). Each
 /// per-query counter's twin moves together with the trace field.
 struct RecyclerCounters {
-#define RECYCLEDB_COUNTER_TWIN(Name, field, twin, tag, doc) \
+#define RECYCLEDB_COUNTER_TWIN(Name, field, twin, doc) \
   std::atomic<int64_t> twin{0};
   RECYCLEDB_QUERY_COUNTERS(RECYCLEDB_COUNTER_TWIN)
 #undef RECYCLEDB_COUNTER_TWIN
@@ -119,13 +116,12 @@ struct CounterInfo {
   const char* field_name;  ///< "num_reuses", ...
   int64_t QueryCounts::*field;
   std::atomic<int64_t> RecyclerCounters::*twin;
-  const char* tag;
 };
 
 /// Every per-query counter, in QueryCounter order.
 inline constexpr CounterInfo kQueryCounters[] = {
-#define RECYCLEDB_COUNTER_INFO(Name, field, twin, tag, doc) \
-  {#field, &QueryCounts::field, &RecyclerCounters::twin, tag},
+#define RECYCLEDB_COUNTER_INFO(Name, field, twin, doc) \
+  {#field, &QueryCounts::field, &RecyclerCounters::twin},
     RECYCLEDB_QUERY_COUNTERS(RECYCLEDB_COUNTER_INFO)
 #undef RECYCLEDB_COUNTER_INFO
 };

@@ -217,7 +217,7 @@ double Recycler::EstimatedSize(const RGNode* node) const {
 
 double Recycler::BenefitOf(const RGNode* node) const {
   double h = graph_.AgedH(node);
-  if (h <= 0) h = config_.speculation_h;
+  if (h <= 0) h = kSpeculationH;
   double size = std::max(1.0, EstimatedSize(node));
   return TrueCost(node) * h / size;
 }
@@ -332,7 +332,7 @@ std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan,
   // --- proactive rewriting (PA mode, §IV-B) ---------------------------
   std::unique_ptr<MNode> matched;
   if (config_.mode == RecyclerMode::kProactive) {
-    PlanPtr topn = RewriteTopNProactive(plan, config_.proactive_topn_limit);
+    PlanPtr topn = RewriteTopNProactive(plan, kProactiveTopNLimit);
     if (topn != plan) {
       plan = std::move(topn);
       plan->Bind(*catalog_);

@@ -41,8 +41,6 @@ struct RecyclerConfig {
   int64_t cache_bytes = 256ll << 20;
   /// Aging factor alpha (Eq. 5); 1.0 disables aging.
   double aging_alpha = 1.0;
-  /// Constant h used for speculative benefit estimates (§III-D).
-  double speculation_h = 0.001;
   /// Hard cap for speculative buffering per store operator.
   int64_t speculation_buffer_cap = 64ll << 20;
   /// Enables subsumption-based reuse (§IV-A).
@@ -52,11 +50,12 @@ struct RecyclerConfig {
   /// enable_subsumption: disabling single-superset subsumption alone
   /// does not turn stitching off.
   bool enable_partial_reuse = true;
-  /// Proactive top-N limit L (§IV-B: topN(Q, 10000) subsumes topN(Q, N)).
-  int64_t proactive_topn_limit = 10000;
   /// Upper bound on stalling for a concurrent materialization.
   int64_t stall_timeout_ms = 30000;
-  /// Replacement policy (kBenefit = paper; others for ablations).
+  /// Replacement policy. kBenefit is the paper's. kLru stays only for
+  /// the cold-tier tests, whose evictions must not depend on the cost
+  /// model's per-process calibration probe; it goes once speculative
+  /// admission no longer does.
   CachePolicy cache_policy = CachePolicy::kBenefit;
   /// Cold-tier spill directory; empty disables the tier. When set, hot
   /// evictions spill still-beneficial results to disk, a shutdown
@@ -141,7 +140,8 @@ bool ParseReuseMode(const std::string& name, ReuseMode* mode);
 /// recorded before the reuse_mode field existed.
 ReuseMode ReuseModeFromCounters(const struct QueryTrace& trace);
 
-/// Per-query observability record (drives Fig. 9 traces and Fig. 10).
+/// Per-query observability record (session traces, trace replay and
+/// Fig. 10).
 /// The reuse counters come from QueryCounts (recycler/counters.h).
 struct QueryTrace : QueryCounts {
   int64_t query_id = 0;
@@ -402,6 +402,13 @@ class Recycler {
  private:
   friend struct RecyclerPeer;  // white-box access for tests
   using MNode = PreparedQuery::MNode;
+
+  /// The paper's constant h for the benefit of a result no query has
+  /// reused yet (§III-D): speculative stores and never-seen nodes.
+  static constexpr double kSpeculationH = 0.001;
+  /// The proactive top-N limit L (§IV-B: topN(Q, 10000) subsumes
+  /// topN(Q, N) for every N <= L).
+  static constexpr int64_t kProactiveTopNLimit = 10000;
 
   /// One exact-hit index entry: what MatchTree returned for a statement
   /// whose root was hot when the statement completed, and what a hit

@@ -175,7 +175,7 @@ bool Recycler::SpeculationKeepGoing(RGNode* node,
     std::shared_lock<std::shared_mutex> lock(graph_.mutex());
     h = graph_.AgedH(node);
   }
-  if (h <= 0) h = config_.speculation_h;
+  if (h <= 0) h = kSpeculationH;
   double size = std::max(1.0, est.est_size_bytes);
   double benefit = est.est_cost_ms * h / size;
   std::lock_guard<std::mutex> clock(cache_mu_);

@@ -7,7 +7,6 @@
 #include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
-#include <variant>
 
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -63,66 +62,6 @@ bool BitEq(const T& a, const T& b) {
 }
 bool BitEq(const double& a, const double& b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-Datum ToDatum(TypeId, uint8_t v) { return static_cast<bool>(v); }
-Datum ToDatum(TypeId, int32_t v) { return v; }
-Datum ToDatum(TypeId, int64_t v) { return v; }
-Datum ToDatum(TypeId, double v) { return v; }
-Datum ToDatum(TypeId, const std::string& v) { return v; }
-
-/// One membership test of a boxed value against the interval.
-bool InRange(const Datum& v, const ColumnInterval& r) {
-  if (!r.lo.unbounded) {
-    int c = DatumCompare(v, r.lo.value);
-    if (c < 0 || (c == 0 && !r.lo.inclusive)) return false;
-  }
-  if (!r.hi.unbounded) {
-    int c = DatumCompare(v, r.hi.value);
-    if (c > 0 || (c == 0 && !r.hi.inclusive)) return false;
-  }
-  return true;
-}
-
-/// Narrows `r` to a closed int64 range [*lo, *hi] when every bounded end
-/// is an integer datum (the common case for prune/select ranges over
-/// int columns). Returns false when a double/string bound requires the
-/// boxed comparison path.
-bool IntClosedRange(const ColumnInterval& r, int64_t* lo, int64_t* hi) {
-  auto as_int = [](const Datum& d, int64_t* v) {
-    if (std::holds_alternative<int32_t>(d)) {
-      *v = std::get<int32_t>(d);
-      return true;
-    }
-    if (std::holds_alternative<int64_t>(d)) {
-      *v = std::get<int64_t>(d);
-      return true;
-    }
-    return false;
-  };
-  *lo = std::numeric_limits<int64_t>::min();
-  *hi = std::numeric_limits<int64_t>::max();
-  if (!r.lo.unbounded) {
-    if (!as_int(r.lo.value, lo)) return false;
-    if (!r.lo.inclusive) {
-      if (*lo == std::numeric_limits<int64_t>::max()) {
-        *hi = *lo - 1;  // empty
-      } else {
-        ++*lo;
-      }
-    }
-  }
-  if (!r.hi.unbounded) {
-    if (!as_int(r.hi.value, hi)) return false;
-    if (!r.hi.inclusive) {
-      if (*hi == std::numeric_limits<int64_t>::min()) {
-        *lo = *hi + 1;  // empty
-      } else {
-        --*hi;
-      }
-    }
-  }
-  return true;
 }
 
 // --- raw -------------------------------------------------------------------
@@ -193,9 +132,9 @@ void RleEncode(const T* data, int64_t n, std::string* out) {
 template <typename T>
 Status RleDecode(Cursor* c, int64_t n, std::vector<T>* out) {
   // Runs can legitimately encode far more rows than payload bytes, so no
-  // payload bound exists: cap n as SelectRangeEncoded does, and reserve
-  // only after a first pass has checked that the runs present add up to
-  // n (growing the vector run by run instead slows every cold load).
+  // payload bound exists: cap n at the int32 row range, and reserve only
+  // after a first pass has checked that the runs present add up to n
+  // (growing the vector run by run instead slows every cold load).
   if (n > std::numeric_limits<int32_t>::max()) {
     return Status::Internal("rle row count out of range");
   }
@@ -220,31 +159,6 @@ Status RleDecode(Cursor* c, int64_t n, std::vector<T>* out) {
     if (fill) *c = runs;
     else out->reserve(static_cast<size_t>(n));
   }
-  return Status::OK();
-}
-
-/// Range kernel over the runs: one comparison per run, not per row.
-template <typename T>
-Status RleSelectRange(Cursor* c, TypeId type, int64_t n,
-                      const ColumnInterval& range, std::vector<int32_t>* sel) {
-  uint32_t num_runs = 0;
-  if (!c->GetU32(&num_runs)) return Status::Internal("rle payload truncated");
-  int64_t row = 0;
-  for (uint32_t r = 0; r < num_runs; ++r) {
-    uint32_t run = 0;
-    T v{};
-    if (!c->GetU32(&run) || !GetValue(c, &v)) {
-      return Status::Internal("rle payload truncated");
-    }
-    if (run == 0 || row + run > n) return Status::Internal("rle run overflow");
-    if (InRange(ToDatum(type, v), range)) {
-      for (uint32_t k = 0; k < run; ++k) {
-        sel->push_back(static_cast<int32_t>(row + k));
-      }
-    }
-    row += run;
-  }
-  if (row != n) return Status::Internal("rle row count mismatch");
   return Status::OK();
 }
 
@@ -335,28 +249,6 @@ Status DictDecode(Cursor* c, int64_t n, std::vector<T>* out) {
   return Status::OK();
 }
 
-/// Range kernel: one comparison per dictionary entry, then a code scan.
-template <typename T>
-Status DictSelectRange(Cursor* c, TypeId type, int64_t n,
-                       const ColumnInterval& range,
-                       std::vector<int32_t>* sel) {
-  std::vector<T> dict;
-  int width = 0;
-  RDB_RETURN_NOT_OK(DictReadHeader(c, n, &dict, &width));
-  std::vector<char> in(dict.size());
-  for (size_t i = 0; i < dict.size(); ++i) {
-    in[i] = InRange(ToDatum(type, dict[i]), range) ? 1 : 0;
-  }
-  for (int64_t i = 0; i < n; ++i) {
-    uint32_t code = 0;
-    if (!GetCode(c, width, &code) || code >= dict.size()) {
-      return Status::Internal("dict payload truncated or code out of range");
-    }
-    if (in[code]) sel->push_back(static_cast<int32_t>(i));
-  }
-  return Status::OK();
-}
-
 // --- frame of reference ----------------------------------------------------
 
 int DeltaWidth(uint64_t max_delta) {
@@ -419,28 +311,6 @@ Status ForDecode(Cursor* c, int64_t n, std::vector<T>* out) {
     uint64_t d = 0;
     if (!GetDelta(c, width, &d)) return Status::Internal("for payload truncated");
     out->push_back(static_cast<T>(static_cast<uint64_t>(base) + d));
-  }
-  return Status::OK();
-}
-
-/// Range kernel over the deltas: the bounds are rebased once, then each
-/// row costs one unsigned compare — no column is materialized.
-template <typename T>
-Status ForSelectRange(Cursor* c, TypeId type, int64_t n,
-                      const ColumnInterval& range, std::vector<int32_t>* sel) {
-  int64_t base = 0;
-  int width = 0;
-  RDB_RETURN_NOT_OK(ForReadHeader(c, &base, &width));
-  int64_t lo = 0, hi = 0;
-  const bool fast = IntClosedRange(range, &lo, &hi);
-  for (int64_t i = 0; i < n; ++i) {
-    uint64_t d = 0;
-    if (!GetDelta(c, width, &d)) return Status::Internal("for payload truncated");
-    const T v = static_cast<T>(static_cast<uint64_t>(base) + d);
-    const bool hit = fast ? (static_cast<int64_t>(v) >= lo &&
-                             static_cast<int64_t>(v) <= hi)
-                          : InRange(ToDatum(type, v), range);
-    if (hit) sel->push_back(static_cast<int32_t>(i));
   }
   return Status::OK();
 }
@@ -638,40 +508,6 @@ Status DecodeTyped(const EncodedColumn& enc, std::vector<T>* out) {
   return Status::OK();
 }
 
-template <typename T>
-Status SelectTyped(const EncodedColumn& enc, const ColumnInterval& range,
-                   std::vector<int32_t>* sel) {
-  Cursor c{reinterpret_cast<const unsigned char*>(enc.payload.data()),
-           enc.payload.size()};
-  switch (enc.encoding) {
-    case ColumnEncoding::kRle:
-      return RleSelectRange<T>(&c, enc.type, enc.num_rows, range, sel);
-    case ColumnEncoding::kDict:
-      if constexpr (SupportsDict<T>()) {
-        return DictSelectRange<T>(&c, enc.type, enc.num_rows, range, sel);
-      }
-      return Status::Internal("dict payload for unsupported type");
-    case ColumnEncoding::kFor:
-      if constexpr (SupportsFor<T>()) {
-        return ForSelectRange<T>(&c, enc.type, enc.num_rows, range, sel);
-      }
-      return Status::Internal("for payload for unsupported type");
-    case ColumnEncoding::kRaw: {
-      // Streaming decode-and-compare; still never materializes a column.
-      std::vector<T> values;
-      RDB_RETURN_NOT_OK(RawDecode(&c, enc.num_rows, &values));
-      for (int64_t i = 0; i < enc.num_rows; ++i) {
-        if (InRange(ToDatum(enc.type, values[static_cast<size_t>(i)]),
-                    range)) {
-          sel->push_back(static_cast<int32_t>(i));
-        }
-      }
-      return Status::OK();
-    }
-  }
-  return Status::Internal("unknown encoding");
-}
-
 }  // namespace
 
 EncodedColumn EncodeColumn(const ColumnVector& col) {
@@ -742,29 +578,6 @@ Status DecodeColumn(const EncodedColumn& enc, ColumnPtr* out) {
   }
   *out = std::move(col);
   return Status::OK();
-}
-
-Status SelectRangeEncoded(const EncodedColumn& enc,
-                          const ColumnInterval& range,
-                          std::vector<int32_t>* sel) {
-  if (enc.num_rows < 0 ||
-      enc.num_rows > std::numeric_limits<int32_t>::max()) {
-    return Status::Internal("encoded column row count out of range");
-  }
-  switch (enc.type) {
-    case TypeId::kBool:
-      return SelectTyped<uint8_t>(enc, range, sel);
-    case TypeId::kInt32:
-    case TypeId::kDate:
-      return SelectTyped<int32_t>(enc, range, sel);
-    case TypeId::kInt64:
-      return SelectTyped<int64_t>(enc, range, sel);
-    case TypeId::kDouble:
-      return SelectTyped<double>(enc, range, sel);
-    case TypeId::kString:
-      return SelectTyped<std::string>(enc, range, sel);
-  }
-  RDB_UNREACHABLE("bad type");
 }
 
 }  // namespace recycledb

@@ -20,18 +20,11 @@
 // that stops as soon as the dictionary cannot win. Decoding is
 // bit-exact: doubles are compared/stored by bit pattern, never by value
 // arithmetic.
-//
-// SelectRangeEncoded evaluates a range predicate directly on the encoded
-// image — one comparison per RLE run / dictionary entry instead of per
-// row — returning the same selection vector a decode-then-filter pass
-// would produce.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/interval.h"
 #include "common/status.h"
 #include "storage/column.h"
 
@@ -71,14 +64,5 @@ Status EncodeColumnAs(const ColumnVector& col, ColumnEncoding encoding,
 /// a recoverable error Status (bounds-checked before every allocation),
 /// never an abort.
 Status DecodeColumn(const EncodedColumn& enc, ColumnPtr* out);
-
-/// Evaluates `range` directly on the encoded image and appends the
-/// selected row indexes (ascending) to `*sel` — bit-identical to
-/// decoding and filtering, without materializing the column. One
-/// comparison per run (kRle) / dictionary entry (kDict); per row
-/// otherwise.
-Status SelectRangeEncoded(const EncodedColumn& enc,
-                          const ColumnInterval& range,
-                          std::vector<int32_t>* sel);
 
 }  // namespace recycledb

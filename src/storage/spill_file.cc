@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 
 #include "common/hash.h"
 #include "common/string_util.h"
@@ -326,49 +330,69 @@ TablePtr MakeResultTable(const SpillFileMeta& meta) {
   return MakeTable(Schema(std::move(fields)));
 }
 
-/// Owning copy of the rows in `sel` (ascending, in-bounds — produced by
-/// SelectRangeEncoded over the same column image).
-ColumnPtr GatherRows(const ColumnVector& col, const std::vector<int32_t>& sel) {
-  ColumnPtr out = MakeColumn(col.type());
-  switch (col.type()) {
-    case TypeId::kBool: {
-      const uint8_t* src = col.Raw<uint8_t>();
-      auto& v = out->Data<uint8_t>();
-      v.reserve(sel.size());
-      for (int32_t r : sel) v.push_back(src[r]);
-      break;
+/// Appends to `*sel` the rows of `values` that lie in `range`, compared
+/// as DatumCompare compares: numbers as doubles, strings bytewise. Each
+/// bound is converted once, outside the loop; a bound of the other kind
+/// is an error.
+template <typename T>
+Status SelectInRange(const T* values, int64_t n, const ColumnInterval& range,
+                     std::vector<int32_t>* sel) {
+  constexpr bool kString = std::is_same_v<T, std::string>;
+  using Key = std::conditional_t<kString, std::string_view, double>;
+  auto key_of = [](const RangeBound& b, Key* key) {
+    if (b.unbounded) return true;
+    const bool is_string = std::holds_alternative<std::string>(b.value);
+    if (is_string != kString || b.value.index() == 0) return false;
+    if constexpr (kString) {
+      *key = std::get<std::string>(b.value);
+    } else {
+      *key = DatumAsDouble(b.value);
     }
-    case TypeId::kInt32:
-    case TypeId::kDate: {
-      const int32_t* src = col.Raw<int32_t>();
-      auto& v = out->Data<int32_t>();
-      v.reserve(sel.size());
-      for (int32_t r : sel) v.push_back(src[r]);
-      break;
-    }
-    case TypeId::kInt64: {
-      const int64_t* src = col.Raw<int64_t>();
-      auto& v = out->Data<int64_t>();
-      v.reserve(sel.size());
-      for (int32_t r : sel) v.push_back(src[r]);
-      break;
-    }
-    case TypeId::kDouble: {
-      const double* src = col.Raw<double>();
-      auto& v = out->Data<double>();
-      v.reserve(sel.size());
-      for (int32_t r : sel) v.push_back(src[r]);
-      break;
-    }
-    case TypeId::kString: {
-      const std::string* src = col.Raw<std::string>();
-      auto& v = out->Data<std::string>();
-      v.reserve(sel.size());
-      for (int32_t r : sel) v.push_back(src[r]);
-      break;
-    }
+    return true;
+  };
+  Key lo{}, hi{};
+  if (!key_of(range.lo, &lo) || !key_of(range.hi, &hi)) {
+    return Status::InvalidArgument(
+        "range bound does not match the filter column's type");
   }
-  return out;
+  auto compare = [](Key a, Key b) {
+    if constexpr (kString) {
+      return a.compare(b);
+    } else {
+      return a < b ? -1 : (a > b ? 1 : 0);
+    }
+  };
+  for (int64_t i = 0; i < n; ++i) {
+    const Key v(values[i]);
+    if (!range.lo.unbounded) {
+      const int c = compare(v, lo);
+      if (c < 0 || (c == 0 && !range.lo.inclusive)) continue;
+    }
+    if (!range.hi.unbounded) {
+      const int c = compare(v, hi);
+      if (c > 0 || (c == 0 && !range.hi.inclusive)) continue;
+    }
+    sel->push_back(static_cast<int32_t>(i));
+  }
+  return Status::OK();
+}
+
+Status SelectRows(const ColumnVector& col, const ColumnInterval& range,
+                  std::vector<int32_t>* sel) {
+  switch (col.type()) {
+    case TypeId::kBool:
+      return SelectInRange(col.Raw<uint8_t>(), col.size(), range, sel);
+    case TypeId::kInt32:
+    case TypeId::kDate:
+      return SelectInRange(col.Raw<int32_t>(), col.size(), range, sel);
+    case TypeId::kInt64:
+      return SelectInRange(col.Raw<int64_t>(), col.size(), range, sel);
+    case TypeId::kDouble:
+      return SelectInRange(col.Raw<double>(), col.size(), range, sel);
+    case TypeId::kString:
+      return SelectInRange(col.Raw<std::string>(), col.size(), range, sel);
+  }
+  RDB_UNREACHABLE("bad type");
 }
 
 }  // namespace
@@ -462,17 +486,30 @@ Status ReadSpillTableFiltered(const std::string& path, SpillFileMeta* meta,
                   filter_column));
   }
 
-  // Selection on the encoded filter column, then decode + gather the
-  // rest. Ascending selection preserves row order, so the result is
+  if (meta->num_rows > std::numeric_limits<int32_t>::max()) {
+    return Status::Internal(
+        StrFormat("%s: row count out of range", path.c_str()));
+  }
+
+  // Decode every column once, select on the decoded filter column, then
+  // gather. Ascending selection preserves row order, so the result is
   // bit-identical to a full load followed by the same range filter.
+  std::vector<ColumnPtr> full(encs.size());
+  for (size_t i = 0; i < encs.size(); ++i) {
+    RDB_RETURN_NOT_OK(DecodeBlock(path, encs[i], &full[i]));
+  }
   std::vector<int32_t> sel;
-  RDB_RETURN_NOT_OK(SelectRangeEncoded(encs[filter_column], range, &sel));
+  Status st = SelectRows(*full[filter_column], range, &sel);
+  if (!st.ok()) {
+    return Status::InvalidArgument(
+        StrFormat("%s: %s", path.c_str(), st.message().c_str()));
+  }
   Batch batch;
   batch.num_rows = static_cast<int64_t>(sel.size());
-  for (const EncodedColumn& enc : encs) {
-    ColumnPtr full;
-    RDB_RETURN_NOT_OK(DecodeBlock(path, enc, &full));
-    batch.columns.push_back(GatherRows(*full, sel));
+  for (const ColumnPtr& col : full) {
+    ColumnPtr out = MakeColumn(col->type());
+    out->AppendSelected(*col, sel);
+    batch.columns.push_back(std::move(out));
   }
   TablePtr table = MakeResultTable(*meta);
   table->AppendBatch(batch);

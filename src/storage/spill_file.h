@@ -143,15 +143,15 @@ Status ReadSpillMeta(const std::string& path, SpillFileMeta* meta);
 Status ReadSpillTable(const std::string& path, SpillFileMeta* meta,
                       TablePtr* out);
 
-/// Like ReadSpillTable, but materializes only the rows whose value in
-/// column `filter_column` (index into the file's columns) falls in
-/// `range`: the selection is computed on the *encoded* column image
-/// (SelectRangeEncoded — one comparison per run/dictionary entry) and
-/// the remaining columns are gathered through it, so a cold slice
-/// consumed by a subsumption/stitch rewrite never materializes rows the
-/// rewrite would filter out anyway. Row order is preserved, so the
-/// result is bit-identical to a full load followed by the same range
-/// filter. An out-of-range column index returns a recoverable error.
+/// Like ReadSpillTable, but returns only the rows whose value in column
+/// `filter_column` (index into the file's columns) falls in `range`:
+/// every column is decoded once, rows are selected on the decoded filter
+/// column (compared as DatumCompare compares) and every column is
+/// gathered through that selection, so a cold slice consumed by a
+/// subsumption/stitch rewrite carries no row the rewrite would filter
+/// out anyway. Row order is preserved, so the result is bit-identical to
+/// a full load followed by the same range filter. An out-of-range column
+/// index or a bound of the wrong kind returns a recoverable error.
 Status ReadSpillTableFiltered(const std::string& path, SpillFileMeta* meta,
                               int filter_column, const ColumnInterval& range,
                               TablePtr* out);

@@ -76,7 +76,7 @@ struct ReplayStream {
   ReplayStream(Database* db, int stream) : stream(stream) {
     SessionOptions sopts;
     sopts.name = "trace-replay-" + std::to_string(stream);
-    sopts.collect_traces = false;
+    sopts.max_traces = 0;
     session = db->Connect(sopts);
   }
 

@@ -6,7 +6,6 @@
 
 #include "api/database.h"
 #include "common/stopwatch.h"
-#include "common/string_util.h"
 #include "common/thread_pool.h"
 
 namespace recycledb {
@@ -77,7 +76,7 @@ RunReport RunStreams(Database* db, std::vector<StreamSpec> streams,
         const StreamSpec& spec = streams[s];
         SessionOptions sopts;
         sopts.name = "S" + std::to_string(s + 1);
-        sopts.collect_traces = false;
+        sopts.max_traces = 0;
         std::unique_ptr<Session> session = db->Connect(sopts);
         double stream_start = run_sw.ElapsedMs();
         for (size_t q = 0; q < spec.plans.size(); ++q) {
@@ -135,33 +134,6 @@ StreamSpec MakeStatementStream(PreparedStatement* statement,
     spec.plans.push_back(std::move(plan));
   }
   return spec;
-}
-
-std::string FormatTrace(const RunReport& report) {
-  std::string out;
-  out += "time(ms)  stream  query        dur(ms)  events\n";
-  for (const auto& r : report.records) {
-    std::string events;
-    for (const CounterInfo& c : kQueryCounters) {
-      const int64_t n = r.trace.*c.field;
-      if (n <= 0 || c.tag[0] == '\0') continue;
-      std::string value = std::to_string(n);
-      if (c.field == &QueryCounts::num_stalls) {
-        value += StrFormat("(%.1fms)", r.trace.stall_ms);
-      } else if (c.field == &QueryCounts::blocks_pruned) {
-        value += "/" + std::to_string(n + r.trace.blocks_scanned);
-      }
-      std::string event = c.tag;
-      event.replace(event.find('#'), 1, value);
-      events += event + " ";
-    }
-    if (r.trace.used_proactive) events += "proactive ";
-    if (events.empty()) events = "-";
-    out += StrFormat("%8.1f  S%-5d  %-11s  %7.1f  %s\n", r.start_ms,
-                     r.stream + 1, r.label.c_str(), r.end_ms - r.start_ms,
-                     events.c_str());
-  }
-  return out;
 }
 
 }  // namespace workload

@@ -30,7 +30,7 @@ struct StreamSpec {
   std::vector<PlanPtr> plans;
 };
 
-/// Per-query record (drives the Fig. 8 breakdown and the Fig. 9 trace).
+/// Per-query record of one stream statement: its timing and trace.
 struct QueryRecord {
   int stream = 0;
   int index = 0;
@@ -99,10 +99,6 @@ RunReport RunStreams(Database* db, std::vector<StreamSpec> streams,
 StreamSpec MakeStatementStream(PreparedStatement* statement,
                                const std::vector<ParamMap>& bindings,
                                const std::string& label);
-
-/// Formats a Fig. 9-style trace of `report` (who materialized / reused /
-/// stalled, per stream and query).
-std::string FormatTrace(const RunReport& report);
 
 }  // namespace workload
 }  // namespace recycledb

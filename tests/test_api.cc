@@ -56,15 +56,6 @@ Query SalesSince(Database& db, ExprPtr cutoff) {
 // Configuration validation (Database::Open)
 // ---------------------------------------------------------------------------
 
-TEST(ConfigValidation, RejectsNegativeSpeculationH) {
-  RecyclerConfig cfg;
-  cfg.speculation_h = -0.5;
-  Status st = ValidateRecyclerConfig(cfg);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("speculation_h"), std::string::npos);
-}
-
 TEST(ConfigValidation, RejectsNonPositiveStallTimeout) {
   RecyclerConfig cfg;
   cfg.stall_timeout_ms = 0;
@@ -88,9 +79,6 @@ TEST(ConfigValidation, RejectsBadAgingAlphaAndLimits) {
   cfg.aging_alpha = 0.0;
   EXPECT_FALSE(ValidateRecyclerConfig(cfg).ok());
   cfg.aging_alpha = 1.5;
-  EXPECT_FALSE(ValidateRecyclerConfig(cfg).ok());
-  cfg = RecyclerConfig();
-  cfg.proactive_topn_limit = 0;
   EXPECT_FALSE(ValidateRecyclerConfig(cfg).ok());
   cfg = RecyclerConfig();
   cfg.speculation_buffer_cap = -1;
@@ -128,15 +116,13 @@ TEST(ConfigValidation, OpenRejectsUnwritableSpillDir) {
 
 TEST(ConfigValidation, OpenReturnsStatusAndLeavesOutUntouched) {
   DatabaseOptions options;
-  options.recycler.speculation_h = -1;
+  options.recycler.stall_timeout_ms = 0;
   std::unique_ptr<Database> db;
   Status st = Database::Open(options, &db);
   EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("stall_timeout_ms"), std::string::npos);
   EXPECT_EQ(db, nullptr);
-
-  options = DatabaseOptions();
-  options.max_concurrent = 0;
-  EXPECT_FALSE(Database::Open(options, &db).ok());
 
   options = DatabaseOptions();
   EXPECT_TRUE(Database::Open(options, &db).ok());
@@ -383,7 +369,7 @@ TEST(Sessions, TracesAndStatsAreIsolatedPerSession) {
 TEST(Sessions, TraceCollectionCanBeDisabled) {
   auto db = OpenSalesDb();
   SessionOptions o;
-  o.collect_traces = false;
+  o.max_traces = 0;
   auto session = db->Connect(o);
   ASSERT_TRUE(
       session->Execute(SalesSince(*db, Expr::Literal(int64_t{2008}))).ok());

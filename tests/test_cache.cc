@@ -1,5 +1,5 @@
 // Tests for the recycler cache: Danzig-style group-local replacement,
-// admission checks, flush/remove, the ablation policies (§III-E), and
+// admission checks, flush/remove, the LRU policy, and
 // the reuse of a group's benefit ranking while neither the group nor the
 // benefit stamp changes.
 #include <gtest/gtest.h>
@@ -357,16 +357,6 @@ TEST_F(CacheTest, ReusedRankingsDecideLikeFreshOnes) {
   EXPECT_GT(admitted, 100);
   EXPECT_GT(rejected, 100);
   EXPECT_GT(evictions, 100);
-}
-
-TEST_F(CacheTest, AdmitAllPolicyEvictsAcrossGroups) {
-  RecyclerCache cache(10000, BenefitFn(), StampFn(), CachePolicy::kAdmitAll);
-  std::vector<RGNode*> evicted;
-  ASSERT_TRUE(cache.Admit(MakeNode(900, 0.5), 0.5, &evicted));    // small group
-  ASSERT_TRUE(cache.Admit(MakeNode(8200, 0.9), 0.9, &evicted));   // big group
-  // 2000-byte candidate: admit-all evicts the globally worst entries
-  // regardless of group.
-  EXPECT_TRUE(cache.WouldAdmit(0.001, 2000));
 }
 
 }  // namespace

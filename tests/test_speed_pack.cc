@@ -1,10 +1,10 @@
 // Tests for the single-core speed pack: incremental zone-map
 // maintenance, pruned-vs-unpruned bit-equality across all column types,
-// the column codecs (round trips, encoded-range selection, corruption
-// handling, row counts the payload cannot hold), the compressed spill
-// format (files of any other version are misses), the calibrated cost
-// model's determinism, and a concurrent pruned-query
-// stress against a compressing cold tier.
+// the column codecs (round trips, corruption handling, row counts the
+// payload cannot hold), the compressed spill format (files of any other
+// version are misses; a filtered read equals a full read, then the
+// filter), the calibrated cost model's determinism, and a concurrent
+// pruned-query stress against a compressing cold tier.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -74,6 +74,7 @@ ColumnPtr TypedColumn(TypeId type, std::vector<T> values) {
 bool ColumnsBitEqual(const ColumnVector& a, const ColumnVector& b) {
   if (a.type() != b.type() || a.size() != b.size()) return false;
   const size_t n = static_cast<size_t>(a.size());
+  if (n == 0) return true;  // memcmp must not see an empty vector's null
   switch (a.type()) {
     case TypeId::kBool:
       return std::memcmp(a.Raw<uint8_t>(), b.Raw<uint8_t>(), n) == 0;
@@ -99,7 +100,7 @@ bool ColumnsBitEqual(const ColumnVector& a, const ColumnVector& b) {
   return false;
 }
 
-/// Reference range check with the same semantics SelectRangeEncoded
+/// Reference range check with the same semantics ReadSpillTableFiltered
 /// promises (independent open/closed ends, unbounded = +-inf).
 bool InRangeRef(const Datum& v, const ColumnInterval& r) {
   if (!r.lo.unbounded) {
@@ -599,58 +600,6 @@ TEST(Compression, ChoiceIsTheSmallestLegalCodec) {
   EXPECT_EQ(chosen.size(), 4u);
 }
 
-TEST(Compression, SelectRangeEncodedMatchesDecodeThenFilter) {
-  std::vector<int32_t> sawtooth;
-  for (int i = 0; i < 3000; ++i) sawtooth.push_back(i / 100);
-  std::vector<std::string> cities;
-  for (int i = 0; i < 3000; ++i) cities.push_back("c" + std::to_string(i % 6));
-  std::vector<int64_t> keys;
-  for (int i = 0; i < 3000; ++i) keys.push_back(7000 + i);
-  std::vector<double> vals;
-  for (int i = 0; i < 3000; ++i) vals.push_back((i * 7919) % 997 * 0.25);
-
-  struct Case {
-    ColumnPtr col;
-    ColumnEncoding enc;
-    ColumnInterval range;
-  };
-  std::vector<Case> cases;
-  cases.push_back({TypedColumn<int32_t>(TypeId::kInt32, sawtooth),
-                   ColumnEncoding::kRle,
-                   Between(static_cast<int32_t>(5), true,
-                           static_cast<int32_t>(20), false)});
-  cases.push_back({TypedColumn<std::string>(TypeId::kString, cities),
-                   ColumnEncoding::kDict,
-                   Between(std::string("c1"), true, std::string("c4"), true)});
-  cases.push_back({TypedColumn<int64_t>(TypeId::kInt64, keys),
-                   ColumnEncoding::kFor,
-                   Between(static_cast<int64_t>(7500), false,
-                           static_cast<int64_t>(8500), true)});
-  cases.push_back({TypedColumn<double>(TypeId::kDouble, vals),
-                   ColumnEncoding::kRaw, AtLeast(100.0)});
-  // Integer-empty open gap (4, 5): no int32 fits, so nothing selects.
-  cases.push_back({TypedColumn<int32_t>(TypeId::kInt32, sawtooth),
-                   ColumnEncoding::kRle,
-                   Between(static_cast<int32_t>(4), false,
-                           static_cast<int32_t>(5), false)});
-  // Unbounded both ends selects everything.
-  cases.push_back({TypedColumn<int64_t>(TypeId::kInt64, keys),
-                   ColumnEncoding::kFor, ColumnInterval{}});
-  // Mixed-type numeric bound (double literal against int column).
-  cases.push_back({TypedColumn<int32_t>(TypeId::kInt32, sawtooth),
-                   ColumnEncoding::kRle, Below(12.5)});
-
-  for (size_t i = 0; i < cases.size(); ++i) {
-    SCOPED_TRACE(StrFormat("case %zu (%s)", i,
-                           EncodingName(cases[i].enc)));
-    EncodedColumn enc;
-    ASSERT_TRUE(EncodeColumnAs(*cases[i].col, cases[i].enc, &enc).ok());
-    std::vector<int32_t> sel;
-    ASSERT_TRUE(SelectRangeEncoded(enc, cases[i].range, &sel).ok());
-    EXPECT_EQ(sel, ReferenceSelect(*cases[i].col, cases[i].range));
-  }
-}
-
 TEST(Compression, CorruptPayloadsAreRecoverableErrors) {
   std::vector<int32_t> v;
   for (int i = 0; i < 1000; ++i) v.push_back(i / 10);
@@ -683,10 +632,6 @@ TEST(Compression, CorruptPayloadsAreRecoverableErrors) {
         // complete column (never a partial/oversized one).
         EXPECT_EQ(dummy->size(), col->size());
       }
-      std::vector<int32_t> sel;
-      // Encoded-selection must survive the same corruption.
-      (void)SelectRangeEncoded(inflated, AtLeast(static_cast<int32_t>(5)),
-                               &sel);
     }
   }
 
@@ -871,6 +816,94 @@ TEST(SpillV2, UncompressedV2OptionRoundTrips) {
   ASSERT_TRUE(ReadSpillTable(path, &meta, &back).ok());
   EXPECT_GT(meta.raw_bytes, 0);
   EXPECT_TRUE(TablesBitEqual(*t, *back));
+}
+
+TEST(SpillV2, FilteredReadMatchesFullReadThenFilter) {
+  std::vector<int32_t> sawtooth;
+  for (int i = 0; i < 3000; ++i) sawtooth.push_back(i / 100);
+  std::vector<std::string> cities;
+  for (int i = 0; i < 3000; ++i) cities.push_back("c" + std::to_string(i % 6));
+  std::vector<int64_t> keys;
+  for (int i = 0; i < 3000; ++i) keys.push_back(7000 + i);
+  std::vector<double> vals;
+  for (int i = 0; i < 3000; ++i) vals.push_back((i * 7919) % 997 * 0.25);
+
+  struct Case {
+    ColumnPtr col;
+    ColumnInterval range;
+  };
+  std::vector<Case> cases;
+  cases.push_back({TypedColumn<int32_t>(TypeId::kInt32, sawtooth),
+                   Between(static_cast<int32_t>(5), true,
+                           static_cast<int32_t>(20), false)});
+  cases.push_back({TypedColumn<std::string>(TypeId::kString, cities),
+                   Between(std::string("c1"), true, std::string("c4"), true)});
+  cases.push_back({TypedColumn<int64_t>(TypeId::kInt64, keys),
+                   Between(static_cast<int64_t>(7500), false,
+                           static_cast<int64_t>(8500), true)});
+  cases.push_back(
+      {TypedColumn<double>(TypeId::kDouble, vals), AtLeast(100.0)});
+  // Integer-empty open gap (4, 5): no int32 fits, so nothing selects.
+  cases.push_back({TypedColumn<int32_t>(TypeId::kInt32, sawtooth),
+                   Between(static_cast<int32_t>(4), false,
+                           static_cast<int32_t>(5), false)});
+  // Unbounded both ends selects everything.
+  cases.push_back(
+      {TypedColumn<int64_t>(TypeId::kInt64, keys), ColumnInterval{}});
+  // Mixed-type numeric bound (double literal against int column).
+  cases.push_back(
+      {TypedColumn<int32_t>(TypeId::kInt32, sawtooth), Below(12.5)});
+
+  TempSpillDir dir;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    for (bool compress : {true, false}) {
+      SCOPED_TRACE(StrFormat("case %zu, compress %d", i, compress));
+      // The filter column plus a row number, which checks the gather.
+      const ColumnVector& col = *cases[i].col;
+      TablePtr t = MakeTable(
+          Schema({{"v", col.type()}, {"row", TypeId::kInt64}}));
+      std::vector<int64_t> rows(static_cast<size_t>(col.size()));
+      for (size_t r = 0; r < rows.size(); ++r) {
+        rows[r] = static_cast<int64_t>(r);
+      }
+      Batch batch;
+      batch.num_rows = col.size();
+      batch.columns = {cases[i].col,
+                       TypedColumn<int64_t>(TypeId::kInt64, rows)};
+      t->AppendBatch(batch);
+      const std::string path = dir.path() + StrFormat("/f%zu.spill", i);
+      SpillWriteOptions opts;
+      opts.compress = compress;
+      ASSERT_TRUE(WriteSpillFile(path, *t, MakeMeta(*t), opts).ok());
+
+      SpillFileMeta meta;
+      TablePtr full;
+      ASSERT_TRUE(ReadSpillTable(path, &meta, &full).ok());
+      TablePtr want = MakeTable(full->schema());
+      Batch selected;
+      const std::vector<int32_t> sel =
+          ReferenceSelect(*full->column(0), cases[i].range);
+      selected.num_rows = static_cast<int64_t>(sel.size());
+      for (int c = 0; c < full->num_columns(); ++c) {
+        ColumnPtr out = MakeColumn(full->column(c)->type());
+        out->AppendSelected(*full->column(c), sel);
+        selected.columns.push_back(std::move(out));
+      }
+      want->AppendBatch(selected);
+
+      TablePtr got;
+      ASSERT_TRUE(
+          ReadSpillTableFiltered(path, &meta, 0, cases[i].range, &got).ok());
+      EXPECT_EQ(got->num_rows(), want->num_rows());
+      EXPECT_TRUE(TablesBitEqual(*got, *want));
+      // A bound of the other kind (string vs number) is an error.
+      const Datum other = col.type() == TypeId::kString
+                              ? Datum(int64_t{1})
+                              : Datum(std::string("a"));
+      EXPECT_FALSE(
+          ReadSpillTableFiltered(path, &meta, 0, AtLeast(other), &got).ok());
+    }
+  }
 }
 
 TEST(SpillV2, CorruptionIsRecoverable) {

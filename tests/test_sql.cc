@@ -401,6 +401,33 @@ TEST(SqlErrors, TrailingGarbageAfterStatement) {
   EXPECT_NE(r.status().message().find("end of statement"), std::string::npos);
 }
 
+TEST(SqlErrors, RangeLiteralsOfMixedKindsAreRejectedNotAborted) {
+  std::unique_ptr<Database> db = Database::OpenOrDie();
+  TablePtr t = MakeTable(
+      Schema({{"k", TypeId::kInt64}, {"name", TypeId::kString}}));
+  for (int i = 0; i < 10; ++i) {
+    t->AppendRow({static_cast<int64_t>(i), "n" + std::to_string(i)});
+  }
+  ASSERT_TRUE(db->CreateTable("t", t).ok());
+  auto session = db->Connect();
+  // A number then a string on a BIGINT column, and a string then a
+  // number on a string column: rendering the failing node must not fold
+  // the two literals into one interval.
+  for (const char* text : {"SELECT k FROM t WHERE k > 5 AND k < 'n5'",
+                           "SELECT k FROM t WHERE name > 'a' AND name > 5"}) {
+    SCOPED_TRACE(text);
+    Result r = session->Sql(text);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("in plan:"), std::string::npos)
+        << r.status().ToString();
+    PlanPtr plan;
+    ASSERT_TRUE(sql::SqlToPlan(text, db->catalog(), &plan).ok());
+    const std::string explain = session->Explain(Query::FromPlan(plan));
+    EXPECT_NE(explain.find("Filter (("), std::string::npos) << explain;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Prepared SQL statements
 // ---------------------------------------------------------------------------

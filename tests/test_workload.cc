@@ -108,39 +108,6 @@ TEST_F(WorkloadTest, DriverRunsAllQueriesAndAggregates) {
   ASSERT_EQ(report.by_label.size(), 3u);
   EXPECT_EQ(report.by_label.at("Q1").count, 4);
   EXPECT_GT(report.AvgStreamMs(), 0.0);
-  std::string trace = workload::FormatTrace(report);
-  EXPECT_NE(trace.find("Q1"), std::string::npos);
-}
-
-TEST(FormatTraceTest, EveryCounterHasItsTimelineTag) {
-  workload::QueryRecord r;
-  r.label = "Q1";
-  r.start_ms = 2.0;
-  r.end_ms = 5.5;
-  r.trace.num_reuses = 1;
-  r.trace.num_subsumption_reuses = 2;
-  r.trace.num_partial_reuses = 3;
-  r.trace.num_cold_hits = 4;
-  r.trace.num_adoptions = 5;
-  r.trace.num_delta_reuses = 6;
-  r.trace.num_agg_merges = 7;
-  r.trace.num_materialized = 8;
-  r.trace.num_spec_aborted = 9;
-  r.trace.num_stalls = 10;
-  r.trace.stall_ms = 1.25;
-  r.trace.blocks_scanned = 11;
-  r.trace.blocks_pruned = 12;
-  r.trace.used_proactive = true;
-  workload::RunReport report;
-  report.records.push_back(r);
-  report.records.push_back(workload::QueryRecord{});
-  EXPECT_EQ(workload::FormatTrace(report),
-            "time(ms)  stream  query        dur(ms)  events\n"
-            "     2.0  S1      Q1               3.5  reused:1 (subsumed:2) "
-            "(stitched:3) (cold:4) (adopt:5) (delta:6) (agg-merge:7) "
-            "materialized:8 spec-aborted:9 stalled:10(1.2ms) pruned:12/23 "
-            "proactive \n"
-            "     0.0  S1                       0.0  -\n");
 }
 
 TEST_F(WorkloadTest, ConcurrencyCapRespectedAndResultsStable) {
