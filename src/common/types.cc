@@ -141,20 +141,35 @@ int64_t DatumAsInt64(const Datum& d) {
   }
 }
 
+int CompareValues(int64_t a, double b) {
+  if (std::isnan(b)) return -1;  // NaN lies above every number
+  if (b >= 0x1p63) return -1;
+  if (b < -0x1p63) return 1;
+  // b now truncates to an int64, and its truncation is itself a double.
+  const int64_t t = static_cast<int64_t>(b);
+  if (a != t) return a < t ? -1 : 1;
+  return CompareValues(static_cast<double>(t), b);
+}
+
 int DatumCompare(const Datum& a, const Datum& b) {
-  if (a.index() == 5 || b.index() == 5) {
-    RDB_CHECK_MSG(a.index() == 5 && b.index() == 5,
-                  "comparing string with non-string");
-    const std::string& sa = std::get<std::string>(a);
-    const std::string& sb = std::get<std::string>(b);
-    int c = sa.compare(sb);
-    return c < 0 ? -1 : (c > 0 ? 1 : 0);
-  }
-  double da = DatumAsDouble(a);
-  double db = DatumAsDouble(b);
-  if (da < db) return -1;
-  if (da > db) return 1;
-  return 0;
+  RDB_CHECK_MSG((a.index() == 5) == (b.index() == 5),
+                "comparing string with non-string");
+  return std::visit(
+      [&b](const auto& x) -> int {
+        using X = std::decay_t<decltype(x)>;
+        if constexpr (std::is_same_v<X, std::monostate>) {
+          RDB_UNREACHABLE("DatumCompare on NULL");
+        } else {
+          return CompareToDatum(x, b);
+        }
+      },
+      a);
+}
+
+int DatumCompareSigned(const Datum& a, const Datum& b) {
+  const int c = DatumCompare(a, b);
+  if (c != 0 || a.index() != 4 || b.index() != 4) return c;
+  return std::signbit(std::get<double>(b)) - std::signbit(std::get<double>(a));
 }
 
 bool DatumEquals(const Datum& a, const Datum& b) {

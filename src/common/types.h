@@ -1,8 +1,10 @@
 // Core scalar type system: TypeId, Datum (boxed scalar), date helpers.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <variant>
 
 namespace recycledb {
@@ -57,10 +59,88 @@ void AppendDatumKey(const Datum& d, std::string* out);
 double DatumAsDouble(const Datum& d);
 int64_t DatumAsInt64(const Datum& d);
 
-/// Three-way comparison of two datums of compatible types.
-/// Numeric alternatives compare numerically (int32 vs int64 vs double OK);
-/// strings compare lexicographically. Returns <0, 0, >0.
+// ---------------------------------------------------------------------------
+// The value order (DESIGN.md "Value order"). Every comparison of two values
+// decides by it: predicates, constant folding, ranges and subsumption, zone
+// maps, sorts, MIN/MAX, grouping, join keys and IN lists.
+//   - integers (bool, int32, int64, date) compare exactly;
+//   - an integer and a double compare exactly, never rounded through double;
+//   - doubles: NaN equals NaN and lies above every number; -0.0 equals 0.0;
+//   - strings compare bytewise.
+// Three-way results are <0, 0 or >0.
+// ---------------------------------------------------------------------------
+
+enum class CompareOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
+
+/// True when the three-way result `c` satisfies `op`.
+inline bool CompareHolds(CompareOp op, int c) {
+  switch (op) {
+    case CompareOp::kEq: return c == 0;
+    case CompareOp::kNe: return c != 0;
+    case CompareOp::kLt: return c < 0;
+    case CompareOp::kLe: return c <= 0;
+    case CompareOp::kGt: return c > 0;
+    case CompareOp::kGe: return c >= 0;
+  }
+  return false;
+}
+
+/// `a op b` for two values of one numeric type, the per-row form of
+/// CompareHolds(op, CompareValues(a, b)): its NaN terms are branch-free.
+template <typename T>
+inline bool OrderHolds(CompareOp op, T a, T b) {
+  bool an = false, bn = false;
+  if constexpr (std::is_floating_point_v<T>) {
+    an = std::isnan(a);
+    bn = std::isnan(b);
+  }
+  switch (op) {
+    case CompareOp::kEq: return (a == b) | (an & bn);
+    case CompareOp::kNe: return !((a == b) | (an & bn));
+    case CompareOp::kLt: return (a < b) | (bn & !an);
+    case CompareOp::kLe: return (a <= b) | bn;
+    case CompareOp::kGt: return (a > b) | (an & !bn);
+    case CompareOp::kGe: return (a >= b) | an;
+  }
+  return false;
+}
+
+template <typename T, std::enable_if_t<std::is_integral_v<T>, int> = 0>
+inline int CompareValues(T a, T b) {
+  return (a > b) - (a < b);
+}
+inline int CompareValues(double a, double b) {
+  return (a > b) - (a < b) + std::isnan(a) - std::isnan(b);
+}
+/// Exact: `b` is never rounded to an integer, nor `a` to a double.
+int CompareValues(int64_t a, double b);
+inline int CompareValues(double a, int64_t b) { return -CompareValues(b, a); }
+inline int CompareValues(const std::string& a, const std::string& b) {
+  const int c = a.compare(b);
+  return (c > 0) - (c < 0);
+}
+
+/// A value of a column's physical type (uint8_t for bool, int32_t for
+/// int32 and date, int64_t, double, std::string) against datum `d`.
+/// Comparing a string with a number aborts; validation rejects it first.
+template <typename T>
+int CompareToDatum(const T& v, const Datum& d) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return CompareValues(v, std::get<std::string>(d));
+  } else {
+    using N = std::conditional_t<std::is_floating_point_v<T>, double, int64_t>;
+    const N x = static_cast<N>(v);
+    return d.index() == 4 ? CompareValues(x, std::get<double>(d))
+                          : CompareValues(x, DatumAsInt64(d));
+  }
+}
+
+/// Two datums under the value order.
 int DatumCompare(const Datum& a, const Datum& b);
+/// DatumCompare with ties between doubles broken by the sign bit (-0.0
+/// below 0.0, a negative NaN below a positive one), so MIN and MAX pick
+/// one representative whatever order the rows arrive in.
+int DatumCompareSigned(const Datum& a, const Datum& b);
 
 bool DatumEquals(const Datum& a, const Datum& b);
 

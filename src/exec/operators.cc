@@ -561,8 +561,8 @@ void HashAggOp::Consume() {
               st.min_v = v;
               st.max_v = v;
             } else {
-              if (DatumCompare(v, st.min_v) < 0) st.min_v = v;
-              if (DatumCompare(v, st.max_v) > 0) st.max_v = v;
+              if (DatumCompareSigned(v, st.min_v) < 0) st.min_v = v;
+              if (DatumCompareSigned(v, st.max_v) > 0) st.max_v = v;
             }
             ++st.count;
             break;

@@ -1,7 +1,7 @@
 #include "expr/expression.h"
 
+#include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/hash.h"
 #include "common/macros.h"
@@ -497,40 +497,37 @@ ColumnPtr Expr::Eval(const Batch& batch, const Schema& input) const {
       auto out = MakeColumn(TypeId::kBool);
       auto& o = out->Data<uint8_t>();
       o.resize(n);
-      const int op = static_cast<int>(compare_op_);
+      const CompareOp op = compare_op_;
       if (l->type() == TypeId::kString || r->type() == TypeId::kString) {
         RDB_CHECK(l->type() == TypeId::kString &&
                   r->type() == TypeId::kString);
         const std::string* ls = l->Raw<std::string>();
         const std::string* rs = r->Raw<std::string>();
         for (int64_t i = 0; i < n; ++i) {
-          int c = ls[i].compare(rs[i]);
-          bool v = false;
-          switch (compare_op_) {
-            case CompareOp::kEq: v = c == 0; break;
-            case CompareOp::kNe: v = c != 0; break;
-            case CompareOp::kLt: v = c < 0; break;
-            case CompareOp::kLe: v = c <= 0; break;
-            case CompareOp::kGt: v = c > 0; break;
-            case CompareOp::kGe: v = c >= 0; break;
-          }
-          o[i] = v;
+          o[i] = CompareHolds(op, ls[i].compare(rs[i]));
         }
         return out;
       }
-      // Numeric comparison through double (exact for our int domains).
-      for (int64_t i = 0; i < n; ++i) {
-        double a = AsDouble(*l, i), b = AsDouble(*r, i);
-        bool v = false;
-        switch (op) {
-          case 0: v = a == b; break;
-          case 1: v = a != b; break;
-          case 2: v = a < b; break;
-          case 3: v = a <= b; break;
-          case 4: v = a > b; break;
-          case 5: v = a >= b; break;
+      // One loop per type class, each under the value order.
+      const bool ld = l->type() == TypeId::kDouble;
+      const bool rd = r->type() == TypeId::kDouble;
+      if (!ld && !rd) {
+        for (int64_t i = 0; i < n; ++i) {
+          o[i] = OrderHolds(op, AsInt64(*l, i), AsInt64(*r, i));
         }
-        o[i] = v;
+      } else if (l->type() == TypeId::kInt64 || r->type() == TypeId::kInt64) {
+        // An int64 meets a double: the exact mixed compare.
+        for (int64_t i = 0; i < n; ++i) {
+          const int c =
+              ld ? CompareValues(l->Raw<double>()[i], r->Raw<int64_t>()[i])
+                 : CompareValues(l->Raw<int64_t>()[i], r->Raw<double>()[i]);
+          o[i] = CompareHolds(op, c);
+        }
+      } else {
+        // A double meets a double, int32, date or bool, all exact in double.
+        for (int64_t i = 0; i < n; ++i) {
+          o[i] = OrderHolds(op, AsDouble(*l, i), AsDouble(*r, i));
+        }
       }
       return out;
     }
@@ -688,16 +685,22 @@ ColumnPtr Expr::Eval(const Batch& batch, const Schema& input) const {
       auto out = MakeColumn(TypeId::kBool);
       auto& o = out->Data<uint8_t>();
       o.resize(n);
-      if (v->type() == TypeId::kString) {
-        std::unordered_set<std::string> set;
-        for (const auto& d : in_values_) set.insert(std::get<std::string>(d));
-        const std::string* sv = v->Raw<std::string>();
-        for (int64_t i = 0; i < n; ++i) o[i] = set.count(sv[i]) > 0;
-      } else {
-        std::unordered_set<int64_t> set;
-        for (const auto& d : in_values_) set.insert(DatumAsInt64(d));
-        for (int64_t i = 0; i < n; ++i) o[i] = set.count(AsInt64(*v, i)) > 0;
-      }
+      // Membership under the value order: a binary search of the list.
+      std::vector<Datum> list = in_values_;
+      std::sort(list.begin(), list.end(), [](const Datum& a, const Datum& b) {
+        return DatumCompare(a, b) < 0;
+      });
+      auto fill = [&](const auto* values) {
+        for (int64_t i = 0; i < n; ++i) {
+          auto it = std::lower_bound(
+              list.begin(), list.end(), values[i],
+              [](const Datum& d, const auto& x) {
+                return CompareToDatum(x, d) > 0;
+              });
+          o[i] = it != list.end() && CompareToDatum(values[i], *it) == 0;
+        }
+      };
+      v->VisitValues(fill);
       return out;
     }
     case ExprKind::kLike: {

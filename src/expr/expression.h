@@ -43,7 +43,6 @@ enum class ExprKind : uint8_t {
   kLike,       // string match: contains / prefix / suffix
 };
 
-enum class CompareOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 enum class LogicalOp : uint8_t { kAnd, kOr, kNot };
 enum class ArithOp : uint8_t { kAdd, kSub, kMul, kDiv };
 

@@ -42,43 +42,13 @@ CompareOp NegateOp(CompareOp op) {
   RDB_UNREACHABLE("bad compare op");
 }
 
-/// Constant-folds a comparison of two literals, mirroring Eval exactly:
-/// strings compare lexicographically, everything else through double
-/// (bool as 0/1). Returns nullptr when the operands are not comparable
+/// Constant-folds a comparison of two literals under the value order, as
+/// Eval compares. Returns nullptr when the operands are not comparable
 /// (NULL involved, or string vs non-string — validation rejects those).
 ExprPtr FoldCompare(CompareOp op, const Datum& a, const Datum& b) {
   if (a.index() == 0 || b.index() == 0) return nullptr;
-  bool sa = a.index() == 5, sb = b.index() == 5;
-  if (sa != sb) return nullptr;
-  int c;
-  if (sa) {
-    c = DatumCompare(a, b);
-  } else {
-    double da = DatumAsDouble(a), db = DatumAsDouble(b);
-    c = da < db ? -1 : (da > db ? 1 : 0);
-  }
-  bool v = false;
-  switch (op) {
-    case CompareOp::kEq:
-      v = c == 0;
-      break;
-    case CompareOp::kNe:
-      v = c != 0;
-      break;
-    case CompareOp::kLt:
-      v = c < 0;
-      break;
-    case CompareOp::kLe:
-      v = c <= 0;
-      break;
-    case CompareOp::kGt:
-      v = c > 0;
-      break;
-    case CompareOp::kGe:
-      v = c >= 0;
-      break;
-  }
-  return BoolLiteral(v);
+  if ((a.index() == 5) != (b.index() == 5)) return nullptr;
+  return BoolLiteral(CompareHolds(op, DatumCompare(a, b)));
 }
 
 /// Constant-folds an arithmetic node over two literals with Eval's exact
@@ -204,7 +174,8 @@ ExprPtr CanonicalizeExprImpl(const ExprPtr& e) {
           return BoolLiteral(!std::get<bool>(c->literal()));
         }
         if (c->kind() == ExprKind::kCompare) {
-          // NULL-free engine: NOT(a < b) is exactly a >= b.
+          // NULL-free engine under a total value order: NOT(a < b) is
+          // exactly a >= b.
           return CanonicalizeExpr(Expr::Compare(NegateOp(c->compare_op()),
                                                 c->children()[0],
                                                 c->children()[1]));

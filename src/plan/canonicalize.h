@@ -6,13 +6,14 @@
 // Rules (documented with examples in DESIGN.md "SQL front-end &
 // normalization"):
 //   - constant folding matching Eval semantics exactly (type promotion,
-//     division-by-zero-yields-0, numeric comparison through double)
+//     division-by-zero-yields-0, comparison under the value order of
+//     common/types.h)
 //   - comparison normalization: `5 < x` becomes `x > 5`
 //   - AND/OR flattening, conjunct deduplication and deterministic
 //     (key-sorted) ordering, TRUE/FALSE simplification
 //   - per-column range-conjunct merging: `x > 1 AND x > 2` -> `x > 2`,
 //     `x >= 5 AND x <= 5` -> `x = 5`, contradictions -> FALSE
-//   - NOT elimination over comparisons (NULL-free engine)
+//   - NOT elimination over comparisons (NULL-free engine, total order)
 //   - Select merging and pushdown below Project (pass-through columns)
 //     and below OrderBy (stable sort: bit-identical results)
 //   - identity-Project elimination and rename-chain composition

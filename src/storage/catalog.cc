@@ -15,9 +15,12 @@ ColumnStats ComputeColumnStats(const Table& table, int c) {
   ColumnStats stats;
   for (int64_t b = 0; b < zone.num_blocks(); ++b) {
     const ZoneEntry& e = zone.block(b);
-    // Same alternative on both sides, so variant `<` compares the values.
-    if (b == 0 || e.min < stats.min_value) stats.min_value = e.min;
-    if (b == 0 || stats.max_value < e.max) stats.max_value = e.max;
+    if (b == 0 || DatumCompare(e.min, stats.min_value) < 0) {
+      stats.min_value = e.min;
+    }
+    if (b == 0 || DatumCompare(e.max, stats.max_value) > 0) {
+      stats.max_value = e.max;
+    }
   }
   std::unordered_set<uint64_t> distinct;
   const int64_t n = col.size();

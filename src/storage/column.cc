@@ -1,5 +1,7 @@
 #include "storage/column.h"
 
+#include <limits>
+
 namespace recycledb {
 
 namespace {
@@ -170,22 +172,8 @@ int64_t ColumnVector::ByteSize() const {
     }
     return total;
   }
-  int64_t width = 0;
-  switch (type_) {
-    case TypeId::kBool:
-      width = 1;
-      break;
-    case TypeId::kInt32:
-    case TypeId::kDate:
-      width = 4;
-      break;
-    case TypeId::kInt64:
-    case TypeId::kDouble:
-      width = 8;
-      break;
-    case TypeId::kString:
-      RDB_UNREACHABLE("handled above");
-  }
+  const int64_t width = VisitValues(
+      [](const auto* v) { return static_cast<int64_t>(sizeof(*v)); });
   if (is_view()) return n * width;
   int64_t capacity = std::visit(
       [](const auto& v) { return static_cast<int64_t>(v.capacity()); }, data_);
@@ -204,9 +192,10 @@ inline uint64_t ValueHash(int64_t v) {
   return HashMix(static_cast<uint64_t>(v));
 }
 inline uint64_t ValueHash(double d) {
-  // RowEquals compares doubles with ==, under which -0.0 equals +0.0, so
-  // both must hash alike.
+  // RowEquals compares doubles under the value order, where -0.0 equals
+  // +0.0 and every NaN equals every other, so each class hashes alike.
   if (d == 0.0) d = 0.0;
+  if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
   uint64_t v;
   static_assert(sizeof(v) == sizeof(d));
   __builtin_memcpy(&v, &d, sizeof(v));
@@ -224,69 +213,34 @@ void CombineHashes(const T* data, int64_t n, uint64_t* hashes) {
 }  // namespace
 
 uint64_t ColumnVector::HashRow(int64_t row, uint64_t seed) const {
-  switch (type_) {
-    case TypeId::kBool:
-      return HashCombine(seed, ValueHash(Raw<uint8_t>()[row]));
-    case TypeId::kInt32:
-    case TypeId::kDate:
-      return HashCombine(seed, ValueHash(Raw<int32_t>()[row]));
-    case TypeId::kInt64:
-      return HashCombine(seed, ValueHash(Raw<int64_t>()[row]));
-    case TypeId::kDouble:
-      return HashCombine(seed, ValueHash(Raw<double>()[row]));
-    case TypeId::kString:
-      return HashCombine(seed, ValueHash(Raw<std::string>()[row]));
-  }
-  RDB_UNREACHABLE("bad type");
+  return VisitValues(
+      [&](const auto* v) { return HashCombine(seed, ValueHash(v[row])); });
 }
 
 void ColumnVector::HashRows(uint64_t* hashes) const {
-  const int64_t n = size();
-  switch (type_) {
-    case TypeId::kBool:
-      return CombineHashes(Raw<uint8_t>(), n, hashes);
-    case TypeId::kInt32:
-    case TypeId::kDate:
-      return CombineHashes(Raw<int32_t>(), n, hashes);
-    case TypeId::kInt64:
-      return CombineHashes(Raw<int64_t>(), n, hashes);
-    case TypeId::kDouble:
-      return CombineHashes(Raw<double>(), n, hashes);
-    case TypeId::kString:
-      return CombineHashes(Raw<std::string>(), n, hashes);
-  }
-  RDB_UNREACHABLE("bad type");
+  VisitValues([&](const auto* v) { CombineHashes(v, size(), hashes); });
 }
 
 bool ColumnVector::RowEquals(int64_t a, const ColumnVector& other,
                              int64_t b) const {
   RDB_CHECK(type_ == other.type_);
-  switch (type_) {
-    case TypeId::kBool:
-      return Raw<uint8_t>()[a] == other.Raw<uint8_t>()[b];
-    case TypeId::kInt32:
-    case TypeId::kDate:
-      return Raw<int32_t>()[a] == other.Raw<int32_t>()[b];
-    case TypeId::kInt64:
-      return Raw<int64_t>()[a] == other.Raw<int64_t>()[b];
-    case TypeId::kDouble:
-      return Raw<double>()[a] == other.Raw<double>()[b];
-    case TypeId::kString:
-      return Raw<std::string>()[a] == other.Raw<std::string>()[b];
-  }
-  RDB_UNREACHABLE("bad type");
+  return VisitValues([&](const auto* v) {
+    using T = std::remove_const_t<std::remove_pointer_t<decltype(v)>>;
+    return CompareValues(v[a], other.Raw<T>()[b]) == 0;
+  });
 }
 
 ColumnPtr MakeColumn(TypeId type) { return std::make_shared<ColumnVector>(type); }
 
 namespace {
 
-/// Folds rows [from, to) of a typed column into block summaries. `D` is
-/// the Datum alternative used for the stored min/max (bool for kBool,
-/// int32_t for kInt32/kDate, ...).
-template <typename D, typename T>
+/// Folds rows [from, to) of a typed column into block summaries, under
+/// the value order. The stored min/max are Datums of the column's
+/// alternative (bool for kBool's uint8_t storage).
+template <typename T>
 void FoldRows(const T* data, int64_t from, int64_t to,
               std::vector<ZoneEntry>* blocks, bool* column_sorted) {
+  using D = std::conditional_t<std::is_same_v<T, uint8_t>, bool, T>;
   for (int64_t r = from; r < to; ++r) {
     const D v = static_cast<D>(data[r]);
     const int64_t b = r / kZoneMapBlockRows;
@@ -294,14 +248,15 @@ void FoldRows(const T* data, int64_t from, int64_t to,
       blocks->push_back(ZoneEntry{Datum(v), Datum(v), true, true});
     } else {
       ZoneEntry& e = (*blocks)[b];
-      if (v < std::get<D>(e.min)) e.min = v;
-      if (v > std::get<D>(e.max)) e.max = v;
+      if (CompareValues(v, std::get<D>(e.min)) < 0) e.min = v;
+      if (CompareValues(v, std::get<D>(e.max)) > 0) e.max = v;
       if (r % kZoneMapBlockRows != 0 && e.sorted &&
-          v < static_cast<D>(data[r - 1])) {
+          CompareValues(v, static_cast<D>(data[r - 1])) < 0) {
         e.sorted = false;
       }
     }
-    if (r > 0 && *column_sorted && v < static_cast<D>(data[r - 1])) {
+    if (r > 0 && *column_sorted &&
+        CompareValues(v, static_cast<D>(data[r - 1])) < 0) {
       *column_sorted = false;
     }
   }
@@ -313,28 +268,9 @@ void ZoneMap::Update(const ColumnVector& col) {
   RDB_CHECK(col.type() == type_);
   const int64_t n = col.size();
   if (n <= rows_covered_) return;
-  switch (type_) {
-    case TypeId::kBool:
-      FoldRows<bool>(col.Raw<uint8_t>(), rows_covered_, n, &blocks_, &sorted_);
-      break;
-    case TypeId::kInt32:
-    case TypeId::kDate:
-      FoldRows<int32_t>(col.Raw<int32_t>(), rows_covered_, n, &blocks_,
-                        &sorted_);
-      break;
-    case TypeId::kInt64:
-      FoldRows<int64_t>(col.Raw<int64_t>(), rows_covered_, n, &blocks_,
-                        &sorted_);
-      break;
-    case TypeId::kDouble:
-      FoldRows<double>(col.Raw<double>(), rows_covered_, n, &blocks_,
-                       &sorted_);
-      break;
-    case TypeId::kString:
-      FoldRows<std::string>(col.Raw<std::string>(), rows_covered_, n,
-                            &blocks_, &sorted_);
-      break;
-  }
+  col.VisitValues([&](const auto* v) {
+    FoldRows(v, rows_covered_, n, &blocks_, &sorted_);
+  });
   rows_covered_ = n;
 }
 

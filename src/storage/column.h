@@ -87,6 +87,21 @@ class ColumnVector {
     return std::get<std::vector<T>>(p.data_).data() + view_offset_;
   }
 
+  /// Calls `f` with Raw<T>() for the storage type T of type() and returns
+  /// its result.
+  template <typename F>
+  decltype(auto) VisitValues(F&& f) const {
+    switch (type_) {
+      case TypeId::kBool: return f(Raw<uint8_t>());
+      case TypeId::kInt32:
+      case TypeId::kDate: return f(Raw<int32_t>());
+      case TypeId::kInt64: return f(Raw<int64_t>());
+      case TypeId::kDouble: return f(Raw<double>());
+      case TypeId::kString: return f(Raw<std::string>());
+    }
+    RDB_UNREACHABLE("bad type");
+  }
+
   /// Typed builder access to the owning storage. T must match the storage
   /// type for type(); checked. Aborts on views and on shared sources —
   /// use Raw() to read.
@@ -125,14 +140,15 @@ class ColumnVector {
   int64_t ByteSize() const;
 
   /// Hashes row `row` into `seed` (used by hash join/aggregate). Values
-  /// that RowEquals calls equal hash alike (-0.0 hashes as +0.0).
+  /// that RowEquals calls equal hash alike (-0.0 as +0.0, every NaN alike).
   uint64_t HashRow(int64_t row, uint64_t seed) const;
 
   /// Batch form of HashRow: hashes[r] = HashRow(r, hashes[r]) for every
   /// row r < size(), in one typed loop.
   void HashRows(uint64_t* hashes) const;
 
-  /// True if rows a (in this) and b (in other) hold equal values.
+  /// True if rows a (in this) and b (in other) hold equal values under
+  /// the value order (common/types.h).
   bool RowEquals(int64_t a, const ColumnVector& other, int64_t b) const;
 
  private:

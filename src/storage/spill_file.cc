@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <string_view>
 #include <type_traits>
 #include <variant>
 
@@ -331,45 +330,27 @@ TablePtr MakeResultTable(const SpillFileMeta& meta) {
 }
 
 /// Appends to `*sel` the rows of `values` that lie in `range`, compared
-/// as DatumCompare compares: numbers as doubles, strings bytewise. Each
-/// bound is converted once, outside the loop; a bound of the other kind
-/// is an error.
+/// under the value order (CompareToDatum). A bound of the other kind
+/// (string vs number) is an error.
 template <typename T>
 Status SelectInRange(const T* values, int64_t n, const ColumnInterval& range,
                      std::vector<int32_t>* sel) {
   constexpr bool kString = std::is_same_v<T, std::string>;
-  using Key = std::conditional_t<kString, std::string_view, double>;
-  auto key_of = [](const RangeBound& b, Key* key) {
-    if (b.unbounded) return true;
-    const bool is_string = std::holds_alternative<std::string>(b.value);
-    if (is_string != kString || b.value.index() == 0) return false;
-    if constexpr (kString) {
-      *key = std::get<std::string>(b.value);
-    } else {
-      *key = DatumAsDouble(b.value);
+  for (const RangeBound* b : {&range.lo, &range.hi}) {
+    if (!b->unbounded && (b->value.index() == 0 ||
+                          std::holds_alternative<std::string>(b->value) !=
+                              kString)) {
+      return Status::InvalidArgument(
+          "range bound does not match the filter column's type");
     }
-    return true;
-  };
-  Key lo{}, hi{};
-  if (!key_of(range.lo, &lo) || !key_of(range.hi, &hi)) {
-    return Status::InvalidArgument(
-        "range bound does not match the filter column's type");
   }
-  auto compare = [](Key a, Key b) {
-    if constexpr (kString) {
-      return a.compare(b);
-    } else {
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
-  };
   for (int64_t i = 0; i < n; ++i) {
-    const Key v(values[i]);
     if (!range.lo.unbounded) {
-      const int c = compare(v, lo);
+      const int c = CompareToDatum(values[i], range.lo.value);
       if (c < 0 || (c == 0 && !range.lo.inclusive)) continue;
     }
     if (!range.hi.unbounded) {
-      const int c = compare(v, hi);
+      const int c = CompareToDatum(values[i], range.hi.value);
       if (c > 0 || (c == 0 && !range.hi.inclusive)) continue;
     }
     sel->push_back(static_cast<int32_t>(i));
@@ -379,20 +360,9 @@ Status SelectInRange(const T* values, int64_t n, const ColumnInterval& range,
 
 Status SelectRows(const ColumnVector& col, const ColumnInterval& range,
                   std::vector<int32_t>* sel) {
-  switch (col.type()) {
-    case TypeId::kBool:
-      return SelectInRange(col.Raw<uint8_t>(), col.size(), range, sel);
-    case TypeId::kInt32:
-    case TypeId::kDate:
-      return SelectInRange(col.Raw<int32_t>(), col.size(), range, sel);
-    case TypeId::kInt64:
-      return SelectInRange(col.Raw<int64_t>(), col.size(), range, sel);
-    case TypeId::kDouble:
-      return SelectInRange(col.Raw<double>(), col.size(), range, sel);
-    case TypeId::kString:
-      return SelectInRange(col.Raw<std::string>(), col.size(), range, sel);
-  }
-  RDB_UNREACHABLE("bad type");
+  return col.VisitValues([&](const auto* values) {
+    return SelectInRange(values, col.size(), range, sel);
+  });
 }
 
 }  // namespace

@@ -146,7 +146,7 @@ Status ReadSpillTable(const std::string& path, SpillFileMeta* meta,
 /// Like ReadSpillTable, but returns only the rows whose value in column
 /// `filter_column` (index into the file's columns) falls in `range`:
 /// every column is decoded once, rows are selected on the decoded filter
-/// column (compared as DatumCompare compares) and every column is
+/// column (under the value order of common/types.h) and every column is
 /// gathered through that selection, so a cold slice consumed by a
 /// subsumption/stitch rewrite carries no row the rewrite would filter
 /// out anyway. Row order is preserved, so the result is bit-identical to

@@ -8,6 +8,7 @@
 // (cold-tier identity) surfaced through Explain.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -64,11 +65,23 @@ TEST(CanonicalizeExprTest, FoldsArithmeticLikeEval) {
             KeyOf(Expr::Literal(2010)));
 }
 
-TEST(CanonicalizeExprTest, FoldsComparisonsThroughDouble) {
+TEST(CanonicalizeExprTest, FoldsComparisonsUnderTheValueOrder) {
   EXPECT_EQ(CanonKey(Expr::Lt(Expr::Literal(1), Expr::Literal(2))),
             KeyOf(Expr::Literal(true)));
   // Numeric comparison crosses int/double exactly as Eval does.
   EXPECT_EQ(CanonKey(Expr::Eq(Expr::Literal(2), Expr::Literal(2.0))),
+            KeyOf(Expr::Literal(true)));
+  constexpr int64_t k53 = int64_t{1} << 53;
+  EXPECT_EQ(CanonKey(Expr::Eq(Expr::Literal(k53 + 1),
+                              Expr::Literal(static_cast<double>(k53)))),
+            KeyOf(Expr::Literal(false)));
+  // NaN equals NaN and lies above every number; -0.0 equals 0.0.
+  const double nan = std::nan("");
+  EXPECT_EQ(CanonKey(Expr::Eq(Expr::Literal(nan), Expr::Literal(nan))),
+            KeyOf(Expr::Literal(true)));
+  EXPECT_EQ(CanonKey(Expr::Lt(Expr::Literal(1e300), Expr::Literal(nan))),
+            KeyOf(Expr::Literal(true)));
+  EXPECT_EQ(CanonKey(Expr::Eq(Expr::Literal(-0.0), Expr::Literal(0.0))),
             KeyOf(Expr::Literal(true)));
   EXPECT_EQ(CanonKey(Expr::Eq(Expr::Literal(std::string("a")),
                              Expr::Literal(std::string("b")))),
@@ -76,7 +89,7 @@ TEST(CanonicalizeExprTest, FoldsComparisonsThroughDouble) {
 }
 
 TEST(CanonicalizeExprTest, EliminatesNotOverComparisons) {
-  // NULL-free engine: NOT(a < b) is exactly a >= b.
+  // NULL-free engine under a total order: NOT(a < b) is exactly a >= b.
   EXPECT_EQ(CanonKey(Expr::Not(Expr::Lt(Col("x"), Expr::Literal(5)))),
             KeyOf(Expr::Ge(Col("x"), Expr::Literal(5))));
   // Double negation disappears; NOT over LIKE flips the match kind.
@@ -337,6 +350,47 @@ TEST_F(EquivalenceTest, AblationCanonicalizationOffMissesNoisyVariants) {
     // Correctness does not depend on the flag.
     EXPECT_EQ(RowMultiset(*second.table()), RowMultiset(*first.table()));
   }
+}
+
+/// Rows of `SELECT v FROM n WHERE pred` on a fresh database over n(v),
+/// with the canonicalizer on or off.
+int64_t CountNanRows(const std::vector<double>& values, const ExprPtr& pred,
+                     bool canonicalize) {
+  DatabaseOptions options;
+  options.canonicalize_plans = canonicalize;
+  auto db = Database::OpenOrDie(options);
+  TablePtr t = MakeTable(Schema({{"v", TypeId::kDouble}}));
+  for (double v : values) t->AppendRow({v});
+  EXPECT_TRUE(db->CreateTable("n", t).ok());
+  Result r = db->Execute(PlanNode::Select(PlanNode::Scan("n", {"v"}), pred));
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.num_rows();
+}
+
+TEST(ValueOrderCanonicalTest, NanBoundMergesTheSameInEitherConjunctOrder) {
+  // -46 ... 53, then 50 NaNs: `v < 5.0` holds for 51 rows, `v < NaN` for
+  // every number.
+  std::vector<double> values;
+  for (int i = -46; i <= 53; ++i) values.push_back(i);
+  for (int i = 0; i < 50; ++i) values.push_back(std::nan(""));
+  ExprPtr below_nan = Expr::Lt(Col("v"), Expr::Literal(std::nan("")));
+  ExprPtr below_5 = Expr::Lt(Col("v"), Expr::Literal(5.0));
+  for (bool canonicalize : {true, false}) {
+    SCOPED_TRACE(canonicalize ? "canonical" : "raw");
+    EXPECT_EQ(CountNanRows(values, Expr::And(below_nan, below_5), canonicalize),
+              51);
+    EXPECT_EQ(CountNanRows(values, Expr::And(below_5, below_nan), canonicalize),
+              51);
+    EXPECT_EQ(CountNanRows(values, below_nan, canonicalize), 100);
+  }
+}
+
+TEST(ValueOrderCanonicalTest, NotEliminationKeepsTheNanRow) {
+  // NaN lies above 50, so NOT (v < 50) and v >= 50 both hold for it.
+  const std::vector<double> values = {std::nan(""), 100, 10};
+  ExprPtr pred = Expr::Not(Expr::Lt(Col("v"), Expr::Literal(50)));
+  EXPECT_EQ(CountNanRows(values, pred, false), 2);
+  EXPECT_EQ(CountNanRows(values, pred, true), 2);
 }
 
 TEST_F(EquivalenceTest, SessionExplainShowsPreAndPostCanonicalization) {

@@ -1,7 +1,12 @@
 // Unit tests for src/expr: evaluation, type deduction, keys,
-// renaming, conjunct splitting, aggregate decomposition.
+// renaming, conjunct splitting, aggregate decomposition, and the compare
+// kernel and IN lists under the value order.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "common/rng.h"
 #include "expr/aggregate.h"
 #include "expr/expression.h"
 
@@ -154,6 +159,113 @@ TEST(ExprEvalTest, InList) {
   ExprPtr e = Expr::In(Expr::Column("s"),
                        {std::string("banana"), std::string("cherry")});
   EXPECT_EQ(e->EvalSelection(b, TestSchema()), (std::vector<int32_t>{1}));
+}
+
+// ---------------------------------------------------------------------------
+// The value order in the compare kernel and IN lists
+// ---------------------------------------------------------------------------
+
+/// A batch of one column `x` holding `values`, all of one alternative.
+Batch OneColumn(const std::vector<Datum>& values, Schema* schema) {
+  const TypeId type = DatumType(values.front());
+  *schema = Schema({{"x", type}});
+  Batch batch;
+  batch.columns = {MakeColumn(type)};
+  for (const Datum& v : values) batch.columns[0]->Append(v);
+  batch.num_rows = static_cast<int64_t>(values.size());
+  return batch;
+}
+
+int64_t CountWhere(const std::vector<Datum>& values, const ExprPtr& pred) {
+  Schema schema;
+  Batch batch = OneColumn(values, &schema);
+  return static_cast<int64_t>(pred->EvalSelection(batch, schema).size());
+}
+
+TEST(ValueOrderTest, IntegersBeyondTwoToThe53CompareExactly) {
+  constexpr int64_t k53 = int64_t{1} << 53;
+  std::vector<Datum> xs;
+  for (int64_t i = 0; i < 8; ++i) xs.push_back(Datum(k53 + i));
+  ExprPtr x = Expr::Column("x");
+  const double k53d = static_cast<double>(k53);
+  EXPECT_EQ(CountWhere(xs, Expr::Gt(x, Expr::Literal(k53))), 7);
+  EXPECT_EQ(CountWhere(xs, Expr::Gt(x, Expr::Literal(k53d))), 7);
+  EXPECT_EQ(CountWhere(xs, Expr::Eq(x, Expr::Literal(k53 + 1))), 1);
+  EXPECT_EQ(CountWhere(xs, Expr::Le(x, Expr::Literal(k53 + 6))), 7);
+}
+
+TEST(ValueOrderTest, InListMatchesExactly) {
+  ExprPtr x = Expr::Column("x");
+  EXPECT_EQ(CountWhere({Datum(1.2), Datum(1.5), Datum(1.9)},
+                       Expr::In(x, {Datum(1.5)})),
+            1);
+  EXPECT_EQ(CountWhere({Datum(int32_t{1}), Datum(int32_t{2})},
+                       Expr::In(x, {Datum(1.5)})),
+            0);
+  EXPECT_EQ(CountWhere({Datum(int32_t{1}), Datum(int32_t{2})},
+                       Expr::In(x, {Datum(2.0), Datum(int64_t{7})})),
+            1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(CountWhere({Datum(nan), Datum(-0.0), Datum(3.0)},
+                       Expr::In(x, {Datum(nan), Datum(0.0)})),
+            2);
+}
+
+/// The adversarial domain: NaN, both infinities and zeros, subnormals,
+/// the integers around 2^53 and the ends of int64, as int64 and double.
+std::vector<Datum> EdgeValues() {
+  constexpr int64_t k53 = int64_t{1} << 53;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double den = std::numeric_limits<double>::denorm_min();
+  std::vector<Datum> out = {
+      Datum(std::numeric_limits<double>::quiet_NaN()),
+      Datum(-std::numeric_limits<double>::quiet_NaN()),
+      Datum(inf), Datum(-inf), Datum(0.0), Datum(-0.0), Datum(den),
+      Datum(-den), Datum(1.5), Datum(std::ldexp(1.0, 63)),
+      Datum(-std::ldexp(1.0, 63)), Datum(int32_t{0}), Datum(int32_t{-1}),
+      Datum(int64_t{0}), Datum(std::numeric_limits<int64_t>::min()),
+      Datum(std::numeric_limits<int64_t>::max())};
+  for (int64_t d = -1; d <= 1; ++d) {
+    out.push_back(Datum(k53 + d));
+    out.push_back(Datum(static_cast<double>(k53 + d)));
+    out.push_back(Datum(-k53 + d));
+  }
+  return out;
+}
+
+TEST(ValueOrderProperty, KernelAgreesWithDatumCompareOnAStrictWeakOrder) {
+  const std::vector<Datum> pool = EdgeValues();
+  const int64_t last = static_cast<int64_t>(pool.size()) - 1;
+  Rng rng(2009);
+  auto draw = [&] { return pool[rng.Uniform(0, last)]; };
+  const Schema empty;
+  for (int i = 0; i < 2000; ++i) {
+    const Datum a = draw(), b = draw();
+    Batch batch;
+    batch.num_rows = 1;
+    for (int op = 0; op <= static_cast<int>(CompareOp::kGe); ++op) {
+      ExprPtr e = Expr::Compare(static_cast<CompareOp>(op), Expr::Literal(a),
+                                Expr::Literal(b));
+      const bool got = e->Eval(batch, empty)->Raw<uint8_t>()[0] != 0;
+      EXPECT_EQ(got, CompareHolds(static_cast<CompareOp>(op),
+                                  DatumCompare(a, b)))
+          << DatumToKeyString(a) << " op " << op << " "
+          << DatumToKeyString(b);
+    }
+    EXPECT_EQ(DatumCompare(a, b), -DatumCompare(b, a));
+    const Datum c = draw();
+    const bool lt_ab = DatumCompare(a, b) < 0, lt_bc = DatumCompare(b, c) < 0;
+    const bool eq_ab = DatumCompare(a, b) == 0, eq_bc = DatumCompare(b, c) == 0;
+    // Irreflexive, transitive, and equivalence is transitive.
+    const std::string abc = DatumToKeyString(a) + " " + DatumToKeyString(b) +
+                            " " + DatumToKeyString(c);
+    EXPECT_EQ(DatumCompare(a, a), 0) << abc;
+    EXPECT_TRUE(!(lt_ab && lt_bc) || DatumCompare(a, c) < 0) << abc;
+    EXPECT_TRUE(!(eq_ab && eq_bc) || DatumCompare(a, c) == 0) << abc;
+    EXPECT_TRUE(!((lt_ab && eq_bc) || (eq_ab && lt_bc)) ||
+                DatumCompare(a, c) < 0)
+        << abc;
+  }
 }
 
 TEST(ExprEvalTest, LikeVariants) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -251,8 +252,8 @@ TEST_F(OperatorTest, OperatorStatsCollected) {
 }
 
 TEST_F(OperatorTest, HashJoinMatchesNegativeZeroWithPositiveZero) {
-  // RowEquals compares doubles with ==, so -0.0 joins +0.0; the two must
-  // therefore hash alike.
+  // RowEquals compares doubles under the value order, so -0.0 joins
+  // +0.0; the two must therefore hash alike.
   Schema s({{"x", TypeId::kDouble}});
   TablePtr pos = MakeTable(s);
   pos->AppendRow({0.0});
@@ -277,6 +278,55 @@ TEST_F(OperatorTest, HashAggGroupsNegativeZeroWithPositiveZero) {
       {{AggFunc::kCount, Expr::Literal(int64_t{1}), "c"}}));
   ASSERT_EQ(r->num_rows(), 1);
   EXPECT_EQ(std::get<int64_t>(r->Get(0, 1)), 2);
+}
+
+// --- NaN under the value order: above every number, equal to itself -------
+
+/// nans(k, v): 5,000 rows, v = k % 100 except every third row, which is NaN.
+void RegisterNans(Catalog* catalog) {
+  TablePtr t =
+      MakeTable(Schema({{"k", TypeId::kInt32}, {"v", TypeId::kDouble}}));
+  for (int i = 0; i < 5000; ++i) {
+    t->AppendRow({int32_t{i}, i % 3 == 0 ? std::nan("")
+                                         : static_cast<double>(i % 100)});
+  }
+  ASSERT_TRUE(catalog->RegisterTable("nans", t).ok());
+}
+
+TEST_F(OperatorTest, OrderBySortsNanAboveEveryNumber) {
+  RegisterNans(&catalog_);
+  TablePtr r = Run(PlanNode::OrderBy(PlanNode::Scan("nans", {"v", "k"}),
+                                     {{"v", true}}));
+  ASSERT_EQ(r->num_rows(), 5000);
+  // The 3,333 numbers come first, in order; the 1,667 NaNs after them.
+  int inversions = 0, nans_first = 0;
+  for (int64_t i = 0; i < r->num_rows(); ++i) {
+    const double v = std::get<double>(r->Get(i, 0));
+    nans_first += (i < 3333) == std::isnan(v);
+    if (i > 0 && i < 3333) inversions += std::get<double>(r->Get(i - 1, 0)) > v;
+  }
+  EXPECT_EQ(inversions, 0);
+  EXPECT_EQ(nans_first, 0);
+}
+
+TEST_F(OperatorTest, MinMaxAndGroupsTreatNanAsOneValueAboveNumbers) {
+  RegisterNans(&catalog_);
+  TablePtr mm = Run(PlanNode::Aggregate(
+      PlanNode::Scan("nans", {"v"}), {},
+      {{AggFunc::kMin, Expr::Column("v"), "lo"},
+       {AggFunc::kMax, Expr::Column("v"), "hi"}}));
+  EXPECT_EQ(std::get<double>(mm->Get(0, 0)), 0.0);
+  EXPECT_TRUE(std::isnan(std::get<double>(mm->Get(0, 1))));
+  TablePtr groups = Run(PlanNode::Aggregate(
+      PlanNode::Scan("nans", {"v"}), {"v"},
+      {{AggFunc::kCount, Expr::Literal(int64_t{1}), "c"}}));
+  int64_t nan_groups = 0;
+  for (int64_t g = 0; g < groups->num_rows(); ++g) {
+    if (!std::isnan(std::get<double>(groups->Get(g, 0)))) continue;
+    ++nan_groups;
+    EXPECT_EQ(std::get<int64_t>(groups->Get(g, 1)), 1667);
+  }
+  EXPECT_EQ(nan_groups, 1);
 }
 
 // --- Hash join against a nested-loop reference ------------------------------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <thread>
 
 #include "common/rng.h"
@@ -305,6 +306,28 @@ TEST_F(PartialReuseTest, StitchedRangeEqualsColdExecution) {
   EXPECT_EQ(trace.num_reuses, 1);
   EXPECT_EQ(rec.counters().partial_reuses.load(), 1);
   EXPECT_EQ(RowMultiset(*r.table), RunOff(RangeQuery(30, 80)));
+}
+
+TEST_F(PartialReuseTest, CachedNanBoundServesANumericBoundCorrectly) {
+  // NaN lies above every number, so a cached `v < NaN` holds every
+  // numeric row and `v < 5.0` is derived from it by a filter.
+  TablePtr t = MakeTable(Schema({{"v", TypeId::kDouble}}));
+  for (int i = -46; i <= 53; ++i) {
+    t->AppendRow({static_cast<double>(i)});
+    if (i % 2 == 0) t->AppendRow({std::nan("")});
+  }
+  ASSERT_TRUE(catalog_.RegisterTable("n", t).ok());
+  auto below = [](double hi) {
+    return PlanNode::Select(PlanNode::Scan("n", {"v"}),
+                            Expr::Lt(Expr::Column("v"), Expr::Literal(hi)));
+  };
+  Recycler rec = MakeRecycler();
+  EXPECT_EQ(rec.Execute(below(std::nan(""))).table->num_rows(), 100);
+  QueryTrace trace;
+  ExecResult r = rec.Execute(below(5.0), &trace);
+  EXPECT_EQ(trace.num_reuses, 1);
+  EXPECT_EQ(r.table->num_rows(), 51);
+  EXPECT_EQ(RowMultiset(*r.table), RunOff(below(5.0)));
 }
 
 TEST_F(PartialReuseTest, DisabledFlagFallsBackToColdExecution) {

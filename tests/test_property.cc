@@ -8,10 +8,13 @@
 //  P4. The cache never exceeds its capacity.
 //  P5. Cached state is consistent: mat_state == kCached iff the node
 //      holds a table, and cached bytes add up.
-//  P6. Differential SQL fuzz: random SQL over a random append schedule
-//      returns bit-identical rows recycler-on vs bypass, and the
-//      recorded trace replays on a fresh engine with identical reuse
-//      modes and digests.
+//  P6. Differential SQL fuzz: random SQL over a random append schedule,
+//      with edge values of the value order in the data, returns
+//      bit-identical rows recycler-on, bypass, and raw (no canonicalizer,
+//      no zone-map pruning); rows where p holds and rows where NOT p
+//      holds partition the table (TLP); IN equals its ORed equalities;
+//      and the recorded trace replays on a fresh engine with identical
+//      reuse modes and digests.
 //  P7. Keys are injective: over identifiers built from separator
 //      characters and literals that print alike, two expression or plan
 //      keys are equal exactly when the trees are; an ordinal key decodes
@@ -21,7 +24,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -226,9 +231,17 @@ std::vector<Datum> FuzzRow(int64_t i) {
   // aggregate results are order-independent and the bit-identity
   // check compares content, not summation order (delta merges and
   // subsumption legitimately re-associate floating-point sums).
-  return {static_cast<int32_t>(rng.Uniform(0, 60)),
-          static_cast<int32_t>(rng.Uniform(0, 500)),
-          static_cast<double>(rng.Uniform(0, 100000)) / 8.0};
+  const int32_t a = static_cast<int32_t>(rng.Uniform(0, 60));
+  const int32_t b = static_cast<int32_t>(rng.Uniform(0, 500));
+  double v = static_cast<double>(rng.Uniform(0, 100000)) / 8.0;
+  // One row in 16 holds an edge value of the value order instead. One
+  // infinity sign only, so a sum never meets inf - inf, whose NaN would
+  // depend on the order of addition.
+  const double edges[] = {std::nan(""), std::numeric_limits<double>::infinity(),
+                          0.0, -0.0};
+  const int64_t pick = rng.Uniform(0, 63);
+  if (pick < 4) v = edges[pick];
+  return {a, b, v};
 }
 
 void AppendFuzzRows(Table* t, int64_t start_row, int64_t rows) {
@@ -244,7 +257,10 @@ void AppendFuzzRows(Table* t, int64_t start_row, int64_t rows) {
 double FuzzCollisionValue(int n) {
   for (int64_t i = 0;; ++i) {
     const double v = std::get<double>(FuzzRow(i)[2]);
-    if (v >= 10000 && std::fmod(v * 4, 2) != 1 && n-- == 0) return v;
+    if (std::isfinite(v) && v >= 10000 && std::fmod(v * 4, 2) != 1 &&
+        n-- == 0) {
+      return v;
+    }
   }
 }
 
@@ -256,22 +272,48 @@ TablePtr MakeFuzzBatch(int64_t rows, int64_t start_row) {
   return batch;
 }
 
+/// One statement of the fuzz workload. When it is `SELECT * FROM fuzz
+/// WHERE <where>`, `where` holds the predicate (for the TLP check); when
+/// that predicate is an IN list, `in_as_or` spells it as ORed equalities.
+struct FuzzQuery {
+  std::string sql;
+  std::string where;
+  std::string in_as_or;
+};
+
+/// A v literal: a stored value, or an edge of the value order that SQL
+/// can spell (zeros of both signs, a bound above every finite v).
+std::string FuzzDoubleLiteral(Rng* rng) {
+  char buf[48];
+  switch (rng->Uniform(0, 4)) {
+    case 0: return "0.0";
+    case 1: return "-0.0";
+    case 2: return "1e300";
+    default: {
+      const double v = std::get<double>(FuzzRow(rng->Uniform(0, 4095))[2]);
+      std::snprintf(buf, sizeof(buf), "%.17g", std::isfinite(v) ? v : 0.5);
+      return buf;
+    }
+  }
+}
+
 /// Random SQL over fuzz(a, b, v) with small constant domains, so the
 /// workload repeats spellings (exact), refines them (subsumption),
 /// slides ranges (stitch) and re-aggregates across appends (delta /
 /// agg-merge). Some range bounds sit 1e-4 either side of a stored value
 /// (the two bounds differ only past six significant digits). One case
 /// swaps the aggregate aliases of another, so `sv` and `n` each name two
-/// different columns across statements. No ORDER BY: rows compare as
-/// multisets.
-std::string RandomFuzzSql(Rng* rng) {
+/// different columns across statements. NOT over a comparison and IN
+/// over `a` and `v` meet the edge values in v. No ORDER BY: rows compare
+/// as multisets.
+FuzzQuery RandomFuzzQuery(Rng* rng) {
   char buf[160];
-  switch (rng->Uniform(0, 5)) {
+  FuzzQuery q;
+  switch (rng->Uniform(0, 8)) {
     case 0: {
       int lo = static_cast<int>(rng->Uniform(0, 4)) * 10;
-      std::snprintf(buf, sizeof(buf),
-                    "SELECT * FROM fuzz WHERE a >= %d AND a < %d", lo,
-                    lo + 20);
+      std::snprintf(buf, sizeof(buf), "a >= %d AND a < %d", lo, lo + 20);
+      q.where = buf;
       break;
     }
     case 1: {
@@ -280,6 +322,7 @@ std::string RandomFuzzSql(Rng* rng) {
                     "SELECT a, SUM(v) AS sv, COUNT(v) AS n FROM fuzz"
                     " WHERE b < %d GROUP BY a",
                     cut);
+      q.sql = buf;
       break;
     }
     case 2: {
@@ -288,6 +331,7 @@ std::string RandomFuzzSql(Rng* rng) {
                     "SELECT a, SUM(v) AS n, COUNT(v) AS sv FROM fuzz"
                     " WHERE b < %d GROUP BY a",
                     cut);
+      q.sql = buf;
       break;
     }
     case 3: {
@@ -296,23 +340,54 @@ std::string RandomFuzzSql(Rng* rng) {
                     "SELECT b, MIN(v) AS lo, MAX(v) AS hi FROM fuzz"
                     " WHERE a >= %d GROUP BY b",
                     lo);
+      q.sql = buf;
       break;
     }
     case 4: {
       const double g = FuzzCollisionValue(static_cast<int>(rng->Uniform(0, 1)));
       const double bound = rng->Uniform(0, 1) == 0 ? g - 1e-4 : g + 1e-4;
-      std::snprintf(buf, sizeof(buf), "SELECT * FROM fuzz WHERE v >= %.4f",
-                    bound);
+      std::snprintf(buf, sizeof(buf), "v >= %.4f", bound);
+      q.where = buf;
+      break;
+    }
+    case 5: {
+      int t = static_cast<int>(rng->Uniform(0, 5));
+      std::snprintf(buf, sizeof(buf), "v >= %d000.0", 2 + t * 2);
+      q.where = buf;
+      break;
+    }
+    case 6: {
+      const char* ops[] = {"<", "<=", ">", ">=", "=", "<>"};
+      q.where = std::string("NOT (v ") + ops[rng->Uniform(0, 5)] + " " +
+                FuzzDoubleLiteral(rng) + ")";
+      break;
+    }
+    case 7: {
+      std::snprintf(buf, sizeof(buf), "NOT (a < %d)",
+                    static_cast<int>(rng->Uniform(0, 6)) * 10);
+      q.where = buf;
       break;
     }
     default: {
-      int t = static_cast<int>(rng->Uniform(0, 5));
-      std::snprintf(buf, sizeof(buf),
-                    "SELECT * FROM fuzz WHERE v >= %d000.0", 2 + t * 2);
+      // IN over an int column takes int and non-integral double values.
+      const bool over_v = rng->Uniform(0, 1) == 0;
+      std::string c1, c2;
+      if (over_v) {
+        c1 = FuzzDoubleLiteral(rng);
+        c2 = FuzzDoubleLiteral(rng);
+      } else {
+        c1 = std::to_string(rng->Uniform(0, 60));
+        c2 = std::to_string(rng->Uniform(0, 60));
+        if (rng->Uniform(0, 1) == 0) c2 += ".5";
+      }
+      const std::string x = over_v ? "v" : "a";
+      q.where = x + " IN (" + c1 + ", " + c2 + ")";
+      q.in_as_or = x + " = " + c1 + " OR " + x + " = " + c2;
       break;
     }
   }
-  return buf;
+  if (!q.where.empty()) q.sql = "SELECT * FROM fuzz WHERE " + q.where;
+  return q;
 }
 
 /// Bit-exact row multiset: doubles at %.17g (round-trip precision), so a
@@ -348,7 +423,7 @@ TEST(SqlFuzzConstants, CollisionBoundsPrintAlikeButKeyApart) {
   }
 }
 
-TEST_P(SqlFuzzTest, DifferentialAgainstBypassAndReplay) {
+TEST_P(SqlFuzzTest, DifferentialAgainstBypassRawAndReplay) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   constexpr int64_t kInitialRows = 4096;
   constexpr int kQueries = 60;
@@ -359,6 +434,13 @@ TEST_P(SqlFuzzTest, DifferentialAgainstBypassAndReplay) {
   options.recycler.capture_plan_explain = true;
   auto db = Database::OpenOrDie(options);
   ASSERT_TRUE(db->CreateTable("fuzz", MakeFuzzBatch(kInitialRows, 0)).ok());
+  // The raw arm: the plan as written, over full scans, no recycler.
+  DatabaseOptions raw_options;
+  raw_options.canonicalize_plans = false;
+  raw_options.recycler.enable_zone_map_pruning = false;
+  auto raw_db = Database::OpenOrDie(raw_options);
+  ASSERT_TRUE(
+      raw_db->CreateTable("fuzz", MakeFuzzBatch(kInitialRows, 0)).ok());
 
   trace::TraceHeader header;
   header.seed = seed;
@@ -370,30 +452,71 @@ TEST_P(SqlFuzzTest, DifferentialAgainstBypassAndReplay) {
   SessionOptions bypass_opts;
   bypass_opts.bypass_recycler = true;
   auto bypass = db->Connect(bypass_opts);
+  auto raw = raw_db->Connect(bypass_opts);
 
-  // Random schedule: mostly queries, occasionally an append. Both arms
-  // run against the same engine state at every step.
+  // Runs `sql` on all three arms, which must agree bit for bit, and
+  // returns the recycled arm's rows.
+  int hits = 0;
+  auto run = [&](const std::string& sql) {
+    SCOPED_TRACE(sql);
+    Result on = recycled->Sql(sql);
+    Result off = bypass->Sql(sql);
+    Result plain = raw->Sql(sql);
+    EXPECT_TRUE(on.ok() && off.ok() && plain.ok())
+        << on.status().ToString() << off.status().ToString()
+        << plain.status().ToString();
+    if (!on.ok() || !off.ok() || !plain.ok()) {
+      return std::multiset<std::string>();
+    }
+    std::multiset<std::string> rows = BitRowMultiset(*on.table());
+    EXPECT_EQ(rows, BitRowMultiset(*off.table()))
+        << "P6: recycled arm diverged from the bypass baseline";
+    EXPECT_EQ(rows, BitRowMultiset(*plain.table()))
+        << "P6: canonical, pruned arms diverged from the raw arm";
+    if (on.recycled()) ++hits;
+    return rows;
+  };
+
+  // Random schedule: mostly queries, occasionally an append. Every arm
+  // runs against the same table state at every step.
   Rng rng(seed);
   int64_t next_row = kInitialRows;
-  int hits = 0;
+  std::multiset<std::string> table_rows;  // fuzz's rows at `table_size`
+  int64_t table_size = 0;
   for (int q = 0; q < kQueries; ++q) {
     if (rng.Uniform(0, 7) == 0) {
       const int64_t batch = 128 + 64 * static_cast<int64_t>(rng.Uniform(0, 3));
       ASSERT_TRUE(
           db->AppendTable("fuzz", *MakeFuzzBatch(batch, next_row)).ok());
+      ASSERT_TRUE(
+          raw_db->AppendTable("fuzz", *MakeFuzzBatch(batch, next_row)).ok());
       recorder.RecordAppend("fuzz", batch, next_row);
       next_row += batch;
     }
-    const std::string sql = RandomFuzzSql(&rng);
+    const FuzzQuery fq = RandomFuzzQuery(&rng);
     SCOPED_TRACE("seed " + std::to_string(seed) + " query " +
-                 std::to_string(q) + ": " + sql);
-    Result on = recycled->Sql(sql);
-    ASSERT_TRUE(on.ok()) << on.status().ToString();
-    Result off = bypass->Sql(sql);
-    ASSERT_TRUE(off.ok()) << off.status().ToString();
-    EXPECT_EQ(BitRowMultiset(*on.table()), BitRowMultiset(*off.table()))
-        << "P6: recycled arm diverged from the bypass baseline";
-    if (on.recycled()) ++hits;
+                 std::to_string(q) + ": " + fq.sql);
+    const std::multiset<std::string> rows = run(fq.sql);
+    if (fq.where.empty()) continue;
+    // TLP: the rows where p holds and those where NOT p holds partition
+    // the table.
+    std::multiset<std::string> parts = rows;
+    for (const std::string& r :
+         run("SELECT * FROM fuzz WHERE NOT (" + fq.where + ")")) {
+      parts.insert(r);
+    }
+    if (table_size != next_row) {
+      Result all = bypass->Sql("SELECT * FROM fuzz");
+      ASSERT_TRUE(all.ok()) << all.status().ToString();
+      table_rows = BitRowMultiset(*all.table());
+      table_size = next_row;
+    }
+    EXPECT_EQ(parts, table_rows)
+        << "TLP: p and NOT p do not partition the table";
+    if (!fq.in_as_or.empty()) {
+      EXPECT_EQ(rows, run("SELECT * FROM fuzz WHERE " + fq.in_as_or))
+          << "IN differs from its ORed equalities";
+    }
   }
   EXPECT_GT(hits, 0) << "fuzz workload never hit the cache; the "
                         "differential property was vacuous";
@@ -417,8 +540,17 @@ TEST_P(SqlFuzzTest, DifferentialAgainstBypassAndReplay) {
   EXPECT_EQ(report.digest_mismatches, 0) << report.ToString();
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SqlFuzzTest,
-                         ::testing::Values(3, 17, 59, 101));
+/// Four seeds; RECYCLEDB_FUZZ_ITERS (the sanitizer jobs' longer sweep)
+/// adds one seed per 500 iterations beyond the first 1,000.
+std::vector<int> FuzzSeeds() {
+  std::vector<int> seeds = {3, 17, 59, 101};
+  const char* env = std::getenv("RECYCLEDB_FUZZ_ITERS");
+  const int iters = env != nullptr ? std::atoi(env) : 0;
+  for (int i = 1000; i < iters; i += 500) seeds.push_back(1000 + i / 500);
+  return seeds;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SqlFuzzTest, ::testing::ValuesIn(FuzzSeeds()));
 
 // ---------------------------------------------------------------------------
 // P7. Keys

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -207,6 +208,34 @@ TEST(ZoneMap, MayOverlapIsConservative) {
   // never be pruned.
   EXPECT_TRUE(zm.MayOverlap(zm.num_blocks(), window));
   EXPECT_TRUE(zm.MayOverlap(zm.num_blocks() + 7, window));
+}
+
+TEST(ZoneMap, BlockHoldingNanIsNotPrunedForAGreaterThan) {
+  // NaN lies above every number, so a block holding NaN after a small
+  // first row has NaN as its max, and `v > c` may match there.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  TablePtr t = MakeTable(Schema({{"v", TypeId::kDouble}}));
+  for (int i = 0; i < 3 * kZoneMapBlockRows; ++i) {
+    const int64_t block = i / kZoneMapBlockRows;
+    t->AppendRow({block == 1 && i % 4 == 1 ? nan
+                                           : static_cast<double>(i % 100) +
+                                                 10000.0 * (block == 2)});
+  }
+  EXPECT_TRUE(std::isnan(std::get<double>(t->zone_map(0).block(1).max)));
+  EXPECT_TRUE(t->zone_map(0).MayOverlap(1, AtLeast(5000.0)));
+  for (bool pruning : {true, false}) {
+    DatabaseOptions options;
+    options.recycler.mode = RecyclerMode::kOff;
+    options.recycler.enable_zone_map_pruning = pruning;
+    auto db = Database::OpenOrDie(options);
+    ASSERT_TRUE(db->CreateTable("n", t).ok());
+    Result r = db->Execute(PlanNode::Select(
+        PlanNode::Scan("n", {"v"}),
+        Expr::Gt(Expr::Column("v"), Expr::Literal(5000.0))));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.num_rows(), kZoneMapBlockRows + kZoneMapBlockRows / 4)
+        << "pruning " << pruning;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -853,6 +882,22 @@ TEST(SpillV2, FilteredReadMatchesFullReadThenFilter) {
   // Mixed-type numeric bound (double literal against int column).
   cases.push_back(
       {TypedColumn<int32_t>(TypeId::kInt32, sawtooth), Below(12.5)});
+  // Edge values under the value order: NaN lies above every number and
+  // -0.0 equals 0.0; int64 beyond 2^53 meets a double bound exactly.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double pick[] = {nan, -0.0, 0.0, 1.5,
+                         std::numeric_limits<double>::infinity()};
+  std::vector<double> edges;
+  for (int i = 0; i < 3000; ++i) edges.push_back(pick[i % 5]);
+  cases.push_back({TypedColumn<double>(TypeId::kDouble, edges), Below(nan)});
+  cases.push_back({TypedColumn<double>(TypeId::kDouble, edges), AtLeast(nan)});
+  cases.push_back({TypedColumn<double>(TypeId::kDouble, edges),
+                   Between(-0.0, true, 0.0, true)});
+  std::vector<int64_t> big;
+  for (int i = 0; i < 3000; ++i) big.push_back((int64_t{1} << 53) + i % 8);
+  cases.push_back({TypedColumn<int64_t>(TypeId::kInt64, big),
+                   Between(std::ldexp(1.0, 53), false, std::ldexp(1.0, 53) + 4,
+                           true)});
 
   TempSpillDir dir;
   for (size_t i = 0; i < cases.size(); ++i) {
