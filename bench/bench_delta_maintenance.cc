@@ -13,6 +13,9 @@
 //   - ON  arm hit-rate >= 0.80 (delta hits count as hits)
 //   - OFF arm hit-rate <= 0.10 (pure invalidation: repeats never hit)
 //   - ON  arm served at least one aggregate merge and one delta hit
+//   - ON  arm served at least 0.8 of its delta hits from the exact-hit
+//     index (IndexServed: the SQL text probe refreshed the root without
+//     parsing or matching); OFF arm none (an append evicts every entry)
 //   - bit-identical rows vs the bypass baseline everywhere
 #include <algorithm>
 #include <string>
@@ -56,6 +59,7 @@ struct ArmResult {
   int64_t mismatches = 0;
   int64_t delta_hits = 0;
   int64_t agg_merges = 0;
+  int64_t index_served = 0;
   double HitRate() const {
     return eligible == 0 ? 0.0
                          : static_cast<double>(hits) /
@@ -131,6 +135,7 @@ int main() {
         }
         arms[arm].delta_hits += r.trace().num_delta_reuses;
         arms[arm].agg_merges += r.trace().num_agg_merges;
+        arms[arm].index_served += r.trace().num_index_served;
         delta_served[qi] += r.trace().num_delta_reuses;
         merges[qi] += r.trace().num_agg_merges;
       }
@@ -164,16 +169,19 @@ int main() {
         .Set("hit_rate", arms[arm].HitRate())
         .Set("delta_hits", arms[arm].delta_hits)
         .Set("agg_merges", arms[arm].agg_merges)
+        .Set("index_served", arms[arm].index_served)
         .Set("mismatches", arms[arm].mismatches)
         .Set("scored_ms", arm_ms);
     sink.Add(summary);
   }
 
   std::printf(
-      "\ndelta on: %.1f%% hit-rate (%lld delta hits, %lld agg merges); "
-      "off: %.1f%%\n",
+      "\ndelta on: %.1f%% hit-rate (%lld delta hits, %lld agg merges, %lld "
+      "served from the index); off: %.1f%% (%lld served from the index)\n",
       100.0 * arms[0].HitRate(), static_cast<long long>(arms[0].delta_hits),
-      static_cast<long long>(arms[0].agg_merges), 100.0 * arms[1].HitRate());
+      static_cast<long long>(arms[0].agg_merges),
+      static_cast<long long>(arms[0].index_served), 100.0 * arms[1].HitRate(),
+      static_cast<long long>(arms[1].index_served));
 
   std::string json_path = sink.WriteEnvPath();
   if (!json_path.empty()) {
@@ -195,6 +203,20 @@ int main() {
   if (arms[0].delta_hits == 0 || arms[0].agg_merges == 0) {
     std::fprintf(stderr,
                  "FAIL: delta-on arm served no delta hits / agg merges\n");
+    rc = 1;
+  }
+  if (arms[0].index_served < 0.8 * static_cast<double>(arms[0].delta_hits)) {
+    std::fprintf(stderr,
+                 "FAIL: delta-on arm served %lld statements from the index, "
+                 "below 0.8 of its %lld delta hits\n",
+                 static_cast<long long>(arms[0].index_served),
+                 static_cast<long long>(arms[0].delta_hits));
+    rc = 1;
+  }
+  if (arms[1].index_served != 0) {
+    std::fprintf(stderr,
+                 "FAIL: delta-off arm served %lld statements from the index\n",
+                 static_cast<long long>(arms[1].index_served));
     rc = 1;
   }
   if (arms[0].mismatches + arms[1].mismatches > 0) {

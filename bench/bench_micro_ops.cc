@@ -11,7 +11,9 @@
 // ScanOp and the raw Executor); everything engine-level goes through the
 // public umbrella header.
 #include "exec/operators.h"
+#include "plan/canonicalize.h"
 #include "recycledb/recycledb.h"
+#include "sql/lower.h"
 #include "storage/spill_file.h"
 #include "workload/rollup.h"
 
@@ -468,6 +470,68 @@ BENCHMARK(BM_DeltaStitchSelect)
     ->Arg(40000)
     ->Iterations(500)
     ->Unit(benchmark::kMicrosecond);
+
+// The rollup statement that sums, counts and averages per sensor, over a
+// 20,000-row events table.
+const std::string& RollupAggSql() {
+  static const std::string sql = rollup::RollupSql(rollup::RollupOptions{})[0];
+  return sql;
+}
+
+// A repeated rollup statement after a 20-row append, through Session::Sql:
+// its root, cached by an earlier run, is stale by the appended rows, so
+// the run is an aggregate merge. Each append runs outside the timer, and
+// so do the first run and a first refresh, which registers the root's
+// plan in the exact-hit index once the table grows.
+void BM_RollupSqlRepeatAfterAppend(benchmark::State& state) {
+  rollup::RollupOptions ropt;
+  ropt.initial_rows = 20000;
+  auto db = Database::OpenOrDie(DatabaseOptions{});
+  (void)db->CreateTable("events", rollup::MakeBatch(ropt.initial_rows, 0, ropt));
+  (void)db->Sql(RollupAggSql());
+  int64_t rows = ropt.initial_rows;
+  (void)db->AppendTable("events", *rollup::MakeBatch(20, rows, ropt));
+  rows += 20;
+  (void)db->Sql(RollupAggSql());
+  int64_t merges = 0, served = 0;
+  Result result;
+  for (auto _ : state) {
+    state.PauseTiming();
+    result = Result();
+    (void)db->AppendTable("events", *rollup::MakeBatch(20, rows, ropt));
+    rows += 20;
+    state.ResumeTiming();
+    result = db->Sql(RollupAggSql());
+    merges += result.trace().num_agg_merges;
+    served += result.trace().num_index_served;
+    benchmark::DoNotOptimize(result);
+  }
+  // 1.0 when every timed run was an aggregate merge / served from the
+  // exact-hit index.
+  state.counters["agg_merge"] = benchmark::Counter(
+      static_cast<double>(merges), benchmark::Counter::kAvgIterations);
+  state.counters["index_served"] = benchmark::Counter(
+      static_cast<double>(served), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_RollupSqlRepeatAfterAppend)->Unit(benchmark::kMicrosecond);
+
+// The front end a statement runs before the recycler matches it: lex,
+// parse and lower, validate, canonicalize, and the canonical plan's
+// exact-hit key. A repeat served by its SQL text skips all of it.
+void BM_RollupSqlFrontEnd(benchmark::State& state) {
+  Catalog catalog;
+  rollup::RollupOptions ropt;
+  (void)catalog.RegisterTable("events", rollup::MakeBatch(2000, 0, ropt));
+  for (auto _ : state) {
+    PlanPtr plan;
+    (void)sql::SqlToPlan(RollupAggSql(), catalog, &plan);
+    (void)ValidatePlan(plan, catalog, nullptr);
+    PlanPtr canonical = CanonicalizeKeepingTemplate(plan);
+    StatementKey key = Recycler::ExactHitKey(*canonical);
+    benchmark::DoNotOptimize(key);
+  }
+}
+BENCHMARK(BM_RollupSqlFrontEnd)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Zero-copy reuse path: scanning a cached 1M-row result (int64 + string

@@ -23,7 +23,32 @@ Session::~Session() {
   inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
 }
 
+namespace {
+
+/// Runs a prepared statement and wraps its result and trace.
+Result RunPrepared(Recycler& recycler, PreparedQuery* prepared) {
+  QueryTrace trace;
+  ExecResult exec = recycler.Execute(prepared, &trace);
+  return Result::Of(std::move(exec), std::move(trace));
+}
+
+}  // namespace
+
 Result Session::Sql(std::string_view sql) {
+  const StatementOrigin origin{std::string(sql), ParamMap{}};
+  // A repeated text is served from the exact-hit index before it is
+  // lexed; on a miss its key rides along, for the plan probe or the full
+  // path to register.
+  std::string text_key;
+  if (!options_.bypass_recycler) {
+    Recycler& recycler = db_->recycler();
+    std::unique_ptr<PreparedQuery> hit = recycler.ProbeSqlText(sql, &text_key);
+    if (hit != nullptr) {
+      Result r = RunPrepared(recycler, hit.get());
+      Record(r, &origin);
+      return r;
+    }
+  }
   PlanPtr plan;
   Status st = sql::SqlToPlan(sql, db_->catalog(), &plan);
   if (!st.ok()) {
@@ -39,8 +64,7 @@ Result Session::Sql(std::string_view sql) {
     Record(r);
     return r;
   }
-  const StatementOrigin origin{std::string(sql), ParamMap{}};
-  return RunStatement(plan, &origin);
+  return RunStatement(plan, &origin, std::move(text_key));
 }
 
 Result Session::Execute(const Query& query) {
@@ -187,13 +211,14 @@ std::string Session::Explain(const Query& query) const {
 }
 
 Result Session::RunStatement(const PlanPtr& plan,
-                             const StatementOrigin* origin) {
-  Result result = RunPipeline(plan);
+                             const StatementOrigin* origin,
+                             std::string text_key) {
+  Result result = RunPipeline(plan, std::move(text_key));
   Record(result, origin);
   return result;
 }
 
-Result Session::RunPipeline(PlanPtr plan) {
+Result Session::RunPipeline(PlanPtr plan, std::string text_key) {
   if (plan == nullptr) {
     return Result::Error(Status::InvalidArgument("plan is null"));
   }
@@ -204,7 +229,9 @@ Result Session::RunPipeline(PlanPtr plan) {
   Recycler& recycler = db_->recycler();
   StatementKey key;
   std::unique_ptr<PreparedQuery> prepared;
-  if (!options_.bypass_recycler) prepared = recycler.ProbeExactHit(plan, &key);
+  if (!options_.bypass_recycler) {
+    prepared = recycler.ProbeExactHit(plan, &key, text_key);
+  }
   if (prepared == nullptr) {
     // Nodes bound before a ReplaceTable may be shared with statements on
     // other threads (a prepared template's parameter-free subtrees), and
@@ -235,18 +262,16 @@ Result Session::RunPipeline(PlanPtr plan) {
     std::string alias;
     if (canonical != plan) {
       StatementKey canonical_key;
-      prepared = recycler.ProbeExactHit(canonical, &canonical_key);
+      prepared = recycler.ProbeExactHit(canonical, &canonical_key, text_key);
       alias = std::move(key.text);
       key = std::move(canonical_key);
     }
     if (prepared == nullptr) {
       prepared = recycler.Prepare(std::move(canonical), std::move(key),
-                                  std::move(alias));
+                                  {std::move(alias), std::move(text_key)});
     }
   }
-  QueryTrace trace;
-  ExecResult exec = recycler.Execute(prepared.get(), &trace);
-  return Result::Of(std::move(exec), std::move(trace));
+  return RunPrepared(recycler, prepared.get());
 }
 
 void Session::set_recorder(trace::TraceRecorder* recorder) {

@@ -75,19 +75,23 @@ class Session {
 
   // ---- execution -------------------------------------------------------
   // Every execution below runs one statement pipeline. With the recycler
-  // on, the statement is first probed, exactly as submitted, against the
-  // recycler's exact-hit index; a hit is served from the cached root and
-  // skips validation, canonicalization and binding (so a hit leaves an
-  // unbound plan unbound). On a miss the plan is validated, canonicalized
-  // (per DatabaseOptions::canonicalize_plans), probed again under its
+  // on, SQL text is first probed, before it is lexed, against the
+  // recycler's exact-hit index under its text key; a plan (or the plan a
+  // missed text lowered to) is probed exactly as submitted. A hit is
+  // served from the cached root — or, when rows were appended to its
+  // table since, from the root's delta refresh — and skips validation,
+  // canonicalization and binding (so a hit leaves an unbound plan
+  // unbound). On a miss the plan is validated, canonicalized (per
+  // DatabaseOptions::canonicalize_plans), probed again under its
   // canonical key when the canonical form differs, and prepared; when it
-  // completes with a hot root, the canonical key and the submitted one
-  // are registered. A plan bound before a ReplaceTable runs as an
-  // unbound copy. Bypass sessions and recyclers in off or proactive mode
-  // never probe.
+  // completes with a hot root, the canonical key, the submitted one and
+  // the text key are registered. A plan bound before a ReplaceTable runs
+  // as an unbound copy. Bypass sessions and recyclers in off or
+  // proactive mode never probe.
 
-  /// One-call SQL text execution: lexes, parses and lowers onto the plan
-  /// IR, then runs the statement pipeline.
+  /// One-call SQL text execution: probes the exact-hit index by the text;
+  /// on a miss lexes, parses and lowers onto the plan IR, then runs the
+  /// statement pipeline.
   /// Every failure — syntax, unknown name, type error — comes back as a
   /// Result carrying a Status with line/column and a caret snippet; the
   /// engine never aborts on bad SQL. Statements with `:name` placeholders
@@ -165,14 +169,18 @@ class Session {
   std::unique_ptr<PreparedStatement> PrepareTemplate(
       PlanPtr tmpl, Status* status, std::string source_sql = std::string());
   /// The statement pipeline (see "execution" above) plus Record: every
-  /// execution entry point ends here. `origin` is the statement's SQL
-  /// origin, null for builder plans and async submissions.
+  /// execution entry point but a text hit ends here. `origin` is the
+  /// statement's SQL origin, null for builder plans and async
+  /// submissions; `text_key` the Recycler::TextKey of a Sql() statement
+  /// whose text probe missed, else empty.
   Result RunStatement(const PlanPtr& plan,
-                      const StatementOrigin* origin = nullptr);
+                      const StatementOrigin* origin = nullptr,
+                      std::string text_key = std::string());
   /// The statement pipeline itself: probe, then on a miss validate,
   /// canonicalize, probe again under the canonical key (a non-canonical
-  /// spelling only), Prepare and run.
-  Result RunPipeline(PlanPtr plan);
+  /// spelling only), Prepare and run. A hit or a hot root registers
+  /// `text_key`.
+  Result RunPipeline(PlanPtr plan, std::string text_key);
   /// Wraps `fn` with in-flight accounting and hands it to the database
   /// pool (used by Submit and PreparedStatement::Submit).
   std::future<Result> SubmitInternal(std::function<Result()> fn);

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <variant>
@@ -103,6 +104,16 @@ inline bool OrderHolds(CompareOp op, T a, T b) {
     case CompareOp::kGe: return (a >= b) | an;
   }
   return false;
+}
+
+/// The one representative of `d`'s class of equal doubles: 0.0 for
+/// either zero and the quiet NaN for every NaN. Hashes and group keys
+/// take it, so equal values hash alike and a group's key does not depend
+/// on which of its rows came first.
+inline double CanonicalDouble(double d) {
+  if (d == 0.0) return 0.0;
+  if (std::isnan(d)) return std::numeric_limits<double>::quiet_NaN();
+  return d;
 }
 
 template <typename T, std::enable_if_t<std::is_integral_v<T>, int> = 0>

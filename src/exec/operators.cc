@@ -490,10 +490,19 @@ int64_t HashAggOp::FindOrCreateGroup(const Batch& /*batch*/,
     }
     if (equal) return g;
   }
-  // New group: append the key row.
+  // New group: append the key row. A double key is stored as its class's
+  // representative, so -0.0 and 0.0 (or two NaN payloads) in one group
+  // give one key whichever row comes first — in a base scan and in the
+  // merge of a cached prefix with a delta (Reaggregate) alike.
   std::vector<Datum> key_row;
   key_row.reserve(key_cols.size());
-  for (const auto& kc : key_cols) key_row.push_back(kc->GetDatum(row));
+  for (const auto& kc : key_cols) {
+    Datum key = kc->GetDatum(row);
+    if (const double* d = std::get_if<double>(&key)) {
+      key = CanonicalDouble(*d);
+    }
+    key_row.push_back(std::move(key));
+  }
   group_keys_->AppendRow(key_row);
   int64_t g = num_groups_++;
   group_map_.emplace(hash, g);

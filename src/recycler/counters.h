@@ -39,6 +39,10 @@ namespace recycledb {
   X(AggMerges, num_agg_merges, agg_merges,                                   \
     "Delta reuses that merged cached aggregate state with the delta "        \
     "window (no base-row rescan).")                                          \
+  X(IndexServed, num_index_served, index_served,                             \
+    "Statements served from the exact-hit index, exact or delta-refreshed: " \
+    "MatchTree skipped, and the front end from the probe on (a SQL text "    \
+    "key skips parsing too).")                                               \
   X(Materialized, num_materialized, materializations,                        \
     "Results added to the cache.")                                           \
   X(SpecAborted, num_spec_aborted, spec_aborts,                              \

@@ -8,6 +8,7 @@
 #include "common/hash.h"
 #include "common/macros.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "exec/cost_model.h"
 #include "recycler/proactive.h"
 
@@ -295,9 +296,8 @@ std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan) {
   return Prepare(std::move(plan), std::move(key));
 }
 
-std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan,
-                                                 StatementKey key,
-                                                 std::string alias) {
+std::unique_ptr<PreparedQuery> Recycler::Prepare(
+    PlanPtr plan, StatementKey key, std::vector<std::string> aliases) {
   auto prepared = std::make_unique<PreparedQuery>();
   StartTrace(prepared.get(), plan->template_hash());
   plan->Bind(*catalog_);
@@ -324,9 +324,11 @@ std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan,
   Stopwatch match_sw;
   graph_.AdvanceEpoch();
 
-  if (config_.mode != RecyclerMode::kProactive) {
-    prepared->exact_hit_key_ = std::move(key.text);
-    prepared->exact_hit_alias_ = std::move(alias);
+  if (config_.mode != RecyclerMode::kProactive && !key.text.empty()) {
+    for (std::string& alias : aliases) {
+      if (!alias.empty()) prepared->exact_hit_keys_.push_back(std::move(alias));
+    }
+    prepared->exact_hit_keys_.push_back(std::move(key.text));
   }
 
   // --- proactive rewriting (PA mode, §IV-B) ---------------------------
@@ -446,12 +448,14 @@ void Recycler::OnComplete(PreparedQuery* prepared, const ExecResult& result) {
   // served by subsumption is left out; a replaced root is the plan's only
   // reuse, so the subsumption counter tells.
   const MNode* root = prepared->matched_.get();
-  if (!prepared->exact_hit_key_.empty() &&
+  if (!prepared->exact_hit_keys_.empty() &&
       root->gnode->mat_state.load() == MatState::kCached &&
       !(root->replaced && prepared->trace_.num_subsumption_reuses > 0)) {
-    RememberExactHit(std::move(prepared->exact_hit_key_),
-                     std::move(prepared->exact_hit_alias_), *root,
-                     prepared->trace_.plan_fingerprint);
+    std::shared_ptr<const ExactHit> hit = prepared->exact_hit_;
+    if (hit == nullptr) {
+      hit = MakeExactHit(*root, prepared->trace_.plan_fingerprint);
+    }
+    RememberExactHit(std::move(prepared->exact_hit_keys_), std::move(hit));
   }
 
   // bcost must always reflect cost-from-base-tables (Eq. 2): add back the
@@ -495,6 +499,74 @@ TemplateStats Recycler::TemplateStatsFor(uint64_t template_hash) const {
   std::lock_guard<std::mutex> lock(template_mu_);
   auto it = template_stats_.find(template_hash);
   return it == template_stats_.end() ? TemplateStats{} : it->second;
+}
+
+Status Recycler::CheckConsistency() {
+  std::shared_lock<std::shared_mutex> glock(graph_.mutex());
+  std::lock_guard<std::mutex> clock(cache_mu_);
+  auto fail = [](int64_t id, const std::string& what) {
+    return Status::Internal(
+        StrFormat("node %lld: %s", static_cast<long long>(id), what.c_str()));
+  };
+  int64_t cached_bytes = 0;
+  for (const auto& n : graph_.nodes()) {
+    std::lock_guard<std::mutex> slock(graph_.mat_shard(n.get()).mu);
+    const bool cached = n->mat_state.load() == MatState::kCached;
+    if (cached != (n->cached != nullptr)) {
+      return fail(n->id, cached ? "kCached without a table"
+                                : "holds a table but is not kCached");
+    }
+    if (cached) cached_bytes += n->cached_bytes.load();
+  }
+  if (cached_bytes != cache_.used_bytes()) {
+    return Status::Internal(StrFormat(
+        "cache: used_bytes %lld, but the kCached nodes hold %lld",
+        static_cast<long long>(cache_.used_bytes()),
+        static_cast<long long>(cached_bytes)));
+  }
+
+  std::vector<std::shared_ptr<const ExactHit>> hits;
+  {
+    std::lock_guard<std::mutex> elock(exact_mu_);
+    std::unordered_set<const std::string*> listed;
+    for (const auto& [root, keys] : exact_hit_keys_) {
+      if (keys.empty()) return fail(root->id, "indexed under no key");
+      for (const std::string* k : keys) {
+        auto it = exact_hits_.find(*k);
+        if (it == exact_hits_.end() || &it->first != k) {
+          return fail(root->id, "lists a key the index does not hold");
+        }
+        if (it->second->root != root) {
+          return fail(root->id, "lists a key of another root");
+        }
+        if (!listed.insert(k).second) return fail(root->id, "lists a key twice");
+      }
+      hits.push_back(exact_hits_.find(*keys.front())->second);
+    }
+    if (listed.size() != exact_hits_.size()) {
+      return Status::Internal(StrFormat(
+          "exact-hit index: %zu keys, %zu of them listed under their root",
+          exact_hits_.size(), listed.size()));
+    }
+  }
+  for (const std::shared_ptr<const ExactHit>& hit : hits) {
+    const RGNode* g = hit->root;
+    if (hit->nodes.empty() || hit->nodes.front() != g) {
+      return fail(g->id, "index entry's nodes do not start at its root");
+    }
+    PreparedQuery current;
+    PinTables(g->base_tables, &current);
+    std::lock_guard<std::mutex> slock(graph_.mat_shard(g).mu);
+    if (g->mat_state.load() != MatState::kCached) {
+      return fail(g->id, "indexed but not kCached");
+    }
+    const Freshness fresh =
+        CheckFreshness(g->stamps, g->base_tables, current.snapshots_, nullptr);
+    if (fresh != Freshness::kFresh && fresh != Freshness::kAppendStale) {
+      return fail(g->id, "indexed with stamps of another table version");
+    }
+  }
+  return Status::OK();
 }
 
 ExecResult Recycler::Execute(const PlanPtr& query_plan, QueryTrace* trace_out) {

@@ -8,10 +8,13 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/status.h"
+#include "common/stopwatch.h"
 #include "exec/executor.h"
 #include "recycler/cache.h"
 #include "recycler/cold_tier.h"
@@ -202,7 +205,8 @@ class PreparedQuery {
  private:
   friend class Recycler;
   friend struct RecyclerPeer;  // white-box access for tests
-  struct MNode;  // matched-tree node (internal)
+  struct MNode;     // matched-tree node (internal)
+  struct ExactHit;  // exact-hit index entry (internal)
 
   PlanPtr plan_;
   std::map<const PlanNode*, StoreRequest> stores_;
@@ -224,19 +228,25 @@ class PreparedQuery {
   /// one consistent version of each table even while appends land.
   std::map<std::string, TableSnapshot> snapshots_;
   Executor::TablePins pins_;
-  /// The statement's exact-hit index keys (StatementKey::text) when it
-  /// took the full matching path: the prepared plan's key, and the key
-  /// of the spelling it was submitted in when that differs (else empty).
-  /// OnComplete moves both into the index if the root is hot by then.
-  /// Empty when the statement was served from the index, and in off and
-  /// proactive modes.
-  std::string exact_hit_key_;
-  std::string exact_hit_alias_;
+  /// The exact-hit index keys OnComplete registers for the root when it
+  /// is hot by then. On the full path: the prepared plan's key, the key
+  /// of the spelling it was submitted in when that differs, and the SQL
+  /// text key of a Sql() statement. On an index hit: the root's keys
+  /// again after a delta refresh (which drops them), with a new text key
+  /// in place of the old; else only a text key the root lacked, or none.
+  /// Empty in off and proactive modes.
+  std::vector<std::string> exact_hit_keys_;
+  /// The index entry an index hit was served from, registered again
+  /// under exact_hit_keys_ (null on the full path, whose entry OnComplete
+  /// builds from the matched tree).
+  std::shared_ptr<const ExactHit> exact_hit_;
 };
 
 /// Matched-tree node: pairs each query plan node with its recycler-graph
 /// node.
 struct PreparedQuery::MNode {
+  /// The query plan node; on an exact-hit index hit the entry's plan,
+  /// null when the entry keeps none (a fresh hit reads no plan).
   const PlanNode* plan = nullptr;
   PlanPtr plan_ref;
   RGNode* gnode = nullptr;
@@ -258,6 +268,25 @@ struct PreparedQuery::MNode {
   /// nodes inside replaced subtrees.
   const PlanNode* exec_plan = nullptr;
   std::vector<std::unique_ptr<MNode>> children;
+};
+
+/// One exact-hit index entry: what MatchTree returned for a statement
+/// whose root was hot when the statement completed, and what a hit needs
+/// to serve without the submitted plan. The base tables to pin are the
+/// root's (RGNode::base_tables).
+struct PreparedQuery::ExactHit {
+  RGNode* root = nullptr;
+  std::vector<RGNode*> nodes;  // every matched node, pre-order (root first)
+  /// The root's output names in query space: the served result's names.
+  std::vector<std::string> output_names;
+  /// QueryTrace::plan_fingerprint of the canonical plan.
+  uint64_t plan_fingerprint = 0;
+  /// The root's canonical plan, bound: what a delta refresh rewrites.
+  /// Kept only for a delta-eligible root over a table that appends have
+  /// grown, the only roots a refresh serves (a two-node plan holds ~6 KB;
+  /// else null). A schema change evicts the root, so its binding stays
+  /// valid.
+  PlanPtr plan;
 };
 
 /// The recycler facade.
@@ -285,13 +314,35 @@ class Recycler {
   /// The exact-hit index probe: serves a repeated statement keyed on
   /// `query_plan` exactly as handed in, bound or not. Reads nothing of the
   /// plan but its key and template hash, and neither binds nor validates
-  /// it. On a hit — an entry whose root is hot and fresh against the
-  /// current snapshots of its base tables — returns the prepared root
-  /// CachedScan. On a miss returns null with the key in `*key`, for
-  /// Prepare(plan, key) to register at completion. Off and proactive
-  /// modes never probe: null, with `*key` empty.
-  std::unique_ptr<PreparedQuery> ProbeExactHit(const PlanPtr& query_plan,
-                                               StatementKey* key);
+  /// it. On a hit — an entry whose hot root is fresh against the current
+  /// snapshots of its base tables — returns the prepared root CachedScan;
+  /// when the root is stale only by rows appended to one table, returns
+  /// its delta refresh (TryDeltaRewrite on the entry's plan, whose store
+  /// re-admits the root, and OnComplete registers its keys again). Any
+  /// other entry is a miss that changes no state, so the full path makes
+  /// every decision. On a miss returns null with the key in `*key`, for
+  /// Prepare(plan, key) to register at completion. `text_key`, when not
+  /// empty, is the TextKey of the SQL the plan was lowered from: a hit
+  /// registers it for the root. Off and proactive modes never probe:
+  /// null, with `*key` empty.
+  std::unique_ptr<PreparedQuery> ProbeExactHit(
+      const PlanPtr& query_plan, StatementKey* key,
+      const std::string& text_key = std::string());
+
+  /// ProbeExactHit keyed on SQL text before it is lexed: the same hits,
+  /// under TextKey(sql), which `*text_key` receives for the caller to
+  /// pass on to the plan probe and Prepare on a miss. The template hash
+  /// is 0, as for every Sql() statement. Off and proactive modes never
+  /// probe: null, with `*text_key` empty.
+  std::unique_ptr<PreparedQuery> ProbeSqlText(std::string_view sql,
+                                              std::string* text_key);
+
+  /// Exact-hit index key of SQL text: a byte no plan key starts with
+  /// (a plan key starts with an OpType byte), then the text verbatim.
+  /// Never coarser than the plan key: lowering depends only on the text
+  /// and the schemas of the tables it names, and a schema change evicts
+  /// every root over the table. A whitespace variant keys apart.
+  static std::string TextKey(std::string_view sql);
 
   /// Exact-hit index key of a plan, bound or not: its TreeKey, then the
   /// count of the names its Projects and Aggregates introduce and each
@@ -311,12 +362,13 @@ class Recycler {
   /// output plans. Does not probe the exact-hit index. `key` must be
   /// ExactHitKey(*query_plan) (ProbeExactHit's on this plan), or empty:
   /// its tree-key prefix is hashed for the trace, and it is registered
-  /// at completion when the root is hot. `alias`, when not empty, is the
-  /// key of the spelling the statement was submitted in, where that
-  /// differs from `query_plan` (a non-canonical spelling); it is
-  /// registered beside `key`.
-  std::unique_ptr<PreparedQuery> Prepare(PlanPtr query_plan, StatementKey key,
-                                         std::string alias = std::string());
+  /// at completion when the root is hot. `aliases` are registered beside
+  /// it: the key of the spelling the statement was submitted in, where
+  /// that differs from `query_plan` (a non-canonical spelling), and the
+  /// TextKey of a SQL statement; empty ones are skipped.
+  std::unique_ptr<PreparedQuery> Prepare(
+      PlanPtr query_plan, StatementKey key,
+      std::vector<std::string> aliases = std::vector<std::string>());
 
   /// Post-execution hook: annotates graph nodes with measured statistics.
   void OnComplete(PreparedQuery* prepared, const ExecResult& result);
@@ -328,10 +380,11 @@ class Recycler {
   /// walks every materialized entry depending on `table` and keeps the
   /// ones delta maintenance can refresh (same epoch, delta-eligible
   /// shape); everything else — nodes with joins or non-decomposable
-  /// roots — is evicted as a hard invalidation. With
-  /// enable_delta_maintenance off it evicts every such entry. Unlike
-  /// InvalidateTable it leaves restart orphans alone: their row marks
-  /// re-anchor on adoption.
+  /// roots — is evicted as a hard invalidation. A kept root keeps its
+  /// exact-hit index entry, which the next probe refreshes by delta.
+  /// With enable_delta_maintenance off it evicts every such entry.
+  /// Unlike InvalidateTable it leaves restart orphans alone: their row
+  /// marks re-anchor on adoption.
   void OnTableAppended(const std::string& table);
 
   /// Evicts everything from the cache (simulated refresh, Fig. 6).
@@ -391,6 +444,20 @@ class Recycler {
   /// the hot cache's entry count: each indexed root is hot.
   int64_t exact_hit_entries() const;
 
+  /// Checks that the structures holding one fact agree, and returns the
+  /// first disagreement (naming the node) as an Internal status:
+  ///  - the cache: a node is kCached exactly when it holds a table, and
+  ///    used_bytes is the sum of the kCached nodes' bytes;
+  ///  - the exact-hit index: exact_hits_ and exact_hit_keys_ are inverses
+  ///    (each key listed under its entry's root, once);
+  ///  - each index entry: its root is kCached, fresh or stale only by
+  ///    appended rows against the catalog's current tables, and first in
+  ///    the entry's nodes.
+  /// Takes the locks in rank order. For tests, at a quiescent point: a
+  /// statement between Prepare and OnComplete may hold a state the check
+  /// rejects.
+  Status CheckConsistency();
+
   RecyclerGraph& graph() { return graph_; }
   RecyclerCache& cache() { return cache_; }
   const ColdTier& cold_tier() const { return cold_tier_; }
@@ -402,6 +469,7 @@ class Recycler {
  private:
   friend struct RecyclerPeer;  // white-box access for tests
   using MNode = PreparedQuery::MNode;
+  using ExactHit = PreparedQuery::ExactHit;
 
   /// The paper's constant h for the benefit of a result no query has
   /// reused yet (§III-D): speculative stores and never-seen nodes.
@@ -409,19 +477,6 @@ class Recycler {
   /// The proactive top-N limit L (§IV-B: topN(Q, 10000) subsumes
   /// topN(Q, N) for every N <= L).
   static constexpr int64_t kProactiveTopNLimit = 10000;
-
-  /// One exact-hit index entry: what MatchTree returned for a statement
-  /// whose root was hot when the statement completed, and what a hit
-  /// needs to serve without the plan. The base tables to pin are the
-  /// root's (RGNode::base_tables).
-  struct ExactHit {
-    RGNode* root = nullptr;
-    std::vector<RGNode*> nodes;  // every matched node, pre-order (root first)
-    /// The root's output names in query space: the served result's names.
-    std::vector<std::string> output_names;
-    /// QueryTrace::plan_fingerprint of the canonical plan.
-    uint64_t plan_fingerprint = 0;
-  };
 
   /// Adds `n` to `prepared`'s trace field for `counter` and to its
   /// RecyclerCounters twin.
@@ -461,12 +516,30 @@ class Recycler {
   void UpdateHrChildren(RGNode* node, double delta); // shared walker
 
   // --- exact-hit index, recycler_match.cc ------------------------------
-  /// Records `root`'s matched tree under `key`, and under `alias` when
-  /// not empty, if the root is still hot. A root keeps the keys of its
-  /// latest registration only, and a key one root. Caller holds the
-  /// shared graph lock.
-  void RememberExactHit(std::string key, std::string alias, const MNode& root,
-                        uint64_t plan_fingerprint);
+  /// Off and proactive modes never probe (proactive mode may swap the
+  /// plan before matching).
+  bool ProbesIndex() const;
+  /// The probe behind ProbeExactHit and ProbeSqlText: serves the entry
+  /// under `key`, fresh or delta-refreshed, for a statement of
+  /// `template_hash`; a hit registers `text_key` (when not empty) for the
+  /// root. `match_sw` started with the probe.
+  std::unique_ptr<PreparedQuery> ServeFromIndex(const std::string& key,
+                                                uint64_t template_hash,
+                                                const std::string& text_key,
+                                                const Stopwatch& match_sw);
+  /// The index entry for `root`'s matched tree; it keeps the plan when
+  /// the root is delta-eligible over a table in grown_tables_.
+  std::shared_ptr<const ExactHit> MakeExactHit(const MNode& root,
+                                               uint64_t plan_fingerprint);
+  /// `root`'s keys, with `text_key` (when not empty) in place of its text
+  /// key: a root keeps one text key, the latest.
+  std::vector<std::string> KeysOf(const RGNode* root,
+                                  const std::string& text_key);
+  /// Records `hit` under each of `keys` if its root is still hot. A root
+  /// keeps the keys of its latest registration only, and a key one root.
+  /// Caller holds the shared graph lock.
+  void RememberExactHit(std::vector<std::string> keys,
+                        std::shared_ptr<const ExactHit> hit);
   /// Drops the keys of `root` (its result left the hot cache).
   void ForgetExactHit(const RGNode* root);
   /// ForgetExactHit with exact_mu_ held.
@@ -637,18 +710,23 @@ class Recycler {
   /// last and never while holding them longer than the map update).
   mutable std::mutex template_mu_;
   std::map<uint64_t, TemplateStats> template_stats_;
-  /// Exact-hit index: statement key (ExactHitKey) -> entry, and
-  /// root -> its keys, at most two (pointers to the keys exact_hits_
-  /// holds; map keys never move). Guarded by exact_mu_, a leaf taken after the graph
-  /// lock and cache_mu_, never with another lock acquired inside. Entries
-  /// point into the graph: TruncateGraph clears the index under the
-  /// exclusive lock. Every root is hot: SetMatState forgets a root that
-  /// leaves kCached, and OnTableAppended one that an append made stale.
+  /// Exact-hit index: statement key (ExactHitKey or TextKey) -> entry,
+  /// and root -> its keys, at most three: the canonical plan's, the
+  /// submitted spelling's and one SQL text's (pointers to the keys
+  /// exact_hits_ holds; map keys never move). Guarded by exact_mu_, a
+  /// leaf taken after the graph lock and cache_mu_, never with another
+  /// lock acquired inside. Entries point into the graph: TruncateGraph
+  /// clears the index under the exclusive lock. Every root is hot:
+  /// SetMatState forgets a root that leaves kCached. An append keeps a
+  /// delta-eligible root's entry, stale until a probe refreshes it.
   mutable std::mutex exact_mu_;
   std::unordered_map<std::string, std::shared_ptr<const ExactHit>>
       exact_hits_;
   std::unordered_map<const RGNode*, std::vector<const std::string*>>
       exact_hit_keys_;
+  /// Tables OnTableAppended has seen grow (guarded by exact_mu_): an
+  /// entry keeps its plan for a delta refresh only over one of them.
+  std::set<std::string> grown_tables_;
   Executor executor_;
   RecyclerCounters counters_;
   std::atomic<int64_t> next_query_id_{1};

@@ -325,8 +325,13 @@ void Recycler::OnTableAppended(const std::string& table) {
   // refresh it — stamped at the current epoch with a mark not past the
   // table, and of a delta-eligible shape (single-table chain with an
   // optionally decomposable aggregate root). Everything else — joins,
-  // non-decomposable roots — hard-invalidates.
+  // non-decomposable roots — hard-invalidates. A kept root keeps its
+  // exact-hit index entry: the next probe of it refreshes it by delta.
   TableSnapshot snap = catalog_->Snapshot(table);
+  if (config_.enable_delta_maintenance) {
+    std::lock_guard<std::mutex> elock(exact_mu_);
+    grown_tables_.insert(table);
+  }
   std::shared_lock<std::shared_mutex> lock(graph_.mutex());
   std::lock_guard<std::mutex> clock(cache_mu_);
   for (const auto& n : graph_.nodes()) {
@@ -344,13 +349,7 @@ void Recycler::OnTableAppended(const std::string& table) {
       keep = it != n->stamps.end() && it->second.epoch == snap.epoch &&
              it->second.rows <= snap.rows;
     }
-    if (!keep) {
-      EvictNode(n.get(), /*invalidation=*/true);
-    } else if (ms == MatState::kCached) {
-      // Kept for a delta rewrite, but stale for every later snapshot: an
-      // index entry on it could only fail its freshness check.
-      ForgetExactHit(n.get());
-    }
+    if (!keep) EvictNode(n.get(), /*invalidation=*/true);
   }
   // Orphan images from a previous process carry row marks and re-anchor
   // on adoption (TryAdoptOrphan drops any whose mark exceeds the live

@@ -147,43 +147,87 @@ StatementKey Recycler::ExactHitKey(const PlanNode& plan) {
   return key;
 }
 
+namespace {
+
+/// The first byte of every TextKey; a plan key starts with an OpType.
+constexpr char kTextKeyTag = '\xff';
+static_assert(static_cast<uint8_t>(OpType::kCachedScan) <
+                  static_cast<uint8_t>(kTextKeyTag),
+              "a plan key could start with the text key tag");
+
+bool IsTextKey(const std::string& key) {
+  return !key.empty() && key[0] == kTextKeyTag;
+}
+
+}  // namespace
+
+std::string Recycler::TextKey(std::string_view sql) {
+  std::string key(1, kTextKeyTag);
+  key += sql;
+  return key;
+}
+
+bool Recycler::ProbesIndex() const {
+  return config_.mode != RecyclerMode::kOff &&
+         config_.mode != RecyclerMode::kProactive;
+}
+
 std::unique_ptr<PreparedQuery> Recycler::ProbeExactHit(
-    const PlanPtr& plan, StatementKey* key) {
+    const PlanPtr& plan, StatementKey* key, const std::string& text_key) {
   *key = StatementKey{};
-  // Proactive mode may swap the plan before matching, so it never uses
-  // the index.
-  if (config_.mode == RecyclerMode::kOff ||
-      config_.mode == RecyclerMode::kProactive) {
-    return nullptr;
-  }
+  if (!ProbesIndex()) return nullptr;
   Stopwatch match_sw;
   *key = ExactHitKey(*plan);
-  std::unique_ptr<PreparedQuery> prepared;
+  return ServeFromIndex(key->text, plan->template_hash(), text_key, match_sw);
+}
+
+std::unique_ptr<PreparedQuery> Recycler::ProbeSqlText(std::string_view sql,
+                                                      std::string* text_key) {
+  text_key->clear();
+  if (!ProbesIndex()) return nullptr;
+  Stopwatch match_sw;
+  *text_key = TextKey(sql);
+  return ServeFromIndex(*text_key, /*template_hash=*/0, std::string(),
+                        match_sw);
+}
+
+std::unique_ptr<PreparedQuery> Recycler::ServeFromIndex(
+    const std::string& key, uint64_t template_hash,
+    const std::string& text_key, const Stopwatch& match_sw) {
+  std::shared_ptr<const ExactHit> hit;
+  auto prepared = std::make_unique<PreparedQuery>();
+  Freshness fresh = Freshness::kFresh;
+  StaleWindow window;
+  TablePtr snapshot;
   PlanPtr cs;
+  auto m = std::make_unique<MNode>();
   {
     std::shared_lock<std::shared_mutex> glock(graph_.mutex());
-    std::shared_ptr<const ExactHit> hit;
     {
       std::lock_guard<std::mutex> lock(exact_mu_);
-      auto it = exact_hits_.find(key->text);
+      auto it = exact_hits_.find(key);
       if (it == exact_hits_.end()) return nullptr;
       hit = it->second;
     }
     RGNode* g = hit->root;
-    prepared = std::make_unique<PreparedQuery>();
     PinTables(g->base_tables, prepared.get());
-    TablePtr snapshot;
     {
+      // A root stale by anything but rows appended to one table is left
+      // to the full path, untouched: TryExact drops or keeps it.
       RecyclerGraph::MatShard& shard = graph_.mat_shard(g);
       std::lock_guard<std::mutex> slock(shard.mu);
-      if (g->mat_state.load() != MatState::kCached ||
-          CheckFreshness(g->stamps, g->base_tables, prepared->snapshots_,
-                         nullptr) != Freshness::kFresh) {
+      if (g->mat_state.load() != MatState::kCached) return nullptr;
+      fresh = CheckFreshness(g->stamps, g->base_tables, prepared->snapshots_,
+                             &window);
+      if (fresh != Freshness::kFresh &&
+          (fresh != Freshness::kAppendStale || hit->plan == nullptr ||
+           !config_.enable_delta_maintenance || window.table.empty() ||
+           !DeltaEligibleNode(*g, window.table))) {
         return nullptr;
       }
       snapshot = g->cached;
     }
-    StartTrace(prepared.get(), plan->template_hash());
+    StartTrace(prepared.get(), template_hash);
     prepared->trace_.plan_fingerprint = hit->plan_fingerprint;
     // BumpImportance on a fully matched plan with a cached root: every
     // node is accessed, only the root gains a reference.
@@ -195,29 +239,50 @@ std::unique_ptr<PreparedQuery> Recycler::ProbeExactHit(
     graph_.NoteBenefitWrite();
     g->match_count.fetch_add(1);
 
-    auto m = std::make_unique<MNode>();
-    m->plan = plan.get();
-    m->plan_ref = plan;
+    m->plan = hit->plan.get();
+    m->plan_ref = hit->plan;
     m->gnode = g;
-    cs = ServeExact(m.get(), hit->output_names, std::move(snapshot),
-                    /*from_cold=*/false, prepared.get());
-    prepared->matched_ = std::move(m);
+    if (fresh == Freshness::kFresh) {
+      cs = ServeExact(m.get(), hit->output_names, std::move(snapshot),
+                      /*from_cold=*/false, prepared.get());
+    }
   }
   prepared->trace_.match_ms = match_sw.ElapsedMs();
   prepared->trace_.graph_nodes_at_match = graph_.num_nodes();
+  // A delta refresh drops the root's keys with its entry: they are taken
+  // now, for OnComplete to register again once the refreshed root is hot.
+  if (fresh != Freshness::kFresh || !text_key.empty()) {
+    prepared->exact_hit_keys_ = KeysOf(hit->root, text_key);
+    prepared->exact_hit_ = hit;
+  }
+  prepared->matched_ = std::move(m);
+  MNode* root = prepared->matched_.get();
+  if (cs == nullptr) {
+    cs = TryDeltaRewrite(root, hit->plan, hit->root, std::move(snapshot),
+                         window, prepared.get());
+  }
   cs->Bind(*catalog_);
+  if (fresh != Freshness::kFresh) {
+    std::shared_lock<std::shared_mutex> glock(graph_.mutex());
+    InjectStores(root, prepared.get(), /*in_store_chain=*/false);
+  }
   prepared->plan_ = std::move(cs);
+  Count(prepared.get(), QueryCounter::kIndexServed);
   FinalizeTrace(prepared.get());
   return prepared;
 }
 
-void Recycler::RememberExactHit(std::string key, std::string alias,
-                                const MNode& root,
-                                uint64_t plan_fingerprint) {
+std::shared_ptr<const Recycler::ExactHit> Recycler::MakeExactHit(
+    const MNode& root, uint64_t plan_fingerprint) {
   auto hit = std::make_shared<ExactHit>();
   hit->root = root.gnode;
   hit->output_names = root.plan->output_schema().Names();
   hit->plan_fingerprint = plan_fingerprint;
+  const std::set<std::string>& tables = root.gnode->base_tables;
+  if (tables.size() == 1 && DeltaEligibleNode(*root.gnode, *tables.begin())) {
+    std::lock_guard<std::mutex> lock(exact_mu_);
+    if (grown_tables_.count(*tables.begin()) > 0) hit->plan = root.plan_ref;
+  }
   std::vector<const MNode*> stack{&root};
   while (!stack.empty()) {
     const MNode* m = stack.back();
@@ -227,19 +292,40 @@ void Recycler::RememberExactHit(std::string key, std::string alias,
       stack.push_back(it->get());
     }
   }
+  return hit;
+}
+
+std::vector<std::string> Recycler::KeysOf(const RGNode* root,
+                                          const std::string& text_key) {
+  std::vector<std::string> keys;
+  {
+    std::lock_guard<std::mutex> lock(exact_mu_);
+    auto it = exact_hit_keys_.find(root);
+    if (it != exact_hit_keys_.end()) {
+      for (const std::string* k : it->second) {
+        if (text_key.empty() || !IsTextKey(*k)) keys.push_back(*k);
+      }
+    }
+  }
+  if (!text_key.empty()) keys.push_back(text_key);
+  return keys;
+}
+
+void Recycler::RememberExactHit(std::vector<std::string> keys,
+                                std::shared_ptr<const ExactHit> hit) {
+  RGNode* root = hit->root;
   std::lock_guard<std::mutex> lock(exact_mu_);
   // Checked under exact_mu_: a root that leaves kCached after this check
   // is forgotten by SetMatState, which takes exact_mu_ after its store.
-  if (hit->root->mat_state.load() != MatState::kCached) return;
+  if (root->mat_state.load() != MatState::kCached) return;
   // A root keeps the keys of its latest registration, and a key one
   // root: drop the root's older keys, and each key's other root.
-  ForgetExactHitLocked(hit->root);
-  std::vector<const std::string*>& root_keys = exact_hit_keys_[hit->root];
-  for (std::string* k : {&key, &alias}) {
-    if (k->empty()) continue;
-    auto [it, fresh_key] = exact_hits_.try_emplace(std::move(*k));
+  ForgetExactHitLocked(root);
+  std::vector<const std::string*>& root_keys = exact_hit_keys_[root];
+  for (std::string& k : keys) {
+    auto [it, fresh_key] = exact_hits_.try_emplace(std::move(k));
     if (!fresh_key) {
-      if (it->second->root == hit->root) continue;  // alias == key
+      if (it->second->root == root) continue;  // listed twice
       std::vector<const std::string*>& other =
           exact_hit_keys_[it->second->root];
       other.erase(std::find(other.begin(), other.end(), &it->first));

@@ -1,6 +1,7 @@
 #include "recycler/subsumption.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <set>
 
@@ -261,13 +262,15 @@ struct GapFilter {
 };
 
 /// Share of query interval `q` that `clip` covers, or -1 when `q` is not
-/// measurable (then the pieces split the credit evenly).
+/// measurable (then the pieces split the credit evenly): unbounded,
+/// non-numeric, empty, or of a width that is not finite (a NaN or
+/// infinite bound).
 double ClipFraction(const ColumnInterval& q, const ColumnInterval& clip) {
   const bool measurable = !q.lo.unbounded && !q.hi.unbounded &&
                           NumericDatum(q.lo.value) && NumericDatum(q.hi.value);
   const double qlen =
       measurable ? DatumAsDouble(q.hi.value) - DatumAsDouble(q.lo.value) : 0;
-  if (!measurable || qlen <= 0) return -1;
+  if (!measurable || !std::isfinite(qlen) || qlen <= 0) return -1;
   double len = DatumAsDouble(clip.hi.value) - DatumAsDouble(clip.lo.value);
   return std::max(0.0, std::min(1.0, len / qlen));
 }

@@ -1,6 +1,5 @@
 #include "storage/column.h"
 
-#include <limits>
 
 namespace recycledb {
 
@@ -194,8 +193,7 @@ inline uint64_t ValueHash(int64_t v) {
 inline uint64_t ValueHash(double d) {
   // RowEquals compares doubles under the value order, where -0.0 equals
   // +0.0 and every NaN equals every other, so each class hashes alike.
-  if (d == 0.0) d = 0.0;
-  if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
+  d = CanonicalDouble(d);
   uint64_t v;
   static_assert(sizeof(v) == sizeof(d));
   __builtin_memcpy(&v, &d, sizeof(v));

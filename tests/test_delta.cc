@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -43,6 +46,14 @@ std::vector<std::string> Truth(Database* db, const std::string& sql,
   return BitRows(*r.table(), ordered);
 }
 
+/// `db->Sql(sql)`, then the recycler's consistency check.
+Result Sql(Database* db, const std::string& sql) {
+  Result r = db->Sql(sql);
+  const Status consistent = db->recycler().CheckConsistency();
+  EXPECT_TRUE(consistent.ok()) << consistent.ToString();
+  return r;
+}
+
 TEST(DeltaTest, AggMergeSumCountAvgBitIdenticalZeroRescan) {
   auto db = Database::OpenOrDie(DeltaOptions());
   rollup::RollupOptions ropt;
@@ -52,7 +63,7 @@ TEST(DeltaTest, AggMergeSumCountAvgBitIdenticalZeroRescan) {
       "SELECT sensor, SUM(value) AS total, COUNT(value) AS n,"
       " AVG(value) AS mean FROM events GROUP BY sensor";
 
-  Result seed = db->Sql(q);
+  Result seed = Sql(db.get(), q);
   ASSERT_TRUE(seed.ok()) << seed.status().ToString();
   EXPECT_GE(seed.trace().blocks_scanned, 8);
 
@@ -63,7 +74,7 @@ TEST(DeltaTest, AggMergeSumCountAvgBitIdenticalZeroRescan) {
     ASSERT_TRUE(
         db->AppendTable("events", *rollup::MakeBatch(512, rows, ropt)).ok());
     rows += 512;
-    Result merged = db->Sql(q);
+    Result merged = Sql(db.get(), q);
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
     EXPECT_EQ(merged.trace().num_delta_reuses, 1) << "round " << round;
     EXPECT_EQ(merged.trace().num_agg_merges, 1) << "round " << round;
@@ -88,7 +99,7 @@ TEST(DeltaTest, GroupedMinMaxDuplicateExtremes) {
   ASSERT_TRUE(db->CreateTable("m", t).ok());
   const std::string q =
       "SELECT k, MIN(v) AS lo, MAX(v) AS hi FROM m GROUP BY k";
-  ASSERT_TRUE(db->Sql(q).ok());
+  ASSERT_TRUE(Sql(db.get(), q).ok());
 
   // Delta duplicates both extremes of group 0 (merge must not double
   // them away) and pushes a new maximum for group 1.
@@ -98,7 +109,7 @@ TEST(DeltaTest, GroupedMinMaxDuplicateExtremes) {
   delta->AppendRow({int32_t{1}, 1000.0});
   ASSERT_TRUE(db->AppendTable("m", *delta).ok());
 
-  Result merged = db->Sql(q);
+  Result merged = Sql(db.get(), q);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   EXPECT_EQ(merged.trace().num_delta_reuses, 1);
   EXPECT_EQ(merged.trace().num_agg_merges, 1);
@@ -117,13 +128,13 @@ TEST(DeltaTest, GroupedAggDeltaMissingGroups) {
   ASSERT_TRUE(db->CreateTable("m", t).ok());
   const std::string q =
       "SELECT k, MIN(v) AS lo, MAX(v) AS hi, SUM(v) AS sv FROM m GROUP BY k";
-  ASSERT_TRUE(db->Sql(q).ok());
+  ASSERT_TRUE(Sql(db.get(), q).ok());
 
   TablePtr delta = MakeTable(s);
   delta->AppendRow({int32_t{0}, 7.0});
   ASSERT_TRUE(db->AppendTable("m", *delta).ok());
 
-  Result merged = db->Sql(q);
+  Result merged = Sql(db.get(), q);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   EXPECT_EQ(merged.trace().num_delta_reuses, 1);
   EXPECT_EQ(BitRows(*merged.table(), false), Truth(db.get(), q, false));
@@ -138,12 +149,12 @@ TEST(DeltaTest, EmptyDeltaStaysExactHit) {
   ASSERT_TRUE(rollup::Setup(db.get(), ropt).ok());
   const std::string q =
       "SELECT sensor, SUM(value) AS total FROM events GROUP BY sensor";
-  ASSERT_TRUE(db->Sql(q).ok());
+  ASSERT_TRUE(Sql(db.get(), q).ok());
 
   TablePtr empty = rollup::MakeBatch(0, 2048, ropt);
   ASSERT_TRUE(db->AppendTable("events", *empty).ok());
 
-  Result again = db->Sql(q);
+  Result again = Sql(db.get(), q);
   ASSERT_TRUE(again.ok());
   EXPECT_GE(again.trace().num_reuses, 1);
   EXPECT_EQ(again.trace().num_delta_reuses, 0);
@@ -162,13 +173,13 @@ TEST(DeltaTest, GlobalMinMaxNotMergedButCorrect) {
   }
   ASSERT_TRUE(db->CreateTable("m", t).ok());
   const std::string q = "SELECT MIN(v) AS lo, MAX(v) AS hi FROM m";
-  ASSERT_TRUE(db->Sql(q).ok());
+  ASSERT_TRUE(Sql(db.get(), q).ok());
 
   TablePtr delta = MakeTable(s);
   delta->AppendRow({int32_t{0}, -5.0});
   ASSERT_TRUE(db->AppendTable("m", *delta).ok());
 
-  Result r = db->Sql(q);
+  Result r = Sql(db.get(), q);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.trace().num_delta_reuses, 0);
   EXPECT_EQ(BitRows(*r.table(), false), Truth(db.get(), q, false));
@@ -181,19 +192,63 @@ TEST(DeltaTest, SelectChainStitchPreservesRowOrder) {
   ASSERT_TRUE(rollup::Setup(db.get(), ropt).ok());
   const std::string q =
       "SELECT ts, sensor, value FROM events WHERE value >= 900.0";
-  ASSERT_TRUE(db->Sql(q).ok());
+  ASSERT_TRUE(Sql(db.get(), q).ok());
 
   int64_t rows = ropt.initial_rows;
   for (int round = 0; round < 2; ++round) {
     ASSERT_TRUE(
         db->AppendTable("events", *rollup::MakeBatch(700, rows, ropt)).ok());
     rows += 700;
-    Result stitched = db->Sql(q);
+    Result stitched = Sql(db.get(), q);
     ASSERT_TRUE(stitched.ok()) << stitched.status().ToString();
     EXPECT_EQ(stitched.trace().num_delta_reuses, 1) << "round " << round;
     EXPECT_EQ(stitched.trace().num_agg_merges, 0) << "round " << round;
     // Ordered comparison: cached prefix then delta window IS scan order.
     EXPECT_EQ(BitRows(*stitched.table(), true), Truth(db.get(), q, true));
+  }
+}
+
+/// The bits of a double.
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+TEST(DeltaTest, DoubleGroupKeyIsOneRepresentativeInAnyRowOrder) {
+  // -0.0 and 0.0 are one group, and so are NaNs of either sign: the
+  // group's key is 0.0 or the quiet NaN whichever row comes first, in a
+  // base scan and in the merge of a cached prefix with a delta alike.
+  const double neg_nan = -std::numeric_limits<double>::quiet_NaN();
+  const double pos_nan = std::numeric_limits<double>::quiet_NaN();
+  const std::string q = "SELECT x, COUNT(v) AS n FROM m GROUP BY x";
+  const std::vector<std::pair<double, double>> pairs = {
+      {-0.0, 0.0}, {0.0, -0.0}, {neg_nan, pos_nan}, {pos_nan, neg_nan}};
+  for (const auto& [first, second] : pairs) {
+    for (bool as_delta : {false, true}) {
+      SCOPED_TRACE(StrFormat("%g then %g%s", first, second,
+                             as_delta ? " as prefix plus delta" : ""));
+      auto db = Database::OpenOrDie(DeltaOptions());
+      Schema s({{"x", TypeId::kDouble}, {"v", TypeId::kDouble}});
+      TablePtr t = MakeTable(s);
+      t->AppendRow({first, 1.0});
+      if (!as_delta) t->AppendRow({second, 2.0});
+      ASSERT_TRUE(db->CreateTable("m", t).ok());
+      Result r = Sql(db.get(), q);
+      if (as_delta) {
+        TablePtr delta = MakeTable(s);
+        delta->AppendRow({second, 2.0});
+        ASSERT_TRUE(db->AppendTable("m", *delta).ok());
+        r = Sql(db.get(), q);
+        EXPECT_EQ(r.trace().num_agg_merges, 1);
+      }
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r.table()->num_rows(), 1);
+      EXPECT_EQ(std::get<int64_t>(r.table()->Get(0, 1)), 2);
+      const double key = std::get<double>(r.table()->Get(0, 0));
+      EXPECT_EQ(Bits(key), Bits(std::isnan(first) ? pos_nan : 0.0));
+      EXPECT_EQ(BitRows(*r.table(), true), Truth(db.get(), q, true));
+    }
   }
 }
 
@@ -205,7 +260,7 @@ void SeedAndAppend(Database* db) {
   rollup::RollupOptions ropt;
   ropt.initial_rows = 6000;
   ASSERT_TRUE(rollup::Setup(db, ropt).ok());
-  ASSERT_TRUE(db->Sql(kHalfSelect).ok());
+  ASSERT_TRUE(Sql(db, kHalfSelect).ok());
   ASSERT_TRUE(
       db->AppendTable("events", *rollup::MakeBatch(20, 6000, ropt)).ok());
 }
@@ -227,7 +282,7 @@ TablePtr EntrySharing(Database* db, const Table& result) {
 TEST(DeltaTest, StitchedSelectSharesItsRefreshedEntry) {
   auto db = Database::OpenOrDie(DeltaOptions());
   SeedAndAppend(db.get());
-  Result r = db->Sql(kHalfSelect);
+  Result r = Sql(db.get(), kHalfSelect);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.trace().num_delta_reuses, 1);
 
@@ -255,7 +310,7 @@ TEST(DeltaTest, StitchedSelectSharesItsRefreshedEntry) {
 TEST(DeltaDeathTest, MutatingAStitchedResultDies) {
   auto db = Database::OpenOrDie(DeltaOptions());
   SeedAndAppend(db.get());
-  Result r = db->Sql(kHalfSelect);
+  Result r = Sql(db.get(), kHalfSelect);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r.trace().num_delta_reuses, 1);
   EXPECT_DEATH(r.table()->AppendRow({int64_t{1}, int32_t{0}, 2.0}),
@@ -272,7 +327,7 @@ TEST(DeltaTest, RejectedRootStoreReturnsEveryRow) {
   rollup::RollupOptions ropt;
   ropt.initial_rows = 6000;
   ASSERT_TRUE(rollup::Setup(db.get(), ropt).ok());
-  Result r = db->Sql(kHalfSelect);
+  Result r = Sql(db.get(), kHalfSelect);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GE(r.trace().num_spec_aborted, 1);
   EXPECT_EQ(BitRows(*r.table(), true), Truth(db.get(), kHalfSelect, true));
@@ -289,7 +344,7 @@ TEST(DeltaTest, RollupScenarioAllShapesBitIdentical) {
   std::vector<std::string> queries = rollup::RollupSql(ropt);
 
   for (const std::string& q : queries) {
-    ASSERT_TRUE(db->Sql(q).ok());
+    ASSERT_TRUE(Sql(db.get(), q).ok());
   }
   int64_t rows = ropt.initial_rows;
   for (int round = 0; round < 3; ++round) {
@@ -297,7 +352,7 @@ TEST(DeltaTest, RollupScenarioAllShapesBitIdentical) {
         db->AppendTable("events", *rollup::MakeBatch(333, rows, ropt)).ok());
     rows += 333;
     for (const std::string& q : queries) {
-      Result r = db->Sql(q);
+      Result r = Sql(db.get(), q);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       EXPECT_TRUE(r.recycled()) << q << " round " << round;
       EXPECT_EQ(BitRows(*r.table(), false), Truth(db.get(), q, false)) << q;
@@ -314,13 +369,13 @@ TEST(DeltaTest, ReplaceTableStillHardInvalidates) {
   for (int i = 0; i < 1000; ++i) t->AppendRow({int32_t{i % 4}, 1.0});
   ASSERT_TRUE(db->CreateTable("m", t).ok());
   const std::string q = "SELECT k, SUM(v) AS sv FROM m GROUP BY k";
-  ASSERT_TRUE(db->Sql(q).ok());
+  ASSERT_TRUE(Sql(db.get(), q).ok());
 
   TablePtr t2 = MakeTable(s);
   for (int i = 0; i < 1000; ++i) t2->AppendRow({int32_t{i % 4}, 2.0});
   ASSERT_TRUE(db->ReplaceTable("m", t2).ok());
 
-  Result r = db->Sql(q);
+  Result r = Sql(db.get(), q);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.trace().num_reuses, 0);
   EXPECT_EQ(BitRows(*r.table(), false), Truth(db.get(), q, false));
@@ -343,7 +398,7 @@ TEST(DeltaTest, ConcurrentAppendsVsDeltaScans) {
   const std::string q =
       "SELECT sensor, COUNT(value) AS n, SUM(ts) AS st FROM events"
       " GROUP BY sensor";
-  ASSERT_TRUE(db->Sql(q).ok());
+  ASSERT_TRUE(Sql(db.get(), q).ok());
 
   std::atomic<bool> writer_ok{true};
   std::thread writer([&] {
@@ -383,6 +438,73 @@ TEST(DeltaTest, ConcurrentAppendsVsDeltaScans) {
   for (auto& th : readers) th.join();
   EXPECT_TRUE(writer_ok.load());
   EXPECT_EQ(violations.load(), 0);
+}
+
+TEST(DeltaTest, TwoSessionsRepeatOneTextWhileAThirdAppends) {
+  // Two sessions repeat one statement, served from the exact-hit index by
+  // its text (exact, or refreshed by delta), while a third thread appends.
+  // Each
+  // answer must equal a bypass run on the table version it pinned, which
+  // its row count names.
+  constexpr int64_t kInitial = 4096;
+  constexpr int64_t kBatch = 128;
+  constexpr int kAppends = 16;
+  rollup::RollupOptions ropt;
+  ropt.initial_rows = kInitial;
+  const std::string q =
+      "SELECT sensor, COUNT(value) AS n, SUM(value) AS total,"
+      " MAX(value) AS hi FROM events GROUP BY sensor";
+  // The bypass answer at every version, on a second database.
+  std::vector<std::vector<std::string>> truth;
+  {
+    auto oracle_db = Database::OpenOrDie(DeltaOptions());
+    ASSERT_TRUE(rollup::Setup(oracle_db.get(), ropt).ok());
+    for (int k = 0; k <= kAppends; ++k) {
+      truth.push_back(Truth(oracle_db.get(), q, false));
+      ASSERT_TRUE(oracle_db
+                      ->AppendTable("events",
+                                    *rollup::MakeBatch(
+                                        kBatch, kInitial + k * kBatch, ropt))
+                      .ok());
+    }
+  }
+  auto db = Database::OpenOrDie(DeltaOptions());
+  ASSERT_TRUE(rollup::Setup(db.get(), ropt).ok());
+  ASSERT_TRUE(Sql(db.get(), q).ok());
+
+  std::thread writer([&] {
+    for (int k = 0; k < kAppends; ++k) {
+      TablePtr batch = rollup::MakeBatch(kBatch, kInitial + k * kBatch, ropt);
+      EXPECT_TRUE(db->AppendTable("events", *batch).ok());
+      std::this_thread::yield();
+    }
+  });
+  std::atomic<int64_t> served{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      auto session = db->Connect();
+      for (int i = 0; i < 40; ++i) {
+        Result res = session->Sql(q);
+        ASSERT_TRUE(res.ok()) << res.status().ToString();
+        int64_t rows = 0;
+        for (int64_t row = 0; row < res.table()->num_rows(); ++row) {
+          rows += std::get<int64_t>(res.table()->Get(row, 1));
+        }
+        const int64_t k = (rows - kInitial) / kBatch;
+        ASSERT_TRUE(rows >= kInitial && (rows - kInitial) % kBatch == 0 &&
+                    k <= kAppends)
+            << rows;
+        EXPECT_EQ(BitRows(*res.table(), false), truth[k]) << "version " << k;
+        served.fetch_add(res.trace().num_index_served);
+      }
+    });
+  }
+  writer.join();
+  for (auto& th : readers) th.join();
+  EXPECT_GT(served.load(), 0);
+  const Status consistent = db->recycler().CheckConsistency();
+  EXPECT_TRUE(consistent.ok()) << consistent.ToString();
 }
 
 }  // namespace

@@ -330,6 +330,54 @@ TEST_F(PartialReuseTest, CachedNanBoundServesANumericBoundCorrectly) {
   EXPECT_EQ(RowMultiset(*r.table), RunOff(below(5.0)));
 }
 
+TEST_F(PartialReuseTest, NanWideQueryIntervalSplitsStitchCreditEvenly) {
+  // [0, NaN] has no finite width, so no piece's share of it can be
+  // measured: the two slices that tile it split the credit evenly, and
+  // their credits sum to 1.
+  const PlanPtr child = PlanNode::Scan("t", {"a", "g", "v"});
+  const double nan = std::nan("");
+  auto range = [](double lo, double hi, bool hi_closed) {
+    ExprPtr upper = hi_closed ? Expr::Le(Expr::Column("v"), Expr::Literal(hi))
+                              : Expr::Lt(Expr::Column("v"), Expr::Literal(hi));
+    return Expr::And(Expr::Ge(Expr::Column("v"), Expr::Literal(lo)), upper);
+  };
+  PlanPtr query = PlanNode::Select(child, range(0.0, nan, true));
+  query->Bind(catalog_);
+  const Schema& input = child->output_schema();
+  const std::vector<RangeSpec> qspecs =
+      ExtractRangeSpecs(query->predicate(), &input);
+  ASSERT_EQ(qspecs.size(), 1u);
+  const std::vector<RangeSpec> low =
+      ExtractRangeSpecs(range(0.0, 50.0, false), &input);
+  const std::vector<RangeSpec> high =
+      ExtractRangeSpecs(range(50.0, nan, true), &input);
+  ASSERT_EQ(low.size(), 1u);
+  ASSERT_EQ(high.size(), 1u);
+  RGNode low_node, high_node;
+  low_node.id = 1;
+  high_node.id = 2;
+  const TablePtr rows = MakeTable(query->output_schema());
+  const std::vector<IntervalCandidate> slices = {
+      {&low_node, rows, &low[0]}, {&high_node, rows, &high[0]}};
+  const StitchLayout layout = PlanPartialStitch(*query, qspecs[0], slices);
+  ASSERT_EQ(layout.uses.size(), 2u);
+  EXPECT_TRUE(layout.gaps.empty());
+  EXPECT_DOUBLE_EQ(layout.covered_fraction, 1.0);
+  std::vector<TablePtr> tables;
+  for (const StitchLayout::Use& use : layout.uses) {
+    tables.push_back(use.source->cached);
+  }
+  const PartialPlan stitched =
+      BuildPartialStitch(*query, child, qspecs[0], layout, tables);
+  ASSERT_EQ(stitched.reuse_pieces.size(), 2u);
+  double credit = 0;
+  for (const PartialPiece& piece : stitched.reuse_pieces) {
+    EXPECT_DOUBLE_EQ(piece.fraction, 0.5);
+    credit += piece.fraction;
+  }
+  EXPECT_DOUBLE_EQ(credit, 1.0);
+}
+
 TEST_F(PartialReuseTest, DisabledFlagFallsBackToColdExecution) {
   Recycler rec = MakeRecycler(/*partial=*/false);
   rec.Execute(RangeQuery(10, 50));

@@ -1,13 +1,15 @@
 // Property-based tests: random plan workloads against the recycler.
 //
 // Properties checked across randomized workloads (parameterized by seed):
-//  P1. Transparency: every mode returns exactly the OFF results, with
-//      arbitrary interleaving and repetition.
+//  P1. Transparency: every mode returns exactly the OFF results and the
+//      raw arm's (no canonicalizer, no zone-map pruning), with arbitrary
+//      interleaving and repetition.
 //  P2. Graph idempotence: re-preparing a seen plan adds no nodes.
 //  P3. h is never negative; epochs never exceed the global epoch.
 //  P4. The cache never exceeds its capacity.
-//  P5. Cached state is consistent: mat_state == kCached iff the node
-//      holds a table, and cached bytes add up.
+//  P5. Cached state is consistent (Recycler::CheckConsistency):
+//      mat_state == kCached iff the node holds a table, cached bytes add
+//      up, and the exact-hit index agrees with the cache.
 //  P6. Differential SQL fuzz: random SQL over a random append schedule,
 //      with edge values of the value order in the data, returns
 //      bit-identical rows recycler-on, bypass, and raw (no canonicalizer,
@@ -26,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string>
@@ -140,60 +143,81 @@ class PropertyTest : public ::testing::TestWithParam<int> {
   }
 
   static void CheckInvariants(Recycler& rec) {
-    std::shared_lock<std::shared_mutex> lock(rec.graph().mutex());
-    int64_t epoch = rec.graph().epoch();
-    int64_t cached_total = 0;
-    for (const auto& n : rec.graph().nodes()) {
-      EXPECT_GE(n->h, 0.0) << "P3: negative h on node " << n->id;
-      EXPECT_LE(n->h_epoch, epoch) << "P3: epoch from the future";
-      bool cached = n->mat_state.load() == MatState::kCached;
-      EXPECT_EQ(cached, n->cached != nullptr)
-          << "P5: state/table mismatch on node " << n->id;
-      if (cached) cached_total += n->cached_bytes;
+    {
+      std::shared_lock<std::shared_mutex> lock(rec.graph().mutex());
+      int64_t epoch = rec.graph().epoch();
+      for (const auto& n : rec.graph().nodes()) {
+        EXPECT_GE(n->h, 0.0) << "P3: negative h on node " << n->id;
+        EXPECT_LE(n->h_epoch, epoch) << "P3: epoch from the future";
+      }
+      if (!rec.cache().unlimited()) {
+        EXPECT_LE(rec.cache().used_bytes(), rec.cache().capacity_bytes())
+            << "P4: cache over capacity";
+      }
     }
-    EXPECT_EQ(cached_total, rec.cache().used_bytes()) << "P5: byte drift";
-    if (!rec.cache().unlimited()) {
-      EXPECT_LE(rec.cache().used_bytes(), rec.cache().capacity_bytes())
-          << "P4: cache over capacity";
-    }
+    const Status consistent = rec.CheckConsistency();
+    EXPECT_TRUE(consistent.ok()) << "P5: " << consistent.ToString();
   }
 
   static Catalog* catalog_;
 };
 Catalog* PropertyTest::catalog_ = nullptr;
 
+/// A plan's rows for comparison: for a top-N only its sort keys, since
+/// ties at the cut are resolved arbitrarily.
+std::multiset<std::string> ComparableRows(const PlanPtr& plan,
+                                          const Table& table) {
+  return plan->type() == OpType::kTopN
+             ? recycledb::testing::ColumnMultiset(table, {"sv"})
+             : recycledb::testing::RowMultiset(table);
+}
+
 TEST_P(PropertyTest, TransparencyAcrossModes) {
   const int seed = GetParam();
-  for (RecyclerMode mode : {RecyclerMode::kHistory, RecyclerMode::kSpeculation,
-                            RecyclerMode::kProactive}) {
+  constexpr int kQueries = 40;
+  // Generators with the same seed produce the same workload; reuse
+  // opportunities come from the small constant domains. The OFF rows of
+  // each statement, which every arm must return, agree with the raw
+  // arm's: the plan as written, over full scans, no recycler.
+  std::vector<std::multiset<std::string>> expected;
+  {
     RecyclerConfig off_cfg;
     off_cfg.mode = RecyclerMode::kOff;
     Recycler off(catalog_, off_cfg);
+    DatabaseOptions raw_options;
+    raw_options.canonicalize_plans = false;
+    raw_options.recycler.enable_zone_map_pruning = false;
+    auto raw_db = Database::OpenOrDie(raw_options);
+    ASSERT_TRUE(raw_db->CreateTable("t", catalog_->GetTable("t")).ok());
+    SessionOptions bypass;
+    bypass.bypass_recycler = true;
+    auto raw = raw_db->Connect(bypass);
+    RandomPlanGenerator gen_off(seed);
+    RandomPlanGenerator gen_raw(seed);
+    for (int q = 0; q < kQueries; ++q) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " query " +
+                   std::to_string(q));
+      PlanPtr plan_off = gen_off.Next();
+      PlanPtr plan_raw = gen_raw.Next();
+      expected.push_back(ComparableRows(plan_off, *off.Execute(plan_off).table));
+      Result r_raw = raw->Execute(plan_raw);
+      ASSERT_TRUE(r_raw.ok()) << r_raw.status().ToString();
+      EXPECT_EQ(expected.back(), ComparableRows(plan_raw, *r_raw.table()));
+    }
+  }
+  for (RecyclerMode mode : {RecyclerMode::kHistory, RecyclerMode::kSpeculation,
+                            RecyclerMode::kProactive}) {
     RecyclerConfig on_cfg;
     on_cfg.mode = mode;
     on_cfg.cache_bytes = 8 << 20;  // small enough to force evictions
     Recycler on(catalog_, on_cfg);
-
-    // Two generators with the same seed produce the same workload; reuse
-    // opportunities come from the small constant domains.
-    RandomPlanGenerator gen_a(seed);
-    RandomPlanGenerator gen_b(seed);
-    for (int q = 0; q < 40; ++q) {
-      PlanPtr plan_off = gen_a.Next();
-      PlanPtr plan_on = gen_b.Next();
+    RandomPlanGenerator gen(seed);
+    for (int q = 0; q < kQueries; ++q) {
+      PlanPtr plan = gen.Next();
       SCOPED_TRACE("seed " + std::to_string(seed) + " query " +
                    std::to_string(q) + " mode " +
                    std::string(RecyclerModeName(mode)));
-      ExecResult r_off = off.Execute(plan_off);
-      ExecResult r_on = on.Execute(plan_on);
-      if (plan_off->type() == OpType::kTopN) {
-        // Ties at the cut are resolved arbitrarily: compare sort keys.
-        EXPECT_EQ(recycledb::testing::ColumnMultiset(*r_off.table, {"sv"}),
-                  recycledb::testing::ColumnMultiset(*r_on.table, {"sv"}));
-      } else {
-        EXPECT_EQ(recycledb::testing::RowMultiset(*r_off.table),
-                  recycledb::testing::RowMultiset(*r_on.table));
-      }
+      EXPECT_EQ(expected[q], ComparableRows(plan, *on.Execute(plan).table));
       CheckInvariants(on);
     }
   }
@@ -241,7 +265,17 @@ std::vector<Datum> FuzzRow(int64_t i) {
                           0.0, -0.0};
   const int64_t pick = rng.Uniform(0, 63);
   if (pick < 4) v = edges[pick];
-  return {a, b, v};
+  // w is an int64 that one row in 16 holds beyond 2^53, where doubles
+  // skip integers, or at an end of the type. No statement sums it.
+  int64_t w = rng.Uniform(0, 1000) - 500;
+  const int64_t w_edges[] = {(int64_t{1} << 53) - 1, (int64_t{1} << 53) + 1,
+                             std::numeric_limits<int64_t>::min(),
+                             std::numeric_limits<int64_t>::max()};
+  const int64_t w_pick = rng.Uniform(0, 63);
+  if (w_pick < 4) w = w_edges[w_pick];
+  // s holds strings whose literals differ only by an escaped quote.
+  const char* strings[] = {"a", "a'", "a''", "b"};
+  return {a, b, v, w, std::string(strings[rng.Uniform(0, 3)])};
 }
 
 void AppendFuzzRows(Table* t, int64_t start_row, int64_t rows) {
@@ -267,7 +301,9 @@ double FuzzCollisionValue(int n) {
 TablePtr MakeFuzzBatch(int64_t rows, int64_t start_row) {
   TablePtr batch = MakeTable(Schema({{"a", TypeId::kInt32},
                                      {"b", TypeId::kInt32},
-                                     {"v", TypeId::kDouble}}));
+                                     {"v", TypeId::kDouble},
+                                     {"w", TypeId::kInt64},
+                                     {"s", TypeId::kString}}));
   AppendFuzzRows(batch.get(), start_row, rows);
   return batch;
 }
@@ -297,19 +333,42 @@ std::string FuzzDoubleLiteral(Rng* rng) {
   }
 }
 
-/// Random SQL over fuzz(a, b, v) with small constant domains, so the
-/// workload repeats spellings (exact), refines them (subsumption),
+/// Predicates whose literals collide across types or spellings: an int
+/// and a double of one value, the two zeros, a string and the same string
+/// with an escaped quote, and int64 bounds beyond 2^53 spelled as integers
+/// and as doubles.
+constexpr const char* kCollidingPredicates[] = {
+    "a = 1",
+    "a = 1.0",
+    "a >= 30",
+    "a >= 30.0",
+    "v = 0.0",
+    "v = -0.0",
+    "v <= -0.0",
+    "s = 'a'",
+    "s = 'a'''",
+    "s < 'a'''",
+    "s >= 'a'",
+    "w >= 9007199254740993",
+    "w >= 9007199254740992.0",
+    "w = 9007199254740991",
+    "w < -9007199254740993",
+    "w <= 9223372036854775807",
+};
+
+/// Random SQL over fuzz(a, b, v, w, s) with small constant domains, so
+/// the workload repeats spellings (exact), refines them (subsumption),
 /// slides ranges (stitch) and re-aggregates across appends (delta /
 /// agg-merge). Some range bounds sit 1e-4 either side of a stored value
 /// (the two bounds differ only past six significant digits). One case
 /// swaps the aggregate aliases of another, so `sv` and `n` each name two
 /// different columns across statements. NOT over a comparison and IN
-/// over `a` and `v` meet the edge values in v. No ORDER BY: rows compare
-/// as multisets.
+/// over `a`, `v` and `s` meet the edge values in v, w and s; so do the
+/// colliding predicates. No ORDER BY: rows compare as multisets.
 FuzzQuery RandomFuzzQuery(Rng* rng) {
   char buf[160];
   FuzzQuery q;
-  switch (rng->Uniform(0, 8)) {
+  switch (rng->Uniform(0, 10)) {
     case 0: {
       int lo = static_cast<int>(rng->Uniform(0, 4)) * 10;
       std::snprintf(buf, sizeof(buf), "a >= %d AND a < %d", lo, lo + 20);
@@ -368,19 +427,35 @@ FuzzQuery RandomFuzzQuery(Rng* rng) {
       q.where = buf;
       break;
     }
+    case 8: {
+      q.where = kCollidingPredicates[rng->Uniform(
+          0, std::size(kCollidingPredicates) - 1)];
+      break;
+    }
+    case 9: {
+      q.sql = rng->Uniform(0, 1) == 0
+                  ? "SELECT a, MIN(w) AS lo, MAX(w) AS hi, COUNT(w) AS n"
+                    " FROM fuzz WHERE a < 20 GROUP BY a"
+                  : "SELECT s, MAX(w) AS hi, COUNT(v) AS n FROM fuzz"
+                    " GROUP BY s";
+      break;
+    }
     default: {
       // IN over an int column takes int and non-integral double values.
-      const bool over_v = rng->Uniform(0, 1) == 0;
+      const int over = static_cast<int>(rng->Uniform(0, 2));
       std::string c1, c2;
-      if (over_v) {
+      if (over == 0) {
         c1 = FuzzDoubleLiteral(rng);
         c2 = FuzzDoubleLiteral(rng);
-      } else {
+      } else if (over == 1) {
         c1 = std::to_string(rng->Uniform(0, 60));
         c2 = std::to_string(rng->Uniform(0, 60));
         if (rng->Uniform(0, 1) == 0) c2 += ".5";
+      } else {
+        c1 = "'a'";
+        c2 = rng->Uniform(0, 1) == 0 ? "'a'''" : "'b'";
       }
-      const std::string x = over_v ? "v" : "a";
+      const std::string x = over == 0 ? "v" : over == 1 ? "a" : "s";
       q.where = x + " IN (" + c1 + ", " + c2 + ")";
       q.in_as_or = x + " = " + c1 + " OR " + x + " = " + c2;
       break;
@@ -454,14 +529,17 @@ TEST_P(SqlFuzzTest, DifferentialAgainstBypassRawAndReplay) {
   auto bypass = db->Connect(bypass_opts);
   auto raw = raw_db->Connect(bypass_opts);
 
-  // Runs `sql` on all three arms, which must agree bit for bit, and
-  // returns the recycled arm's rows.
+  // Runs `sql` on all three arms, which must agree bit for bit, checks
+  // the recycler's consistency, and returns the recycled arm's rows.
   int hits = 0;
+  int index_served = 0;
   auto run = [&](const std::string& sql) {
     SCOPED_TRACE(sql);
     Result on = recycled->Sql(sql);
     Result off = bypass->Sql(sql);
     Result plain = raw->Sql(sql);
+    const Status consistent = db->recycler().CheckConsistency();
+    EXPECT_TRUE(consistent.ok()) << consistent.ToString();
     EXPECT_TRUE(on.ok() && off.ok() && plain.ok())
         << on.status().ToString() << off.status().ToString()
         << plain.status().ToString();
@@ -474,15 +552,19 @@ TEST_P(SqlFuzzTest, DifferentialAgainstBypassRawAndReplay) {
     EXPECT_EQ(rows, BitRowMultiset(*plain.table()))
         << "P6: canonical, pruned arms diverged from the raw arm";
     if (on.recycled()) ++hits;
+    index_served += static_cast<int>(on.trace().num_index_served);
     return rows;
   };
 
   // Random schedule: mostly queries, occasionally an append. Every arm
-  // runs against the same table state at every step.
+  // runs against the same table state at every step. After an append
+  // every statement since the previous one runs again, so the index
+  // serves repeated texts by delta.
   Rng rng(seed);
   int64_t next_row = kInitialRows;
   std::multiset<std::string> table_rows;  // fuzz's rows at `table_size`
   int64_t table_size = 0;
+  std::vector<std::string> since_append;
   for (int q = 0; q < kQueries; ++q) {
     if (rng.Uniform(0, 7) == 0) {
       const int64_t batch = 128 + 64 * static_cast<int64_t>(rng.Uniform(0, 3));
@@ -492,8 +574,11 @@ TEST_P(SqlFuzzTest, DifferentialAgainstBypassRawAndReplay) {
           raw_db->AppendTable("fuzz", *MakeFuzzBatch(batch, next_row)).ok());
       recorder.RecordAppend("fuzz", batch, next_row);
       next_row += batch;
+      for (const std::string& sql : since_append) run(sql);
+      since_append.clear();
     }
     const FuzzQuery fq = RandomFuzzQuery(&rng);
+    since_append.push_back(fq.sql);
     SCOPED_TRACE("seed " + std::to_string(seed) + " query " +
                  std::to_string(q) + ": " + fq.sql);
     const std::multiset<std::string> rows = run(fq.sql);
@@ -520,6 +605,7 @@ TEST_P(SqlFuzzTest, DifferentialAgainstBypassRawAndReplay) {
   }
   EXPECT_GT(hits, 0) << "fuzz workload never hit the cache; the "
                         "differential property was vacuous";
+  EXPECT_GT(index_served, 0) << "no statement was served from the index";
 
   // Replay the recorded trace on a fresh engine: identical history must
   // reproduce identical reuse decisions and digests.

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <set>
 #include <shared_mutex>
 #include <thread>
 #include <tuple>
@@ -294,8 +295,22 @@ struct RecyclerPeer {
     std::string key = Recycler::ExactHitKey(*plan).text;
     std::unique_ptr<Recycler::MNode> root = rec.MatchTree(plan);
     std::shared_lock<std::shared_mutex> lock(rec.graph_.mutex());
-    rec.RememberExactHit(std::move(key), std::string(), *root,
-                         HashString(plan->TreeKey()));
+    rec.RememberExactHit(
+        {std::move(key)},
+        rec.MakeExactHit(*root, HashString(plan->TreeKey())));
+  }
+
+  /// The SQL texts the index holds a text key for.
+  static std::set<std::string> IndexedTexts(Recycler& rec) {
+    const std::string tag = Recycler::TextKey("");
+    std::set<std::string> out;
+    std::lock_guard<std::mutex> lock(rec.exact_mu_);
+    for (const auto& entry : rec.exact_hits_) {
+      if (entry.first.compare(0, tag.size(), tag) == 0) {
+        out.insert(entry.first.substr(tag.size()));
+      }
+    }
+    return out;
   }
 
   static void ClearIndex(Recycler& rec) {
@@ -503,6 +518,10 @@ TEST_F(ExactHitIndexTest, FastPathMatchesSlowPathTraceAndImportance) {
       if (from_index) {
         EXPECT_EQ(tf.reuse_mode, ReuseMode::kExact);
       }
+      // Only the index hit counts itself.
+      EXPECT_EQ(tf.num_index_served, from_index ? 1 : 0);
+      EXPECT_EQ(ts.num_index_served, 0);
+      tf.num_index_served = 0;
       EXPECT_EQ(TraceSansTimings(tf), TraceSansTimings(ts));
       EXPECT_EQ(GraphStats(fast), GraphStats(slow));
       EXPECT_EQ(recycledb::testing::RowMultiset(*rf.table),
@@ -510,6 +529,56 @@ TEST_F(ExactHitIndexTest, FastPathMatchesSlowPathTraceAndImportance) {
     }
   }
   EXPECT_GT(served, 0);
+}
+
+TEST_F(ExactHitIndexTest, DeltaRefreshFromTheIndexMatchesTheFullPath) {
+  // As above, with a row appended before every round but the first: the
+  // index serves each append-stale root by the delta rewrite the full
+  // path would build, with the same trace, graph statistics and rows.
+  // The first refresh takes the full path: its entry was registered
+  // before the table grew, so it keeps no plan.
+  RecyclerConfig cfg;
+  cfg.capture_plan_explain = true;
+  Recycler fast(&catalog_, cfg);
+  Recycler slow(&catalog_, cfg);
+  auto select = [] {
+    return PlanNode::Select(PlanNode::Scan("t", {"k", "v"}),
+                            Expr::Lt(Expr::Column("v"), Expr::Literal(100.0)));
+  };
+  int64_t refreshed = 0;
+  for (int round = 0; round < 4; ++round) {
+    if (round > 0) {
+      TablePtr delta = MakeTable(catalog_.GetTable("t")->schema());
+      delta->AppendRow({int32_t{40 + round}, 1.5 * round});
+      ASSERT_TRUE(catalog_.AppendRows("t", *delta).ok());
+      fast.OnTableAppended("t");
+      slow.OnTableAppended("t");
+    }
+    for (const PlanPtr& plan : {AggPlan(10), select()}) {
+      SCOPED_TRACE(std::to_string(round) + ": " + plan->Explain());
+      QueryTrace tf, ts;
+      bool from_index = false, slow_from_index = false;
+      ExecResult rf = RecyclerPeer::Execute(fast, plan, &tf, &from_index);
+      RecyclerPeer::ClearIndex(slow);
+      ExecResult rs = RecyclerPeer::Execute(slow, plan, &ts, &slow_from_index);
+      EXPECT_FALSE(slow_from_index);
+      EXPECT_EQ(from_index, round > 1);
+      if (round > 0) {
+        EXPECT_TRUE(tf.reuse_mode == ReuseMode::kAggMerge ||
+                    tf.reuse_mode == ReuseMode::kDelta);
+        refreshed += from_index ? 1 : 0;
+      }
+      EXPECT_EQ(tf.num_index_served, from_index ? 1 : 0);
+      tf.num_index_served = 0;
+      EXPECT_EQ(TraceSansTimings(tf), TraceSansTimings(ts));
+      EXPECT_EQ(GraphStats(fast), GraphStats(slow));
+      EXPECT_EQ(recycledb::testing::BitRows(*rf.table, true),
+                recycledb::testing::BitRows(*rs.table, true));
+      EXPECT_TRUE(fast.CheckConsistency().ok())
+          << fast.CheckConsistency().ToString();
+    }
+  }
+  EXPECT_EQ(refreshed, 4);
 }
 
 TEST_F(ExactHitIndexTest, SecondRunIsServedFromTheIndex) {
@@ -617,71 +686,109 @@ void AppendOneRow(Catalog& catalog, Recycler& rec) {
   rec.OnTableAppended("t");
 }
 
-TEST_F(ExactHitIndexTest, StaleRootFallsBackToDeltaRewrite) {
+TEST_F(ExactHitIndexTest, AppendStaleRootIsRefreshedFromTheIndex) {
   Recycler rec(&catalog_, RecyclerConfig{});
   for (int i = 0; i < 2; ++i) rec.Execute(AggPlan(10));
   ASSERT_EQ(rec.exact_hit_entries(), 1);
+  // The root is kept for a delta rewrite, and so is its entry. It was
+  // registered before the table grew, so it holds no plan: the first
+  // refresh takes the full path, which registers the plan.
   AppendOneRow(catalog_, rec);
-  // The root is kept for a delta rewrite, but leaves the index.
-  EXPECT_EQ(rec.exact_hit_entries(), 0);
+  EXPECT_EQ(rec.exact_hit_entries(), 1);
+  EXPECT_TRUE(rec.CheckConsistency().ok());
   QueryTrace t;
   bool from_index = true;
   ExecResult r = RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
   EXPECT_FALSE(from_index);
   EXPECT_EQ(t.reuse_mode, ReuseMode::kAggMerge);
+  EXPECT_EQ(t.num_index_served, 0);
   EXPECT_EQ(recycledb::testing::RowMultiset(*r.table),
             BypassRows(catalog_, AggPlan(10)));
-  // The refreshed root is re-admitted and indexed at completion.
+  AppendOneRow(catalog_, rec);
   EXPECT_EQ(rec.exact_hit_entries(), 1);
+  r = RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
+  EXPECT_TRUE(from_index);
+  EXPECT_EQ(t.reuse_mode, ReuseMode::kAggMerge);
+  EXPECT_EQ(t.num_index_served, 1);
+  EXPECT_EQ(t.num_materialized, 1);  // the refreshed root, re-admitted
+  EXPECT_EQ(recycledb::testing::RowMultiset(*r.table),
+            BypassRows(catalog_, AggPlan(10)));
+  // ... and indexed again at completion, under the same key.
+  EXPECT_EQ(rec.exact_hit_entries(), 1);
+  EXPECT_TRUE(rec.CheckConsistency().ok());
   RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
   EXPECT_TRUE(from_index);
   EXPECT_EQ(t.reuse_mode, ReuseMode::kExact);
 }
 
+/// A global MIN over `t`: no delta rewrite refreshes it (an empty delta
+/// would merge the operator's pad row).
+PlanPtr GlobalMinPlan() {
+  return PlanNode::Aggregate(PlanNode::Scan("t", {"k", "v"}), {},
+                             {{AggFunc::kMin, Expr::Column("v"), "lo"}});
+}
+
 TEST_F(ExactHitIndexTest, StaleEntryStillFallsBack) {
-  // A statement that completes after an append may index a root the
-  // append made stale; the lookup's freshness check turns it away.
+  // An entry no delta rewrite can refresh — rows appended without the
+  // append hook, which would have evicted it — is turned away by the
+  // probe untouched, and the full path drops it and runs the plan.
   Recycler rec(&catalog_, RecyclerConfig{});
-  rec.Execute(AggPlan(10));
-  AppendOneRow(catalog_, rec);
-  ASSERT_EQ(rec.exact_hit_entries(), 0);
-  RecyclerPeer::Remember(rec, AggPlan(10));
+  for (int i = 0; i < 2; ++i) rec.Execute(GlobalMinPlan());
   ASSERT_EQ(rec.exact_hit_entries(), 1);
+  TablePtr delta = MakeTable(catalog_.GetTable("t")->schema());
+  delta->AppendRow({int32_t{42}, -1.5});
+  ASSERT_TRUE(catalog_.AppendRows("t", *delta).ok());
   QueryTrace t;
   bool from_index = true;
-  ExecResult r = RecyclerPeer::Execute(rec, AggPlan(10), &t, &from_index);
+  ExecResult r = RecyclerPeer::Execute(rec, GlobalMinPlan(), &t, &from_index);
   EXPECT_FALSE(from_index);
-  EXPECT_EQ(t.reuse_mode, ReuseMode::kAggMerge);
+  EXPECT_EQ(t.num_index_served, 0);
+  EXPECT_EQ(t.reuse_mode, ReuseMode::kNone);
   EXPECT_EQ(recycledb::testing::RowMultiset(*r.table),
-            BypassRows(catalog_, AggPlan(10)));
+            BypassRows(catalog_, GlobalMinPlan()));
 }
 
 TEST_F(ExactHitIndexTest, StaleEntryFallsBackThroughTheSessionOnce) {
-  // The session probes the index before validation; a stale entry falls
-  // back to the full path, which validates and binds the plan. Either
-  // way the graph epoch advances once per statement.
+  // The session probes the index before validation. An append-stale
+  // root is refreshed from the index, the plan still unbound; an entry
+  // the probe turns away falls back to the full path, which validates
+  // and binds the plan. Either way the graph epoch advances once per
+  // statement.
   DatabaseOptions options;
   std::unique_ptr<Database> db = Database::OpenOrDie(options);
   ASSERT_TRUE(db->CreateTable("t", catalog_.GetTable("t")).ok());
   Recycler& rec = db->recycler();
   auto session = db->Connect({});
-  ASSERT_TRUE(session->Execute(AggPlan(10)).ok());
   TablePtr delta = MakeTable(db->catalog().GetTable("t")->schema());
   delta->AppendRow({int32_t{42}, 1.5});
+  // The table grows, so the aggregate's entry keeps its plan.
   ASSERT_TRUE(db->AppendTable("t", *delta).ok());
-  ASSERT_EQ(rec.exact_hit_entries(), 0);
-  RecyclerPeer::Remember(rec, AggPlan(10));
-  ASSERT_EQ(rec.exact_hit_entries(), 1);
+  ASSERT_TRUE(session->Execute(AggPlan(10)).ok());
+  ASSERT_TRUE(session->Execute(GlobalMinPlan()).ok());
+  ASSERT_EQ(rec.exact_hit_entries(), 2);
+  // Without the append hook: the global MIN stays indexed, stale.
+  ASSERT_TRUE(db->catalog().AppendRows("t", *delta).ok());
 
   PlanPtr stale = AggPlan(10);
   int64_t epoch = rec.graph().epoch();
   Result merged = session->Execute(stale);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   EXPECT_EQ(merged.trace().reuse_mode, ReuseMode::kAggMerge);
-  EXPECT_TRUE(stale->bound());  // the full path ran
+  EXPECT_EQ(merged.trace().num_index_served, 1);
+  EXPECT_FALSE(stale->bound());  // refreshed from the index
   EXPECT_EQ(rec.graph().epoch(), epoch + 1);
   EXPECT_EQ(recycledb::testing::RowMultiset(*merged.table()),
             BypassRows(db->catalog(), AggPlan(10)));
+
+  PlanPtr turned_away = GlobalMinPlan();
+  epoch = rec.graph().epoch();
+  Result rerun = session->Execute(turned_away);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  EXPECT_EQ(rerun.trace().num_index_served, 0);
+  EXPECT_TRUE(turned_away->bound());  // the full path ran
+  EXPECT_EQ(rec.graph().epoch(), epoch + 1);
+  EXPECT_EQ(recycledb::testing::RowMultiset(*rerun.table()),
+            BypassRows(db->catalog(), GlobalMinPlan()));
 
   PlanPtr repeat = AggPlan(10);
   epoch = rec.graph().epoch();
@@ -692,6 +799,127 @@ TEST_F(ExactHitIndexTest, StaleEntryFallsBackThroughTheSessionOnce) {
   EXPECT_EQ(rec.graph().epoch(), epoch + 1);
   EXPECT_EQ(recycledb::testing::RowMultiset(*hit.table()),
             recycledb::testing::RowMultiset(*merged.table()));
+}
+
+/// A database over the fixture's table `t`, with a recycled and a bypass
+/// session.
+struct SqlDb {
+  explicit SqlDb(const Catalog& catalog)
+      : db(Database::OpenOrDie(DatabaseOptions{})) {
+    EXPECT_TRUE(db->CreateTable("t", catalog.GetTable("t")).ok());
+    session = db->Connect({});
+    SessionOptions bypass;
+    bypass.bypass_recycler = true;
+    oracle = db->Connect(bypass);
+  }
+
+  /// Runs `sql` on the recycled session, checks its rows against the
+  /// bypass session's and the recycler's consistency, and returns it.
+  Result Run(const std::string& sql) {
+    Result r = session->Sql(sql);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    Result want = oracle->Sql(sql);
+    EXPECT_TRUE(want.ok()) << want.status().ToString();
+    if (r.ok() && want.ok()) {
+      EXPECT_EQ(r.schema().ToString(), want.schema().ToString());
+      EXPECT_EQ(recycledb::testing::BitRows(*r.table(), false),
+                recycledb::testing::BitRows(*want.table(), false));
+    }
+    const Status consistent = db->recycler().CheckConsistency();
+    EXPECT_TRUE(consistent.ok()) << consistent.ToString();
+    return r;
+  }
+
+  void AppendRow(int32_t k, double v) {
+    TablePtr delta = MakeTable(db->catalog().GetTable("t")->schema());
+    delta->AppendRow({k, v});
+    ASSERT_TRUE(db->AppendTable("t", *delta).ok());
+  }
+
+  std::unique_ptr<Database> db;
+  std::unique_ptr<Session> session;
+  std::unique_ptr<Session> oracle;
+};
+
+constexpr char kSqlAgg[] =
+    "SELECT k, SUM(v) AS sv FROM t WHERE k > 10 GROUP BY k";
+
+TEST_F(ExactHitIndexTest, SqlRepeatAfterAnAppendIsServedByItsText) {
+  SqlDb sql(catalog_);
+  sql.AppendRow(39, 1.0);  // a growing table: entries keep their plans
+  Result first = sql.Run(kSqlAgg);
+  EXPECT_EQ(first.trace().num_index_served, 0);
+  EXPECT_EQ(RecyclerPeer::IndexedTexts(sql.db->recycler()),
+            std::set<std::string>{kSqlAgg});
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    sql.AppendRow(40 + round, 2.5);
+    Result r = sql.Run(kSqlAgg);
+    EXPECT_EQ(r.trace().num_index_served, 1);
+    EXPECT_EQ(r.trace().reuse_mode, ReuseMode::kAggMerge);
+    EXPECT_EQ(r.trace().num_materialized, 1);
+    EXPECT_EQ(RecyclerPeer::IndexedTexts(sql.db->recycler()),
+              std::set<std::string>{kSqlAgg});
+  }
+  Result fresh = sql.Run(kSqlAgg);
+  EXPECT_EQ(fresh.trace().num_index_served, 1);
+  EXPECT_EQ(fresh.trace().reuse_mode, ReuseMode::kExact);
+  EXPECT_EQ(sql.session->stats().num_index_served, 4);
+}
+
+TEST_F(ExactHitIndexTest, WhitespaceVariantRegistersItsOwnTextKey) {
+  SqlDb sql(catalog_);
+  const std::string spaced = "SELECT k,  SUM(v) AS sv FROM t WHERE k > 10 "
+                             "GROUP BY k";
+  sql.AppendRow(39, 1.0);  // a growing table: entries keep their plans
+  sql.Run(kSqlAgg);
+  // The variant's text misses, and its plan hits under the plan key; the
+  // root's text key becomes the variant's, the latest.
+  Result variant = sql.Run(spaced);
+  EXPECT_EQ(variant.trace().num_index_served, 1);
+  EXPECT_EQ(variant.trace().reuse_mode, ReuseMode::kExact);
+  EXPECT_EQ(RecyclerPeer::IndexedTexts(sql.db->recycler()),
+            std::set<std::string>{spaced});
+  EXPECT_EQ(sql.db->recycler().exact_hit_entries(), 1);
+  sql.AppendRow(77, 0.5);
+  Result refreshed = sql.Run(spaced);
+  EXPECT_EQ(refreshed.trace().num_index_served, 1);
+  EXPECT_EQ(refreshed.trace().reuse_mode, ReuseMode::kAggMerge);
+  EXPECT_EQ(RecyclerPeer::IndexedTexts(sql.db->recycler()),
+            std::set<std::string>{spaced});
+  Result original = sql.Run(kSqlAgg);
+  EXPECT_EQ(original.trace().num_index_served, 1);
+  EXPECT_EQ(RecyclerPeer::IndexedTexts(sql.db->recycler()),
+            std::set<std::string>{kSqlAgg});
+}
+
+TEST_F(ExactHitIndexTest, ReplaceTableBetweenSqlRepeatsParsesAgain) {
+  SqlDb sql(catalog_);
+  auto table = [](bool v_double) {
+    Schema s({{"k", TypeId::kInt32},
+              {"v", v_double ? TypeId::kDouble : TypeId::kInt64}});
+    TablePtr t = MakeTable(s);
+    for (int i = 0; i < 1000; ++i) {
+      t->AppendRow({int32_t{i % 4}, v_double ? Datum(0.5 * i)
+                                             : Datum(int64_t{i})});
+    }
+    return t;
+  };
+  ASSERT_TRUE(sql.db->CreateTable("m", table(false)).ok());
+  const std::string q = "SELECT k, SUM(v) AS s FROM m GROUP BY k";
+  sql.Run(q);
+  Result hit = sql.Run(q);
+  EXPECT_EQ(hit.trace().num_index_served, 1);
+  EXPECT_EQ(hit.schema().field(1).type, TypeId::kInt64);
+  // The new table changes the column's type, so the text lowers to
+  // another plan; the replacement evicted the root and its text key.
+  ASSERT_TRUE(sql.db->ReplaceTable("m", table(true)).ok());
+  EXPECT_TRUE(RecyclerPeer::IndexedTexts(sql.db->recycler()).empty());
+  Result reparsed = sql.Run(q);
+  EXPECT_EQ(reparsed.trace().num_index_served, 0);
+  EXPECT_FALSE(reparsed.recycled());
+  EXPECT_EQ(reparsed.schema().field(1).type, TypeId::kDouble);
+  EXPECT_EQ(sql.Run(q).trace().num_index_served, 1);
 }
 
 TEST_F(ExactHitIndexTest, KeyOfAnUnboundPlanEqualsItsBoundCopy) {
