@@ -611,6 +611,27 @@ void BM_PlanKey(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanKey);
 
+// Canonicalization of a left-deep n-term OR chain of distinct terms, as
+// the parser builds one: each operand is canonicalized once, then the
+// operands are sorted and deduplicated by key (n log n).
+void BM_CanonicalizeOrChain(benchmark::State& state) {
+  ExprPtr chain;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    ExprPtr term = Expr::Eq(Expr::Column("x"), Expr::Literal(i));
+    chain = chain == nullptr ? term : Expr::Or(chain, term);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CanonicalizeExpr(chain));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_CanonicalizeOrChain)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMicrosecond)
+    ->Complexity(benchmark::oNLogN);
+
 // ---------------------------------------------------------------------------
 // Cold-tier file path: one spill file of a 5,000-row SkyServer-shaped
 // result (an int64 id, eight doubles, three int32), written with the

@@ -39,31 +39,31 @@ Status ValidateRecyclerConfig(const RecyclerConfig& config) {
                   "disable the cold tier",
                   (long long)config.cold_tier_capacity_bytes));
   }
-  // Fleet tier: a member identity or a read-only mount makes the tier
-  // coordinate through the manifest; both are properties of the spill
-  // directory and are meaningless without one.
-  const bool fleet = !config.fleet_instance.empty() || config.spill_read_only;
-  if (fleet && config.spill_dir.empty()) {
+  // The fleet settings describe a spill directory: meaningless without
+  // one. With one, every tier is a fleet member (the default id when
+  // fleet_instance is empty) and holds a lease.
+  if (config.spill_dir.empty()) {
+    if (!config.spill_read_only && config.fleet_instance.empty()) {
+      return Status::OK();
+    }
     return Status::InvalidArgument(
         config.spill_read_only
             ? "spill_read_only requires spill_dir to be set"
             : "fleet_instance requires spill_dir to be set");
   }
-  if (fleet) {
-    if (config.fleet_lease_ms <= 0) {
+  if (config.fleet_lease_ms <= 0) {
+    return Status::InvalidArgument(
+        StrFormat("fleet_lease_ms must be positive (got %lld)",
+                  (long long)config.fleet_lease_ms));
+  }
+  for (char c : config.fleet_instance) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_' || c == '-';
+    if (!ok) {
       return Status::InvalidArgument(
-          StrFormat("fleet_lease_ms must be positive (got %lld)",
-                    (long long)config.fleet_lease_ms));
-    }
-    for (char c : config.fleet_instance) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '_' || c == '-';
-      if (!ok) {
-        return Status::InvalidArgument(
-            StrFormat("fleet_instance %s is not filename-safe (allowed: "
-                      "[A-Za-z0-9_-])",
-                      config.fleet_instance.c_str()));
-      }
+          StrFormat("fleet_instance %s is not filename-safe (allowed: "
+                    "[A-Za-z0-9_-])",
+                    config.fleet_instance.c_str()));
     }
   }
   return Status::OK();

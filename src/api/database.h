@@ -139,8 +139,8 @@ class Database {
   /// peers' new spills as adoptable entries, applies fleet-wide purge
   /// records, performs stale-lease takeover and renews this instance's
   /// lease (see Recycler::RefreshFleet). `new_peer_entries` (optional)
-  /// receives the number of newly discovered peer entries. No-op OK on a
-  /// private tier. A standby keeps itself warm by calling this
+  /// receives the number of newly discovered peer entries. No-op OK
+  /// without a spill_dir. A standby keeps itself warm by calling this
   /// periodically — fleet::StandbyTailer wraps exactly that loop.
   Status RefreshFleet(int64_t* new_peer_entries = nullptr);
 

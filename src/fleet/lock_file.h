@@ -1,7 +1,7 @@
-// Cross-process write arbitration for the fleet manifest: an exclusive
-// flock(2) on `<spill_dir>/manifest.lock`, held only around manifest
-// read-modify-write cycles (fleet/manifest.h). Readers never take it —
-// the manifest's tmp+rename discipline keeps lock-free reads sound.
+// Cross-process write arbitration for the manifest log: an exclusive
+// flock(2) on `<spill_dir>/manifest.lock`, held only around appends and
+// compactions (fleet/manifest.h). Readers never take it — a frame still
+// being written reads as bad and is read again at the next refresh.
 //
 // flock is advisory and per-open-file-description, which is exactly
 // what is needed here: every writer in the fleet goes through this

@@ -55,7 +55,7 @@ Status StandbyTailer::Promote() {
   Stop();
   // The final refresh performs the stale-lease takeover if the primary's
   // lease already lapsed; otherwise the regular refreshes that follow
-  // (now driven by this instance's own manifest syncs) will.
+  // (now driven by this instance's own log appends) will.
   return RefreshNow();
 }
 

@@ -41,7 +41,7 @@ namespace fleet {
 struct StandbyOptions {
   /// Cadence of the background RefreshFleet loop. Bounds adoption
   /// staleness: a primary spill becomes servable here at most one
-  /// interval (plus the primary's own manifest sync) after it lands.
+  /// interval (plus the primary's append of its add record) after it lands.
   int64_t refresh_interval_ms = 200;
 };
 

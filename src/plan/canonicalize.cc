@@ -275,9 +275,26 @@ ExprPtr CanonicalizeExprImpl(const ExprPtr& e) {
 
 ExprPtr CanonicalizeLogicalChain(LogicalOp op, const ExprPtr& e) {
   const bool is_and = op == LogicalOp::kAnd;
+  // Flatten the raw chain with an explicit stack (a parsed chain is as
+  // deep as it is long) and canonicalize each operand once; an operand
+  // that canonicalizes into the same operator contributes its operands.
   std::vector<ExprPtr> parts;
-  for (const ExprPtr& c : e->children()) {
-    FlattenLogical(op, CanonicalizeExpr(c), &parts);
+  std::vector<const ExprPtr*> stack;
+  auto push_children = [&stack](const Expr& chain) {
+    for (auto c = chain.children().rbegin(); c != chain.children().rend();
+         ++c) {
+      stack.push_back(&*c);
+    }
+  };
+  push_children(*e);
+  while (!stack.empty()) {
+    const ExprPtr& cur = *stack.back();
+    stack.pop_back();
+    if (cur->kind() == ExprKind::kLogical && cur->logical_op() == op) {
+      push_children(*cur);
+    } else {
+      FlattenLogical(op, CanonicalizeExpr(cur), &parts);
+    }
   }
   std::vector<ExprPtr> kept;
   for (const ExprPtr& p : parts) {
@@ -323,16 +340,18 @@ ExprPtr CanonicalizeLogicalChain(LogicalOp op, const ExprPtr& e) {
     }
     kept = std::move(rest);
   }
-  // Deduplicate, then order deterministically by key.
+  // Order deterministically by key, then deduplicate (equal keys are
+  // equal expressions; the stable sort keeps the first of each).
   std::vector<std::pair<std::string, ExprPtr>> keyed;
-  for (const ExprPtr& p : kept) {
-    std::string key = p->Key(nullptr);
-    bool dup = false;
-    for (const auto& [k, q] : keyed) dup = dup || k == key;
-    if (!dup) keyed.emplace_back(std::move(key), p);
-  }
+  keyed.reserve(kept.size());
+  for (const ExprPtr& p : kept) keyed.emplace_back(p->Key(nullptr), p);
   std::stable_sort(keyed.begin(), keyed.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
+  keyed.erase(std::unique(keyed.begin(), keyed.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.first == b.first;
+                          }),
+              keyed.end());
   if (keyed.empty()) return BoolLiteral(is_and);
   if (keyed.size() == 1) return keyed[0].second;
   std::vector<ExprPtr> ordered;

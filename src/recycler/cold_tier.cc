@@ -8,7 +8,6 @@
 #include <iterator>
 #include <limits>
 #include <system_error>
-#include <unordered_set>
 
 #include "common/hash.h"
 #include "common/macros.h"
@@ -21,7 +20,7 @@ namespace recycledb {
 
 namespace {
 
-/// File name relative to the spill directory (manifest entries must be
+/// File name relative to the spill directory (log entries must be
 /// path-independent: the directory may be mounted differently per
 /// process).
 std::string Basename(const std::string& path) {
@@ -29,20 +28,25 @@ std::string Basename(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
-/// Parses an in-flight spill file name (FilePath + ".tmp"):
-/// "r<hash>-<writer>-<n>.spill.tmp" in shared mode, "r<hash>-<n>.spill.tmp"
-/// (empty writer) from a private tier. False for any other name.
-bool SpillTmpWriter(const std::string& name, std::string* writer) {
-  static const std::string kSuffix = ".spill.tmp";
-  if (name.empty() || name[0] != 'r' || !EndsWith(name, kSuffix)) {
+/// The writer named by a spill file name (FilePath, plus ".tmp" while in
+/// flight): "r<hash>-<writer>-<n>.spill[.tmp]". False for any other name.
+bool SpillWriter(const std::string& name, std::string* writer) {
+  static const std::string kSpill = ".spill", kTmp = ".spill.tmp";
+  std::string stem;
+  if (EndsWith(name, kTmp)) {
+    stem = name.substr(0, name.size() - kTmp.size());
+  } else if (EndsWith(name, kSpill)) {
+    stem = name.substr(0, name.size() - kSpill.size());
+  } else {
     return false;
   }
-  const std::string stem = name.substr(0, name.size() - kSuffix.size());
   const size_t first = stem.find('-');
   const size_t last = stem.rfind('-');
-  if (first == std::string::npos) return false;
-  *writer = first == last ? std::string()
-                          : stem.substr(first + 1, last - first - 1);
+  if (stem.empty() || stem[0] != 'r' || first == std::string::npos ||
+      first == last) {
+    return false;
+  }
+  *writer = stem.substr(first + 1, last - first - 1);
   return true;
 }
 
@@ -93,23 +97,13 @@ ColdTier::~ColdTier() {
     work_cv_.notify_all();
   }
   if (worker_.joinable()) worker_.join();
-  if (enabled_ && shared_ && !read_only_) {
-    // Graceful shutdown: publish our entries one last time and drop our
-    // owner record. A missing owner record reads as an expired lease,
-    // so the next opener (any instance id) can reclaim the files.
-    std::lock_guard<std::mutex> lock(mu_);
-    SyncManifestLocked();
-    fleet::DirLock dlock;
-    if (fleet::DirLock::Acquire(fleet::ManifestLockPath(dir_), &dlock).ok()) {
-      fleet::Manifest m;
-      if (fleet::ReadManifestFile(fleet::ManifestPath(dir_), &m).ok()) {
-        for (auto it = m.owners.begin(); it != m.owners.end();) {
-          it = it->id == instance_ ? m.owners.erase(it) : std::next(it);
-        }
-        ++m.seq;
-        fleet::WriteManifestFile(fleet::ManifestPath(dir_), m).ok();
-      }
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (enabled_ && !read_only_ && (log_.is_open() || log_dirty_)) {
+    // Graceful shutdown: log what is left and give up our lease. A lease
+    // of 0 reads as expired, so any opener may reclaim the files; the
+    // same instance id reclaims them at once either way.
+    std::vector<const RGNode*> dropped;  // the recycler is going away
+    AppendLogLocked(&dropped, /*leaving=*/true);
   }
 }
 
@@ -124,149 +118,153 @@ Status ColdTier::Open(const ColdTierOptions& options) {
   std::lock_guard<std::mutex> lock(mu_);
   dir_ = options.dir;
   capacity_bytes_ = options.capacity_bytes;
-  shared_ = options.shared;
   read_only_ = options.read_only;
-  instance_ = options.instance_id;
+  instance_ =
+      options.instance_id.empty() ? kDefaultInstanceId : options.instance_id;
   lease_ms_ = options.lease_ms;
-  if (shared_ && !read_only_ && instance_.empty()) {
-    open_status_ = Status::InvalidArgument(
-        "shared cold tier requires a non-empty instance id");
-    return open_status_;
-  }
 
-  // Shared mode: the manifest decides which scanned files are claimable
-  // versus peer-owned. A corrupt / truncated / version-skewed manifest
-  // degrades to the empty manifest — every file is then claimable from
-  // the directory re-scan, and the next sync rewrites a fresh manifest.
-  fleet::Manifest manifest;
-  bool have_manifest = false;
-  if (shared_) {
-    have_manifest =
-        fleet::ReadManifestFile(fleet::ManifestPath(dir_), &manifest).ok();
-  }
-  const int64_t now_ms = fleet::UnixMillisNow();
-  std::unordered_map<std::string, const fleet::ManifestEntry*> by_file;
-  for (const fleet::ManifestEntry& e : manifest.entries) {
-    by_file[e.file] = &e;
-  }
-
-  // Scan: drop torn writes, keep readable spill files as orphans. A
-  // duplicate canonical key keeps the later-scanned file when both are
-  // ours (both images are equivalent; results are immutable) and the
-  // owned file when ownership differs.
+  // Scan: drop unreadable files, keep readable spill files as orphans.
+  struct Scanned {
+    fs::path path;
+    SpillFileMeta meta;
+    int64_t bytes = 0;
+  };
+  std::vector<Scanned> spills;
+  std::vector<fs::path> tmps, to_delete;
+  bool has_log = false;
+  const std::string log_name = Basename(fleet::ManifestLog::Path(dir_));
   std::error_code ec;
-  std::vector<fs::path> to_delete;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     const fs::path& p = entry.path();
-    if (p.extension() == ".tmp") {
-      // A torn write. In shared mode a live peer may still be writing its
-      // spill, and the manifest tmp belongs to the flock holder: delete
-      // only spills of this instance, of a dead owner or of no owner.
-      std::string writer;
-      const bool ours =
-          !shared_ ||
-          (SpillTmpWriter(p.filename().string(), &writer) &&
-           (writer.empty() || writer == instance_ ||
-            !manifest.OwnerLive(writer, now_ms)));
-      if (!read_only_ && ours) to_delete.push_back(p);
-      continue;
-    }
-    if (p.extension() != ".spill") continue;
-    SpillFileMeta meta;
-    if (!ReadSpillMeta(p.string(), &meta).ok()) {
-      if (!read_only_) to_delete.push_back(p);  // unreadable: never adoptable
-      continue;
-    }
-    std::error_code size_ec;
-    int64_t bytes = static_cast<int64_t>(fs::file_size(p, size_ec));
-    if (size_ec) {
-      if (!read_only_) to_delete.push_back(p);
-      continue;
-    }
-    // Ownership: private tiers own everything they scan. In shared mode
-    // a file listed under a live peer lease is that peer's; everything
-    // else (unlisted, unowned, ours from a prior incarnation, or a dead
-    // owner's) is claimed — except in read-only mode, where every file
-    // is a peer's.
-    bool owned = true;
-    int64_t admit_seq = manifest.seq;
-    if (shared_) {
-      auto mit = by_file.find(Basename(p.string()));
-      if (mit != by_file.end()) {
-        admit_seq = mit->second->admit_seq;
-        owned = mit->second->owner == instance_ ||
-                !manifest.OwnerLive(mit->second->owner, now_ms);
+    if (p.filename() == log_name) {
+      has_log = true;
+    } else if (p.extension() == ".tmp") {
+      tmps.push_back(p);
+    } else if (p.extension() == ".spill") {
+      Scanned s;
+      s.path = p;
+      std::error_code size_ec;
+      s.bytes = static_cast<int64_t>(fs::file_size(p, size_ec));
+      if (size_ec || !ReadSpillMeta(p.string(), &s.meta).ok()) {
+        to_delete.push_back(p);  // unreadable: never adoptable
+        continue;
       }
-      if (read_only_) owned = false;
+      spills.push_back(std::move(s));
     }
-    auto dup = by_key_.find(meta.canon_key);
+  }
+
+  // The log decides ownership. An unreadable log reads as an empty one:
+  // every file is then unlisted, and the first append rewrites the log.
+  if (has_log) log_.Open(dir_, !read_only_, /*create=*/false).ok();
+  const fleet::ManifestView& view = log_.view();
+  const int64_t now_ms = fleet::UnixMillisNow();
+  auto live_peer = [&](const std::string& writer) {
+    return writer != instance_ && view.OwnerLive(writer, now_ms);
+  };
+
+  // A torn write. A live peer may still be writing its spill, and the
+  // log's .tmp belongs to the flock holder: delete only spills of this
+  // instance or of a writer without a live lease.
+  for (const fs::path& p : tmps) {
+    std::string writer;
+    if (SpillWriter(p.filename().string(), &writer) && !live_peer(writer)) {
+      to_delete.push_back(p);
+    }
+  }
+
+  // Ownership: a listed file is its owner's — ours when the owner is us
+  // or dead (read-only tiers own nothing). An unlisted file is a live
+  // writer's spill not logged yet (its add arrives through the log), a
+  // file that may predate a purge of one of its tables (deleted), or
+  // claimable. A duplicate canonical key keeps the later-scanned file
+  // when both are ours (the images are equivalent; results are immutable)
+  // and the owned file when ownership differs.
+  for (Scanned& s : spills) {
+    const std::string file = s.path.filename().string();
+    std::string owner;
+    int64_t admit_seq = 0;
+    auto listed = view.entries.find(file);
+    if (listed != view.entries.end()) {
+      owner = listed->second.owner;
+      admit_seq = listed->second.seq;
+    } else {
+      SpillWriter(file, &owner);
+      if (live_peer(owner)) continue;
+      if (view.AnyPurged(s.meta.base_tables)) {
+        to_delete.push_back(s.path);
+        continue;
+      }
+    }
+    const bool owned = !read_only_ && !live_peer(owner);
+    const bool logged = owned && listed != view.entries.end() &&
+                        owner == instance_;
+    auto dup = by_key_.find(s.meta.canon_key);
     if (dup != by_key_.end()) {
-      // Duplicate canonical key. A peer copy never displaces what we
-      // already track; an owned copy displaces anything (newest-wins
-      // among our own files — the images are equivalent — and a local
-      // image beats a peer's). Displaced peer copies are only untracked;
-      // their file is not ours to delete.
+      // A peer copy never displaces what we already track; an owned copy
+      // displaces anything (EvictRec deletes only an owned file).
       if (!owned) continue;
-      UnfileOrphanLocked(dup->second);
-      if (dup->second->owned) {
-        to_delete.push_back(dup->second->path);
-        used_bytes_ -= dup->second->bytes;
-        clock_.erase(dup->second);
-      } else {
-        peers_.erase(dup->second);
-      }
-      by_key_.erase(dup);
-      num_orphans_.fetch_sub(1, std::memory_order_relaxed);
+      EvictRec(dup->second, nullptr);
     }
-    AddOrphanLocked(p.string(), bytes, std::move(meta), owned, admit_seq);
+    AddOrphanLocked(s.path.string(), s.bytes, std::move(s.meta), owned,
+                    owner, admit_seq, logged);
     // File counter must clear existing names so a fresh spill never
     // collides with (and silently overwrites) a recovered file.
     ++next_file_id_;
   }
   if (!read_only_) {
     for (const fs::path& p : to_delete) fs::remove(p, ec);
-  }
-
-  // Purge records published before this open retire files whose owner
-  // crashed between invalidating and deleting them. They take the
-  // refresh path, so a full log whose oldest record this fresh instance
-  // never saw is a gap: every entry admitted before it is dropped.
-  std::vector<const RGNode*> dropped;
-  if (have_manifest) {
-    NotePurgesLocked(manifest.purges);
-    ApplyNotedPurgesLocked(&dropped);
-    last_seen_seq_ = manifest.seq;
+    // Listed files of ours or of a dead owner that the scan did not keep
+    // (gone, unreadable, or a displaced duplicate) leave the log. This
+    // list replaces the drops the duplicates' evictions queued.
+    unlogged_drops_.clear();
+    for (const auto& [file, e] : view.entries) {
+      if (by_file_.count(file) > 0 || live_peer(e.owner)) continue;
+      unlogged_drops_.push_back(file);
+      log_dirty_ = true;
+    }
   }
 
   // An over-cap directory (cap lowered across restarts) is trimmed
   // immediately, oldest-scanned first.
+  std::vector<const RGNode*> dropped;
   SweepToFit(0, &dropped);
-  RDB_CHECK(dropped.empty());  // nothing is live yet
-
   enabled_ = true;
-  if (!read_only_ && shared_) SyncManifestLocked();
+  // A tier that found a log joins it: its lease, its claims and its
+  // drops. One that found none writes nothing until it has a spill or a
+  // purge to record.
+  if (log_.is_open() && !read_only_) AppendLogLocked(&dropped);
+  RDB_CHECK(dropped.empty());  // nothing is live yet
   return Status::OK();
 }
 
 ColdTier::ClockIt ColdTier::AddOrphanLocked(const std::string& path,
                                             int64_t bytes, SpillFileMeta meta,
-                                            bool owned, int64_t admit_seq) {
+                                            bool owned,
+                                            const std::string& owner,
+                                            int64_t admit_seq, bool logged) {
   Rec rec;
   rec.path = path;
+  rec.file = Basename(path);
   rec.canon_key = meta.canon_key;
   rec.bytes = bytes;
   rec.second_chance = true;  // recovered entries get one grace round
   rec.owned = owned;
+  rec.logged = logged;
+  rec.owner = owned ? instance_ : owner;
   rec.admit_seq = admit_seq;
   rec.meta = std::move(meta);
   std::list<Rec>& list = owned ? clock_ : peers_;
   list.push_back(std::move(rec));
   ClockIt it = std::prev(list.end());
   by_key_[it->canon_key] = it;
+  by_file_[it->file] = it;
   if (!it->meta.select_child_key.empty()) {
     by_child_.emplace(it->meta.select_child_key, it);
   }
-  if (owned) used_bytes_ += bytes;
+  if (owned) {
+    used_bytes_ += bytes;
+    log_dirty_ = log_dirty_ || !logged;
+  }
   num_orphans_.fetch_add(1, std::memory_order_relaxed);
   orphan_gen_.fetch_add(1);
   return it;
@@ -299,17 +297,12 @@ std::vector<SpillFileMeta> ColdTier::OrphanSlicesUnder(
 }
 
 std::string ColdTier::FilePath(uint64_t name_hash) {
+  // The writer's instance id keeps concurrent processes from ever racing
+  // on one file name.
   const uint64_t id = next_file_id_++;
-  if (shared_) {
-    // The writer's instance id keeps concurrent processes from ever
-    // racing on one file name.
-    return StrFormat("%s/r%016llx-%s-%llu.spill", dir_.c_str(),
-                     static_cast<unsigned long long>(name_hash),
-                     instance_.c_str(), static_cast<unsigned long long>(id));
-  }
-  return StrFormat("%s/r%016llx-%llu.spill", dir_.c_str(),
+  return StrFormat("%s/r%016llx-%s-%llu.spill", dir_.c_str(),
                    static_cast<unsigned long long>(name_hash),
-                   static_cast<unsigned long long>(id));
+                   instance_.c_str(), static_cast<unsigned long long>(id));
 }
 
 bool ColdTier::Has(const RGNode* node) const {
@@ -337,10 +330,14 @@ void ColdTier::EvictRec(ClockIt it, std::vector<const RGNode*>* dropped_nodes) {
   }
   auto key_it = by_key_.find(it->canon_key);
   if (key_it != by_key_.end() && key_it->second == it) by_key_.erase(key_it);
+  by_file_.erase(it->file);
   if (it->owned) {
     used_bytes_ -= it->bytes;
     std::remove(it->path.c_str());
-    manifest_dirty_ = shared_;
+    if (it->logged) {
+      unlogged_drops_.push_back(it->file);
+      log_dirty_ = true;
+    }
     clock_.erase(it);
   } else {
     // A peer's entry: forget it locally, the owner keeps the file.
@@ -385,19 +382,21 @@ bool ColdTier::CommitSpillLocked(const RGNode* node,
   }
   Rec rec;
   rec.path = path;
+  rec.file = Basename(path);
   rec.canon_key = canon_key;
   rec.bytes = bytes;
   rec.second_chance = false;  // earns its bit on first cold hit
   rec.owned = true;
-  rec.admit_seq = 0;  // assigned at the next manifest sync
+  rec.owner = instance_;
   rec.node = node;
   rec.meta = std::move(stored);
   clock_.push_back(std::move(rec));
   ClockIt it = std::prev(clock_.end());
   live_[node] = it;
   by_key_[it->canon_key] = it;
+  by_file_[it->file] = it;
   used_bytes_ += bytes;
-  manifest_dirty_ = shared_;
+  log_dirty_ = true;
   return true;
 }
 
@@ -422,60 +421,70 @@ bool ColdTier::SpillAsync(const RGNode* node, const std::string& canon_key,
 
 void ColdTier::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
+  bool flushed = false;
   for (;;) {
-    work_cv_.wait(lock, [this] { return stop_worker_ || !pending_.empty(); });
-    if (pending_.empty()) {
-      if (stop_worker_) return;
-      continue;
-    }
-    worker_busy_ = true;
-    // Move the front job to a local list: it leaves the queue but its
-    // iterator (held by pending_by_node_) stays valid, so loads keep
-    // serving the snapshot and Remove/purge can still cancel it.
-    std::list<PendingSpill> inflight;
-    inflight.splice(inflight.begin(), pending_, pending_.begin());
-    PendingSpill& ps = inflight.front();
-    const RGNode* node = ps.node;
-    const std::string path = FilePath(HashString(ps.canon_key));
-    SpillWriteOptions wopts;
-    wopts.compress = compress_;
-    SpillFileMeta stored = ps.meta;
-    TablePtr snapshot = ps.snapshot;
-
-    lock.unlock();
-    SpillWriteInfo written;
-    const bool wrote =
-        WriteSpillFile(path, *snapshot, stored, wopts, &written).ok();
-    stored.raw_bytes = written.raw_bytes;
-    const int64_t bytes = written.file_bytes;
-    lock.lock();
-
     std::vector<const RGNode*> dropped;
     bool committed = false;
+    const RGNode* node = nullptr;
     int64_t cb_stored = 0, cb_raw = 0;
-    const bool canceled = ps.canceled;
-    {
+    if (pending_.empty()) {
+      if (!log_dirty_ || flushed || read_only_) {
+        worker_busy_ = false;
+        drain_cv_.notify_all();
+        if (stop_worker_) return;
+        work_cv_.wait(lock,
+                      [this] { return stop_worker_ || !pending_.empty(); });
+        continue;
+      }
+      // Committed spills reach the log in one batch before the worker
+      // goes idle: a checkpoint of N spills takes one flock, and Drain()
+      // returns only once they are in the log.
+      flushed = true;
+      AppendLogLocked(&dropped);
+    } else {
+      worker_busy_ = true;
+      flushed = false;
+      // Move the front job to a local list: it leaves the queue but its
+      // iterator (held by pending_by_node_) stays valid, so loads keep
+      // serving the snapshot and Remove/purge can still cancel it.
+      std::list<PendingSpill> inflight;
+      inflight.splice(inflight.begin(), pending_, pending_.begin());
+      PendingSpill& ps = inflight.front();
+      node = ps.node;
+      const std::string path = FilePath(HashString(ps.canon_key));
+      SpillWriteOptions wopts;
+      wopts.compress = compress_;
+      SpillFileMeta stored = ps.meta;
+      TablePtr snapshot = ps.snapshot;
+
+      lock.unlock();
+      SpillWriteInfo written;
+      const bool wrote =
+          WriteSpillFile(path, *snapshot, stored, wopts, &written).ok();
+      stored.raw_bytes = written.raw_bytes;
+      const int64_t bytes = written.file_bytes;
+      lock.lock();
+
+      const bool canceled = ps.canceled;
       auto pit = pending_by_node_.find(node);
       if (pit != pending_by_node_.end() && &*pit->second == &ps) {
         pending_by_node_.erase(pit);
       }
-    }
-    if (!wrote) {
-      if (!canceled) dropped.push_back(node);
-    } else if (canceled) {
-      std::remove(path.c_str());
-    } else {
-      committed =
-          CommitSpillLocked(node, ps.canon_key, path, bytes, stored, &dropped);
-      if (committed) {
-        cb_stored = bytes;
-        cb_raw = live_.at(node)->raw_bytes();
+      if (!wrote) {
+        if (!canceled) dropped.push_back(node);
+      } else if (canceled) {
+        std::remove(path.c_str());
       } else {
-        dropped.push_back(node);
+        committed = CommitSpillLocked(node, ps.canon_key, path, bytes, stored,
+                                      &dropped);
+        if (committed) {
+          cb_stored = bytes;
+          cb_raw = live_.at(node)->raw_bytes();
+        } else {
+          dropped.push_back(node);
+        }
       }
     }
-    if (manifest_dirty_) SyncManifestLocked();
-    inflight.clear();
 
     // Callbacks run with no cold-tier lock held: the drop callback
     // takes the recycler's graph/cache locks to demote.
@@ -483,8 +492,6 @@ void ColdTier::WorkerLoop() {
     if (committed && spilled_cb_) spilled_cb_(node, cb_stored, cb_raw);
     if (!dropped.empty() && drop_cb_) drop_cb_(dropped);
     lock.lock();
-    worker_busy_ = false;
-    if (pending_.empty()) drain_cv_.notify_all();
   }
 }
 
@@ -545,304 +552,383 @@ bool ColdTier::AdoptOrphan(const std::string& canon_key, const RGNode* node,
   return true;
 }
 
+void ColdTier::CancelPendingLocked(PendingSpill* ps) {
+  ps->canceled = true;
+  for (auto qit = pending_.begin(); qit != pending_.end(); ++qit) {
+    if (&*qit == ps) {
+      pending_.erase(qit);
+      if (pending_.empty()) drain_cv_.notify_all();
+      return;
+    }
+  }
+}
+
 void ColdTier::Remove(const RGNode* node) {
   std::lock_guard<std::mutex> lock(mu_);
   auto pit = pending_by_node_.find(node);
   if (pit != pending_by_node_.end()) {
     // Cancel the queued/in-flight spill; the worker discards the file
     // if the write already started.
-    PendingIt ps = pit->second;
-    ps->canceled = true;
+    CancelPendingLocked(&*pit->second);
     pending_by_node_.erase(pit);
-    for (auto qit = pending_.begin(); qit != pending_.end(); ++qit) {
-      if (&*qit == &*ps) {
-        pending_.erase(qit);
-        if (pending_.empty()) drain_cv_.notify_all();
-        break;
-      }
-    }
   }
   auto it = live_.find(node);
   if (it == live_.end()) return;
   EvictRec(it->second, /*dropped_nodes=*/nullptr);
-  if (manifest_dirty_) SyncManifestLocked();
 }
 
-void ColdTier::ApplyPurgeLocked(const fleet::ManifestPurge& purge,
+void ColdTier::ApplyPurgeLocked(const std::string& table, int64_t seq,
                                 std::vector<const RGNode*>* dropped_nodes) {
-  auto matches = [&purge](const Rec& r) {
-    if (r.admit_seq > purge.seq) return false;  // postdates the purge
-    for (const std::string& t : r.meta.base_tables) {
-      if (t == purge.table) return true;
-    }
-    return false;
+  auto reads_table = [&table](const SpillFileMeta& meta) {
+    const std::vector<std::string>& t = meta.base_tables;
+    return std::find(t.begin(), t.end(), table) != t.end();
   };
   for (std::list<Rec>* list : {&clock_, &peers_}) {
     for (auto it = list->begin(); it != list->end();) {
       ClockIt cur = it++;
-      if (matches(*cur)) EvictRec(cur, dropped_nodes);
+      // An entry added after the purge postdates the invalidation.
+      if (cur->admit_seq < seq && reads_table(cur->meta)) {
+        EvictRec(cur, dropped_nodes);
+      }
     }
   }
   // Pending spills over the table are stale the same way; cancel
   // them so they never commit.
   for (auto pit = pending_by_node_.begin(); pit != pending_by_node_.end();) {
     PendingSpill& ps = *pit->second;
-    bool hit = false;
-    for (const std::string& t : ps.meta.base_tables) {
-      hit |= t == purge.table;
-    }
-    if (!hit) {
+    if (!reads_table(ps.meta)) {
       ++pit;
       continue;
     }
     if (dropped_nodes != nullptr) dropped_nodes->push_back(ps.node);
-    ps.canceled = true;
-    for (auto qit = pending_.begin(); qit != pending_.end(); ++qit) {
-      if (&*qit == &ps) {
-        pending_.erase(qit);
-        if (pending_.empty()) drain_cv_.notify_all();
-        break;
-      }
-    }
+    CancelPendingLocked(&ps);
     pit = pending_by_node_.erase(pit);
   }
-}
-
-void ColdTier::NotePurgesLocked(const std::vector<fleet::ManifestPurge>& log) {
-  // The log is append-ordered, so front() is the oldest retained record.
-  if (log.size() >= fleet::kManifestMaxPurges &&
-      log.front().seq > last_applied_purge_seq_) {
-    purge_gap_seq_ = std::max(purge_gap_seq_, log.front().seq);
-    purge_gap_drop_pending_ = true;
-  }
-  // One writer's batch shares a seq, so compare against the mark as it
-  // stood before this log.
-  const int64_t mark = last_applied_purge_seq_;
-  for (const fleet::ManifestPurge& p : log) {
-    if (p.seq <= mark) continue;
-    noted_purges_.push_back(p);
-    last_applied_purge_seq_ = std::max(last_applied_purge_seq_, p.seq);
-  }
-}
-
-void ColdTier::ApplyNotedPurgesLocked(
-    std::vector<const RGNode*>* dropped_nodes) {
-  if (purge_gap_drop_pending_) {
-    for (std::list<Rec>* list : {&clock_, &peers_}) {
-      for (auto it = list->begin(); it != list->end();) {
-        ClockIt cur = it++;
-        if (cur->admit_seq <= purge_gap_seq_) EvictRec(cur, dropped_nodes);
-      }
-    }
-    purge_gap_drop_pending_ = false;
-  }
-  for (const fleet::ManifestPurge& p : noted_purges_) {
-    ApplyPurgeLocked(p, dropped_nodes);
-  }
-  noted_purges_.clear();
 }
 
 void ColdTier::PurgeTable(const std::string& table,
                           std::vector<const RGNode*>* dropped_nodes) {
   std::lock_guard<std::mutex> lock(mu_);
-  fleet::ManifestPurge purge;
-  purge.table = table;
-  purge.seq = std::numeric_limits<int64_t>::max();  // everything local
-  ApplyPurgeLocked(purge, dropped_nodes);
-  if (shared_ && !read_only_) {
-    pending_purges_.push_back(fleet::ManifestPurge{table, 0});
-    SyncManifestLocked();
+  ApplyPurgeLocked(table, std::numeric_limits<int64_t>::max(), dropped_nodes);
+  if (enabled_ && !read_only_) {
+    // A cache may lose entries, never a purge: a failed append keeps it
+    // queued for the next one.
+    unlogged_purges_.push_back(table);
+    log_dirty_ = true;
+    AppendLogLocked(dropped_nodes);
   }
 }
 
-void ColdTier::SyncManifestLocked() {
-  if (!shared_ || read_only_ || dir_.empty()) return;
-  fleet::DirLock dlock;
-  if (!fleet::DirLock::Acquire(fleet::ManifestLockPath(dir_), &dlock).ok()) {
-    return;  // degrade: retried at the next mutation/refresh
-  }
-  fleet::Manifest m;
-  fleet::ReadManifestFile(fleet::ManifestPath(dir_), &m).ok();
-  // Peers' purges in this read are queued for the next refresh: the
-  // write below moves the purge mark past them.
-  NotePurgesLocked(m.purges);
-  m.seq = std::max(m.seq, last_seen_seq_) + 1;
-  const int64_t now_ms = fleet::UnixMillisNow();
-
-  // Renew our lease.
-  fleet::ManifestOwner* self = m.FindOwner(instance_);
-  if (self == nullptr) {
-    m.owners.push_back(fleet::ManifestOwner{instance_, 0});
-    self = &m.owners.back();
-  }
-  self->lease_expiry_ms = now_ms + lease_ms_;
-
-  // Republish the owned entry set; keep peers' records. A record naming
-  // one of OUR files under a different live owner means we lost a claim
-  // race (or our lease expired and the file was taken over): forfeit it
-  // locally rather than fight over deletion rights.
-  std::unordered_map<std::string, ClockIt> ours;
-  for (auto it = clock_.begin(); it != clock_.end(); ++it) {
-    ours[Basename(it->path)] = it;
-  }
-  std::vector<ClockIt> forfeited;
-  std::vector<fleet::ManifestEntry> entries;
-  std::error_code ec;
-  for (fleet::ManifestEntry& e : m.entries) {
-    if (e.owner == instance_) continue;  // rebuilt below
-    auto oit = ours.find(e.file);
-    if (oit != ours.end()) {
-      if (m.OwnerLive(e.owner, now_ms)) {
-        forfeited.push_back(oit->second);
-        ours.erase(oit);
-        entries.push_back(std::move(e));
-      }
-      continue;  // dead owner's record for a file we claimed
-    }
-    // Prune garbage: a dead owner's record whose file is gone.
-    if (!m.OwnerLive(e.owner, now_ms) &&
-        !fs::exists(dir_ + "/" + e.file, ec)) {
-      continue;
-    }
-    entries.push_back(std::move(e));
-  }
-  for (auto& [file, it] : ours) {
-    if (it->admit_seq == 0) it->admit_seq = m.seq;
-    entries.push_back(
-        fleet::ManifestEntry{it->canon_key, file, instance_, it->admit_seq});
-  }
-  m.entries = std::move(entries);
-  for (fleet::ManifestPurge& p : pending_purges_) {
-    m.AddPurge(p.table);
-  }
-  pending_purges_.clear();
-
-  if (fleet::WriteManifestFile(fleet::ManifestPath(dir_), m).ok()) {
-    manifest_dirty_ = false;
-    last_seen_seq_ = m.seq;
-    last_applied_purge_seq_ = std::max(last_applied_purge_seq_, m.seq);
-    lease_expiry_ms_ = self->lease_expiry_ms;
-  }
-
-  for (ClockIt it : forfeited) {
-    used_bytes_ -= it->bytes;
-    it->owned = false;
-    it->second_chance = true;
-    peers_.splice(peers_.end(), clock_, it);
-  }
+void ColdTier::ForfeitLocked(ClockIt it, const std::string& owner,
+                             int64_t admit_seq) {
+  used_bytes_ -= it->bytes;
+  it->owned = false;
+  it->logged = false;
+  it->owner = owner;
+  it->admit_seq = admit_seq;
+  it->second_chance = true;
+  peers_.splice(peers_.end(), clock_, it);
 }
 
-Status ColdTier::RefreshPeers(std::vector<const RGNode*>* dropped_nodes,
-                              int64_t* new_peer_entries,
-                              int64_t* lease_takeovers) {
-  if (new_peer_entries != nullptr) *new_peer_entries = 0;
-  if (lease_takeovers != nullptr) *lease_takeovers = 0;
-  std::string manifest_path;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!enabled_ || !shared_) return Status::OK();
-    manifest_path = fleet::ManifestPath(dir_);
-  }
-  // Lock-free read: rename atomicity + the checksum make a concurrent
-  // writer harmless (we see the old or the new manifest, never a torn
-  // one; a torn read fails parse and is retried next refresh).
-  fleet::Manifest m;
-  Status read_st = fleet::ReadManifestFile(manifest_path, &m);
+void ColdTier::ClaimLocked(ClockIt it) {
+  used_bytes_ += it->bytes;
+  it->owned = true;
+  it->logged = false;
+  it->owner = instance_;
+  clock_.splice(clock_.end(), peers_, it);
+  log_dirty_ = true;
+}
 
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!read_st.ok()) {
-    // Missing or torn manifest: nothing to apply. A writable instance
-    // rewrites it from its own state, which is also the corruption
-    // recovery path (peers republish theirs on their next sync).
-    if (!read_only_ && read_st.code() != StatusCode::kNotFound) {
-      SyncManifestLocked();
-    }
-    return Status::OK();
-  }
+void ColdTier::CatchUpLocked(const std::vector<fleet::LogRecord>& records,
+                             bool resynced,
+                             std::vector<const RGNode*>* dropped_nodes,
+                             RefreshStats* stats) {
+  const fleet::ManifestView& view = log_.view();
   const int64_t now_ms = fleet::UnixMillisNow();
-
-  // (a) Purges published since the manifest was last read here, by this
-  // refresh or by a manifest sync in between.
-  NotePurgesLocked(m.purges);
-  ApplyNotedPurgesLocked(dropped_nodes);
-
-  if (m.seq != last_seen_seq_) {
-    std::unordered_set<std::string> manifest_files;
-    for (const fleet::ManifestEntry& e : m.entries) {
-      manifest_files.insert(e.file);
-    }
-
-    // (b)/(d) New entries: live peers' spills become adoptable peer
-    // orphans; a dead owner's entries are claimed (stale-lease
-    // takeover) unless we are read-only.
-    for (const fleet::ManifestEntry& e : m.entries) {
-      if (e.owner == instance_) continue;
-      // Admitted no later than a purge lost to a log gap: its freshness
-      // can never be proven here.
-      if (purge_gap_seq_ > 0 && e.admit_seq <= purge_gap_seq_) continue;
-      auto known = by_key_.find(e.canon_key);
-      if (known != by_key_.end()) {
-        // Already tracked as a peer entry, but the owner's lease has
-        // since lapsed: claim the file in place. Deletion rights pass
-        // to us, and the entry starts counting against our budget.
-        ClockIt rec = known->second;
-        if (!rec->owned && !read_only_ && !m.OwnerLive(e.owner, now_ms)) {
-          used_bytes_ += rec->bytes;
-          rec->owned = true;
-          clock_.splice(clock_.end(), peers_, rec);
-          manifest_dirty_ = true;
-          if (lease_takeovers != nullptr) ++(*lease_takeovers);
+  if (resynced) {
+    // A whole file: what it no longer lists is gone — dropped, purged
+    // (a compaction keeps no dead entry), or taken over by a peer.
+    for (std::list<Rec>* list : {&clock_, &peers_}) {
+      for (auto it = list->begin(); it != list->end();) {
+        ClockIt cur = it++;
+        if (cur->owned && !cur->logged) continue;  // not in any log yet
+        if (cur->admit_seq == 0 && !cur->owned) continue;  // unlisted peer
+        auto listed = view.entries.find(cur->file);
+        if (listed == view.entries.end()) {
+          EvictRec(cur, dropped_nodes);
+        } else if (cur->owned && listed->second.owner != instance_) {
+          ForfeitLocked(cur, listed->second.owner, listed->second.seq);
         }
-        continue;
-      }
-      const std::string path = dir_ + "/" + e.file;
-      SpillFileMeta meta;
-      if (!ReadSpillMeta(path, &meta).ok()) continue;  // torn/deleted: skip
-      std::error_code size_ec;
-      int64_t bytes = static_cast<int64_t>(fs::file_size(path, size_ec));
-      if (size_ec) continue;
-      const bool peer_live = m.OwnerLive(e.owner, now_ms);
-      if (peer_live || read_only_) {
-        AddOrphanLocked(path, bytes, std::move(meta), /*owned=*/false,
-                        e.admit_seq);
-        if (new_peer_entries != nullptr) ++(*new_peer_entries);
-      } else {
-        AddOrphanLocked(path, bytes, std::move(meta), /*owned=*/true,
-                        e.admit_seq);
-        manifest_dirty_ = true;
-        if (lease_takeovers != nullptr) ++(*lease_takeovers);
       }
     }
-
-    // (c) Peer entries their owner retired (evicted/purged): drop our
-    // tracking before a load trips over the missing file. Our own
-    // un-synced spills are not in the manifest yet — only judge peers.
-    for (auto it = peers_.begin(); it != peers_.end();) {
-      ClockIt cur = it++;
-      if (manifest_files.count(Basename(cur->path)) == 0) {
-        EvictRec(cur, dropped_nodes);
+  }
+  for (const fleet::LogRecord& r : records) {
+    switch (r.type) {
+      case fleet::RecordType::kHeader:
+      case fleet::RecordType::kOwner:
+        break;  // leases are judged when they matter
+      case fleet::RecordType::kPurge:
+        ApplyPurgeLocked(r.name, r.seq, dropped_nodes);
+        break;
+      case fleet::RecordType::kDrop: {
+        auto f = by_file_.find(r.name);
+        if (f != by_file_.end() && !f->second->owned) {
+          EvictRec(f->second, dropped_nodes);
+        }
+        break;
       }
-    }
-
-    // Forfeit owned entries a live peer took over after our lease
-    // lapsed (deletion rights must never be shared; see
-    // SyncManifestLocked for the write-side handling).
-    for (const fleet::ManifestEntry& e : m.entries) {
-      if (e.owner == instance_ || !m.OwnerLive(e.owner, now_ms)) continue;
-      for (auto it = clock_.begin(); it != clock_.end(); ++it) {
-        if (Basename(it->path) != e.file) continue;
-        used_bytes_ -= it->bytes;
-        it->owned = false;
-        peers_.splice(peers_.end(), clock_, it);
+      case fleet::RecordType::kAdd: {
+        // Only what is still live at the end of this read, and never our
+        // own record (our entries are tracked already).
+        auto listed = view.entries.find(r.name);
+        if (listed == view.entries.end() || listed->second.seq != r.seq ||
+            r.owner == instance_) {
+          break;
+        }
+        auto f = by_file_.find(r.name);
+        if (f != by_file_.end()) {
+          ClockIt rec = f->second;
+          if (rec->owned) {
+            // A peer took the file over after our lease lapsed: deletion
+            // rights must never be shared, so forfeit it.
+            ForfeitLocked(rec, r.owner, r.seq);
+          } else {
+            rec->owner = r.owner;
+            rec->admit_seq = r.seq;
+          }
+          break;
+        }
+        if (by_key_.count(r.canon_key) > 0) break;  // an image we hold
+        const std::string path = dir_ + "/" + r.name;
+        SpillFileMeta meta;
+        std::error_code size_ec;
+        const int64_t bytes = static_cast<int64_t>(fs::file_size(path, size_ec));
+        if (size_ec || !ReadSpillMeta(path, &meta).ok()) break;  // torn/gone
+        const bool claim = !read_only_ && !view.OwnerLive(r.owner, now_ms);
+        AddOrphanLocked(path, bytes, std::move(meta), claim, r.owner, r.seq,
+                        /*logged=*/false);
+        if (stats != nullptr) {
+          ++(claim ? stats->lease_takeovers : stats->new_peer_entries);
+        }
         break;
       }
     }
-    last_seen_seq_ = m.seq;
+  }
+  // Claims count against our cap.
+  SweepToFit(0, dropped_nodes);
+}
+
+bool ColdTier::AppendLogLocked(std::vector<const RGNode*>* dropped_nodes,
+                               bool leaving) {
+  fleet::DirLock dlock;
+  if (!fleet::DirLock::Acquire(fleet::ManifestLog::LockPath(dir_), &dlock)
+           .ok()) {
+    return false;  // degrade: retried at the next append
+  }
+  std::vector<fleet::LogRecord> fresh;
+  bool resynced = false;
+  if (log_.is_open()) {
+    if (!log_.Tail(&fresh, &resynced).ok()) return false;
+  } else {
+    if (!log_.Open(dir_, /*writable=*/true, /*create=*/true, &fresh).ok()) {
+      return false;
+    }
+    resynced = true;
+  }
+  CatchUpLocked(fresh, resynced, dropped_nodes, nullptr);
+
+  // Purges first, then drops and adds, then the owner record, whose seq
+  // marks everything before it as applied by this instance.
+  const int64_t now_ms = fleet::UnixMillisNow();
+  std::vector<fleet::LogRecord> batch;
+  for (const std::string& table : unlogged_purges_) {
+    fleet::LogRecord purge;
+    purge.type = fleet::RecordType::kPurge;
+    purge.name = table;
+    batch.push_back(std::move(purge));
+  }
+  for (const std::string& file : unlogged_drops_) {
+    fleet::LogRecord drop;
+    drop.type = fleet::RecordType::kDrop;
+    drop.name = file;
+    batch.push_back(std::move(drop));
+  }
+  std::vector<std::pair<size_t, ClockIt>> adds;
+  for (auto it = clock_.begin(); it != clock_.end(); ++it) {
+    if (it->logged) continue;
+    adds.emplace_back(batch.size(), it);
+    fleet::LogRecord add;
+    add.type = fleet::RecordType::kAdd;
+    add.name = it->file;
+    add.canon_key = it->canon_key;
+    add.owner = instance_;
+    add.tables = it->meta.base_tables;
+    batch.push_back(std::move(add));
+  }
+  fleet::LogRecord self;
+  self.type = fleet::RecordType::kOwner;
+  self.owner = instance_;
+  self.value = leaving ? 0 : now_ms + lease_ms_;
+  batch.push_back(self);
+  if (!log_.Append(&batch, now_ms).ok()) return false;
+
+  unlogged_purges_.clear();
+  unlogged_drops_.clear();
+  log_dirty_ = false;
+  lease_expiry_ms_ = self.value;
+  for (const auto& [at, it] : adds) {
+    it->logged = true;
+    it->admit_seq = batch[at].seq;
+  }
+  // Peers' entries read above that predate our purge are dead by it.
+  for (const fleet::LogRecord& r : batch) {
+    if (r.type == fleet::RecordType::kPurge) {
+      ApplyPurgeLocked(r.name, r.seq, dropped_nodes);
+    }
+  }
+  return true;
+}
+
+Status ColdTier::RefreshPeers(std::vector<const RGNode*>* dropped_nodes,
+                              RefreshStats* stats) {
+  *stats = RefreshStats{};
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!enabled_) return Status::OK();
+  // Lock-free read: writers append whole frames under the flock, and a
+  // frame still being written reads as bad and is read again next time.
+  std::vector<fleet::LogRecord> fresh;
+  bool resynced = false;
+  if (log_.is_open()) {
+    log_.Tail(&fresh, &resynced, &stats->log_bytes_read).ok();
+  } else if (log_.Open(dir_, !read_only_, /*create=*/false, &fresh).ok()) {
+    resynced = true;
+    stats->log_bytes_read = log_.offset();
+  }
+  CatchUpLocked(fresh, resynced, dropped_nodes, stats);
+  if (read_only_) return Status::OK();
+
+  // Stale-lease takeover: a peer whose lease lapsed forfeits its files.
+  const int64_t now_ms = fleet::UnixMillisNow();
+  for (auto it = peers_.begin(); it != peers_.end();) {
+    ClockIt cur = it++;
+    if (log_.view().OwnerLive(cur->owner, now_ms)) continue;
+    ClaimLocked(cur);
+    ++stats->lease_takeovers;
+  }
+  SweepToFit(0, dropped_nodes);
+  if (log_dirty_ ||
+      (log_.is_open() && now_ms + lease_ms_ / 2 > lease_expiry_ms_)) {
+    AppendLogLocked(dropped_nodes);
+  }
+  return Status::OK();
+}
+
+Status ColdTier::CheckConsistency() {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!enabled_) return Status::OK();
+  drain_cv_.wait(lock, [this] { return pending_.empty() && !worker_busy_; });
+  auto fail = [](const std::string& file, const char* what) {
+    return Status::Internal(
+        StrFormat("cold tier: %s: %s", file.c_str(), what));
+  };
+
+  int64_t owned_bytes = 0, orphans = 0;
+  for (const std::list<Rec>* list : {&clock_, &peers_}) {
+    for (auto it = list->begin(); it != list->end(); ++it) {
+      const Rec& r = *it;
+      if (r.owned != (list == &clock_)) return fail(r.file, "in the wrong list");
+      auto k = by_key_.find(r.canon_key);
+      auto f = by_file_.find(r.file);
+      if (k == by_key_.end() || &*k->second != &r) {
+        return fail(r.file, "not filed under its key");
+      }
+      if (f == by_file_.end() || &*f->second != &r) {
+        return fail(r.file, "not filed under its file name");
+      }
+      if (r.node == nullptr) {
+        ++orphans;
+      } else {
+        auto l = live_.find(r.node);
+        if (l == live_.end() || &*l->second != &r) {
+          return fail(r.file, "its node does not map to it");
+        }
+        if (pending_by_node_.count(r.node) > 0) {
+          return fail(r.file, "its node is both live and pending");
+        }
+      }
+      if (!r.owned) continue;
+      owned_bytes += r.bytes;
+      SpillFileMeta meta;
+      if (!ReadSpillMeta(r.path, &meta).ok()) {
+        return fail(r.file, "owned, but its file is missing or unreadable");
+      }
+      if (meta.canon_key != r.canon_key) {
+        return fail(r.file, "file header names another key");
+      }
+    }
+  }
+  const size_t tracked = clock_.size() + peers_.size();
+  if (by_key_.size() != tracked || by_file_.size() != tracked ||
+      live_.size() + static_cast<size_t>(orphans) != tracked ||
+      num_orphans_.load() != orphans) {
+    return Status::Internal("cold tier: maps disagree with the entry lists");
+  }
+  if (used_bytes_ != owned_bytes || used_bytes_ > capacity_bytes_) {
+    return Status::Internal(StrFormat(
+        "cold tier: used_bytes %lld, owned bytes %lld, cap %lld",
+        static_cast<long long>(used_bytes_),
+        static_cast<long long>(owned_bytes),
+        static_cast<long long>(capacity_bytes_)));
   }
 
-  if (!read_only_ &&
-      (manifest_dirty_ || now_ms + lease_ms_ / 2 > lease_expiry_ms_)) {
-    SyncManifestLocked();
+  // The log: a replay up to our offset gives our view, and the view's
+  // entries are our logged entries, plus drops not appended yet.
+  fleet::ManifestView replay;
+  if (log_.is_open()) RDB_RETURN_NOT_OK(log_.ReplayPrefix(&replay));
+  const fleet::ManifestView& view = log_.view();
+  if (replay.last_seq != view.last_seq ||
+      replay.entries.size() != view.entries.size() ||
+      replay.purges.size() != view.purges.size()) {
+    return Status::Internal(StrFormat(
+        "cold tier: log replay to seq %lld lists %zu entries and %zu "
+        "purges; the tier's view is at seq %lld with %zu and %zu",
+        static_cast<long long>(replay.last_seq), replay.entries.size(),
+        replay.purges.size(), static_cast<long long>(view.last_seq),
+        view.entries.size(), view.purges.size()));
+  }
+  std::vector<std::string> drops = unlogged_drops_;
+  std::sort(drops.begin(), drops.end());
+  for (const auto& [file, e] : replay.entries) {
+    auto v = view.entries.find(file);
+    if (v == view.entries.end() || v->second.seq != e.seq ||
+        v->second.owner != e.owner) {
+      return fail(file, "the log's replay and the tier's view differ");
+    }
+    if (e.owner != instance_) continue;
+    auto f = by_file_.find(file);
+    const bool tracked_logged = f != by_file_.end() && f->second->owned &&
+                                f->second->logged &&
+                                f->second->admit_seq == e.seq &&
+                                f->second->canon_key == e.canon_key;
+    if (!tracked_logged && !std::binary_search(drops.begin(), drops.end(), file)) {
+      return fail(file, "the log lists it as ours, the tier does not");
+    }
+  }
+  for (const std::list<Rec>* list : {&clock_, &peers_}) {
+    for (const Rec& r : *list) {
+      if (r.owned ? !r.logged : r.admit_seq == 0) {
+        // Not logged yet: a claim awaiting the next append, or a read-only
+        // tier's unlisted file.
+        if (r.owned && !log_dirty_) return fail(r.file, "unlogged, not queued");
+        continue;
+      }
+      auto e = replay.entries.find(r.file);
+      if (e == replay.entries.end() || e->second.canon_key != r.canon_key ||
+          e->second.seq != r.admit_seq ||
+          e->second.owner != (r.owned ? instance_ : r.owner)) {
+        return fail(r.file, "tracked, but not live in the log as tracked");
+      }
+    }
   }
   return Status::OK();
 }

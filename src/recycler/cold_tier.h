@@ -22,19 +22,23 @@
 // demotions free and lets a shutdown checkpoint skip already-spilled
 // entries; invalidation is the only path that must delete files.
 //
-// Fleet (shared) mode lets several engine processes share one
-// directory. An ownership manifest (fleet/manifest.h) records which
-// instance owns each file plus liveness leases; writers serialize
-// manifest read-modify-write cycles under a flock (fleet/lock_file.h)
-// while readers stay lock-free on the immutable-file + checksum
-// discipline. Peer entries are tracked as *peer orphans*: adoptable by
-// canonical key exactly like restart orphans, but never deleted, never
-// swept, and never counted against this instance's byte cap — eviction
-// rights stay with the owner. RefreshPeers() tails the manifest for new
-// peer spills, fleet-wide purge records, and stale-lease takeover of a
-// crashed owner's files. Read-only mode (a standby on a read-only
-// mount) opens adopt-only: every file is a peer orphan and nothing is
-// ever written.
+// Every tier is a fleet member: it records which spill files it owns in
+// the directory's manifest log (fleet/manifest.h), under its instance id
+// or, when it has none, the default id. A private tier is a fleet of one
+// under the default id, so it reclaims its own files at once when it
+// reopens; the directory must then belong to that one engine. Peer
+// entries are tracked as *peer orphans*: adoptable by canonical key
+// exactly like restart orphans, but never deleted, never swept, and never
+// counted against this instance's byte cap — eviction rights stay with
+// the owner. RefreshPeers() tails the log for new peer spills, purge
+// records, and stale-lease takeover of a crashed owner's files.
+// Read-only mode (a standby on a read-only mount) opens adopt-only: every
+// file is a peer orphan and nothing is ever written.
+//
+// A tier with nothing to record touches no log file: an open that finds
+// no log, and a close or checkpoint that wrote no spill, make no log I/O.
+// The worker appends the records of committed spills in one batch before
+// it goes idle; drops by Remove ride along with the next batch.
 //
 // Spill I/O runs on a background worker in every writable tier, started
 // by the first spill (a tier that never spills runs no thread):
@@ -86,26 +90,27 @@ struct ColdTierStats {
   /// Uncompressed size of the stored entries (what used_bytes would be
   /// without column compression).
   int64_t raw_bytes = 0;
-  /// Fleet mode: entries owned by other instances (tracked, adoptable,
-  /// never swept locally).
+  /// Entries owned by other instances (tracked, adoptable, never swept
+  /// locally).
   int64_t peer_entries = 0;
   /// Async spills accepted but not yet committed to disk.
   int64_t pending_spills = 0;
 };
 
+/// The instance id of a tier opened without one: a private tier, the
+/// only member of its directory's fleet.
+inline constexpr char kDefaultInstanceId[] = "default";
+
 /// How a ColdTier opens its directory (built by the recycler from
-/// RecyclerConfig; defaults preserve the private single-process tier).
+/// RecyclerConfig).
 struct ColdTierOptions {
   std::string dir;
   int64_t capacity_bytes = 0;
-  /// Fleet mode: coordinate with other processes through the ownership
-  /// manifest + flock.
-  bool shared = false;
   /// Adopt-only: never create, delete or lock anything in the directory
   /// (standby on a read-only mount). Implies no spills.
   bool read_only = false;
-  /// This process's identity in the manifest. Required non-empty when
-  /// shared and writable.
+  /// This process's identity in the manifest log and in its spill file
+  /// names; empty means kDefaultInstanceId.
   std::string instance_id;
   /// Liveness lease duration; an instance whose lease expires forfeits
   /// its entries to stale-lease takeover.
@@ -134,14 +139,15 @@ class ColdTier {
   /// Opens the tier over `options.dir` with a byte cap: creates the
   /// directory, deletes stale .tmp files, and scans *.spill into the
   /// orphan map (unreadable or duplicate-key files are deleted, newest
-  /// key wins). In shared mode the manifest decides which scanned files
-  /// are claimable (unlisted, unowned, ours, or a dead owner's) versus
-  /// peer-owned, and which .tmp files are stale (a live peer's spill
-  /// .tmp and the manifest's own .tmp are left alone); claims and this instance's lease are written back, and
-  /// the manifest's purge log is applied like a refresh would (a full log
-  /// counts as a gap). A writable tier starts its spill worker on the
-  /// first SpillAsync. An empty dir leaves the tier disabled and returns
-  /// OK.
+  /// key wins). The manifest log, when the scan finds one, decides which
+  /// files are ours or claimable (ours, a dead owner's, or unlisted and
+  /// named by no live writer) and which are a live peer's, and which
+  /// .tmp files are stale (a live peer's spill .tmp and the log's own
+  /// .tmp are left alone). An unlisted file over a table the log purged
+  /// is deleted: it may predate the purge. A tier that found a log then
+  /// appends its lease and its claims; one that found none writes
+  /// nothing. A writable tier starts its spill worker on the first
+  /// SpillAsync. An empty dir leaves the tier disabled and returns OK.
   Status Open(const ColdTierOptions& options);
 
   /// What the last Open returned (OK if none ran). Database::Open returns
@@ -205,8 +211,9 @@ class ColdTier {
   bool SpillAsync(const RGNode* node, const std::string& canon_key,
                   TablePtr snapshot, const SpillFileMeta& meta);
 
-  /// Blocks until the spill queue is empty and the worker idle
-  /// (checkpoint/shutdown barrier; also used by deterministic tests).
+  /// Blocks until the spill queue is empty, the worker idle and its
+  /// committed spills in the manifest log (checkpoint/shutdown barrier;
+  /// also used by deterministic tests).
   /// Callers must NOT hold the recycler's cache mutex: the worker's
   /// drop callback acquires it.
   void Drain();
@@ -245,47 +252,69 @@ class ColdTier {
 
   /// Deletes `node`'s entry and file (invalidation, corrupt file); a
   /// pending spill is canceled. Peer entries are only forgotten
-  /// locally — the owner keeps the file.
+  /// locally — the owner keeps the file. The drop reaches the manifest
+  /// log with the next append (the caller holds the recycler's locks).
   void Remove(const RGNode* node);
 
   /// Deletes every entry (live or orphan) whose subtree reads `table`
   /// (update invalidation: stale cold results must never be re-admitted).
   /// Live nodes whose entries were purged are appended to
-  /// `dropped_nodes` for graph-state demotion by the caller. In shared
-  /// mode a purge record is published so peers retire their copies at
-  /// their next refresh.
+  /// `dropped_nodes` for graph-state demotion by the caller. A writable
+  /// tier appends a purge record, so peers retire their copies at their
+  /// next refresh and a later open never claims an older unlisted file
+  /// over the table.
   void PurgeTable(const std::string& table,
                   std::vector<const RGNode*>* dropped_nodes);
 
-  /// Fleet refresh: lock-free manifest read, then (a) applies purge
-  /// records published since the manifest was last read here (by a
-  /// refresh or by a manifest sync) — or, when the bounded purge log
-  /// has aged out records never read here, first drops every entry one
-  /// of them could have matched, (b) tracks new peer
-  /// entries as adoptable peer orphans, (c) drops peer entries their
-  /// owner retired, (d) claims entries whose owner's lease expired
-  /// (stale-lease takeover; skipped in read-only mode), and (e) renews
-  /// this instance's lease. Live nodes dropped by (a)/(c) are appended
-  /// to `dropped_nodes`. Returns the number of newly discovered peer
-  /// entries via `new_peer_entries` (optional). No-op OK when the tier
-  /// is private.
+  /// What one RefreshPeers found.
+  struct RefreshStats {
+    int64_t new_peer_entries = 0;
+    int64_t lease_takeovers = 0;
+    /// Manifest log bytes read; 0 when nothing was appended since the
+    /// last read.
+    int64_t log_bytes_read = 0;
+  };
+
+  /// Fleet refresh: reads the manifest log past this tier's offset and
+  /// applies it — (a) purge records, (b) new peer entries as adoptable
+  /// peer orphans, (c) peer entries their owner dropped, (d) entries a
+  /// peer took over after this tier's lease lapsed — then (e) claims
+  /// entries whose owner's lease expired (stale-lease takeover; skipped
+  /// in read-only mode) and (f) renews this instance's lease when due.
+  /// A compacted log is read again from its start. Live nodes dropped by
+  /// (a)/(c)/(d) are appended to `dropped_nodes`.
   Status RefreshPeers(std::vector<const RGNode*>* dropped_nodes,
-                      int64_t* new_peer_entries = nullptr,
-                      int64_t* lease_takeovers = nullptr);
+                      RefreshStats* stats);
+
+  /// Checks the tier's invariants once its spill worker is idle:
+  /// replaying the manifest log up to this tier's offset gives its view
+  /// of the log, whose entries under this instance are exactly the
+  /// tier's logged entries (plus drops not appended yet) and whose
+  /// entries under peers cover every tracked peer entry; every owned
+  /// entry names an existing file whose header key equals the entry's
+  /// key; used_bytes is the owned bytes and within the cap; the maps
+  /// agree; and no node is both live and pending. Internal on the first
+  /// violation. Must not be called with the recycler's cache mutex held.
+  Status CheckConsistency();
 
   ColdTierStats Stats() const;
 
  private:
   struct Rec {
     std::string path;
+    std::string file;  // path relative to dir_ (the log's name for it)
     std::string canon_key;
     int64_t bytes = 0;
     bool second_chance = false;
     /// This instance owns the file (may delete/sweep it and lists it in
-    /// the manifest). Peer entries are read-only here.
+    /// the log). Peer entries are read-only here.
     bool owned = true;
-    /// Manifest sequence at admission (vs. purge records); 0 until the
-    /// first manifest sync in shared mode.
+    /// Owned: the log lists the file under this instance.
+    bool logged = false;
+    /// Peer entries: the owning instance.
+    std::string owner;
+    /// Seq of the add record that made the entry live (0: none yet);
+    /// purges with a higher seq retire it.
     int64_t admit_seq = 0;
     /// Owning graph node; nullptr for orphans awaiting adoption.
     const RGNode* node = nullptr;
@@ -311,8 +340,9 @@ class ColdTier {
   };
   using PendingIt = std::list<PendingSpill>::iterator;
 
-  /// Erases `it` from every map, deletes its file (owned entries only),
-  /// adjusts accounting. Caller holds mu_.
+  /// Erases `it` from every map, deletes its file (owned entries only,
+  /// queueing the log's drop record when it was logged), adjusts
+  /// accounting. Caller holds mu_.
   void EvictRec(ClockIt it, std::vector<const RGNode*>* dropped_nodes);
 
   /// Second-chance sweep over OWNED entries until `need_bytes` fit under
@@ -328,38 +358,48 @@ class ColdTier {
                          SpillFileMeta stored,
                          std::vector<const RGNode*>* dropped_nodes);
 
-  /// Shared-mode manifest read-modify-write under the flock: renews this
-  /// instance's lease, republishes the owned entry set, appends pending
-  /// purge records, and prunes dead-owner entries whose file is gone.
-  /// Caller holds mu_; no-op outside writable shared mode.
-  void SyncManifestLocked();
+  /// Appends to the manifest log under the flock: reads and applies what
+  /// peers appended first, then writes the queued purges and drops, an
+  /// add for every owned entry not yet logged, and this instance's owner
+  /// record (lease 0 when `leaving`), creating the log when there is
+  /// none. False when the flock or the write failed (the work stays
+  /// queued). Caller holds mu_; never called read-only.
+  bool AppendLogLocked(std::vector<const RGNode*>* dropped_nodes,
+                       bool leaving = false);
+
+  /// Applies records read from the log to the tier. `resynced`: they are
+  /// a whole (replaced) file, so tracked entries it does not list go
+  /// first. Caller holds mu_.
+  void CatchUpLocked(const std::vector<fleet::LogRecord>& records,
+                     bool resynced, std::vector<const RGNode*>* dropped_nodes,
+                     RefreshStats* stats);
+
+  /// Makes `it` a peer entry of `owner` (it took the file over).
+  void ForfeitLocked(ClockIt it, const std::string& owner, int64_t admit_seq);
+
+  /// Makes a peer entry ours, to be re-added under this instance.
+  void ClaimLocked(ClockIt it);
 
   /// Inserts a scanned/discovered file as an orphan Rec, filed under its
   /// select descriptor's child key when it has one. Caller holds mu_.
   ClockIt AddOrphanLocked(const std::string& path, int64_t bytes,
-                          SpillFileMeta meta, bool owned, int64_t admit_seq);
+                          SpillFileMeta meta, bool owned,
+                          const std::string& owner, int64_t admit_seq,
+                          bool logged);
 
   /// Takes `it` out of by_child_ (it was adopted or is being erased).
   /// Caller holds mu_.
   void UnfileOrphanLocked(ClockIt it);
 
-  /// Applies one manifest purge record to local state. Caller holds mu_.
-  void ApplyPurgeLocked(const fleet::ManifestPurge& purge,
-                        std::vector<const RGNode*>* dropped_nodes);
-
-  /// Takes note of the purge log of a manifest just read: queues every
-  /// record newer than last_applied_purge_seq_ for ApplyNotedPurgesLocked
-  /// and advances the mark past them. A full log whose oldest record is
-  /// newer than the mark may have aged out purges never read here (a log
-  /// gap); that record's seq then becomes purge_gap_seq_. Caller holds
+  /// Marks `ps` canceled and takes it off the queue (a spill already in
+  /// flight is off the queue: the worker discards its file). Caller holds
   /// mu_.
-  void NotePurgesLocked(const std::vector<fleet::ManifestPurge>& log);
+  void CancelPendingLocked(PendingSpill* ps);
 
-  /// Applies what NotePurgesLocked queued. After a newly noted log gap it
-  /// first drops every tracked entry admitted at or before
-  /// purge_gap_seq_: by ApplyPurgeLocked's rule a lost purge could have
-  /// matched any of them. Caller holds mu_.
-  void ApplyNotedPurgesLocked(std::vector<const RGNode*>* dropped_nodes);
+  /// Retires every entry over `table` admitted before `seq`, and cancels
+  /// pending spills over it. Caller holds mu_.
+  void ApplyPurgeLocked(const std::string& table, int64_t seq,
+                        std::vector<const RGNode*>* dropped_nodes);
 
   void WorkerLoop();
 
@@ -369,7 +409,6 @@ class ColdTier {
   Status open_status_;
   bool enabled_ = false;
   bool compress_ = true;
-  bool shared_ = false;
   bool read_only_ = false;
   std::string instance_;
   int64_t lease_ms_ = 30000;
@@ -379,33 +418,27 @@ class ColdTier {
   uint64_t next_file_id_ = 0;
   /// Clock order over OWNED entries (front = next sweep victim).
   std::list<Rec> clock_;
-  /// Peer-owned entries (fleet mode): adoptable, never swept or deleted.
+  /// Peer-owned entries: adoptable, never swept or deleted.
   std::list<Rec> peers_;
   std::unordered_map<const RGNode*, ClockIt> live_;
   std::unordered_map<std::string, ClockIt> by_key_;
+  std::unordered_map<std::string, ClockIt> by_file_;
   /// Orphans with a select descriptor, by the descriptor's child key.
   std::unordered_multimap<std::string, ClockIt> by_child_;
   std::atomic<int64_t> num_orphans_{0};
   std::atomic<int64_t> orphan_gen_{0};
 
-  // --- fleet state (guarded by mu_) ------------------------------------
-  /// Manifest seq/purge high-water marks already read locally.
-  int64_t last_seen_seq_ = 0;
-  int64_t last_applied_purge_seq_ = 0;
-  /// Purges read from the manifest but not applied yet: a manifest sync
-  /// reads peers' purges where no dropped-node list is at hand, so the
-  /// next refresh applies them.
-  std::vector<fleet::ManifestPurge> noted_purges_;
-  /// Highest seq a purge lost to a log gap could carry (0: none). Entries
-  /// admitted at or before it are dropped once and never tracked again.
-  int64_t purge_gap_seq_ = 0;
-  bool purge_gap_drop_pending_ = false;
-  /// Our lease expiry as of the last manifest write (renew-ahead check).
+  // --- manifest log (guarded by mu_) ----------------------------------
+  fleet::ManifestLog log_;
+  /// Our lease expiry as of the last append (renew-ahead check).
   int64_t lease_expiry_ms_ = 0;
-  /// Owned-entry set changed since the last manifest sync.
-  bool manifest_dirty_ = false;
-  /// Purges issued locally, to publish at the next manifest sync.
-  std::vector<fleet::ManifestPurge> pending_purges_;
+  /// Something is not in the log yet: an owned entry not logged, or a
+  /// queued purge or drop.
+  bool log_dirty_ = false;
+  /// Tables purged here since the last append.
+  std::vector<std::string> unlogged_purges_;
+  /// Files of logged entries evicted since the last append.
+  std::vector<std::string> unlogged_drops_;
 
   // --- spill queue (guarded by mu_) ------------------------------------
   bool stop_worker_ = false;

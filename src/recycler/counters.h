@@ -76,7 +76,10 @@ namespace recycledb {
   X(cold_spill_stored_bytes, "On-disk bytes of spill files written.")        \
   X(fleet_refreshes, "RefreshFleet rounds completed.")                       \
   X(fleet_peer_entries, "Peer spill files tracked as adoptable orphans.")    \
-  X(fleet_lease_takeovers, "Dead-owner entries claimed by lease takeover.")
+  X(fleet_lease_takeovers, "Dead-owner entries claimed by lease takeover.")  \
+  X(fleet_log_bytes_read,                                                    \
+    "Manifest log bytes read by fleet refreshes (0 for a refresh that "     \
+    "finds nothing appended).")
 
 /// Identifies one per-query counter (an index into kQueryCounters).
 enum class QueryCounter : int {

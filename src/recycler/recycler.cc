@@ -173,10 +173,9 @@ Recycler::Recycler(const Catalog* catalog, RecyclerConfig config)
     ColdTierOptions copts;
     copts.dir = config_.spill_dir;
     copts.capacity_bytes = config_.cold_tier_capacity_bytes;
-    copts.shared = !config_.fleet_instance.empty() || config_.spill_read_only;
     copts.read_only = config_.spill_read_only;
     copts.lease_ms = config_.fleet_lease_ms;
-    if (!config_.spill_read_only) copts.instance_id = config_.fleet_instance;
+    copts.instance_id = config_.fleet_instance;
     cold_tier_.Open(copts).ok();
   }
 }
@@ -502,6 +501,9 @@ TemplateStats Recycler::TemplateStatsFor(uint64_t template_hash) const {
 }
 
 Status Recycler::CheckConsistency() {
+  // First, with no recycler lock held: the check waits for the spill
+  // worker, whose drop callback takes the graph and cache locks.
+  RDB_RETURN_NOT_OK(cold_tier_.CheckConsistency());
   std::shared_lock<std::shared_mutex> glock(graph_.mutex());
   std::lock_guard<std::mutex> clock(cache_mu_);
   auto fail = [](int64_t id, const std::string& what) {

@@ -64,8 +64,9 @@ struct RecyclerConfig {
   /// evictions spill still-beneficial results to disk, a shutdown
   /// checkpoint persists the hot cache, and Database::Open over the same
   /// directory warms the recycler up from the previous process's
-  /// coverage. The directory must be private to one engine instance and
-  /// must stay paired with the same base data (ReplaceTable purges).
+  /// coverage. Without a fleet_instance the directory must be private to
+  /// one engine instance; with one, it is shared by the fleet. Either way
+  /// it must stay paired with the same base data (ReplaceTable purges).
   std::string spill_dir;
   /// Byte cap on the spill directory (second-chance replacement).
   /// Must be positive when spill_dir is set.
@@ -75,15 +76,13 @@ struct RecyclerConfig {
   /// changes how many entries fit under cold_tier_capacity_bytes.
   bool compress_spill = true;
   // --- fleet tier (shared cold directory) ------------------------------
-  // A tier coordinates with other engine processes sharing spill_dir
-  // through the fleet ownership manifest (fleet/manifest.h) exactly when
-  // fleet_instance is non-empty or spill_read_only is set. Otherwise it
-  // is the classic private tier (the directory must belong to one
-  // instance).
-  /// This process's identity in the fleet manifest: filename-safe
+  // Every cold tier records its spill files in the directory's manifest
+  // log (fleet/manifest.h) under an instance id. A private tier is a
+  // fleet of one under the default id.
+  /// This process's identity in the manifest log: filename-safe
   /// ([A-Za-z0-9_-]) and stable across restarts, so a restarted member
-  /// reclaims its own files at once. Requires spill_dir. Empty (and not
-  /// read-only) = a private tier.
+  /// reclaims its own files at once. Requires spill_dir. Empty means the
+  /// default id (ColdTier's kDefaultInstanceId): a private tier.
   std::string fleet_instance;
   /// Adopt-only fleet member: discover and serve peers' spills but never
   /// create, delete or lock anything in the directory (standby on a
@@ -92,7 +91,7 @@ struct RecyclerConfig {
   bool spill_read_only = false;
   /// Fleet liveness lease; an instance that has not renewed within this
   /// window is presumed dead and its entries become claimable
-  /// (stale-lease takeover). Must be positive on a fleet tier.
+  /// (stale-lease takeover). Must be positive when spill_dir is set.
   int64_t fleet_lease_ms = 30000;
   /// Consult base-table zone maps to skip scan blocks that cannot match
   /// a query's range predicate. Pruning is conservative (never skips a
@@ -421,12 +420,12 @@ class Recycler {
   /// checkpointed entry is on disk when this returns.
   int64_t CheckpointColdTier();
 
-  /// Fleet tier: one manifest refresh round — discovers peers' new
-  /// spills as adoptable orphans, applies fleet-wide purge records,
-  /// performs stale-lease takeover, renews this instance's lease, and
-  /// demotes nodes whose entries a purge retired. `new_peer_entries`
-  /// (optional) receives the number of newly discovered peer entries.
-  /// No-op OK on a private tier. Called periodically by the standby
+  /// Fleet tier: one manifest log refresh round — discovers peers' new
+  /// spills as adoptable orphans, applies purge records, performs
+  /// stale-lease takeover, renews this instance's lease, and demotes
+  /// nodes whose entries a purge retired. `new_peer_entries` (optional)
+  /// receives the number of newly discovered peer entries. No-op OK
+  /// without a spill_dir. Called periodically by the standby
   /// tailer (fleet/standby.h) and on demand by tests/benches. Must not
   /// be called while holding engine locks.
   Status RefreshFleet(int64_t* new_peer_entries = nullptr);
@@ -446,6 +445,8 @@ class Recycler {
 
   /// Checks that the structures holding one fact agree, and returns the
   /// first disagreement (naming the node) as an Internal status:
+  ///  - the cold tier (ColdTier::CheckConsistency, after its spill worker
+  ///    went idle): its entries against the manifest log and the files;
   ///  - the cache: a node is kCached exactly when it holds a table, and
   ///    used_bytes is the sum of the kCached nodes' bytes;
   ///  - the exact-hit index: exact_hits_ and exact_hit_keys_ are inverses

@@ -212,7 +212,7 @@ int64_t Recycler::CheckpointColdTier() {
   // The drain barrier runs OUTSIDE the graph/cache locks: the worker's
   // drop callback acquires them to demote sweep victims, so draining
   // under them would deadlock. After this returns every checkpointed
-  // entry is on disk and in the manifest.
+  // entry is on disk and in the manifest log.
   cold_tier_.Drain();
   return written;
 }
@@ -221,8 +221,8 @@ Status Recycler::RefreshFleet(int64_t* new_peer_entries) {
   if (new_peer_entries != nullptr) *new_peer_entries = 0;
   if (!cold_tier_.enabled()) return Status::OK();
   std::vector<const RGNode*> dropped;
-  int64_t peers = 0, takeovers = 0;
-  Status st = cold_tier_.RefreshPeers(&dropped, &peers, &takeovers);
+  ColdTier::RefreshStats stats;
+  Status st = cold_tier_.RefreshPeers(&dropped, &stats);
   if (!dropped.empty()) {
     // Fleet purges retired entries of live nodes: demote them exactly
     // like a sweep drop.
@@ -231,9 +231,10 @@ Status Recycler::RefreshFleet(int64_t* new_peer_entries) {
     OnColdEntriesDropped(dropped);
   }
   counters_.fleet_refreshes.fetch_add(1);
-  counters_.fleet_peer_entries.fetch_add(peers);
-  counters_.fleet_lease_takeovers.fetch_add(takeovers);
-  if (new_peer_entries != nullptr) *new_peer_entries = peers;
+  counters_.fleet_peer_entries.fetch_add(stats.new_peer_entries);
+  counters_.fleet_lease_takeovers.fetch_add(stats.lease_takeovers);
+  counters_.fleet_log_bytes_read.fetch_add(stats.log_bytes_read);
+  if (new_peer_entries != nullptr) *new_peer_entries = stats.new_peer_entries;
   return st;
 }
 

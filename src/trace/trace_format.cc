@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/file_io.h"
 #include "common/hash.h"
 #include "common/string_util.h"
 
@@ -605,21 +606,8 @@ Status ParseTrace(const std::string& text, Trace* out) {
 }
 
 Status ReadTraceFile(const std::string& path, Trace* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open trace file: " + path);
-  }
   std::string text;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::Internal("error reading trace file: " + path);
-  }
+  RDB_RETURN_NOT_OK(ReadWholeFile(path, &text));
   Status st = ParseTrace(text, out);
   if (!st.ok()) {
     return Status::InvalidArgument(path + ": " + st.message());
@@ -628,17 +616,9 @@ Status ReadTraceFile(const std::string& path, Trace* out) {
 }
 
 Status WriteTraceFile(const std::string& path, const Trace& trace) {
-  const std::string text = SerializeTrace(trace);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot create trace file: " + path);
-  }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const bool flush_error = std::fclose(f) != 0;
-  if (written != text.size() || flush_error) {
-    return Status::Internal("error writing trace file: " + path);
-  }
-  return Status::OK();
+  // tmp + rename: a crash mid-write never leaves a torn trace under the
+  // final name.
+  return WriteFileAtomic(path, SerializeTrace(trace));
 }
 
 }  // namespace trace

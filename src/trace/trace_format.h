@@ -146,10 +146,11 @@ std::string SerializeTrace(const Trace& trace);
 /// comes back as InvalidArgument naming the offending line.
 Status ParseTrace(const std::string& text, Trace* out);
 
-/// Reads and parses a trace file.
+/// Reads and parses a trace file (NotFound when it does not exist).
 Status ReadTraceFile(const std::string& path, Trace* out);
 
-/// Serializes and writes a trace file (overwrites).
+/// Serializes and writes a trace file, replacing any file at `path`
+/// through "<path>.tmp" + rename (common/file_io.h).
 Status WriteTraceFile(const std::string& path, const Trace& trace);
 
 }  // namespace trace

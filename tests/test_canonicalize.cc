@@ -8,10 +8,12 @@
 // (cold-tier identity) surfaced through Explain.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "plan/canonicalize.h"
 #include "recycledb/recycledb.h"
 #include "test_util.h"
@@ -170,6 +172,116 @@ TEST(CanonicalizeExprTest, IdempotentAndPointerStable) {
   // An already-canonical input comes back as the same pointer.
   ExprPtr canonical = Expr::Gt(Col("x"), Expr::Literal(5));
   EXPECT_EQ(CanonicalizeExpr(canonical), canonical);
+}
+
+/// Joins `parts` under `op` in one of four spellings: left-deep,
+/// right-deep, balanced, or left-deep over a shuffled order.
+ExprPtr Spell(LogicalOp op, std::vector<ExprPtr> parts, int spelling,
+              Rng* rng) {
+  auto join = [op](ExprPtr a, ExprPtr b) {
+    return op == LogicalOp::kAnd ? Expr::And(std::move(a), std::move(b))
+                                 : Expr::Or(std::move(a), std::move(b));
+  };
+  if (spelling == 3) {
+    for (size_t i = parts.size(); i > 1; --i) {
+      std::swap(parts[i - 1], parts[rng->Uniform(0, i - 1)]);
+    }
+  }
+  if (spelling == 1) {
+    ExprPtr acc = parts.back();
+    for (size_t i = parts.size() - 1; i-- > 0;) acc = join(parts[i], acc);
+    return acc;
+  }
+  if (spelling == 2) {
+    while (parts.size() > 1) {
+      std::vector<ExprPtr> next;
+      for (size_t i = 0; i + 1 < parts.size(); i += 2) {
+        next.push_back(join(parts[i], parts[i + 1]));
+      }
+      if (parts.size() % 2 == 1) next.push_back(parts.back());
+      parts = std::move(next);
+    }
+    return parts[0];
+  }
+  ExprPtr acc = parts[0];
+  for (size_t i = 1; i < parts.size(); ++i) acc = join(acc, parts[i]);
+  return acc;
+}
+
+/// A random operand: a range or equality term over x or y, a LIKE, an
+/// IN list, or a short chain under the other operator.
+ExprPtr RandomOperand(LogicalOp op, Rng* rng, int depth) {
+  ExprPtr col = Col(rng->Uniform(0, 1) == 0 ? "x" : "y");
+  const int32_t v = static_cast<int32_t>(rng->Uniform(0, 9));
+  switch (rng->Uniform(0, depth > 0 ? 5 : 4)) {
+    case 0:
+      return Expr::Gt(col, Expr::Literal(v));
+    case 1:
+      return Expr::Le(col, Expr::Literal(v));
+    case 2:
+      return Expr::Eq(col, Expr::Literal(v));
+    case 3:
+      return Expr::Like(LikeKind::kContains, Col("s"),
+                        std::string(1, static_cast<char>('a' + v % 4)));
+    case 4:
+      return Expr::In(
+          col, {Datum{v}, Datum{static_cast<int32_t>(rng->Uniform(0, 9))}});
+    default: {
+      const LogicalOp other =
+          op == LogicalOp::kAnd ? LogicalOp::kOr : LogicalOp::kAnd;
+      std::vector<ExprPtr> kids;
+      for (int64_t i = rng->Uniform(2, 3); i > 0; --i) {
+        kids.push_back(RandomOperand(other, rng, depth - 1));
+      }
+      return Spell(other, std::move(kids), 0, rng);
+    }
+  }
+}
+
+TEST(CanonicalizeExprTest, ChainSpellingsShareOneKey) {
+  Rng rng(42);
+  for (int trial = 0; trial < 300; ++trial) {
+    const LogicalOp op = trial % 2 == 0 ? LogicalOp::kAnd : LogicalOp::kOr;
+    std::vector<ExprPtr> parts;
+    for (int64_t i = rng.Uniform(2, 12); i > 0; --i) {
+      parts.push_back(RandomOperand(op, &rng, 1));
+    }
+    const std::string key = CanonKey(Spell(op, parts, 0, &rng));
+    for (int spelling = 1; spelling < 4; ++spelling) {
+      EXPECT_EQ(CanonKey(Spell(op, parts, spelling, &rng)), key)
+          << "trial " << trial << ", spelling " << spelling;
+    }
+  }
+}
+
+TEST(CanonicalizeExprTest, TenThousandTermChainsCanonicalizeWithinASecond) {
+  // A left-deep chain, as the parser builds it: every OR term distinct,
+  // and AND terms that no range folds away.
+  constexpr int kTerms = 10000;
+  std::vector<ExprPtr> ors, ands;
+  for (int i = 0; i < kTerms; ++i) {
+    ors.push_back(Expr::Eq(Col("x"), Expr::Literal(kTerms - i)));
+    ands.push_back(Expr::Ne(Col("x"), Expr::Literal(kTerms - i)));
+  }
+  Rng rng(7);
+  for (auto& [op, parts] : {std::make_pair(LogicalOp::kOr, ors),
+                            std::make_pair(LogicalOp::kAnd, ands)}) {
+    const ExprPtr chain = Spell(op, parts, 0, &rng);
+    const auto start = std::chrono::steady_clock::now();
+    const ExprPtr canonical = CanonicalizeExpr(chain);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(seconds, 1.0);
+    // Every term is distinct, so all of them stay: the canonical chain
+    // is left-deep over kTerms operands.
+    int operands = 1;
+    for (const Expr* e = canonical.get(); e->kind() == ExprKind::kLogical;
+         e = e->children()[0].get()) {
+      ++operands;
+    }
+    EXPECT_EQ(operands, kTerms);
+  }
 }
 
 // ---------------------------------------------------------------------------

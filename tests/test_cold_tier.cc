@@ -7,8 +7,10 @@
 // only the cold slices a stitch uses), invalidation purging spilled
 // entries, graceful degradation under a tiny disk quota, canonical-key
 // stability under graph-id shifts and distinctness under suffix-like
-// column names, and concurrent spill-vs-lookup and restart-rebuild stress
-// runs.
+// column names, a private tier reclaiming its files at once when it
+// reopens under the default instance id, and concurrent spill-vs-lookup
+// and restart-rebuild stress runs. Every (re)open is followed by
+// Recycler::CheckConsistency.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -22,6 +24,7 @@
 #include <thread>
 
 #include "common/hash.h"
+#include "fleet/manifest.h"
 #include "recycledb/recycledb.h"
 #include "recycler/cold_tier.h"
 #include "recycler/recycler.h"
@@ -82,6 +85,7 @@ std::unique_ptr<Database> OpenDb(const std::string& spill_dir,
   options.recycler.capture_plan_explain = true;  // see BaseScans
   std::unique_ptr<Database> db = Database::OpenOrDie(options);
   RDB_CHECK(db->CreateTable("f", MakeTestTable(rows)).ok());
+  EXPECT_CONSISTENT(db);  // every (re)open: the tier against its log
   return db;
 }
 
@@ -609,6 +613,46 @@ TEST(ColdTier, RestartWarmsUpFromSpillDir) {
   EXPECT_EQ(RowMultiset(*ra.table()), expected_a);
   EXPECT_EQ(RowMultiset(*rb.table()), expected_b);
   EXPECT_GE(db->counters().cold_adoptions.load(), 2);
+  EXPECT_CONSISTENT(db);
+}
+
+TEST(ColdTier, PrivateReopenUnderTheDefaultIdReclaimsAtOnce) {
+  // A private tier is a fleet of one under the default id. A copy of its
+  // directory taken while it runs is what a crash leaves: the log lists
+  // the files under a lease that has not run out. Reopening under the
+  // same id owns them at once, with no lease to wait for.
+  TempSpillDir dir, crashed;
+  std::multiset<std::string> expected;
+  {
+    auto db = OpenDb(dir.path(), 256 << 20, 20000);
+    expected = Expected(db.get(), RangeQuery(0, 3000));
+    ASSERT_TRUE(db->Execute(RangeQuery(0, 3000)).ok());
+    db->FlushCache();
+    EXPECT_CONSISTENT(db);
+    for (const auto& e : fs::directory_iterator(dir.path())) {
+      fs::copy_file(e.path(), crashed.path() + "/" + e.path().filename().string());
+    }
+  }
+  fleet::ManifestLog log;
+  ASSERT_TRUE(log.Open(crashed.path(), /*writable=*/false, /*create=*/false)
+                  .ok());
+  const fleet::ManifestView& view = log.view();
+  ASSERT_EQ(view.entries.size(), 1u);
+  EXPECT_EQ(view.entries.begin()->second.owner, kDefaultInstanceId);
+  EXPECT_TRUE(view.OwnerLive(kDefaultInstanceId, fleet::UnixMillisNow()));
+
+  for (const std::string& path : {crashed.path(), dir.path()}) {
+    auto db = OpenDb(path, 256 << 20, 20000);
+    const ColdTierStats stats = db->recycler().cold_tier().Stats();
+    EXPECT_EQ(stats.entries, 1);
+    EXPECT_EQ(stats.peer_entries, 0);
+    EXPECT_GT(stats.used_bytes, 0);
+    Result r = db->Execute(RangeQuery(0, 3000));
+    ASSERT_TRUE(r.ok());
+    EXPECT_GE(r.trace().num_cold_hits, 1);
+    EXPECT_EQ(RowMultiset(*r.table()), expected);
+    EXPECT_CONSISTENT(db);
+  }
 }
 
 TEST(ColdTier, RestartAdoptedSlicesServeStitching) {
@@ -631,6 +675,7 @@ TEST(ColdTier, RestartAdoptedSlicesServeStitching) {
   ASSERT_TRUE(r.ok());
   EXPECT_GE(r.trace().num_reuses, 1);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
+  EXPECT_CONSISTENT(db);
 }
 
 TEST(ColdTier, RestartReplaceTablePurgesOrphans) {
@@ -654,6 +699,7 @@ TEST(ColdTier, RestartReplaceTablePurgesOrphans) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.trace().num_cold_hits, 0);
   EXPECT_EQ(r.num_rows(), 0);  // stale rows would be nonzero
+  EXPECT_CONSISTENT(db);
 }
 
 TEST(ColdTier, RestartCorruptFileRecomputes) {
@@ -676,6 +722,7 @@ TEST(ColdTier, RestartCorruptFileRecomputes) {
   Result r = db->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(r.ok());  // recoverable: recomputed, no abort
   EXPECT_EQ(RowMultiset(*r.table()), expected);
+  EXPECT_CONSISTENT(db);
 }
 
 // ---------------------------------------------------------------------------
@@ -1154,6 +1201,7 @@ TEST(ColdTierConcurrency, RestartRebuildRace) {
   // own statement first.
   EXPECT_EQ(db->counters().cold_adoptions.load(), kSlices);
   EXPECT_GE(db->counters().cold_orphans_rebuilt.load(), 1);
+  EXPECT_CONSISTENT(db);
   Recycler& rec = db->recycler();
   std::shared_lock<std::shared_mutex> lock(rec.graph().mutex());
   std::set<std::string> keys;

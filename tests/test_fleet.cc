@@ -1,17 +1,24 @@
 // Tests for the fleet tier: several engine processes sharing one
-// cold-tier directory through the ownership manifest.
+// cold-tier directory through the manifest log.
 //
-// Covered here: manifest round trips and fail-soft parsing (corruption,
-// version skew), two live instances over one directory (the second serves
-// exact / subsumption / stitch hits from the first's spills without
-// re-executing, and never steals ownership), stale-lease takeover (expired
-// owners are claimed, live ones are not; an opener leaves a live peer's
-// in-flight files alone), purges that a member read only
-// through a manifest sync or lost to the bounded purge log (at a refresh or
-// at open), the read-only adoption mode, the async spill queue's drain
-// barrier, and a spill-vs-adopt race between two instances (run under TSan by
-// the `fleet` ctest label). Warm-standby failover rides the same harness: a
-// tailing standby serves the primary's results from statement one.
+// Covered here: the log's frames and replay rules (round trips, an entry
+// is live only when added after every purge of its tables, purge
+// retention at compaction), its recovery rule (the last record truncated
+// at every byte or flipped at every byte leaves the earlier records
+// standing), a refresh that finds nothing new reading nothing, two live
+// instances over one directory (the second serves exact / subsumption /
+// stitch hits from the first's spills without re-executing, and never
+// steals ownership), compaction while a peer tails the log, stale-lease
+// takeover (expired owners are claimed, live ones are not; an opener
+// leaves a live peer's in-flight files alone), purges (applied by the
+// next append, kept for a peer hundreds of purges behind without costing
+// it its untouched entries, and never undone by a lagging owner), the
+// read-only adoption mode, the async spill queue's drain barrier, and a
+// spill-vs-adopt race between two instances (run under TSan by the
+// `fleet` ctest label). Warm-standby failover rides the same harness: a
+// tailing standby serves the primary's results from statement one. Every
+// step of a test is followed by Recycler::CheckConsistency, which checks
+// the tier against a replay of the log.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,11 +26,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <thread>
 
+#include "common/file_io.h"
 #include "fleet/lock_file.h"
 #include "fleet/manifest.h"
 #include "recycledb/recycledb.h"
@@ -35,6 +43,10 @@ namespace recycledb {
 namespace {
 
 namespace fs = std::filesystem;
+using fleet::LogRecord;
+using fleet::ManifestLog;
+using fleet::ManifestView;
+using fleet::RecordType;
 using recycledb::testing::RowMultiset;
 using recycledb::testing::TempSpillDir;
 
@@ -63,12 +75,14 @@ TablePtr MakeReplacedTable(int rows) {
   return t;
 }
 
-PlanPtr RangeQuery(double lo, double hi) {
+PlanPtr RangeOver(const std::string& table, double lo, double hi) {
   return PlanNode::Select(
-      PlanNode::Scan("f", {"a", "v"}),
+      PlanNode::Scan(table, {"a", "v"}),
       Expr::And(Expr::Ge(Expr::Column("v"), Expr::Literal(lo)),
                 Expr::Lt(Expr::Column("v"), Expr::Literal(hi))));
 }
+
+PlanPtr RangeQuery(double lo, double hi) { return RangeOver("f", lo, hi); }
 
 PlanPtr BroadQuery(double lo) {
   return PlanNode::Select(PlanNode::Scan("f", {"a", "v"}),
@@ -114,100 +128,357 @@ std::multiset<std::string> Expected(Database* db, PlanPtr plan) {
 }
 
 /// Runs the canonical warm-up on instance A: three disjoint slices plus
-/// a broad slice, all demoted to the shared cold tier and published in
-/// the manifest (FlushCache drains the async queue before returning).
+/// a broad slice, all demoted to the shared cold tier and in the log
+/// (FlushCache drains the async queue before returning).
 void WarmPrimary(Database* a) {
   ASSERT_TRUE(a->Execute(RangeQuery(0, 3000)).ok());
   ASSERT_TRUE(a->Execute(RangeQuery(3000, 6000)).ok());
   ASSERT_TRUE(a->Execute(BroadQuery(5000)).ok());
   a->FlushCache();
   ASSERT_GT(a->recycler().cold_tier().Stats().entries, 0);
+  EXPECT_CONSISTENT(a);
 }
 
-// ---------------------------------------------------------------------------
-// Manifest format
-// ---------------------------------------------------------------------------
-
-TEST(FleetManifest, RoundTripsOwnersEntriesPurges) {
-  fleet::Manifest m;
-  m.seq = 42;
-  m.owners.push_back({"alpha", 1700000000000});
-  m.owners.push_back({"beta", 1700000123456});
-  m.entries.push_back({"4{select}(0{scan:f})", "r01-alpha-1.spill", "alpha", 7});
-  m.entries.push_back({"9{agg}(0{scan:g})", "r02-beta-3.spill", "beta", 41});
-  m.purges.push_back({"f", 5});
-  m.purges.push_back({"g", 6});
-
-  fleet::Manifest back;
-  ASSERT_TRUE(fleet::ParseManifest(fleet::SerializeManifest(m), &back).ok());
-  EXPECT_EQ(back.seq, 42);
-  ASSERT_EQ(back.owners.size(), 2u);
-  EXPECT_EQ(back.owners[1].id, "beta");
-  EXPECT_EQ(back.owners[1].lease_expiry_ms, 1700000123456);
-  ASSERT_EQ(back.entries.size(), 2u);
-  EXPECT_EQ(back.entries[0].canon_key, "4{select}(0{scan:f})");
-  EXPECT_EQ(back.entries[0].file, "r01-alpha-1.spill");
-  EXPECT_EQ(back.entries[0].owner, "alpha");
-  EXPECT_EQ(back.entries[0].admit_seq, 7);
-  ASSERT_EQ(back.purges.size(), 2u);
-  EXPECT_EQ(back.purges[1].table, "g");
-  EXPECT_EQ(back.purges[1].seq, 6);
-
-  // Liveness: unknown and empty owners are never live.
-  EXPECT_TRUE(back.OwnerLive("alpha", 1699999999999));
-  EXPECT_FALSE(back.OwnerLive("alpha", 1700000000001));
-  EXPECT_FALSE(back.OwnerLive("ghost", 0));
-  EXPECT_FALSE(back.OwnerLive("", 0));
+/// The directory's log as a reader opening it sees it.
+ManifestView ReplayLog(const std::string& dir) {
+  ManifestLog log;
+  RDB_CHECK(log.Open(dir, /*writable=*/false, /*create=*/false).ok());
+  return log.view();
 }
 
-TEST(FleetManifest, CorruptionAndSkewAreRecoverable) {
-  fleet::Manifest m;
-  m.seq = 1;
-  m.entries.push_back({"k", "f.spill", "a", 1});
-  std::string buf = fleet::SerializeManifest(m);
-
-  // Flip a byte in the middle: checksum fails, recoverable status.
-  std::string corrupt = buf;
-  corrupt[corrupt.size() / 2] ^= 0x40;
-  fleet::Manifest out;
-  Status st = fleet::ParseManifest(corrupt, &out);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-
-  // Truncation.
-  EXPECT_FALSE(
-      fleet::ParseManifest(buf.substr(0, buf.size() / 2), &out).ok());
-  // Garbage.
-  EXPECT_FALSE(fleet::ParseManifest("not a manifest at all", &out).ok());
-  // Empty.
-  EXPECT_FALSE(fleet::ParseManifest("", &out).ok());
-
-  // Version skew: a manifest from a newer engine is rejected
-  // recoverably (the version field sits right after the 4-byte magic).
-  std::string skewed = buf;
-  uint32_t newer = fleet::kManifestFormatVersion + 1;
-  std::memcpy(&skewed[4], &newer, sizeof(newer));
-  st = fleet::ParseManifest(skewed, &out);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  // So is one from an older engine.
-  uint32_t older = fleet::kManifestFormatVersion - 1;
-  std::memcpy(&skewed[4], &older, sizeof(older));
-  st = fleet::ParseManifest(skewed, &out);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+/// The log reads whole: no bad frame follows its good prefix.
+bool LogReadsWhole(const std::string& dir) {
+  ManifestLog log;
+  RDB_CHECK(log.Open(dir, /*writable=*/false, /*create=*/false).ok());
+  return log.offset() ==
+         static_cast<int64_t>(fs::file_size(ManifestLog::Path(dir)));
 }
 
-TEST(FleetManifest, PurgeLogIsBounded) {
-  fleet::Manifest m;
-  for (size_t i = 0; i < fleet::kManifestMaxPurges + 20; ++i) {
-    m.AddPurge("t" + std::to_string(i));
-    ++m.seq;
+/// Appends an owner record for `id` under the flock, as that instance
+/// would: a crashed owner's stale lease, or a live one's renewal.
+void AppendOwnerRecord(const std::string& dir, const std::string& id,
+                       int64_t lease_expiry_ms) {
+  fleet::DirLock lock;
+  ASSERT_TRUE(fleet::DirLock::Acquire(ManifestLog::LockPath(dir), &lock).ok());
+  ManifestLog log;
+  ASSERT_TRUE(log.Open(dir, /*writable=*/true, /*create=*/false).ok());
+  std::vector<LogRecord> batch(1);
+  batch[0].type = RecordType::kOwner;
+  batch[0].owner = id;
+  batch[0].value = lease_expiry_ms;
+  ASSERT_TRUE(log.Append(&batch, fleet::UnixMillisNow()).ok());
+}
+
+LogRecord Add(const std::string& file, const std::string& owner,
+              std::vector<std::string> tables) {
+  LogRecord r;
+  r.type = RecordType::kAdd;
+  r.name = file;
+  r.canon_key = "key:" + file;
+  r.owner = owner;
+  r.tables = std::move(tables);
+  return r;
+}
+
+LogRecord Purge(const std::string& table) {
+  LogRecord r;
+  r.type = RecordType::kPurge;
+  r.name = table;
+  return r;
+}
+
+LogRecord Owner(const std::string& id, int64_t lease_expiry_ms) {
+  LogRecord r;
+  r.type = RecordType::kOwner;
+  r.owner = id;
+  r.value = lease_expiry_ms;
+  return r;
+}
+
+/// Frames `records`, numbering them 1.. in order.
+std::string Frames(std::vector<LogRecord> records) {
+  std::string out;
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].seq = static_cast<int64_t>(i + 1);
+    fleet::AppendFrame(records[i], &out);
   }
-  EXPECT_LE(m.purges.size(), fleet::kManifestMaxPurges);
-  // The survivors are the newest records.
-  EXPECT_EQ(m.purges.back().table,
-            "t" + std::to_string(fleet::kManifestMaxPurges + 19));
+  return out;
+}
+
+ManifestView Replay(std::string_view buf, size_t* good = nullptr) {
+  std::vector<LogRecord> records;
+  const size_t n = fleet::DecodeFrames(buf, &records);
+  if (good != nullptr) *good = n;
+  ManifestView view;
+  for (const LogRecord& r : records) view.Apply(r);
+  return view;
+}
+
+bool SameView(const ManifestView& a, const ManifestView& b) {
+  if (a.last_seq != b.last_seq || a.records != b.records ||
+      a.owners.size() != b.owners.size() ||
+      a.entries.size() != b.entries.size() ||
+      a.purges.size() != b.purges.size()) {
+    return false;
+  }
+  for (const auto& [id, o] : a.owners) {
+    auto it = b.owners.find(id);
+    if (it == b.owners.end() || it->second.seq != o.seq ||
+        it->second.lease_expiry_ms != o.lease_expiry_ms) {
+      return false;
+    }
+  }
+  for (const auto& [file, e] : a.entries) {
+    auto it = b.entries.find(file);
+    if (it == b.entries.end() || it->second.seq != e.seq ||
+        it->second.owner != e.owner || it->second.canon_key != e.canon_key ||
+        it->second.tables != e.tables) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void CopyDir(const std::string& from, const std::string& to) {
+  for (const auto& e : fs::directory_iterator(from)) {
+    fs::copy_file(e.path(), to + "/" + e.path().filename().string(),
+                  fs::copy_options::overwrite_existing);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The manifest log
+// ---------------------------------------------------------------------------
+
+TEST(FleetManifestLog, RecordsRoundTripAndReplay) {
+  const std::string buf =
+      Frames({Owner("alpha", 1700000000000),
+              Add("r01-alpha-1.spill", "alpha", {"f"}),
+              Add("r02-beta-3.spill", "beta", {"f", "g"}),
+              Add("r03-alpha-2.spill", "alpha", {"h"}),
+              Purge("g"),  // retires beta's entry: it reads g
+              Add("r04-beta-4.spill", "beta", {"g"}),  // after the purge
+              Owner("beta", 1700000123456)});
+  std::vector<LogRecord> records;
+  ASSERT_EQ(fleet::DecodeFrames(buf, &records), buf.size());
+  ASSERT_EQ(records.size(), 7u);
+  EXPECT_EQ(records[2].type, RecordType::kAdd);
+  EXPECT_EQ(records[2].seq, 3);
+  EXPECT_EQ(records[2].name, "r02-beta-3.spill");
+  EXPECT_EQ(records[2].canon_key, "key:r02-beta-3.spill");
+  EXPECT_EQ(records[2].owner, "beta");
+  EXPECT_EQ(records[2].tables, (std::vector<std::string>{"f", "g"}));
+  EXPECT_EQ(records[6].value, 1700000123456);
+
+  ManifestView view = Replay(buf);
+  EXPECT_EQ(view.last_seq, 7);
+  EXPECT_EQ(view.records, 7);
+  // Live only when added after every purge of its tables.
+  EXPECT_EQ(view.entries.count("r01-alpha-1.spill"), 1u);
+  EXPECT_EQ(view.entries.count("r02-beta-3.spill"), 0u);
+  EXPECT_EQ(view.entries.count("r03-alpha-2.spill"), 1u);
+  EXPECT_EQ(view.entries.count("r04-beta-4.spill"), 1u);
+  EXPECT_TRUE(view.AnyPurged({"x", "g"}));
+  EXPECT_FALSE(view.AnyPurged({"f"}));
+  // Liveness: unknown owners are never live.
+  EXPECT_TRUE(view.OwnerLive("alpha", 1699999999999));
+  EXPECT_FALSE(view.OwnerLive("alpha", 1700000000001));
+  EXPECT_FALSE(view.OwnerLive("ghost", 0));
+
+  // A drop removes the entry; a second add moves its ownership.
+  LogRecord drop;
+  drop.type = RecordType::kDrop;
+  drop.name = "r01-alpha-1.spill";
+  drop.seq = 8;
+  view.Apply(drop);
+  LogRecord moved = Add("r03-alpha-2.spill", "beta", {"h"});
+  moved.seq = 9;
+  view.Apply(moved);
+  EXPECT_EQ(view.entries.count("r01-alpha-1.spill"), 0u);
+  EXPECT_EQ(view.entries.at("r03-alpha-2.spill").owner, "beta");
+}
+
+TEST(FleetManifestLog, CompactionKeepsAPurgeUntilEveryLiveOwnerAppliedIt) {
+  const int64_t now = 1000;
+  ManifestView view = Replay(Frames({
+      Owner("alpha", now + 500),            // 1: live, applied up to 1
+      Add("r1-alpha-1.spill", "alpha", {"f"}),  // 2
+      Purge("f"),                           // 3: alpha has not applied it
+      Owner("beta", now + 500),             // 4: live, applied up to 4
+      Owner("gamma", now - 1),              // 5: dead
+      Add("r2-beta-1.spill", "beta", {"g"}),  // 6
+  }));
+  std::vector<LogRecord> live = view.LiveRecords(now);
+  // Alpha and beta (gamma is dead), the purge, beta's entry (alpha's
+  // died by the purge), in seq order.
+  ASSERT_EQ(live.size(), 4u);
+  EXPECT_EQ(live[0].owner, "alpha");
+  EXPECT_EQ(live[1].type, RecordType::kPurge);
+  EXPECT_EQ(live[2].owner, "beta");
+  EXPECT_EQ(live[3].name, "r2-beta-1.spill");
+
+  // Once alpha's owner record passes the purge, nobody needs it.
+  LogRecord renew = Owner("alpha", now + 500);
+  renew.seq = 7;
+  view.Apply(renew);
+  live = view.LiveRecords(now);
+  ASSERT_EQ(live.size(), 3u);
+  for (const LogRecord& r : live) EXPECT_NE(r.type, RecordType::kPurge);
+}
+
+TEST(FleetManifestLog, TruncatedOrFlippedLastRecordKeepsEarlierRecords) {
+  // Unit level: every prefix of the last record, and every one-byte
+  // flip in it, reads as the log without that record.
+  const std::vector<LogRecord> earlier = {
+      Owner("alpha", 1700000000000), Add("r1-alpha-1.spill", "alpha", {"f"}),
+      Purge("g")};
+  std::vector<LogRecord> all = earlier;
+  all.push_back(Add("r2-alpha-2.spill", "alpha", {"f", "h"}));
+  const std::string buf = Frames(all);
+  const std::string prefix = Frames(earlier);
+  const ManifestView want = Replay(prefix);
+  ASSERT_LT(prefix.size(), buf.size());
+  for (size_t cut = prefix.size(); cut < buf.size(); ++cut) {
+    size_t good = 0;
+    ManifestView got = Replay(std::string_view(buf).substr(0, cut), &good);
+    EXPECT_EQ(good, prefix.size()) << "cut at " << cut;
+    EXPECT_TRUE(SameView(got, want)) << "cut at " << cut;
+  }
+  for (size_t at = prefix.size(); at < buf.size(); ++at) {
+    for (unsigned char bit : {0x01, 0x80}) {
+      std::string flipped = buf;
+      flipped[at] = static_cast<char>(flipped[at] ^ bit);
+      size_t good = 0;
+      ManifestView got = Replay(flipped, &good);
+      EXPECT_EQ(good, prefix.size()) << "flip at " << at;
+      EXPECT_TRUE(SameView(got, want)) << "flip at " << at;
+    }
+  }
+
+  // Engine level: alpha's log, with its last record cut or flipped. A
+  // new member opens over each copy without an abort, serves the right
+  // rows, and its first append leaves a log that reads whole.
+  TempSpillDir dir;
+  std::multiset<std::string> expected;
+  {
+    auto a = OpenInstance(dir.path(), "alpha");
+    expected = Expected(a.get(), RangeQuery(0, 3000));
+    WarmPrimary(a.get());
+  }
+  std::string log;
+  ASSERT_TRUE(ReadWholeFile(ManifestLog::Path(dir.path()), &log).ok());
+  std::vector<LogRecord> records;
+  ASSERT_EQ(fleet::DecodeFrames(log, &records), log.size());
+  std::string head;
+  for (size_t i = 0; i + 1 < records.size(); ++i) {
+    fleet::AppendFrame(records[i], &head);
+  }
+  ASSERT_EQ(log.compare(0, head.size(), head), 0);
+  std::vector<std::string> variants;
+  for (size_t cut = head.size(); cut < log.size(); ++cut) {
+    variants.push_back(log.substr(0, cut));
+  }
+  for (size_t at = head.size(); at < log.size(); ++at) {
+    variants.push_back(log);
+    variants.back()[at] = static_cast<char>(variants.back()[at] ^ 0x10);
+  }
+  for (const std::string& variant : variants) {
+    TempSpillDir copy;
+    CopyDir(dir.path(), copy.path());
+    {
+      std::ofstream f(ManifestLog::Path(copy.path()),
+                      std::ios::binary | std::ios::trunc);
+      f.write(variant.data(), static_cast<std::streamsize>(variant.size()));
+    }
+    EXPECT_TRUE(SameView(ReplayLog(copy.path()), Replay(head)));
+    auto b = OpenInstance(copy.path(), "beta");
+    EXPECT_CONSISTENT(b);
+    Result r = b->Execute(RangeQuery(0, 3000));
+    ASSERT_TRUE(r.ok());
+    EXPECT_GE(r.trace().num_cold_hits, 1);
+    EXPECT_EQ(RowMultiset(*r.table()), expected);
+    EXPECT_TRUE(LogReadsWhole(copy.path()));
+    EXPECT_CONSISTENT(b);
+  }
+}
+
+TEST(FleetManifestLog, RefreshReadsOnlyWhatWasAppended) {
+  TempSpillDir dir;
+  auto a = OpenInstance(dir.path(), "alpha");
+  WarmPrimary(a.get());
+  auto b = OpenInstance(dir.path(), "beta");
+  const std::string log = ManifestLog::Path(dir.path());
+  auto bytes_read = [&b] {
+    return b->counters().fleet_log_bytes_read.load();
+  };
+
+  // Nothing appended since beta's open: the refresh reads nothing.
+  int64_t before = bytes_read();
+  ASSERT_TRUE(b->RefreshFleet().ok());
+  EXPECT_EQ(bytes_read(), before);
+  EXPECT_CONSISTENT(b);
+
+  // Alpha appends one batch; beta's refresh reads exactly its bytes.
+  const int64_t size_before = static_cast<int64_t>(fs::file_size(log));
+  ASSERT_TRUE(a->Execute(RangeQuery(6000, 9000)).ok());
+  a->FlushCache();
+  const int64_t size_after = static_cast<int64_t>(fs::file_size(log));
+  ASSERT_GT(size_after, size_before);
+  before = bytes_read();
+  int64_t peers = 0;
+  ASSERT_TRUE(b->RefreshFleet(&peers).ok());
+  EXPECT_EQ(peers, 1);
+  EXPECT_EQ(bytes_read() - before, size_after - size_before);
+  EXPECT_CONSISTENT(b);
+
+  before = bytes_read();
+  ASSERT_TRUE(b->RefreshFleet().ok());
+  EXPECT_EQ(bytes_read(), before);
+  EXPECT_CONSISTENT(b);
+  EXPECT_CONSISTENT(a);
+}
+
+TEST(FleetManifestLog, CompactionWhileAPeerTailsTheLog) {
+  TempSpillDir dir;
+  // Alpha's cap holds about two range results, so its spills evict one
+  // another: adds and drops pile up over few live entries.
+  DatabaseOptions options;
+  options.recycler.mode = RecyclerMode::kSpeculation;
+  options.recycler.spill_dir = dir.path();
+  options.recycler.cold_tier_capacity_bytes = 160 << 10;
+  options.recycler.fleet_instance = "alpha";
+  auto a = Database::OpenOrDie(options);
+  ASSERT_TRUE(a->CreateTable("f", MakeTestTable(20000)).ok());
+  ASSERT_TRUE(a->Execute(RangeQuery(0, 1000)).ok());
+  a->FlushCache();
+  auto b = OpenInstance(dir.path(), "beta");
+  ASSERT_TRUE(b->RefreshFleet().ok());
+  EXPECT_CONSISTENT(b);
+  const int64_t generation = ReplayLog(dir.path()).generation;
+
+  for (int i = 1; i < 12; ++i) {
+    ASSERT_TRUE(a->Execute(RangeQuery(i * 800.0, i * 800.0 + 1000)).ok());
+    a->FlushCache();
+    EXPECT_CONSISTENT(a);
+  }
+  const ManifestView now = ReplayLog(dir.path());
+  EXPECT_GT(now.generation, generation);
+  EXPECT_LE(now.records, 2 * (1 + static_cast<int64_t>(
+                                      now.LiveRecords(fleet::UnixMillisNow())
+                                          .size())));
+
+  // Beta notices the new file and reads it from its start: it tracks
+  // exactly alpha's live entries, and serves them.
+  ASSERT_TRUE(b->RefreshFleet().ok());
+  EXPECT_CONSISTENT(b);
+  EXPECT_EQ(b->recycler().cold_tier().Stats().peer_entries,
+            static_cast<int64_t>(now.entries.size()));
+  auto expected = Expected(b.get(), RangeQuery(8800, 9800));
+  Result r = b->Execute(RangeQuery(8800, 9800));
+  ASSERT_TRUE(r.ok());
+  EXPECT_GE(r.trace().num_cold_hits, 1);
+  EXPECT_EQ(RowMultiset(*r.table()), expected);
+  EXPECT_CONSISTENT(b);
 }
 
 // ---------------------------------------------------------------------------
@@ -221,6 +492,7 @@ TEST(FleetSharing, SecondInstanceServesPeerSpillsWithoutReexecuting) {
 
   // B opens while A is live: A's files surface as peer entries.
   auto b = OpenInstance(dir.path(), "beta");
+  EXPECT_CONSISTENT(b);
   ColdTierStats bstats = b->recycler().cold_tier().Stats();
   EXPECT_GT(bstats.peer_entries, 0);
   EXPECT_EQ(bstats.used_bytes, 0);  // peer files never count against B's cap
@@ -237,6 +509,7 @@ TEST(FleetSharing, SecondInstanceServesPeerSpillsWithoutReexecuting) {
   EXPECT_GE(exact.trace().num_cold_hits, 1);
   EXPECT_EQ(exact.trace().num_materialized, 0);  // served, not re-executed
   EXPECT_EQ(RowMultiset(*exact.table()), expected_exact);
+  EXPECT_CONSISTENT(b);
 
   // Subsumption: prime the broad shape (adopting A's spill for it, again
   // from disk rather than by re-executing), then the refinement subsumes
@@ -250,22 +523,23 @@ TEST(FleetSharing, SecondInstanceServesPeerSpillsWithoutReexecuting) {
   ASSERT_TRUE(refine.ok());
   EXPECT_GE(refine.trace().num_subsumption_reuses, 1);
   EXPECT_EQ(RowMultiset(*refine.table()), expected_refine);
+  EXPECT_CONSISTENT(b);
 
   // Stitch: both of A's disjoint slices cover the probe window.
   Result stitch = b->Execute(RangeQuery(1000, 5000));
   ASSERT_TRUE(stitch.ok());
   EXPECT_GE(stitch.trace().num_partial_reuses, 1);
   EXPECT_EQ(RowMultiset(*stitch.table()), expected_stitch);
+  EXPECT_CONSISTENT(b);
 
   EXPECT_GE(b->counters().cold_adoptions.load(), 2);
 
-  // Ownership never moved: every entry in the manifest still names A.
-  fleet::Manifest m;
-  ASSERT_TRUE(
-      fleet::ReadManifestFile(fleet::ManifestPath(dir.path()), &m).ok());
-  ASSERT_GT(m.entries.size(), 0u);
-  for (const auto& e : m.entries) EXPECT_EQ(e.owner, "alpha");
-  EXPECT_NE(m.FindOwner("alpha"), nullptr);
+  // Ownership never moved: every entry in the log still names A.
+  const ManifestView view = ReplayLog(dir.path());
+  ASSERT_GT(view.entries.size(), 0u);
+  for (const auto& [file, e] : view.entries) EXPECT_EQ(e.owner, "alpha");
+  EXPECT_TRUE(view.OwnerLive("alpha", fleet::UnixMillisNow()));
+  EXPECT_CONSISTENT(a);
 }
 
 TEST(FleetSharing, PeerEntryRefreshedAfterInsertIsAdoptedAtTheNextLookup) {
@@ -286,12 +560,15 @@ TEST(FleetSharing, PeerEntryRefreshedAfterInsertIsAdoptedAtTheNextLookup) {
   ASSERT_TRUE(agg.ok());
   EXPECT_EQ(agg.trace().num_adoptions, 1);
   EXPECT_EQ(b->counters().cold_orphans_rebuilt.load(), 1);
+  EXPECT_CONSISTENT(b);
 
   ASSERT_TRUE(a->Execute(BroadQuery(5000)).ok());
   a->FlushCache();
+  EXPECT_CONSISTENT(a);
   int64_t peers = 0;
   ASSERT_TRUE(b->RefreshFleet(&peers).ok());
   ASSERT_GE(peers, 1);
+  EXPECT_CONSISTENT(b);
 
   auto expected = Expected(b.get(), RefineQuery(5000, 3));
   Result refine = b->Execute(RefineQuery(5000, 3));
@@ -300,23 +577,25 @@ TEST(FleetSharing, PeerEntryRefreshedAfterInsertIsAdoptedAtTheNextLookup) {
   EXPECT_EQ(refine.trace().num_subsumption_reuses, 1);
   EXPECT_EQ(refine.trace().num_cold_hits, 1);
   EXPECT_EQ(RowMultiset(*refine.table()), expected);
+  EXPECT_CONSISTENT(b);
 }
 
-TEST(FleetSharing, CorruptManifestFallsBackToDirectoryRescan) {
+TEST(FleetSharing, CorruptLogFallsBackToDirectoryRescan) {
   TempSpillDir dir;
   {
     auto a = OpenInstance(dir.path(), "alpha");
     WarmPrimary(a.get());
-  }  // graceful shutdown drops alpha's owner record
+  }  // graceful shutdown gives up alpha's lease
 
-  // Smash the manifest. Opening must fall back to scanning the spill
-  // files themselves; every image stays adoptable.
+  // Smash the log. Opening must fall back to scanning the spill files
+  // themselves; every image stays adoptable.
   {
-    std::ofstream f(fleet::ManifestPath(dir.path()),
+    std::ofstream f(ManifestLog::Path(dir.path()),
                     std::ios::binary | std::ios::trunc);
     f << "garbage garbage garbage";
   }
   auto b = OpenInstance(dir.path(), "beta");
+  EXPECT_CONSISTENT(b);
   EXPECT_GT(b->recycler().cold_tier().Stats().entries, 0);
 
   auto expected = Expected(b.get(), RangeQuery(0, 3000));
@@ -325,41 +604,13 @@ TEST(FleetSharing, CorruptManifestFallsBackToDirectoryRescan) {
   EXPECT_GE(r.trace().num_adoptions, 1);
   EXPECT_GE(r.trace().num_cold_hits, 1);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
+  EXPECT_CONSISTENT(b);
 
-  // B's first sync rebuilt a valid manifest.
-  fleet::Manifest m;
-  EXPECT_TRUE(
-      fleet::ReadManifestFile(fleet::ManifestPath(dir.path()), &m).ok());
-}
-
-TEST(FleetSharing, VersionSkewedManifestFallsBackToRescan) {
-  TempSpillDir dir;
-  {
-    auto a = OpenInstance(dir.path(), "alpha");
-    WarmPrimary(a.get());
-  }
-  // Rewrite the manifest with a future format version (valid checksum
-  // layout is irrelevant: the version check rejects first).
-  std::string buf;
-  {
-    std::ifstream in(fleet::ManifestPath(dir.path()), std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    buf = ss.str();
-  }
-  uint32_t newer = fleet::kManifestFormatVersion + 7;
-  std::memcpy(&buf[4], &newer, sizeof(newer));
-  {
-    std::ofstream f(fleet::ManifestPath(dir.path()),
-                    std::ios::binary | std::ios::trunc);
-    f.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  }
-
-  auto b = OpenInstance(dir.path(), "beta");
-  EXPECT_GT(b->recycler().cold_tier().Stats().entries, 0);
-  Result r = b->Execute(RangeQuery(3000, 6000));
-  ASSERT_TRUE(r.ok());
-  EXPECT_GE(r.trace().num_cold_hits, 1);
+  // B's first append rewrote a log that reads whole and lists its claims.
+  EXPECT_TRUE(LogReadsWhole(dir.path()));
+  const ManifestView view = ReplayLog(dir.path());
+  ASSERT_GT(view.entries.size(), 0u);
+  for (const auto& [file, e] : view.entries) EXPECT_EQ(e.owner, "beta");
 }
 
 // ---------------------------------------------------------------------------
@@ -372,29 +623,20 @@ TEST(FleetLease, ExpiredOwnersEntriesAreClaimedAtOpen) {
     auto a = OpenInstance(dir.path(), "alpha");
     WarmPrimary(a.get());
   }
-  // Resurrect alpha's owner record with an expired lease: a crashed
-  // process that never cleaned up. (Graceful shutdown removed it, so
-  // hand-write it back.)
-  fleet::Manifest m;
-  ASSERT_TRUE(
-      fleet::ReadManifestFile(fleet::ManifestPath(dir.path()), &m).ok());
-  m.owners.push_back({"alpha", fleet::UnixMillisNow() - 60 * 1000});
-  ++m.seq;
-  ASSERT_TRUE(
-      fleet::WriteManifestFile(fleet::ManifestPath(dir.path()), m).ok());
+  // An expired lease for alpha: a crashed process that never cleaned up.
+  AppendOwnerRecord(dir.path(), "alpha", fleet::UnixMillisNow() - 60 * 1000);
 
   auto b = OpenInstance(dir.path(), "beta");
+  EXPECT_CONSISTENT(b);
   ColdTierStats stats = b->recycler().cold_tier().Stats();
   EXPECT_GT(stats.entries, 0);
   EXPECT_EQ(stats.peer_entries, 0);   // dead owner: claimed, not peered
   EXPECT_GT(stats.used_bytes, 0);     // claimed files count against B
 
-  // The claim is durable: the manifest now names beta.
-  fleet::Manifest after;
-  ASSERT_TRUE(
-      fleet::ReadManifestFile(fleet::ManifestPath(dir.path()), &after).ok());
+  // The claim is durable: the log now names beta.
+  const ManifestView after = ReplayLog(dir.path());
   ASSERT_GT(after.entries.size(), 0u);
-  for (const auto& e : after.entries) EXPECT_EQ(e.owner, "beta");
+  for (const auto& [file, e] : after.entries) EXPECT_EQ(e.owner, "beta");
 }
 
 TEST(FleetLease, LiveOwnersEntriesAreNotClaimed) {
@@ -403,50 +645,42 @@ TEST(FleetLease, LiveOwnersEntriesAreNotClaimed) {
     auto a = OpenInstance(dir.path(), "alpha");
     WarmPrimary(a.get());
   }
-  fleet::Manifest m;
-  ASSERT_TRUE(
-      fleet::ReadManifestFile(fleet::ManifestPath(dir.path()), &m).ok());
-  m.owners.push_back({"alpha", fleet::UnixMillisNow() + 60 * 1000});
-  ++m.seq;
-  ASSERT_TRUE(
-      fleet::WriteManifestFile(fleet::ManifestPath(dir.path()), m).ok());
+  AppendOwnerRecord(dir.path(), "alpha", fleet::UnixMillisNow() + 60 * 1000);
 
   auto b = OpenInstance(dir.path(), "beta");
+  EXPECT_CONSISTENT(b);
   ColdTierStats stats = b->recycler().cold_tier().Stats();
   EXPECT_GT(stats.peer_entries, 0);
   EXPECT_EQ(stats.used_bytes, 0);
 
-  fleet::Manifest after;
-  ASSERT_TRUE(
-      fleet::ReadManifestFile(fleet::ManifestPath(dir.path()), &after).ok());
-  for (const auto& e : after.entries) EXPECT_EQ(e.owner, "alpha");
+  const ManifestView after = ReplayLog(dir.path());
+  for (const auto& [file, e] : after.entries) EXPECT_EQ(e.owner, "alpha");
 }
 
 TEST(FleetLease, OpenLeavesALivePeersInFlightFilesAlone) {
   TempSpillDir dir;
-  auto a = OpenInstance(dir.path(), "alpha");  // publishes a live lease
+  auto a = OpenInstance(dir.path(), "alpha");
+  WarmPrimary(a.get());  // alpha's first append records its live lease
   auto plant = [&](const std::string& name) {
     const std::string path = dir.path() + "/" + name;
     std::ofstream(path) << "partial";
     return path;
   };
-  // What alpha may be writing right now: a spill, and the manifest under
-  // the flock (held below, as alpha's write would).
+  // What alpha may be writing right now: a spill, and a compaction of
+  // the log under the flock (held below, as alpha's write would).
   const std::string peer_spill = plant("r00000000000000aa-alpha-7.spill.tmp");
-  const std::string manifest_tmp = plant("manifest.rdbm.tmp");
-  // Torn writes the opener may delete: its own (a prior incarnation's),
-  // an owner without a lease, and a private tier's.
+  const std::string log_tmp = plant("manifest.log.tmp");
+  // Torn writes the opener may delete: its own (a prior incarnation's)
+  // and an owner's without a lease.
   const std::vector<std::string> stale = {
       plant("r00000000000000bb-beta-1.spill.tmp"),
-      plant("r00000000000000cc-ghost-2.spill.tmp"),
-      plant("r00000000000000dd-3.spill.tmp")};
+      plant("r00000000000000cc-ghost-2.spill.tmp")};
 
   fleet::DirLock held;
   ASSERT_TRUE(
-      fleet::DirLock::Acquire(fleet::ManifestLockPath(dir.path()), &held)
-          .ok());
-  // B scans and deletes before its first manifest sync, which then waits
-  // for the flock.
+      fleet::DirLock::Acquire(ManifestLog::LockPath(dir.path()), &held).ok());
+  // B scans and deletes before its first append, which then waits for
+  // the flock.
   std::unique_ptr<Database> b;
   std::thread opener([&] { b = OpenInstance(dir.path(), "beta"); });
   bool swept = false;
@@ -456,14 +690,15 @@ TEST(FleetLease, OpenLeavesALivePeersInFlightFilesAlone) {
     if (!swept) std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   const bool peer_spill_kept = fs::exists(peer_spill);
-  const bool manifest_tmp_kept = fs::exists(manifest_tmp);
+  const bool log_tmp_kept = fs::exists(log_tmp);
   held.Release();
   opener.join();
 
   EXPECT_TRUE(swept);
   EXPECT_TRUE(peer_spill_kept);
-  EXPECT_TRUE(manifest_tmp_kept);
-  EXPECT_TRUE(fs::exists(peer_spill));  // B's own sync leaves it too
+  EXPECT_TRUE(log_tmp_kept);
+  EXPECT_TRUE(fs::exists(peer_spill));  // B's own append leaves it too
+  EXPECT_CONSISTENT(b);
 }
 
 TEST(FleetLease, StaleLeaseTakeoverAtRefresh) {
@@ -473,35 +708,21 @@ TEST(FleetLease, StaleLeaseTakeoverAtRefresh) {
   WarmPrimary(a.get());
   auto b = OpenInstance(dir.path(), "beta");
   EXPECT_GT(b->recycler().cold_tier().Stats().peer_entries, 0);
+  EXPECT_CONSISTENT(b);
 
-  // Alpha "crashes": expire its lease in place (keep the owner record,
-  // as a SIGKILL would).
-  {
-    fleet::DirLock lock;
-    ASSERT_TRUE(
-        fleet::DirLock::Acquire(fleet::ManifestLockPath(dir.path()), &lock)
-            .ok());
-    fleet::Manifest m;
-    ASSERT_TRUE(
-        fleet::ReadManifestFile(fleet::ManifestPath(dir.path()), &m).ok());
-    fleet::ManifestOwner* alpha = m.FindOwner("alpha");
-    ASSERT_NE(alpha, nullptr);
-    alpha->lease_expiry_ms = fleet::UnixMillisNow() - 60 * 1000;
-    ++m.seq;
-    ASSERT_TRUE(
-        fleet::WriteManifestFile(fleet::ManifestPath(dir.path()), m).ok());
-  }
+  // Alpha "crashes": its lease expires (a SIGKILL leaves the last lease
+  // standing until it runs out).
+  AppendOwnerRecord(dir.path(), "alpha", fleet::UnixMillisNow() - 60 * 1000);
 
   ASSERT_TRUE(b->RefreshFleet().ok());
+  EXPECT_CONSISTENT(b);
   EXPECT_GE(b->counters().fleet_lease_takeovers.load(), 1);
   ColdTierStats stats = b->recycler().cold_tier().Stats();
   EXPECT_EQ(stats.peer_entries, 0);
   EXPECT_GT(stats.used_bytes, 0);
 
-  fleet::Manifest after;
-  ASSERT_TRUE(
-      fleet::ReadManifestFile(fleet::ManifestPath(dir.path()), &after).ok());
-  for (const auto& e : after.entries) EXPECT_EQ(e.owner, "beta");
+  const ManifestView after = ReplayLog(dir.path());
+  for (const auto& [file, e] : after.entries) EXPECT_EQ(e.owner, "beta");
 
   // The adopted results still serve.
   auto expected = Expected(b.get(), RangeQuery(0, 3000));
@@ -509,121 +730,182 @@ TEST(FleetLease, StaleLeaseTakeoverAtRefresh) {
   ASSERT_TRUE(r.ok());
   EXPECT_GE(r.trace().num_cold_hits, 1);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
+  EXPECT_CONSISTENT(b);
 
   // Keep alpha alive to the end: its dtor must tolerate having been
   // taken over (it forfeits rather than deleting beta's files).
   a.reset();
-  EXPECT_TRUE(fs::exists(fleet::ManifestPath(dir.path())));
+  EXPECT_TRUE(fs::exists(ManifestLog::Path(dir.path())));
   Result again = b->Execute(RangeQuery(3000, 6000));
   ASSERT_TRUE(again.ok());
+  EXPECT_GE(again.trace().num_cold_hits, 1);
+  EXPECT_CONSISTENT(b);
 }
 
 // ---------------------------------------------------------------------------
-// Purge log
+// Purges
 // ---------------------------------------------------------------------------
 
-TEST(FleetPurgeLog, PeerPastTheLogBoundDropsWhatALostPurgeCouldMatch) {
+TEST(FleetPurgeLog, PeerMoreThan256PurgesBehindKeepsItsUntouchedEntries) {
   TempSpillDir dir;
   auto a = OpenInstance(dir.path(), "alpha");
   auto b = OpenInstance(dir.path(), "beta");
-  ASSERT_TRUE(a->CreateTable("g", MakeTestTable(10)).ok());
+  for (Database* db : {a.get(), b.get()}) {
+    ASSERT_TRUE(db->CreateTable("g", MakeTestTable(10)).ok());
+    ASSERT_TRUE(db->CreateTable("h", MakeTestTable(20000)).ok());
+  }
 
-  // Beta owns a spill over f, published in the manifest.
+  // Beta owns a spill over f and one over h, both in the log.
   ASSERT_TRUE(b->Execute(RangeQuery(0, 3000)).ok());
+  ASSERT_TRUE(b->Execute(RangeOver("h", 0, 3000)).ok());
   b->FlushCache();
   ASSERT_TRUE(b->RefreshFleet().ok());
-  ASSERT_EQ(b->recycler().cold_tier().Stats().entries, 1);
+  ASSERT_EQ(b->recycler().cold_tier().Stats().entries, 2);
+  EXPECT_CONSISTENT(b);
 
-  // 300 purges before beta refreshes again: alpha replaces f, then g
-  // often enough that f's purge record ages out of the bounded log.
+  // 300 purges before beta reads the log again: alpha replaces f, then g
+  // again and again.
   ASSERT_TRUE(a->ReplaceTable("f", MakeReplacedTable(20000)).ok());
   for (int i = 1; i < 300; ++i) {
     ASSERT_TRUE(a->ReplaceTable("g", MakeTestTable(10)).ok());
   }
-  fleet::Manifest m;
-  ASSERT_TRUE(
-      fleet::ReadManifestFile(fleet::ManifestPath(dir.path()), &m).ok());
-  ASSERT_EQ(m.purges.size(), fleet::kManifestMaxPurges);
-  for (const fleet::ManifestPurge& p : m.purges) ASSERT_EQ(p.table, "g");
+  EXPECT_CONSISTENT(a);
 
-  // Beta cannot tell which purges it missed, so it drops everything one
-  // of them could have matched.
+  // Beta retires its spill over f and keeps the one over h: no purge
+  // named h.
   ASSERT_TRUE(b->RefreshFleet().ok());
-  EXPECT_EQ(b->recycler().cold_tier().Stats().entries, 0);
+  EXPECT_CONSISTENT(b);
+  EXPECT_EQ(b->recycler().cold_tier().Stats().entries, 1);
+  auto expected_h = Expected(b.get(), RangeOver("h", 0, 3000));
+  Result kept = b->Execute(RangeOver("h", 0, 3000));
+  ASSERT_TRUE(kept.ok());
+  EXPECT_GE(kept.trace().num_cold_hits, 1);
+  EXPECT_EQ(RowMultiset(*kept.table()), expected_h);
+  EXPECT_CONSISTENT(b);
 
   // A member over the new f is never served beta's stale spill.
   auto c = OpenInstance(dir.path(), "gamma", 20000, false, 30000,
                         MakeReplacedTable(20000));
+  EXPECT_CONSISTENT(c);
   auto expected = Expected(c.get(), RangeQuery(0, 3000));
   Result r = c->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.trace().num_adoptions, 0);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
+  EXPECT_CONSISTENT(c);
 }
 
-TEST(FleetPurgeLog, OpenPastTheLogBoundNeverAdoptsWhatALostPurgeCouldMatch) {
+TEST(FleetPurgeLog, OpenAfterManyPurgesAdoptsOnlyUntouchedEntries) {
   TempSpillDir dir;
   auto a = OpenInstance(dir.path(), "alpha");
   auto b = OpenInstance(dir.path(), "beta");
+  ASSERT_TRUE(a->CreateTable("h", MakeTestTable(20000)).ok());
   ASSERT_TRUE(b->CreateTable("g", MakeTestTable(10)).ok());
 
-  // Alpha spills over f, then stays idle: it never refreshes, so its
-  // manifest entry outlives the purge that made it stale.
+  // Alpha spills over f and over h, then stays idle: it never reads the
+  // log again, so its entry over f outlives, in its own view, the purge
+  // that made it stale.
   ASSERT_TRUE(a->Execute(RangeQuery(0, 3000)).ok());
+  ASSERT_TRUE(a->Execute(RangeOver("h", 0, 3000)).ok());
   a->FlushCache();
-  ASSERT_EQ(a->recycler().cold_tier().Stats().entries, 1);
+  ASSERT_EQ(a->recycler().cold_tier().Stats().entries, 2);
 
-  // Beta replaces f, then g often enough that f's purge record ages out
-  // of the bounded log.
+  // Beta replaces f, then g 256 times.
   ASSERT_TRUE(b->ReplaceTable("f", MakeReplacedTable(20000)).ok());
-  for (size_t i = 0; i < fleet::kManifestMaxPurges; ++i) {
+  for (int i = 0; i < 256; ++i) {
     ASSERT_TRUE(b->ReplaceTable("g", MakeTestTable(10)).ok());
   }
-  fleet::Manifest m;
-  ASSERT_TRUE(
-      fleet::ReadManifestFile(fleet::ManifestPath(dir.path()), &m).ok());
-  ASSERT_EQ(m.purges.size(), fleet::kManifestMaxPurges);
-  for (const fleet::ManifestPurge& p : m.purges) ASSERT_EQ(p.table, "g");
+  EXPECT_CONSISTENT(b);
 
-  // A fresh member over the new f reads a full log at open: a gap, so it
-  // never tracks alpha's entry, let alone serves its stale rows.
+  // A fresh member over the new f never tracks alpha's entry over f,
+  // let alone serves its stale rows, and adopts the one over h.
   auto d = OpenInstance(dir.path(), "delta", 20000, false, 30000,
                         MakeReplacedTable(20000));
-  EXPECT_EQ(d->recycler().cold_tier().Stats().entries, 0);
+  ASSERT_TRUE(d->CreateTable("h", MakeTestTable(20000)).ok());
+  EXPECT_CONSISTENT(d);
+  EXPECT_EQ(d->recycler().cold_tier().Stats().entries, 1);
   auto expected = Expected(d.get(), RangeQuery(0, 3000));
   Result r = d->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.trace().num_adoptions, 0);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
+  Result h = d->Execute(RangeOver("h", 0, 3000));
+  ASSERT_TRUE(h.ok());
+  EXPECT_EQ(h.trace().num_adoptions, 1);
+  EXPECT_GE(h.trace().num_cold_hits, 1);
+  EXPECT_CONSISTENT(d);
 }
 
-TEST(FleetPurgeLog, PurgeReadByAManifestSyncIsAppliedAtTheNextRefresh) {
+TEST(FleetPurgeLog, PurgeReadByAnAppendIsAppliedAtOnce) {
   TempSpillDir dir;
   auto a = OpenInstance(dir.path(), "alpha");
   auto b = OpenInstance(dir.path(), "beta");
   ASSERT_TRUE(b->CreateTable("g", MakeTestTable(100)).ok());
   ASSERT_TRUE(b->Execute(RangeQuery(0, 3000)).ok());
   b->FlushCache();
+  EXPECT_CONSISTENT(b);
 
-  // Alpha replaces f. Beta's next manifest write (a spill over g) reads
-  // the purge before any refresh does.
+  // Alpha replaces f. Beta's next append (a spill over g) reads the
+  // purge before any refresh does, and applies it then.
   ASSERT_TRUE(a->ReplaceTable("f", MakeReplacedTable(20000)).ok());
   ASSERT_TRUE(b->Execute(PlanNode::Select(
                              PlanNode::Scan("g", {"a", "v"}),
                              Expr::Gt(Expr::Column("v"), Expr::Literal(0.0))))
                   .ok());
   b->FlushCache();
-  ASSERT_TRUE(b->RefreshFleet().ok());
   EXPECT_EQ(b->recycler().cold_tier().Stats().entries, 1);  // g's only
+  EXPECT_CONSISTENT(b);
+  ASSERT_TRUE(b->RefreshFleet().ok());
+  EXPECT_EQ(b->recycler().cold_tier().Stats().entries, 1);
+  EXPECT_CONSISTENT(b);
 
-  // Had beta kept its spill over f listed, alpha's refresh would track it
-  // again and serve it over the new f.
+  // Had beta's spill over f stayed live, alpha's refresh would track it
+  // and serve it over the new f.
   ASSERT_TRUE(a->RefreshFleet().ok());
+  EXPECT_CONSISTENT(a);
   auto expected = Expected(a.get(), RangeQuery(0, 3000));
   Result r = a->Execute(RangeQuery(0, 3000));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.trace().num_adoptions, 0);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
+  EXPECT_CONSISTENT(a);
+}
+
+TEST(FleetPurgeLog, ALaggingOwnersRetiredEntryIsNeverTrackedAgain) {
+  // The re-tracking sequence: beta tracks alpha's spill over f, replaces
+  // f, and then alpha — which has not read the purge — writes to the
+  // log again. Beta's next refresh must not take alpha's stale entry
+  // back: the rows it holds are the old f's.
+  TempSpillDir dir;
+  auto a = OpenInstance(dir.path(), "alpha");
+  auto b = OpenInstance(dir.path(), "beta");
+  ASSERT_TRUE(a->CreateTable("g", MakeTestTable(100)).ok());
+  ASSERT_TRUE(a->Execute(RangeQuery(0, 3000)).ok());
+  a->FlushCache();
+  ASSERT_TRUE(b->RefreshFleet().ok());
+  ASSERT_EQ(b->recycler().cold_tier().Stats().peer_entries, 1);
+  EXPECT_CONSISTENT(b);
+
+  ASSERT_TRUE(b->ReplaceTable("f", MakeReplacedTable(20000)).ok());
+  EXPECT_EQ(b->recycler().cold_tier().Stats().entries, 0);
+  EXPECT_CONSISTENT(b);
+
+  ASSERT_TRUE(a->Execute(PlanNode::Select(
+                             PlanNode::Scan("g", {"a", "v"}),
+                             Expr::Gt(Expr::Column("v"), Expr::Literal(0.0))))
+                  .ok());
+  a->FlushCache();
+  EXPECT_CONSISTENT(a);
+
+  ASSERT_TRUE(b->RefreshFleet().ok());
+  EXPECT_CONSISTENT(b);
+  auto expected = Expected(b.get(), RangeQuery(0, 3000));
+  Result r = b->Execute(RangeQuery(0, 3000));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.trace().num_adoptions, 0);
+  EXPECT_EQ(r.trace().num_cold_hits, 0);
+  EXPECT_EQ(RowMultiset(*r.table()), expected);
+  EXPECT_CONSISTENT(b);
 }
 
 // ---------------------------------------------------------------------------
@@ -636,8 +918,7 @@ TEST(FleetReadOnly, AdoptsAndServesWithoutWriting) {
     auto a = OpenInstance(dir.path(), "alpha");
     WarmPrimary(a.get());
   }
-  const auto manifest_before =
-      fs::file_size(fleet::ManifestPath(dir.path()));
+  const auto log_before = fs::file_size(ManifestLog::Path(dir.path()));
   size_t files_before = 0;
   for (const auto& e : fs::directory_iterator(dir.path())) {
     (void)e;
@@ -645,6 +926,7 @@ TEST(FleetReadOnly, AdoptsAndServesWithoutWriting) {
   }
 
   auto b = OpenInstance(dir.path(), "reader", 20000, /*read_only=*/true);
+  EXPECT_CONSISTENT(b);
   ColdTierStats stats = b->recycler().cold_tier().Stats();
   EXPECT_GT(stats.peer_entries, 0);
   EXPECT_EQ(stats.used_bytes, 0);
@@ -655,9 +937,12 @@ TEST(FleetReadOnly, AdoptsAndServesWithoutWriting) {
   EXPECT_GE(r.trace().num_adoptions, 1);
   EXPECT_GE(r.trace().num_cold_hits, 1);
   EXPECT_EQ(RowMultiset(*r.table()), expected);
+  EXPECT_CONSISTENT(b);
 
   // Evictions in read-only mode never touch the shared directory.
   b->FlushCache();
+  ASSERT_TRUE(b->RefreshFleet().ok());
+  EXPECT_CONSISTENT(b);
   b.reset();
   size_t files_after = 0;
   for (const auto& e : fs::directory_iterator(dir.path())) {
@@ -665,7 +950,7 @@ TEST(FleetReadOnly, AdoptsAndServesWithoutWriting) {
     ++files_after;
   }
   EXPECT_EQ(files_after, files_before);
-  EXPECT_EQ(fs::file_size(fleet::ManifestPath(dir.path())), manifest_before);
+  EXPECT_EQ(fs::file_size(ManifestLog::Path(dir.path())), log_before);
 }
 
 TEST(FleetReadOnly, OpenProbeDistinguishesAdoptionFromUnusableDir) {
@@ -711,14 +996,16 @@ TEST(FleetAsyncSpill, DrainBarrierCommitsEverythingQueued) {
     ASSERT_TRUE(a->Execute(RangeQuery(i * 1200.0, (i + 1) * 1200.0)).ok());
   }
   a->FlushCache();  // enqueue + drain
+  EXPECT_CONSISTENT(a);
   ColdTierStats stats = a->recycler().cold_tier().Stats();
   EXPECT_EQ(stats.pending_spills, 0);
   EXPECT_GE(stats.entries, 8);
   EXPECT_GE(a->counters().cold_spills.load(), 8);
 
-  // Every queued image is already manifest-visible to a new peer.
+  // Every queued image is already in the log for a new peer.
   auto b = OpenInstance(dir.path(), "beta");
   EXPECT_GE(b->recycler().cold_tier().Stats().peer_entries, 8);
+  EXPECT_CONSISTENT(b);
 }
 
 // ---------------------------------------------------------------------------
@@ -748,7 +1035,7 @@ TEST(FleetConcurrency, SpillVsAdoptRaceStaysConsistent) {
       a->FlushCache();
     }
   });
-  // B refreshes against the manifest and serves the same windows.
+  // B refreshes against the log and serves the same windows.
   std::thread adopter([&] {
     for (int i = 0; i < 40; ++i) {
       ASSERT_TRUE(b->RefreshFleet().ok());
@@ -763,6 +1050,9 @@ TEST(FleetConcurrency, SpillVsAdoptRaceStaysConsistent) {
   spiller.join();
 
   EXPECT_GE(b->counters().fleet_refreshes.load(), 40);
+  EXPECT_CONSISTENT(a);
+  ASSERT_TRUE(b->RefreshFleet().ok());
+  EXPECT_CONSISTENT(b);
 }
 
 // ---------------------------------------------------------------------------
@@ -779,6 +1069,7 @@ TEST(FleetStandby, TailingStandbyServesWarmAfterPromote) {
   ASSERT_TRUE(tailer.RefreshNow().ok());
   EXPECT_GE(tailer.refreshes(), 1);
   EXPECT_GT(standby->recycler().cold_tier().Stats().peer_entries, 0);
+  EXPECT_CONSISTENT(standby);
 
   // More results land on the primary while the standby tails.
   ASSERT_TRUE(primary->Execute(RangeQuery(6000, 9000)).ok());
@@ -788,6 +1079,7 @@ TEST(FleetStandby, TailingStandbyServesWarmAfterPromote) {
   // Primary dies; the standby takes over.
   primary.reset();
   ASSERT_TRUE(tailer.Promote().ok());
+  EXPECT_CONSISTENT(standby);
 
   // First statements after failover serve from the primary's spills.
   auto expected = Expected(standby.get(), RangeQuery(0, 3000));
@@ -803,6 +1095,7 @@ TEST(FleetStandby, TailingStandbyServesWarmAfterPromote) {
   Result later = standby->Execute(RangeQuery(6000, 9000));
   ASSERT_TRUE(later.ok());
   EXPECT_GE(later.trace().num_cold_hits, 1);
+  EXPECT_CONSISTENT(standby);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -280,6 +281,29 @@ TEST(TraceFormatTest, TruncationAlwaysFailsSoft) {
       EXPECT_LE(out.events.size(), complete.events.size()) << "cut " << cut;
     }
   }
+}
+
+TEST(TraceFormatTest, TraceFileRoundTripsAndLeavesNoTmp) {
+  testing::TempSpillDir dir;
+  const std::string path = dir.path() + "/session.trace";
+  const Trace t = SampleTrace();
+  // Written twice: the second write replaces the first through
+  // "<path>.tmp" + rename, so no torn trace ever sits under `path`.
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(trace::WriteTraceFile(path, t).ok());
+    Trace back;
+    ASSERT_TRUE(trace::ReadTraceFile(path, &back).ok());
+    EXPECT_EQ(SerializeTrace(back), SerializeTrace(t));
+    size_t files = 0;
+    for (const auto& e : std::filesystem::directory_iterator(dir.path())) {
+      EXPECT_EQ(e.path().filename(), "session.trace");
+      ++files;
+    }
+    EXPECT_EQ(files, 1u);
+  }
+  // A write that cannot create its .tmp fails and leaves nothing.
+  EXPECT_FALSE(trace::WriteTraceFile(dir.path() + "/no/such/dir.trace", t).ok());
+  EXPECT_FALSE(std::filesystem::exists(dir.path() + "/no"));
 }
 
 TEST(TraceFormatTest, ReadTraceFileMissingIsNotFound) {

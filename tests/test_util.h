@@ -13,6 +13,16 @@
 #include "common/string_util.h"
 #include "storage/table.h"
 
+/// The recycler of `db` (a Database*) agrees with itself, its spill
+/// files and its manifest log (Recycler::CheckConsistency). For gtest
+/// bodies and helpers.
+#define EXPECT_CONSISTENT(db)                                         \
+  do {                                                                \
+    const ::recycledb::Status consistent_ =                           \
+        (db)->recycler().CheckConsistency();                          \
+    EXPECT_TRUE(consistent_.ok()) << consistent_.ToString();          \
+  } while (0)
+
 namespace recycledb {
 namespace testing {
 
